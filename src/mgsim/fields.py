@@ -125,7 +125,7 @@ def multiplier_arrays(grid, n2_phys):
 
 
 def _conjugate_plane(grid, plane):
-    """conj of the k3 = 0 plane evaluated at (-k1, -k2)."""
+    """conj of a k3 plane (or a stack of them) evaluated at (-k1, -k2)."""
     rev1 = (-np.arange(grid.n1)) % grid.n1
     rev2 = (-np.arange(grid.n2)) % grid.n2
     return np.conj(plane[np.ix_(rev1, rev2)])
@@ -137,7 +137,7 @@ def forward(grid, values):
     if values.shape != grid.shape:
         raise ValueError(
             f"values shape {values.shape} does not match grid {grid.shape}")
-    c = np.fft.rfftn(values) / grid.ntot
+    c = np.fft.rfftn(values, norm="forward")
     c *= dealias_mask(grid)
     plane = c[:, :, 0]
     c[:, :, 0] = 0.5 * (plane + _conjugate_plane(grid, plane))
@@ -346,21 +346,29 @@ def write_snapshot(field, path):
 
 
 def read_snapshot(path):
-    """Read a field written by :func:`write_snapshot`."""
+    """Read a field written by :func:`write_snapshot`.
+
+    Every line must name a distinct in-band wavevector with k3 >= 0 and a
+    finite coefficient; anything else raises :class:`SnapshotFormatError`
+    with the offending line number.
+    """
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
+        raw = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1)
+               if ln.strip()]
     if not raw:
         raise SnapshotFormatError(f"{path}: empty snapshot")
-    head = raw[0].split()
+    head = raw[0][1].split()
     if len(head) != 5 or head[0] != _SNAPSHOT_MAGIC or head[1] != _SNAPSHOT_VERSION:
-        raise SnapshotFormatError(f"{path}: bad header {raw[0]!r}")
+        raise SnapshotFormatError(f"{path}: bad header {raw[0][1]!r}")
     try:
         n1, n2, n3 = (int(t) for t in head[2:])
         grid = Grid(n1, n2, n3)
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: bad grid in header: {exc}") from exc
+    b1, b2, b3 = grid.band
     f = SpectralField.zeros(grid)
-    for lineno, line in enumerate(raw[1:], start=2):
+    seen = {}
+    for lineno, line in raw[1:]:
         parts = line.split()
         if len(parts) != 5:
             raise SnapshotFormatError(
@@ -370,9 +378,17 @@ def read_snapshot(path):
             re, im = float(parts[3]), float(parts[4])
         except ValueError as exc:
             raise SnapshotFormatError(f"{path}:{lineno}: {exc}") from exc
-        if k3 < 0 or k3 > n3 // 2 or abs(k1) > n1 // 2 or abs(k2) > n2 // 2:
+        if k3 < 0 or k3 > b3 or abs(k1) > b1 or abs(k2) > b2:
             raise SnapshotFormatError(
-                f"{path}:{lineno}: wavevector ({k1},{k2},{k3}) "
-                f"outside the stored half-spectrum for grid {grid.shape}")
+                f"{path}:{lineno}: wavevector ({k1},{k2},{k3}) outside the "
+                f"dealias band {grid.band} (k3 >= 0) of grid {grid.shape}")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise SnapshotFormatError(
+                f"{path}:{lineno}: non-finite coefficient {re!r} {im!r}")
+        if (k1, k2, k3) in seen:
+            raise SnapshotFormatError(
+                f"{path}:{lineno}: wavevector ({k1},{k2},{k3}) repeats "
+                f"line {seen[k1, k2, k3]}")
+        seen[k1, k2, k3] = lineno
         f.c[k1 % n1, k2 % n2, k3] = complex(re, im)
     return f

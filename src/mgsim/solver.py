@@ -12,6 +12,10 @@ rounding and the quartic error constant applies only to the transport term.
 ``imex_euler`` treats transport explicitly and dissipation implicitly; it is
 first order and exists mainly as a cross-check.
 
+The linearized right-hand side about Theta_0 = sin(m x3) is -m u3 cos(m x3).
+Multiplying by cos(m x3) is an exact shift of +-m along k3, so that product
+is formed by slicing the spectrum: a linearized step makes no transforms.
+
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry
 no dynamics of their own and the evolution is kept on the zero-vertical-mean
@@ -39,6 +43,7 @@ from .fields import (
     PlaneSpec,
     SpectralField,
     TORUS_VOLUME,
+    _conjugate_plane,
     dealias_mask,
     forward,
     hs_norm,
@@ -129,8 +134,16 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step")
+        nsteps = round(self.t_end / self.dt)
+        if abs(nsteps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(
+                f"t_end = {self.t_end:g} is not an integer multiple of "
+                f"dt = {self.dt:g}; the nearest valid t_end is "
+                f"{nsteps * self.dt:g}")
         if self.scheme not in ("if_rk4", "imex_euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not isinstance(self.record_every, int) or self.record_every < 1:
@@ -185,6 +198,25 @@ def advection_coefficients(grid, c, n2_phys):
     prod += inverse(grid, u3h) * inverse(grid, 1j * K3 * c)
     out = forward(grid, prod)
     out[:, :, 0] = 0.0
+    return out
+
+
+def _cos_shift_sum(grid, v, m):
+    """v(k3 - m) + v(k3 + m) on the stored representatives k3 >= 0.
+
+    These are the coefficients of 2 cos(m x3) times the field with
+    coefficients v.  For k3 < m the entry v(k1, k2, k3 - m) is read from the
+    conjugate mirror conj(v(-k1, -k2, m - k3)); wavevectors beyond the
+    stored half-spectrum contribute nothing.
+    """
+    n = v.shape[2]
+    out = np.zeros_like(v)
+    if m < n:
+        out[:, :, m:] = v[:, :, :n - m]
+        out[:, :, :n - m] += v[:, :, m:]
+    lo, hi = max(0, m - n + 1), min(m, n)
+    if lo < hi:
+        out[:, :, lo:hi] += _conjugate_plane(grid, v[:, :, m - lo:m - hi:-1])
     return out
 
 
@@ -255,7 +287,7 @@ def run(theta0, params, config, reference=None):
     _growth_cap_check(theta0, params, config)
 
     dt = config.dt
-    nsteps = max(1, int(round(config.t_end / dt)))
+    nsteps = round(config.t_end / dt)
     c = theta0.c.copy()
     pmask = (plane_mask(grid, config.plane)
              if config.restrict_to_plane else None)
@@ -272,13 +304,14 @@ def run(theta0, params, config, reference=None):
     implicit = 1.0 / (1.0 + dt * diss)
 
     if config.linearized:
-        x3 = grid.axes()[2][None, None, :]
-        cos_m = np.cos(params.m * x3)
-        m3 = multiplier_arrays(grid, n2p)[2]
+        # -m u3 cos(m x3) = v(k3 - m) + v(k3 + m), v = -(m/2) M3_hat theta_hat
+        m = params.m
+        v_scale = -0.5 * m * multiplier_arrays(grid, n2p)[2]
+        mask = dealias_mask(grid)
 
         def rhs(cc):
-            u3 = inverse(grid, m3 * cc)
-            out = forward(grid, -params.m * u3 * cos_m)
+            out = _cos_shift_sum(grid, v_scale * cc, m)
+            out *= mask
             out[:, :, 0] = 0.0
             return out
     else:

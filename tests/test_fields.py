@@ -219,6 +219,35 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
 
+    def test_out_of_band_wavevector(self, tmp_path):
+        # inside the stored half-spectrum of 8^3, outside its band of 2
+        path = tmp_path / "bad.txt"
+        path.write_text("MGFIELD v1 8 8 8\n1 1 1 0.5 0.0\n3 3 4 0.5 0.0\n")
+        with pytest.raises(SnapshotFormatError, match=r":3: .*\(3,3,4\)"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("re_im", ["nan 0.0", "0.5 inf", "-inf nan"])
+    def test_non_finite_coefficient(self, tmp_path, re_im):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"MGFIELD v1 16 16 16\n\n1 2 3 {re_im}\n")
+        with pytest.raises(SnapshotFormatError, match=":3: non-finite"):
+            read_snapshot(path)
+
+    def test_repeated_wavevector(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("MGFIELD v1 16 16 16\n1 2 3 0.5 0.0\n"
+                        "0 0 1 0.0 -0.5\n1 2 3 0.25 0.0\n")
+        with pytest.raises(SnapshotFormatError, match=":4: .*repeats line 2"):
+            read_snapshot(path)
+
+    def test_round_trip_bit_exact_dense_field(self, tmp_path):
+        # every in-band mode populated, up to the band edges
+        rng = np.random.default_rng(3)
+        f = SpectralField.from_values(G16, rng.standard_normal(G16.shape))
+        path = tmp_path / "dense.txt"
+        write_snapshot(f, path)
+        assert np.array_equal(read_snapshot(path).c, f.c)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")

@@ -8,9 +8,11 @@ import pytest
 
 from mgsim.errors import BlowUpError, GrowthCapError
 from mgsim.symbol import PhysParams
+import mgsim.fields
+import mgsim.solver
 from mgsim.fields import (
-    Grid, PlaneSpec, SpectralField, cosine_mode, forward, l2_norm,
-    sine_vertical, wavenumbers,
+    Grid, PlaneSpec, SpectralField, cosine_mode, forward, inverse, l2_norm,
+    multiplier_arrays, sine_vertical, wavenumbers,
 )
 from mgsim.eigen import assemble_eigenfunction, solve_sigma_star
 from mgsim.solver import (
@@ -71,10 +73,20 @@ class TestSolverConfig:
         dict(dt=0.1, t_end=1.0, scheme="rk99"),
         dict(dt=0.1, t_end=1.0, record_every=0),
         dict(dt=0.1, t_end=1.0, restrict_to_plane=True),
+        dict(dt=0.1, t_end=math.inf),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             SolverConfig(**kw)
+
+    def test_rejects_fractional_step_count(self):
+        # 1.0 / 0.3 steps used to be rounded silently to 3, ending at 0.9
+        with pytest.raises(ValueError, match="nearest valid t_end is 0.9"):
+            SolverConfig(dt=0.3, t_end=1.0)
+
+    def test_accepts_step_count_up_to_rounding(self):
+        # 0.1 * 3 != 0.3 in binary; the step count is still exactly 3
+        assert SolverConfig(dt=0.1, t_end=0.3).t_end == 0.3
 
 
 class TestVelocity:
@@ -129,6 +141,74 @@ class TestLinearized:
         assert abs(rate - sol.sigma_star) < 1e-9 * sol.sigma_star
         assert r2 > 0.999999
         assert np.all(np.isnan(diag.energy_residual))
+
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (16, 32, 24)])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rhs_equals_pseudo_spectral_product(self, shape, m):
+        # below m = n3 - 2 b3 the physical-space product does not alias, so
+        # the exact +-m shift along k3 must reproduce it to rounding
+        grid = Grid(*shape)
+        assert m < grid.n3 - 2 * grid.band[2]
+        par = PhysParams(m=m)
+        f0 = SpectralField(grid, forward(
+            grid, np.random.default_rng(m).standard_normal(grid.shape)))
+        m3 = multiplier_arrays(grid, par.n2)[2]
+        cos_m = np.cos(m * grid.axes()[2])[None, None, :]
+        prod = forward(grid, -m * inverse(grid, m3 * f0.c) * cos_m)
+        prod[:, :, 0] = 0.0
+        cfg = SolverConfig(dt=1.0, t_end=1.0, scheme="imex_euler",
+                           linearized=True)
+        f1, _ = run(f0, par, cfg)
+        expected = f0.c + prod
+        err = np.max(np.abs(f1.c - expected))
+        assert err <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("m", [1, 4, 9, 16, 20, 25, 29])
+    def test_rhs_is_exact_shift_for_any_m(self, m):
+        # per-mode reference: the coefficient of -m u3 cos(m x3) at k is
+        # v(k - m e3) + v(k + m e3), v = -(m/2) u3_hat, read through the
+        # conjugate symmetry of SpectralField.coeff; covers m beyond the
+        # stored half-spectrum, where a grid product would alias
+        grid = Grid(8, 10, 30)
+        par = PhysParams(m=m)
+        f0 = SpectralField(grid, forward(
+            grid, np.random.default_rng(m).standard_normal(grid.shape)))
+        v = SpectralField(
+            grid, -0.5 * m * multiplier_arrays(grid, par.n2)[2] * f0.c)
+        K1, K2, _ = wavenumbers(grid)
+        b1, b2, b3 = grid.band
+        expected = f0.c.copy()
+        for i, j, k3 in np.ndindex(*grid.spectral_shape):
+            k1, k2 = int(K1[i, 0, 0]), int(K2[0, j, 0])
+            if 0 < k3 <= b3 and abs(k1) <= b1 and abs(k2) <= b2:
+                expected[i, j, k3] += (v.coeff(k1, k2, k3 - m)
+                                       + v.coeff(k1, k2, k3 + m))
+        cfg = SolverConfig(dt=1.0, t_end=1.0, scheme="imex_euler",
+                           linearized=True)
+        f1, _ = run(f0, par, cfg)
+        assert np.max(np.abs(f1.c - expected)) <= 1e-14 * np.max(
+            np.abs(expected))
+
+    def test_steps_make_no_transforms(self, monkeypatch):
+        counts = {"forward": 0, "inverse": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (mgsim.fields, mgsim.solver):
+            monkeypatch.setattr(module, "forward",
+                                counting("forward", mgsim.fields.forward))
+            monkeypatch.setattr(module, "inverse",
+                                counting("inverse", mgsim.fields.inverse))
+        cfg = SolverConfig(dt=0.01, t_end=0.2, record_every=5,
+                           linearized=True)
+        _, diag = run(_rich_field(G16), PhysParams(eps_kappa=0.01), cfg)
+        # only the L-infinity norm of each record leaves spectral space
+        assert len(diag.times) == 5
+        assert counts == {"forward": 0, "inverse": len(diag.times)}
 
     def test_source_rejected(self):
         cfg = SolverConfig(dt=0.01, t_end=0.1, linearized=True,
