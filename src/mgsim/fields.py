@@ -9,8 +9,12 @@ the last axis keeps only the representatives k3 >= 0, and the first two
 axes carry signed wavenumbers in fft order.  Coefficients here are the
 mathematical ones (``rfftn`` output divided by the number of grid points).
 
-All transforms dealias with the usual two-thirds rule, so a field built
-through :func:`forward` never carries modes beyond ``|k_i| <= n_i // 3``.
+Fields are band-limited by construction: a :class:`SpectralField` refuses
+any nonzero coefficient outside the two-thirds dealias band
+``|k_i| <= n_i // 3``, so every field carries only in-band modes.  The
+transforms rely on that.  Each 1-D pass skips the rows, columns and planes
+the band leaves zero ("pruned" transforms): :func:`inverse` reads only the
+band, and :func:`forward` keeps only the band.
 The k3 = 0 plane is symmetrized exactly on the way in: evenness checks and
 conjugate-pair lookups then hold to the last bit, not merely to rounding.
 
@@ -131,30 +135,82 @@ def _conjugate_plane(grid, plane):
     return np.conj(plane[np.ix_(rev1, rev2)])
 
 
+@lru_cache(maxsize=None)
+def _band_index(grid):
+    """In-band k1 rows, in-band k2 columns and in-band k3 plane count.
+
+    Rows and columns are fft-order indices of ``|k| <= band``; the planes
+    are the leading ``b3 + 1`` of the half-spectrum.
+    """
+    b1, b2, b3 = grid.band
+    r1 = np.r_[:b1 + 1, grid.n1 - b1:grid.n1]
+    r2 = np.r_[:b2 + 1, grid.n2 - b2:grid.n2]
+    r1.flags.writeable = r2.flags.writeable = False  # shared by every caller
+    return r1, r2, b3 + 1
+
+
 def forward(grid, values):
-    """Physical samples -> dealiased mathematical coefficients."""
+    """Physical samples -> dealiased mathematical coefficients.
+
+    The x3 pass keeps the in-band planes, the x2 pass the in-band columns,
+    and the x1 pass runs on those columns only and keeps the in-band rows.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.shape != grid.shape:
         raise ValueError(
             f"values shape {values.shape} does not match grid {grid.shape}")
-    c = np.fft.rfftn(values, norm="forward")
-    c *= dealias_mask(grid)
+    r1, r2, p3 = _band_index(grid)
+    a = np.fft.rfft(values, axis=2, norm="forward")[:, :, :p3]
+    a = np.fft.fft(a, axis=1, norm="forward")[:, r2]
+    a = np.fft.fft(a, axis=0, norm="forward")[r1]
+    c = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    c[r1[:, None], r2, :p3] = a
     plane = c[:, :, 0]
     c[:, :, 0] = 0.5 * (plane + _conjugate_plane(grid, plane))
     return c
 
 
 def inverse(grid, coeffs):
-    """Mathematical coefficients -> physical samples."""
-    return np.fft.irfftn(coeffs * grid.ntot, s=grid.shape, axes=(0, 1, 2))
+    """Mathematical coefficients -> physical samples.
+
+    Only the dealias band of ``coeffs`` is read, which is exact for the
+    band-limited fields this module builds.  The x2 pass runs on the
+    in-band rows and planes, the x1 pass on the in-band planes, and the
+    x3 pass zero-pads k3 beyond the band.
+    """
+    r1, _, p3 = _band_index(grid)
+    a = np.zeros((grid.n1, grid.n2, p3), dtype=np.complex128)
+    a[r1] = np.fft.ifft(coeffs[r1, :, :p3], axis=1, norm="forward")
+    np.fft.ifft(a, axis=0, norm="forward", out=a)  # in place: numpy >= 2.0
+    return np.fft.irfft(a, n=grid.n3, axis=2, norm="forward")
 
 
 @dataclass
 class SpectralField:
-    """A real scalar field held as half-complex coefficients on a grid."""
+    """A real scalar field held as half-complex coefficients on a grid.
+
+    Construction rejects an array of the wrong shape and any nonzero
+    coefficient outside the dealias band; the transforms depend on it.
+    """
 
     grid: Grid
     c: np.ndarray
+
+    def __post_init__(self):
+        grid = self.grid
+        if np.shape(self.c) != grid.spectral_shape:
+            raise ValueError(
+                f"coefficient array of shape {np.shape(self.c)} does not "
+                f"match the spectral shape {grid.spectral_shape} of grid "
+                f"{grid.shape}")
+        outside = np.argwhere((self.c != 0) & ~dealias_mask(grid))
+        if outside.size:
+            i, j, k = outside[0]
+            K1, K2, _ = wavenumbers(grid)
+            raise ValueError(
+                f"nonzero coefficient at wavevector ({K1[i, 0, 0]},"
+                f"{K2[0, j, 0]},{k}) outside the dealias band {grid.band} "
+                f"of grid {grid.shape}")
 
     @classmethod
     def zeros(cls, grid):
@@ -349,8 +405,11 @@ def read_snapshot(path):
     """Read a field written by :func:`write_snapshot`.
 
     Every line must name a distinct in-band wavevector with k3 >= 0 and a
-    finite coefficient; anything else raises :class:`SnapshotFormatError`
-    with the offending line number.
+    finite coefficient, and the k3 = 0 plane must be exactly
+    conjugate-symmetric: each entry (k1, k2, 0) needs its mirror
+    (-k1, -k2, 0) holding exactly its conjugate, and (0, 0, 0) must be real.
+    Anything else raises :class:`SnapshotFormatError` with the offending
+    line number.
     """
     with open(path) as fh:
         raw = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1)
@@ -391,4 +450,19 @@ def read_snapshot(path):
                 f"line {seen[k1, k2, k3]}")
         seen[k1, k2, k3] = lineno
         f.c[k1 % n1, k2 % n2, k3] = complex(re, im)
+    for (k1, k2, k3), lineno in seen.items():
+        if k3 != 0:
+            continue
+        value = f.c[k1 % n1, k2 % n2, 0]
+        where = f"{path}:{lineno}: k3 = 0 entry ({k1},{k2},0) = {value}"
+        if (k1, k2) == (0, 0):
+            if value.imag != 0.0:
+                raise SnapshotFormatError(f"{where} is not real")
+        elif (-k1, -k2, 0) not in seen:
+            raise SnapshotFormatError(
+                f"{where} has no conjugate mirror ({-k1},{-k2},0)")
+        elif f.c[-k1 % n1, -k2 % n2, 0] != np.conj(value):
+            raise SnapshotFormatError(
+                f"{where} is not the conjugate of its mirror ({-k1},{-k2},0) "
+                f"on line {seen[-k1, -k2, 0]}")
     return f

@@ -190,12 +190,16 @@ def velocity_max(grid, c, n2_phys):
 
 
 def advection_coefficients(grid, c, n2_phys):
-    """Dealiased coefficients of u . grad theta, restricted to k3 != 0."""
-    K1, K2, K3 = wavenumbers(grid)
-    u1h, u2h, u3h = velocity_coefficients(grid, c, n2_phys)
-    prod = inverse(grid, u1h) * inverse(grid, 1j * K1 * c)
-    prod += inverse(grid, u2h) * inverse(grid, 1j * K2 * c)
-    prod += inverse(grid, u3h) * inverse(grid, 1j * K3 * c)
+    """Dealiased coefficients of u . grad theta, restricted to k3 != 0.
+
+    One component at a time, so that few full-size temporaries are alive
+    at once.
+    """
+    prod = np.zeros(grid.shape)
+    for k, m in zip(wavenumbers(grid), multiplier_arrays(grid, n2_phys)):
+        u = inverse(grid, m * c)
+        u *= inverse(grid, 1j * k * c)
+        prod += u
     out = forward(grid, prod)
     out[:, :, 0] = 0.0
     return out
@@ -302,6 +306,9 @@ def run(theta0, params, config, reference=None):
     E = np.exp(-dt * diss)
     E2 = np.exp(-0.5 * dt * diss)
     implicit = 1.0 / (1.0 + dt * diss)
+    # IF-RK4 stage factors, fixed for the run
+    half_E2, dt_E2 = 0.5 * dt * E2, dt * E2
+    dt3_E2, dt6_E = (dt / 3.0) * E2, (dt / 6.0) * E
 
     if config.linearized:
         # -m u3 cos(m x3) = v(k3 - m) + v(k3 + m), v = -(m/2) M3_hat theta_hat
@@ -362,12 +369,29 @@ def run(theta0, params, config, reference=None):
     record(0, c)
     for step in range(1, nsteps + 1):
         if config.scheme == "if_rk4":
+            # stage inputs E2 c + dt/2 E2 n1, E2 c + dt/2 n2, E c + dt E2 n3;
+            # c <- E c + dt/6 E n1 + dt/3 E2 (n2 + n3) + dt/6 n4.  Every rhs
+            # returns a fresh array, so the stages are combined in place.
+            E2c = E2 * c
+            c_next = E * c
             n1 = rhs(c)
-            n2 = rhs(E2 * (c + 0.5 * dt * n1))
-            n3 = rhs(E2 * c + 0.5 * dt * n2)
-            n4 = rhs(E * c + dt * (E2 * n3))
-            c = E * c + (dt / 6.0) * (
-                E * n1 + 2.0 * E2 * (n2 + n3) + n4)
+            stage = half_E2 * n1
+            stage += E2c
+            n2 = rhs(stage)
+            np.multiply(n2, 0.5 * dt, out=stage)
+            stage += E2c
+            n3 = rhs(stage)
+            np.multiply(dt_E2, n3, out=stage)
+            stage += c_next
+            n4 = rhs(stage)
+            n2 += n3
+            n2 *= dt3_E2
+            n1 *= dt6_E
+            n1 += n2
+            n4 *= dt / 6.0
+            n1 += n4
+            c_next += n1
+            c = c_next
         else:  # imex_euler
             c = implicit * (c + dt * rhs(c))
         if pmask is not None:

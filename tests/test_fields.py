@@ -16,6 +16,7 @@ from mgsim.fields import (
     SpectralField,
     TORUS_VOLUME,
     cosine_mode,
+    dealias_mask,
     forward,
     hs_norm,
     inverse,
@@ -38,6 +39,24 @@ def _random_band_limited(grid, seed=0):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(grid.shape)
     return SpectralField(grid, forward(grid, v))
+
+
+def reference_forward(grid, v):
+    """Unpruned forward transform: full rfftn, mask, k3 = 0 symmetrization."""
+    c = np.fft.rfftn(v, norm="forward") * dealias_mask(grid)
+    rev1 = (-np.arange(grid.n1)) % grid.n1
+    rev2 = (-np.arange(grid.n2)) % grid.n2
+    plane = c[:, :, 0]
+    c[:, :, 0] = 0.5 * (plane + np.conj(plane[np.ix_(rev1, rev2)]))
+    return c
+
+
+def reference_inverse(grid, c):
+    """Unpruned inverse transform: full irfftn over the stored spectrum."""
+    return np.fft.irfftn(c, s=grid.shape, axes=(0, 1, 2), norm="forward")
+
+
+REFERENCE_GRIDS = [Grid(16, 32, 24), Grid(8, 10, 30), Grid(48, 48, 48)]
 
 
 class TestGrid:
@@ -77,6 +96,23 @@ class TestTransforms:
     def test_mean_mode_is_real(self):
         f = _random_band_limited(G16, seed=5)
         assert f.c[0, 0, 0].imag == 0.0
+
+    # the pruned transforms against full numpy transforms: a consistent
+    # index slip would survive the round-trip and idempotence checks
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=str)
+    def test_forward_matches_unpruned(self, grid):
+        v = np.random.default_rng(1).standard_normal(grid.shape)
+        ref = reference_forward(grid, v)
+        assert np.max(np.abs(forward(grid, v) - ref)) <= 1e-14 * np.max(
+            np.abs(ref))
+
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=str)
+    def test_inverse_matches_unpruned(self, grid):
+        c = reference_forward(
+            grid, np.random.default_rng(2).standard_normal(grid.shape))
+        ref = reference_inverse(grid, c)
+        assert np.max(np.abs(inverse(grid, c) - ref)) <= 1e-14 * np.max(
+            np.abs(ref))
 
 
 class TestModesAndNorms:
@@ -139,6 +175,18 @@ class TestModesAndNorms:
     def test_coeff_out_of_band_is_zero(self):
         f = sine_vertical(G16, 1)
         assert f.coeff(40, 0, 0) == 0.0
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(16, 16, 8\)"):
+            SpectralField(G16, np.zeros((16, 16, 8), dtype=complex))
+
+    def test_rejects_out_of_band_coefficient(self):
+        # k3 = 7 is stored in the 16^3 half-spectrum but outside its band of 5
+        c = np.zeros(G16.spectral_shape, dtype=complex)
+        c[1, 0, 2] = 1.0
+        c[-2, 3, 7] = 1e-300
+        with pytest.raises(ValueError, match=r"\(-2,3,7\) outside"):
+            SpectralField(G16, c)
 
     def test_set_coeff_validates(self):
         f = SpectralField.zeros(G16)
@@ -238,6 +286,19 @@ class TestSnapshots:
         path.write_text("MGFIELD v1 16 16 16\n1 2 3 0.5 0.0\n"
                         "0 0 1 0.0 -0.5\n1 2 3 0.25 0.0\n")
         with pytest.raises(SnapshotFormatError, match=":4: .*repeats line 2"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("lines,match", [
+        # coeff(-1,-1,0) would load as 0: spectral L2 8.80, physical L2 6.23
+        ("1 1 0 0.5 0.25", r":2: .*\(1,1,0\).*no conjugate mirror"),
+        ("0 0 1 0.0 -0.5\n1 -2 0 0.5 0.25\n-1 2 0 0.5 0.25",
+         r":3: .*not the conjugate.* line 4"),
+        ("0 0 0 1.0 1e-300", r":2: .*is not real"),
+    ])
+    def test_kzero_plane_not_symmetric(self, tmp_path, lines, match):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"MGFIELD v1 8 8 8\n{lines}\n")
+        with pytest.raises(SnapshotFormatError, match=match):
             read_snapshot(path)
 
     def test_round_trip_bit_exact_dense_field(self, tmp_path):

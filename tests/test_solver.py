@@ -11,8 +11,8 @@ from mgsim.symbol import PhysParams
 import mgsim.fields
 import mgsim.solver
 from mgsim.fields import (
-    Grid, PlaneSpec, SpectralField, cosine_mode, forward, inverse, l2_norm,
-    multiplier_arrays, sine_vertical, wavenumbers,
+    Grid, PlaneSpec, SpectralField, cosine_mode, dealias_mask, forward,
+    inverse, l2_norm, multiplier_arrays, sine_vertical, wavenumbers,
 )
 from mgsim.eigen import assemble_eigenfunction, solve_sigma_star
 from mgsim.solver import (
@@ -97,6 +97,26 @@ class TestVelocity:
         div = K1 * u1 + K2 * u2 + K3 * u3
         scale = max(np.max(np.abs(u1)), np.max(np.abs(u3)))
         assert np.max(np.abs(div)) < 1e-13 * (1.0 + scale) * 16
+
+
+def _reference_advection(grid, c, n2):
+    """u . grad theta through unpruned numpy transforms."""
+    def inv(a):
+        return np.fft.irfftn(a, s=grid.shape, axes=(0, 1, 2), norm="forward")
+    prod = sum(inv(m * c) * inv(1j * k * c) for k, m in
+               zip(wavenumbers(grid), multiplier_arrays(grid, n2)))
+    out = np.fft.rfftn(prod, norm="forward") * dealias_mask(grid)
+    out[:, :, 0] = 0.0  # the k3 = 0 plane is dropped, symmetric or not
+    return out
+
+
+@pytest.mark.parametrize("shape", [(16, 32, 24), (8, 10, 30), (48, 48, 48)])
+def test_advection_matches_unpruned_reference(shape):
+    grid = Grid(*shape)
+    c = _rich_field(grid).c
+    ref = _reference_advection(grid, c, 1.3)
+    got = advection_coefficients(grid, c, 1.3)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestExactness:
