@@ -13,7 +13,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .errors import MGError, NoRootError
+from .errors import ConfigError, MGError, NoRootError
 from .config import (
     get_bool, get_float, get_floats, get_int, get_ints, get_str, load_config,
 )
@@ -410,7 +410,8 @@ def instability_cmd(config_path, out_dir):
 @_wrap_errors
 def illposedness_cmd(config_path, out_dir):
     """Sweep growth rates along the unbounded-wavenumber family."""
-    from .experiments import illposedness, write_manifest, write_sweep_csv
+    from .eigen import illposedness_sweep
+    from .experiments import write_manifest, write_sweep_csv
 
     cfg = load_config(config_path)
     params = _phys_from_cfg(cfg)
@@ -421,7 +422,8 @@ def illposedness_cmd(config_path, out_dir):
     out = _outdir(out_dir)
 
     t0 = time.perf_counter()
-    res = illposedness(regime, params, j_min=j_min, j_max=j_max, depth=depth)
+    res = illposedness_sweep(regime, params, j_min=j_min, j_max=j_max,
+                             depth=depth)
     wall = time.perf_counter() - t0
 
     write_sweep_csv(res, out / "sweep.csv")
@@ -454,6 +456,10 @@ def plane_demo_cmd(config_path, out_dir):
     plane_txt = get_str(cfg, "plane_demo.q", "1/1")
     gammas = get_floats(cfg, "plane_demo.gammas", (0.3, 0.5, 0.8))
     control = get_ints(cfg, "plane_demo.control_mode", (1, 2, 1))
+    if len(control) != 3:
+        raise ConfigError(
+            f"config key 'plane_demo.control_mode': expected 3 integers "
+            f"k1, k2, k3, got {len(control)}")
     kw = dict(
         plane=_parse_plane(plane_txt),
         gammas=gammas,

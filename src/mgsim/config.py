@@ -114,22 +114,23 @@ def get_bool(cfg, key, default=_MISSING):
         raise ConfigError(f"config key {key!r}: {val!r} is not a boolean") from exc
 
 
-def get_floats(cfg, key, default=_MISSING):
-    """Comma-separated list of numbers."""
+def _get_list(cfg, key, default, get_one):
+    """Comma-separated non-empty list, each entry read by a scalar getter."""
     val = _fetch(cfg, key, default)
     if not isinstance(val, str):
         return val
-    try:
-        return tuple(float(tok) for tok in val.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {val!r} is not a number list") from exc
+    toks = (tok.strip() for tok in val.split(","))
+    out = tuple(get_one({key: tok}, key) for tok in toks if tok)
+    if not out:
+        raise ConfigError(f"config key {key!r}: {val!r} is an empty list")
+    return out
+
+
+def get_floats(cfg, key, default=_MISSING):
+    """Comma-separated list of finite numbers."""
+    return _get_list(cfg, key, default, get_float)
 
 
 def get_ints(cfg, key, default=_MISSING):
-    val = _fetch(cfg, key, default)
-    if not isinstance(val, str):
-        return val
-    try:
-        return tuple(int(tok) for tok in val.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {val!r} is not an integer list") from exc
+    """Comma-separated list of integers."""
+    return _get_list(cfg, key, default, get_int)

@@ -26,12 +26,22 @@ solution exists exactly when sigma solves the continued-fraction equation
     x_1 = 1 / (x_2 - 1 / (x_3 - 1 / (x_4 - ... ))).
 
 `cf_residual` evaluates the truncated residual of that equation,
-`solve_sigma_star` finds its largest positive root by bracketed bisection,
-and `dense_sigma_star` is an independent cross-check that solves the same
+`solve_sigma_star` bisects its principal root on a bracket, and
+`dense_sigma_star` is an independent cross-check that solves the same
 truncated problem as a generalized symmetric-definite matrix eigenproblem.
 All positive roots are simple and real: conjugating by the alternating sign
 pattern makes the recursion matrix symmetric with positive off-diagonal,
 so the principal branch carries a Perron-type largest eigenvalue.
+
+The residual changes sign at most once on any sigma interval, so bisecting
+between a negative and a non-negative endpoint cannot miss a root.  Each
+x_p grows with sigma (alpha_p > 0), so by induction from T_depth = x_depth
+every tail T_p = x_p - 1/T_{p+1} grows with sigma wherever T_{p+1} > 0, and
+so does the residual x_1 - 1/T_2.  The principal branch (all tails above a
+small positive floor) is therefore a right half-line on which the residual
+increases; counting the off-branch points to its left as negative leaves a
+single possible sign change.  Rounding keeps this: each step is a monotone
+floating-point operation, so the computed residual is non-decreasing too.
 """
 
 from __future__ import annotations
@@ -60,11 +70,13 @@ _WIDTH_ULPS = 8.0
 _MAX_DEPTH = 1024
 
 
-def _validate_mode(k1: int, k2: int):
+def _validate_mode(k1: int, k2: int, p: int = 1):
     if not (isinstance(k1, (int, np.integer)) and k1 >= 1):
         raise ValueError(f"k1 must be a positive integer, got {k1}")
     if not (isinstance(k2, (int, np.integer)) and k2 >= 1):
         raise ValueError(f"k2 must be a positive integer, got {k2}")
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
 
 
 def alpha(p: int, k1: int, k2: int, params: PhysParams) -> float:
@@ -73,14 +85,8 @@ def alpha(p: int, k1: int, k2: int, params: PhysParams) -> float:
     alpha_p = 2 (N^4 (mp)^2 (k1^2 + k2^2 + (mp)^2) + k2^4)
               / (m N^2 k2^2 (k1^2 + k2^2)),  growing like p^4.
     """
-    _validate_mode(k1, k2)
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    n2, m = params.n2, params.m
-    ksq = float(k1 * k1 + k2 * k2)
-    mp2 = float(m * p) ** 2
-    num = 2.0 * (n2 * n2 * mp2 * (ksq + mp2) + float(k2) ** 4)
-    return num / (m * n2 * float(k2 * k2) * ksq)
+    _validate_mode(k1, k2, p)
+    return float(_alphas(p, k1, k2, params)[-1])
 
 
 def _alphas(P: int, k1: int, k2: int, params: PhysParams) -> np.ndarray:
@@ -106,9 +112,8 @@ def _dissipation_shifts(P: int, k1: int, k2: int, params: PhysParams) -> np.ndar
 
 def sigma_shifted(sigma: float, p: int, k1: int, k2: int, params: PhysParams) -> float:
     """Dissipation-shifted rate sigma_p = sigma + eps_kappa |k_p|^(2 gamma)."""
-    _validate_mode(k1, k2)
-    lam = float(k1 * k1 + k2 * k2 + (params.m * p) ** 2)
-    return sigma + params.eps_kappa * lam ** params.gamma
+    _validate_mode(k1, k2, p)
+    return sigma + float(_dissipation_shifts(p, k1, k2, params)[-1])
 
 
 def cf_residual(sigma: float, k1: int, k2: int, params: PhysParams,
@@ -144,25 +149,6 @@ def cf_residual(sigma: float, k1: int, k2: int, params: PhysParams,
             f"tail T_2 = {T} non-positive at sigma={sigma} for mode ({k1},{k2})"
         )
     return x[0] - 1.0 / T
-
-
-def _residual_curve(sigmas: np.ndarray, k1: int, k2: int, params: PhysParams,
-                    depth: int) -> np.ndarray:
-    """Vectorized truncated residual over many sigma; NaN off the branch."""
-    a = _alphas(depth, k1, k2, params)
-    e = _dissipation_shifts(depth, k1, k2, params)
-    sig = np.asarray(sigmas, dtype=np.float64)
-    bad = np.zeros(sig.shape, dtype=bool)
-    T = (sig + e[depth - 1]) * a[depth - 1]
-    for p in range(depth - 2, 0, -1):
-        bad |= T <= _TAIL_FLOOR
-        T = np.where(bad, 1.0, T)
-        T = (sig + e[p]) * a[p] - 1.0 / T
-    bad |= T <= _TAIL_FLOOR
-    T = np.where(bad, 1.0, T)
-    out = (sig + e[0]) * a[0] - 1.0 / T
-    out[bad] = np.nan
-    return out
 
 
 def sigma_bracket(k1: int, k2: int, params: PhysParams) -> tuple[float, float]:
@@ -307,8 +293,6 @@ class EigenSolution:
         |cf_residual(sigma_star)| at the accepted depth.
     bracket : (float, float)
         Two-sided bracket the root was located in.
-    sign_changes : int
-        Number of sign changes of the scanned residual over the bracket.
     recursion_residual : float
         Largest relative defect of the interior recursion rows.
     """
@@ -321,7 +305,6 @@ class EigenSolution:
     c: np.ndarray = field(repr=False)
     residual: float
     bracket: tuple[float, float]
-    sign_changes: int
     recursion_residual: float
 
 
@@ -348,41 +331,33 @@ def _recursion_rows_residual(sigma: float, c: np.ndarray, k1: int, k2: int,
     return float(defect.max())
 
 
-def _scan_and_bisect(k1: int, k2: int, params: PhysParams, depth: int,
-                     lo: float, hi: float, nscan: int = 256):
-    """Locate the rightmost root of the truncated residual in [lo, hi].
+def _bisect(k1: int, k2: int, params: PhysParams, depth: int,
+            lo: float, hi: float) -> float:
+    """Principal root of the truncated residual in [lo, hi], by bisection.
 
-    Returns (sigma, sign_changes).  Raises NoRootError if the scanned
-    residual never changes sign on the bracket.
+    Off-branch points count as negative, so the residual changes sign at
+    most once on any interval (module docstring).  Raises NoRootError unless
+    g(lo) < 0 <= g(hi).
     """
-    grid = np.linspace(lo, hi, nscan)
-    vals = _residual_curve(grid, k1, k2, params, depth)
-    # Off-branch points count as "below the root": the principal branch sits
-    # to the right of any tail degeneracy and the residual is increasing.
-    signs = np.where(np.isnan(vals), -1.0, np.sign(vals))
-    signs[signs == 0.0] = 1.0
-    flips = np.nonzero(np.diff(signs) != 0.0)[0]
-    if flips.size == 0:
-        raise NoRootError(
-            f"no unstable root for mode ({k1},{k2}) in bracket "
-            f"[{lo:.6g}, {hi:.6g}]", lo=lo, hi=hi,
-        )
-    i = flips[-1]
-    a, b = float(grid[i]), float(grid[i + 1])
-
     def g(s: float) -> float:
         try:
             return cf_residual(s, k1, k2, params, depth)
         except DegenerateTailError:
             return -1.0
 
+    a, b = lo, hi
     fa, fb = g(a), g(b)
+    if not fa < 0.0 <= fb:
+        raise NoRootError(
+            f"no unstable root for mode ({k1},{k2}) in bracket "
+            f"[{lo:.6g}, {hi:.6g}]", lo=lo, hi=hi,
+        )
     for _ in range(200):
         if b - a <= _WIDTH_ULPS * np.spacing(max(abs(a), abs(b))):
             break
         mid = 0.5 * (a + b)
         fm = g(mid)
-        if (fm < 0.0) == (fa < 0.0):
+        if fm < 0.0:
             a, fa = mid, fm
         else:
             b, fb = mid, fm
@@ -392,24 +367,25 @@ def _scan_and_bisect(k1: int, k2: int, params: PhysParams, depth: int,
         s = b - fb * (b - a) / (fb - fa)
         if a <= s <= b:
             sigma = s
-    return sigma, int(flips.size)
+    return sigma
 
 
 def solve_sigma_star(k1: int, k2: int, params: PhysParams,
                      depth: int = 64) -> EigenSolution:
     """Largest unstable eigenvalue of a horizontal mode pair.
 
-    Brackets the principal root with `sigma_bracket`, scans the bracket for
-    sign changes of the truncated residual (recording how many there are),
-    bisects the rightmost one to machine width, then doubles the truncation
-    depth until the root moves by less than 1e-12.  The accepted root then
-    gets its coefficient profile from `backward_coefficients`.
+    Brackets the principal root with `sigma_bracket` and bisects the
+    truncated residual on the bracket to machine width; the residual
+    changes sign at most once there, so a sign change at the endpoints is
+    the root.  The truncation depth then doubles until the root moves by
+    less than 1e-12, and the accepted root gets its coefficient profile
+    from `backward_coefficients`.
 
     Raises
     ------
     NoRootError
         If the bracket certifies stability (upper endpoint <= 0) or the
-        residual has no sign change on the admissible bracket.
+        residual does not change sign on the admissible bracket.
     """
     _validate_mode(k1, k2)
     lo, hi = sigma_bracket(k1, k2, params)
@@ -418,15 +394,15 @@ def solve_sigma_star(k1: int, k2: int, params: PhysParams,
             f"mode ({k1},{k2}) is certified stable: bracket upper endpoint "
             f"{hi:.6g} <= 0", lo=lo, hi=hi,
         )
-    scan_lo = max(lo * (1.0 - 1e-9), hi * 1e-9)
-    scan_hi = hi * (1.0 + 1e-9)
-    sigma, changes = _scan_and_bisect(k1, k2, params, depth, scan_lo, scan_hi)
+    left = max(lo * (1.0 - 1e-9), hi * 1e-9)
+    right = hi * (1.0 + 1e-9)
+    sigma = _bisect(k1, k2, params, depth, left, right)
     depth_used = depth
     while depth_used < _MAX_DEPTH:
-        refined, changes2 = _scan_and_bisect(k1, k2, params, depth_used * 2,
-                                             scan_lo, scan_hi)
+        depth_used *= 2
+        refined = _bisect(k1, k2, params, depth_used, left, right)
         moved = abs(refined - sigma)
-        sigma, changes, depth_used = refined, changes2, depth_used * 2
+        sigma = refined
         if moved < 1e-12:
             break
     else:
@@ -446,7 +422,7 @@ def solve_sigma_star(k1: int, k2: int, params: PhysParams,
         )
     return EigenSolution(
         k1=k1, k2=k2, params=params, sigma_star=sigma, depth=depth_used,
-        c=c, residual=resid, bracket=(lo, hi), sign_changes=changes,
+        c=c, residual=resid, bracket=(lo, hi),
         recursion_residual=rows,
     )
 

@@ -7,6 +7,11 @@ argument-validation bugs.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .solver import Diagnostics
+
 
 class MGError(Exception):
     """Base class for all package-specific errors."""
@@ -52,14 +57,16 @@ class BlowUpError(MGError):
     ----------
     time : float
         Simulation time at which the non-finite value was detected.
-    history : list[tuple[float, float]]
-        Recent (t, l2) samples leading up to the failure.
+    history : Diagnostics or None
+        The diagnostics recorded up to the failure, as `solver.run` builds
+        them; None when the raiser has none.
     """
 
-    def __init__(self, message: str, time: float, history: list | None = None):
+    def __init__(self, message: str, time: float,
+                 history: Diagnostics | None = None):
         super().__init__(message)
         self.time = time
-        self.history = history or []
+        self.history = history
 
 
 class GrowthCapError(MGError):
@@ -70,10 +77,6 @@ class GrowthCapError(MGError):
         super().__init__(message)
         self.sigma_max = sigma_max
         self.t_max = t_max
-
-
-class DegenerateWindowError(MGError):
-    """A growth-rate fit window contains fewer than two usable samples."""
 
 
 class InvariantError(MGError):

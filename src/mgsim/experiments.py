@@ -6,7 +6,6 @@ small writer helpers so the drivers stay testable.
 """
 
 import csv
-import math
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -14,12 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .errors import NoRootError
 from .eigen import (
-    SweepResult,
     assemble_eigenfunction,
     continuum_lower_bound,
-    illposedness_sweep,
     optimize_growth,
     solve_sigma_star,
 )
@@ -182,12 +178,6 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
         arms=arms, control=control, control_rate=rate, control_r2=r2,
         control_sigma_ref=sigma_ref, control_mode=ck,
     )
-
-
-def illposedness(regime, params, j_min=2, j_max=12, depth=64) -> SweepResult:
-    """Growth along the unbounded-wavenumber family (thin wrapper)."""
-    return illposedness_sweep(regime, params, j_min=j_min, j_max=j_max,
-                              depth=depth)
 
 
 # ---------------------------------------------------------------------------

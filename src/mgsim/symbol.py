@@ -78,21 +78,8 @@ def eval_denominator(k: Wavevector, n2: float) -> float:
 
 
 def eval_symbol(k: Wavevector, n2: float) -> tuple[float, float, float]:
-    """Evaluate the velocity multiplier M(k) componentwise.
-
-    Returns (0, 0, 0) on the plane k3 = 0 and at the origin, where the
-    balance is not inverted.
-    """
-    k1, k2, k3 = (float(k[0]), float(k[1]), float(k[2]))
-    if k[2] == 0:
-        return (0.0, 0.0, 0.0)
-    ksq = k1 * k1 + k2 * k2 + k3 * k3
-    n4 = n2 * n2
-    d = n4 * ksq * k3 * k3 + k2 ** 4
-    m1 = (n4 * k2 * k3 * ksq - n2 * k1 * k2 ** 2 * k3) / d
-    m2 = (-n4 * k1 * k3 * ksq - n2 * k2 ** 3 * k3) / d
-    m3 = (n2 * k1 ** 2 * k2 ** 2 + n2 * k2 ** 4) / d
-    return (m1, m2, m3)
+    """Multiplier M(k) at one wavevector; (0, 0, 0) on the plane k3 = 0."""
+    return tuple(float(c) for c in symbol_components(k[0], k[1], k[2], n2))
 
 
 def symbol_components(K1, K2, K3, n2: float):
@@ -124,93 +111,61 @@ def symbol_components(K1, K2, K3, n2: float):
     return tuple(np.where(plane, 0.0, comp) for comp in (m1, m2, m3))
 
 
-def _balance_matrix(k: Wavevector, n2: float) -> np.ndarray:
-    """Dense 7x7 matrix of the mode-wise balance system.
+def balance_oracle(k: Wavevector, n2: float) -> np.ndarray:
+    """Velocity response of the raw balance system at one mode.
+
+    For real parameters the result must be real (up to rounding) and,
+    off the plane {k3 = 0}, must reproduce `eval_symbol` exactly.  Raises
+    SingularSystemError where k2 = k3 = 0 (see `balance_oracle_batch`).
+    """
+    return balance_oracle_batch([k], n2)[0]
+
+
+def balance_oracle_batch(kvecs: np.ndarray, n2: float) -> np.ndarray:
+    """Solve the raw 7x7 balance system at each row of an (M, 3) mode array.
 
     Unknown ordering: (u1, u2, u3, b1, b2, b3, P).  Rows: three momentum
     components (rotation + pressure gradient + field tension + buoyancy),
     three induction components (stretching against dissipation), and
     incompressibility of u.  The solenoidality of b holds automatically.
-    """
-    k1, k2, k3 = (float(k[0]), float(k[1]), float(k[2]))
-    ksq = k1 * k1 + k2 * k2 + k3 * k3
-    A = np.zeros((7, 7), dtype=np.complex128)
-    # momentum, component 1:  N^2 u2 + i k1 P - i k2 b1 = 0
-    A[0, 1] = n2
-    A[0, 3] = -1j * k2
-    A[0, 6] = 1j * k1
-    # momentum, component 2: -N^2 u1 + i k2 P - i k2 b2 = 0
-    A[1, 0] = -n2
-    A[1, 4] = -1j * k2
-    A[1, 6] = 1j * k2
-    # momentum, component 3:  i k3 P - i k2 b3 = N^2 (buoyancy source)
-    A[2, 5] = -1j * k2
-    A[2, 6] = 1j * k3
-    # induction: i k2 u_j - |k|^2 b_j = 0
-    for j in range(3):
-        A[3 + j, j] = 1j * k2
-        A[3 + j, 3 + j] = -ksq
-    # incompressibility: i k . u = 0
-    A[6, 0] = 1j * k1
-    A[6, 1] = 1j * k2
-    A[6, 2] = 1j * k3
-    return A
-
-
-def balance_oracle(k: Wavevector, n2: float) -> np.ndarray:
-    """Velocity response of the raw balance system at one mode.
-
-    Solves the full 7x7 complex linear system for (u, b, P) with unit
-    scalar forcing and returns the velocity triple as a complex array.
-    For real parameters the result must be real (up to rounding) and,
-    off the plane {k3 = 0}, must reproduce `eval_symbol` exactly.
+    The forcing is a unit scalar; returns an (M, 3) complex array of
+    velocity triples.
 
     Raises
     ------
     SingularSystemError
-        When the balance has no unique solution (k2 = k3 = 0, which
+        When some mode has no unique solution (k2 = k3 = 0, which
         includes k = 0).
-    """
-    if k[1] == 0 and k[2] == 0:
-        raise SingularSystemError(f"balance system is singular at k={k}")
-    A = _balance_matrix(k, n2)
-    rhs = np.zeros(7, dtype=np.complex128)
-    rhs[2] = n2
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as e:  # pragma: no cover - guarded above
-        raise SingularSystemError(f"balance system is singular at k={k}") from e
-    return sol[:3]
-
-
-def balance_oracle_batch(kvecs: np.ndarray, n2: float) -> np.ndarray:
-    """Vectorized `balance_oracle` over an (M, 3) integer array of modes.
-
-    All modes must satisfy (k2, k3) != (0, 0).  Returns an (M, 3) complex
-    array of velocity triples.
     """
     kvecs = np.asarray(kvecs, dtype=np.int64)
     if kvecs.ndim != 2 or kvecs.shape[1] != 3:
         raise ValueError("kvecs must have shape (M, 3)")
-    if np.any((kvecs[:, 1] == 0) & (kvecs[:, 2] == 0)):
-        raise SingularSystemError("batch contains singular modes (k2 = k3 = 0)")
+    singular = (kvecs[:, 1] == 0) & (kvecs[:, 2] == 0)
+    if singular.any():
+        k = tuple(int(v) for v in kvecs[np.argmax(singular)])
+        raise SingularSystemError(f"balance system is singular at k={k}")
     M = kvecs.shape[0]
     A = np.zeros((M, 7, 7), dtype=np.complex128)
     k1 = kvecs[:, 0].astype(np.float64)
     k2 = kvecs[:, 1].astype(np.float64)
     k3 = kvecs[:, 2].astype(np.float64)
     ksq = k1 * k1 + k2 * k2 + k3 * k3
+    # momentum, component 1:  N^2 u2 + i k1 P - i k2 b1 = 0
     A[:, 0, 1] = n2
     A[:, 0, 3] = -1j * k2
     A[:, 0, 6] = 1j * k1
+    # momentum, component 2: -N^2 u1 + i k2 P - i k2 b2 = 0
     A[:, 1, 0] = -n2
     A[:, 1, 4] = -1j * k2
     A[:, 1, 6] = 1j * k2
+    # momentum, component 3:  i k3 P - i k2 b3 = N^2 (buoyancy source)
     A[:, 2, 5] = -1j * k2
     A[:, 2, 6] = 1j * k3
+    # induction: i k2 u_j - |k|^2 b_j = 0
     for j in range(3):
         A[:, 3 + j, j] = 1j * k2
         A[:, 3 + j, 3 + j] = -ksq
+    # incompressibility: i k . u = 0
     A[:, 6, 0] = 1j * k1
     A[:, 6, 1] = 1j * k2
     A[:, 6, 2] = 1j * k3

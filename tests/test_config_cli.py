@@ -63,6 +63,11 @@ class TestParseConfig:
             get_float(cfg, "a.n")
         with pytest.raises(ConfigError):
             get_float(cfg, "a.absent")
+        cfg = parse_config("[a]\ne = ,\nf = 0.3, x\ni = 1, 2.5\n")
+        for getter, key in [(get_floats, "a.e"), (get_ints, "a.e"),
+                            (get_floats, "a.f"), (get_ints, "a.i")]:
+            with pytest.raises(ConfigError, match=key):
+                getter(cfg, key)
 
 
 EVOLVE_CFG = """
@@ -232,6 +237,18 @@ class TestCli:
         assert rows[0] == ["j", "k1", "k2", "sigma_star", "bound",
                            "certified"]
         assert (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("gammas = ,", "'plane_demo.gammas': ',' is an empty list"),
+        ("control_mode = 1, 2", "'plane_demo.control_mode': expected 3"),
+    ])
+    def test_plane_demo_rejects_bad_lists(self, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[plane_demo]\n{line}\n")
+        res = self.runner.invoke(main, [
+            "plane-demo", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert message in res.output
 
     def test_bad_plane_ratio(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -114,7 +114,6 @@ class TestSolve:
         sol = solve_sigma_star(1, 1, CANON)
         assert sol.sigma_star == pytest.approx(SIGMA_CANON, abs=1e-12)
         assert sol.residual < 1e-12
-        assert sol.sign_changes >= 1
         lo, hi = sol.bracket
         assert lo <= sol.sigma_star <= hi
 
@@ -305,3 +304,36 @@ def test_root_properties(k1, k2, eps):
     assert sol.c[0] == alpha(1, k1, k2, par)
     ref = dense_sigma_star(k1, k2, par, depth=sol.depth)
     assert abs(sol.sigma_star - ref) < 1e-9
+
+
+@given(
+    k1=st.integers(1, 24),
+    k2=st.integers(1, 24),
+    eps=st.floats(0.0, 0.02),
+    gamma=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+    m=st.sampled_from([1, 2, 3]),
+    depth=st.sampled_from([64, 128]),
+)
+@settings(max_examples=60, deadline=None)
+def test_residual_changes_sign_at_most_once(k1, k2, eps, gamma, m, depth):
+    # the premise of bisecting the bracket directly: the off-branch points
+    # (counted negative) form a left interval, the residual is
+    # non-decreasing to their right, so it changes sign at most once
+    par = PhysParams(m=m, eps_kappa=eps, gamma=gamma)
+    upper = closed_form_bounds(k1, k2, par)[1]
+    U = 1.5 * max(abs(upper), sigma_bracket(k1, k2, par)[1])
+
+    def residual(s):
+        try:
+            return cf_residual(float(s), k1, k2, par, depth)
+        except DegenerateTailError:
+            return math.nan
+
+    vals = np.array([residual(s) for s in np.linspace(-U, U, 512)])
+    off = np.isnan(vals)
+    n_off = int(off.sum())
+    assert not off[n_off:].any(), "off-branch points are not a left interval"
+    assert (np.diff(vals[n_off:]) >= 0.0).all(), "residual decreases on the branch"
+    neg = off | (vals < 0.0)
+    assert not neg[-1], "window stops short of the root"
+    assert np.count_nonzero(np.diff(neg)) <= 1

@@ -16,6 +16,7 @@ from mgsim.fields import (
 )
 from mgsim.eigen import assemble_eigenfunction, solve_sigma_star
 from mgsim.solver import (
+    Diagnostics,
     SolverConfig,
     SourceSpec,
     advection_coefficients,
@@ -317,6 +318,7 @@ class TestGuards:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 run(f0, par, cfg)
         assert exc.value.time <= 1.0
+        assert isinstance(exc.value.history, Diagnostics)
         assert len(exc.value.history.times) >= 1
 
     def test_cfl_advisory(self):

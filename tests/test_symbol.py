@@ -75,14 +75,6 @@ class TestSymbol:
             assert ratio.max() <= 1.0 + 1e-12
             assert ratio.max() > 0.99, f"sharpness lost at n2={n2}: {ratio.max()}"
 
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        ks = rng.integers(-20, 21, size=(50, 3))
-        m1, m2, m3 = symbol_components(ks[:, 0], ks[:, 1], ks[:, 2], 1.7)
-        for i, k in enumerate(ks):
-            ref = eval_symbol(tuple(int(c) for c in k), 1.7)
-            assert (m1[i], m2[i], m3[i]) == ref
-
 
 class TestBalanceOracle:
     def test_matches_hand_solution(self):
