@@ -64,9 +64,7 @@ def _wrap_errors(fn):
         except NoRootError as exc:
             click.echo(f"stable: {exc}")
             sys.exit(_STABLE_EXIT)
-        except MGError as exc:
-            raise click.ClickException(str(exc)) from exc
-        except (ValueError, OSError) as exc:
+        except (MGError, ValueError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
     return wrapper
@@ -185,18 +183,14 @@ def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, depth, box, regime,
     if k1 is None or k2 is None:
         raise click.ClickException("single-mode query needs both --k1 and --k2")
     sol = solve_sigma_star(k1, k2, params, depth=depth)
-    from .eigen import closed_form_bounds
-
-    lower, upper = closed_form_bounds(k1, k2, params)
+    lower, upper = sol.bracket
     click.echo(f"mode ({k1}, {k2}): sigma* = {sol.sigma_star:.12g}")
-    click.echo(f"bracket: [{sol.bracket[0]:.9g}, {sol.bracket[1]:.9g}]  "
-               f"closed-form bounds: [{lower:.9g}, {upper:.9g}]")
+    click.echo(f"closed-form bounds: [{lower:.9g}, {upper:.9g}]")
     click.echo(f"depth = {sol.depth}, residual = {sol.residual:.3g}, "
                f"recursion rows defect = {sol.recursion_residual:.3g}")
     if out:
-        write_eigen_csv(
-            [(k1, k2, sol.sigma_star, lower, upper, sol.depth, sol.residual)],
-            params, out)
+        write_eigen_csv([(k1, k2, sol.sigma_star, sol.depth, sol.residual)],
+                        params, out)
         click.echo(f"wrote {out}")
 
 
@@ -320,9 +314,14 @@ def evolve(config_path, init, plane_txt, out_diag, out_field):
         "run.hs_order": scfg.hs_order,
         "plane.q": str(plane) if plane else "none",
         "plane.restrict": restrict,
-        "source.kind": scfg.source.kind,
+        "source.kind": get_str(cfg, "source.kind", "none"),
         "init": init,
     }
+    if scfg.source.kind == "steady_balance":
+        resolved["source.m"] = scfg.source.m
+    if sol is not None:
+        resolved.update({"mode.k1": sol.k1, "mode.k2": sol.k2,
+                         "mode.depth": depth})
     extras = {
         "l2_final": f"{diag.l2[-1]:.12g}",
         "linf_final": f"{diag.linf[-1]:.12g}",
@@ -495,8 +494,9 @@ def plane_demo_cmd(config_path, out_dir):
             f"{arm.departure_factor:.6g}")
     write_diag_csv(rep.control.diag, out / "control.csv")
 
-    resolved = {f"plane_demo.{k}": v for k, v in kw.items()
-                if k not in ("plane",)}
+    phys_keys = {"eps_kappa": "phys.eps_kappa", "n2": "phys.n2", "m": "phys.m"}
+    resolved = {phys_keys.get(k, f"plane_demo.{k}"): v for k, v in kw.items()
+                if k != "plane"}
     resolved["plane_demo.q"] = str(rep.plane)
     write_manifest(out / "manifest.txt", resolved, wall_seconds=wall,
                    extras=extras)

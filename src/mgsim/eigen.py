@@ -26,9 +26,10 @@ solution exists exactly when sigma solves the continued-fraction equation
     x_1 = 1 / (x_2 - 1 / (x_3 - 1 / (x_4 - ... ))).
 
 `cf_residual` evaluates the truncated residual of that equation,
-`solve_sigma_star` bisects its principal root on a bracket, and
-`dense_sigma_star` is an independent cross-check that solves the same
-truncated problem as a generalized symmetric-definite matrix eigenproblem.
+`solve_sigma_star` bisects its principal root on the certified bracket
+1/alpha_2 - e_2 <= sigma* <= 2/alpha_1 - e_1 (`closed_form_bounds`), and
+`dense_sigma_star` cross-checks it independently as a generalized
+symmetric-definite matrix eigenproblem of the same truncation.
 All positive roots are simple and real: conjugating by the alternating sign
 pattern makes the recursion matrix symmetric with positive off-diagonal,
 so the principal branch carries a Perron-type largest eigenvalue.
@@ -110,6 +111,11 @@ def _dissipation_shifts(P: int, k1: int, k2: int, params: PhysParams) -> np.ndar
     return params.eps_kappa * lam ** params.gamma
 
 
+def _weights(P: int, k1, k2, params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha_p, e_p) for p = 1..P, the weights of the continued fraction."""
+    return _alphas(P, k1, k2, params), _dissipation_shifts(P, k1, k2, params)
+
+
 def sigma_shifted(sigma: float, p: int, k1: int, k2: int, params: PhysParams) -> float:
     """Dissipation-shifted rate sigma_p = sigma + eps_kappa |k_p|^(2 gamma)."""
     _validate_mode(k1, k2, p)
@@ -133,39 +139,33 @@ def cf_residual(sigma: float, k1: int, k2: int, params: PhysParams,
     _validate_mode(k1, k2)
     if depth < 2:
         raise ValueError(f"depth must be >= 2, got {depth}")
-    a = _alphas(depth, k1, k2, params)
-    e = _dissipation_shifts(depth, k1, k2, params)
-    x = (sigma + e) * a
-    T = x[depth - 1]
-    for p in range(depth - 2, 0, -1):  # p indexes x[p] = x_{p+1}
-        if T <= _TAIL_FLOOR:
-            raise DegenerateTailError(
-                f"tail T_{p + 2} = {T} non-positive at sigma={sigma} "
-                f"for mode ({k1},{k2})"
-            )
-        T = x[p] - 1.0 / T
-    if T <= _TAIL_FLOOR:
-        raise DegenerateTailError(
-            f"tail T_2 = {T} non-positive at sigma={sigma} for mode ({k1},{k2})"
-        )
+    return _residual(sigma, *_weights(depth, k1, k2, params))
+
+
+def _residual(sigma: float, a: np.ndarray, e: np.ndarray) -> float:
+    """`cf_residual` on prebuilt weights, walking the tail over Python floats."""
+    x = ((sigma + e) * a).tolist()
+    T = x[-1]
+    floor = _TAIL_FLOOR
+    for xp in x[-2:0:-1]:  # x_{depth-1} down to x_2
+        if T <= floor:
+            break
+        T = xp - 1.0 / T
+    if T <= floor:
+        raise DegenerateTailError(f"tail {T} non-positive at sigma={sigma}")
     return x[0] - 1.0 / T
 
 
 def sigma_bracket(k1: int, k2: int, params: PhysParams) -> tuple[float, float]:
-    """Two-sided bracket for the principal root from the product identity.
+    """Roots lo, hi of (sigma + e_1)(sigma + e_2) = c for c = 1, 2 / (alpha_1 alpha_2).
 
-    The principal root satisfies 1/(alpha_1 alpha_2) <= sigma_1 sigma_2
-    <= 2/(alpha_1 alpha_2); solving (sigma + e_1)(sigma + e_2) = c for the
-    two endpoints gives
-
-        lo, hi = (-(e1 + e2) + sqrt((e1 - e2)^2 + 4 c)) / 2,  c = 1, 2 over
-        alpha_1 alpha_2.
-
-    `hi <= 0` certifies that no unstable (positive) root exists.
+    The product identity lo <= sigma* <= hi holds at (1,1) but not in
+    general: when k2 is large next to k1 the alpha_p are nearly flat in p
+    and sigma* lies above `hi`.  This is neither a bracket nor a stability
+    certificate; `solve_sigma_star` uses `closed_form_bounds`.
     """
     _validate_mode(k1, k2)
-    a = _alphas(2, k1, k2, params)
-    e = _dissipation_shifts(2, k1, k2, params)
+    a, e = _weights(2, k1, k2, params)
     prod = a[0] * a[1]
     s, d = e[0] + e[1], e[0] - e[1]
     lo = 0.5 * (-s + math.sqrt(d * d + 4.0 / prod))
@@ -181,8 +181,7 @@ def closed_form_bounds(k1: int, k2: int, params: PhysParams) -> tuple[float, flo
     carries no information (lower) or certifies stability (upper).
     """
     _validate_mode(k1, k2)
-    a = _alphas(2, k1, k2, params)
-    e = _dissipation_shifts(2, k1, k2, params)
+    a, e = _weights(2, k1, k2, params)
     return 1.0 / a[1] - e[1], 2.0 / a[0] - e[0]
 
 
@@ -199,8 +198,7 @@ def dense_sigma_star(k1: int, k2: int, params: PhysParams, depth: int = 64) -> f
     _validate_mode(k1, k2)
     if depth < 2:
         raise ValueError(f"depth must be >= 2, got {depth}")
-    a = _alphas(depth, k1, k2, params)
-    e = _dissipation_shifts(depth, k1, k2, params)
+    a, e = _weights(depth, k1, k2, params)
     M = np.diag(-e * a)
     off = -np.ones(depth - 1)
     M += np.diag(off, 1) + np.diag(off, -1)
@@ -227,8 +225,7 @@ def backward_coefficients(sigma: float, k1: int, k2: int, params: PhysParams,
         If the normalizing entry vanishes or overflows despite rescaling.
     """
     _validate_mode(k1, k2)
-    a = _alphas(depth, k1, k2, params)
-    e = _dissipation_shifts(depth, k1, k2, params)
+    a, e = _weights(depth, k1, k2, params)
     x = (sigma + e) * a
     d = np.zeros(depth + 1)
     d[depth - 1] = 1.0  # seed at p = depth; d[depth] stands for d_{P+1} = 0
@@ -259,8 +256,7 @@ def forward_coefficients(sigma: float, k1: int, k2: int, params: PhysParams,
     is the reliable construction.
     """
     _validate_mode(k1, k2)
-    a = _alphas(depth, k1, k2, params)
-    e = _dissipation_shifts(depth, k1, k2, params)
+    a, e = _weights(depth, k1, k2, params)
     c = np.zeros(depth)
     c[0] = a[0]
     # p = 1 line: sigma_1 c_1 + c_2 / alpha_2 = 0
@@ -292,7 +288,7 @@ class EigenSolution:
     residual : float
         |cf_residual(sigma_star)| at the accepted depth.
     bracket : (float, float)
-        Two-sided bracket the root was located in.
+        Closed-form bounds (1/alpha_2 - e_2, 2/alpha_1 - e_1) bisected in.
     recursion_residual : float
         Largest relative defect of the interior recursion rows.
     """
@@ -318,8 +314,7 @@ def _recursion_rows_residual(sigma: float, c: np.ndarray, k1: int, k2: int,
     meaningless (the coefficients themselves are far below any use).
     """
     P = len(c)
-    a = _alphas(P, k1, k2, params)
-    e = _dissipation_shifts(P, k1, k2, params)
+    a, e = _weights(P, k1, k2, params)
     t1 = (sigma + e[1:P - 1]) * c[1:P - 1]
     t2 = c[2:P] / a[2:P]
     t3 = c[0:P - 2] / a[0:P - 2]
@@ -339,9 +334,11 @@ def _bisect(k1: int, k2: int, params: PhysParams, depth: int,
     most once on any interval (module docstring).  Raises NoRootError unless
     g(lo) < 0 <= g(hi).
     """
+    a_p, e_p = _weights(depth, k1, k2, params)
+
     def g(s: float) -> float:
         try:
-            return cf_residual(s, k1, k2, params, depth)
+            return _residual(s, a_p, e_p)
         except DegenerateTailError:
             return -1.0
 
@@ -350,8 +347,7 @@ def _bisect(k1: int, k2: int, params: PhysParams, depth: int,
     if not fa < 0.0 <= fb:
         raise NoRootError(
             f"no unstable root for mode ({k1},{k2}) in bracket "
-            f"[{lo:.6g}, {hi:.6g}]", lo=lo, hi=hi,
-        )
+            f"[{lo:.6g}, {hi:.6g}]", lo=lo, hi=hi)
     for _ in range(200):
         if b - a <= _WIDTH_ULPS * np.spacing(max(abs(a), abs(b))):
             break
@@ -374,7 +370,7 @@ def solve_sigma_star(k1: int, k2: int, params: PhysParams,
                      depth: int = 64) -> EigenSolution:
     """Largest unstable eigenvalue of a horizontal mode pair.
 
-    Brackets the principal root with `sigma_bracket` and bisects the
+    Brackets the principal root with `closed_form_bounds` and bisects the
     truncated residual on the bracket to machine width; the residual
     changes sign at most once there, so a sign change at the endpoints is
     the root.  The truncation depth then doubles until the root moves by
@@ -384,16 +380,15 @@ def solve_sigma_star(k1: int, k2: int, params: PhysParams,
     Raises
     ------
     NoRootError
-        If the bracket certifies stability (upper endpoint <= 0) or the
-        residual does not change sign on the admissible bracket.
+        If the upper bound 2/alpha_1 - e_1 certifies stability (<= 0) or
+        the residual does not change sign on the admissible bracket.
     """
     _validate_mode(k1, k2)
-    lo, hi = sigma_bracket(k1, k2, params)
+    lo, hi = closed_form_bounds(k1, k2, params)
     if hi <= 0.0:
         raise NoRootError(
-            f"mode ({k1},{k2}) is certified stable: bracket upper endpoint "
-            f"{hi:.6g} <= 0", lo=lo, hi=hi,
-        )
+            f"mode ({k1},{k2}) is certified stable: upper bound "
+            f"2/alpha_1 - e_1 = {hi:.6g} <= 0", lo=lo, hi=hi)
     left = max(lo * (1.0 - 1e-9), hi * 1e-9)
     right = hi * (1.0 + 1e-9)
     sigma = _bisect(k1, k2, params, depth, left, right)
@@ -422,9 +417,7 @@ def solve_sigma_star(k1: int, k2: int, params: PhysParams,
         )
     return EigenSolution(
         k1=k1, k2=k2, params=params, sigma_star=sigma, depth=depth_used,
-        c=c, residual=resid, bracket=(lo, hi),
-        recursion_residual=rows,
-    )
+        c=c, residual=resid, bracket=(lo, hi), recursion_residual=rows)
 
 
 _COEFF_CUTOFF = 1e-14  # vertical modes below this (with c_1 = alpha_1) are dropped
@@ -656,13 +649,8 @@ def continuum_lower_bound(params: PhysParams) -> float:
     eps_kappa -> 0.
     """
     k1, k2 = continuum_optimum(params)
-    n4 = params.n2 * params.n2
-    mp = 2.0 * params.m
-    ksum = k1 * k1 + k2 * k2
-    a2 = 2.0 * (n4 * mp * mp * (ksum + mp * mp) + k2 ** 4) / (
-        params.m * params.n2 * k2 * k2 * ksum)
-    e2 = params.eps_kappa * (ksum + mp * mp) ** params.gamma
-    return 1.0 / a2 - e2
+    a, e = _weights(2, k1, k2, params)
+    return float(1.0 / a[1] - e[1])
 
 
 def optimize_growth(params: PhysParams, box: int, depth: int = 64) -> OptimizeResult:
@@ -671,8 +659,8 @@ def optimize_growth(params: PhysParams, box: int, depth: int = 64) -> OptimizeRe
     Solves every mode pair whose bracket admits a root, returning the pair
     with the largest sigma*, together with the pair maximizing the certified
     closed-form lower bound and the continuum prediction for context.  The
-    `table` rows are (k1, k2, sigma_star, lower, upper, depth, residual) for
-    every unstable pair, ordered by descending sigma_star.
+    `table` rows are (k1, k2, sigma_star, depth, residual) for every
+    unstable pair, ordered by descending sigma_star.
 
     Raises
     ------
@@ -682,24 +670,21 @@ def optimize_growth(params: PhysParams, box: int, depth: int = 64) -> OptimizeRe
     if box < 1:
         raise ValueError(f"box must be >= 1, got {box}")
     best: EigenSolution | None = None
-    best_bounds = (math.nan, math.nan)
     lb_argmax = (0, 0)
     lb_max = -math.inf
     rows = []
     for k1 in range(1, box + 1):
         for k2 in range(1, box + 1):
-            lower, upper = closed_form_bounds(k1, k2, params)
+            lower = closed_form_bounds(k1, k2, params)[0]
             if lower > lb_max:
                 lb_max, lb_argmax = lower, (k1, k2)
             try:
                 sol = solve_sigma_star(k1, k2, params, depth=depth)
             except NoRootError:
                 continue
-            rows.append((k1, k2, sol.sigma_star, lower, upper,
-                         sol.depth, sol.residual))
+            rows.append((k1, k2, sol.sigma_star, sol.depth, sol.residual))
             if best is None or sol.sigma_star > best.sigma_star:
                 best = sol
-                best_bounds = (lower, upper)
     if best is None:
         raise NoRootError(f"no unstable modes in box [1, {box}]^2")
     rows.sort(key=lambda r: -r[2])
@@ -709,7 +694,7 @@ def optimize_growth(params: PhysParams, box: int, depth: int = 64) -> OptimizeRe
         ck1, ck2 = math.inf, math.inf
     return OptimizeResult(
         k1=best.k1, k2=best.k2, sigma_star=best.sigma_star,
-        lower_bound_at_opt=best_bounds[0], solution=best,
+        lower_bound_at_opt=best.bracket[0], solution=best,
         lb_argmax=lb_argmax, lb_max=lb_max,
         continuum_k1=ck1, continuum_k2=ck2,
         n_unstable=len(rows), table=rows,

@@ -15,6 +15,7 @@ import scipy
 
 from .eigen import (
     assemble_eigenfunction,
+    closed_form_bounds,
     continuum_lower_bound,
     optimize_growth,
     solve_sigma_star,
@@ -135,6 +136,13 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
     watches it grow at the rate the eigenvalue problem predicts.
     """
     plane = plane if plane is not None else PlaneSpec(1, 1)
+    if len(gammas) == 0:
+        raise ValueError("gammas must name at least one dissipation order")
+    if len(control_mode) != 3:
+        raise ValueError(f"control_mode must be (k1, k2, k3), got {control_mode!r}")
+    ck = tuple(int(v) for v in control_mode)
+    if plane.contains(ck[0], ck[1]):
+        raise ValueError(f"control_mode {ck} lies on the plane {plane}")
     grid = Grid(n, n, n)
     background = sine_vertical(grid, m)
     src = SourceSpec("steady_balance", m=m)
@@ -158,9 +166,6 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
 
     gamma0 = gammas[0]
     params0 = PhysParams(n2=n2, m=m, eps_kappa=eps_kappa, gamma=gamma0)
-    ck = tuple(int(v) for v in control_mode)
-    if plane.contains(ck[0], ck[1]):
-        raise ValueError(f"control mode {ck} lies on the plane {plane}")
     theta0 = background + cosine_mode(grid, ck, seed)
     cfg = SolverConfig(dt=dt, t_end=t_end, record_every=record_every,
                        plane=plane, source=src)
@@ -204,12 +209,17 @@ def write_growth_csv(diag, path):
 
 
 def write_eigen_csv(table, params, path):
-    """Unstable-mode table in the standard eigen schema."""
+    """Unstable-mode table, rows (k1, k2, sigma_star, depth, residual).
+
+    The closed-form bounds of each mode are recomputed for the
+    ``lower_bound``/``upper_bound`` columns.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k1", "k2", "gamma", "eps_kappa", "sigma_star",
                     "lower_bound", "upper_bound", "depth", "residual"])
-        for (k1, k2, sigma, lower, upper, depth, residual) in table:
+        for (k1, k2, sigma, depth, residual) in table:
+            lower, upper = closed_form_bounds(k1, k2, params)
             w.writerow([k1, k2, f"{params.gamma:.17g}",
                         f"{params.eps_kappa:.17g}", f"{sigma:.17g}",
                         f"{lower:.17g}", f"{upper:.17g}", depth,

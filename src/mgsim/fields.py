@@ -411,9 +411,12 @@ def read_snapshot(path):
     Anything else raises :class:`SnapshotFormatError` with the offending
     line number.
     """
-    with open(path) as fh:
-        raw = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1)
-               if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1)
+                   if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise SnapshotFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not raw:
         raise SnapshotFormatError(f"{path}: empty snapshot")
     head = raw[0][1].split()

@@ -5,12 +5,15 @@ import csv
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from mgsim.errors import ConfigError
 from mgsim.config import (
-    get_bool, get_float, get_floats, get_int, get_ints, get_str, parse_config,
+    get_bool, get_float, get_floats, get_int, get_ints, get_str, load_config,
+    parse_config,
 )
 from mgsim.cli import main
+from mgsim.fields import PlaneSpec
 
 
 class TestParseConfig:
@@ -70,6 +73,41 @@ class TestParseConfig:
                 getter(cfg, key)
 
 
+@given(text=st.text())
+@settings(max_examples=200, deadline=None)
+def test_parse_config_fuzz_raises_only_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert all(isinstance(k, str) and isinstance(v, str)
+               for k, v in cfg.items())
+
+
+@given(data=st.binary(max_size=200) | st.text().map(str.encode))
+@settings(max_examples=100, deadline=None)
+def test_load_config_fuzz_raises_only_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_bytes(data)
+    try:
+        load_config(path)
+    except ConfigError:
+        pass
+
+
+def test_load_config_rejects_non_utf8(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"[phys]\neps_kappa = 0.01 # \xff\xfe\n")
+    with pytest.raises(ConfigError, match="run.cfg"):
+        load_config(path)
+
+
+def _manifest(path):
+    """[resolved] section of a manifest as {key: value text}."""
+    text = path.read_text().split("[resolved]\n", 1)[1].split("\n\n", 1)[0]
+    return dict(line.split(" = ", 1) for line in text.splitlines())
+
+
 EVOLVE_CFG = """
 [phys]
 eps_kappa = 0.05
@@ -121,6 +159,15 @@ class TestCli:
         res = self.runner.invoke(main, ["eigen", "--k1", "1", "--k2", "1"])
         assert res.exit_code == 0, res.output
         assert "sigma* = 0.101986939259" in res.output
+
+    def test_eigen_flat_weight_mode_is_unstable(self):
+        # (1, 7) lies above the product-identity endpoints; the dense
+        # oracle gives sigma* = 0.16507090341
+        res = self.runner.invoke(
+            main, ["eigen", "--k1", "1", "--k2", "7", "--eps-kappa", "0.01"])
+        assert res.exit_code == 0, res.output
+        assert "sigma* = 0.165070903412" in res.output
+        assert "closed-form bounds: [" in res.output
 
     def test_eigen_stable_exits_2(self):
         res = self.runner.invoke(
@@ -204,13 +251,29 @@ class TestCli:
         cfg.write_text(
             "[phys]\neps_kappa = 0.01\n[grid]\nn = 32\n"
             "[run]\ndt = 0.02\nt_end = 0.1\nlinearized = true\n"
-            "[mode]\nk1 = 1\nk2 = 1\n")
+            "[mode]\nk1 = 1\nk2 = 1\ndepth = 32\n")
         diag = tmp_path / "diag.csv"
         res = self.runner.invoke(main, [
             "evolve", "--config", str(cfg), "--out-diag", str(diag)])
         assert res.exit_code == 0, res.output
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "sigma_star = 0.0571456432" in manifest
+        resolved = _manifest(tmp_path / "manifest.txt")
+        assert {k: resolved[k] for k in ("mode.k1", "mode.k2",
+                                         "mode.depth")} == {
+            "mode.k1": "1", "mode.k2": "1", "mode.depth": "32"}
+
+    def test_evolve_manifest_records_source(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EVOLVE_CFG + "[source]\nkind = steady_balance\nm = 2\n")
+        res = self.runner.invoke(main, [
+            "evolve", "--config", str(cfg), "--init", "mode:1,1,2,0.5",
+            "--out-diag", str(tmp_path / "diag.csv")])
+        assert res.exit_code == 0, res.output
+        resolved = _manifest(tmp_path / "manifest.txt")
+        assert resolved["source.kind"] == "steady_balance"
+        assert resolved["source.m"] == "2"
+        assert not {"mode.k1", "mode.k2", "mode.depth"} & set(resolved)
 
     def test_instability_stable_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -249,6 +312,25 @@ class TestCli:
             "plane-demo", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
         assert message in res.output
+
+    def test_plane_demo_manifest_records_keys_read(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[phys]\neps_kappa = 0.03\nn2 = 1.5\n"
+            "[plane_demo]\nn = 8\ndt = 0.05\nt_end = 0.5\n"
+            "record_every = 1\ngammas = 0.5\n")
+        out = tmp_path / "o"
+        res = self.runner.invoke(main, [
+            "plane-demo", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        resolved = _manifest(out / "manifest.txt")
+        assert resolved["phys.eps_kappa"] == "0.03"
+        assert resolved["phys.n2"] == "1.5"
+        assert resolved["phys.m"] == "1"
+        assert resolved["plane_demo.n"] == "8"
+        assert resolved["plane_demo.q"] == str(PlaneSpec(1, 1))
+        assert not {"plane_demo.eps_kappa", "plane_demo.n2",
+                    "plane_demo.m"} & set(resolved)
 
     def test_bad_plane_ratio(self, tmp_path):
         out = tmp_path / "scan.csv"

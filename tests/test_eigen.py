@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mgsim.errors import DegenerateTailError, NoRootError
 from mgsim.symbol import PhysParams, eval_symbol
@@ -120,16 +120,20 @@ class TestSolve:
     def test_matches_dense_oracle(self):
         assert dense_sigma_star(1, 1, CANON, 64) == pytest.approx(
             SIGMA_CANON, abs=1e-12)
+        # (1, 7): the alpha_p are nearly flat in p and sigma* lies above
+        # the product-identity endpoints of sigma_bracket
         for (k1, k2, eps) in [(2, 3, 0.0), (6, 4, 0.01), (1, 2, 0.0),
-                              (5, 5, 0.005), (3, 1, 0.01)]:
+                              (5, 5, 0.005), (3, 1, 0.01), (1, 7, 0.01)]:
             par = PhysParams(eps_kappa=eps)
             sol = solve_sigma_star(k1, k2, par)
             ref = dense_sigma_star(k1, k2, par, depth=64)
             assert abs(sol.sigma_star - ref) < 1e-9, (k1, k2, eps)
+            assert sol.bracket == closed_form_bounds(k1, k2, par)
 
     def test_product_lemma(self):
-        # the principal root satisfies sigma_1 sigma_2 in
-        # [1/(alpha_1 alpha_2), 2/(alpha_1 alpha_2)]
+        # on these modes the principal root satisfies sigma_1 sigma_2 in
+        # [1/(alpha_1 alpha_2), 2/(alpha_1 alpha_2)]; not on all, see (1, 7)
+        # in test_matches_dense_oracle
         for (k1, k2, eps) in [(1, 1, 0.0), (6, 4, 0.01), (2, 5, 0.002)]:
             par = PhysParams(eps_kappa=eps)
             sol = solve_sigma_star(k1, k2, par)
@@ -221,8 +225,19 @@ class TestOptimize:
         # frozen: sigma argmax (4,3), certified-bound argmax (2,3)
         assert (res.k1, res.k2) == (4, 3)
         assert res.lb_argmax == (2, 3)
-        lb_row = [r for r in res.table if (r[0], r[1]) == (res.k1, res.k2)][0]
-        assert res.lower_bound_at_opt == lb_row[3]
+        assert res.lower_bound_at_opt == closed_form_bounds(res.k1, res.k2, par)[0]
+
+    def test_box_counts_every_unstable_mode(self):
+        # all 256 modes of [1,16]^2 are unstable without dissipation, by the
+        # dense oracle; every one must be tabulated with the oracle's rate
+        par = PhysParams()
+        res = optimize_growth(par, box=16)
+        oracle = {(k1, k2): dense_sigma_star(k1, k2, par, depth=128)
+                  for k1 in range(1, 17) for k2 in range(1, 17)}
+        assert sum(s > 0.0 for s in oracle.values()) == 256
+        assert res.n_unstable == 256
+        for k1, k2, sigma, _, _ in res.table:
+            assert abs(sigma - oracle[k1, k2]) < 1e-9 * oracle[k1, k2]
 
     def test_continuum_prediction(self):
         k1, k2 = continuum_optimum(PhysParams(eps_kappa=0.01))
@@ -292,12 +307,15 @@ class TestSweep:
     k2=st.integers(1, 8),
     eps=st.floats(0.0, 0.02),
 )
+@example(k1=1, k2=7, eps=0.01)
 @settings(max_examples=30, deadline=None)
 def test_root_properties(k1, k2, eps):
     par = PhysParams(eps_kappa=eps)
     try:
         sol = solve_sigma_star(k1, k2, par)
     except NoRootError:
+        # a mode reported stable must be stable by the independent oracle
+        assert dense_sigma_star(k1, k2, par, depth=128) <= 0.0
         return
     assert sol.sigma_star > 0.0
     assert sol.residual < 1e-12

@@ -316,6 +316,90 @@ class TestSnapshots:
             read_snapshot(path)
 
 
+    def test_non_utf8_bytes(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"MGFIELD v1 8 8 8\n0 0 1 0.5 \xff\n")
+        with pytest.raises(SnapshotFormatError, match="UTF-8"):
+            read_snapshot(path)
+
+
+# Fuzzing of the snapshot reader on a small non-cubic grid, band (2, 3, 4).
+G_FUZZ = Grid(8, 10, 12)
+_B1, _B2, _B3 = G_FUZZ.band
+_ENTRIES = st.lists(st.tuples(
+    st.integers(-_B1, _B1), st.integers(-_B2, _B2), st.integers(0, _B3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False)), max_size=30)
+_JUNK = st.binary(max_size=40) | st.text(
+    alphabet="0123456789-+.e inf\t", max_size=40).map(str.encode)
+
+
+def _fuzz_field(entries):
+    """A valid in-band field: k3 = 0 entries get their conjugate mirror,
+    (0, 0, 0) is real, and values the writer would drop are skipped."""
+    f = SpectralField.zeros(G_FUZZ)
+    n1, n2 = G_FUZZ.n1, G_FUZZ.n2
+    for k1, k2, k3, re, im in entries:
+        v = complex(re, 0.0 if (k1, k2, k3) == (0, 0, 0) else im)
+        if np.abs(v) < 1e-16:
+            continue
+        if k3 == 0:
+            f.c[-k1 % n1, -k2 % n2, 0] = v.conjugate()
+        f.c[k1 % n1, k2 % n2, k3] = v
+    return f
+
+
+def _read_or_format_error(path):
+    try:
+        g = read_snapshot(path)
+    except SnapshotFormatError:
+        return None
+    assert isinstance(g, SpectralField)
+    return g
+
+
+@given(entries=_ENTRIES)
+@settings(max_examples=60, deadline=None)
+def test_snapshot_fuzz_round_trip_bit_exact(tmp_path_factory, entries):
+    f = _fuzz_field(entries)
+    path = tmp_path_factory.mktemp("snap") / "f.txt"
+    write_snapshot(f, path)
+    g = read_snapshot(path)
+    assert g.grid == G_FUZZ
+    assert np.array_equal(g.c.view(np.uint64), f.c.view(np.uint64))
+    again = path.with_name("g.txt")
+    write_snapshot(g, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@given(entries=_ENTRIES, edits=st.lists(
+    st.tuples(st.integers(0, 64), st.booleans(), _JUNK), min_size=1,
+    max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_snapshot_fuzz_corrupt_body(tmp_path_factory, entries, edits):
+    # the header stays valid, so every failure must come from the body
+    path = tmp_path_factory.mktemp("snap") / "f.txt"
+    write_snapshot(_fuzz_field(entries), path)
+    lines = path.read_bytes().split(b"\n")
+    for pos, insert, junk in edits:
+        i = 1 + pos % len(lines)
+        lines[i:i if insert else i + 1] = [junk]
+    path.write_bytes(b"\n".join(lines))
+    _read_or_format_error(path)
+
+
+@given(data=st.binary(max_size=200) | st.text(max_size=200).map(str.encode)
+       | st.tuples(st.sampled_from(["8", "10", "7", "0", "-8", "x", "8.0", ""]),
+                   st.sampled_from(["8", "12", "9", "1e1"]),
+                   _JUNK).map(lambda t: f"MGFIELD v1 {t[0]} 8 {t[1]}\n"
+                                        .encode() + t[2]))
+@settings(max_examples=150, deadline=None)
+def test_snapshot_fuzz_arbitrary_input(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("snap") / "f.txt"
+    path.write_bytes(data)
+    _read_or_format_error(path)
+
+
 class TestAssembleEigenfunction:
     def test_matches_separable_profile(self):
         par = PhysParams()
