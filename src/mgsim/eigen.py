@@ -26,7 +26,7 @@ solution exists exactly when sigma solves the continued-fraction equation
     x_1 = 1 / (x_2 - 1 / (x_3 - 1 / (x_4 - ... ))).
 
 `cf_residual` evaluates the truncated residual of that equation,
-`solve_sigma_star` bisects its principal root on the certified bracket
+`solve_sigma_star` multisects its principal root on the certified bracket
 1/alpha_2 - e_2 <= sigma* <= 2/alpha_1 - e_1 (`closed_form_bounds`), and
 `dense_sigma_star` cross-checks it independently as a generalized
 symmetric-definite matrix eigenproblem of the same truncation.
@@ -43,6 +43,14 @@ small positive floor) is therefore a right half-line on which the residual
 increases; counting the off-branch points to its left as negative leaves a
 single possible sign change.  Rounding keeps this: each step is a monotone
 floating-point operation, so the computed residual is non-decreasing too.
+
+One kernel serves every caller: `_cf_residuals` walks the tail once over p
+for a (modes x sigma-points) array, and `_Batch` drives all modes in
+lockstep, giving each bracket still wider than _WIDTH_ULPS ulps
+max(1, _LANES // n) points per round (a box bisects, one mode splits its
+bracket _LANES + 1 ways).  The public single-mode functions are batches of
+one, which costs a lone solve about 5 ms where a scalar loop took 0.5 ms,
+while a 32 x 32 box takes about 0.04 s instead of 0.5 s.
 """
 
 from __future__ import annotations
@@ -68,7 +76,15 @@ _TAIL_FLOOR = 1e-13
 # Bisection stops when the bracket width is this many ulps of the endpoint.
 _WIDTH_ULPS = 8.0
 
+# Sigma points per multisection round, shared by the modes still bracketing
+# their root; a round costs about the same at any size below a few hundred.
+_LANES = 512
+
 _MAX_DEPTH = 1024
+
+# Accepted roots are certified this many modes at a time, which bounds the
+# memory of the backward recursion and the row-defect check.
+_CERTIFY_BLOCK = 256
 
 
 def _validate_mode(k1: int, k2: int, p: int = 1):
@@ -80,6 +96,23 @@ def _validate_mode(k1: int, k2: int, p: int = 1):
         raise ValueError(f"p must be >= 1, got {p}")
 
 
+def _weights(P: int, k1s, k2s, params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha_p, e_p) of `alpha` and `sigma_shifted` for p = 1..P, per mode.
+
+    (modes x P) arrays, stored p-major so `_cf_residuals` reads each p
+    contiguously; real-valued k1, k2 are accepted.
+    """
+    n2, m = params.n2, params.m
+    k1 = np.asarray(k1s, dtype=np.float64).reshape(1, -1)
+    k2 = np.asarray(k2s, dtype=np.float64).reshape(1, -1)
+    ksq = k1 * k1 + k2 * k2
+    mp2 = (m * np.arange(1, P + 1, dtype=np.float64)[:, None]) ** 2
+    a = 2.0 * (n2 * n2 * mp2 * (ksq + mp2) + k2 ** 4) / (m * n2 * (k2 * k2) * ksq)
+    if params.eps_kappa == 0.0:
+        return a.T, np.zeros_like(a.T)
+    return a.T, (params.eps_kappa * (ksq + mp2) ** params.gamma).T
+
+
 def alpha(p: int, k1: int, k2: int, params: PhysParams) -> float:
     """Interaction weight alpha_p > 0 of the vertical mode p.
 
@@ -87,39 +120,33 @@ def alpha(p: int, k1: int, k2: int, params: PhysParams) -> float:
               / (m N^2 k2^2 (k1^2 + k2^2)),  growing like p^4.
     """
     _validate_mode(k1, k2, p)
-    return float(_alphas(p, k1, k2, params)[-1])
-
-
-def _alphas(P: int, k1: int, k2: int, params: PhysParams) -> np.ndarray:
-    """alpha_p for p = 1..P as a vector (index 0 <-> p = 1)."""
-    n2, m = params.n2, params.m
-    ksq = float(k1 * k1 + k2 * k2)
-    p = np.arange(1, P + 1, dtype=np.float64)
-    mp2 = (m * p) ** 2
-    return 2.0 * (n2 * n2 * mp2 * (ksq + mp2) + float(k2) ** 4) / (
-        m * n2 * float(k2 * k2) * ksq
-    )
-
-
-def _dissipation_shifts(P: int, k1: int, k2: int, params: PhysParams) -> np.ndarray:
-    """e_p = eps_kappa (k1^2 + k2^2 + (mp)^2)^gamma for p = 1..P."""
-    ksq = float(k1 * k1 + k2 * k2)
-    p = np.arange(1, P + 1, dtype=np.float64)
-    lam = ksq + (params.m * p) ** 2
-    if params.eps_kappa == 0.0:
-        return np.zeros(P)
-    return params.eps_kappa * lam ** params.gamma
-
-
-def _weights(P: int, k1, k2, params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha_p, e_p) for p = 1..P, the weights of the continued fraction."""
-    return _alphas(P, k1, k2, params), _dissipation_shifts(P, k1, k2, params)
+    return float(_weights(p, k1, k2, params)[0][0, -1])
 
 
 def sigma_shifted(sigma: float, p: int, k1: int, k2: int, params: PhysParams) -> float:
     """Dissipation-shifted rate sigma_p = sigma + eps_kappa |k_p|^(2 gamma)."""
     _validate_mode(k1, k2, p)
-    return sigma + float(_dissipation_shifts(p, k1, k2, params)[-1])
+    return sigma + float(_weights(p, k1, k2, params)[1][0, -1])
+
+
+def _cf_residuals(sigma: np.ndarray, a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Truncated residual x_1 - 1/T_2 at every (mode, sigma) point.
+
+    sigma is (modes x points), a and e the (modes x P) weights.  Walks the
+    tail T_P = x_P, T_p = x_p - 1/T_{p+1}, x_p = (sigma + e_p) alpha_p, once
+    over p in the scalar operation order; points whose tails are not all
+    above _TAIL_FLOOR are off the principal branch and get NaN.
+    """
+    P = a.shape[1]
+    T = (sigma + e[:, P - 1:]) * a[:, P - 1:]
+    low = T.copy()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for p in range(P - 2, 0, -1):
+            T = (sigma + e[:, p:p + 1]) * a[:, p:p + 1] - 1.0 / T
+            np.minimum(low, T, out=low)
+        r = (sigma + e[:, :1]) * a[:, :1] - 1.0 / T
+    r[~(low > _TAIL_FLOOR)] = np.nan
+    return r
 
 
 def cf_residual(sigma: float, k1: int, k2: int, params: PhysParams,
@@ -139,21 +166,11 @@ def cf_residual(sigma: float, k1: int, k2: int, params: PhysParams,
     _validate_mode(k1, k2)
     if depth < 2:
         raise ValueError(f"depth must be >= 2, got {depth}")
-    return _residual(sigma, *_weights(depth, k1, k2, params))
-
-
-def _residual(sigma: float, a: np.ndarray, e: np.ndarray) -> float:
-    """`cf_residual` on prebuilt weights, walking the tail over Python floats."""
-    x = ((sigma + e) * a).tolist()
-    T = x[-1]
-    floor = _TAIL_FLOOR
-    for xp in x[-2:0:-1]:  # x_{depth-1} down to x_2
-        if T <= floor:
-            break
-        T = xp - 1.0 / T
-    if T <= floor:
-        raise DegenerateTailError(f"tail {T} non-positive at sigma={sigma}")
-    return x[0] - 1.0 / T
+    r = _cf_residuals(np.array([[sigma]], dtype=np.float64),
+                      *_weights(depth, k1, k2, params))[0, 0]
+    if math.isnan(r):
+        raise DegenerateTailError(f"a tail is non-positive at sigma={sigma}")
+    return float(r)
 
 
 def sigma_bracket(k1: int, k2: int, params: PhysParams) -> tuple[float, float]:
@@ -165,12 +182,18 @@ def sigma_bracket(k1: int, k2: int, params: PhysParams) -> tuple[float, float]:
     certificate; `solve_sigma_star` uses `closed_form_bounds`.
     """
     _validate_mode(k1, k2)
-    a, e = _weights(2, k1, k2, params)
+    (a,), (e,) = _weights(2, k1, k2, params)
     prod = a[0] * a[1]
     s, d = e[0] + e[1], e[0] - e[1]
     lo = 0.5 * (-s + math.sqrt(d * d + 4.0 / prod))
     hi = 0.5 * (-s + math.sqrt(d * d + 8.0 / prod))
     return lo, hi
+
+
+def _closed_form_bounds(k1s, k2s, params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
+    """`closed_form_bounds` of each mode, as arrays (lower, upper)."""
+    a, e = _weights(2, k1s, k2s, params)
+    return 1.0 / a[:, 1] - e[:, 1], 2.0 / a[:, 0] - e[:, 0]
 
 
 def closed_form_bounds(k1: int, k2: int, params: PhysParams) -> tuple[float, float]:
@@ -181,8 +204,8 @@ def closed_form_bounds(k1: int, k2: int, params: PhysParams) -> tuple[float, flo
     carries no information (lower) or certifies stability (upper).
     """
     _validate_mode(k1, k2)
-    a, e = _weights(2, k1, k2, params)
-    return 1.0 / a[1] - e[1], 2.0 / a[0] - e[0]
+    (lower,), (upper,) = _closed_form_bounds(k1, k2, params)
+    return float(lower), float(upper)
 
 
 def dense_sigma_star(k1: int, k2: int, params: PhysParams, depth: int = 64) -> float:
@@ -198,7 +221,7 @@ def dense_sigma_star(k1: int, k2: int, params: PhysParams, depth: int = 64) -> f
     _validate_mode(k1, k2)
     if depth < 2:
         raise ValueError(f"depth must be >= 2, got {depth}")
-    a, e = _weights(depth, k1, k2, params)
+    (a,), (e,) = _weights(depth, k1, k2, params)
     M = np.diag(-e * a)
     off = -np.ones(depth - 1)
     M += np.diag(off, 1) + np.diag(off, -1)
@@ -206,6 +229,32 @@ def dense_sigma_star(k1: int, k2: int, params: PhysParams, depth: int = 64) -> f
     w = scipy.linalg.eigh(M, B, eigvals_only=True,
                           subset_by_index=[depth - 1, depth - 1])
     return float(w[0])
+
+
+def _require(ok: np.ndarray, k1s, k2s, error: type, what) -> None:
+    """Raise `error`, worded by `what(i)`, for the first mode i not `ok`."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise error(f"{what(i)} for mode ({k1s[i]},{k2s[i]})")
+
+
+def _backward(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
+              k1s, k2s) -> np.ndarray:
+    """`backward_coefficients` of each mode at its sigma, as (modes x P)."""
+    n, P = a.shape
+    d = np.zeros((P + 1, n))
+    d[P - 1] = 1.0  # seed at p = P; d[P] stands for d_{P+1} = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(P - 1, 0, -1):
+            d[i - 1] = -((sigma + e[:, i]) * a[:, i]) * d[i] - d[i + 1]
+            big = np.abs(d[i - 1]) > 2.0 ** 900
+            if big.any():
+                d[i - 1:, big] *= 2.0 ** -1000
+        # divide by d_1 first so c_1 = alpha_1 holds exactly in floating point
+        c = a * (d[:P] / d[0]).T
+    _require(np.isfinite(c).all(axis=1), k1s, k2s, RecurrenceOverflowError,
+             lambda i: "backward recursion overflowed or lost its first entry")
+    return c
 
 
 def backward_coefficients(sigma: float, k1: int, k2: int, params: PhysParams,
@@ -226,24 +275,7 @@ def backward_coefficients(sigma: float, k1: int, k2: int, params: PhysParams,
     """
     _validate_mode(k1, k2)
     a, e = _weights(depth, k1, k2, params)
-    x = (sigma + e) * a
-    d = np.zeros(depth + 1)
-    d[depth - 1] = 1.0  # seed at p = depth; d[depth] stands for d_{P+1} = 0
-    for i in range(depth - 1, 0, -1):
-        d[i - 1] = -x[i] * d[i] - d[i + 1]
-        mag = abs(d[i - 1])
-        if mag > 2.0 ** 900:
-            d[i - 1:] *= 2.0 ** -1000
-        if not math.isfinite(d[i - 1]):
-            raise RecurrenceOverflowError(
-                f"backward recursion overflowed at p={i} for mode ({k1},{k2})"
-            )
-    if d[0] == 0.0:
-        raise RecurrenceOverflowError(
-            f"cannot normalize: leading coefficient vanished for mode ({k1},{k2})"
-        )
-    # divide d by d[0] first so c_1 = alpha_1 holds exactly in floating point
-    return a * (d[:depth] / d[0])
+    return _backward(np.array([sigma], dtype=np.float64), a, e, [k1], [k2])[0]
 
 
 def forward_coefficients(sigma: float, k1: int, k2: int, params: PhysParams,
@@ -256,7 +288,7 @@ def forward_coefficients(sigma: float, k1: int, k2: int, params: PhysParams,
     is the reliable construction.
     """
     _validate_mode(k1, k2)
-    a, e = _weights(depth, k1, k2, params)
+    (a,), (e,) = _weights(depth, k1, k2, params)
     c = np.zeros(depth)
     c[0] = a[0]
     # p = 1 line: sigma_1 c_1 + c_2 / alpha_2 = 0
@@ -304,78 +336,155 @@ class EigenSolution:
     recursion_residual: float
 
 
-def _recursion_rows_residual(sigma: float, c: np.ndarray, k1: int, k2: int,
-                             params: PhysParams) -> float:
-    """Max relative defect of rows p = 2..P-1 of the recursion at (sigma, c).
+def _multisect(k1s: np.ndarray, k2s: np.ndarray, params: PhysParams, P: int,
+               lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Principal root of each mode's residual g at depth P in [lo, hi], lo > 0.
 
-    Rows whose terms sit more than ~220 decades below the largest row are
-    excluded: the superexponential tail of the minimal solution underflows
-    to subnormals/zero long before that, and relative arithmetic there is
-    meaningless (the coefficients themselves are far below any use).
+    NaN for a mode without g(lo) < 0 <= g(hi); off-branch points count as
+    -1, so g changes sign at most once (module docstring).  Each round
+    splits every bracket wider than _WIDTH_ULPS ulps at max(1, _LANES // n)
+    points, n the number of such brackets, all in one kernel call; a
+    guarded secant step then polishes each final bracket.
     """
-    P = len(c)
-    a, e = _weights(P, k1, k2, params)
-    t1 = (sigma + e[1:P - 1]) * c[1:P - 1]
-    t2 = c[2:P] / a[2:P]
-    t3 = c[0:P - 2] / a[0:P - 2]
+    a, e = _weights(P, k1s, k2s, params)
+    fa, fb = np.nan_to_num(_cf_residuals(np.stack([lo, hi], axis=1), a, e),
+                           nan=-1.0).T.copy()
+    lo, hi = lo.copy(), hi.copy()
+    ok = (fa < 0.0) & (0.0 <= fb)
+    act = np.arange(lo.size)
+    for _ in range(200):
+        l, h = lo[act], hi[act]
+        wide = ok[act] & (h - l > _WIDTH_ULPS * np.spacing(h))
+        if not wide.all():
+            act, l, h = act[wide], l[wide], h[wide]
+            a = a[wide]  # one array at a time, to bound memory
+            e = e[wide]
+        if act.size == 0:
+            break
+        t = np.arange(1, max(1, _LANES // act.size) + 1)
+        t = t / (t.size + 1)  # one point is 0.5 * (lo + hi) exactly
+        xs = np.column_stack([l, l[:, None] * (1.0 - t) + h[:, None] * t, h])
+        g = np.nan_to_num(_cf_residuals(xs[:, 1:-1], a, e), nan=-1.0)
+        gs = np.column_stack([fa[act], g, fb[act]])
+        j = np.argmax(gs[:, 1:] >= 0.0, axis=1) + 1  # gs[:, -1] = g(hi) >= 0
+        r = np.arange(act.size)
+        lo[act], hi[act] = xs[r, j - 1], xs[r, j]
+        fa[act], fb[act] = gs[r, j - 1], gs[r, j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = hi - fb * (hi - lo) / (fb - fa)
+    sigma = np.where((fb != fa) & (lo <= s) & (s <= hi), s, 0.5 * (lo + hi))
+    sigma[~ok] = np.nan
+    return sigma
+
+
+def _certify(sigma: np.ndarray, P: int, k1s: np.ndarray, k2s: np.ndarray,
+             params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
+    """Acceptance residual and recursion-row defect of roots accepted at
+    depth P; InvariantError names the first mode with a residual not below
+    1e-12 or a defect not below 1e-10.
+
+    The defect is the largest relative defect of the rows p = 2..P-1 of the
+    recursion.  Rows more than ~220 decades below the mode's largest row
+    are skipped: the superexponential tail of the minimal solution
+    underflows to subnormals/zero long before that, and relative arithmetic
+    there is meaningless (the coefficients themselves are far below any use).
+    """
+    a, e = _weights(P, k1s, k2s, params)
+    r = np.abs(_cf_residuals(sigma[:, None], a, e)[:, 0])
+    _require(r < 1e-12, k1s, k2s, InvariantError,
+             lambda i: f"accepted root has residual {r[i]:.3g} >= 1e-12")
+    c = _backward(sigma, a, e, k1s, k2s)
+    t1 = (sigma[:, None] + e[:, 1:-1]) * c[:, 1:-1]
+    t2 = c[:, 2:] / a[:, 2:]
+    t3 = c[:, :-2] / a[:, :-2]
     scale = np.maximum(np.abs(t1), np.maximum(np.abs(t2), np.abs(t3)))
-    keep = scale > scale.max() * 1e-220
-    if not keep.any():
-        return 0.0
-    defect = np.abs(t1 + t2 + t3)[keep] / scale[keep]
-    return float(defect.max())
+    keep = scale > scale.max(axis=1, initial=0.0, keepdims=True) * 1e-220
+    with np.errstate(divide="ignore", invalid="ignore"):
+        defect = np.abs(t1 + t2 + t3) / scale
+    q = np.where(keep, defect, 0.0).max(axis=1, initial=0.0)
+    _require(q < 1e-10, k1s, k2s, InvariantError,
+             lambda i: f"recursion rows defect {q[i]:.3g} >= 1e-10")
+    return r, q
 
 
-def _bisect(k1: int, k2: int, params: PhysParams, depth: int,
-            lo: float, hi: float) -> float:
-    """Principal root of the truncated residual in [lo, hi], by bisection.
+class _Batch:
+    """Principal roots of a batch of modes, solved in lockstep.
 
-    Off-branch points count as negative, so the residual changes sign at
-    most once on any interval (module docstring).  Raises NoRootError unless
-    g(lo) < 0 <= g(hi).
+    Every mode with a positive upper bound is multisected at `depth`, and
+    the modes whose root then moves by 1e-12 or more are solved again at
+    doubled depth until none does.  Per mode this keeps sigma (NaN without
+    a root), the accepted depth, the acceptance residual and the recursion
+    row defect; the first mode that fails a check of `solve_sigma_star`
+    raises InvariantError.
     """
-    a_p, e_p = _weights(depth, k1, k2, params)
 
-    def g(s: float) -> float:
-        try:
-            return _residual(s, a_p, e_p)
-        except DegenerateTailError:
-            return -1.0
+    def __init__(self, k1s, k2s, params: PhysParams, depth: int):
+        self.k1 = k1s = np.asarray(k1s, dtype=np.int64).ravel()
+        self.k2 = k2s = np.asarray(k2s, dtype=np.int64).ravel()
+        self.params = params
+        self.lower, self.upper = _closed_form_bounds(k1s, k2s, params)
+        # the interval bisected, slightly wider than the bounds
+        self.left = np.maximum(self.lower * (1.0 - 1e-9), self.upper * 1e-9)
+        self.right = self.upper * (1.0 + 1e-9)
+        self.sigma, self.residual, self.rows = np.full((3, k1s.size), np.nan)
+        self.depth = np.zeros(k1s.size, dtype=np.int64)
+        todo = np.flatnonzero(self.upper > 0.0)
+        prev = np.full(todo.size, np.nan)  # no root settles at the first depth
+        d = depth
+        while todo.size:
+            new = _multisect(k1s[todo], k2s[todo], params, d,
+                             self.left[todo], self.right[todo])
+            settled = np.abs(new - prev) < 1e-12
+            done = todo[settled]
+            self.sigma[done], self.depth[done] = new[settled], d
+            for b in range(0, done.size, _CERTIFY_BLOCK):
+                i = done[b:b + _CERTIFY_BLOCK]
+                self.residual[i], self.rows[i] = _certify(
+                    self.sigma[i], d, k1s[i], k2s[i], params)
+            keep = ~settled & ~np.isnan(new)
+            todo, prev = todo[keep], new[keep]
+            if todo.size and d >= _MAX_DEPTH:
+                raise InvariantError(
+                    f"root of mode ({k1s[todo[0]]},{k2s[todo[0]]}) did not "
+                    f"settle by depth {_MAX_DEPTH}")
+            d *= 2
 
-    a, b = lo, hi
-    fa, fb = g(a), g(b)
-    if not fa < 0.0 <= fb:
-        raise NoRootError(
+    def error(self, i: int) -> NoRootError:
+        """Why mode i has no root."""
+        k1, k2 = int(self.k1[i]), int(self.k2[i])
+        lower, upper = float(self.lower[i]), float(self.upper[i])
+        if upper <= 0.0:
+            return NoRootError(
+                f"mode ({k1},{k2}) is certified stable: upper bound "
+                f"2/alpha_1 - e_1 = {upper:.6g} <= 0", lo=lower, hi=upper)
+        lo, hi = float(self.left[i]), float(self.right[i])
+        return NoRootError(
             f"no unstable root for mode ({k1},{k2}) in bracket "
             f"[{lo:.6g}, {hi:.6g}]", lo=lo, hi=hi)
-    for _ in range(200):
-        if b - a <= _WIDTH_ULPS * np.spacing(max(abs(a), abs(b))):
-            break
-        mid = 0.5 * (a + b)
-        fm = g(mid)
-        if fm < 0.0:
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    # one guarded secant polish inside the final bracket
-    sigma = 0.5 * (a + b)
-    if fb != fa:
-        s = b - fb * (b - a) / (fb - fa)
-        if a <= s <= b:
-            sigma = s
-    return sigma
+
+    def solution(self, i: int) -> EigenSolution:
+        """Mode i's root with its coefficient profile."""
+        k1, k2, depth = int(self.k1[i]), int(self.k2[i]), int(self.depth[i])
+        sigma = float(self.sigma[i])
+        return EigenSolution(
+            k1=k1, k2=k2, params=self.params, sigma_star=sigma, depth=depth,
+            c=backward_coefficients(sigma, k1, k2, self.params, depth),
+            residual=float(self.residual[i]),
+            bracket=(float(self.lower[i]), float(self.upper[i])),
+            recursion_residual=float(self.rows[i]))
 
 
 def solve_sigma_star(k1: int, k2: int, params: PhysParams,
                      depth: int = 64) -> EigenSolution:
     """Largest unstable eigenvalue of a horizontal mode pair.
 
-    Brackets the principal root with `closed_form_bounds` and bisects the
-    truncated residual on the bracket to machine width; the residual
+    Brackets the principal root with `closed_form_bounds` and multisects
+    the truncated residual on the bracket to machine width; the residual
     changes sign at most once there, so a sign change at the endpoints is
     the root.  The truncation depth then doubles until the root moves by
     less than 1e-12, and the accepted root gets its coefficient profile
-    from `backward_coefficients`.
+    from `backward_coefficients`.  This is the lockstep batch solver of
+    `optimize_growth` on one mode.
 
     Raises
     ------
@@ -384,40 +493,10 @@ def solve_sigma_star(k1: int, k2: int, params: PhysParams,
         the residual does not change sign on the admissible bracket.
     """
     _validate_mode(k1, k2)
-    lo, hi = closed_form_bounds(k1, k2, params)
-    if hi <= 0.0:
-        raise NoRootError(
-            f"mode ({k1},{k2}) is certified stable: upper bound "
-            f"2/alpha_1 - e_1 = {hi:.6g} <= 0", lo=lo, hi=hi)
-    left = max(lo * (1.0 - 1e-9), hi * 1e-9)
-    right = hi * (1.0 + 1e-9)
-    sigma = _bisect(k1, k2, params, depth, left, right)
-    depth_used = depth
-    while depth_used < _MAX_DEPTH:
-        depth_used *= 2
-        refined = _bisect(k1, k2, params, depth_used, left, right)
-        moved = abs(refined - sigma)
-        sigma = refined
-        if moved < 1e-12:
-            break
-    else:
-        raise InvariantError(
-            f"root of mode ({k1},{k2}) did not settle by depth {_MAX_DEPTH}"
-        )
-    resid = abs(cf_residual(sigma, k1, k2, params, depth_used))
-    if resid >= 1e-12:
-        raise InvariantError(
-            f"accepted root has residual {resid:.3g} >= 1e-12 for mode ({k1},{k2})"
-        )
-    c = backward_coefficients(sigma, k1, k2, params, depth_used)
-    rows = _recursion_rows_residual(sigma, c, k1, k2, params)
-    if rows >= 1e-10:
-        raise InvariantError(
-            f"recursion rows defect {rows:.3g} >= 1e-10 for mode ({k1},{k2})"
-        )
-    return EigenSolution(
-        k1=k1, k2=k2, params=params, sigma_star=sigma, depth=depth_used,
-        c=c, residual=resid, bracket=(lo, hi), recursion_residual=rows)
+    batch = _Batch(k1, k2, params, depth)
+    if math.isnan(batch.sigma[0]):
+        raise batch.error(0)
+    return batch.solution(0)
 
 
 _COEFF_CUTOFF = 1e-14  # vertical modes below this (with c_1 = alpha_1) are dropped
@@ -557,21 +636,18 @@ def illposedness_sweep(regime: str, params: PhysParams, j_min: int = 2,
     if j_max < j_min:
         raise ValueError("j_max must be >= j_min")
 
+    js = np.arange(j_min, j_max + 1)
+    batch = _Batch(js * js, js, params, depth)
     rows = []
-    for j in range(j_min, j_max + 1):
-        k1, k2 = j * j, j
+    for i, j in enumerate(range(j_min, j_max + 1)):
         bound = _sweep_bound(j, params)
-        note = ""
-        try:
-            sol = solve_sigma_star(k1, k2, params, depth=depth)
-            sigma = sol.sigma_star
-        except NoRootError as e:
-            sigma = None
-            note = str(e)
+        found = not math.isnan(batch.sigma[i])
+        sigma = float(batch.sigma[i]) if found else None
         certified = (bound is not None and bound > 0.0
                      and sigma is not None and sigma >= bound)
-        rows.append(SweepRow(j=j, k1=k1, k2=k2, sigma_star=sigma, bound=bound,
-                             certified=certified, note=note))
+        rows.append(SweepRow(j=j, k1=j * j, k2=j, sigma_star=sigma,
+                             bound=bound, certified=certified,
+                             note="" if found else str(batch.error(i))))
 
     verdict, reason = _sweep_verdict(rows, params)
     return SweepResult(regime=regime, params=params, j_min=j_min, j_max=j_max,
@@ -609,6 +685,14 @@ def _sweep_verdict(rows: list, params: PhysParams) -> tuple[str, str]:
     return "diverging", "every j certified; rates increase without bound"
 
 
+# One record of an `OptimizeResult.table`: 22 bytes, so that callers that
+# keep the tables of many calls (a benchmark keeps one per repetition) hold
+# little memory; int16 bounds box and depth at 32767.
+_TABLE_ROW = np.dtype([("k1", np.int16), ("k2", np.int16),
+                       ("sigma_star", np.float64), ("depth", np.int16),
+                       ("residual", np.float64)])
+
+
 @dataclass(frozen=True)
 class OptimizeResult:
     """Outcome of the integer growth optimization over a box."""
@@ -623,7 +707,7 @@ class OptimizeResult:
     continuum_k1: float
     continuum_k2: float
     n_unstable: int
-    table: list = field(repr=False)
+    table: np.ndarray = field(repr=False)
 
 
 def continuum_optimum(params: PhysParams) -> tuple[float, float]:
@@ -649,45 +733,40 @@ def continuum_lower_bound(params: PhysParams) -> float:
     eps_kappa -> 0.
     """
     k1, k2 = continuum_optimum(params)
-    a, e = _weights(2, k1, k2, params)
-    return float(1.0 / a[1] - e[1])
+    return float(_closed_form_bounds(k1, k2, params)[0][0])
 
 
 def optimize_growth(params: PhysParams, box: int, depth: int = 64) -> OptimizeResult:
     """Best unstable pair over the integer box [1, box]^2.
 
-    Solves every mode pair whose bracket admits a root, returning the pair
+    Solves all box**2 mode pairs in one lockstep batch, returning the pair
     with the largest sigma*, together with the pair maximizing the certified
     closed-form lower bound and the continuum prediction for context.  The
-    `table` rows are (k1, k2, sigma_star, depth, residual) for every
-    unstable pair, ordered by descending sigma_star.
+    `table` has one record (k1, k2, sigma_star, depth, residual) per
+    unstable pair, ordered by descending sigma_star: a structured array
+    whose records index and unpack like tuples.
 
     Raises
     ------
     NoRootError
         If no pair in the box is unstable.
     """
-    if box < 1:
-        raise ValueError(f"box must be >= 1, got {box}")
-    best: EigenSolution | None = None
-    lb_argmax = (0, 0)
-    lb_max = -math.inf
-    rows = []
-    for k1 in range(1, box + 1):
-        for k2 in range(1, box + 1):
-            lower = closed_form_bounds(k1, k2, params)[0]
-            if lower > lb_max:
-                lb_max, lb_argmax = lower, (k1, k2)
-            try:
-                sol = solve_sigma_star(k1, k2, params, depth=depth)
-            except NoRootError:
-                continue
-            rows.append((k1, k2, sol.sigma_star, sol.depth, sol.residual))
-            if best is None or sol.sigma_star > best.sigma_star:
-                best = sol
-    if best is None:
+    if not 1 <= box <= np.iinfo(np.int16).max:
+        raise ValueError(f"box must be in [1, 32767], got {box}")
+    ks = np.arange(1, box + 1)
+    k1s, k2s = np.repeat(ks, box), np.tile(ks, box)  # k1-major order
+    batch = _Batch(k1s, k2s, params, depth)
+    unstable = np.flatnonzero(~np.isnan(batch.sigma))
+    if unstable.size == 0:
         raise NoRootError(f"no unstable modes in box [1, {box}]^2")
-    rows.sort(key=lambda r: -r[2])
+    # descending sigma*; ties keep k1-major order, so the first row is the
+    # first mode of largest sigma*
+    order = unstable[np.argsort(-batch.sigma[unstable], kind="stable")]
+    table = np.rec.fromarrays(
+        [k1s[order], k2s[order], batch.sigma[order], batch.depth[order],
+         batch.residual[order]], dtype=_TABLE_ROW)
+    best = batch.solution(order[0])
+    lb = int(np.argmax(batch.lower))
     if params.eps_kappa > 0.0:
         ck1, ck2 = continuum_optimum(params)
     else:
@@ -695,7 +774,7 @@ def optimize_growth(params: PhysParams, box: int, depth: int = 64) -> OptimizeRe
     return OptimizeResult(
         k1=best.k1, k2=best.k2, sigma_star=best.sigma_star,
         lower_bound_at_opt=best.bracket[0], solution=best,
-        lb_argmax=lb_argmax, lb_max=lb_max,
+        lb_argmax=(int(k1s[lb]), int(k2s[lb])), lb_max=float(batch.lower[lb]),
         continuum_k1=ck1, continuum_k2=ck2,
-        n_unstable=len(rows), table=rows,
+        n_unstable=len(table), table=table,
     )

@@ -14,8 +14,8 @@ import numpy as np
 import scipy
 
 from .eigen import (
+    _closed_form_bounds,
     assemble_eigenfunction,
-    closed_form_bounds,
     continuum_lower_bound,
     optimize_growth,
     solve_sigma_star,
@@ -50,7 +50,7 @@ class InstabilityReport:
     seed_amplitude: float
     base_l2: float
     diag: Diagnostics = field(repr=False)
-    table: list = field(repr=False)
+    table: np.ndarray = field(repr=False)
 
 
 def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
@@ -218,8 +218,10 @@ def write_eigen_csv(table, params, path):
         w = csv.writer(fh)
         w.writerow(["k1", "k2", "gamma", "eps_kappa", "sigma_star",
                     "lower_bound", "upper_bound", "depth", "residual"])
-        for (k1, k2, sigma, depth, residual) in table:
-            lower, upper = closed_form_bounds(k1, k2, params)
+        lowers, uppers = _closed_form_bounds([row[0] for row in table],
+                                             [row[1] for row in table], params)
+        for (k1, k2, sigma, depth, residual), lower, upper in zip(
+                table, lowers, uppers):
             w.writerow([k1, k2, f"{params.gamma:.17g}",
                         f"{params.eps_kappa:.17g}", f"{sigma:.17g}",
                         f"{lower:.17g}", f"{upper:.17g}", depth,

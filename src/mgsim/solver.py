@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUpError, GrowthCapError
-from .eigen import closed_form_bounds
+from .eigen import _closed_form_bounds
 from .fields import (
     PlaneSpec,
     SpectralField,
@@ -246,11 +246,9 @@ def energy_flux_residual(grid, c, n2_phys):
 def _max_resolvable_growth(grid, params):
     """Largest closed-form upper bound on the growth rate over the band."""
     b1, b2, _ = grid.band
-    best = -math.inf
-    for k1 in range(1, b1 + 1):
-        for k2 in range(1, b2 + 1):
-            best = max(best, closed_form_bounds(k1, k2, params)[1])
-    return best
+    k1s, k2s = np.meshgrid(np.arange(1, b1 + 1), np.arange(1, b2 + 1))
+    upper = _closed_form_bounds(k1s, k2s, params)[1]
+    return float(np.max(upper, initial=-math.inf))
 
 
 def _growth_cap_check(theta0, params, config):

@@ -14,6 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from mgsim.errors import DegenerateTailError, NoRootError
 from mgsim.symbol import PhysParams, eval_symbol
 from mgsim.eigen import (
+    _cf_residuals,
+    _weights,
     alpha,
     backward_coefficients,
     cf_residual,
@@ -221,6 +223,8 @@ class TestOptimize:
         res = optimize_growth(par, box=8)
         assert res.sigma_star >= res.lb_max
         assert res.n_unstable == len(res.table)
+        assert res.table.dtype.names == ("k1", "k2", "sigma_star", "depth",
+                                         "residual")
         assert res.table[0][2] == res.sigma_star
         # frozen: sigma argmax (4,3), certified-bound argmax (2,3)
         assert (res.k1, res.k2) == (4, 3)
@@ -247,6 +251,42 @@ class TestOptimize:
     def test_no_unstable_modes(self):
         with pytest.raises(NoRootError):
             optimize_growth(PhysParams(eps_kappa=10.0), box=4)
+
+    @pytest.mark.parametrize("box", [0, 32768])
+    def test_box_outside_table_range_rejected(self, box):
+        # table records store k1 and k2 as int16
+        with pytest.raises(ValueError, match="box must be in"):
+            optimize_growth(PhysParams(), box=box)
+
+    @pytest.mark.parametrize("eps, gamma, m", [(0.01, 1.0, 1), (0.005, 0.5, 2)])
+    def test_box_matches_single_mode_solves(self, eps, gamma, m):
+        # a box bisects its modes in lockstep while a lone mode multisects;
+        # both must find the same unstable modes at the same depths
+        par = PhysParams(m=m, eps_kappa=eps, gamma=gamma)
+        res = optimize_growth(par, box=12)
+        single = {}
+        for k1 in range(1, 13):
+            for k2 in range(1, 13):
+                try:
+                    single[k1, k2] = solve_sigma_star(k1, k2, par)
+                except NoRootError:
+                    pass
+        assert single and {(k1, k2) for k1, k2, *_ in res.table} == set(single)
+        for k1, k2, sigma, depth, residual in res.table:
+            sol = single[k1, k2]
+            assert depth == sol.depth, (k1, k2)
+            assert abs(sigma - sol.sigma_star) <= 8 * np.spacing(sol.sigma_star)
+            assert residual < 1e-12
+
+    @pytest.mark.parametrize("eps", [0.01, 0.005, 0.0025, 0.00125])
+    def test_box_optimum_meets_continuum_growth_bound(self, eps):
+        # sigma >= 1/(2^8 eps_kappa) - 8 m^2 eps_kappa near k1 = 1/(16 eps_kappa)
+        # (Friedlander, Rusin & Vicol 2012), on a box half again as wide
+        par = PhysParams(eps_kappa=eps)
+        box = math.ceil(1.5 * continuum_optimum(par)[0]) + 2
+        res = optimize_growth(par, box=box)
+        assert res.sigma_star >= 1.0 / (2 ** 8 * eps) - 8 * par.m ** 2 * eps
+        assert 1 < res.k1 < box and 1 < res.k2 < box
 
 
 class TestSweep:
@@ -290,6 +330,22 @@ class TestSweep:
         res = illposedness_sweep(
             "fractional", PhysParams(eps_kappa=0.01, gamma=0.25), 2, 8)
         assert res.verdict == "diverging"
+
+    @pytest.mark.parametrize("eps, gamma", [(0.02, 0.75), (0.05, 1.0)])
+    def test_rows_match_single_mode_solves(self, eps, gamma):
+        # both kinds of NoRootError note appear: no sign change in the
+        # bracket, and certified stable (upper bound <= 0)
+        par = PhysParams(eps_kappa=eps, gamma=gamma)
+        res = illposedness_sweep("fractional", par, 2, 12)
+        for row in res.rows:
+            try:
+                sol = solve_sigma_star(row.k1, row.k2, par)
+            except NoRootError as exc:
+                assert row.sigma_star is None and row.note == str(exc)
+                continue
+            assert row.note == ""
+            assert abs(row.sigma_star - sol.sigma_star) <= 8 * np.spacing(
+                sol.sigma_star)
 
     def test_regime_validation(self):
         with pytest.raises(ValueError):
@@ -341,13 +397,9 @@ def test_residual_changes_sign_at_most_once(k1, k2, eps, gamma, m, depth):
     upper = closed_form_bounds(k1, k2, par)[1]
     U = 1.5 * max(abs(upper), sigma_bracket(k1, k2, par)[1])
 
-    def residual(s):
-        try:
-            return cf_residual(float(s), k1, k2, par, depth)
-        except DegenerateTailError:
-            return math.nan
-
-    vals = np.array([residual(s) for s in np.linspace(-U, U, 512)])
+    # one call of the batch kernel; off-branch points come back as NaN
+    vals = _cf_residuals(np.linspace(-U, U, 512)[None, :],
+                         *_weights(depth, k1, k2, par))[0]
     off = np.isnan(vals)
     n_off = int(off.sum())
     assert not off[n_off:].any(), "off-branch points are not a left interval"
