@@ -412,13 +412,19 @@ class _Batch:
 
     Every mode with a positive upper bound is multisected at `depth`, and
     the modes whose root then moves by 1e-12 or more are solved again at
-    doubled depth until none does.  Per mode this keeps sigma (NaN without
-    a root), the accepted depth, the acceptance residual and the recursion
-    row defect; the first mode that fails a check of `solve_sigma_star`
-    raises InvariantError.
+    doubled depth until none does, up to `_MAX_DEPTH`; a starting depth
+    outside [2, `_MAX_DEPTH` // 2] raises ValueError.  Per mode this keeps
+    sigma (NaN without a root), the accepted depth, the acceptance residual
+    and the recursion row defect; the first mode that fails a check of
+    `solve_sigma_star` raises InvariantError.
     """
 
     def __init__(self, k1s, k2s, params: PhysParams, depth: int):
+        if not 2 <= depth <= _MAX_DEPTH // 2:
+            raise ValueError(
+                f"starting depth must be in [2, {_MAX_DEPTH // 2}], so that "
+                f"it can double at least once within the cap {_MAX_DEPTH}; "
+                f"got {depth}")
         self.k1 = k1s = np.asarray(k1s, dtype=np.int64).ravel()
         self.k2 = k2s = np.asarray(k2s, dtype=np.int64).ravel()
         self.params = params
@@ -491,6 +497,8 @@ def solve_sigma_star(k1: int, k2: int, params: PhysParams,
     NoRootError
         If the upper bound 2/alpha_1 - e_1 certifies stability (<= 0) or
         the residual does not change sign on the admissible bracket.
+    ValueError
+        If the starting `depth` is outside [2, 512], half the depth cap.
     """
     _validate_mode(k1, k2)
     batch = _Batch(k1, k2, params, depth)

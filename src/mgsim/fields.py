@@ -18,13 +18,27 @@ band, and :func:`forward` keeps only the band.
 The k3 = 0 plane is symmetrized exactly on the way in: evenness checks and
 conjugate-pair lookups then hold to the last bit, not merely to rounding.
 
+The band-compact layout of shape ``grid.band_shape`` =
+``(2 b1 + 1, 2 b2 + 1, b3 + 1)`` holds the band and nothing else, with k1
+and k2 in fft order (:func:`to_band`, :func:`from_band`).  In it the
+dealias mask is the whole array, and the conjugate mirror (-k1, -k2) is the
+index map i -> -i modulo the axis length, as in the full layout.  The time
+stepper keeps its state and all of its spectral arithmetic in this layout;
+``inverse`` takes either layout, and ``forward`` fills a band-compact
+``out`` or returns the full layout.  Both transforms write through work
+arrays kept per grid and reused by every call.  Their in-place FFT passes
+fill the zero padding (the out-of-band k2 columns, then the out-of-band k1
+rows), so every call writes those zeros again before the pass.
+
 Norms are computed spectrally via Parseval with the conjugate-pair weight
 (2 for k3 > 0, 1 on the k3 = 0 and Nyquist planes).
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -74,6 +88,12 @@ class Grid:
     def band(self):
         """Largest retained wavenumber in each direction (two-thirds rule)."""
         return (self.n1 // 3, self.n2 // 3, self.n3 // 3)
+
+    @property
+    def band_shape(self):
+        """Shape of the band-compact layout (see the module docstring)."""
+        b1, b2, b3 = self.band
+        return (2 * b1 + 1, 2 * b2 + 1, b3 + 1)
 
     def axes(self):
         return tuple(
@@ -128,61 +148,128 @@ def multiplier_arrays(grid, n2_phys):
     )
 
 
-def _conjugate_plane(grid, plane):
-    """conj of a k3 plane (or a stack of them) evaluated at (-k1, -k2)."""
-    rev1 = (-np.arange(grid.n1)) % grid.n1
-    rev2 = (-np.arange(grid.n2)) % grid.n2
+@lru_cache(maxsize=None)
+def band_wavenumbers(grid):
+    """Integer wavenumber arrays (K1, K2, K3) broadcast over the band layout."""
+    b1, b2, b3 = grid.band
+    k1 = np.fft.fftfreq(2 * b1 + 1, d=1.0 / (2 * b1 + 1)).astype(np.int64)
+    k2 = np.fft.fftfreq(2 * b2 + 1, d=1.0 / (2 * b2 + 1)).astype(np.int64)
+    k3 = np.arange(b3 + 1, dtype=np.int64)
+    return k1[:, None, None], k2[None, :, None], k3[None, None, :]
+
+
+def _conjugate_plane(plane):
+    """conj of a k3 plane (or a stack of them) evaluated at (-k1, -k2).
+
+    The first two axes are in fft order, in either layout.
+    """
+    rev1 = (-np.arange(plane.shape[0])) % plane.shape[0]
+    rev2 = (-np.arange(plane.shape[1])) % plane.shape[1]
     return np.conj(plane[np.ix_(rev1, rev2)])
 
 
-@lru_cache(maxsize=None)
-def _band_index(grid):
-    """In-band k1 rows, in-band k2 columns and in-band k3 plane count.
-
-    Rows and columns are fft-order indices of ``|k| <= band``; the planes
-    are the leading ``b3 + 1`` of the half-spectrum.
-    """
+def _band_blocks(grid):
+    """(band-compact, full) index pairs of the four in-band k1/k2 blocks."""
     b1, b2, b3 = grid.band
-    r1 = np.r_[:b1 + 1, grid.n1 - b1:grid.n1]
-    r2 = np.r_[:b2 + 1, grid.n2 - b2:grid.n2]
-    r1.flags.writeable = r2.flags.writeable = False  # shared by every caller
-    return r1, r2, b3 + 1
+    rows = ((slice(None, b1 + 1), slice(None, b1 + 1)),
+            (slice(b1 + 1, None), slice(grid.n1 - b1, None)))
+    cols = ((slice(None, b2 + 1), slice(None, b2 + 1)),
+            (slice(b2 + 1, None), slice(grid.n2 - b2, None)))
+    planes = slice(None, b3 + 1)
+    return [((rb, cb), (rf, cf, planes)) for rb, rf in rows for cb, cf in cols]
 
 
-def forward(grid, values):
+def to_band(grid, c, out=None):
+    """The band of a full-layout coefficient array, in the band-compact layout."""
+    if out is None:
+        out = np.empty(grid.band_shape, dtype=c.dtype)
+    for band, full in _band_blocks(grid):
+        out[band] = c[full]
+    return out
+
+
+def from_band(grid, band):
+    """A new full-layout array holding a band-compact one, zero elsewhere."""
+    c = np.zeros(grid.spectral_shape, dtype=band.dtype)
+    for b, full in _band_blocks(grid):
+        c[full] = band[b]
+    return c
+
+
+@lru_cache(maxsize=None)
+def _work(grid, thread):
+    """Work arrays of the transforms on one grid, reused by every call.
+
+    ``half`` takes the x3 ``rfft`` of ``forward``; ``x1`` is the x1 pass of
+    ``inverse`` and the x2 pass of ``forward``; ``x2`` is the zero-padded x2
+    pass of ``inverse``; ``cols`` holds the in-band columns of ``forward``;
+    ``band`` holds a band-compact copy when a caller gives or wants the
+    full layout.  Each thread gets its own set, and no transform returns
+    one of these arrays.
+    """
+    (n1, n2, n3), (r1, r2, p3) = grid.shape, grid.band_shape
+    shapes = dict(half=(n1, n2, n3 // 2 + 1), x1=(n1, n2, p3), x2=(r1, n2, p3),
+                  cols=(n1, r2, p3), band=(r1, r2, p3))
+    return SimpleNamespace(**{name: np.empty(shape, dtype=np.complex128)
+                              for name, shape in shapes.items()})
+
+
+def forward(grid, values, out=None):
     """Physical samples -> dealiased mathematical coefficients.
 
     The x3 pass keeps the in-band planes, the x2 pass the in-band columns,
     and the x1 pass runs on those columns only and keeps the in-band rows.
+    The band is written into ``out`` (band-compact layout) when given, else
+    returned in a new full-layout array.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape != grid.shape:
         raise ValueError(
             f"values shape {values.shape} does not match grid {grid.shape}")
-    r1, r2, p3 = _band_index(grid)
-    a = np.fft.rfft(values, axis=2, norm="forward")[:, :, :p3]
-    a = np.fft.fft(a, axis=1, norm="forward")[:, r2]
-    a = np.fft.fft(a, axis=0, norm="forward")[r1]
-    c = np.zeros(grid.spectral_shape, dtype=np.complex128)
-    c[r1[:, None], r2, :p3] = a
-    plane = c[:, :, 0]
-    c[:, :, 0] = 0.5 * (plane + _conjugate_plane(grid, plane))
-    return c
+    w = _work(grid, threading.get_ident())
+    b1, b2, _ = grid.band
+    p3 = w.x1.shape[2]
+    np.fft.rfft(values, axis=2, norm="forward", out=w.half)
+    np.fft.fft(w.half[:, :, :p3], axis=1, norm="forward", out=w.x1)
+    w.cols[:, :b2 + 1] = w.x1[:, :b2 + 1]
+    w.cols[:, b2 + 1:] = w.x1[:, grid.n2 - b2:]
+    np.fft.fft(w.cols, axis=0, norm="forward", out=w.cols)
+    band = w.band if out is None else out
+    band[:b1 + 1] = w.cols[:b1 + 1]
+    band[b1 + 1:] = w.cols[grid.n1 - b1:]
+    plane = band[:, :, 0]
+    band[:, :, 0] = 0.5 * (plane + _conjugate_plane(plane))
+    return from_band(grid, band) if out is None else out
 
 
-def inverse(grid, coeffs):
+def inverse(grid, coeffs, out=None):
     """Mathematical coefficients -> physical samples.
 
-    Only the dealias band of ``coeffs`` is read, which is exact for the
-    band-limited fields this module builds.  The x2 pass runs on the
-    in-band rows and planes, the x1 pass on the in-band planes, and the
-    x3 pass zero-pads k3 beyond the band.
+    ``coeffs`` is in the full layout, of which only the dealias band is
+    read (exact for the band-limited fields this module builds), or in the
+    band-compact layout.  The x2 pass runs on the in-band rows and planes,
+    the x1 pass on the in-band planes, and the x3 pass zero-pads k3 beyond
+    the band.  The samples go into ``out`` when given.
     """
-    r1, _, p3 = _band_index(grid)
-    a = np.zeros((grid.n1, grid.n2, p3), dtype=np.complex128)
-    a[r1] = np.fft.ifft(coeffs[r1, :, :p3], axis=1, norm="forward")
-    np.fft.ifft(a, axis=0, norm="forward", out=a)  # in place: numpy >= 2.0
-    return np.fft.irfft(a, n=grid.n3, axis=2, norm="forward")
+    w = _work(grid, threading.get_ident())
+    if coeffs.shape != w.band.shape:
+        if coeffs.shape != grid.spectral_shape:
+            raise ValueError(
+                f"coefficient array of shape {coeffs.shape} is neither the "
+                f"full {grid.spectral_shape} nor the band-compact "
+                f"{grid.band_shape} layout of grid {grid.shape}")
+        coeffs = to_band(grid, coeffs, out=w.band)
+    (b1, b2, _), (n1, n2, n3) = grid.band, grid.shape
+    # the in-place passes fill the padding, so it is zeroed on every call
+    w.x2[:, :b2 + 1] = coeffs[:, :b2 + 1]
+    w.x2[:, b2 + 1:n2 - b2] = 0.0
+    w.x2[:, n2 - b2:] = coeffs[:, b2 + 1:]
+    np.fft.ifft(w.x2, axis=1, norm="forward", out=w.x2)
+    w.x1[:b1 + 1] = w.x2[:b1 + 1]
+    w.x1[b1 + 1:n1 - b1] = 0.0
+    w.x1[n1 - b1:] = w.x2[b1 + 1:]
+    np.fft.ifft(w.x1, axis=0, norm="forward", out=w.x1)  # numpy >= 2.0
+    return np.fft.irfft(w.x1, n=n3, axis=2, norm="forward", out=out)
 
 
 @dataclass
@@ -409,7 +496,8 @@ def read_snapshot(path):
     conjugate-symmetric: each entry (k1, k2, 0) needs its mirror
     (-k1, -k2, 0) holding exactly its conjugate, and (0, 0, 0) must be real.
     Anything else raises :class:`SnapshotFormatError` with the offending
-    line number.
+    line number.  The header's grid is allocated only once every line has
+    passed; a grid too large to allocate raises it too, naming the header.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -428,8 +516,7 @@ def read_snapshot(path):
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: bad grid in header: {exc}") from exc
     b1, b2, b3 = grid.band
-    f = SpectralField.zeros(grid)
-    seen = {}
+    seen = {}  # wavevector -> (line number, coefficient)
     for lineno, line in raw[1:]:
         parts = line.split()
         if len(parts) != 5:
@@ -450,13 +537,11 @@ def read_snapshot(path):
         if (k1, k2, k3) in seen:
             raise SnapshotFormatError(
                 f"{path}:{lineno}: wavevector ({k1},{k2},{k3}) repeats "
-                f"line {seen[k1, k2, k3]}")
-        seen[k1, k2, k3] = lineno
-        f.c[k1 % n1, k2 % n2, k3] = complex(re, im)
-    for (k1, k2, k3), lineno in seen.items():
+                f"line {seen[k1, k2, k3][0]}")
+        seen[k1, k2, k3] = lineno, complex(re, im)
+    for (k1, k2, k3), (lineno, value) in seen.items():
         if k3 != 0:
             continue
-        value = f.c[k1 % n1, k2 % n2, 0]
         where = f"{path}:{lineno}: k3 = 0 entry ({k1},{k2},0) = {value}"
         if (k1, k2) == (0, 0):
             if value.imag != 0.0:
@@ -464,8 +549,16 @@ def read_snapshot(path):
         elif (-k1, -k2, 0) not in seen:
             raise SnapshotFormatError(
                 f"{where} has no conjugate mirror ({-k1},{-k2},0)")
-        elif f.c[-k1 % n1, -k2 % n2, 0] != np.conj(value):
+        elif seen[-k1, -k2, 0][1] != value.conjugate():
             raise SnapshotFormatError(
                 f"{where} is not the conjugate of its mirror ({-k1},{-k2},0) "
-                f"on line {seen[-k1, -k2, 0]}")
+                f"on line {seen[-k1, -k2, 0][0]}")
+    try:  # only now, with every line valid, is the grid allocated
+        f = SpectralField.zeros(grid)
+    except MemoryError as exc:
+        raise SnapshotFormatError(
+            f"{path}: header {raw[0][1]!r} names a grid too large to "
+            f"allocate") from exc
+    for (k1, k2, k3), (_, value) in seen.items():
+        f.c[k1 % n1, k2 % n2, k3] = value
     return f

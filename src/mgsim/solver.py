@@ -16,6 +16,11 @@ The linearized right-hand side about Theta_0 = sin(m x3) is -m u3 cos(m x3).
 Multiplying by cos(m x3) is an exact shift of +-m along k3, so that product
 is formed by slicing the spectrum: a linearized step makes no transforms.
 
+``run`` steps on the band-compact layout of ``fields`` (the dealias band and
+nothing else): the state is gathered into it once, every factor and buffer
+of the run is built in it once, and the state is expanded to the full
+layout only for a record and for the returned field.
+
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry
 no dynamics of their own and the evolution is kept on the zero-vertical-mean
@@ -44,8 +49,9 @@ from .fields import (
     SpectralField,
     TORUS_VOLUME,
     _conjugate_plane,
-    dealias_mask,
+    band_wavenumbers,
     forward,
+    from_band,
     hs_norm,
     inverse,
     ksq_array,
@@ -55,7 +61,7 @@ from .fields import (
     multiplier_arrays,
     off_plane_norm,
     plane_mask,
-    wavenumbers,
+    to_band,
 )
 from .symbol import PhysParams
 
@@ -189,38 +195,63 @@ def velocity_max(grid, c, n2_phys):
     )
 
 
-def advection_coefficients(grid, c, n2_phys):
+class _AdvectionWork:
+    """The band-compact factors i k_j and M_j, and work buffers.
+
+    ``spec`` takes one spectral product at a time; ``u``, ``grad`` and
+    ``prod`` are the physical-space arrays of the advection product.
+    """
+
+    def __init__(self, grid, n2_phys):
+        self.ik = tuple(1j * k for k in band_wavenumbers(grid))
+        self.m = tuple(to_band(grid, m)
+                       for m in multiplier_arrays(grid, n2_phys))
+        self.spec = np.empty(grid.band_shape, dtype=np.complex128)
+        self.u, self.grad, self.prod = (np.empty(grid.shape) for _ in range(3))
+
+
+def advection_coefficients(grid, c, n2_phys, out=None, work=None):
     """Dealiased coefficients of u . grad theta, restricted to k3 != 0.
 
-    One component at a time, so that few full-size temporaries are alive
-    at once.
+    ``c`` is in the full or the band-compact layout; the product is formed
+    on its band.  ``work`` (an ``_AdvectionWork``) holds the factors and
+    buffers, and is built for the call when absent.  The result goes into
+    the band-compact ``out`` when given, else into a new full-layout array.
+    One velocity component at a time goes through the work buffers, so a
+    call on band-compact ``c`` given ``work`` and ``out`` allocates no
+    array of the grid's size.
     """
-    prod = np.zeros(grid.shape)
-    for k, m in zip(wavenumbers(grid), multiplier_arrays(grid, n2_phys)):
-        u = inverse(grid, m * c)
-        u *= inverse(grid, 1j * k * c)
+    if c.shape == grid.spectral_shape:
+        c = to_band(grid, c)
+    if work is None:
+        work = _AdvectionWork(grid, n2_phys)
+    prod = work.prod
+    prod.fill(0.0)
+    for ik, m in zip(work.ik, work.m):
+        u = inverse(grid, np.multiply(m, c, out=work.spec), out=work.u)
+        u *= inverse(grid, np.multiply(ik, c, out=work.spec), out=work.grad)
         prod += u
-    out = forward(grid, prod)
+    out = forward(grid, prod, out=out)
     out[:, :, 0] = 0.0
     return out
 
 
-def _cos_shift_sum(grid, v, m):
-    """v(k3 - m) + v(k3 + m) on the stored representatives k3 >= 0.
+def _cos_shift_sum(v, m, out):
+    """out <- v(k3 - m) + v(k3 + m) on the band-compact k3 >= 0.
 
     These are the coefficients of 2 cos(m x3) times the field with
     coefficients v.  For k3 < m the entry v(k1, k2, k3 - m) is read from the
-    conjugate mirror conj(v(-k1, -k2, m - k3)); wavevectors beyond the
-    stored half-spectrum contribute nothing.
+    conjugate mirror conj(v(-k1, -k2, m - k3)); wavevectors beyond the band
+    contribute nothing.
     """
     n = v.shape[2]
-    out = np.zeros_like(v)
+    out.fill(0.0)
     if m < n:
         out[:, :, m:] = v[:, :, :n - m]
         out[:, :, :n - m] += v[:, :, m:]
     lo, hi = max(0, m - n + 1), min(m, n)
     if lo < hi:
-        out[:, :, lo:hi] += _conjugate_plane(grid, v[:, :, m - lo:m - hi:-1])
+        out[:, :, lo:hi] += _conjugate_plane(v[:, :, m - lo:m - hi:-1])
     return out
 
 
@@ -269,6 +300,104 @@ def _growth_cap_check(theta0, params, config):
         )
 
 
+class _Stepper:
+    """One run's time stepping, on the band-compact layout.
+
+    Everything spectral here is band-compact (``fields.to_band``): the
+    state, the dissipation factors, the multipliers, the plane mask, the
+    source and every buffer.  The state is gathered once; a step writes
+    every right-hand side and stage into the buffers built here, so it
+    allocates no array of the grid's size.
+    """
+
+    def __init__(self, grid, params, config, c):
+        dt = self.dt = config.dt
+        self.grid, self.n2p, self.scheme = grid, params.n2, config.scheme
+        ksq = to_band(grid, ksq_array(grid))
+        diss = params.eps_kappa * np.where(ksq > 0.0, ksq, 1.0) ** params.gamma
+        diss = np.where(ksq > 0.0, diss, 0.0)
+        if config.scheme == "if_rk4":
+            self.E = E = np.exp(-dt * diss)
+            self.E2 = E2 = np.exp(-0.5 * dt * diss)
+            # IF-RK4 stage factors, fixed for the run
+            self.half_E2, self.dt_E2 = 0.5 * dt * E2, dt * E2
+            self.dt3_E2, self.dt6_E = (dt / 3.0) * E2, (dt / 6.0) * E
+        else:
+            self.implicit = 1.0 / (1.0 + dt * diss)
+        self.linearized = config.linearized
+        if config.linearized:
+            # -m u3 cos(m x3) = v(k3 - m) + v(k3 + m), v = -(m/2) M3_hat theta_hat
+            self.m = params.m
+            self.v_scale = -0.5 * self.m * to_band(
+                grid, multiplier_arrays(grid, params.n2)[2])
+            self.v = np.empty(grid.band_shape, dtype=np.complex128)
+        else:
+            self.adv = _AdvectionWork(grid, params.n2)
+        self.pmask = (to_band(grid, plane_mask(grid, config.plane))
+                      if config.restrict_to_plane else None)
+        src = config.source.realize(grid, params)
+        if config.linearized and src is not None:
+            raise ValueError("a source term makes no sense in a linearized run")
+        self.src = None if src is None else to_band(grid, src)
+        # the four stage right-hand sides, then the stage input, E2 c and
+        # the next state
+        (*self.outs, self.stage, self.E2c, self.next) = (
+            np.empty(grid.band_shape, dtype=np.complex128) for _ in range(7))
+        self.c = to_band(grid, c)
+        if self.pmask is not None:
+            self.c *= self.pmask
+
+    def rhs(self, cc, out):
+        """out <- the right-hand side at cc (both band-compact)."""
+        if self.linearized:
+            _cos_shift_sum(np.multiply(self.v_scale, cc, out=self.v), self.m,
+                           out)
+            out[:, :, 0] = 0.0
+            return out
+        advection_coefficients(self.grid, cc, self.n2p, out=out, work=self.adv)
+        np.negative(out, out=out)
+        if self.src is not None:
+            out += self.src
+        return out
+
+    def step(self):
+        c, nxt, dt, outs = self.c, self.next, self.dt, self.outs
+        if self.scheme == "if_rk4":
+            # stage inputs E2 c + dt/2 E2 n1, E2 c + dt/2 n2, E c + dt E2 n3;
+            # c <- E c + dt/6 E n1 + dt/3 E2 (n2 + n3) + dt/6 n4
+            E2c, stage = np.multiply(self.E2, c, out=self.E2c), self.stage
+            np.multiply(self.E, c, out=nxt)
+            n1 = self.rhs(c, outs[0])
+            np.multiply(self.half_E2, n1, out=stage)
+            stage += E2c
+            n2 = self.rhs(stage, outs[1])
+            np.multiply(n2, 0.5 * dt, out=stage)
+            stage += E2c
+            n3 = self.rhs(stage, outs[2])
+            np.multiply(self.dt_E2, n3, out=stage)
+            stage += nxt
+            n4 = self.rhs(stage, outs[3])
+            n2 += n3
+            n2 *= self.dt3_E2
+            n1 *= self.dt6_E
+            n1 += n2
+            n4 *= dt / 6.0
+            n1 += n4
+            nxt += n1
+        else:  # imex_euler
+            r = self.rhs(c, outs[0])
+            r *= dt
+            r += c
+            np.multiply(self.implicit, r, out=nxt)
+        if self.pmask is not None:
+            nxt *= self.pmask
+        self.c, self.next = nxt, c
+
+    def state(self):
+        """The state in a new full-layout array."""
+        return from_band(self.grid, self.c)
+
+
 def run(theta0, params, config, reference=None):
     """Integrate the scalar equation; returns (final field, diagnostics).
 
@@ -290,44 +419,8 @@ def run(theta0, params, config, reference=None):
 
     dt = config.dt
     nsteps = round(config.t_end / dt)
-    c = theta0.c.copy()
-    pmask = (plane_mask(grid, config.plane)
-             if config.restrict_to_plane else None)
-    if pmask is not None:
-        c *= pmask
-    src = config.source.realize(grid, params)
+    stepper = _Stepper(grid, params, config, theta0.c)
     n2p = params.n2
-
-    diss = params.eps_kappa * np.where(
-        ksq_array(grid) > 0.0, ksq_array(grid), 1.0) ** params.gamma
-    diss = np.where(ksq_array(grid) > 0.0, diss, 0.0)
-    E = np.exp(-dt * diss)
-    E2 = np.exp(-0.5 * dt * diss)
-    implicit = 1.0 / (1.0 + dt * diss)
-    # IF-RK4 stage factors, fixed for the run
-    half_E2, dt_E2 = 0.5 * dt * E2, dt * E2
-    dt3_E2, dt6_E = (dt / 3.0) * E2, (dt / 6.0) * E
-
-    if config.linearized:
-        # -m u3 cos(m x3) = v(k3 - m) + v(k3 + m), v = -(m/2) M3_hat theta_hat
-        m = params.m
-        v_scale = -0.5 * m * multiplier_arrays(grid, n2p)[2]
-        mask = dealias_mask(grid)
-
-        def rhs(cc):
-            out = _cos_shift_sum(grid, v_scale * cc, m)
-            out *= mask
-            out[:, :, 0] = 0.0
-            return out
-    else:
-        def rhs(cc):
-            out = -advection_coefficients(grid, cc, n2p)
-            if src is not None:
-                out += src
-            return out
-
-    if config.linearized and src is not None:
-        raise ValueError("a source term makes no sense in a linearized run")
 
     recs = {"t": [], "l2": [], "linf": [], "hs": [], "off": [],
             "eres": [], "ref": []}
@@ -364,42 +457,15 @@ def run(theta0, params, config, reference=None):
                     RuntimeWarning, stacklevel=2)
 
     wall0 = _time.perf_counter()
-    record(0, c)
+    record(0, stepper.state())
     for step in range(1, nsteps + 1):
-        if config.scheme == "if_rk4":
-            # stage inputs E2 c + dt/2 E2 n1, E2 c + dt/2 n2, E c + dt E2 n3;
-            # c <- E c + dt/6 E n1 + dt/3 E2 (n2 + n3) + dt/6 n4.  Every rhs
-            # returns a fresh array, so the stages are combined in place.
-            E2c = E2 * c
-            c_next = E * c
-            n1 = rhs(c)
-            stage = half_E2 * n1
-            stage += E2c
-            n2 = rhs(stage)
-            np.multiply(n2, 0.5 * dt, out=stage)
-            stage += E2c
-            n3 = rhs(stage)
-            np.multiply(dt_E2, n3, out=stage)
-            stage += c_next
-            n4 = rhs(stage)
-            n2 += n3
-            n2 *= dt3_E2
-            n1 *= dt6_E
-            n1 += n2
-            n4 *= dt / 6.0
-            n1 += n4
-            c_next += n1
-            c = c_next
-        else:  # imex_euler
-            c = implicit * (c + dt * rhs(c))
-        if pmask is not None:
-            c *= pmask
+        stepper.step()
         if step % config.record_every == 0 or step == nsteps:
-            record(step, c)
+            record(step, stepper.state())
     wall = _time.perf_counter() - wall0
 
     diag = _finalize(recs, config, reference, wall)
-    return SpectralField(grid, c), diag
+    return SpectralField(grid, stepper.state()), diag
 
 
 def _finalize(recs, config, reference, wall):

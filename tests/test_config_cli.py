@@ -175,6 +175,12 @@ class TestCli:
         assert res.exit_code == 2
         assert "stable" in res.output
 
+    def test_eigen_depth_beyond_cap(self):
+        res = self.runner.invoke(
+            main, ["eigen", "--k1", "1", "--k2", "1", "--depth", "1024"])
+        assert res.exit_code == 1
+        assert "starting depth must be in [2, 512]" in res.output
+
     def test_eigen_requires_a_mode_choice(self):
         res = self.runner.invoke(main, ["eigen"])
         assert res.exit_code == 1

@@ -158,6 +158,22 @@ class TestSolve:
         assert abs(coarse.sigma_star - fine.sigma_star) < 1e-12
         assert coarse.depth > 8  # doubling actually engaged
 
+    @pytest.mark.parametrize("depth", [1, 1000, 1024])
+    def test_starting_depth_outside_cap_rejected(self, depth):
+        # 1024 used to fail without comparing two depths, 1000 to be
+        # accepted at depth 2000, past the cap
+        for solve in (lambda: solve_sigma_star(1, 1, CANON, depth=depth),
+                      lambda: optimize_growth(CANON, box=2, depth=depth),
+                      lambda: illposedness_sweep("nondiffusive", CANON,
+                                                 j_max=3, depth=depth)):
+            with pytest.raises(ValueError, match=r"\[2, 512\].*1024"):
+                solve()
+
+    def test_largest_starting_depth_settles_within_cap(self):
+        sol = solve_sigma_star(1, 1, CANON, depth=512)
+        assert sol.depth == 1024
+        assert abs(sol.sigma_star - SIGMA_CANON) < 1e-12
+
     def test_stable_mode_raises_no_root(self):
         # all integer modes are stable at this diffusivity; the bracket is
         # positive but the residual never changes sign

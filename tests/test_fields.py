@@ -1,6 +1,8 @@
 """Tests for half-complex field storage, norms, projections and snapshots."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from mgsim.fields import (
     PlaneSpec,
     SpectralField,
     TORUS_VOLUME,
+    band_wavenumbers,
     cosine_mode,
     dealias_mask,
     forward,
+    from_band,
     hs_norm,
     inverse,
     l2_norm,
@@ -28,6 +32,7 @@ from mgsim.fields import (
     read_snapshot,
     shell_spectrum,
     sine_vertical,
+    to_band,
     write_snapshot,
     zero_vertical_mean,
 )
@@ -113,6 +118,75 @@ class TestTransforms:
         ref = reference_inverse(grid, c)
         assert np.max(np.abs(inverse(grid, c) - ref)) <= 1e-14 * np.max(
             np.abs(ref))
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=str)
+def test_transform_layout_parity(grid):
+    # the transforms reuse per-grid work arrays whose padding the in-place
+    # passes overwrite; successive calls on different inputs, in both
+    # layouts, catch padding left over from the call before
+    for seed in (3, 4, 5):
+        v = np.random.default_rng(seed).standard_normal(grid.shape)
+        full = forward(grid, v)
+        band = np.empty(grid.band_shape, dtype=np.complex128)
+        assert forward(grid, v, out=band) is band
+        assert np.array_equal(_bits(band), _bits(to_band(grid, full)))
+        assert np.array_equal(from_band(grid, band), full)
+        ref_c = reference_forward(grid, v)
+        assert np.max(np.abs(full - ref_c)) <= 1e-14 * np.max(np.abs(ref_c))
+
+        from_compact = inverse(grid, band)
+        out = np.empty(grid.shape)
+        assert inverse(grid, full, out=out) is out
+        assert np.array_equal(_bits(from_compact), _bits(out))
+        ref_v = reference_inverse(grid, full)
+        assert np.max(np.abs(out - ref_v)) <= 1e-14 * np.max(np.abs(ref_v))
+
+
+def test_transforms_from_threads():
+    # the work arrays are kept per grid and per thread; threads sharing one
+    # set would read each other's passes
+    grid = Grid(24, 24, 24)
+    rng = np.random.default_rng(8)
+    inputs = [rng.standard_normal(grid.shape) for _ in range(4)]
+    expected = [inverse(grid, forward(grid, v)) for v in inputs]
+    wrong = []
+
+    def worker(i):
+        for _ in range(50):
+            if not np.array_equal(inverse(grid, forward(grid, inputs[i])),
+                                  expected[i]):
+                wrong.append(i)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_band_layout_geometry():
+    grid = Grid(16, 32, 24)  # band (5, 10, 8)
+    assert grid.band_shape == (11, 21, 9)
+    K1, K2, K3 = band_wavenumbers(grid)
+    assert K1.ravel().tolist() == [0, 1, 2, 3, 4, 5, -5, -4, -3, -2, -1]
+    assert K2.ravel()[[0, 10, 11, 20]].tolist() == [0, 10, -10, -1]
+    assert K3.ravel().tolist() == list(range(9))
+    c = _random_band_limited(grid, seed=6).c
+    band = to_band(grid, c)
+    assert band[3, -4, 2] == SpectralField(grid, c).coeff(3, -4, 2)
+    assert np.array_equal(from_band(grid, band), c)
 
 
 class TestModesAndNorms:
@@ -315,6 +389,20 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError):
             read_snapshot(path)
 
+    @pytest.mark.parametrize("body,match", [
+        # a valid body: the 7 PiB grid itself cannot be allocated
+        ("0 0 1 0.0 -0.5\n", r"header 'MGFIELD v1 100000 100000 100000'.*"
+                             r"too large"),
+        ("", r"header 'MGFIELD v1 100000 100000 100000'.*too large"),
+        # a bad body is reported before any allocation is tried
+        ("1 1 0 0.5 0.25\n", r":2: .*no conjugate mirror"),
+        ("0 0 1 nan 0.0\n", r":2: non-finite"),
+    ])
+    def test_huge_header_grid(self, tmp_path, body, match):
+        path = tmp_path / "huge.txt"
+        path.write_text("MGFIELD v1 100000 100000 100000\n" + body)
+        with pytest.raises(SnapshotFormatError, match=match):
+            read_snapshot(path)
 
     def test_non_utf8_bytes(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -392,7 +480,12 @@ def test_snapshot_fuzz_corrupt_body(tmp_path_factory, entries, edits):
        | st.tuples(st.sampled_from(["8", "10", "7", "0", "-8", "x", "8.0", ""]),
                    st.sampled_from(["8", "12", "9", "1e1"]),
                    _JUNK).map(lambda t: f"MGFIELD v1 {t[0]} 8 {t[1]}\n"
-                                        .encode() + t[2]))
+                                        .encode() + t[2])
+       # a grid no machine can allocate, under a junk or a valid body
+       | st.sampled_from([b"", b"0 0 1 0.0 -0.5\n"]).flatmap(
+           lambda body: _JUNK.map(
+               lambda junk: b"MGFIELD v1 100000 100000 100000\n" + body
+               + junk)))
 @settings(max_examples=150, deadline=None)
 def test_snapshot_fuzz_arbitrary_input(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("snap") / "f.txt"

@@ -12,7 +12,8 @@ import mgsim.fields
 import mgsim.solver
 from mgsim.fields import (
     Grid, PlaneSpec, SpectralField, cosine_mode, dealias_mask, forward,
-    inverse, l2_norm, multiplier_arrays, sine_vertical, wavenumbers,
+    inverse, ksq_array, l2_norm, multiplier_arrays, off_plane_norm,
+    plane_mask, sine_vertical, wavenumbers,
 )
 from mgsim.eigen import assemble_eigenfunction, solve_sigma_star
 from mgsim.solver import (
@@ -27,6 +28,7 @@ from mgsim.solver import (
 )
 
 G16 = Grid(16, 16, 16)
+G24 = Grid(24, 24, 24)
 
 
 def _rich_field(grid, seed=7):
@@ -211,19 +213,7 @@ class TestLinearized:
             np.abs(expected))
 
     def test_steps_make_no_transforms(self, monkeypatch):
-        counts = {"forward": 0, "inverse": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        for module in (mgsim.fields, mgsim.solver):
-            monkeypatch.setattr(module, "forward",
-                                counting("forward", mgsim.fields.forward))
-            monkeypatch.setattr(module, "inverse",
-                                counting("inverse", mgsim.fields.inverse))
+        counts = _counting_transforms(monkeypatch)
         cfg = SolverConfig(dt=0.01, t_end=0.2, record_every=5,
                            linearized=True)
         _, diag = run(_rich_field(G16), PhysParams(eps_kappa=0.01), cfg)
@@ -236,6 +226,82 @@ class TestLinearized:
                            source=SourceSpec("steady_balance", m=1))
         with pytest.raises(ValueError):
             run(sine_vertical(G16, 1), PhysParams(eps_kappa=0.1), cfg)
+
+
+def _counting_transforms(monkeypatch):
+    """Count forward/inverse calls at every lookup site the package uses."""
+    counts = {"forward": 0, "inverse": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    # wrap the originals, taken before any site is patched, so that no
+    # wrapper calls another and counts a call twice
+    originals = {name: getattr(mgsim.fields, name)
+                 for name in ("forward", "inverse")}
+    for module in (mgsim.fields, mgsim.solver):
+        for name, fn in originals.items():
+            monkeypatch.setattr(module, name, counting(name, fn))
+    return counts
+
+
+class TestNonlinearStep:
+    """One IF-RK4 step against the formula on full-layout arrays."""
+
+    @staticmethod
+    def _formula_step(c, par, dt, src, pmask):
+        grid = G24
+        ksq = ksq_array(grid)
+        d = np.where(ksq > 0.0, par.eps_kappa * np.where(
+            ksq > 0.0, ksq, 1.0) ** par.gamma, 0.0)
+        E, E2 = np.exp(-dt * d), np.exp(-0.5 * dt * d)
+
+        def N(a):
+            out = -advection_coefficients(grid, a, par.n2)
+            return out if src is None else out + src
+
+        n1 = N(c)
+        n2 = N(E2 * c + 0.5 * dt * E2 * n1)
+        n3 = N(E2 * c + 0.5 * dt * n2)
+        n4 = N(E * c + dt * E2 * n3)
+        c1 = E * c + dt / 6.0 * (E * n1 + 2.0 * E2 * (n2 + n3) + n4)
+        return c1 if pmask is None else c1 * pmask
+
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_one_step_matches_formula(self, restrict):
+        par = PhysParams(eps_kappa=0.05, gamma=0.8)
+        plane = PlaneSpec(1, 1)
+        pert = _rich_field(G24, seed=9)
+        theta0 = sine_vertical(G24, 1) + 0.05 * pert
+        cfg = SolverConfig(dt=0.01, t_end=0.01, plane=plane,
+                           restrict_to_plane=restrict,
+                           source=SourceSpec("steady_balance", m=1))
+        pmask = plane_mask(G24, plane) if restrict else None
+        c0 = theta0.c if pmask is None else theta0.c * pmask
+        expected = self._formula_step(
+            c0, par, cfg.dt, cfg.source.realize(G24, par), pmask)
+        got, _ = run(theta0, par, cfg)
+        assert np.max(np.abs(got.c - expected)) <= 1e-14 * np.max(
+            np.abs(expected))
+        # the step moved the state well beyond rounding
+        assert np.max(np.abs(expected - c0)) > 1e-6 * np.max(np.abs(c0))
+        if restrict:  # projected after the step, not only at t = 0
+            assert off_plane_norm(got, plane) == 0.0
+
+    def test_transform_counts(self, monkeypatch):
+        # the counts perfbench's traced runs check: 6 inverse and 1 forward
+        # per right-hand side, 10 inverse and 1 forward per record (L-inf,
+        # energy flux, velocity maxima)
+        theta0 = _rich_field(G16, seed=4) * 0.1
+        counts = _counting_transforms(monkeypatch)
+        cfg = SolverConfig(dt=0.01, t_end=0.05, record_every=2)
+        _, diag = run(theta0, PhysParams(eps_kappa=0.02), cfg)
+        S, R = 5, len(diag.times)
+        assert R == 4  # t = 0, 0.02, 0.04 and the last step
+        assert counts == {"forward": 4 * S + R, "inverse": 24 * S + 10 * R}
 
 
 class TestEnergyNeutrality:
@@ -339,7 +405,6 @@ class TestRestriction:
                            source=SourceSpec("steady_balance", m=1))
         final, diag = run(theta0, par, cfg)
         assert np.max(diag.off_plane) == 0.0
-        from mgsim.fields import off_plane_norm
         assert off_plane_norm(final, pl) == 0.0
 
     def test_restriction_projects_initial_data(self):
