@@ -145,8 +145,8 @@ def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, depth, box, regime,
     from .experiments import write_eigen_csv, write_sweep_csv
 
     params = PhysParams(n2=n2, m=m, eps_kappa=eps_kappa, gamma=gamma)
-    chosen = sum(x is not None for x in (box, regime, k1))
-    if chosen != 1:
+    single = k1 is not None or k2 is not None
+    if (box is not None) + (regime is not None) + single != 1:
         raise click.ClickException(
             "choose exactly one of --k1/--k2, --optimize, or --sweep")
 
@@ -198,8 +198,18 @@ def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, depth, box, regime,
 # evolve
 
 
-def _source_from_cfg(cfg, grid):
+def _read_snapshot_on(path, grid, prefix=""):
     from .fields import read_snapshot
+
+    f = read_snapshot(path)
+    if f.grid != grid:
+        raise click.ClickException(
+            f"{prefix}snapshot grid {f.grid.shape} does not match "
+            f"run grid {grid.shape}")
+    return f
+
+
+def _source_from_cfg(cfg, grid):
     from .solver import SourceSpec
 
     kind = get_str(cfg, "source.kind", "none")
@@ -208,31 +218,22 @@ def _source_from_cfg(cfg, grid):
     if kind == "steady_balance":
         return SourceSpec("steady_balance", m=get_int(cfg, "source.m", 1))
     if kind.startswith("snapshot:"):
-        f = read_snapshot(kind.partition(":")[2])
-        if f.grid != grid:
-            raise click.ClickException(
-                f"source snapshot grid {f.grid.shape} does not match "
-                f"run grid {grid.shape}")
+        f = _read_snapshot_on(kind.partition(":")[2], grid, "source ")
         return SourceSpec("custom", custom=f)
     raise click.ClickException(f"unknown source kind {kind!r}")
 
 
-def _initial_field(init, cfg, grid, params, depth):
+def _initial_field(init, mode, grid, params):
+    """Initial field, and the solution when ``mode`` = (k1, k2, depth)."""
     from .eigen import assemble_eigenfunction, solve_sigma_star
-    from .fields import cosine_mode, read_snapshot
+    from .fields import cosine_mode
 
     if init == "eigenfunction":
-        k1 = get_int(cfg, "mode.k1")
-        k2 = get_int(cfg, "mode.k2")
+        k1, k2, depth = mode
         sol = solve_sigma_star(k1, k2, params, depth=depth)
         return assemble_eigenfunction(sol, grid), sol
     if init.startswith("snapshot:"):
-        f = read_snapshot(init.partition(":")[2])
-        if f.grid != grid:
-            raise click.ClickException(
-                f"snapshot grid {f.grid.shape} does not match "
-                f"run grid {grid.shape}")
-        return f, None
+        return _read_snapshot_on(init.partition(":")[2], grid), None
     if init.startswith("mode:"):
         parts = init.partition(":")[2].split(",")
         if len(parts) not in (3, 4):
@@ -241,6 +242,8 @@ def _initial_field(init, cfg, grid, params, depth):
         try:
             kvec = tuple(int(p) for p in parts[:3])
             amp = float(parts[3]) if len(parts) == 4 else 1.0
+            if not math.isfinite(amp):
+                raise ValueError(f"amplitude {amp} is not finite")
         except ValueError as exc:
             raise click.ClickException(f"bad mode init {init!r}: {exc}")
         if kvec[2] == 0:
@@ -273,12 +276,9 @@ def evolve(config_path, init, plane_txt, out_diag, out_field):
     cfg = load_config(config_path)
     params = _phys_from_cfg(cfg)
     grid = _grid_from_cfg(cfg)
-    depth = get_int(cfg, "mode.depth", 64)
-
-    if plane_txt is None:
-        plane_txt = get_str(cfg, "plane.q", None)
+    plane_cfg = get_str(cfg, "plane.q", None)  # read even when overridden
+    plane_txt = plane_cfg if plane_txt is None else plane_txt
     plane = _parse_plane(plane_txt) if plane_txt else None
-    restrict = get_bool(cfg, "plane.restrict", False)
 
     scfg = SolverConfig(
         dt=get_float(cfg, "run.dt"),
@@ -287,11 +287,17 @@ def evolve(config_path, init, plane_txt, out_diag, out_field):
         linearized=get_bool(cfg, "run.linearized", False),
         record_every=get_int(cfg, "run.record_every", 10),
         plane=plane,
-        restrict_to_plane=restrict,
+        restrict_to_plane=get_bool(cfg, "plane.restrict", False),
         hs_order=get_float(cfg, "run.hs_order", 1.0),
         source=_source_from_cfg(cfg, grid),
     )
-    theta0, sol = _initial_field(init, cfg, grid, params, depth)
+    mode = None
+    if init == "eigenfunction":
+        mode = (get_int(cfg, "mode.k1"), get_int(cfg, "mode.k2"),
+                get_int(cfg, "mode.depth", 64))
+    cfg.reject_unused()
+    resolved = {**cfg.resolved, "plane.q": plane_txt, "init": init}
+    theta0, sol = _initial_field(init, mode, grid, params)
 
     t0 = time.perf_counter()
     final, diag = run(theta0, params, scfg)
@@ -304,24 +310,6 @@ def evolve(config_path, init, plane_txt, out_diag, out_field):
         write_snapshot(final, out_field)
         click.echo(f"wrote {out_field}")
 
-    resolved = {
-        "phys.n2": params.n2, "phys.m": params.m,
-        "phys.eps_kappa": params.eps_kappa, "phys.gamma": params.gamma,
-        "grid.n1": grid.n1, "grid.n2": grid.n2, "grid.n3": grid.n3,
-        "run.dt": scfg.dt, "run.t_end": scfg.t_end,
-        "run.scheme": scfg.scheme, "run.linearized": scfg.linearized,
-        "run.record_every": scfg.record_every,
-        "run.hs_order": scfg.hs_order,
-        "plane.q": str(plane) if plane else "none",
-        "plane.restrict": restrict,
-        "source.kind": get_str(cfg, "source.kind", "none"),
-        "init": init,
-    }
-    if scfg.source.kind == "steady_balance":
-        resolved["source.m"] = scfg.source.m
-    if sol is not None:
-        resolved.update({"mode.k1": sol.k1, "mode.k2": sol.k2,
-                         "mode.depth": depth})
     extras = {
         "l2_final": f"{diag.l2[-1]:.12g}",
         "linf_final": f"{diag.linf[-1]:.12g}",
@@ -368,6 +356,7 @@ def instability_cmd(config_path, out_dir):
         record_every=get_int(cfg, "instability.record_every", 10),
         depth=get_int(cfg, "instability.depth", 64),
     )
+    cfg.reject_unused()
     out = _outdir(out_dir)
 
     t0 = time.perf_counter()
@@ -379,12 +368,7 @@ def instability_cmd(config_path, out_dir):
     write_growth_csv(rep.diag, out / "growth.csv")
 
     rel = abs(rep.fitted_rate - rep.sigma_star) / rep.sigma_star
-    resolved = {f"instability.{k}": v for k, v in kw.items()}
-    resolved.update({
-        "phys.n2": params.n2, "phys.m": params.m,
-        "phys.eps_kappa": params.eps_kappa, "phys.gamma": params.gamma,
-    })
-    write_manifest(out / "manifest.txt", resolved, wall_seconds=wall, extras={
+    write_manifest(out / "manifest.txt", cfg.resolved, wall_seconds=wall, extras={
         "mode": f"({rep.k1}, {rep.k2})",
         "sigma_star": f"{rep.sigma_star:.12g}",
         "fitted_rate": f"{rep.fitted_rate:.12g}",
@@ -418,6 +402,7 @@ def illposedness_cmd(config_path, out_dir):
     j_min = get_int(cfg, "illposedness.j_min", 2)
     j_max = get_int(cfg, "illposedness.j_max", 12)
     depth = get_int(cfg, "illposedness.depth", 64)
+    cfg.reject_unused()
     out = _outdir(out_dir)
 
     t0 = time.perf_counter()
@@ -426,17 +411,8 @@ def illposedness_cmd(config_path, out_dir):
     wall = time.perf_counter() - t0
 
     write_sweep_csv(res, out / "sweep.csv")
-    write_manifest(out / "manifest.txt", {
-        "illposedness.regime": regime,
-        "illposedness.j_min": j_min,
-        "illposedness.j_max": j_max,
-        "illposedness.depth": depth,
-        "phys.n2": params.n2, "phys.m": params.m,
-        "phys.eps_kappa": params.eps_kappa, "phys.gamma": params.gamma,
-    }, wall_seconds=wall, extras={
-        "verdict": res.verdict,
-        "reason": res.reason,
-    })
+    write_manifest(out / "manifest.txt", cfg.resolved, wall_seconds=wall,
+                   extras={"verdict": res.verdict, "reason": res.reason})
     click.echo(f"verdict: {res.verdict} -- {res.reason}")
     click.echo(f"wrote {out}/sweep.csv manifest.txt")
 
@@ -472,6 +448,7 @@ def plane_demo_cmd(config_path, out_dir):
         control_mode=control,
         record_every=get_int(cfg, "plane_demo.record_every", 50),
     )
+    cfg.reject_unused()
     out = _outdir(out_dir)
 
     t0 = time.perf_counter()
@@ -494,11 +471,7 @@ def plane_demo_cmd(config_path, out_dir):
             f"{arm.departure_factor:.6g}")
     write_diag_csv(rep.control.diag, out / "control.csv")
 
-    phys_keys = {"eps_kappa": "phys.eps_kappa", "n2": "phys.n2", "m": "phys.m"}
-    resolved = {phys_keys.get(k, f"plane_demo.{k}"): v for k, v in kw.items()
-                if k != "plane"}
-    resolved["plane_demo.q"] = str(rep.plane)
-    write_manifest(out / "manifest.txt", resolved, wall_seconds=wall,
+    write_manifest(out / "manifest.txt", cfg.resolved, wall_seconds=wall,
                    extras=extras)
     click.echo(f"plane {rep.plane}: constant = {rep.plane_constant:.6g}")
     click.echo(

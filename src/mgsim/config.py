@@ -5,6 +5,12 @@ that follow (``section.key``), ``#`` starts a comment, values are bare
 strings.  Typed access goes through the getters, which raise ConfigError
 with the offending key on any malformed value.
 
+A parsed file is a ``Config``: its ``resolved`` mapping records every key a
+getter read with the typed value it returned, defaults included, and is the
+``[resolved]`` section of the run's manifest.  A command that has read its
+keys calls ``Config.reject_unused``, which raises ConfigError for any key it
+did not read (a misspelling, or a key this run does not use).
+
 Example::
 
     [phys]
@@ -20,6 +26,7 @@ Example::
     linearized = true
 """
 
+import difflib
 import math
 
 from .errors import ConfigError
@@ -28,9 +35,25 @@ _BOOL = {"true": True, "yes": True, "on": True, "1": True,
          "false": False, "no": False, "off": False, "0": False}
 
 
+class Config(dict):
+    """Parsed config; ``resolved`` maps each key read to its typed value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.resolved = {}
+
+    def reject_unused(self):
+        """Raise ConfigError for the first key that no getter has read."""
+        for key in self:
+            if key not in self.resolved:
+                close = difflib.get_close_matches(key, self.resolved, n=1)
+                hint = f"; did you mean {close[0]!r}?" if close else ""
+                raise ConfigError(f"unused config key {key!r}{hint}")
+
+
 def parse_config(text, origin="<config>"):
-    """Parse config text into a flat {"section.key": "value"} dict."""
-    out = {}
+    """Parse config text into a flat {"section.key": "value"} Config."""
+    out = Config()
     section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -68,69 +91,71 @@ def load_config(path):
 _MISSING = object()
 
 
-def _fetch(cfg, key, default):
+def _get(cfg, key, default, convert):
+    """Read ``key`` through ``convert(key, text)``; a default is not converted."""
     if key in cfg:
-        return cfg[key]
-    if default is _MISSING:
+        val = convert(key, cfg[key])
+    elif default is _MISSING:
         raise ConfigError(f"missing required config key {key!r}")
-    return default
-
-
-def get_str(cfg, key, default=_MISSING):
-    val = _fetch(cfg, key, default)
+    else:
+        val = default
+    cfg.resolved[key] = val
     return val
 
 
-def get_int(cfg, key, default=_MISSING):
-    val = _fetch(cfg, key, default)
-    if isinstance(val, int):
-        return val
+def _int(key, text):
     try:
-        return int(val)
+        return int(text)
     except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {val!r} is not an integer") from exc
+        raise ConfigError(f"config key {key!r}: {text!r} is not an integer") from exc
+
+
+def _float(key, text):
+    try:
+        out = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {text!r} is not a number") from exc
+    if not math.isfinite(out):
+        raise ConfigError(f"config key {key!r}: {text!r} is not finite")
+    return out
+
+
+def _bool(key, text):
+    try:
+        return _BOOL[text.lower()]
+    except KeyError as exc:
+        raise ConfigError(f"config key {key!r}: {text!r} is not a boolean") from exc
+
+
+def _list(key, text, one):
+    """Comma-separated non-empty list, each entry read by ``one``."""
+    out = tuple(one(key, tok.strip()) for tok in text.split(",") if tok.strip())
+    if not out:
+        raise ConfigError(f"config key {key!r}: {text!r} is an empty list")
+    return out
+
+
+def get_str(cfg, key, default=_MISSING):
+    return _get(cfg, key, default, lambda key, text: text)
+
+
+def get_int(cfg, key, default=_MISSING):
+    return _get(cfg, key, default, _int)
 
 
 def get_float(cfg, key, default=_MISSING):
-    val = _fetch(cfg, key, default)
-    if isinstance(val, float):
-        return val
-    try:
-        out = float(val)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {val!r} is not a number") from exc
-    if not math.isfinite(out):
-        raise ConfigError(f"config key {key!r}: {val!r} is not finite")
-    return out
+    return _get(cfg, key, default, _float)
 
 
 def get_bool(cfg, key, default=_MISSING):
-    val = _fetch(cfg, key, default)
-    if isinstance(val, bool):
-        return val
-    try:
-        return _BOOL[val.strip().lower()]
-    except KeyError as exc:
-        raise ConfigError(f"config key {key!r}: {val!r} is not a boolean") from exc
-
-
-def _get_list(cfg, key, default, get_one):
-    """Comma-separated non-empty list, each entry read by a scalar getter."""
-    val = _fetch(cfg, key, default)
-    if not isinstance(val, str):
-        return val
-    toks = (tok.strip() for tok in val.split(","))
-    out = tuple(get_one({key: tok}, key) for tok in toks if tok)
-    if not out:
-        raise ConfigError(f"config key {key!r}: {val!r} is an empty list")
-    return out
+    return _get(cfg, key, default, _bool)
 
 
 def get_floats(cfg, key, default=_MISSING):
     """Comma-separated list of finite numbers."""
-    return _get_list(cfg, key, default, get_float)
+    return _get(cfg, key, default, lambda k, t: _list(k, t, _float))
 
 
 def get_ints(cfg, key, default=_MISSING):
     """Comma-separated list of integers."""
-    return _get_list(cfg, key, default, get_int)
+    return _get(cfg, key, default, lambda k, t: _list(k, t, _int))

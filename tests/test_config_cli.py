@@ -1,6 +1,8 @@
 """Tests for config parsing and the command-line interface."""
 
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from mgsim.config import (
     parse_config,
 )
 from mgsim.cli import main
-from mgsim.fields import PlaneSpec
+from mgsim.fields import Grid, PlaneSpec, cosine_mode, write_snapshot
 
 
 class TestParseConfig:
@@ -71,6 +73,37 @@ class TestParseConfig:
                             (get_floats, "a.f"), (get_ints, "a.i")]:
             with pytest.raises(ConfigError, match=key):
                 getter(cfg, key)
+
+    def test_reject_unused_names_exactly_the_unread_keys(self):
+        cfg = parse_config(
+            "[a]\nx = 3\ny = 2.5\nz = true\nw = hello\nfs = 0.3, 0.5\n")
+        assert get_int(cfg, "a.x") == 3
+        assert get_floats(cfg, "a.fs") == (0.3, 0.5)
+        assert get_int(cfg, "a.missing", 7) == 7
+        assert get_str(cfg, "a.none", None) is None
+        assert cfg.resolved == {"a.x": 3, "a.fs": (0.3, 0.5),
+                                "a.missing": 7, "a.none": None}
+        assert type(cfg.resolved["a.x"]) is int
+        for key, getter in [("a.y", get_float), ("a.z", get_bool),
+                            ("a.w", get_str)]:
+            with pytest.raises(ConfigError,
+                               match=f"^unused config key '{key}'"):
+                cfg.reject_unused()
+            getter(cfg, key)
+        cfg.reject_unused()
+        assert cfg.resolved["a.y"] == 2.5 and cfg.resolved["a.z"] is True
+
+    def test_reject_unused_suggests_a_close_key(self):
+        cfg = parse_config("[phys]\neps_kapa = 0.05\n[other]\nzzz = 1\n")
+        assert get_float(cfg, "phys.eps_kappa", 0.0) == 0.0
+        with pytest.raises(ConfigError) as exc:
+            cfg.reject_unused()
+        assert str(exc.value) == ("unused config key 'phys.eps_kapa'; "
+                                  "did you mean 'phys.eps_kappa'?")
+        get_float(cfg, "phys.eps_kapa")
+        with pytest.raises(ConfigError) as exc:
+            cfg.reject_unused()
+        assert str(exc.value) == "unused config key 'other.zzz'"
 
 
 @given(text=st.text())
@@ -186,6 +219,13 @@ class TestCli:
         assert res.exit_code == 1
         assert "choose exactly one" in res.output
 
+    def test_eigen_k2_counts_as_a_mode_choice(self):
+        res = self.runner.invoke(
+            main, ["eigen", "--optimize", "4", "--k2", "3",
+                   "--eps-kappa", "0.02"])
+        assert res.exit_code == 1
+        assert "choose exactly one" in res.output
+
     def test_eigen_optimize(self, tmp_path):
         out = tmp_path / "modes.csv"
         res = self.runner.invoke(
@@ -241,6 +281,89 @@ class TestCli:
         ])
         assert res.exit_code == 1
         assert "k3 != 0" in res.output
+
+    @pytest.mark.parametrize("amp", ["nan", "inf"])
+    def test_evolve_mode_rejects_non_finite_amplitude(self, tmp_path, amp):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EVOLVE_CFG)
+        res = self.runner.invoke(main, [
+            "evolve", "--config", str(cfg), "--init", f"mode:1,1,2,{amp}",
+            "--out-diag", str(tmp_path / "d.csv"),
+        ])
+        assert res.exit_code == 1
+        assert f"bad mode init 'mode:1,1,2,{amp}'" in res.output
+        assert "not finite" in res.output
+
+    @pytest.mark.parametrize("source", [False, True])
+    def test_evolve_rejects_snapshot_on_another_grid(self, tmp_path, source):
+        snap = tmp_path / "small.snap"
+        write_snapshot(cosine_mode(Grid(8, 8, 8), (1, 1, 1), 0.5), snap)
+        cfg = tmp_path / "run.cfg"
+        if source:
+            cfg.write_text(EVOLVE_CFG + f"[source]\nkind = snapshot:{snap}\n")
+            init = "mode:1,1,2"
+        else:
+            cfg.write_text(EVOLVE_CFG)
+            init = f"snapshot:{snap}"
+        res = self.runner.invoke(main, [
+            "evolve", "--config", str(cfg), "--init", init,
+            "--out-diag", str(tmp_path / "d.csv"),
+        ])
+        assert res.exit_code == 1
+        prefix = "source " if source else ""
+        assert (f"Error: {prefix}snapshot grid (8, 8, 8) does not match run "
+                f"grid (16, 16, 16)") in res.output
+
+    def test_evolve_plane_flag_overrides_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EVOLVE_CFG + "[plane]\nq = 2/1\n")
+        res = self.runner.invoke(main, [
+            "evolve", "--config", str(cfg), "--init", "mode:1,1,2,0.5",
+            "--plane", "1/1", "--out-diag", str(tmp_path / "diag.csv")])
+        assert res.exit_code == 0, res.output
+        resolved = _manifest(tmp_path / "manifest.txt")
+        assert resolved["plane.q"] == "1/1"
+        assert resolved["init"] == "mode:1,1,2,0.5"
+        # keys read through a default are recorded with the value used
+        assert resolved["grid.n"] == resolved["grid.n1"] == "16"
+        assert resolved["phys.m"] == "1"
+        assert resolved["source.kind"] == "none"
+
+    def test_evolve_mode_section_needs_eigenfunction_init(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EVOLVE_CFG + "[mode]\nk1 = 1\nk2 = 1\n")
+        diag = tmp_path / "d.csv"
+        res = self.runner.invoke(main, [
+            "evolve", "--config", str(cfg), "--init", "mode:1,1,2",
+            "--out-diag", str(diag)])
+        assert res.exit_code == 1
+        assert "unused config key 'mode.k1'" in res.output
+        assert not diag.exists()
+
+    @pytest.mark.parametrize("command, text, bad, good", [
+        ("illposedness",
+         "[phys]\neps_kapa = 0.05\n[illposedness]\nregime = fractional\n",
+         "phys.eps_kapa", "phys.eps_kappa"),
+        ("evolve", EVOLVE_CFG + "[mode]\nk1 = 1\nk2 = 1\ndepht = 32\n",
+         "mode.depht", "mode.depth"),
+        ("instability", "[instability]\nbox = 4\nseed = 1e-6\n",
+         "instability.seed", "instability.seed_rel"),
+        ("plane-demo", "[plane_demo]\nn = 8\ngamma = 0.5\n",
+         "plane_demo.gamma", "plane_demo.gammas"),
+    ], ids=["illposedness", "evolve", "instability", "plane-demo"])
+    def test_misspelled_key_fails_before_any_output(self, tmp_path, command,
+                                                     text, bad, good):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        dest = (["--out-diag", str(out / "diag.csv")] if command == "evolve"
+                else ["--out", str(out)])
+        res = self.runner.invoke(
+            main, [command, "--config", str(cfg)] + dest)
+        assert res.exit_code == 1, res.output
+        assert (f"unused config key '{bad}'; did you mean '{good}'?"
+                in res.output)
+        assert not out.exists()
 
     def test_evolve_missing_required_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -343,3 +466,22 @@ class TestCli:
         res = self.runner.invoke(
             main, ["symbol-scan", "--plane", "x/y", "--out", str(out)])
         assert res.exit_code == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("with_plane", [False, True])
+def test_readme_evolve_config_runs(tmp_path, with_plane):
+    """The README's `mg evolve` config, alone and with its [plane] snippet."""
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    evolve_cfg, plane_cfg = blocks[:2]
+    assert "[run]" in evolve_cfg and plane_cfg.startswith("[plane]")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(evolve_cfg + (plane_cfg if with_plane else ""))
+    res = CliRunner().invoke(main, [
+        "evolve", "--config", str(cfg),
+        "--out-diag", str(tmp_path / "diag.csv")])
+    assert res.exit_code == 0, res.output
+    resolved = _manifest(tmp_path / "manifest.txt")
+    assert resolved["plane.q"] == ("1/1" if with_plane else "None")
