@@ -326,6 +326,7 @@ def evolve(config_path, init, plane_txt, out_diag, out_field):
 
 
 def _outdir(path):
+    """Create the output directory; called only once there is output."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -357,11 +358,12 @@ def instability_cmd(config_path, out_dir):
         depth=get_int(cfg, "instability.depth", 64),
     )
     cfg.reject_unused()
-    out = _outdir(out_dir)
 
     t0 = time.perf_counter()
     rep = instability(params, **kw)
     wall = time.perf_counter() - t0
+
+    out = _outdir(out_dir)
 
     write_eigen_csv(rep.table, params, out / "modes.csv")
     write_diag_csv(rep.diag, out / "diag.csv")
@@ -403,12 +405,13 @@ def illposedness_cmd(config_path, out_dir):
     j_max = get_int(cfg, "illposedness.j_max", 12)
     depth = get_int(cfg, "illposedness.depth", 64)
     cfg.reject_unused()
-    out = _outdir(out_dir)
 
     t0 = time.perf_counter()
     res = illposedness_sweep(regime, params, j_min=j_min, j_max=j_max,
                              depth=depth)
     wall = time.perf_counter() - t0
+
+    out = _outdir(out_dir)
 
     write_sweep_csv(res, out / "sweep.csv")
     write_manifest(out / "manifest.txt", cfg.resolved, wall_seconds=wall,
@@ -449,11 +452,12 @@ def plane_demo_cmd(config_path, out_dir):
         record_every=get_int(cfg, "plane_demo.record_every", 50),
     )
     cfg.reject_unused()
-    out = _outdir(out_dir)
 
     t0 = time.perf_counter()
     rep = plane_demo(**kw)
     wall = time.perf_counter() - t0
+
+    out = _outdir(out_dir)
 
     extras = {
         "plane": str(rep.plane),

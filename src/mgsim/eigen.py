@@ -541,13 +541,11 @@ def assemble_eigenfunction(sol: EigenSolution, grid):
             f"does not fit the dealias band {grid.band} of grid {grid.shape}"
         )
     f = SpectralField.zeros(grid)
-    n1, n2 = grid.n1, grid.n2
     for p in ps:
         cp = float(sol.c[p - 1])
         for s1 in (1, -1):
             for s2 in (1, -1):
-                f.c[(s1 * k1) % n1, (s2 * k2) % n2, m * p] = (
-                    0.125j * s1 * s2 * cp)
+                f.set_coeff(s1 * k1, s2 * k2, m * p, 0.125j * s1 * s2 * cp)
     return f
 
 

@@ -1,37 +1,33 @@
-"""Real scalar fields on the periodic box [0, 2*pi)^3 in half-complex storage.
+"""Real scalar fields on the periodic box [0, 2*pi)^3, stored on the dealias band.
 
 A field is represented by its Fourier coefficients c(k) with
 
     theta(x) = sum_k c(k) exp(i k . x),        c(-k) = conj(c(k)),
 
-stored in the numpy ``rfftn`` layout of shape ``(n1, n2, n3 // 2 + 1)``:
-the last axis keeps only the representatives k3 >= 0, and the first two
-axes carry signed wavenumbers in fft order.  Coefficients here are the
-mathematical ones (``rfftn`` output divided by the number of grid points).
+and every field is band-limited under the two-thirds rule
+``|k_i| <= b_i = n_i // 3``.  The coefficients live in the band layout of
+shape ``grid.band_shape`` = ``(2 b1 + 1, 2 b2 + 1, b3 + 1)``: the last axis
+keeps only the representatives 0 <= k3 <= b3, and the first two axes carry
+signed wavenumbers in fft order (0, 1, ..., b, -b, ..., -1).  The band and
+nothing else is stored, so no coefficient outside it can exist.  The
+conjugate mirror (-k1, -k2) is the index map i -> -i modulo the axis
+length.  Coefficients are the mathematical ones (numpy's ``rfftn`` output
+divided by the number of grid points); :func:`dealias_mask` marks the band
+on the ``rfftn`` layout, so ``full[dealias_mask(grid)].reshape(
+grid.band_shape)`` is the band of a full ``rfftn`` array.
 
-Fields are band-limited by construction: a :class:`SpectralField` refuses
-any nonzero coefficient outside the two-thirds dealias band
-``|k_i| <= n_i // 3``, so every field carries only in-band modes.  The
-transforms rely on that.  Each 1-D pass skips the rows, columns and planes
-the band leaves zero ("pruned" transforms): :func:`inverse` reads only the
-band, and :func:`forward` keeps only the band.
-The k3 = 0 plane is symmetrized exactly on the way in: evenness checks and
-conjugate-pair lookups then hold to the last bit, not merely to rounding.
-
-The band-compact layout of shape ``grid.band_shape`` =
-``(2 b1 + 1, 2 b2 + 1, b3 + 1)`` holds the band and nothing else, with k1
-and k2 in fft order (:func:`to_band`, :func:`from_band`).  In it the
-dealias mask is the whole array, and the conjugate mirror (-k1, -k2) is the
-index map i -> -i modulo the axis length, as in the full layout.  The time
-stepper keeps its state and all of its spectral arithmetic in this layout;
-``inverse`` takes either layout, and ``forward`` fills a band-compact
-``out`` or returns the full layout.  Both transforms write through work
-arrays kept per grid and reused by every call.  Their in-place FFT passes
-fill the zero padding (the out-of-band k2 columns, then the out-of-band k1
-rows), so every call writes those zeros again before the pass.
+The transforms are pruned to the band: :func:`forward` keeps only the
+in-band planes, columns and rows of its 1-D passes, and :func:`inverse`
+zero-pads them back.  The k3 = 0 plane is symmetrized exactly on the way
+in: evenness checks and conjugate-pair lookups then hold to the last bit,
+not merely to rounding.  Both transforms write through work arrays kept
+per grid and per thread.  The in-place passes of ``inverse`` fill the zero
+padding (the out-of-band k2 columns, then the out-of-band k1 rows), so
+every call writes those zeros again before the pass.
 
 Norms are computed spectrally via Parseval with the conjugate-pair weight
-(2 for k3 > 0, 1 on the k3 = 0 and Nyquist planes).
+(2 for k3 > 0, 1 on the k3 = 0 plane; the band never reaches the Nyquist
+plane k3 = n3 / 2).
 """
 
 import math
@@ -78,6 +74,7 @@ class Grid:
 
     @property
     def spectral_shape(self):
+        """Shape of numpy's full ``rfftn`` layout (see :func:`dealias_mask`)."""
         return (self.n1, self.n2, self.n3 // 2 + 1)
 
     @property
@@ -91,7 +88,7 @@ class Grid:
 
     @property
     def band_shape(self):
-        """Shape of the band-compact layout (see the module docstring)."""
+        """Shape of the coefficient arrays (see the module docstring)."""
         b1, b2, b3 = self.band
         return (2 * b1 + 1, 2 * b2 + 1, b3 + 1)
 
@@ -103,15 +100,12 @@ class Grid:
 
 @lru_cache(maxsize=None)
 def wavenumbers(grid):
-    """Integer wavenumber arrays (K1, K2, K3) broadcast over spectral shape."""
-    k1 = np.fft.fftfreq(grid.n1, d=1.0 / grid.n1).astype(np.int64)
-    k2 = np.fft.fftfreq(grid.n2, d=1.0 / grid.n2).astype(np.int64)
-    k3 = np.arange(grid.n3 // 2 + 1, dtype=np.int64)
-    return (
-        k1[:, None, None],
-        k2[None, :, None],
-        k3[None, None, :],
-    )
+    """Integer wavenumber arrays (K1, K2, K3) broadcast over the band."""
+    r1, r2, p3 = grid.band_shape
+    k1 = np.fft.fftfreq(r1, d=1.0 / r1).astype(np.int64)
+    k2 = np.fft.fftfreq(r2, d=1.0 / r2).astype(np.int64)
+    k3 = np.arange(p3, dtype=np.int64)
+    return k1[:, None, None], k2[None, :, None], k3[None, None, :]
 
 
 @lru_cache(maxsize=None)
@@ -122,78 +116,34 @@ def ksq_array(grid):
 
 @lru_cache(maxsize=None)
 def dealias_mask(grid):
-    K1, K2, K3 = wavenumbers(grid)
+    """The band on numpy's full ``rfftn`` layout ``grid.spectral_shape``."""
+    n1, n2, p3 = grid.spectral_shape
     b1, b2, b3 = grid.band
-    return (np.abs(K1) <= b1) & (np.abs(K2) <= b2) & (np.abs(K3) <= b3)
+    k1 = np.abs(np.fft.fftfreq(n1, d=1.0 / n1)) <= b1
+    k2 = np.abs(np.fft.fftfreq(n2, d=1.0 / n2)) <= b2
+    k3 = np.arange(p3) <= b3
+    return k1[:, None, None] & k2[None, :, None] & k3[None, None, :]
 
 
 @lru_cache(maxsize=None)
 def mode_weights(grid):
     """Conjugate-pair multiplicity of each stored representative."""
-    _, _, K3 = wavenumbers(grid)
-    w = np.full(grid.spectral_shape, 2.0)
+    w = np.full(grid.band_shape, 2.0)
     w[:, :, 0] = 1.0
-    if grid.n3 % 2 == 0:
-        w[:, :, -1] = 1.0
     return w
 
 
 @lru_cache(maxsize=None)
 def multiplier_arrays(grid, n2_phys):
     """The three multiplier components sampled on the stored wavenumbers."""
-    K1, K2, K3 = wavenumbers(grid)
-    return symbol_components(
-        K1.astype(np.float64), K2.astype(np.float64), K3.astype(np.float64),
-        n2_phys,
-    )
-
-
-@lru_cache(maxsize=None)
-def band_wavenumbers(grid):
-    """Integer wavenumber arrays (K1, K2, K3) broadcast over the band layout."""
-    b1, b2, b3 = grid.band
-    k1 = np.fft.fftfreq(2 * b1 + 1, d=1.0 / (2 * b1 + 1)).astype(np.int64)
-    k2 = np.fft.fftfreq(2 * b2 + 1, d=1.0 / (2 * b2 + 1)).astype(np.int64)
-    k3 = np.arange(b3 + 1, dtype=np.int64)
-    return k1[:, None, None], k2[None, :, None], k3[None, None, :]
+    return symbol_components(*wavenumbers(grid), n2_phys)
 
 
 def _conjugate_plane(plane):
-    """conj of a k3 plane (or a stack of them) evaluated at (-k1, -k2).
-
-    The first two axes are in fft order, in either layout.
-    """
+    """conj of a k3 plane (or a stack of them) evaluated at (-k1, -k2)."""
     rev1 = (-np.arange(plane.shape[0])) % plane.shape[0]
     rev2 = (-np.arange(plane.shape[1])) % plane.shape[1]
     return np.conj(plane[np.ix_(rev1, rev2)])
-
-
-def _band_blocks(grid):
-    """(band-compact, full) index pairs of the four in-band k1/k2 blocks."""
-    b1, b2, b3 = grid.band
-    rows = ((slice(None, b1 + 1), slice(None, b1 + 1)),
-            (slice(b1 + 1, None), slice(grid.n1 - b1, None)))
-    cols = ((slice(None, b2 + 1), slice(None, b2 + 1)),
-            (slice(b2 + 1, None), slice(grid.n2 - b2, None)))
-    planes = slice(None, b3 + 1)
-    return [((rb, cb), (rf, cf, planes)) for rb, rf in rows for cb, cf in cols]
-
-
-def to_band(grid, c, out=None):
-    """The band of a full-layout coefficient array, in the band-compact layout."""
-    if out is None:
-        out = np.empty(grid.band_shape, dtype=c.dtype)
-    for band, full in _band_blocks(grid):
-        out[band] = c[full]
-    return out
-
-
-def from_band(grid, band):
-    """A new full-layout array holding a band-compact one, zero elsewhere."""
-    c = np.zeros(grid.spectral_shape, dtype=band.dtype)
-    for b, full in _band_blocks(grid):
-        c[full] = band[b]
-    return c
 
 
 @lru_cache(maxsize=None)
@@ -202,14 +152,13 @@ def _work(grid, thread):
 
     ``half`` takes the x3 ``rfft`` of ``forward``; ``x1`` is the x1 pass of
     ``inverse`` and the x2 pass of ``forward``; ``x2`` is the zero-padded x2
-    pass of ``inverse``; ``cols`` holds the in-band columns of ``forward``;
-    ``band`` holds a band-compact copy when a caller gives or wants the
-    full layout.  Each thread gets its own set, and no transform returns
-    one of these arrays.
+    pass of ``inverse``; ``cols`` holds the in-band columns of ``forward``.
+    Each thread gets its own set, and no transform returns one of these
+    arrays.
     """
     (n1, n2, n3), (r1, r2, p3) = grid.shape, grid.band_shape
     shapes = dict(half=(n1, n2, n3 // 2 + 1), x1=(n1, n2, p3), x2=(r1, n2, p3),
-                  cols=(n1, r2, p3), band=(r1, r2, p3))
+                  cols=(n1, r2, p3))
     return SimpleNamespace(**{name: np.empty(shape, dtype=np.complex128)
                               for name, shape in shapes.items()})
 
@@ -219,8 +168,7 @@ def forward(grid, values, out=None):
 
     The x3 pass keeps the in-band planes, the x2 pass the in-band columns,
     and the x1 pass runs on those columns only and keeps the in-band rows.
-    The band is written into ``out`` (band-compact layout) when given, else
-    returned in a new full-layout array.
+    The band goes into ``out`` when given, else into a new array.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape != grid.shape:
@@ -234,31 +182,27 @@ def forward(grid, values, out=None):
     w.cols[:, :b2 + 1] = w.x1[:, :b2 + 1]
     w.cols[:, b2 + 1:] = w.x1[:, grid.n2 - b2:]
     np.fft.fft(w.cols, axis=0, norm="forward", out=w.cols)
-    band = w.band if out is None else out
-    band[:b1 + 1] = w.cols[:b1 + 1]
-    band[b1 + 1:] = w.cols[grid.n1 - b1:]
-    plane = band[:, :, 0]
-    band[:, :, 0] = 0.5 * (plane + _conjugate_plane(plane))
-    return from_band(grid, band) if out is None else out
+    if out is None:
+        out = np.empty(grid.band_shape, dtype=np.complex128)
+    out[:b1 + 1] = w.cols[:b1 + 1]
+    out[b1 + 1:] = w.cols[grid.n1 - b1:]
+    plane = out[:, :, 0]
+    out[:, :, 0] = 0.5 * (plane + _conjugate_plane(plane))
+    return out
 
 
 def inverse(grid, coeffs, out=None):
-    """Mathematical coefficients -> physical samples.
+    """Mathematical coefficients on the band -> physical samples.
 
-    ``coeffs`` is in the full layout, of which only the dealias band is
-    read (exact for the band-limited fields this module builds), or in the
-    band-compact layout.  The x2 pass runs on the in-band rows and planes,
-    the x1 pass on the in-band planes, and the x3 pass zero-pads k3 beyond
-    the band.  The samples go into ``out`` when given.
+    The x2 pass runs on the in-band rows and planes, the x1 pass on the
+    in-band planes, and the x3 pass zero-pads k3 beyond the band.  The
+    samples go into ``out`` when given.
     """
+    if coeffs.shape != grid.band_shape:
+        raise ValueError(
+            f"coefficient array of shape {coeffs.shape} does not match the "
+            f"band {grid.band_shape} of grid {grid.shape}")
     w = _work(grid, threading.get_ident())
-    if coeffs.shape != w.band.shape:
-        if coeffs.shape != grid.spectral_shape:
-            raise ValueError(
-                f"coefficient array of shape {coeffs.shape} is neither the "
-                f"full {grid.spectral_shape} nor the band-compact "
-                f"{grid.band_shape} layout of grid {grid.shape}")
-        coeffs = to_band(grid, coeffs, out=w.band)
     (b1, b2, _), (n1, n2, n3) = grid.band, grid.shape
     # the in-place passes fill the padding, so it is zeroed on every call
     w.x2[:, :b2 + 1] = coeffs[:, :b2 + 1]
@@ -274,34 +218,30 @@ def inverse(grid, coeffs, out=None):
 
 @dataclass
 class SpectralField:
-    """A real scalar field held as half-complex coefficients on a grid.
+    """A real scalar field held as its coefficients on the dealias band.
 
-    Construction rejects an array of the wrong shape and any nonzero
-    coefficient outside the dealias band; the transforms depend on it.
+    Construction rejects an array of any shape but ``grid.band_shape`` and
+    a non-numeric array; ``c`` is converted to complex128 (without a copy
+    when it already is).
     """
 
     grid: Grid
     c: np.ndarray
 
     def __post_init__(self):
-        grid = self.grid
-        if np.shape(self.c) != grid.spectral_shape:
+        grid, c = self.grid, np.asarray(self.c)
+        if c.shape != grid.band_shape:
             raise ValueError(
-                f"coefficient array of shape {np.shape(self.c)} does not "
-                f"match the spectral shape {grid.spectral_shape} of grid "
-                f"{grid.shape}")
-        outside = np.argwhere((self.c != 0) & ~dealias_mask(grid))
-        if outside.size:
-            i, j, k = outside[0]
-            K1, K2, _ = wavenumbers(grid)
+                f"coefficient array of shape {c.shape} does not match the "
+                f"band {grid.band_shape} of grid {grid.shape}")
+        if not np.issubdtype(c.dtype, np.number):
             raise ValueError(
-                f"nonzero coefficient at wavevector ({K1[i, 0, 0]},"
-                f"{K2[0, j, 0]},{k}) outside the dealias band {grid.band} "
-                f"of grid {grid.shape}")
+                f"coefficient array of dtype {c.dtype} is not numeric")
+        self.c = c.astype(np.complex128, copy=False)
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.spectral_shape, dtype=np.complex128))
+        return cls(grid, np.zeros(grid.band_shape, dtype=np.complex128))
 
     @classmethod
     def from_values(cls, grid, values):
@@ -313,6 +253,13 @@ class SpectralField:
     def copy(self):
         return SpectralField(self.grid, self.c.copy())
 
+    def _index(self, k1, k2, k3):
+        """Array index of an in-band wavevector with k3 >= 0, else None."""
+        (b1, b2, b3), (r1, r2, _) = self.grid.band, self.c.shape
+        if not (0 <= k3 <= b3 and abs(k1) <= b1 and abs(k2) <= b2):
+            return None
+        return k1 % r1, k2 % r2, k3
+
     def coeff(self, k1, k2, k3):
         """Mathematical coefficient at an arbitrary integer wavevector.
 
@@ -321,21 +268,18 @@ class SpectralField:
         """
         if k3 < 0:
             return np.conj(self.coeff(-k1, -k2, -k3))
-        n1, n2, n3 = self.grid.shape
-        if k3 > n3 // 2 or abs(k1) > n1 // 2 or abs(k2) > n2 // 2:
-            return 0.0 + 0.0j
-        return complex(self.c[k1 % n1, k2 % n2, k3])
+        index = self._index(k1, k2, k3)
+        return 0.0 + 0.0j if index is None else complex(self.c[index])
 
     def set_coeff(self, k1, k2, k3, value):
         """Set the coefficient at a wavevector with k3 >= 0 (in band).
 
         The caller is responsible for the conjugate entry when k3 = 0.
         """
-        n1, n2, n3 = self.grid.shape
-        b1, b2, b3 = self.grid.band
-        if k3 < 0 or k3 > b3 or abs(k1) > b1 or abs(k2) > b2:
+        index = self._index(k1, k2, k3)
+        if index is None:
             raise ValueError(f"wavevector ({k1},{k2},{k3}) outside dealias band")
-        self.c[k1 % n1, k2 % n2, k3] = value
+        self.c[index] = value
 
     def __add__(self, other):
         self._check(other)
@@ -361,7 +305,8 @@ def l2_norm(field):
 
 
 def linf_norm(field):
-    return float(np.max(np.abs(field.values())))
+    v = field.values()
+    return float(max(v.max(), -v.min()))
 
 
 def hs_norm(field, s):
@@ -413,8 +358,7 @@ class PlaneSpec:
 @lru_cache(maxsize=None)
 def plane_mask(grid, plane):
     K1, K2, _ = wavenumbers(grid)
-    return np.broadcast_to(
-        plane.contains(K1, K2), grid.spectral_shape).copy()
+    return np.broadcast_to(plane.contains(K1, K2), grid.band_shape).copy()
 
 
 def project_plane(field, plane):
@@ -460,7 +404,10 @@ def sine_vertical(grid, m, amplitude=1.0):
 
 
 def shell_spectrum(field):
-    """Energy per integer wavenumber shell; returns (shells, energies)."""
+    """Energy per integer wavenumber shell; returns (shells, energies).
+
+    The shells run from 0 up to the band's corner, round(|(b1, b2, b3)|).
+    """
     w = mode_weights(field.grid)
     kmag = np.rint(np.sqrt(ksq_array(field.grid))).astype(np.int64)
     energy = TORUS_VOLUME * w * np.abs(field.c) ** 2
@@ -473,7 +420,7 @@ def shell_spectrum(field):
 def write_snapshot(field, path):
     """Write the nonzero representatives as a plain-text table."""
     grid = field.grid
-    K1, K2, K3 = (np.broadcast_to(a, grid.spectral_shape)
+    K1, K2, K3 = (np.broadcast_to(a, grid.band_shape)
                   for a in wavenumbers(grid))
     keep = np.abs(field.c) >= _SNAPSHOT_DROP
     idx = np.argwhere(keep)
@@ -560,5 +507,5 @@ def read_snapshot(path):
             f"{path}: header {raw[0][1]!r} names a grid too large to "
             f"allocate") from exc
     for (k1, k2, k3), (_, value) in seen.items():
-        f.c[k1 % n1, k2 % n2, k3] = value
+        f.set_coeff(k1, k2, k3, value)
     return f

@@ -16,10 +16,11 @@ The linearized right-hand side about Theta_0 = sin(m x3) is -m u3 cos(m x3).
 Multiplying by cos(m x3) is an exact shift of +-m along k3, so that product
 is formed by slicing the spectrum: a linearized step makes no transforms.
 
-``run`` steps on the band-compact layout of ``fields`` (the dealias band and
-nothing else): the state is gathered into it once, every factor and buffer
-of the run is built in it once, and the state is expanded to the full
-layout only for a record and for the returned field.
+``run`` copies the initial coefficients (which, like every spectral array
+of ``fields``, hold the dealias band and nothing else) into a private
+stepper that builds every factor and buffer of the run once; each record
+reads the stepper's state in place, through the stepper's own advection
+work arrays.
 
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry
@@ -49,9 +50,7 @@ from .fields import (
     SpectralField,
     TORUS_VOLUME,
     _conjugate_plane,
-    band_wavenumbers,
     forward,
-    from_band,
     hs_norm,
     inverse,
     ksq_array,
@@ -61,7 +60,7 @@ from .fields import (
     multiplier_arrays,
     off_plane_norm,
     plane_mask,
-    to_band,
+    wavenumbers,
 )
 from .symbol import PhysParams
 
@@ -187,42 +186,44 @@ def velocity_coefficients(grid, c, n2_phys):
     return m1 * c, m2 * c, m3 * c
 
 
-def velocity_max(grid, c, n2_phys):
-    """Max-norm of each physical velocity component."""
-    return tuple(
-        float(np.max(np.abs(inverse(grid, uh))))
-        for uh in velocity_coefficients(grid, c, n2_phys)
-    )
-
-
 class _AdvectionWork:
-    """The band-compact factors i k_j and M_j, and work buffers.
+    """The factors i k_j and M_j on the band, and work buffers.
 
     ``spec`` takes one spectral product at a time; ``u``, ``grad`` and
     ``prod`` are the physical-space arrays of the advection product.
     """
 
     def __init__(self, grid, n2_phys):
-        self.ik = tuple(1j * k for k in band_wavenumbers(grid))
-        self.m = tuple(to_band(grid, m)
-                       for m in multiplier_arrays(grid, n2_phys))
+        self.ik = tuple(1j * k for k in wavenumbers(grid))
+        self.m = multiplier_arrays(grid, n2_phys)
         self.spec = np.empty(grid.band_shape, dtype=np.complex128)
         self.u, self.grad, self.prod = (np.empty(grid.shape) for _ in range(3))
+
+
+def velocity_max(grid, c, n2_phys, work=None):
+    """Max-norm of each physical velocity component.
+
+    ``work`` (an ``_AdvectionWork``) holds the multipliers and buffers, and
+    is built for the call when absent.
+    """
+    if work is None:
+        work = _AdvectionWork(grid, n2_phys)
+    umax = []
+    for m in work.m:
+        u = inverse(grid, np.multiply(m, c, out=work.spec), out=work.u)
+        umax.append(float(max(u.max(), -u.min())))
+    return tuple(umax)
 
 
 def advection_coefficients(grid, c, n2_phys, out=None, work=None):
     """Dealiased coefficients of u . grad theta, restricted to k3 != 0.
 
-    ``c`` is in the full or the band-compact layout; the product is formed
-    on its band.  ``work`` (an ``_AdvectionWork``) holds the factors and
-    buffers, and is built for the call when absent.  The result goes into
-    the band-compact ``out`` when given, else into a new full-layout array.
-    One velocity component at a time goes through the work buffers, so a
-    call on band-compact ``c`` given ``work`` and ``out`` allocates no
-    array of the grid's size.
+    ``work`` (an ``_AdvectionWork``) holds the factors and buffers, and is
+    built for the call when absent.  The result goes into ``out`` when
+    given, else into a new array.  One velocity component at a time goes
+    through the work buffers, so a call given ``work`` and ``out``
+    allocates no array of the grid's size.
     """
-    if c.shape == grid.spectral_shape:
-        c = to_band(grid, c)
     if work is None:
         work = _AdvectionWork(grid, n2_phys)
     prod = work.prod
@@ -237,7 +238,7 @@ def advection_coefficients(grid, c, n2_phys, out=None, work=None):
 
 
 def _cos_shift_sum(v, m, out):
-    """out <- v(k3 - m) + v(k3 + m) on the band-compact k3 >= 0.
+    """out <- v(k3 - m) + v(k3 + m) on the band's k3 >= 0.
 
     These are the coefficients of 2 cos(m x3) times the field with
     coefficients v.  For k3 < m the entry v(k1, k2, k3 - m) is read from the
@@ -260,17 +261,18 @@ def _inner(grid, a, b):
     return TORUS_VOLUME * float(np.sum(w * (a * np.conj(b)).real))
 
 
-def energy_flux_residual(grid, c, n2_phys):
+def energy_flux_residual(grid, c, n2_phys, work=None):
     """Relative defect of advective energy neutrality.
 
     Divergence-free transport is energy neutral, <u . grad theta, theta> = 0.
     Returns 2 <adv, theta> / ||theta||^2; for a resolved dealiased field this
-    sits at the rounding floor.
+    sits at the rounding floor.  ``work`` is passed to
+    :func:`advection_coefficients`.
     """
     nrm2 = _inner(grid, c, c)
     if nrm2 == 0.0:
         return 0.0
-    adv = advection_coefficients(grid, c, n2_phys)
+    adv = advection_coefficients(grid, c, n2_phys, work=work)
     return 2.0 * _inner(grid, adv, c) / nrm2
 
 
@@ -301,19 +303,17 @@ def _growth_cap_check(theta0, params, config):
 
 
 class _Stepper:
-    """One run's time stepping, on the band-compact layout.
+    """One run's time stepping on the band: state, factors and buffers.
 
-    Everything spectral here is band-compact (``fields.to_band``): the
-    state, the dissipation factors, the multipliers, the plane mask, the
-    source and every buffer.  The state is gathered once; a step writes
-    every right-hand side and stage into the buffers built here, so it
-    allocates no array of the grid's size.
+    The state is a copy of the initial coefficients; a step writes every
+    right-hand side and stage into the buffers built here, so it allocates
+    no array of the grid's size.
     """
 
     def __init__(self, grid, params, config, c):
         dt = self.dt = config.dt
         self.grid, self.n2p, self.scheme = grid, params.n2, config.scheme
-        ksq = to_band(grid, ksq_array(grid))
+        ksq = ksq_array(grid)
         diss = params.eps_kappa * np.where(ksq > 0.0, ksq, 1.0) ** params.gamma
         diss = np.where(ksq > 0.0, diss, 0.0)
         if config.scheme == "if_rk4":
@@ -328,27 +328,26 @@ class _Stepper:
         if config.linearized:
             # -m u3 cos(m x3) = v(k3 - m) + v(k3 + m), v = -(m/2) M3_hat theta_hat
             self.m = params.m
-            self.v_scale = -0.5 * self.m * to_band(
-                grid, multiplier_arrays(grid, params.n2)[2])
+            self.v_scale = -0.5 * self.m * multiplier_arrays(
+                grid, params.n2)[2]
             self.v = np.empty(grid.band_shape, dtype=np.complex128)
         else:
             self.adv = _AdvectionWork(grid, params.n2)
-        self.pmask = (to_band(grid, plane_mask(grid, config.plane))
+        self.pmask = (plane_mask(grid, config.plane)
                       if config.restrict_to_plane else None)
-        src = config.source.realize(grid, params)
-        if config.linearized and src is not None:
+        self.src = config.source.realize(grid, params)
+        if config.linearized and self.src is not None:
             raise ValueError("a source term makes no sense in a linearized run")
-        self.src = None if src is None else to_band(grid, src)
         # the four stage right-hand sides, then the stage input, E2 c and
         # the next state
         (*self.outs, self.stage, self.E2c, self.next) = (
             np.empty(grid.band_shape, dtype=np.complex128) for _ in range(7))
-        self.c = to_band(grid, c)
+        self.c = c.copy()
         if self.pmask is not None:
             self.c *= self.pmask
 
     def rhs(self, cc, out):
-        """out <- the right-hand side at cc (both band-compact)."""
+        """out <- the right-hand side at cc."""
         if self.linearized:
             _cos_shift_sum(np.multiply(self.v_scale, cc, out=self.v), self.m,
                            out)
@@ -393,10 +392,6 @@ class _Stepper:
             nxt *= self.pmask
         self.c, self.next = nxt, c
 
-    def state(self):
-        """The state in a new full-layout array."""
-        return from_band(self.grid, self.c)
-
 
 def run(theta0, params, config, reference=None):
     """Integrate the scalar equation; returns (final field, diagnostics).
@@ -425,9 +420,9 @@ def run(theta0, params, config, reference=None):
     recs = {"t": [], "l2": [], "linf": [], "hs": [], "off": [],
             "eres": [], "ref": []}
 
-    def record(step, cc):
+    def record(step):
         t = step * dt
-        f = SpectralField(grid, cc)
+        f = SpectralField(grid, stepper.c)
         l2 = l2_norm(f)
         if not math.isfinite(l2):
             raise BlowUpError(
@@ -444,11 +439,11 @@ def run(theta0, params, config, reference=None):
             else math.nan)
         recs["eres"].append(
             math.nan if config.linearized
-            else energy_flux_residual(grid, cc, n2p))
+            else energy_flux_residual(grid, f.c, n2p, work=stepper.adv))
         recs["ref"].append(
             l2_norm(f - reference) if reference is not None else math.nan)
         if not config.linearized:
-            umax = velocity_max(grid, cc, n2p)
+            umax = velocity_max(grid, f.c, n2p, work=stepper.adv)
             cfl = dt * sum(u * b for u, b in zip(umax, grid.band))
             if cfl > 0.5:
                 warnings.warn(
@@ -457,15 +452,15 @@ def run(theta0, params, config, reference=None):
                     RuntimeWarning, stacklevel=2)
 
     wall0 = _time.perf_counter()
-    record(0, stepper.state())
+    record(0)
     for step in range(1, nsteps + 1):
         stepper.step()
         if step % config.record_every == 0 or step == nsteps:
-            record(step, stepper.state())
+            record(step)
     wall = _time.perf_counter() - wall0
 
     diag = _finalize(recs, config, reference, wall)
-    return SpectralField(grid, stepper.state()), diag
+    return SpectralField(grid, stepper.c), diag
 
 
 def _finalize(recs, config, reference, wall):

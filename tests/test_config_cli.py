@@ -414,6 +414,17 @@ class TestCli:
         assert res.exit_code == 2
         assert "stable" in res.output
 
+    def test_failed_run_leaves_no_out_directory(self, tmp_path):
+        # the box-4 optimum needs k3 = 13 on a grid whose band stops at 5
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[instability]\nbox = 4\nn = 16\n")
+        out = tmp_path / "out"
+        res = self.runner.invoke(main, [
+            "instability", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "does not fit the dealias band" in res.output
+        assert not out.exists()
+
     def test_illposedness_command(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
