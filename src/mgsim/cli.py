@@ -43,11 +43,13 @@ def _grid_from_cfg(cfg):
 
 
 def _parse_plane(text):
-    from .fields import PlaneSpec
+    from .symbol import PlaneSpec
 
     try:
-        num, _, den = text.partition("/")
-        return PlaneSpec(int(num), int(den) if den else 1)
+        num, slash, den = text.partition("/")
+        if not num.strip() or (slash and not den.strip()):
+            raise ValueError("empty numerator or denominator")
+        return PlaneSpec(int(num), int(den) if slash else 1)
     except ValueError as exc:
         raise click.ClickException(
             f"bad plane ratio {text!r} (expected e.g. 1/1 or 2/1): {exc}")
@@ -468,7 +470,7 @@ def plane_demo_cmd(config_path, out_dir):
         "control_sigma_star": f"{rep.control_sigma_ref:.9g}",
     }
     for arm in rep.arms:
-        tag = f"gamma_{arm.gamma:g}"
+        tag = f"gamma_{float(arm.gamma)!r}"
         write_diag_csv(arm.diag, out / f"restricted_{tag}.csv")
         extras[f"restricted_{tag}_off_plane_max"] = f"{arm.off_plane_max:.3g}"
         extras[f"restricted_{tag}_departure_factor"] = (

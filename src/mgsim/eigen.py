@@ -92,8 +92,8 @@ def _validate_mode(k1: int, k2: int, p: int = 1):
         raise ValueError(f"k1 must be a positive integer, got {k1}")
     if not (isinstance(k2, (int, np.integer)) and k2 >= 1):
         raise ValueError(f"k2 must be a positive integer, got {k2}")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not (isinstance(p, (int, np.integer)) and p >= 1):
+        raise ValueError(f"p must be a positive integer, got {p}")
 
 
 def _weights(P: int, k1s, k2s, params: PhysParams) -> tuple[np.ndarray, np.ndarray]:

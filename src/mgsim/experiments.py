@@ -20,7 +20,7 @@ from .eigen import (
     optimize_growth,
     solve_sigma_star,
 )
-from .fields import Grid, PlaneSpec, cosine_mode, l2_norm, sine_vertical
+from .fields import Grid, cosine_mode, l2_norm, sine_vertical
 from .solver import (
     Diagnostics,
     SolverConfig,
@@ -28,7 +28,7 @@ from .solver import (
     growth_rate_fit,
     run,
 )
-from .symbol import PhysParams, plane_bound_scan
+from .symbol import PhysParams, PlaneSpec, plane_bound_scan
 
 
 @dataclass
@@ -138,6 +138,8 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
     plane = plane if plane is not None else PlaneSpec(1, 1)
     if len(gammas) == 0:
         raise ValueError("gammas must name at least one dissipation order")
+    if len(set(gammas)) != len(gammas):
+        raise ValueError(f"gammas repeat a dissipation order: {tuple(gammas)}")
     if len(control_mode) != 3:
         raise ValueError(f"control_mode must be (k1, k2, k3), got {control_mode!r}")
     ck = tuple(int(v) for v in control_mode)

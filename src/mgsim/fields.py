@@ -25,9 +25,11 @@ per grid and per thread.  The in-place passes of ``inverse`` fill the zero
 padding (the out-of-band k2 columns, then the out-of-band k1 rows), so
 every call writes those zeros again before the pass.
 
-Norms are computed spectrally via Parseval with the conjugate-pair weight
-(2 for k3 > 0, 1 on the k3 = 0 plane; the band never reaches the Nyquist
-plane k3 = n3 / 2).
+Norms and inner products are computed spectrally by one Parseval kernel,
+:func:`parseval`, with the conjugate-pair weight (2 for k3 > 0, 1 on the
+k3 = 0 plane; the band never reaches the Nyquist plane k3 = n3 / 2) and
+|k|^(2 s) from :func:`ksq_power`.  :class:`PlaneSpec` lives in ``symbol``
+and is re-exported here.
 """
 
 import math
@@ -39,7 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import SnapshotFormatError
-from .symbol import symbol_components
+from .symbol import PlaneSpec, symbol_components
 
 TORUS_VOLUME = (2.0 * np.pi) ** 3
 
@@ -112,6 +114,13 @@ def wavenumbers(grid):
 def ksq_array(grid):
     K1, K2, K3 = wavenumbers(grid)
     return (K1 * K1 + K2 * K2 + K3 * K3).astype(np.float64)
+
+
+@lru_cache(maxsize=None)
+def ksq_power(grid, s):
+    """|k|^(2 s) on the band, 0 at k = 0."""
+    ksq = ksq_array(grid)
+    return np.where(ksq > 0.0, np.where(ksq > 0.0, ksq, 1.0) ** s, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -299,9 +308,17 @@ class SpectralField:
             raise ValueError("fields live on different grids")
 
 
+def parseval(grid, a, b=None, weight=1.0):
+    """Parseval sum (2 pi)^3 sum_k weight(k) Re(a(k) conj(b(k))) over all k.
+
+    With ``b`` absent the summand is |a|^2 (not rounded as Re(a conj(a))).
+    """
+    prod = np.abs(a) ** 2 if b is None else (a * np.conj(b)).real
+    return TORUS_VOLUME * float(np.sum(mode_weights(grid) * weight * prod))
+
+
 def l2_norm(field):
-    w = mode_weights(field.grid)
-    return math.sqrt(TORUS_VOLUME * float(np.sum(w * np.abs(field.c) ** 2)))
+    return math.sqrt(parseval(field.grid, field.c))
 
 
 def linf_norm(field):
@@ -311,15 +328,8 @@ def linf_norm(field):
 
 def hs_norm(field, s):
     """Homogeneous Sobolev seminorm of order s (s = 0 recovers the L2 norm)."""
-    w = mode_weights(field.grid)
-    ksq = ksq_array(field.grid)
-    if s == 0:
-        weight = np.ones_like(ksq)
-    else:
-        weight = np.where(ksq > 0.0, ksq, 1.0) ** s
-        weight = np.where(ksq > 0.0, weight, 0.0)
-    return math.sqrt(
-        TORUS_VOLUME * float(np.sum(w * weight * np.abs(field.c) ** 2)))
+    weight = 1.0 if s == 0 else ksq_power(field.grid, s)
+    return math.sqrt(parseval(field.grid, field.c, weight=weight))
 
 
 def zero_vertical_mean(field):
@@ -327,32 +337,6 @@ def zero_vertical_mean(field):
     out = field.copy()
     out.c[:, :, 0] = 0.0
     return out
-
-
-@dataclass(frozen=True)
-class PlaneSpec:
-    """The family of wavevectors with q_den * k2 = q_num * k1 (all k3).
-
-    The ratio is held in lowest terms; q_den >= 1.
-    """
-
-    q_num: int
-    q_den: int
-
-    def __post_init__(self):
-        if not (isinstance(self.q_num, int) and isinstance(self.q_den, int)):
-            raise ValueError("plane ratio components must be integers")
-        if self.q_den < 1:
-            raise ValueError(f"q_den must be >= 1, got {self.q_den}")
-        if math.gcd(abs(self.q_num), self.q_den) != 1:
-            raise ValueError(
-                f"plane ratio {self.q_num}/{self.q_den} is not in lowest terms")
-
-    def contains(self, k1, k2):
-        return k2 * self.q_den == self.q_num * k1
-
-    def __str__(self):
-        return f"{self.q_num}/{self.q_den}"
 
 
 @lru_cache(maxsize=None)
@@ -369,10 +353,8 @@ def project_plane(field, plane):
 
 def off_plane_norm(field, plane):
     """L2 norm of the component supported off the plane."""
-    w = mode_weights(field.grid)
-    mask = ~plane_mask(field.grid, plane)
-    return math.sqrt(
-        TORUS_VOLUME * float(np.sum(w * mask * np.abs(field.c) ** 2)))
+    return math.sqrt(parseval(field.grid, field.c,
+                              weight=~plane_mask(field.grid, plane)))
 
 
 def cosine_mode(grid, kvec, amplitude=1.0):
@@ -435,6 +417,13 @@ def write_snapshot(field, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _snapshot_number(kind, text):
+    """int or float of ``text``: ASCII only, and no underscore separators."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not an ASCII {kind.__name__} literal")
+    return kind(text)
+
+
 def read_snapshot(path):
     """Read a field written by :func:`write_snapshot`.
 
@@ -458,7 +447,7 @@ def read_snapshot(path):
     if len(head) != 5 or head[0] != _SNAPSHOT_MAGIC or head[1] != _SNAPSHOT_VERSION:
         raise SnapshotFormatError(f"{path}: bad header {raw[0][1]!r}")
     try:
-        n1, n2, n3 = (int(t) for t in head[2:])
+        n1, n2, n3 = (_snapshot_number(int, t) for t in head[2:])
         grid = Grid(n1, n2, n3)
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: bad grid in header: {exc}") from exc
@@ -470,8 +459,8 @@ def read_snapshot(path):
             raise SnapshotFormatError(
                 f"{path}:{lineno}: expected 'k1 k2 k3 re im', got {line!r}")
         try:
-            k1, k2, k3 = int(parts[0]), int(parts[1]), int(parts[2])
-            re, im = float(parts[3]), float(parts[4])
+            k1, k2, k3 = (_snapshot_number(int, t) for t in parts[:3])
+            re, im = (_snapshot_number(float, t) for t in parts[3:])
         except ValueError as exc:
             raise SnapshotFormatError(f"{path}:{lineno}: {exc}") from exc
         if k3 < 0 or k3 > b3 or abs(k1) > b1 or abs(k2) > b2:

@@ -19,8 +19,9 @@ is formed by slicing the spectrum: a linearized step makes no transforms.
 ``run`` copies the initial coefficients (which, like every spectral array
 of ``fields``, hold the dealias band and nothing else) into a private
 stepper that builds every factor and buffer of the run once; each record
-reads the stepper's state in place, through the stepper's own advection
-work arrays.
+reads the stepper's state in place.  The advection product's buffers are
+kept per grid and thread, as the transforms' work arrays are, so no call
+builds them again.
 
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry
@@ -37,32 +38,34 @@ which the multiplier stays bounded.
 """
 
 import math
+import threading
 import time as _time
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import BlowUpError, GrowthCapError
 from .eigen import _closed_form_bounds
 from .fields import (
-    PlaneSpec,
     SpectralField,
-    TORUS_VOLUME,
     _conjugate_plane,
     forward,
     hs_norm,
     inverse,
-    ksq_array,
+    ksq_power,
     l2_norm,
     linf_norm,
-    mode_weights,
     multiplier_arrays,
     off_plane_norm,
+    parseval,
     plane_mask,
+    sine_vertical,
     wavenumbers,
 )
-from .symbol import PhysParams
+from .symbol import PhysParams, PlaneSpec
 
 _GROWTH_CAP = 30.0  # refuse runs that would amplify any resolvable mode past e^30
 
@@ -99,11 +102,7 @@ class SourceSpec:
                 raise ValueError("custom source lives on a different grid")
             return self.custom.c.copy()
         amp = params.eps_kappa * float(self.m) ** (2.0 * params.gamma)
-        if amp == 0.0:
-            return None
-        f = SpectralField.zeros(grid)
-        f.set_coeff(0, 0, self.m, -0.5j * amp)
-        return f.c
+        return None if amp == 0.0 else sine_vertical(grid, self.m, amp).c
 
     def supported_on(self, plane):
         if self.kind == "none":
@@ -173,6 +172,7 @@ class Diagnostics:
     wall_seconds: float = 0.0
 
     HEADER = "t,l2,linf,hs,off_plane,energy_residual"
+    SERIES = ("l2", "linf", "hs", "off_plane", "energy_residual", "ref_l2")
 
     def rows(self):
         for i, t in enumerate(self.times):
@@ -186,49 +186,42 @@ def velocity_coefficients(grid, c, n2_phys):
     return m1 * c, m2 * c, m3 * c
 
 
-class _AdvectionWork:
-    """The factors i k_j and M_j on the band, and work buffers.
+@lru_cache(maxsize=None)
+def _advection_work(grid, thread):
+    """The factors i k_j on the band, and one thread's buffers.
 
     ``spec`` takes one spectral product at a time; ``u``, ``grad`` and
-    ``prod`` are the physical-space arrays of the advection product.
+    ``prod`` are the physical-space arrays of the advection product.  As
+    with the transforms' work arrays, no function returns one of them.
+    Nothing here depends on N^2, so a sweep over N^2 adds no buffers.
     """
-
-    def __init__(self, grid, n2_phys):
-        self.ik = tuple(1j * k for k in wavenumbers(grid))
-        self.m = multiplier_arrays(grid, n2_phys)
-        self.spec = np.empty(grid.band_shape, dtype=np.complex128)
-        self.u, self.grad, self.prod = (np.empty(grid.shape) for _ in range(3))
+    u, grad, prod = (np.empty(grid.shape) for _ in range(3))
+    return SimpleNamespace(ik=tuple(1j * k for k in wavenumbers(grid)), u=u,
+                           grad=grad, prod=prod,
+                           spec=np.empty(grid.band_shape, dtype=np.complex128))
 
 
-def velocity_max(grid, c, n2_phys, work=None):
-    """Max-norm of each physical velocity component.
-
-    ``work`` (an ``_AdvectionWork``) holds the multipliers and buffers, and
-    is built for the call when absent.
-    """
-    if work is None:
-        work = _AdvectionWork(grid, n2_phys)
+def velocity_max(grid, c, n2_phys):
+    """Max-norm of each physical velocity component."""
+    work = _advection_work(grid, threading.get_ident())
     umax = []
-    for m in work.m:
+    for m in multiplier_arrays(grid, n2_phys):
         u = inverse(grid, np.multiply(m, c, out=work.spec), out=work.u)
         umax.append(float(max(u.max(), -u.min())))
     return tuple(umax)
 
 
-def advection_coefficients(grid, c, n2_phys, out=None, work=None):
+def advection_coefficients(grid, c, n2_phys, out=None):
     """Dealiased coefficients of u . grad theta, restricted to k3 != 0.
 
-    ``work`` (an ``_AdvectionWork``) holds the factors and buffers, and is
-    built for the call when absent.  The result goes into ``out`` when
-    given, else into a new array.  One velocity component at a time goes
-    through the work buffers, so a call given ``work`` and ``out``
-    allocates no array of the grid's size.
+    The result goes into ``out`` when given, else into a new array.  One
+    velocity component at a time goes through the work buffers, so a call
+    given ``out`` allocates no array of the grid's size.
     """
-    if work is None:
-        work = _AdvectionWork(grid, n2_phys)
+    work = _advection_work(grid, threading.get_ident())
     prod = work.prod
     prod.fill(0.0)
-    for ik, m in zip(work.ik, work.m):
+    for ik, m in zip(work.ik, multiplier_arrays(grid, n2_phys)):
         u = inverse(grid, np.multiply(m, c, out=work.spec), out=work.u)
         u *= inverse(grid, np.multiply(ik, c, out=work.spec), out=work.grad)
         prod += u
@@ -256,24 +249,18 @@ def _cos_shift_sum(v, m, out):
     return out
 
 
-def _inner(grid, a, b):
-    w = mode_weights(grid)
-    return TORUS_VOLUME * float(np.sum(w * (a * np.conj(b)).real))
-
-
-def energy_flux_residual(grid, c, n2_phys, work=None):
+def energy_flux_residual(grid, c, n2_phys):
     """Relative defect of advective energy neutrality.
 
     Divergence-free transport is energy neutral, <u . grad theta, theta> = 0.
     Returns 2 <adv, theta> / ||theta||^2; for a resolved dealiased field this
-    sits at the rounding floor.  ``work`` is passed to
-    :func:`advection_coefficients`.
+    sits at the rounding floor.
     """
-    nrm2 = _inner(grid, c, c)
+    nrm2 = parseval(grid, c, c)
     if nrm2 == 0.0:
         return 0.0
-    adv = advection_coefficients(grid, c, n2_phys, work=work)
-    return 2.0 * _inner(grid, adv, c) / nrm2
+    adv = advection_coefficients(grid, c, n2_phys)
+    return 2.0 * parseval(grid, adv, c) / nrm2
 
 
 def _max_resolvable_growth(grid, params):
@@ -313,9 +300,7 @@ class _Stepper:
     def __init__(self, grid, params, config, c):
         dt = self.dt = config.dt
         self.grid, self.n2p, self.scheme = grid, params.n2, config.scheme
-        ksq = ksq_array(grid)
-        diss = params.eps_kappa * np.where(ksq > 0.0, ksq, 1.0) ** params.gamma
-        diss = np.where(ksq > 0.0, diss, 0.0)
+        diss = params.eps_kappa * ksq_power(grid, params.gamma)
         if config.scheme == "if_rk4":
             self.E = E = np.exp(-dt * diss)
             self.E2 = E2 = np.exp(-0.5 * dt * diss)
@@ -331,8 +316,6 @@ class _Stepper:
             self.v_scale = -0.5 * self.m * multiplier_arrays(
                 grid, params.n2)[2]
             self.v = np.empty(grid.band_shape, dtype=np.complex128)
-        else:
-            self.adv = _AdvectionWork(grid, params.n2)
         self.pmask = (plane_mask(grid, config.plane)
                       if config.restrict_to_plane else None)
         self.src = config.source.realize(grid, params)
@@ -353,7 +336,7 @@ class _Stepper:
                            out)
             out[:, :, 0] = 0.0
             return out
-        advection_coefficients(self.grid, cc, self.n2p, out=out, work=self.adv)
+        advection_coefficients(self.grid, cc, self.n2p, out=out)
         np.negative(out, out=out)
         if self.src is not None:
             out += self.src
@@ -439,11 +422,11 @@ def run(theta0, params, config, reference=None):
             else math.nan)
         recs["eres"].append(
             math.nan if config.linearized
-            else energy_flux_residual(grid, f.c, n2p, work=stepper.adv))
+            else energy_flux_residual(grid, f.c, n2p))
         recs["ref"].append(
             l2_norm(f - reference) if reference is not None else math.nan)
         if not config.linearized:
-            umax = velocity_max(grid, f.c, n2p, work=stepper.adv)
+            umax = velocity_max(grid, f.c, n2p)
             cfl = dt * sum(u * b for u, b in zip(umax, grid.band))
             if cfl > 0.5:
                 warnings.warn(
@@ -485,9 +468,12 @@ def growth_rate_fit(diag, t_start, t_stop, series="l2"):
     (rate, r_squared).  Raises ValueError if the window holds fewer than two
     records or the series is not strictly positive there.
     """
-    y = getattr(diag, series) if series != "ref_l2" else diag.ref_l2
+    y = getattr(diag, series) if series in Diagnostics.SERIES else None
     if y is None:
-        raise ValueError(f"series {series!r} was not recorded")
+        recorded = ", ".join(
+            s for s in Diagnostics.SERIES if getattr(diag, s) is not None)
+        raise ValueError(
+            f"series {series!r} was not recorded; recorded: {recorded}")
     t = diag.times
     sel = (t >= t_start) & (t <= t_stop) & np.isfinite(y)
     if np.count_nonzero(sel) < 2:

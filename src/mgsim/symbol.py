@@ -20,6 +20,10 @@ the balance is only inverted off that plane.  The multiplier is even,
 divergence-free (k . M(k) = 0), and grows linearly (|M(k)| <= C |k|) with
 the rate saturated along curved families such as k = (j^2, j, 1).
 
+`PlaneSpec` names the rational planes q_den k2 = q_num k1, on which the
+multiplier stays bounded; the plane and box scans filter one lattice
+helper through it.
+
 `balance_oracle` solves the original 7x7 mode-wise balance system directly
 (velocity, perturbation field, pressure) with dense linear algebra and is
 kept deliberately independent of the closed forms above so each can check
@@ -70,11 +74,42 @@ class PhysParams:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
 
 
+@dataclass(frozen=True)
+class PlaneSpec:
+    """The family of wavevectors with q_den * k2 = q_num * k1 (all k3).
+
+    The ratio is held in lowest terms; q_den >= 1.
+    """
+
+    q_num: int
+    q_den: int
+
+    def __post_init__(self):
+        if not all(isinstance(q, (int, np.integer))
+                   for q in (self.q_num, self.q_den)):
+            raise ValueError("plane ratio components must be integers")
+        if self.q_den < 1:
+            raise ValueError(f"q_den must be >= 1, got {self.q_den}")
+        if math.gcd(abs(self.q_num), self.q_den) != 1:
+            raise ValueError(
+                f"plane ratio {self.q_num}/{self.q_den} is not in lowest terms")
+
+    def contains(self, k1, k2):
+        return k2 * self.q_den == self.q_num * k1
+
+    def __str__(self):
+        return f"{self.q_num}/{self.q_den}"
+
+
+def _denominator(K1, K2, K3, n2: float):
+    """(|k|^2, D(k) = N^4 |k|^2 k3^2 + k2^4) on floats or float arrays."""
+    ksq = K1 * K1 + K2 * K2 + K3 * K3
+    return ksq, n2 * n2 * ksq * K3 * K3 + K2 ** 4
+
+
 def eval_denominator(k: Wavevector, n2: float) -> float:
     """Denominator D(k) = N^4 |k|^2 k3^2 + k2^4 of the multiplier."""
-    k1, k2, k3 = k
-    ksq = float(k1 * k1 + k2 * k2 + k3 * k3)
-    return n2 * n2 * ksq * float(k3 * k3) + float(k2) ** 4
+    return float(_denominator(*(float(v) for v in k), n2)[1])
 
 
 def eval_symbol(k: Wavevector, n2: float) -> tuple[float, float, float]:
@@ -95,12 +130,9 @@ def symbol_components(K1, K2, K3, n2: float):
     (M1, M2, M3) : float ndarrays of the broadcast shape, with the
         convention value 0 on {k3 = 0}.
     """
-    K1 = np.asarray(K1, dtype=np.float64)
-    K2 = np.asarray(K2, dtype=np.float64)
-    K3 = np.asarray(K3, dtype=np.float64)
-    ksq = K1 * K1 + K2 * K2 + K3 * K3
+    K1, K2, K3 = (np.asarray(K, dtype=np.float64) for K in (K1, K2, K3))
+    ksq, d = _denominator(K1, K2, K3, n2)
     n4 = n2 * n2
-    d = n4 * ksq * K3 * K3 + K2 ** 4
     # D vanishes only where k2 = k3 = 0; those entries are zeroed below
     # along with the rest of the k3 = 0 plane.
     safe = np.where(d == 0.0, 1.0, d)
@@ -175,6 +207,19 @@ def balance_oracle_batch(kvecs: np.ndarray, n2: float) -> np.ndarray:
     return sol[:, :3]
 
 
+def _lattice(kmax: int, plane: PlaneSpec | None = None):
+    """Flat (k1, k2, k3) of the nonzero lattice points with |k|_inf <= kmax
+    (on ``plane`` when given), in C order."""
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    rng = np.arange(-kmax, kmax + 1, dtype=np.int64)
+    K1, K2, K3 = np.meshgrid(rng, rng, rng, indexing="ij")
+    keep = (K1 != 0) | (K2 != 0) | (K3 != 0)
+    if plane is not None:
+        keep &= plane.contains(K1, K2)
+    return K1[keep], K2[keep], K3[keep]
+
+
 def plane_bound_scan(q_num: int, q_den: int, kmax: int, n2: float) -> float:
     """Empirical sup of max_j |M_j| over the rational vertical plane.
 
@@ -184,18 +229,8 @@ def plane_bound_scan(q_num: int, q_den: int, kmax: int, n2: float) -> float:
     intersected with the box |k|_inf <= kmax, and for kmax past a modest
     threshold it plateaus at the plane's sharp constant.
     """
-    if q_den <= 0:
-        raise ValueError(f"q_den must be a positive integer, got {q_den}")
-    if math.gcd(abs(q_num), q_den) != 1:
-        raise ValueError(f"q_num/q_den must be in lowest terms, got {q_num}/{q_den}")
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
-    rng = np.arange(-kmax, kmax + 1, dtype=np.int64)
-    K1, K2, K3 = np.meshgrid(rng, rng, rng, indexing="ij")
-    mask = (K2 * q_den == q_num * K1)
-    m1, m2, m3 = symbol_components(K1[mask], K2[mask], K3[mask], n2)
-    comp_max = np.maximum(np.abs(m1), np.maximum(np.abs(m2), np.abs(m3)))
-    return float(comp_max.max())
+    comps = symbol_components(*_lattice(kmax, PlaneSpec(q_num, q_den)), n2)
+    return float(max(np.abs(m).max() for m in comps))
 
 
 def growth_scan(j_max: int, n2: float) -> list[tuple[int, float, float]]:
@@ -207,14 +242,11 @@ def growth_scan(j_max: int, n2: float) -> list[tuple[int, float, float]]:
     """
     if j_max < 2:
         raise ValueError(f"j_max must be >= 2, got {j_max}")
-    rows = []
-    for j in range(2, j_max + 1):
-        k = (j * j, j, 1)
-        knorm = math.sqrt(float(k[0] ** 2 + k[1] ** 2 + k[2] ** 2))
-        m = eval_symbol(k, n2)
-        mnorm = math.sqrt(m[0] ** 2 + m[1] ** 2 + m[2] ** 2)
-        rows.append((j, knorm, mnorm))
-    return rows
+    js = range(2, j_max + 1)
+    m1, m2, m3 = symbol_components([j * j for j in js], js, 1, n2)
+    mnorm = np.sqrt(m1 * m1 + m2 * m2 + m3 * m3)
+    return [(j, math.sqrt(float(j ** 4 + j * j + 1)), float(m))
+            for j, m in zip(js, mnorm)]
 
 
 def scan_box(kmax: int, n2: float, plane: tuple[int, int] | None = None):
@@ -227,19 +259,7 @@ def scan_box(kmax: int, n2: float, plane: tuple[int, int] | None = None):
 
     This backs the ``symbol-scan`` command's CSV output.
     """
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
-    rng = np.arange(-kmax, kmax + 1, dtype=np.int64)
-    K1, K2, K3 = np.meshgrid(rng, rng, rng, indexing="ij")
-    keep = ~((K1 == 0) & (K2 == 0) & (K3 == 0))
-    if plane is not None:
-        q_num, q_den = plane
-        if q_den <= 0 or math.gcd(abs(q_num), q_den) != 1:
-            raise ValueError(f"plane must be coprime with q_den > 0, got {plane}")
-        keep &= (K2 * q_den == q_num * K1)
-    k1 = K1[keep]
-    k2 = K2[keep]
-    k3 = K3[keep]
+    k1, k2, k3 = _lattice(kmax, None if plane is None else PlaneSpec(*plane))
     m1, m2, m3 = symbol_components(k1, k2, k3, n2)
     mnorm = np.sqrt(m1 * m1 + m2 * m2 + m3 * m3)
     knorm = np.sqrt((k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64))

@@ -2,8 +2,10 @@
 
 `perfbench/run.py --trace 1` wraps every (module, attr) pair listed in
 `perfbench/metrics.py`'s SPANS and fails if one is missing, and
-`perfbench/workloads.py` warms the `fields` caches by name, so a rename in
-the package must not slip past the test suite.  The files are parsed, not
+`perfbench/workloads.py` warms the `fields` caches by name, and the
+record's callees in `RECORD_CALLEES` are timed where `run` looks them up, so
+a rename or a bypassed lookup in the package must not slip past the test
+suite.  The files are parsed, not
 imported: they import perfbench's own helpers by bare module name.
 """
 
@@ -53,3 +55,48 @@ def test_workload_fields_names_resolve():
         assert callable(getattr(fields, name, None)), f"mgsim.fields.{name}"
     # perfbench reads the multiplier cache's hit ratio from cache_info()
     assert callable(getattr(fields.multiplier_arrays, "cache_info", None))
+
+
+def _record_callees():
+    """perfbench's RECORD_CALLEES, which it builds as ``NORMS + (...)``."""
+    scope = {}
+    for node in ast.parse(METRICS.read_text()).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None)
+                in ("NORMS", "RECORD_CALLEES")):
+            expr = compile(ast.Expression(node.value), str(METRICS), "eval")
+            scope[node.targets[0].id] = eval(expr, {"__builtins__": {}},
+                                             scope)
+    return scope["RECORD_CALLEES"]
+
+
+def test_record_calls_every_traced_callee_through_solver(monkeypatch):
+    # perfbench times `run`'s record by its edges to these callees, which it
+    # wraps where `run` looks them up: in mgsim.solver's namespace
+    from mgsim.fields import Grid, PlaneSpec, cosine_mode, sine_vertical
+    from mgsim.symbol import PhysParams
+    import mgsim.solver as solver
+
+    callees = _record_callees()
+    assert len(callees) == 6
+    calls = dict.fromkeys(callees, 0)
+    for name in callees:
+        module, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"mgsim.{module}"), attr)
+        assert getattr(solver, attr) is fn, f"mgsim.solver.{attr}"
+
+        def counted(*args, name=name, fn=fn, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver, attr, counted)
+    grid = Grid(16, 16, 16)
+    background = sine_vertical(grid, 1)
+    config = solver.SolverConfig(
+        dt=0.01, t_end=0.05, record_every=1, plane=PlaneSpec(1, 1),
+        source=solver.SourceSpec("steady_balance", m=1))
+    solver.run(background + cosine_mode(grid, (1, 1, 1), 1e-3),
+               PhysParams(eps_kappa=0.05), config, reference=background)
+    # six records; l2_norm twice per record, for the state and the reference
+    assert calls == {name: 12 if name == "fields.l2_norm" else 6
+                     for name in callees}

@@ -478,6 +478,48 @@ class TestCli:
             main, ["symbol-scan", "--plane", "x/y", "--out", str(out)])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("ratio", ["2/", "/2", "2/ ", "/"])
+    def test_plane_ratio_needs_both_parts(self, tmp_path, ratio):
+        # an empty part must not default to 1: "2/" is not the plane 2/1
+        res = self.runner.invoke(main, [
+            "symbol-scan", "--kmax", "2", "--plane", ratio,
+            "--out", str(tmp_path / "scan.csv")])
+        assert res.exit_code == 1
+        assert "empty numerator or denominator" in res.output
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EVOLVE_CFG + f"[plane]\nq = {ratio}\n")
+        res = self.runner.invoke(main, [
+            "evolve", "--config", str(cfg), "--init", "mode:1,1,2,0.5",
+            "--out-diag", str(tmp_path / "diag.csv")])
+        assert res.exit_code == 1
+        assert "empty numerator or denominator" in res.output
+
+    def test_plane_demo_arm_files_keep_nearby_gammas_apart(self, tmp_path):
+        # "{:g}" formats both gammas as 0.5, so one arm's file would
+        # overwrite the other's
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[plane_demo]\nn = 8\ndt = 0.05\nt_end = 0.5\n"
+                       "record_every = 1\ngammas = 0.5, 0.5000001\n")
+        out = tmp_path / "o"
+        res = self.runner.invoke(main, [
+            "plane-demo", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert sorted(p.name for p in out.glob("restricted_*.csv")) == [
+            "restricted_gamma_0.5.csv", "restricted_gamma_0.5000001.csv"]
+        text = (out / "manifest.txt").read_text()
+        assert "restricted_gamma_0.5_off_plane_max" in text
+        assert "restricted_gamma_0.5000001_off_plane_max" in text
+
+    def test_plane_demo_rejects_repeated_gamma(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[plane_demo]\nn = 8\ngammas = 0.3, 0.5, 0.3\n")
+        out = tmp_path / "o"
+        res = self.runner.invoke(main, [
+            "plane-demo", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 1
+        assert "gammas repeat a dissipation order" in res.output
+        assert not out.exists()
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -62,6 +62,14 @@ class TestAlpha:
         with pytest.raises(ValueError):
             alpha(0, 1, 1, CANON)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, "2"])
+    def test_rejects_non_integer_p(self, p):
+        # a fractional p must not be rounded to a neighbouring depth
+        with pytest.raises(ValueError, match="p must be a positive integer"):
+            alpha(p, 1, 1, CANON)
+        with pytest.raises(ValueError, match="p must be a positive integer"):
+            sigma_shifted(0.0, p, 1, 1, CANON)
+
 
 class TestSigmaShifted:
     def test_laplacian_shift(self):

@@ -16,6 +16,7 @@ from mgsim.symbol import PhysParams
     (dict(control_mode=(1, 2)), "control_mode"),
     (dict(control_mode=(1, 2, 1, 4)), "control_mode"),
     (dict(control_mode=(2, 2, 1)), "control_mode .* lies on the plane"),
+    (dict(gammas=(0.3, 0.5, 0.3)), "gammas repeat"),
 ])
 def test_plane_demo_rejects_bad_arguments_before_any_run(monkeypatch, kwargs,
                                                          match):

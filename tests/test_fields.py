@@ -35,6 +35,7 @@ from mgsim.fields import (
     write_snapshot,
     zero_vertical_mean,
 )
+from mgsim.solver import advection_coefficients
 
 G16 = Grid(16, 16, 16)
 SNAPSHOT_16x32x24 = Path(__file__).parent / "data" / "snapshot_16x32x24.txt"
@@ -161,18 +162,24 @@ def test_transform_layout_parity(grid):
 
 
 def test_transforms_from_threads():
-    # the work arrays are kept per grid and per thread; threads sharing one
-    # set would read each other's passes
+    # the work arrays of the transforms and of the advection product are
+    # kept per grid and per thread; threads sharing one set would read each
+    # other's passes
     grid = Grid(24, 24, 24)
     rng = np.random.default_rng(8)
     inputs = [rng.standard_normal(grid.shape) for _ in range(4)]
     expected = [inverse(grid, forward(grid, v)) for v in inputs]
+    coeffs = [forward(grid, v) for v in inputs]
+    expected_adv = [advection_coefficients(grid, c, 1.0) for c in coeffs]
     wrong = []
 
     def worker(i):
         for _ in range(50):
             if not np.array_equal(inverse(grid, forward(grid, inputs[i])),
                                   expected[i]):
+                wrong.append(i)
+            if not np.array_equal(advection_coefficients(grid, coeffs[i], 1.0),
+                                  expected_adv[i]):
                 wrong.append(i)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
@@ -383,6 +390,28 @@ class TestSnapshots:
         path = tmp_path / "bad.txt"
         path.write_text(f"MGFIELD v1 16 16 16\n\n1 2 3 {re_im}\n")
         with pytest.raises(SnapshotFormatError, match=":3: non-finite"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("text,match", [
+        # int() and float() accept all of these; the writer never emits them
+        ("MGFIELD v1 1_6 16 16\n", r"bad grid in header: '1_6' is not an "
+                                    r"ASCII int literal"),
+        ("MGFIELD v1 \uff11\uff16 16 16\n", r"bad grid in header: .* is "
+                                             r"not an ASCII int literal"),
+        ("MGFIELD v1 16 16 16\n0_1 1 1 0.5 0.0\n",
+         r":2: '0_1' is not an ASCII int literal"),
+        ("MGFIELD v1 16 16 16\n0 0 1 0.0 -0.5\n1 2 3 1_0.5 0.0\n",
+         r":3: '1_0.5' is not an ASCII float literal"),
+        ("MGFIELD v1 16 16 16\n1 \u0662 3 0.5 0.0\n",
+         r":2: .* is not an ASCII int literal"),
+        ("MGFIELD v1 16 16 16\n1 2 3 0.5 \uff10.5\n",
+         r":2: .* is not an ASCII float literal"),
+    ])
+    def test_rejects_numbers_the_writer_never_writes(self, tmp_path, text,
+                                                     match):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SnapshotFormatError, match=match):
             read_snapshot(path)
 
     def test_repeated_wavevector(self, tmp_path):

@@ -447,6 +447,17 @@ class TestGrowthRateFit:
         with pytest.raises(ValueError):
             growth_rate_fit(diag, 0.0, 1.0, series="ref_l2")
 
+    @pytest.mark.parametrize("series", ["bogus", "hs_order", "plane",
+                                        "times", "ref_l2"])
+    def test_unknown_series_names_the_recorded_ones(self, series):
+        par = PhysParams(eps_kappa=0.1)
+        _, diag = run(cosine_mode(G16, (1, 1, 1)), par,
+                      SolverConfig(dt=0.01, t_end=0.1))
+        with pytest.raises(ValueError, match=(
+                f"series '{series}' was not recorded; recorded: l2, linf, "
+                f"hs, off_plane, energy_residual$")):
+            growth_rate_fit(diag, 0.0, 1.0, series=series)
+
     def test_requires_two_records(self):
         par = PhysParams(eps_kappa=0.1)
         _, diag = run(cosine_mode(G16, (1, 1, 1)), par,

@@ -129,6 +129,7 @@ class TestPlaneBound:
         assert 1.95 < c <= 2.0
         c4 = plane_bound_scan(1, 1, 64, 2.0)
         assert 3.9 < c4 <= 4.0
+        assert plane_bound_scan(np.int64(1), np.int64(1), 64, 1.0) == c
 
     def test_plane_bounded_while_offplane_grows(self):
         c = plane_bound_scan(1, 2, 32, 1.0)
@@ -141,6 +142,9 @@ class TestPlaneBound:
             plane_bound_scan(2, 4, 8, 1.0)
         with pytest.raises(ValueError):
             plane_bound_scan(1, 0, 8, 1.0)
+        for plane in [(2, 4), (1, 0), (1, -1)]:
+            with pytest.raises(ValueError):
+                next(scan_box(4, 1.0, plane=plane))
 
 
 class TestGrowthScan:
