@@ -16,6 +16,7 @@ from . import __version__
 from .errors import ConfigError, MGError, NoRootError
 from .config import (
     get_bool, get_float, get_floats, get_int, get_ints, get_str, load_config,
+    number_literal,
 )
 from .symbol import PhysParams
 
@@ -49,7 +50,8 @@ def _parse_plane(text):
         num, slash, den = text.partition("/")
         if not num.strip() or (slash and not den.strip()):
             raise ValueError("empty numerator or denominator")
-        return PlaneSpec(int(num), int(den) if slash else 1)
+        return PlaneSpec(number_literal(int, num),
+                         number_literal(int, den) if slash else 1)
     except ValueError as exc:
         raise click.ClickException(
             f"bad plane ratio {text!r} (expected e.g. 1/1 or 2/1): {exc}")

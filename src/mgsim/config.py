@@ -103,16 +103,28 @@ def _get(cfg, key, default, convert):
     return val
 
 
+def number_literal(kind, text):
+    """int or float of ``text``: ASCII only, and no underscore separators.
+
+    Python's ``int`` and ``float`` also read ``1_6`` and non-ASCII digits
+    such as ``１６``; no file or option of this package is meant to hold
+    them.  Raises ValueError.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not an ASCII {kind.__name__} literal")
+    return kind(text)
+
+
 def _int(key, text):
     try:
-        return int(text)
+        return number_literal(int, text)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {text!r} is not an integer") from exc
 
 
 def _float(key, text):
     try:
-        out = float(text)
+        out = number_literal(float, text)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {text!r} is not a number") from exc
     if not math.isfinite(out):

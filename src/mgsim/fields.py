@@ -25,6 +25,10 @@ per grid and per thread.  The in-place passes of ``inverse`` fill the zero
 padding (the out-of-band k2 columns, then the out-of-band k1 rows), so
 every call writes those zeros again before the pass.
 
+A :class:`PlaneGrid`, the layout of a field confined to a plane, stands in
+for a ``Grid`` in the transforms and the cached wavenumber arrays; the
+passes along its x2 axis, of length one, are skipped.
+
 Norms and inner products are computed spectrally by one Parseval kernel,
 :func:`parseval`, with the conjugate-pair weight (2 for k3 > 0, 1 on the
 k3 = 0 plane; the band never reaches the Nyquist plane k3 = n3 / 2) and
@@ -34,12 +38,13 @@ and is re-exported here.
 
 import math
 import threading
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 
+from .config import number_literal
 from .errors import SnapshotFormatError
 from .symbol import PlaneSpec, symbol_components
 
@@ -100,13 +105,77 @@ class Grid:
         )
 
 
+@dataclass(frozen=True)
+class PlaneGrid:
+    """The layout of a field confined to a plane, theta = f(s, x3).
+
+    Off ``plane`` (q_den k2 = q_num k1) a field's coefficients vanish, so
+    it is a function of s = q_den x1 + q_num x2 and x3.  On ``grid``, s
+    takes N_s = lcm(n1 / gcd(n1, q_den), n2 / gcd(n2, |q_num|)) values,
+    each equally often, so the grid's forward coefficient at an in-band
+    wavevector (j q_den, j q_num, k3) is this layout's at (j, k3), aliases
+    included.  The shape is (N_s, 1, n3) and the band (J, 0, b3), with
+    J = min(b1 // q_den, b2 // |q_num|): the x2 axis is kept, with length
+    one, so every kernel written for the band layout runs unchanged.
+    ``gather`` and ``scatter`` move on-plane coefficients between the
+    grid's band and this layout.
+    """
+
+    grid: Grid
+    plane: PlaneSpec
+    n1: int = field(init=False, compare=False)
+    n3: int = field(init=False, compare=False)
+    band: tuple = field(init=False, compare=False)
+    n2 = 1
+
+    def __post_init__(self):
+        (n1, n2, n3), (b1, b2, b3) = self.grid.shape, self.grid.band
+        q_num, q_den = abs(self.plane.q_num), self.plane.q_den
+        n_s = math.lcm(n1 // math.gcd(n1, q_den), n2 // math.gcd(n2, q_num))
+        j_max = min(b1 // q_den, b2 // q_num) if q_num else b1 // q_den
+        object.__setattr__(self, "n1", n_s)
+        object.__setattr__(self, "n3", n3)
+        object.__setattr__(self, "band", (j_max, 0, b3))
+
+    @property
+    def shape(self):
+        return (self.n1, self.n2, self.n3)
+
+    @property
+    def band_shape(self):
+        return (2 * self.band[0] + 1, 1, self.band[2] + 1)
+
+    @cached_property
+    def index(self):
+        """Indices on ``grid``'s band of the layout's (j q_den, j q_num)."""
+        K1, K2, _ = wavenumbers(self)
+        r1, r2, _ = self.grid.band_shape
+        return K1[:, 0, 0] % r1, K2[:, 0, 0] % r2
+
+    def gather(self, c):
+        """A new array of the on-plane coefficients of ``grid``'s band ``c``."""
+        return c[self.index][:, None, :]
+
+    def scatter(self, c):
+        """A new band array of ``grid`` holding this layout's ``c``."""
+        out = np.zeros(self.grid.band_shape, dtype=np.complex128)
+        out[self.index] = c[:, 0, :]
+        return out
+
+
 @lru_cache(maxsize=None)
 def wavenumbers(grid):
-    """Integer wavenumber arrays (K1, K2, K3) broadcast over the band."""
+    """Integer wavenumber arrays (K1, K2, K3) broadcast over the band.
+
+    On a :class:`PlaneGrid` they are (j q_den, j q_num, k3).
+    """
     r1, r2, p3 = grid.band_shape
     k1 = np.fft.fftfreq(r1, d=1.0 / r1).astype(np.int64)
     k2 = np.fft.fftfreq(r2, d=1.0 / r2).astype(np.int64)
     k3 = np.arange(p3, dtype=np.int64)
+    if isinstance(grid, PlaneGrid):
+        k1, k2 = grid.plane.q_den * k1, grid.plane.q_num * k1
+        return k1[:, None, None], k2[:, None, None], k3[None, None, :]
     return k1[:, None, None], k2[None, :, None], k3[None, None, :]
 
 
@@ -186,10 +255,11 @@ def forward(grid, values, out=None):
     w = _work(grid, threading.get_ident())
     b1, b2, _ = grid.band
     p3 = w.x1.shape[2]
-    np.fft.rfft(values, axis=2, norm="forward", out=w.half)
-    np.fft.fft(w.half[:, :, :p3], axis=1, norm="forward", out=w.x1)
-    w.cols[:, :b2 + 1] = w.x1[:, :b2 + 1]
-    w.cols[:, b2 + 1:] = w.x1[:, grid.n2 - b2:]
+    x1 = np.fft.rfft(values, axis=2, norm="forward", out=w.half)[:, :, :p3]
+    if grid.n2 > 1:  # a pass of length one is the identity
+        x1 = np.fft.fft(x1, axis=1, norm="forward", out=w.x1)
+    w.cols[:, :b2 + 1] = x1[:, :b2 + 1]
+    w.cols[:, b2 + 1:] = x1[:, grid.n2 - b2:]
     np.fft.fft(w.cols, axis=0, norm="forward", out=w.cols)
     if out is None:
         out = np.empty(grid.band_shape, dtype=np.complex128)
@@ -217,7 +287,8 @@ def inverse(grid, coeffs, out=None):
     w.x2[:, :b2 + 1] = coeffs[:, :b2 + 1]
     w.x2[:, b2 + 1:n2 - b2] = 0.0
     w.x2[:, n2 - b2:] = coeffs[:, b2 + 1:]
-    np.fft.ifft(w.x2, axis=1, norm="forward", out=w.x2)
+    if n2 > 1:  # a pass of length one is the identity
+        np.fft.ifft(w.x2, axis=1, norm="forward", out=w.x2)
     w.x1[:b1 + 1] = w.x2[:b1 + 1]
     w.x1[b1 + 1:n1 - b1] = 0.0
     w.x1[n1 - b1:] = w.x2[b1 + 1:]
@@ -332,23 +403,10 @@ def hs_norm(field, s):
     return math.sqrt(parseval(field.grid, field.c, weight=weight))
 
 
-def zero_vertical_mean(field):
-    """Project out all modes with k3 = 0 (the vertical average)."""
-    out = field.copy()
-    out.c[:, :, 0] = 0.0
-    return out
-
-
 @lru_cache(maxsize=None)
 def plane_mask(grid, plane):
     K1, K2, _ = wavenumbers(grid)
     return np.broadcast_to(plane.contains(K1, K2), grid.band_shape).copy()
-
-
-def project_plane(field, plane):
-    out = field.copy()
-    out.c *= plane_mask(field.grid, plane)
-    return out
 
 
 def off_plane_norm(field, plane):
@@ -385,20 +443,6 @@ def sine_vertical(grid, m, amplitude=1.0):
     return f
 
 
-def shell_spectrum(field):
-    """Energy per integer wavenumber shell; returns (shells, energies).
-
-    The shells run from 0 up to the band's corner, round(|(b1, b2, b3)|).
-    """
-    w = mode_weights(field.grid)
-    kmag = np.rint(np.sqrt(ksq_array(field.grid))).astype(np.int64)
-    energy = TORUS_VOLUME * w * np.abs(field.c) ** 2
-    nshell = int(kmag.max()) + 1
-    out = np.zeros(nshell)
-    np.add.at(out, kmag.ravel(), energy.ravel())
-    return np.arange(nshell), out
-
-
 def write_snapshot(field, path):
     """Write the nonzero representatives as a plain-text table."""
     grid = field.grid
@@ -415,13 +459,6 @@ def write_snapshot(field, path):
             f"{c.real:.17g} {c.imag:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _snapshot_number(kind, text):
-    """int or float of ``text``: ASCII only, and no underscore separators."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"{text!r} is not an ASCII {kind.__name__} literal")
-    return kind(text)
 
 
 def read_snapshot(path):
@@ -447,7 +484,7 @@ def read_snapshot(path):
     if len(head) != 5 or head[0] != _SNAPSHOT_MAGIC or head[1] != _SNAPSHOT_VERSION:
         raise SnapshotFormatError(f"{path}: bad header {raw[0][1]!r}")
     try:
-        n1, n2, n3 = (_snapshot_number(int, t) for t in head[2:])
+        n1, n2, n3 = (number_literal(int, t) for t in head[2:])
         grid = Grid(n1, n2, n3)
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: bad grid in header: {exc}") from exc
@@ -459,8 +496,8 @@ def read_snapshot(path):
             raise SnapshotFormatError(
                 f"{path}:{lineno}: expected 'k1 k2 k3 re im', got {line!r}")
         try:
-            k1, k2, k3 = (_snapshot_number(int, t) for t in parts[:3])
-            re, im = (_snapshot_number(float, t) for t in parts[3:])
+            k1, k2, k3 = (number_literal(int, t) for t in parts[:3])
+            re, im = (number_literal(float, t) for t in parts[3:])
         except ValueError as exc:
             raise SnapshotFormatError(f"{path}:{lineno}: {exc}") from exc
         if k3 < 0 or k3 > b3 or abs(k1) > b1 or abs(k2) > b2:

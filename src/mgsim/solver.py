@@ -23,6 +23,13 @@ reads the stepper's state in place.  The advection product's buffers are
 kept per grid and thread, as the transforms' work arrays are, so no call
 builds them again.
 
+A run restricted to a plane steps on the plane's own layout,
+``fields.PlaneGrid``, with transforms over (s, x3), s = q_den x1 + q_num x2,
+so off-plane content is never stored; each record scatters the state back
+onto the grid's band.  The on-plane right-hand side is the grid's to
+rounding, except that the in-band aliases a product puts off the plane
+(on 2/1 at 24^3, (8, 16) lands on (8, -8)) are dropped.
+
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry
 no dynamics of their own and the evolution is kept on the zero-vertical-mean
@@ -50,6 +57,7 @@ import numpy as np
 from .errors import BlowUpError, GrowthCapError
 from .eigen import _closed_form_bounds
 from .fields import (
+    PlaneGrid,
     SpectralField,
     _conjugate_plane,
     forward,
@@ -61,7 +69,6 @@ from .fields import (
     multiplier_arrays,
     off_plane_norm,
     parseval,
-    plane_mask,
     sine_vertical,
     wavenumbers,
 )
@@ -118,11 +125,13 @@ class SolverConfig:
     """Run parameters.
 
     ``plane`` alone only adds the off-plane norm as a diagnostic column.
-    With ``restrict_to_plane`` the state is projected onto the plane after
-    every step (and once at t = 0): the restriction is an exact invariant
-    of the dynamics, but in ill-posed regimes rounding noise seeded off the
-    plane would otherwise amplify at unbounded rates and bury the confined
-    solution, so the invariant must be enforced rather than merely observed.
+    With ``restrict_to_plane`` the run steps on the plane's own layout, so
+    off-plane content is never stored (see the module docstring): the
+    initial data and the source keep only their on-plane coefficients.
+    The restriction is an exact invariant of the dynamics, but in ill-posed
+    regimes rounding noise seeded off the plane would otherwise amplify at
+    unbounded rates and bury the confined solution, so the invariant must
+    be enforced rather than merely observed.
     """
 
     dt: float
@@ -294,10 +303,20 @@ class _Stepper:
 
     The state is a copy of the initial coefficients; a step writes every
     right-hand side and stage into the buffers built here, so it allocates
-    no array of the grid's size.
+    no array of the grid's size.  A restricted run gathers the state and
+    the source onto the plane's layout once and builds every factor there.
     """
 
     def __init__(self, grid, params, config, c):
+        src = config.source.realize(grid, params)
+        if config.linearized and src is not None:
+            raise ValueError("a source term makes no sense in a linearized run")
+        if config.restrict_to_plane:
+            self.plane = grid = PlaneGrid(grid, config.plane)
+            self.c = grid.gather(c)
+            self.src = None if src is None else grid.gather(src)
+        else:
+            self.plane, self.c, self.src = None, c.copy(), src
         dt = self.dt = config.dt
         self.grid, self.n2p, self.scheme = grid, params.n2, config.scheme
         diss = params.eps_kappa * ksq_power(grid, params.gamma)
@@ -316,18 +335,14 @@ class _Stepper:
             self.v_scale = -0.5 * self.m * multiplier_arrays(
                 grid, params.n2)[2]
             self.v = np.empty(grid.band_shape, dtype=np.complex128)
-        self.pmask = (plane_mask(grid, config.plane)
-                      if config.restrict_to_plane else None)
-        self.src = config.source.realize(grid, params)
-        if config.linearized and self.src is not None:
-            raise ValueError("a source term makes no sense in a linearized run")
         # the four stage right-hand sides, then the stage input, E2 c and
         # the next state
         (*self.outs, self.stage, self.E2c, self.next) = (
             np.empty(grid.band_shape, dtype=np.complex128) for _ in range(7))
-        self.c = c.copy()
-        if self.pmask is not None:
-            self.c *= self.pmask
+
+    def state(self):
+        """The state on the grid's band (a new array for a restricted run)."""
+        return self.c if self.plane is None else self.plane.scatter(self.c)
 
     def rhs(self, cc, out):
         """out <- the right-hand side at cc."""
@@ -371,8 +386,6 @@ class _Stepper:
             r *= dt
             r += c
             np.multiply(self.implicit, r, out=nxt)
-        if self.pmask is not None:
-            nxt *= self.pmask
         self.c, self.next = nxt, c
 
 
@@ -405,7 +418,7 @@ def run(theta0, params, config, reference=None):
 
     def record(step):
         t = step * dt
-        f = SpectralField(grid, stepper.c)
+        f = SpectralField(grid, stepper.state())
         l2 = l2_norm(f)
         if not math.isfinite(l2):
             raise BlowUpError(
@@ -443,7 +456,7 @@ def run(theta0, params, config, reference=None):
     wall = _time.perf_counter() - wall0
 
     diag = _finalize(recs, config, reference, wall)
-    return SpectralField(grid, stepper.c), diag
+    return SpectralField(grid, stepper.state()), diag
 
 
 def _finalize(recs, config, reference, wall):

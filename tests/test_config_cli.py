@@ -4,6 +4,7 @@ import csv
 import re
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -14,7 +15,7 @@ from mgsim.config import (
     get_bool, get_float, get_floats, get_int, get_ints, get_str, load_config,
     parse_config,
 )
-from mgsim.cli import main
+from mgsim.cli import _parse_plane, main
 from mgsim.fields import Grid, PlaneSpec, cosine_mode, write_snapshot
 
 
@@ -73,6 +74,17 @@ class TestParseConfig:
                             (get_floats, "a.f"), (get_ints, "a.i")]:
             with pytest.raises(ConfigError, match=key):
                 getter(cfg, key)
+
+    @pytest.mark.parametrize("getter, text", [
+        (get_int, "1_6"), (get_int, "１６"), (get_float, "0.0_5"),
+        (get_float, "０.５"), (get_ints, "1, 1_6"), (get_floats, "0.1, 0.0_5"),
+    ])
+    def test_getters_reject_non_ascii_and_underscore_literals(self, getter,
+                                                              text):
+        # int() and float() read both; no config of this package holds them
+        cfg = parse_config(f"[a]\nx = {text}\n")
+        with pytest.raises(ConfigError, match=r"'a\.x'.*not an? "):
+            getter(cfg, "a.x")
 
     def test_reject_unused_names_exactly_the_unread_keys(self):
         cfg = parse_config(
@@ -493,6 +505,11 @@ class TestCli:
             "--out-diag", str(tmp_path / "diag.csv")])
         assert res.exit_code == 1
         assert "empty numerator or denominator" in res.output
+
+    @pytest.mark.parametrize("ratio", ["1_0/3", "１/２", "1/3_0"])
+    def test_plane_ratio_is_ascii_without_underscores(self, ratio):
+        with pytest.raises(click.ClickException, match="bad plane ratio"):
+            _parse_plane(ratio)
 
     def test_plane_demo_arm_files_keep_nearby_gammas_apart(self, tmp_path):
         # "{:g}" formats both gammas as 0.5, so one arm's file would

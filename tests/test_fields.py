@@ -15,6 +15,7 @@ from mgsim.symbol import PhysParams
 from mgsim.eigen import assemble_eigenfunction, solve_sigma_star
 from mgsim.fields import (
     Grid,
+    PlaneGrid,
     PlaneSpec,
     SpectralField,
     TORUS_VOLUME,
@@ -27,13 +28,10 @@ from mgsim.fields import (
     linf_norm,
     off_plane_norm,
     plane_mask,
-    project_plane,
     read_snapshot,
-    shell_spectrum,
     sine_vertical,
     wavenumbers,
     write_snapshot,
-    zero_vertical_mean,
 )
 from mgsim.solver import advection_coefficients
 
@@ -263,12 +261,6 @@ class TestModesAndNorms:
         assert hs_norm(f, 1.0) == 0.0
         assert l2_norm(f) > 0.0
 
-    def test_shell_spectrum_single_mode(self):
-        f = cosine_mode(G16, (2, 1, 2))
-        shells, energy = shell_spectrum(f)
-        assert energy[3] == pytest.approx(l2_norm(f) ** 2, rel=1e-13)
-        assert np.sum(energy) == pytest.approx(energy[3], rel=1e-13)
-
     def test_field_arithmetic(self):
         a = cosine_mode(G16, (1, 0, 1))
         b = cosine_mode(G16, (0, 1, 2))
@@ -308,12 +300,6 @@ class TestModesAndNorms:
 
 
 class TestProjections:
-    def test_zero_vertical_mean(self):
-        f = cosine_mode(G16, (1, 2, 0)) + sine_vertical(G16, 1)
-        g = zero_vertical_mean(f)
-        assert g.coeff(1, 2, 0) == 0.0
-        assert g.coeff(0, 0, 1) == -0.5j
-
     def test_plane_spec_membership(self):
         p = PlaneSpec(1, 1)
         assert p.contains(3, 3) and not p.contains(3, 2)
@@ -334,13 +320,71 @@ class TestProjections:
         both = on + off
         assert off_plane_norm(on, p) == 0.0
         assert off_plane_norm(both, p) == pytest.approx(l2_norm(off), rel=1e-13)
-        proj = project_plane(both, p)
-        assert np.max(np.abs(proj.c - on.c)) == 0.0
+        layout = PlaneGrid(G16, p)
+        proj = layout.scatter(layout.gather(both.c))
+        assert np.max(np.abs(proj - on.c)) == 0.0
 
     def test_plane_mask_includes_all_k3(self):
         mask = plane_mask(G16, PlaneSpec(1, 1))
         assert mask[1, 1, :].all()
         assert not mask[1, 2, :].any()
+
+
+# (grid shape, plane q_num/q_den, N_s, J)
+PLANE_LAYOUTS = [
+    ((24, 24, 24), (1, 1), 24, 8),
+    ((24, 24, 24), (2, 1), 24, 4),
+    ((32, 32, 32), (1, 2), 32, 5),
+    ((24, 24, 24), (0, 1), 24, 8),
+    ((24, 24, 24), (-1, 1), 24, 8),
+    ((24, 24, 24), (9, 1), 24, 0),
+    ((24, 32, 24), (1, 1), 96, 8),
+    ((24, 32, 24), (-2, 3), 16, 2),
+]
+
+
+def _plane_layout(shape, ratio):
+    return PlaneGrid(Grid(*shape), PlaneSpec(*ratio))
+
+
+class TestPlaneGrid:
+    @pytest.mark.parametrize("shape, ratio, n_s, j_max", PLANE_LAYOUTS)
+    def test_geometry(self, shape, ratio, n_s, j_max):
+        layout = _plane_layout(shape, ratio)
+        grid, plane = layout.grid, layout.plane
+        assert layout.shape == (n_s, 1, shape[2])
+        assert layout.band_shape == (2 * j_max + 1, 1, grid.band[2] + 1)
+        K1, K2, K3 = (np.broadcast_to(k, layout.band_shape)
+                      for k in wavenumbers(layout))
+        b1, b2, _ = grid.band
+        assert plane.contains(K1, K2).all()
+        assert (np.abs(K1) <= b1).all() and (np.abs(K2) <= b2).all()
+        assert np.array_equal(K3[0, 0], np.arange(grid.band[2] + 1))
+        # the layout holds every on-plane wavevector of the band, once
+        mask = plane_mask(grid, plane)
+        assert np.count_nonzero(mask) == K1.size
+        c = np.zeros(grid.band_shape, dtype=np.complex128)
+        c[mask] = np.arange(1, K1.size + 1)
+        assert np.array_equal(layout.scatter(layout.gather(c)), c)
+
+    @pytest.mark.parametrize("shape, ratio, n_s, j_max", PLANE_LAYOUTS)
+    def test_grid_samples_repeat_the_plane_samples(self, shape, ratio, n_s,
+                                                   j_max):
+        layout = _plane_layout(shape, ratio)
+        grid, (q_num, q_den) = layout.grid, ratio
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(layout.shape)
+        c = forward(layout, v)
+        # grid point (i1, i2) sits at s = 2 pi t / N_s
+        i1, i2 = np.ix_(np.arange(grid.n1), np.arange(grid.n2))
+        t = (q_den * n_s // grid.n1 * i1 + q_num * n_s // grid.n2 * i2) % n_s
+        repeated = v[t, 0, :]
+        # the grid's forward coefficients at the on-plane wavevectors are
+        # the layout's, aliases included, and the inverses agree
+        assert np.max(np.abs(layout.gather(forward(grid, repeated)) - c)) \
+            <= 1e-15 * np.max(np.abs(v))
+        assert np.max(np.abs(inverse(grid, layout.scatter(c))
+                             - inverse(layout, c)[t, 0, :])) <= 1e-14
 
 
 class TestSnapshots:

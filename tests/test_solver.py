@@ -11,8 +11,8 @@ from mgsim.symbol import PhysParams
 import mgsim.fields
 import mgsim.solver
 from mgsim.fields import (
-    Grid, PlaneSpec, SpectralField, cosine_mode, dealias_mask, forward,
-    inverse, ksq_array, l2_norm, multiplier_arrays, off_plane_norm,
+    Grid, PlaneGrid, PlaneSpec, SpectralField, cosine_mode, dealias_mask,
+    forward, inverse, ksq_array, l2_norm, multiplier_arrays, off_plane_norm,
     plane_mask, sine_vertical, wavenumbers,
 )
 from mgsim.eigen import assemble_eigenfunction, solve_sigma_star
@@ -232,13 +232,17 @@ class TestLinearized:
             run(sine_vertical(G16, 1), PhysParams(eps_kappa=0.1), cfg)
 
 
-def _counting_transforms(monkeypatch):
-    """Count forward/inverse calls at every lookup site the package uses."""
+def _counting_transforms(monkeypatch, grid=None):
+    """Count forward/inverse calls at every lookup site the package uses.
+
+    With ``grid`` given, only the calls on that grid are counted.
+    """
     counts = {"forward": 0, "inverse": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
-            counts[name] += 1
+            if grid is None or args[0] == grid:
+                counts[name] += 1
             return fn(*args, **kwargs)
         return wrapped
 
@@ -306,6 +310,18 @@ class TestNonlinearStep:
         S, R = 5, len(diag.times)
         assert R == 4  # t = 0, 0.02, 0.04 and the last step
         assert counts == {"forward": 4 * S + R, "inverse": 24 * S + 10 * R}
+
+    def test_restricted_steps_make_no_grid_transforms(self, monkeypatch):
+        # a restricted run steps on the plane's layout: on the grid itself
+        # only the records transform (10 inverse and 1 forward each)
+        theta0 = sine_vertical(G24, 1) + cosine_mode(G24, (2, 2, 1), 0.1)
+        counts = _counting_transforms(monkeypatch, grid=G24)
+        cfg = SolverConfig(dt=0.01, t_end=0.05, record_every=2,
+                           plane=PlaneSpec(1, 1), restrict_to_plane=True)
+        _, diag = run(theta0, PhysParams(eps_kappa=0.02), cfg)
+        R = len(diag.times)
+        assert R == 4
+        assert counts == {"forward": R, "inverse": 10 * R}
 
 
 def test_real_coefficients_evolve_like_complex():
@@ -412,6 +428,61 @@ class TestGuards:
         f0 = cosine_mode(G16, (1, 2, 1), 50.0)
         with pytest.warns(RuntimeWarning, match="CFL"):
             run(f0, par, SolverConfig(dt=0.1, t_end=0.2, record_every=1))
+
+
+# (grid shape, plane q_num/q_den): J = 0 for 9/1 at 24^3; on 2/1 at 24^3
+# the grid's product aliases (8, 16) onto (8, -8), in band and off the plane
+PLANE_RHS_CASES = [
+    ((24, 24, 24), (1, 1)), ((24, 24, 24), (2, 1)), ((24, 24, 24), (1, 2)),
+    ((24, 24, 24), (0, 1)), ((24, 24, 24), (-1, 1)), ((24, 24, 24), (9, 1)),
+    ((24, 32, 24), (1, 1)), ((24, 32, 24), (-2, 3)),
+]
+
+
+@pytest.mark.parametrize("shape, ratio", PLANE_RHS_CASES)
+def test_plane_rhs_matches_grid_rhs_on_the_plane(shape, ratio):
+    grid = Grid(*shape)
+    layout = PlaneGrid(grid, PlaneSpec(*ratio))
+    rng = np.random.default_rng(3)
+    c = forward(layout, rng.standard_normal(layout.shape))
+    got = advection_coefficients(layout, c, 1.3)
+    ref = layout.gather(advection_coefficients(grid, layout.scatter(c), 1.3))
+    assert np.max(np.abs(got - ref)) <= 1e-14 * max(np.max(np.abs(ref)),
+                                                    1e-300)
+    if ratio in ((0, 1), (9, 1)):  # no transport along the plane
+        assert np.max(np.abs(ref)) == 0.0
+    else:
+        assert np.max(np.abs(ref)) > 0.1 * np.max(np.abs(c))
+
+
+@pytest.mark.parametrize("shape, ratio", [((24, 24, 24), (1, 1)),
+                                          ((32, 32, 32), (1, 2))])
+@pytest.mark.parametrize("scheme, linearized", [
+    ("if_rk4", False), ("imex_euler", False), ("if_rk4", True)])
+def test_restricted_run_matches_grid_run(shape, ratio, scheme, linearized):
+    # on-plane data evolved on the grid stays on the plane (no in-band
+    # alias leaves it for these planes), so the grid run is the reference
+    grid, plane = Grid(*shape), PlaneSpec(*ratio)
+    par = PhysParams(eps_kappa=0.05, gamma=0.8)
+    k1, k2 = ratio[1], ratio[0]
+    theta0 = (cosine_mode(grid, (k1, k2, 1), 0.3)
+              + cosine_mode(grid, (2 * k1, 2 * k2, 2), 0.2)
+              + cosine_mode(grid, (-k1, -k2, 3), 0.1))
+    if not linearized:
+        theta0 = theta0 + sine_vertical(grid, 1)
+    common = dict(dt=0.01, t_end=0.05, record_every=2, scheme=scheme,
+                  linearized=linearized, plane=plane)
+    got, gdiag = run(theta0, par, SolverConfig(restrict_to_plane=True,
+                                                **common))
+    want, wdiag = run(theta0, par, SolverConfig(**common))
+    scale = np.max(np.abs(want.c))
+    assert np.max(np.abs(got.c - want.c)) <= 1e-14 * scale
+    assert np.max(np.abs(want.c - theta0.c)) > 1e-4 * scale  # it moved
+    assert np.max(gdiag.off_plane) == 0.0
+    assert np.max(wdiag.off_plane) <= 1e-15 * scale
+    for col in ("l2", "linf", "hs"):
+        assert np.allclose(getattr(gdiag, col), getattr(wdiag, col),
+                           rtol=1e-13, atol=0.0)
 
 
 class TestRestriction:
