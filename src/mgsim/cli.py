@@ -43,6 +43,22 @@ def _grid_from_cfg(cfg):
     )
 
 
+class _Literal(click.ParamType):
+    """An int or float option, read by ``config.number_literal``."""
+
+    def __init__(self, kind):
+        self.kind, self.name = kind, kind.__name__
+
+    def convert(self, value, param, ctx):
+        try:  # str() of a default reads back as the same number exactly
+            return number_literal(self.kind, str(value))
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+
+
+INT, FLOAT = _Literal(int), _Literal(float)
+
+
 def _parse_plane(text):
     from .symbol import PlaneSpec
 
@@ -85,9 +101,9 @@ def main():
 
 
 @main.command("symbol-scan")
-@click.option("--n2", type=float, default=1.0, show_default=True,
+@click.option("--n2", type=FLOAT, default=1.0, show_default=True,
               help="Stratification-to-rotation parameter N^2.")
-@click.option("--kmax", type=int, default=16, show_default=True,
+@click.option("--kmax", type=INT, default=16, show_default=True,
               help="Scan the integer box |k_i| <= kmax.")
 @click.option("--plane", "plane_txt", type=str, default=None,
               help="Restrict rows to a horizontal plane ratio, e.g. 1/1.")
@@ -124,21 +140,21 @@ def symbol_scan(n2, kmax, plane_txt, out):
 
 
 @main.command("eigen")
-@click.option("--k1", type=int, default=None, help="Horizontal wavenumber 1.")
-@click.option("--k2", type=int, default=None, help="Horizontal wavenumber 2.")
-@click.option("--m", type=int, default=1, show_default=True,
+@click.option("--k1", type=INT, default=None, help="Horizontal wavenumber 1.")
+@click.option("--k2", type=INT, default=None, help="Horizontal wavenumber 2.")
+@click.option("--m", type=INT, default=1, show_default=True,
               help="Vertical index of the steady profile sin(m x3).")
-@click.option("--n2", type=float, default=1.0, show_default=True)
-@click.option("--eps-kappa", type=float, default=0.0, show_default=True)
-@click.option("--gamma", type=float, default=1.0, show_default=True)
-@click.option("--depth", type=int, default=64, show_default=True,
+@click.option("--n2", type=FLOAT, default=1.0, show_default=True)
+@click.option("--eps-kappa", type=FLOAT, default=0.0, show_default=True)
+@click.option("--gamma", type=FLOAT, default=1.0, show_default=True)
+@click.option("--depth", type=INT, default=64, show_default=True,
               help="Starting truncation depth of the continued fraction.")
-@click.option("--optimize", "box", type=int, default=None,
+@click.option("--optimize", "box", type=INT, default=None,
               help="Search the integer box [1, BOX]^2 for the fastest mode.")
 @click.option("--sweep", "regime", type=str, default=None,
               help="Sweep the family (j^2, j): 'nondiffusive' or 'fractional'.")
-@click.option("--j-min", type=int, default=2, show_default=True)
-@click.option("--j-max", type=int, default=12, show_default=True)
+@click.option("--j-min", type=INT, default=2, show_default=True)
+@click.option("--j-max", type=INT, default=12, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Optional CSV destination.")
 @_wrap_errors
@@ -217,10 +233,8 @@ def _source_from_cfg(cfg, grid):
     from .solver import SourceSpec
 
     kind = get_str(cfg, "source.kind", "none")
-    if kind == "none":
-        return SourceSpec("none")
-    if kind == "steady_balance":
-        return SourceSpec("steady_balance", m=get_int(cfg, "source.m", 1))
+    if kind in ("none", "steady_balance"):
+        return SourceSpec(kind)
     if kind.startswith("snapshot:"):
         f = _read_snapshot_on(kind.partition(":")[2], grid, "source ")
         return SourceSpec("custom", custom=f)
@@ -244,8 +258,8 @@ def _initial_field(init, mode, grid, params):
             raise click.ClickException(
                 "mode init expects mode:k1,k2,k3[,amp]")
         try:
-            kvec = tuple(int(p) for p in parts[:3])
-            amp = float(parts[3]) if len(parts) == 4 else 1.0
+            kvec = tuple(number_literal(int, p) for p in parts[:3])
+            amp = number_literal(float, parts[3]) if len(parts) == 4 else 1.0
             if not math.isfinite(amp):
                 raise ValueError(f"amplitude {amp} is not finite")
         except ValueError as exc:

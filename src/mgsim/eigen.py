@@ -278,29 +278,6 @@ def backward_coefficients(sigma: float, k1: int, k2: int, params: PhysParams,
     return _backward(np.array([sigma], dtype=np.float64), a, e, [k1], [k2])[0]
 
 
-def forward_coefficients(sigma: float, k1: int, k2: int, params: PhysParams,
-                         depth: int = 64) -> np.ndarray:
-    """Forward-recursed coefficients from the p = 1 line (c_1 = alpha_1).
-
-    The forward direction is numerically unstable for the minimal solution:
-    rounding seeds the dominant solution, which takes over after a few
-    steps.  Exposed for exactly that demonstration; `backward_coefficients`
-    is the reliable construction.
-    """
-    _validate_mode(k1, k2)
-    (a,), (e,) = _weights(depth, k1, k2, params)
-    c = np.zeros(depth)
-    c[0] = a[0]
-    # p = 1 line: sigma_1 c_1 + c_2 / alpha_2 = 0
-    c[1] = -(sigma + e[0]) * c[0] * a[1]
-    for p in range(2, depth):  # filling c[p] = c_{p+1}
-        c[p] = -a[p] * ((sigma + e[p - 1]) * c[p - 1] + c[p - 2] / a[p - 2])
-        if not math.isfinite(c[p]):
-            c[p:] = np.inf
-            break
-    return c
-
-
 @dataclass(frozen=True)
 class EigenSolution:
     """A computed unstable eigenvalue with its vertical mode profile.

@@ -30,6 +30,8 @@ from .solver import (
 )
 from .symbol import PhysParams, PlaneSpec, plane_bound_scan
 
+_PLANE_KMAX = 32  # the plane constant is the sup over |k_i| <= this
+
 
 @dataclass
 class InstabilityReport:
@@ -77,7 +79,7 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
 
     cfg = SolverConfig(
         dt=dt, t_end=t_end, record_every=record_every,
-        source=SourceSpec("steady_balance", m=params.m),
+        source=SourceSpec("steady_balance"),
     )
     _, diag = run(theta0, params, cfg, reference=background)
 
@@ -125,7 +127,7 @@ class PlaneDemoReport:
 
 def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
                n2=1.0, m=1, n=24, dt=0.01, t_end=5.0, seed=1e-4,
-               control_mode=(1, 2, 1), record_every=50, kmax_constant=32):
+               control_mode=(1, 2, 1), record_every=50):
     """Confinement to a bounded-multiplier plane versus leaking off it.
 
     For each dissipation order, the steady state is perturbed by an
@@ -147,8 +149,8 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
         raise ValueError(f"control_mode {ck} lies on the plane {plane}")
     grid = Grid(n, n, n)
     background = sine_vertical(grid, m)
-    src = SourceSpec("steady_balance", m=m)
-    c_plane = plane_bound_scan(plane.q_num, plane.q_den, kmax_constant, n2)
+    src = SourceSpec("steady_balance")
+    c_plane = plane_bound_scan(plane.q_num, plane.q_den, _PLANE_KMAX, n2)
 
     # an on-plane seed: the smallest wavevector pair on the plane
     on_k1, on_k2 = plane.q_den, plane.q_num

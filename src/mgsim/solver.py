@@ -40,8 +40,8 @@ admit mode growth rates that increase without bound in the wavenumber, so a
 generic initial condition amplifies grid-scale content until the computation
 is meaningless.  ``run`` estimates the largest resolvable growth rate in
 advance and refuses runs whose requested horizon would amplify it beyond
-e^30, unless the dynamics are confined to a horizontal-wavenumber plane on
-which the multiplier stays bounded.
+e^30, unless the run is restricted to a horizontal-wavenumber plane: the
+multiplier stays bounded there, and nothing off the plane is stored.
 """
 
 import math
@@ -82,13 +82,12 @@ class SourceSpec:
     """Forcing term for the scalar equation.
 
     kind is one of "none", "steady_balance", "custom".  The steady balance
-    source is the forcing that makes sin(m x3) an exact steady state: that
-    profile generates no velocity, so the source only has to offset its
-    dissipation, S = eps_kappa m^(2 gamma) sin(m x3).
+    source is the forcing that makes Theta_0 = sin(m x3), m = params.m, an
+    exact steady state: that profile generates no velocity, so the source
+    only has to offset its dissipation, S = eps_kappa m^(2 gamma) sin(m x3).
     """
 
     kind: str = "none"
-    m: int = 1
     custom: SpectralField | None = None
 
     def __post_init__(self):
@@ -96,9 +95,6 @@ class SourceSpec:
             raise ValueError(f"unknown source kind {self.kind!r}")
         if self.kind == "custom" and self.custom is None:
             raise ValueError("custom source requires a field")
-        if self.kind == "steady_balance" and (
-                not isinstance(self.m, int) or self.m < 1):
-            raise ValueError(f"steady balance index must be >= 1, got {self.m}")
 
     def realize(self, grid, params):
         """Coefficient array of the source on a grid (None when absent)."""
@@ -108,16 +104,8 @@ class SourceSpec:
             if self.custom.grid != grid:
                 raise ValueError("custom source lives on a different grid")
             return self.custom.c.copy()
-        amp = params.eps_kappa * float(self.m) ** (2.0 * params.gamma)
-        return None if amp == 0.0 else sine_vertical(grid, self.m, amp).c
-
-    def supported_on(self, plane):
-        if self.kind == "none":
-            return True
-        if self.kind == "steady_balance":
-            return plane.contains(0, 0)
-        return off_plane_norm(self.custom, plane) <= 1e-13 * (
-            1.0 + l2_norm(self.custom))
+        amp = params.eps_kappa * float(params.m) ** (2.0 * params.gamma)
+        return None if amp == 0.0 else sine_vertical(grid, params.m, amp).c
 
 
 @dataclass(frozen=True)
@@ -127,11 +115,11 @@ class SolverConfig:
     ``plane`` alone only adds the off-plane norm as a diagnostic column.
     With ``restrict_to_plane`` the run steps on the plane's own layout, so
     off-plane content is never stored (see the module docstring): the
-    initial data and the source keep only their on-plane coefficients.
-    The restriction is an exact invariant of the dynamics, but in ill-posed
-    regimes rounding noise seeded off the plane would otherwise amplify at
-    unbounded rates and bury the confined solution, so the invariant must
-    be enforced rather than merely observed.
+    initial data and the source keep only their on-plane coefficients, and
+    the growth cap does not apply.  The restriction is an exact invariant
+    of the dynamics, but in ill-posed regimes rounding noise seeded off the
+    plane would otherwise amplify at unbounded rates and bury the confined
+    solution, so the invariant must be enforced rather than merely observed.
     """
 
     dt: float
@@ -187,12 +175,6 @@ class Diagnostics:
         for i, t in enumerate(self.times):
             yield (t, self.l2[i], self.linf[i], self.hs[i],
                    self.off_plane[i], self.energy_residual[i])
-
-
-def velocity_coefficients(grid, c, n2_phys):
-    """Velocity component coefficient arrays u_hat = M_hat theta_hat."""
-    m1, m2, m3 = multiplier_arrays(grid, n2_phys)
-    return m1 * c, m2 * c, m3 * c
 
 
 @lru_cache(maxsize=None)
@@ -283,8 +265,8 @@ def _max_resolvable_growth(grid, params):
 def _growth_cap_check(theta0, params, config):
     if params.eps_kappa > 0.0 and params.gamma > 0.5:
         return  # dissipation dominates large wavenumbers; growth is bounded
-    if config.restrict_to_plane and config.source.supported_on(config.plane):
-        return  # multiplier is bounded on the plane; growth stays tame
+    if config.restrict_to_plane:
+        return  # off-plane modes are never stored; the plane's growth is tame
     sigma_max = _max_resolvable_growth(theta0.grid, params)
     if sigma_max > 0.0 and sigma_max * config.t_end > _GROWTH_CAP:
         raise GrowthCapError(
@@ -413,8 +395,7 @@ def run(theta0, params, config, reference=None):
     stepper = _Stepper(grid, params, config, theta0.c)
     n2p = params.n2
 
-    recs = {"t": [], "l2": [], "linf": [], "hs": [], "off": [],
-            "eres": [], "ref": []}
+    rows = []  # per record: t, l2, linf, hs, off_plane, energy_residual, ref_l2
 
     def record(step):
         t = step * dt
@@ -424,20 +405,15 @@ def run(theta0, params, config, reference=None):
             raise BlowUpError(
                 f"solution lost finiteness at t = {t:g} (step {step})",
                 time=t,
-                history=_finalize(recs, config, reference, 0.0),
+                history=_finalize(rows, config, reference, 0.0),
             )
-        recs["t"].append(t)
-        recs["l2"].append(l2)
-        recs["linf"].append(linf_norm(f))
-        recs["hs"].append(hs_norm(f, config.hs_order))
-        recs["off"].append(
+        rows.append((
+            t, l2, linf_norm(f), hs_norm(f, config.hs_order),
             off_plane_norm(f, config.plane) if config.plane is not None
-            else math.nan)
-        recs["eres"].append(
+            else math.nan,
             math.nan if config.linearized
-            else energy_flux_residual(grid, f.c, n2p))
-        recs["ref"].append(
-            l2_norm(f - reference) if reference is not None else math.nan)
+            else energy_flux_residual(grid, f.c, n2p),
+            l2_norm(f - reference) if reference is not None else math.nan))
         if not config.linearized:
             umax = velocity_max(grid, f.c, n2p)
             cfl = dt * sum(u * b for u, b in zip(umax, grid.band))
@@ -455,23 +431,15 @@ def run(theta0, params, config, reference=None):
             record(step)
     wall = _time.perf_counter() - wall0
 
-    diag = _finalize(recs, config, reference, wall)
+    diag = _finalize(rows, config, reference, wall)
     return SpectralField(grid, stepper.state()), diag
 
 
-def _finalize(recs, config, reference, wall):
-    return Diagnostics(
-        times=np.asarray(recs["t"]),
-        l2=np.asarray(recs["l2"]),
-        linf=np.asarray(recs["linf"]),
-        hs=np.asarray(recs["hs"]),
-        off_plane=np.asarray(recs["off"]),
-        energy_residual=np.asarray(recs["eres"]),
-        ref_l2=np.asarray(recs["ref"]) if reference is not None else None,
-        hs_order=config.hs_order,
-        plane=config.plane,
-        wall_seconds=wall,
-    )
+def _finalize(rows, config, reference, wall):
+    *cols, ref = np.array(rows, dtype=np.float64).reshape(-1, 7).T
+    return Diagnostics(*cols, ref_l2=ref if reference is not None else None,
+                       hs_order=config.hs_order, plane=config.plane,
+                       wall_seconds=wall)
 
 
 def growth_rate_fit(diag, t_start, t_stop, series="l2"):

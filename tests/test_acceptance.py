@@ -232,7 +232,7 @@ def test_criterion_10_steady_state_holds():
     g = Grid(24, 24, 24)
     theta0 = sine_vertical(g, 1)
     cfg = SolverConfig(dt=0.01, t_end=5.0, record_every=100,
-                       source=SourceSpec("steady_balance", m=1))
+                       source=SourceSpec("steady_balance"))
     _, diag = run(theta0, par, cfg, reference=theta0)
     assert np.max(diag.ref_l2) < 1e-12
 
@@ -247,7 +247,7 @@ def test_criterion_11_conservation_and_structure_diagnostics():
     theta0 = (sine_vertical(g, 1) + 0.1 * assemble_eigenfunction(sol, g)
               + cosine_mode(g, (2, 1, 2), 0.05))
     cfg = SolverConfig(dt=0.01, t_end=0.3, record_every=1,
-                       source=SourceSpec("steady_balance", m=1))
+                       source=SourceSpec("steady_balance"))
     final, diag = run(theta0, par, cfg)
     assert np.nanmax(np.abs(diag.energy_residual)) < 1e-10
     assert np.max(np.abs(final.c[:, :, 0])) == 0.0

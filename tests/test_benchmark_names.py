@@ -94,7 +94,7 @@ def test_record_calls_every_traced_callee_through_solver(monkeypatch):
     background = sine_vertical(grid, 1)
     config = solver.SolverConfig(
         dt=0.01, t_end=0.05, record_every=1, plane=PlaneSpec(1, 1),
-        source=solver.SourceSpec("steady_balance", m=1))
+        source=solver.SourceSpec("steady_balance"))
     solver.run(background + cosine_mode(grid, (1, 1, 1), 1e-3),
                PhysParams(eps_kappa=0.05), config, reference=background)
     # six records; l2_norm twice per record, for the state and the reference

@@ -15,7 +15,7 @@ from mgsim.config import (
     get_bool, get_float, get_floats, get_int, get_ints, get_str, load_config,
     parse_config,
 )
-from mgsim.cli import _parse_plane, main
+from mgsim.cli import _Literal, _initial_field, _parse_plane, main
 from mgsim.fields import Grid, PlaneSpec, cosine_mode, write_snapshot
 
 
@@ -406,15 +406,27 @@ class TestCli:
 
     def test_evolve_manifest_records_source(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(EVOLVE_CFG + "[source]\nkind = steady_balance\nm = 2\n")
+        cfg.write_text(EVOLVE_CFG + "[phys]\nm = 2\n"
+                       "[source]\nkind = steady_balance\n")
         res = self.runner.invoke(main, [
             "evolve", "--config", str(cfg), "--init", "mode:1,1,2,0.5",
             "--out-diag", str(tmp_path / "diag.csv")])
         assert res.exit_code == 0, res.output
         resolved = _manifest(tmp_path / "manifest.txt")
         assert resolved["source.kind"] == "steady_balance"
-        assert resolved["source.m"] == "2"
+        assert resolved["phys.m"] == "2"
         assert not {"mode.k1", "mode.k2", "mode.depth"} & set(resolved)
+
+    def test_source_index_is_the_phys_index(self, tmp_path):
+        # the steady balance holds sin(phys.m x3); a second index is unread
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EVOLVE_CFG + "[source]\nkind = steady_balance\nm = 2\n")
+        res = self.runner.invoke(main, [
+            "evolve", "--config", str(cfg), "--init", "mode:1,1,2,0.5",
+            "--out-diag", str(tmp_path / "diag.csv")])
+        assert res.exit_code == 1
+        assert "unused config key 'source.m'" in res.output
+        assert not (tmp_path / "diag.csv").exists()
 
     def test_instability_stable_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -511,6 +523,27 @@ class TestCli:
         with pytest.raises(click.ClickException, match="bad plane ratio"):
             _parse_plane(ratio)
 
+    @pytest.mark.parametrize("args", [
+        ["eigen", "--k1", "1_0", "--k2", "1"],
+        ["eigen", "--k1", "1", "--k2", "\uff11"],
+        ["eigen", "--k1", "1", "--k2", "1", "--eps-kappa", "0.0_1"],
+        ["eigen", "--optimize", "4", "--depth", "6_4"],
+        ["symbol-scan", "--kmax", "1_6", "--out", "scan.csv"],
+        ["symbol-scan", "--n2", "\uff12.0", "--out", "scan.csv"],
+    ])
+    def test_numeric_flags_are_ascii_without_underscores(self, args):
+        with self.runner.isolated_filesystem():
+            res = self.runner.invoke(main, args)
+            assert not Path("scan.csv").exists()
+        assert res.exit_code == 2  # click's usage error
+        assert "is not an ASCII" in res.output
+
+    @pytest.mark.parametrize("init", [
+        "mode:1_0,2,1_0", "mode:\uff11,2,1", "mode:1,1,2,0.5_0"])
+    def test_mode_init_is_ascii_without_underscores(self, init):
+        with pytest.raises(click.ClickException, match="bad mode init"):
+            _initial_field(init, None, Grid(16, 16, 16), None)
+
     def test_plane_demo_arm_files_keep_nearby_gammas_apart(self, tmp_path):
         # "{:g}" formats both gammas as 0.5, so one arm's file would
         # overwrite the other's
@@ -536,6 +569,17 @@ class TestCli:
         assert res.exit_code == 1
         assert "gammas repeat a dissipation order" in res.output
         assert not out.exists()
+
+
+def test_every_numeric_option_reads_number_literals():
+    # click's INT and FLOAT (also inferred from a numeric default) read 1_0
+    # and non-ASCII digits; every numeric flag must read them as configs do
+    numeric = {f"{name} {p.opts[0]}": type(p.type)
+               for name, cmd in main.commands.items() for p in cmd.params
+               if isinstance(p.type, (_Literal, click.types.IntParamType,
+                                      click.types.FloatParamType))}
+    assert len(numeric) == 12
+    assert set(numeric.values()) == {_Literal}, numeric
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

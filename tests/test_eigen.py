@@ -22,7 +22,6 @@ from mgsim.eigen import (
     closed_form_bounds,
     continuum_optimum,
     dense_sigma_star,
-    forward_coefficients,
     illposedness_sweep,
     optimize_growth,
     sigma_bracket,
@@ -219,19 +218,6 @@ class TestCoefficients:
     def test_recursion_rows_certified(self):
         sol = solve_sigma_star(6, 4, PhysParams(eps_kappa=0.01))
         assert sol.recursion_residual < 1e-10
-
-    def test_forward_recursion_unstable(self):
-        # forward recursion from the p = 1 line tracks the minimal solution
-        # only briefly before the dominant solution takes over: agreement to
-        # 1e-6 through p = 5, then catastrophic divergence (frozen, float64)
-        sol = solve_sigma_star(1, 1, CANON)
-        fwd = forward_coefficients(sol.sigma_star, 1, 1, CANON, depth=16)
-        bwd = sol.c
-        for p in range(1, 6):
-            rel = abs(fwd[p - 1] - bwd[p - 1]) / abs(bwd[p - 1])
-            assert rel < 1e-6, f"forward lost the minimal solution at p={p}"
-        rel10 = abs(fwd[9] - bwd[9]) / abs(bwd[9])
-        assert rel10 > 1e3, "forward recursion should have diverged by p=10"
 
     def test_underflowed_tail_is_zero_not_junk(self):
         sol = solve_sigma_star(1, 1, CANON, depth=256)

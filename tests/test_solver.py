@@ -24,7 +24,6 @@ from mgsim.solver import (
     energy_flux_residual,
     growth_rate_fit,
     run,
-    velocity_coefficients,
 )
 
 G16 = Grid(16, 16, 16)
@@ -46,27 +45,16 @@ class TestSourceSpec:
             SourceSpec("bogus")
         with pytest.raises(ValueError):
             SourceSpec("custom")
-        with pytest.raises(ValueError):
-            SourceSpec("steady_balance", m=0)
 
     def test_steady_balance_coefficient(self):
-        par = PhysParams(eps_kappa=0.1, gamma=0.5)
-        src = SourceSpec("steady_balance", m=2).realize(G16, par)
+        par = PhysParams(m=2, eps_kappa=0.1, gamma=0.5)
+        src = SourceSpec("steady_balance").realize(G16, par)
         # amplitude eps * m^(2 gamma) = 0.1 * 2, spectral entry -i/2 of that
         assert src[0, 0, 2] == -0.5j * 0.2
         assert np.count_nonzero(src) == 1
 
     def test_steady_balance_without_dissipation_is_empty(self):
         assert SourceSpec("steady_balance").realize(G16, PhysParams()) is None
-
-    def test_plane_support(self):
-        p = PlaneSpec(1, 1)
-        assert SourceSpec("none").supported_on(p)
-        assert SourceSpec("steady_balance").supported_on(p)
-        on = SourceSpec("custom", custom=cosine_mode(G16, (2, 2, 1)))
-        off = SourceSpec("custom", custom=cosine_mode(G16, (1, 2, 1)))
-        assert on.supported_on(p)
-        assert not off.supported_on(p)
 
 
 class TestSolverConfig:
@@ -96,7 +84,7 @@ class TestVelocity:
     def test_divergence_free_and_real(self):
         f = _rich_field(G16)
         K1, K2, K3 = wavenumbers(G16)
-        u1, u2, u3 = velocity_coefficients(G16, f.c, 1.0)
+        u1, u2, u3 = (m * f.c for m in multiplier_arrays(G16, 1.0))
         div = K1 * u1 + K2 * u2 + K3 * u3
         scale = max(np.max(np.abs(u1)), np.max(np.abs(u3)))
         assert np.max(np.abs(div)) < 1e-13 * (1.0 + scale) * 16
@@ -151,7 +139,7 @@ class TestExactness:
         par = PhysParams(eps_kappa=0.05)
         theta0 = sine_vertical(G16, 1)
         cfg = SolverConfig(dt=0.01, t_end=2.0, record_every=50,
-                           source=SourceSpec("steady_balance", m=1))
+                           source=SourceSpec("steady_balance"))
         _, diag = run(theta0, par, cfg, reference=theta0)
         assert np.max(diag.ref_l2) < 1e-12
 
@@ -227,7 +215,7 @@ class TestLinearized:
 
     def test_source_rejected(self):
         cfg = SolverConfig(dt=0.01, t_end=0.1, linearized=True,
-                           source=SourceSpec("steady_balance", m=1))
+                           source=SourceSpec("steady_balance"))
         with pytest.raises(ValueError):
             run(sine_vertical(G16, 1), PhysParams(eps_kappa=0.1), cfg)
 
@@ -286,7 +274,7 @@ class TestNonlinearStep:
         theta0 = sine_vertical(G24, 1) + 0.05 * pert
         cfg = SolverConfig(dt=0.01, t_end=0.01, plane=plane,
                            restrict_to_plane=restrict,
-                           source=SourceSpec("steady_balance", m=1))
+                           source=SourceSpec("steady_balance"))
         pmask = plane_mask(G24, plane) if restrict else None
         c0 = theta0.c if pmask is None else theta0.c * pmask
         expected = self._formula_step(
@@ -369,9 +357,9 @@ class TestSchemeAgreement:
         par = PhysParams(eps_kappa=0.05)
         f0 = sine_vertical(G16, 1) + cosine_mode(G16, (1, 1, 1), 0.05)
         cfg_a = SolverConfig(dt=0.002, t_end=0.5,
-                             source=SourceSpec("steady_balance", m=1))
+                             source=SourceSpec("steady_balance"))
         cfg_b = SolverConfig(dt=0.002, t_end=0.5, scheme="imex_euler",
-                             source=SourceSpec("steady_balance", m=1))
+                             source=SourceSpec("steady_balance"))
         fa, _ = run(f0, par, cfg_a)
         fb, _ = run(f0, par, cfg_b)
         rel = l2_norm(fa - fb) / l2_norm(fa)
@@ -401,6 +389,23 @@ class TestGuards:
         # and the long-horizon config itself passes the pre-check
         from mgsim.solver import _growth_cap_check
         _growth_cap_check(cosine_mode(Grid(24, 24, 24), (1, 2, 1)), par, cfg)
+
+    def test_growth_cap_exempts_restricted_run_with_off_plane_source(self):
+        # the restricted stepper keeps only the source's on-plane part, so
+        # the off-plane growth the cap guards against never starts
+        par = PhysParams(eps_kappa=0.0)
+        theta0 = cosine_mode(G16, (1, 1, 1), 1e-3)
+        src = SourceSpec("custom", custom=cosine_mode(G16, (1, 2, 1), 1e-3))
+        from mgsim.solver import _growth_cap_check
+        with pytest.raises(GrowthCapError):
+            _growth_cap_check(theta0, par, SolverConfig(
+                dt=0.01, t_end=50.0, plane=PlaneSpec(1, 1), source=src))
+        kw = dict(dt=0.01, plane=PlaneSpec(1, 1), restrict_to_plane=True,
+                  source=src)
+        _growth_cap_check(theta0, par, SolverConfig(t_end=50.0, **kw))
+        _, diag = run(theta0, par,
+                      SolverConfig(t_end=0.05, record_every=1, **kw))
+        assert np.max(diag.off_plane) == 0.0
 
     def test_well_posed_regime_never_capped(self):
         par = PhysParams(eps_kappa=0.01, gamma=1.0)
@@ -493,7 +498,7 @@ class TestRestriction:
         theta0 = sine_vertical(g, 1) + cosine_mode(g, (1, 1, 1), 1e-3)
         cfg = SolverConfig(dt=0.01, t_end=0.5, record_every=10, plane=pl,
                            restrict_to_plane=True,
-                           source=SourceSpec("steady_balance", m=1))
+                           source=SourceSpec("steady_balance"))
         final, diag = run(theta0, par, cfg)
         assert np.max(diag.off_plane) == 0.0
         assert off_plane_norm(final, pl) == 0.0
