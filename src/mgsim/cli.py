@@ -1,10 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 when an eigenvalue query finds no unstable
-mode (a meaningful outcome, not a failure), 1 on any error.
+Exit codes: 0 on success, 3 when an eigenvalue query finds no unstable
+mode (a meaningful outcome, not a failure), 1 on any error, and 2 on a
+usage error such as a malformed flag (click's own code).
+
+A run default is written once, in the library: every config key and
+option with a library counterpart defaults to that function's default.
 """
 
 import csv
+import functools
+import inspect
 import math
 import sys
 import time
@@ -18,23 +24,52 @@ from .config import (
     get_bool, get_float, get_floats, get_int, get_ints, get_str, load_config,
     number_literal,
 )
-from .symbol import PhysParams
+from .eigen import (
+    assemble_eigenfunction, illposedness_sweep, optimize_growth,
+    solve_sigma_star,
+)
+from .experiments import (
+    instability, plane_demo, write_diag_csv, write_eigen_csv,
+    write_growth_csv, write_manifest, write_sweep_csv,
+)
+from .fields import Grid, cosine_mode, read_snapshot, write_snapshot
+from .solver import SolverConfig, SourceSpec, run
+from .symbol import PhysParams, PlaneSpec, scan_box
 
-_STABLE_EXIT = 2
+_STABLE_EXIT = 3
+
+_GETTERS = {bool: get_bool, int: get_int, float: get_float, str: get_str}
+
+
+def _default(fn, name):
+    """The default of ``fn``'s parameter ``name``."""
+    return inspect.signature(fn).parameters[name].default
+
+
+def _read(cfg, fn, section, *names):
+    """{name: value of key section.name}, each defaulting to ``fn``'s own.
+
+    The getter is the one for the default's type (for a tuple, a list of
+    its first entry's type); ``cfg.resolved`` records the default like a
+    value read from the file.
+    """
+    out = {}
+    for name in names:
+        default = _default(fn, name)
+        if isinstance(default, tuple):
+            getter = get_ints if isinstance(default[0], int) else get_floats
+        else:
+            getter = _GETTERS[type(default)]
+        out[name] = getter(cfg, f"{section}.{name}", default)
+    return out
 
 
 def _phys_from_cfg(cfg):
-    return PhysParams(
-        n2=get_float(cfg, "phys.n2", 1.0),
-        m=get_int(cfg, "phys.m", 1),
-        eps_kappa=get_float(cfg, "phys.eps_kappa", 0.0),
-        gamma=get_float(cfg, "phys.gamma", 1.0),
-    )
+    return PhysParams(**_read(cfg, PhysParams, "phys",
+                              "n2", "m", "eps_kappa", "gamma"))
 
 
 def _grid_from_cfg(cfg):
-    from .fields import Grid
-
     n = get_int(cfg, "grid.n", 32)
     return Grid(
         get_int(cfg, "grid.n1", n),
@@ -60,8 +95,6 @@ INT, FLOAT = _Literal(int), _Literal(float)
 
 
 def _parse_plane(text):
-    from .symbol import PlaneSpec
-
     try:
         num, slash, den = text.partition("/")
         if not num.strip() or (slash and not den.strip()):
@@ -74,9 +107,7 @@ def _parse_plane(text):
 
 
 def _wrap_errors(fn):
-    """Convert library errors to CLI errors, NoRootError to exit code 2."""
-    import functools
-
+    """Convert library errors to CLI errors, NoRootError to exit code 3."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
@@ -101,7 +132,8 @@ def main():
 
 
 @main.command("symbol-scan")
-@click.option("--n2", type=FLOAT, default=1.0, show_default=True,
+@click.option("--n2", type=FLOAT, default=_default(PhysParams, "n2"),
+              show_default=True,
               help="Stratification-to-rotation parameter N^2.")
 @click.option("--kmax", type=INT, default=16, show_default=True,
               help="Scan the integer box |k_i| <= kmax.")
@@ -112,8 +144,7 @@ def main():
 @_wrap_errors
 def symbol_scan(n2, kmax, plane_txt, out):
     """Tabulate the velocity multiplier over an integer wavenumber box."""
-    from .symbol import scan_box
-
+    PhysParams(n2=n2)  # its check of N^2, before the file is opened
     plane = None
     if plane_txt is not None:
         spec = _parse_plane(plane_txt)
@@ -142,28 +173,29 @@ def symbol_scan(n2, kmax, plane_txt, out):
 @main.command("eigen")
 @click.option("--k1", type=INT, default=None, help="Horizontal wavenumber 1.")
 @click.option("--k2", type=INT, default=None, help="Horizontal wavenumber 2.")
-@click.option("--m", type=INT, default=1, show_default=True,
+@click.option("--m", type=INT, default=_default(PhysParams, "m"),
+              show_default=True,
               help="Vertical index of the steady profile sin(m x3).")
-@click.option("--n2", type=FLOAT, default=1.0, show_default=True)
-@click.option("--eps-kappa", type=FLOAT, default=0.0, show_default=True)
-@click.option("--gamma", type=FLOAT, default=1.0, show_default=True)
-@click.option("--depth", type=INT, default=64, show_default=True,
-              help="Starting truncation depth of the continued fraction.")
+@click.option("--n2", type=FLOAT, default=_default(PhysParams, "n2"),
+              show_default=True)
+@click.option("--eps-kappa", type=FLOAT,
+              default=_default(PhysParams, "eps_kappa"), show_default=True)
+@click.option("--gamma", type=FLOAT, default=_default(PhysParams, "gamma"),
+              show_default=True)
 @click.option("--optimize", "box", type=INT, default=None,
               help="Search the integer box [1, BOX]^2 for the fastest mode.")
 @click.option("--sweep", "regime", type=str, default=None,
               help="Sweep the family (j^2, j): 'nondiffusive' or 'fractional'.")
-@click.option("--j-min", type=INT, default=2, show_default=True)
-@click.option("--j-max", type=INT, default=12, show_default=True)
+@click.option("--j-min", type=INT,
+              default=_default(illposedness_sweep, "j_min"), show_default=True)
+@click.option("--j-max", type=INT,
+              default=_default(illposedness_sweep, "j_max"), show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Optional CSV destination.")
 @_wrap_errors
-def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, depth, box, regime,
-              j_min, j_max, out):
+def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, box, regime, j_min, j_max,
+              out):
     """Unstable eigenvalues of the linearization about sin(m x3)."""
-    from .eigen import illposedness_sweep, optimize_growth, solve_sigma_star
-    from .experiments import write_eigen_csv, write_sweep_csv
-
     params = PhysParams(n2=n2, m=m, eps_kappa=eps_kappa, gamma=gamma)
     single = k1 is not None or k2 is not None
     if (box is not None) + (regime is not None) + single != 1:
@@ -171,8 +203,7 @@ def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, depth, box, regime,
             "choose exactly one of --k1/--k2, --optimize, or --sweep")
 
     if regime is not None:
-        res = illposedness_sweep(regime, params, j_min=j_min, j_max=j_max,
-                                 depth=depth)
+        res = illposedness_sweep(regime, params, j_min=j_min, j_max=j_max)
         for row in res.rows:
             sig = "none" if row.sigma_star is None else f"{row.sigma_star:.9g}"
             bnd = "-" if row.bound is None else f"{row.bound:.6g}"
@@ -186,7 +217,7 @@ def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, depth, box, regime,
         return
 
     if box is not None:
-        res = optimize_growth(params, box=box, depth=depth)
+        res = optimize_growth(params, box=box)
         click.echo(f"fastest mode in [1, {box}]^2: ({res.k1}, {res.k2})  "
                    f"sigma* = {res.sigma_star:.9g}")
         click.echo(f"certified bound argmax: {res.lb_argmax}  "
@@ -202,7 +233,7 @@ def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, depth, box, regime,
 
     if k1 is None or k2 is None:
         raise click.ClickException("single-mode query needs both --k1 and --k2")
-    sol = solve_sigma_star(k1, k2, params, depth=depth)
+    sol = solve_sigma_star(k1, k2, params)
     lower, upper = sol.bracket
     click.echo(f"mode ({k1}, {k2}): sigma* = {sol.sigma_star:.12g}")
     click.echo(f"closed-form bounds: [{lower:.9g}, {upper:.9g}]")
@@ -219,8 +250,6 @@ def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, depth, box, regime,
 
 
 def _read_snapshot_on(path, grid, prefix=""):
-    from .fields import read_snapshot
-
     f = read_snapshot(path)
     if f.grid != grid:
         raise click.ClickException(
@@ -230,9 +259,7 @@ def _read_snapshot_on(path, grid, prefix=""):
 
 
 def _source_from_cfg(cfg, grid):
-    from .solver import SourceSpec
-
-    kind = get_str(cfg, "source.kind", "none")
+    kind = _read(cfg, SourceSpec, "source", "kind")["kind"]
     if kind in ("none", "steady_balance"):
         return SourceSpec(kind)
     if kind.startswith("snapshot:"):
@@ -242,13 +269,9 @@ def _source_from_cfg(cfg, grid):
 
 
 def _initial_field(init, mode, grid, params):
-    """Initial field, and the solution when ``mode`` = (k1, k2, depth)."""
-    from .eigen import assemble_eigenfunction, solve_sigma_star
-    from .fields import cosine_mode
-
+    """Initial field, and the solution when ``mode`` = (k1, k2)."""
     if init == "eigenfunction":
-        k1, k2, depth = mode
-        sol = solve_sigma_star(k1, k2, params, depth=depth)
+        sol = solve_sigma_star(*mode, params)
         return assemble_eigenfunction(sol, grid), sol
     if init.startswith("snapshot:"):
         return _read_snapshot_on(init.partition(":")[2], grid), None
@@ -259,7 +282,8 @@ def _initial_field(init, mode, grid, params):
                 "mode init expects mode:k1,k2,k3[,amp]")
         try:
             kvec = tuple(number_literal(int, p) for p in parts[:3])
-            amp = number_literal(float, parts[3]) if len(parts) == 4 else 1.0
+            amp = (number_literal(float, parts[3]) if len(parts) == 4
+                   else _default(cosine_mode, "amplitude"))
             if not math.isfinite(amp):
                 raise ValueError(f"amplitude {amp} is not finite")
         except ValueError as exc:
@@ -287,10 +311,6 @@ def _initial_field(init, mode, grid, params):
 @_wrap_errors
 def evolve(config_path, init, plane_txt, out_diag, out_field):
     """Integrate the scalar equation from a configured initial state."""
-    from .experiments import write_diag_csv, write_manifest
-    from .fields import write_snapshot
-    from .solver import SolverConfig, run
-
     cfg = load_config(config_path)
     params = _phys_from_cfg(cfg)
     grid = _grid_from_cfg(cfg)
@@ -301,18 +321,15 @@ def evolve(config_path, init, plane_txt, out_diag, out_field):
     scfg = SolverConfig(
         dt=get_float(cfg, "run.dt"),
         t_end=get_float(cfg, "run.t_end"),
-        scheme=get_str(cfg, "run.scheme", "if_rk4"),
-        linearized=get_bool(cfg, "run.linearized", False),
-        record_every=get_int(cfg, "run.record_every", 10),
+        **_read(cfg, SolverConfig, "run",
+                "scheme", "linearized", "record_every"),
         plane=plane,
         restrict_to_plane=get_bool(cfg, "plane.restrict", False),
-        hs_order=get_float(cfg, "run.hs_order", 1.0),
         source=_source_from_cfg(cfg, grid),
     )
     mode = None
     if init == "eigenfunction":
-        mode = (get_int(cfg, "mode.k1"), get_int(cfg, "mode.k2"),
-                get_int(cfg, "mode.depth", 64))
+        mode = (get_int(cfg, "mode.k1"), get_int(cfg, "mode.k2"))
     cfg.reject_unused()
     resolved = {**cfg.resolved, "plane.q": plane_txt, "init": init}
     theta0, sol = _initial_field(init, mode, grid, params)
@@ -358,23 +375,10 @@ def _outdir(path):
 @_wrap_errors
 def instability_cmd(config_path, out_dir):
     """Grow the fastest eigenmode through the nonlinear dynamics."""
-    from .experiments import (
-        instability, write_diag_csv, write_eigen_csv, write_growth_csv,
-        write_manifest,
-    )
-
     cfg = load_config(config_path)
     params = _phys_from_cfg(cfg)
-    kw = dict(
-        box=get_int(cfg, "instability.box", 12),
-        n=get_int(cfg, "instability.n", 48),
-        dt=get_float(cfg, "instability.dt", 0.01),
-        t_end=get_float(cfg, "instability.t_end", 8.0),
-        seed_rel=get_float(cfg, "instability.seed_rel", 1e-6),
-        fit_start=get_float(cfg, "instability.fit_start", 1.0),
-        record_every=get_int(cfg, "instability.record_every", 10),
-        depth=get_int(cfg, "instability.depth", 64),
-    )
+    kw = _read(cfg, instability, "instability", "box", "n", "dt", "t_end",
+               "seed_rel", "fit_start", "record_every")
     cfg.reject_unused()
 
     t0 = time.perf_counter()
@@ -413,20 +417,14 @@ def instability_cmd(config_path, out_dir):
 @_wrap_errors
 def illposedness_cmd(config_path, out_dir):
     """Sweep growth rates along the unbounded-wavenumber family."""
-    from .eigen import illposedness_sweep
-    from .experiments import write_manifest, write_sweep_csv
-
     cfg = load_config(config_path)
     params = _phys_from_cfg(cfg)
     regime = get_str(cfg, "illposedness.regime")
-    j_min = get_int(cfg, "illposedness.j_min", 2)
-    j_max = get_int(cfg, "illposedness.j_max", 12)
-    depth = get_int(cfg, "illposedness.depth", 64)
+    kw = _read(cfg, illposedness_sweep, "illposedness", "j_min", "j_max")
     cfg.reject_unused()
 
     t0 = time.perf_counter()
-    res = illposedness_sweep(regime, params, j_min=j_min, j_max=j_max,
-                             depth=depth)
+    res = illposedness_sweep(regime, params, **kw)
     wall = time.perf_counter() - t0
 
     out = _outdir(out_dir)
@@ -446,29 +444,17 @@ def illposedness_cmd(config_path, out_dir):
 @_wrap_errors
 def plane_demo_cmd(config_path, out_dir):
     """Plane-confined well-posedness against an off-plane control."""
-    from .experiments import plane_demo, write_diag_csv, write_manifest
-
     cfg = load_config(config_path)
     plane_txt = get_str(cfg, "plane_demo.q", "1/1")
-    gammas = get_floats(cfg, "plane_demo.gammas", (0.3, 0.5, 0.8))
-    control = get_ints(cfg, "plane_demo.control_mode", (1, 2, 1))
-    if len(control) != 3:
+    kw = _read(cfg, plane_demo, "plane_demo", "gammas", "control_mode")
+    if len(kw["control_mode"]) != 3:
         raise ConfigError(
             f"config key 'plane_demo.control_mode': expected 3 integers "
-            f"k1, k2, k3, got {len(control)}")
-    kw = dict(
-        plane=_parse_plane(plane_txt),
-        gammas=gammas,
-        eps_kappa=get_float(cfg, "phys.eps_kappa", 0.02),
-        n2=get_float(cfg, "phys.n2", 1.0),
-        m=get_int(cfg, "phys.m", 1),
-        n=get_int(cfg, "plane_demo.n", 24),
-        dt=get_float(cfg, "plane_demo.dt", 0.01),
-        t_end=get_float(cfg, "plane_demo.t_end", 5.0),
-        seed=get_float(cfg, "plane_demo.seed", 1e-4),
-        control_mode=control,
-        record_every=get_int(cfg, "plane_demo.record_every", 50),
-    )
+            f"k1, k2, k3, got {len(kw['control_mode'])}")
+    kw.update(plane=_parse_plane(plane_txt),
+              **_read(cfg, plane_demo, "phys", "eps_kappa", "n2", "m"),
+              **_read(cfg, plane_demo, "plane_demo", "n", "dt", "t_end",
+                      "seed", "record_every"))
     cfg.reject_unused()
 
     t0 = time.perf_counter()

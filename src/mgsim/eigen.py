@@ -80,6 +80,9 @@ _WIDTH_ULPS = 8.0
 # their root; a round costs about the same at any size below a few hundred.
 _LANES = 512
 
+# Truncation depth where every solve starts doubling (up to _MAX_DEPTH)
+# until its root settles; the settled root agrees to 1e-12 from any start.
+_START_DEPTH = 64
 _MAX_DEPTH = 1024
 
 # Accepted roots are certified this many modes at a time, which bounds the
@@ -387,21 +390,15 @@ def _certify(sigma: np.ndarray, P: int, k1s: np.ndarray, k2s: np.ndarray,
 class _Batch:
     """Principal roots of a batch of modes, solved in lockstep.
 
-    Every mode with a positive upper bound is multisected at `depth`, and
-    the modes whose root then moves by 1e-12 or more are solved again at
-    doubled depth until none does, up to `_MAX_DEPTH`; a starting depth
-    outside [2, `_MAX_DEPTH` // 2] raises ValueError.  Per mode this keeps
-    sigma (NaN without a root), the accepted depth, the acceptance residual
-    and the recursion row defect; the first mode that fails a check of
-    `solve_sigma_star` raises InvariantError.
+    Every mode with a positive upper bound is multisected at
+    `_START_DEPTH`, and the modes whose root then moves by 1e-12 or more
+    are solved again at doubled depth until none does, up to `_MAX_DEPTH`.
+    Per mode this keeps sigma (NaN without a root), the accepted depth,
+    the acceptance residual and the recursion row defect; the first mode
+    that fails a check of `solve_sigma_star` raises InvariantError.
     """
 
-    def __init__(self, k1s, k2s, params: PhysParams, depth: int):
-        if not 2 <= depth <= _MAX_DEPTH // 2:
-            raise ValueError(
-                f"starting depth must be in [2, {_MAX_DEPTH // 2}], so that "
-                f"it can double at least once within the cap {_MAX_DEPTH}; "
-                f"got {depth}")
+    def __init__(self, k1s, k2s, params: PhysParams):
         self.k1 = k1s = np.asarray(k1s, dtype=np.int64).ravel()
         self.k2 = k2s = np.asarray(k2s, dtype=np.int64).ravel()
         self.params = params
@@ -413,7 +410,7 @@ class _Batch:
         self.depth = np.zeros(k1s.size, dtype=np.int64)
         todo = np.flatnonzero(self.upper > 0.0)
         prev = np.full(todo.size, np.nan)  # no root settles at the first depth
-        d = depth
+        d = _START_DEPTH
         while todo.size:
             new = _multisect(k1s[todo], k2s[todo], params, d,
                              self.left[todo], self.right[todo])
@@ -457,28 +454,25 @@ class _Batch:
             recursion_residual=float(self.rows[i]))
 
 
-def solve_sigma_star(k1: int, k2: int, params: PhysParams,
-                     depth: int = 64) -> EigenSolution:
+def solve_sigma_star(k1: int, k2: int, params: PhysParams) -> EigenSolution:
     """Largest unstable eigenvalue of a horizontal mode pair.
 
     Brackets the principal root with `closed_form_bounds` and multisects
     the truncated residual on the bracket to machine width; the residual
     changes sign at most once there, so a sign change at the endpoints is
-    the root.  The truncation depth then doubles until the root moves by
-    less than 1e-12, and the accepted root gets its coefficient profile
-    from `backward_coefficients`.  This is the lockstep batch solver of
-    `optimize_growth` on one mode.
+    the root.  The truncation depth then doubles from `_START_DEPTH` until
+    the root moves by less than 1e-12, and the accepted root gets its
+    coefficient profile from `backward_coefficients`.  This is the lockstep
+    batch solver of `optimize_growth` on one mode.
 
     Raises
     ------
     NoRootError
         If the upper bound 2/alpha_1 - e_1 certifies stability (<= 0) or
         the residual does not change sign on the admissible bracket.
-    ValueError
-        If the starting `depth` is outside [2, 512], half the depth cap.
     """
     _validate_mode(k1, k2)
-    batch = _Batch(k1, k2, params, depth)
+    batch = _Batch(k1, k2, params)
     if math.isnan(batch.sigma[0]):
         raise batch.error(0)
     return batch.solution(0)
@@ -586,7 +580,7 @@ def _sweep_bound(j: int, params: PhysParams) -> float | None:
 
 
 def illposedness_sweep(regime: str, params: PhysParams, j_min: int = 2,
-                       j_max: int = 12, depth: int = 64) -> SweepResult:
+                       j_max: int = 12) -> SweepResult:
     """Walk the unbounded-growth family k = (j^2, j) and certify divergence.
 
     Computes sigma*_j for each j (recording failures per j rather than
@@ -620,7 +614,7 @@ def illposedness_sweep(regime: str, params: PhysParams, j_min: int = 2,
         raise ValueError("j_max must be >= j_min")
 
     js = np.arange(j_min, j_max + 1)
-    batch = _Batch(js * js, js, params, depth)
+    batch = _Batch(js * js, js, params)
     rows = []
     for i, j in enumerate(range(j_min, j_max + 1)):
         bound = _sweep_bound(j, params)
@@ -719,7 +713,7 @@ def continuum_lower_bound(params: PhysParams) -> float:
     return float(_closed_form_bounds(k1, k2, params)[0][0])
 
 
-def optimize_growth(params: PhysParams, box: int, depth: int = 64) -> OptimizeResult:
+def optimize_growth(params: PhysParams, box: int) -> OptimizeResult:
     """Best unstable pair over the integer box [1, box]^2.
 
     Solves all box**2 mode pairs in one lockstep batch, returning the pair
@@ -738,7 +732,7 @@ def optimize_growth(params: PhysParams, box: int, depth: int = 64) -> OptimizeRe
         raise ValueError(f"box must be in [1, 32767], got {box}")
     ks = np.arange(1, box + 1)
     k1s, k2s = np.repeat(ks, box), np.tile(ks, box)  # k1-major order
-    batch = _Batch(k1s, k2s, params, depth)
+    batch = _Batch(k1s, k2s, params)
     unstable = np.flatnonzero(~np.isnan(batch.sigma))
     if unstable.size == 0:
         raise NoRootError(f"no unstable modes in box [1, {box}]^2")

@@ -56,7 +56,7 @@ class InstabilityReport:
 
 
 def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
-                seed_rel=1e-6, fit_start=1.0, record_every=10, depth=64):
+                seed_rel=1e-6, fit_start=1.0, record_every=10):
     """Seed the steady state with its most unstable eigenmode and time it.
 
     The steady profile sin(m x3) is held by its balancing source; the
@@ -68,7 +68,7 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
     Raises NoRootError when no mode in the box is unstable (the steady
     state is then simply observed to hold).
     """
-    opt = optimize_growth(params, box=box, depth=depth)
+    opt = optimize_growth(params, box=box)
     sol = opt.solution
     grid = Grid(n, n, n)
     background = sine_vertical(grid, params.m)
@@ -243,7 +243,7 @@ def write_sweep_csv(result, path):
                         int(row.certified)])
 
 
-def write_manifest(path, resolved, *, wall_seconds=None, extras=None):
+def write_manifest(path, resolved, *, wall_seconds, extras):
     """Plain-text record of what a run actually used.
 
     ``resolved`` maps flat keys (section.key) to their effective values,
@@ -257,16 +257,14 @@ def write_manifest(path, resolved, *, wall_seconds=None, extras=None):
     lines.append(f"python = {platform.python_version()}")
     lines.append(f"numpy = {np.__version__}")
     lines.append(f"scipy = {scipy.__version__}")
-    if wall_seconds is not None:
-        lines.append(f"wall_seconds = {wall_seconds:.3f}")
+    lines.append(f"wall_seconds = {wall_seconds:.3f}")
     lines.append("")
     lines.append("[resolved]")
     for key in sorted(resolved):
         lines.append(f"{key} = {resolved[key]}")
-    if extras:
-        lines.append("")
-        lines.append("[results]")
-        for key in sorted(extras):
-            lines.append(f"{key} = {extras[key]}")
+    lines.append("")
+    lines.append("[results]")
+    for key in sorted(extras):
+        lines.append(f"{key} = {extras[key]}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -112,7 +112,8 @@ class SourceSpec:
 class SolverConfig:
     """Run parameters.
 
-    ``plane`` alone only adds the off-plane norm as a diagnostic column.
+    The recorded norms are fixed (see ``Diagnostics``); ``plane`` alone
+    only adds the off-plane norm as a diagnostic column.
     With ``restrict_to_plane`` the run steps on the plane's own layout, so
     off-plane content is never stored (see the module docstring): the
     initial data and the source keep only their on-plane coefficients, and
@@ -129,7 +130,6 @@ class SolverConfig:
     record_every: int = 10
     plane: PlaneSpec | None = None
     restrict_to_plane: bool = False
-    hs_order: float = 1.0
     source: SourceSpec = field(default_factory=SourceSpec)
 
     def __post_init__(self):
@@ -155,7 +155,10 @@ class SolverConfig:
 
 @dataclass
 class Diagnostics:
-    """Time series recorded during a run (one row per record step)."""
+    """Time series recorded during a run, one row per record step.
+
+    ``hs`` is the H^1 seminorm; ``wall_seconds`` times the steps and records.
+    """
 
     times: np.ndarray
     l2: np.ndarray
@@ -164,8 +167,6 @@ class Diagnostics:
     off_plane: np.ndarray
     energy_residual: np.ndarray
     ref_l2: np.ndarray | None
-    hs_order: float
-    plane: PlaneSpec | None
     wall_seconds: float = 0.0
 
     HEADER = "t,l2,linf,hs,off_plane,energy_residual"
@@ -405,10 +406,10 @@ def run(theta0, params, config, reference=None):
             raise BlowUpError(
                 f"solution lost finiteness at t = {t:g} (step {step})",
                 time=t,
-                history=_finalize(rows, config, reference, 0.0),
+                history=_finalize(rows, reference, 0.0),
             )
         rows.append((
-            t, l2, linf_norm(f), hs_norm(f, config.hs_order),
+            t, l2, linf_norm(f), hs_norm(f, 1.0),
             off_plane_norm(f, config.plane) if config.plane is not None
             else math.nan,
             math.nan if config.linearized
@@ -431,14 +432,13 @@ def run(theta0, params, config, reference=None):
             record(step)
     wall = _time.perf_counter() - wall0
 
-    diag = _finalize(rows, config, reference, wall)
+    diag = _finalize(rows, reference, wall)
     return SpectralField(grid, stepper.state()), diag
 
 
-def _finalize(rows, config, reference, wall):
+def _finalize(rows, reference, wall):
     *cols, ref = np.array(rows, dtype=np.float64).reshape(-1, 7).T
     return Diagnostics(*cols, ref_l2=ref if reference is not None else None,
-                       hs_order=config.hs_order, plane=config.plane,
                        wall_seconds=wall)
 
 

@@ -1,6 +1,9 @@
 """Tests for config parsing and the command-line interface."""
 
 import csv
+import dataclasses
+import functools
+import inspect
 import re
 from pathlib import Path
 
@@ -15,8 +18,10 @@ from mgsim.config import (
     get_bool, get_float, get_floats, get_int, get_ints, get_str, load_config,
     parse_config,
 )
+from mgsim import cli
 from mgsim.cli import _Literal, _initial_field, _parse_plane, main
 from mgsim.fields import Grid, PlaneSpec, cosine_mode, write_snapshot
+from mgsim.symbol import PhysParams
 
 
 class TestParseConfig:
@@ -217,14 +222,27 @@ class TestCli:
     def test_eigen_stable_exits_2(self):
         res = self.runner.invoke(
             main, ["eigen", "--k1", "2", "--k2", "2", "--eps-kappa", "0.05"])
-        assert res.exit_code == 2
+        assert res.exit_code == 3
         assert "stable" in res.output
 
-    def test_eigen_depth_beyond_cap(self):
-        res = self.runner.invoke(
-            main, ["eigen", "--k1", "1", "--k2", "1", "--depth", "1024"])
-        assert res.exit_code == 1
-        assert "starting depth must be in [2, 512]" in res.output
+    def test_usage_error_is_not_a_stable_result(self):
+        # click exits 2 on a usage error; a stable result must not share it
+        usage = self.runner.invoke(main, ["eigen", "--k1", "abc", "--k2", "1"])
+        assert usage.exit_code == 2
+        assert "Invalid value for '--k1'" in usage.output
+        stable = self.runner.invoke(
+            main, ["eigen", "--k1", "2", "--k2", "2", "--eps-kappa", "0.05"])
+        assert stable.exit_code == 3
+        assert "stable:" in stable.output
+
+    @pytest.mark.parametrize("n2", ["nan", "inf", "-1", "0"])
+    def test_symbol_scan_rejects_bad_n2(self, tmp_path, n2):
+        out = tmp_path / "scan.csv"
+        res = self.runner.invoke(main, [
+            "symbol-scan", "--kmax", "2", "--n2", n2, "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "n2 must be a positive finite number" in res.output
+        assert not out.exists()
 
     def test_eigen_requires_a_mode_choice(self):
         res = self.runner.invoke(main, ["eigen"])
@@ -356,8 +374,8 @@ class TestCli:
         ("illposedness",
          "[phys]\neps_kapa = 0.05\n[illposedness]\nregime = fractional\n",
          "phys.eps_kapa", "phys.eps_kappa"),
-        ("evolve", EVOLVE_CFG + "[mode]\nk1 = 1\nk2 = 1\ndepht = 32\n",
-         "mode.depht", "mode.depth"),
+        ("evolve", EVOLVE_CFG + "[mode]\nk1 = 1\nk2 = 1\n"
+         "[source]\nknd = none\n", "source.knd", "source.kind"),
         ("instability", "[instability]\nbox = 4\nseed = 1e-6\n",
          "instability.seed", "instability.seed_rel"),
         ("plane-demo", "[plane_demo]\nn = 8\ngamma = 0.5\n",
@@ -392,7 +410,7 @@ class TestCli:
         cfg.write_text(
             "[phys]\neps_kappa = 0.01\n[grid]\nn = 32\n"
             "[run]\ndt = 0.02\nt_end = 0.1\nlinearized = true\n"
-            "[mode]\nk1 = 1\nk2 = 1\ndepth = 32\n")
+            "[mode]\nk1 = 1\nk2 = 1\n")
         diag = tmp_path / "diag.csv"
         res = self.runner.invoke(main, [
             "evolve", "--config", str(cfg), "--out-diag", str(diag)])
@@ -400,9 +418,8 @@ class TestCli:
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "sigma_star = 0.0571456432" in manifest
         resolved = _manifest(tmp_path / "manifest.txt")
-        assert {k: resolved[k] for k in ("mode.k1", "mode.k2",
-                                         "mode.depth")} == {
-            "mode.k1": "1", "mode.k2": "1", "mode.depth": "32"}
+        assert {k: resolved[k] for k in ("mode.k1", "mode.k2")} == {
+            "mode.k1": "1", "mode.k2": "1"}
 
     def test_evolve_manifest_records_source(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -415,7 +432,7 @@ class TestCli:
         resolved = _manifest(tmp_path / "manifest.txt")
         assert resolved["source.kind"] == "steady_balance"
         assert resolved["phys.m"] == "2"
-        assert not {"mode.k1", "mode.k2", "mode.depth"} & set(resolved)
+        assert not {"mode.k1", "mode.k2"} & set(resolved)
 
     def test_source_index_is_the_phys_index(self, tmp_path):
         # the steady balance holds sin(phys.m x3); a second index is unread
@@ -435,7 +452,7 @@ class TestCli:
         res = self.runner.invoke(main, [
             "instability", "--config", str(cfg),
             "--out", str(tmp_path / "out")])
-        assert res.exit_code == 2
+        assert res.exit_code == 3
         assert "stable" in res.output
 
     def test_failed_run_leaves_no_out_directory(self, tmp_path):
@@ -527,7 +544,7 @@ class TestCli:
         ["eigen", "--k1", "1_0", "--k2", "1"],
         ["eigen", "--k1", "1", "--k2", "\uff11"],
         ["eigen", "--k1", "1", "--k2", "1", "--eps-kappa", "0.0_1"],
-        ["eigen", "--optimize", "4", "--depth", "6_4"],
+        ["eigen", "--sweep", "nondiffusive", "--j-max", "1_2"],
         ["symbol-scan", "--kmax", "1_6", "--out", "scan.csv"],
         ["symbol-scan", "--n2", "\uff12.0", "--out", "scan.csv"],
     ])
@@ -578,8 +595,63 @@ def test_every_numeric_option_reads_number_literals():
                for name, cmd in main.commands.items() for p in cmd.params
                if isinstance(p.type, (_Literal, click.types.IntParamType,
                                       click.types.FloatParamType))}
-    assert len(numeric) == 12
+    assert len(numeric) == 11
     assert set(numeric.values()) == {_Literal}, numeric
+
+
+class _Stop(Exception):
+    """Raised by a stubbed library function once it has its arguments."""
+
+
+@pytest.mark.parametrize("command, name, text, phys_keys", [
+    ("instability", "instability", "", ()),
+    ("illposedness", "illposedness_sweep",
+     "[illposedness]\nregime = nondiffusive\n", ()),
+    ("plane-demo", "plane_demo", "", ("eps_kappa", "n2", "m")),
+])
+def test_absent_keys_pass_the_library_defaults(tmp_path, monkeypatch, command,
+                                               name, text, phys_keys):
+    """With no optional key set, a command passes the function's defaults.
+
+    ``phys_keys`` are the function's parameters read from [phys]; its
+    other defaulted parameters are read from the command's own section.
+    """
+    real = getattr(cli, name)
+    sig = inspect.signature(real)
+    calls, configs = [], []
+
+    @functools.wraps(real)  # keeps the signature the defaults come from
+    def stub(*args, **kwargs):
+        calls.append(sig.bind(*args, **kwargs).arguments)
+        raise _Stop
+
+    def load(path):
+        configs.append(load_config(path))
+        return configs[-1]
+
+    monkeypatch.setattr(cli, name, stub)
+    monkeypatch.setattr(cli, "load_config", load)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    res = CliRunner().invoke(main, [command, "--config", str(cfg),
+                                    "--out", str(tmp_path / "o")])
+    assert isinstance(res.exception, _Stop), res.output
+    (args,), (config,) = calls, configs
+    section = command.replace("-", "_")
+    defaulted = {n: p.default for n, p in sig.parameters.items()
+                 if p.default is not p.empty}
+    if "plane" in defaulted:  # plane_demo.q is the CLI's own key
+        assert defaulted.pop("plane") is None
+        assert args.pop("plane") == PlaneSpec(1, 1)
+        assert config.resolved["plane_demo.q"] == "1/1"
+    for key, default in defaulted.items():
+        assert args[key] == default, key
+        where = "phys" if key in phys_keys else section
+        assert config.resolved[f"{where}.{key}"] == default, key
+    if "params" in args:
+        assert args["params"] == PhysParams()
+        for f in dataclasses.fields(PhysParams):
+            assert config.resolved[f"phys.{f.name}"] == f.default, f.name
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

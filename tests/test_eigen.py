@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from mgsim.errors import DegenerateTailError, NoRootError
 from mgsim.symbol import PhysParams, eval_symbol
 from mgsim.eigen import (
+    _START_DEPTH,
     _cf_residuals,
     _weights,
     alpha,
@@ -160,25 +161,8 @@ class TestSolve:
             0.05714564320543115, abs=1e-10)
 
     def test_depth_doubling_from_coarse_start(self):
-        coarse = solve_sigma_star(1, 1, CANON, depth=8)
-        fine = solve_sigma_star(1, 1, CANON, depth=64)
-        assert abs(coarse.sigma_star - fine.sigma_star) < 1e-12
-        assert coarse.depth > 8  # doubling actually engaged
-
-    @pytest.mark.parametrize("depth", [1, 1000, 1024])
-    def test_starting_depth_outside_cap_rejected(self, depth):
-        # 1024 used to fail without comparing two depths, 1000 to be
-        # accepted at depth 2000, past the cap
-        for solve in (lambda: solve_sigma_star(1, 1, CANON, depth=depth),
-                      lambda: optimize_growth(CANON, box=2, depth=depth),
-                      lambda: illposedness_sweep("nondiffusive", CANON,
-                                                 j_max=3, depth=depth)):
-            with pytest.raises(ValueError, match=r"\[2, 512\].*1024"):
-                solve()
-
-    def test_largest_starting_depth_settles_within_cap(self):
-        sol = solve_sigma_star(1, 1, CANON, depth=512)
-        assert sol.depth == 1024
+        sol = solve_sigma_star(1, 1, CANON)
+        assert sol.depth > _START_DEPTH  # doubling actually engaged
         assert abs(sol.sigma_star - SIGMA_CANON) < 1e-12
 
     def test_stable_mode_raises_no_root(self):
@@ -220,8 +204,8 @@ class TestCoefficients:
         assert sol.recursion_residual < 1e-10
 
     def test_underflowed_tail_is_zero_not_junk(self):
-        sol = solve_sigma_star(1, 1, CANON, depth=256)
-        c = sol.c
+        sigma = solve_sigma_star(1, 1, CANON).sigma_star
+        c = backward_coefficients(sigma, 1, 1, CANON, depth=256)
         assert c[0] == 4.0
         # deep tail underflows cleanly to zero
         assert (np.abs(c[200:]) == 0.0).all()
