@@ -1,5 +1,13 @@
 """Command-line interface.
 
+Each input has one way in.  ``symbol-scan`` and ``eigen`` read flags;
+``evolve``, ``instability``, ``illposedness`` and ``plane-demo`` read a
+config file (``--config``), fail on any key they do not read, and list
+every key they read in the ``[resolved]`` section of their manifest.  The
+sweep of ``illposedness`` takes its regime from ``phys.eps_kappa``:
+nondiffusive at 0, fractional above.  Every CSV goes through
+``experiments.write_csv``.
+
 Exit codes: 0 on success, 3 when an eigenvalue query finds no unstable
 mode (a meaningful outcome, not a failure), 1 on any error, and 2 on a
 usage error such as a malformed flag (click's own code).
@@ -8,7 +16,6 @@ A run default is written once, in the library: every config key and
 option with a library counterpart defaults to that function's default.
 """
 
-import csv
 import functools
 import inspect
 import math
@@ -29,7 +36,7 @@ from .eigen import (
     solve_sigma_star,
 )
 from .experiments import (
-    instability, plane_demo, write_diag_csv, write_eigen_csv,
+    instability, plane_demo, write_csv, write_diag_csv, write_eigen_csv,
     write_growth_csv, write_manifest, write_sweep_csv,
 )
 from .fields import Grid, cosine_mode, read_snapshot, write_snapshot
@@ -38,7 +45,9 @@ from .symbol import PhysParams, PlaneSpec, scan_box
 
 _STABLE_EXIT = 3
 
-_GETTERS = {bool: get_bool, int: get_int, float: get_float, str: get_str}
+# a None default is an int the function works out from its other inputs
+_GETTERS = {bool: get_bool, int: get_int, float: get_float, str: get_str,
+            type(None): get_int}
 
 
 def _default(fn, name):
@@ -106,6 +115,13 @@ def _parse_plane(text):
             f"bad plane ratio {text!r} (expected e.g. 1/1 or 2/1): {exc}")
 
 
+def _timed(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), its wall time in seconds)."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter() - t0
+
+
 def _wrap_errors(fn):
     """Convert library errors to CLI errors, NoRootError to exit code 3."""
     @functools.wraps(fn)
@@ -145,25 +161,15 @@ def main():
 def symbol_scan(n2, kmax, plane_txt, out):
     """Tabulate the velocity multiplier over an integer wavenumber box."""
     PhysParams(n2=n2)  # its check of N^2, before the file is opened
-    plane = None
-    if plane_txt is not None:
-        spec = _parse_plane(plane_txt)
-        plane = (spec.q_num, spec.q_den)
-    nrows = 0
-    max_ratio = 0.0
-    arg = None
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k1", "k2", "k3", "m1", "m2", "m3", "abs",
-                    "ratio_abs_over_k"])
-        for row in scan_box(kmax, n2, plane=plane):
-            w.writerow([row[0], row[1], row[2]] +
-                       [f"{v:.17g}" for v in row[3:]])
-            nrows += 1
-            if row[7] > max_ratio:
-                max_ratio, arg = row[7], (row[0], row[1], row[2])
-    click.echo(f"wrote {nrows} rows to {out}")
-    click.echo(f"max |M(k)|/|k| = {max_ratio:.6f} at k = {arg}")
+    plane = None if plane_txt is None else _parse_plane(plane_txt)
+    rows = list(scan_box(kmax, n2, plane=plane))
+    write_csv(out, ["k1", "k2", "k3", "m1", "m2", "m3", "abs",
+                    "ratio_abs_over_k"],
+              ([*row[:3], *(f"{v:.17g}" for v in row[3:])] for row in rows))
+    best = max(rows, key=lambda row: row[7])  # the first of equal ratios
+    click.echo(f"wrote {len(rows)} rows to {out}")
+    click.echo(f"max |M(k)|/|k| = {best[7]:.6f} at k = "
+               f"{best[:3] if best[7] > 0.0 else None}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,37 +190,15 @@ def symbol_scan(n2, kmax, plane_txt, out):
               show_default=True)
 @click.option("--optimize", "box", type=INT, default=None,
               help="Search the integer box [1, BOX]^2 for the fastest mode.")
-@click.option("--sweep", "regime", type=str, default=None,
-              help="Sweep the family (j^2, j): 'nondiffusive' or 'fractional'.")
-@click.option("--j-min", type=INT,
-              default=_default(illposedness_sweep, "j_min"), show_default=True)
-@click.option("--j-max", type=INT,
-              default=_default(illposedness_sweep, "j_max"), show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Optional CSV destination.")
 @_wrap_errors
-def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, box, regime, j_min, j_max,
-              out):
+def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, box, out):
     """Unstable eigenvalues of the linearization about sin(m x3)."""
     params = PhysParams(n2=n2, m=m, eps_kappa=eps_kappa, gamma=gamma)
-    single = k1 is not None or k2 is not None
-    if (box is not None) + (regime is not None) + single != 1:
+    if (box is not None) == (k1 is not None or k2 is not None):
         raise click.ClickException(
-            "choose exactly one of --k1/--k2, --optimize, or --sweep")
-
-    if regime is not None:
-        res = illposedness_sweep(regime, params, j_min=j_min, j_max=j_max)
-        for row in res.rows:
-            sig = "none" if row.sigma_star is None else f"{row.sigma_star:.9g}"
-            bnd = "-" if row.bound is None else f"{row.bound:.6g}"
-            tag = "certified" if row.certified else "uncertified"
-            click.echo(f"j = {row.j:3d}  mode ({row.k1},{row.k2})  "
-                       f"sigma* = {sig:<14} bound = {bnd:<12} {tag}")
-        click.echo(f"verdict: {res.verdict} -- {res.reason}")
-        if out:
-            write_sweep_csv(res, out)
-            click.echo(f"wrote {out}")
-        return
+            "choose exactly one of --k1/--k2 or --optimize")
 
     if box is not None:
         res = optimize_growth(params, box=box)
@@ -226,22 +210,20 @@ def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, box, regime, j_min, j_max,
             click.echo(f"continuum argmax estimate: "
                        f"({res.continuum_k1:.3f}, {res.continuum_k2:.3f})")
         click.echo(f"unstable modes found: {res.n_unstable}")
-        if out:
-            write_eigen_csv(res.table, params, out)
-            click.echo(f"wrote {out}")
-        return
-
-    if k1 is None or k2 is None:
-        raise click.ClickException("single-mode query needs both --k1 and --k2")
-    sol = solve_sigma_star(k1, k2, params)
-    lower, upper = sol.bracket
-    click.echo(f"mode ({k1}, {k2}): sigma* = {sol.sigma_star:.12g}")
-    click.echo(f"closed-form bounds: [{lower:.9g}, {upper:.9g}]")
-    click.echo(f"depth = {sol.depth}, residual = {sol.residual:.3g}, "
-               f"recursion rows defect = {sol.recursion_residual:.3g}")
+        table = res.table
+    else:
+        if k1 is None or k2 is None:
+            raise click.ClickException(
+                "single-mode query needs both --k1 and --k2")
+        sol = solve_sigma_star(k1, k2, params)
+        lower, upper = sol.bracket
+        click.echo(f"mode ({k1}, {k2}): sigma* = {sol.sigma_star:.12g}")
+        click.echo(f"closed-form bounds: [{lower:.9g}, {upper:.9g}]")
+        click.echo(f"depth = {sol.depth}, residual = {sol.residual:.3g}, "
+                   f"recursion rows defect = {sol.recursion_residual:.3g}")
+        table = [(k1, k2, sol.sigma_star, sol.depth, sol.residual)]
     if out:
-        write_eigen_csv([(k1, k2, sol.sigma_star, sol.depth, sol.residual)],
-                        params, out)
+        write_eigen_csv(table, params, out)
         click.echo(f"wrote {out}")
 
 
@@ -297,33 +279,32 @@ def _initial_field(init, mode, grid, params):
         f"or mode:k1,k2,k3[,amp]")
 
 
+_CONFIG = click.option("--config", "config_path", required=True,
+                       type=click.Path(exists=True, dir_okay=False))
+
+
 @main.command("evolve")
-@click.option("--config", "config_path", type=click.Path(exists=True,
-              dir_okay=False), required=True)
+@_CONFIG
 @click.option("--init", default="eigenfunction", show_default=True,
               help="eigenfunction | snapshot:PATH | mode:k1,k2,k3[,amp]")
-@click.option("--plane", "plane_txt", type=str, default=None,
-              help="Override the config plane ratio.")
 @click.option("--out-diag", type=click.Path(dir_okay=False),
               default="diag.csv", show_default=True)
 @click.option("--out-field", type=click.Path(dir_okay=False), default=None,
               help="Optional final-state snapshot destination.")
 @_wrap_errors
-def evolve(config_path, init, plane_txt, out_diag, out_field):
+def evolve(config_path, init, out_diag, out_field):
     """Integrate the scalar equation from a configured initial state."""
     cfg = load_config(config_path)
     params = _phys_from_cfg(cfg)
     grid = _grid_from_cfg(cfg)
-    plane_cfg = get_str(cfg, "plane.q", None)  # read even when overridden
-    plane_txt = plane_cfg if plane_txt is None else plane_txt
-    plane = _parse_plane(plane_txt) if plane_txt else None
+    plane_txt = get_str(cfg, "plane.q", None)
 
     scfg = SolverConfig(
         dt=get_float(cfg, "run.dt"),
         t_end=get_float(cfg, "run.t_end"),
         **_read(cfg, SolverConfig, "run",
                 "scheme", "linearized", "record_every"),
-        plane=plane,
+        plane=_parse_plane(plane_txt) if plane_txt else None,
         restrict_to_plane=get_bool(cfg, "plane.restrict", False),
         source=_source_from_cfg(cfg, grid),
     )
@@ -331,12 +312,9 @@ def evolve(config_path, init, plane_txt, out_diag, out_field):
     if init == "eigenfunction":
         mode = (get_int(cfg, "mode.k1"), get_int(cfg, "mode.k2"))
     cfg.reject_unused()
-    resolved = {**cfg.resolved, "plane.q": plane_txt, "init": init}
     theta0, sol = _initial_field(init, mode, grid, params)
 
-    t0 = time.perf_counter()
-    final, diag = run(theta0, params, scfg)
-    wall = time.perf_counter() - t0
+    (final, diag), wall = _timed(run, theta0, params, scfg)
 
     Path(out_diag).parent.mkdir(parents=True, exist_ok=True)
     write_diag_csv(diag, out_diag)
@@ -352,7 +330,8 @@ def evolve(config_path, init, plane_txt, out_diag, out_field):
     if sol is not None:
         extras["sigma_star"] = f"{sol.sigma_star:.12g}"
     manifest = Path(out_diag).with_name("manifest.txt")
-    write_manifest(manifest, resolved, wall_seconds=wall, extras=extras)
+    write_manifest(manifest, {**cfg.resolved, "init": init},
+                   wall_seconds=wall, extras=extras)
     click.echo(f"wrote {manifest}")
 
 
@@ -367,12 +346,14 @@ def _outdir(path):
     return out
 
 
-@main.command("instability")
-@click.option("--config", "config_path", type=click.Path(exists=True,
-              dir_okay=False), required=True)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False),
-              required=True)
-@_wrap_errors
+def _config_command(name):
+    """Register a command that reads --config and writes into --out."""
+    out = click.option("--out", "out_dir", required=True,
+                       type=click.Path(file_okay=False))
+    return lambda fn: main.command(name)(_CONFIG(out(_wrap_errors(fn))))
+
+
+@_config_command("instability")
 def instability_cmd(config_path, out_dir):
     """Grow the fastest eigenmode through the nonlinear dynamics."""
     cfg = load_config(config_path)
@@ -381,9 +362,7 @@ def instability_cmd(config_path, out_dir):
                "seed_rel", "fit_start", "record_every")
     cfg.reject_unused()
 
-    t0 = time.perf_counter()
-    rep = instability(params, **kw)
-    wall = time.perf_counter() - t0
+    rep, wall = _timed(instability, params, **kw)
 
     out = _outdir(out_dir)
 
@@ -409,39 +388,36 @@ def instability_cmd(config_path, out_dir):
     click.echo(f"wrote {out}/modes.csv diag.csv growth.csv manifest.txt")
 
 
-@main.command("illposedness")
-@click.option("--config", "config_path", type=click.Path(exists=True,
-              dir_okay=False), required=True)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False),
-              required=True)
-@_wrap_errors
+@_config_command("illposedness")
 def illposedness_cmd(config_path, out_dir):
     """Sweep growth rates along the unbounded-wavenumber family."""
     cfg = load_config(config_path)
     params = _phys_from_cfg(cfg)
-    regime = get_str(cfg, "illposedness.regime")
     kw = _read(cfg, illposedness_sweep, "illposedness", "j_min", "j_max")
     cfg.reject_unused()
 
-    t0 = time.perf_counter()
-    res = illposedness_sweep(regime, params, **kw)
-    wall = time.perf_counter() - t0
+    regime = "fractional" if params.eps_kappa > 0.0 else "nondiffusive"
+    res, wall = _timed(illposedness_sweep, regime, params, **kw)
 
     out = _outdir(out_dir)
 
     write_sweep_csv(res, out / "sweep.csv")
-    write_manifest(out / "manifest.txt", cfg.resolved, wall_seconds=wall,
+    # the j_min the sweep used, also when the key was absent
+    write_manifest(out / "manifest.txt",
+                   {**cfg.resolved, "illposedness.j_min": res.j_min},
+                   wall_seconds=wall,
                    extras={"verdict": res.verdict, "reason": res.reason})
+    for row in res.rows:
+        sig = "none" if row.sigma_star is None else f"{row.sigma_star:.9g}"
+        bnd = "-" if row.bound is None else f"{row.bound:.6g}"
+        tag = "certified" if row.certified else "uncertified"
+        click.echo(f"j = {row.j:3d}  mode ({row.k1},{row.k2})  "
+                   f"sigma* = {sig:<14} bound = {bnd:<12} {tag}")
     click.echo(f"verdict: {res.verdict} -- {res.reason}")
     click.echo(f"wrote {out}/sweep.csv manifest.txt")
 
 
-@main.command("plane-demo")
-@click.option("--config", "config_path", type=click.Path(exists=True,
-              dir_okay=False), required=True)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False),
-              required=True)
-@_wrap_errors
+@_config_command("plane-demo")
 def plane_demo_cmd(config_path, out_dir):
     """Plane-confined well-posedness against an off-plane control."""
     cfg = load_config(config_path)
@@ -457,9 +433,7 @@ def plane_demo_cmd(config_path, out_dir):
                       "seed", "record_every"))
     cfg.reject_unused()
 
-    t0 = time.perf_counter()
-    rep = plane_demo(**kw)
-    wall = time.perf_counter() - t0
+    rep, wall = _timed(plane_demo, **kw)
 
     out = _outdir(out_dir)
 

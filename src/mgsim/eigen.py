@@ -18,10 +18,11 @@ rate by the dissipation of each vertical mode, and the interaction weights
     2 / alpha_p = m N^2 k2^2 (k1^2 + k2^2)
                   / (N^4 (m p)^2 (k1^2 + k2^2 + (m p)^2) + k2^4)
 
-are (m/2) times the vertical multiplier component at (k1, k2, m p).  In the
-normalized variables d_p = c_p / alpha_p, x_p = sigma_p alpha_p the recursion
-is symmetric, x_p d_p + d_{p+1} + d_{p-1} = 0, and the decaying (minimal)
-solution exists exactly when sigma solves the continued-fraction equation
+are m times the vertical multiplier component at (k1, k2, m p): 1/alpha_p is
+(m/2) M3(k1, k2, m p).  In the normalized variables d_p = c_p / alpha_p,
+x_p = sigma_p alpha_p the recursion is symmetric,
+x_p d_p + d_{p+1} + d_{p-1} = 0, and the decaying (minimal) solution exists
+exactly when sigma solves the continued-fraction equation
 
     x_1 = 1 / (x_2 - 1 / (x_3 - 1 / (x_4 - ... ))).
 
@@ -68,7 +69,7 @@ from .errors import (
     RecurrenceOverflowError,
     TruncationError,
 )
-from .symbol import PhysParams
+from .symbol import PhysParams, _denominator
 
 # Tail values at or below this are treated as off the principal branch.
 _TAIL_FLOOR = 1e-13
@@ -108,12 +109,13 @@ def _weights(P: int, k1s, k2s, params: PhysParams) -> tuple[np.ndarray, np.ndarr
     n2, m = params.n2, params.m
     k1 = np.asarray(k1s, dtype=np.float64).reshape(1, -1)
     k2 = np.asarray(k2s, dtype=np.float64).reshape(1, -1)
-    ksq = k1 * k1 + k2 * k2
-    mp2 = (m * np.arange(1, P + 1, dtype=np.float64)[:, None]) ** 2
-    a = 2.0 * (n2 * n2 * mp2 * (ksq + mp2) + k2 ** 4) / (m * n2 * (k2 * k2) * ksq)
+    mp = m * np.arange(1, P + 1, dtype=np.float64)[:, None]
+    ksq, a = _denominator(k1, k2, mp, n2)  # |k|^2 and D at (k1, k2, m p)
+    a *= 2.0
+    a /= m * n2 * (k2 * k2) * (k1 * k1 + k2 * k2)
     if params.eps_kappa == 0.0:
         return a.T, np.zeros_like(a.T)
-    return a.T, (params.eps_kappa * (ksq + mp2) ** params.gamma).T
+    return a.T, (params.eps_kappa * ksq ** params.gamma).T
 
 
 def alpha(p: int, k1: int, k2: int, params: PhysParams) -> float:
@@ -579,7 +581,8 @@ def _sweep_bound(j: int, params: PhysParams) -> float | None:
     return None
 
 
-def illposedness_sweep(regime: str, params: PhysParams, j_min: int = 2,
+def illposedness_sweep(regime: str, params: PhysParams,
+                       j_min: int | None = None,
                        j_max: int = 12) -> SweepResult:
     """Walk the unbounded-growth family k = (j^2, j) and certify divergence.
 
@@ -600,7 +603,7 @@ def illposedness_sweep(regime: str, params: PhysParams, j_min: int = 2,
     params : PhysParams
     j_min, j_max : int
         Range of the family parameter; j_min must be at least 2 m for the
-        displayed constants to be valid.
+        displayed constants to be valid, and defaults to 2 m.
     """
     if regime not in ("nondiffusive", "fractional"):
         raise ValueError(f"unknown regime {regime!r}")
@@ -608,6 +611,8 @@ def illposedness_sweep(regime: str, params: PhysParams, j_min: int = 2,
         raise ValueError("nondiffusive regime requires eps_kappa = 0")
     if regime == "fractional" and params.eps_kappa <= 0.0:
         raise ValueError("fractional regime requires eps_kappa > 0")
+    if j_min is None:
+        j_min = 2 * params.m
     if j_min < 2 * params.m:
         raise ValueError(f"j_min must be >= 2 m = {2 * params.m}, got {j_min}")
     if j_max < j_min:

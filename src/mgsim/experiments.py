@@ -193,23 +193,31 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
 # file writers
 
 
-def write_diag_csv(diag, path):
+def write_csv(path, header, rows):
+    """Write a header line and rows whose entries are already formatted."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(Diagnostics.HEADER.split(","))
-        for row in diag.rows():
-            w.writerow([f"{v:.17g}" for v in row])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _series_csv(diag, names, path):
+    """Columns t and the named ``Diagnostics`` series, to full precision."""
+    cols = [diag.times] + [getattr(diag, name) for name in names]
+    write_csv(path, ["t", *names],
+              ([f"{v:.17g}" for v in row] for row in zip(*cols)))
+
+
+def write_diag_csv(diag, path):
+    """Every recorded series but ``ref_l2`` (see `write_growth_csv`)."""
+    _series_csv(diag, [s for s in Diagnostics.SERIES if s != "ref_l2"], path)
 
 
 def write_growth_csv(diag, path):
     """Departure-from-reference series (only present with a reference)."""
     if diag.ref_l2 is None:
         raise ValueError("diagnostics carry no reference series")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "ref_l2"])
-        for t, v in zip(diag.times, diag.ref_l2):
-            w.writerow([f"{t:.17g}", f"{v:.17g}"])
+    _series_csv(diag, ["ref_l2"], path)
 
 
 def write_eigen_csv(table, params, path):
@@ -218,29 +226,23 @@ def write_eigen_csv(table, params, path):
     The closed-form bounds of each mode are recomputed for the
     ``lower_bound``/``upper_bound`` columns.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k1", "k2", "gamma", "eps_kappa", "sigma_star",
-                    "lower_bound", "upper_bound", "depth", "residual"])
-        lowers, uppers = _closed_form_bounds([row[0] for row in table],
-                                             [row[1] for row in table], params)
-        for (k1, k2, sigma, depth, residual), lower, upper in zip(
-                table, lowers, uppers):
-            w.writerow([k1, k2, f"{params.gamma:.17g}",
-                        f"{params.eps_kappa:.17g}", f"{sigma:.17g}",
-                        f"{lower:.17g}", f"{upper:.17g}", depth,
-                        f"{residual:.3g}"])
+    lowers, uppers = _closed_form_bounds([row[0] for row in table],
+                                         [row[1] for row in table], params)
+    write_csv(path, ["k1", "k2", "gamma", "eps_kappa", "sigma_star",
+                     "lower_bound", "upper_bound", "depth", "residual"],
+              ([k1, k2, f"{params.gamma:.17g}", f"{params.eps_kappa:.17g}",
+                f"{sigma:.17g}", f"{lower:.17g}", f"{upper:.17g}", depth,
+                f"{residual:.3g}"]
+               for (k1, k2, sigma, depth, residual), lower, upper
+               in zip(table, lowers, uppers)))
 
 
 def write_sweep_csv(result, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "k1", "k2", "sigma_star", "bound", "certified"])
-        for row in result.rows:
-            sigma = "" if row.sigma_star is None else f"{row.sigma_star:.17g}"
-            bound = "" if row.bound is None else f"{row.bound:.17g}"
-            w.writerow([row.j, row.k1, row.k2, sigma, bound,
-                        int(row.certified)])
+    write_csv(path, ["j", "k1", "k2", "sigma_star", "bound", "certified"],
+              ([row.j, row.k1, row.k2,
+                "" if row.sigma_star is None else f"{row.sigma_star:.17g}",
+                "" if row.bound is None else f"{row.bound:.17g}",
+                int(row.certified)] for row in result.rows))
 
 
 def write_manifest(path, resolved, *, wall_seconds, extras):

@@ -169,13 +169,7 @@ class Diagnostics:
     ref_l2: np.ndarray | None
     wall_seconds: float = 0.0
 
-    HEADER = "t,l2,linf,hs,off_plane,energy_residual"
     SERIES = ("l2", "linf", "hs", "off_plane", "energy_residual", "ref_l2")
-
-    def rows(self):
-        for i, t in enumerate(self.times):
-            yield (t, self.l2[i], self.linf[i], self.hs[i],
-                   self.off_plane[i], self.energy_residual[i])
 
 
 @lru_cache(maxsize=None)
@@ -396,7 +390,7 @@ def run(theta0, params, config, reference=None):
     stepper = _Stepper(grid, params, config, theta0.c)
     n2p = params.n2
 
-    rows = []  # per record: t, l2, linf, hs, off_plane, energy_residual, ref_l2
+    rows = []  # per record: t, then the values of Diagnostics.SERIES
 
     def record(step):
         t = step * dt
@@ -437,9 +431,12 @@ def run(theta0, params, config, reference=None):
 
 
 def _finalize(rows, reference, wall):
-    *cols, ref = np.array(rows, dtype=np.float64).reshape(-1, 7).T
-    return Diagnostics(*cols, ref_l2=ref if reference is not None else None,
-                       wall_seconds=wall)
+    times, *cols = np.array(rows, dtype=np.float64).reshape(
+        -1, 1 + len(Diagnostics.SERIES)).T
+    series = dict(zip(Diagnostics.SERIES, cols))
+    if reference is None:
+        series["ref_l2"] = None
+    return Diagnostics(times, **series, wall_seconds=wall)
 
 
 def growth_rate_fit(diag, t_start, t_stop, series="l2"):

@@ -249,17 +249,16 @@ def growth_scan(j_max: int, n2: float) -> list[tuple[int, float, float]]:
             for j, m in zip(js, mnorm)]
 
 
-def scan_box(kmax: int, n2: float, plane: tuple[int, int] | None = None):
+def scan_box(kmax: int, n2: float, plane: PlaneSpec | None = None):
     """Tabulate the multiplier over the box |k|_inf <= kmax.
 
-    Yields one row per nonzero lattice point (restricted to the plane
-    k2 * q_den = q_num * k1 when ``plane=(q_num, q_den)`` is given):
+    Yields one row per nonzero lattice point (on ``plane`` when given):
 
         (k1, k2, k3, M1, M2, M3, |M|, |M| / |k|)
 
     This backs the ``symbol-scan`` command's CSV output.
     """
-    k1, k2, k3 = _lattice(kmax, None if plane is None else PlaneSpec(*plane))
+    k1, k2, k3 = _lattice(kmax, plane)
     m1, m2, m3 = symbol_components(k1, k2, k3, n2)
     mnorm = np.sqrt(m1 * m1 + m2 * m2 + m3 * m3)
     knorm = np.sqrt((k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64))

@@ -268,10 +268,15 @@ class TestCli:
         assert rows[0][0] == "k1"
         assert float(rows[1][4]) == pytest.approx(0.3139239187, rel=1e-9)
 
-    def test_eigen_sweep(self):
-        res = self.runner.invoke(
-            main, ["eigen", "--sweep", "nondiffusive", "--j-max", "5"])
+    def test_eigen_sweep(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[illposedness]\nj_max = 5\n")
+        res = self.runner.invoke(main, [
+            "illposedness", "--config", str(cfg),
+            "--out", str(tmp_path / "out")])
         assert res.exit_code == 0, res.output
+        assert re.search(r"^j =   2  mode \(4,2\)  sigma\* = \S+ +bound = "
+                         r"\S+ +certified$", res.output, re.M), res.output
         assert "verdict: diverging" in res.output
 
     def test_evolve_roundtrip(self, tmp_path):
@@ -344,12 +349,12 @@ class TestCli:
         assert (f"Error: {prefix}snapshot grid (8, 8, 8) does not match run "
                 f"grid (16, 16, 16)") in res.output
 
-    def test_evolve_plane_flag_overrides_config(self, tmp_path):
+    def test_evolve_plane_from_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(EVOLVE_CFG + "[plane]\nq = 2/1\n")
+        cfg.write_text(EVOLVE_CFG + "[plane]\nq = 1/1\n")
         res = self.runner.invoke(main, [
             "evolve", "--config", str(cfg), "--init", "mode:1,1,2,0.5",
-            "--plane", "1/1", "--out-diag", str(tmp_path / "diag.csv")])
+            "--out-diag", str(tmp_path / "diag.csv")])
         assert res.exit_code == 0, res.output
         resolved = _manifest(tmp_path / "manifest.txt")
         assert resolved["plane.q"] == "1/1"
@@ -371,8 +376,7 @@ class TestCli:
         assert not diag.exists()
 
     @pytest.mark.parametrize("command, text, bad, good", [
-        ("illposedness",
-         "[phys]\neps_kapa = 0.05\n[illposedness]\nregime = fractional\n",
+        ("illposedness", "[phys]\neps_kapa = 0.05\n",
          "phys.eps_kapa", "phys.eps_kappa"),
         ("evolve", EVOLVE_CFG + "[mode]\nk1 = 1\nk2 = 1\n"
          "[source]\nknd = none\n", "source.knd", "source.kind"),
@@ -470,7 +474,7 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "[phys]\neps_kappa = 0.02\ngamma = 0.75\n"
-            "[illposedness]\nregime = fractional\nj_max = 9\n")
+            "[illposedness]\nj_max = 9\n")
         out = tmp_path / "out"
         res = self.runner.invoke(main, [
             "illposedness", "--config", str(cfg), "--out", str(out)])
@@ -481,6 +485,40 @@ class TestCli:
         assert rows[0] == ["j", "k1", "k2", "sigma_star", "bound",
                            "certified"]
         assert (out / "manifest.txt").exists()
+
+    def test_illposedness_regime_key_is_unused(self, tmp_path):
+        # the regime follows phys.eps_kappa; the key is not read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[illposedness]\nregime = nondiffusive\n")
+        out = tmp_path / "out"
+        res = self.runner.invoke(main, [
+            "illposedness", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "unused config key 'illposedness.regime'" in res.output
+        assert not out.exists()
+
+    def test_illposedness_j_min_defaults_to_2m(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[phys]\nm = 2\n[illposedness]\nj_max = 6\n")
+        out = tmp_path / "out"
+        res = self.runner.invoke(main, [
+            "illposedness", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(r[0]) for r in rows] == [4, 5, 6]
+        assert _manifest(out / "manifest.txt")["illposedness.j_min"] == "4"
+
+    def test_instability_needs_positive_eps_kappa(self, tmp_path):
+        # at eps_kappa = 0 the default horizon t_end = 8 trips the growth cap
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("")
+        out = tmp_path / "out"
+        res = self.runner.invoke(main, [
+            "instability", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "requested horizon t_end = 8 would amplify" in res.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
         ("gammas = ,", "'plane_demo.gammas': ',' is an empty list"),
@@ -544,7 +582,7 @@ class TestCli:
         ["eigen", "--k1", "1_0", "--k2", "1"],
         ["eigen", "--k1", "1", "--k2", "\uff11"],
         ["eigen", "--k1", "1", "--k2", "1", "--eps-kappa", "0.0_1"],
-        ["eigen", "--sweep", "nondiffusive", "--j-max", "1_2"],
+        ["eigen", "--optimize", "1_2"],
         ["symbol-scan", "--kmax", "1_6", "--out", "scan.csv"],
         ["symbol-scan", "--n2", "\uff12.0", "--out", "scan.csv"],
     ])
@@ -595,7 +633,7 @@ def test_every_numeric_option_reads_number_literals():
                for name, cmd in main.commands.items() for p in cmd.params
                if isinstance(p.type, (_Literal, click.types.IntParamType,
                                       click.types.FloatParamType))}
-    assert len(numeric) == 11
+    assert len(numeric) == 9
     assert set(numeric.values()) == {_Literal}, numeric
 
 
@@ -605,8 +643,7 @@ class _Stop(Exception):
 
 @pytest.mark.parametrize("command, name, text, phys_keys", [
     ("instability", "instability", "", ()),
-    ("illposedness", "illposedness_sweep",
-     "[illposedness]\nregime = nondiffusive\n", ()),
+    ("illposedness", "illposedness_sweep", "[illposedness]\n", ()),
     ("plane-demo", "plane_demo", "", ("eps_kappa", "n2", "m")),
 ])
 def test_absent_keys_pass_the_library_defaults(tmp_path, monkeypatch, command,

@@ -341,6 +341,11 @@ class TestSweep:
             assert abs(row.sigma_star - sol.sigma_star) <= 8 * np.spacing(
                 sol.sigma_star)
 
+    def test_j_min_defaults_to_2m(self):
+        res = illposedness_sweep("nondiffusive", PhysParams(m=2), j_max=6)
+        assert res.j_min == 4
+        assert [r.j for r in res.rows] == [4, 5, 6]
+
     def test_regime_validation(self):
         with pytest.raises(ValueError):
             illposedness_sweep("nondiffusive", PhysParams(eps_kappa=0.1), 2, 4)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mgsim.errors import SingularSystemError
 from mgsim.symbol import (
     PhysParams,
+    PlaneSpec,
     balance_oracle,
     balance_oracle_batch,
     eval_denominator,
@@ -144,7 +145,7 @@ class TestPlaneBound:
             plane_bound_scan(1, 0, 8, 1.0)
         for plane in [(2, 4), (1, 0), (1, -1)]:
             with pytest.raises(ValueError):
-                next(scan_box(4, 1.0, plane=plane))
+                next(scan_box(4, 1.0, plane=PlaneSpec(*plane)))
 
 
 class TestGrowthScan:
@@ -169,7 +170,7 @@ class TestScanBox:
     def test_row_count_and_plane_filter(self):
         rows = list(scan_box(2, 1.0))
         assert len(rows) == 5 ** 3 - 1
-        plane_rows = list(scan_box(4, 1.0, plane=(1, 1)))
+        plane_rows = list(scan_box(4, 1.0, plane=PlaneSpec(1, 1)))
         assert all(r[1] == r[0] for r in plane_rows)
         assert all((r[0], r[1], r[2]) != (0, 0, 0) for r in plane_rows)
 
