@@ -46,8 +46,11 @@ class Config(dict):
         """Raise ConfigError for the first key that no getter has read."""
         for key in self:
             if key not in self.resolved:
-                close = difflib.get_close_matches(key, self.resolved, n=1)
-                hint = f"; did you mean {close[0]!r}?" if close else ""
+                # match the key's own name: a shared section is no hint
+                names = {k.rpartition(".")[2]: k for k in self.resolved}
+                close = difflib.get_close_matches(key.rpartition(".")[2],
+                                                  names, n=1)
+                hint = f"; did you mean {names[close[0]]!r}?" if close else ""
                 raise ConfigError(f"unused config key {key!r}{hint}")
 
 

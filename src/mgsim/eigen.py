@@ -29,11 +29,14 @@ exactly when sigma solves the continued-fraction equation
 `cf_residual` evaluates the truncated residual of that equation,
 `solve_sigma_star` multisects its principal root on the certified bracket
 1/alpha_2 - e_2 <= sigma* <= 2/alpha_1 - e_1 (`closed_form_bounds`), and
-`dense_sigma_star` cross-checks it independently as a generalized
-symmetric-definite matrix eigenproblem of the same truncation.
+`dense_sigma_star` cross-checks it independently as the top eigenvalue of
+the same truncation written as a symmetric tridiagonal matrix.
 All positive roots are simple and real: conjugating by the alternating sign
 pattern makes the recursion matrix symmetric with positive off-diagonal,
-so the principal branch carries a Perron-type largest eigenvalue.
+so the principal branch carries a Perron-type largest eigenvalue.  The
+tails T_p are ratios of the minimal solution, d_p / d_{p-1} = -1/T_p
+(Gautschi 1967), so the profile (`backward_coefficients`) is a running
+product of the tails the residual walks: the only recurrence evaluated.
 
 The residual changes sign at most once on any sigma interval, so bisecting
 between a negative and a non-negative endpoint cannot miss a root.  Each
@@ -45,13 +48,12 @@ increases; counting the off-branch points to its left as negative leaves a
 single possible sign change.  Rounding keeps this: each step is a monotone
 floating-point operation, so the computed residual is non-decreasing too.
 
-One kernel serves every caller: `_cf_residuals` walks the tail once over p
+One kernel serves every caller: `_cf_residuals` walks the tails once over p
 for a (modes x sigma-points) array, and `_Batch` drives all modes in
 lockstep, giving each bracket still wider than _WIDTH_ULPS ulps
 max(1, _LANES // n) points per round (a box bisects, one mode splits its
-bracket _LANES + 1 ways).  The public single-mode functions are batches of
-one, which costs a lone solve about 5 ms where a scalar loop took 0.5 ms,
-while a 32 x 32 box takes about 0.04 s instead of 0.5 s.
+bracket _LANES + 1 ways); the public single-mode functions are batches of
+one (README, "Numerical notes", gives what that costs).
 """
 
 from __future__ import annotations
@@ -87,17 +89,17 @@ _START_DEPTH = 64
 _MAX_DEPTH = 1024
 
 # Accepted roots are certified this many modes at a time, which bounds the
-# memory of the backward recursion and the row-defect check.
+# memory of their tails, profiles and row-defect check.
 _CERTIFY_BLOCK = 256
 
 
-def _validate_mode(k1: int, k2: int, p: int = 1):
-    if not (isinstance(k1, (int, np.integer)) and k1 >= 1):
-        raise ValueError(f"k1 must be a positive integer, got {k1}")
-    if not (isinstance(k2, (int, np.integer)) and k2 >= 1):
-        raise ValueError(f"k2 must be a positive integer, got {k2}")
-    if not (isinstance(p, (int, np.integer)) and p >= 1):
-        raise ValueError(f"p must be a positive integer, got {p}")
+def _validate_mode(k1: int, k2: int, p: int = 1, depth: int = 2):
+    """ValueError unless k1, k2, p >= 1 and depth >= 2 are integers (no bool)."""
+    for name, v, least in (("k1", k1, 1), ("k2", k2, 1), ("p", p, 1),
+                           ("depth", depth, 2)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+            what = "a positive integer" if least == 1 else "an integer >= 2"
+            raise ValueError(f"{name} must be {what}, got {v!r}")
 
 
 def _weights(P: int, k1s, k2s, params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
@@ -134,21 +136,27 @@ def sigma_shifted(sigma: float, p: int, k1: int, k2: int, params: PhysParams) ->
     return sigma + float(_weights(p, k1, k2, params)[1][0, -1])
 
 
-def _cf_residuals(sigma: np.ndarray, a: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _cf_residuals(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
+                  tails: np.ndarray | None = None) -> np.ndarray:
     """Truncated residual x_1 - 1/T_2 at every (mode, sigma) point.
 
     sigma is (modes x points), a and e the (modes x P) weights.  Walks the
     tail T_P = x_P, T_p = x_p - 1/T_{p+1}, x_p = (sigma + e_p) alpha_p, once
     over p in the scalar operation order; points whose tails are not all
-    above _TAIL_FLOOR are off the principal branch and get NaN.
+    above _TAIL_FLOOR are off the principal branch and get NaN.  Given one
+    point per mode, `tails` (modes x P) receives T_2..T_P in columns 1..P-1.
     """
     P = a.shape[1]
     T = (sigma + e[:, P - 1:]) * a[:, P - 1:]
     low = T.copy()
+    if tails is not None:
+        tails[:, P - 1:] = T
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for p in range(P - 2, 0, -1):
             T = (sigma + e[:, p:p + 1]) * a[:, p:p + 1] - 1.0 / T
             np.minimum(low, T, out=low)
+            if tails is not None:
+                tails[:, p:p + 1] = T
         r = (sigma + e[:, :1]) * a[:, :1] - 1.0 / T
     r[~(low > _TAIL_FLOOR)] = np.nan
     return r
@@ -168,9 +176,7 @@ def cf_residual(sigma: float, k1: int, k2: int, params: PhysParams,
         If any partial tail T_p drops to or below a small positive floor,
         meaning sigma lies off the principal (all-tails-positive) branch.
     """
-    _validate_mode(k1, k2)
-    if depth < 2:
-        raise ValueError(f"depth must be >= 2, got {depth}")
+    _validate_mode(k1, k2, depth=depth)
     r = _cf_residuals(np.array([[sigma]], dtype=np.float64),
                       *_weights(depth, k1, k2, params))[0, 0]
     if math.isnan(r):
@@ -214,26 +220,20 @@ def closed_form_bounds(k1: int, k2: int, params: PhysParams) -> tuple[float, flo
 
 
 def dense_sigma_star(k1: int, k2: int, params: PhysParams, depth: int = 64) -> float:
-    """Largest eigenvalue of the truncated recursion, by dense linear algebra.
+    """Largest eigenvalue of the truncated recursion, by a matrix eigensolver.
 
     Writing the truncated recursion (c_{P+1} = 0) in d_p = c_p / alpha_p
-    gives sigma B d = M d with B = diag(alpha_p) positive definite and
-    M = -(T1 + diag(e_p alpha_p)), T1 the tridiagonal matrix of ones.  This
-    is solved with a symmetric-definite dense eigensolver, independently of
-    the continued-fraction evaluation, and returns the largest eigenvalue
-    (which may be non-positive for stable modes).
+    gives sigma diag(alpha_p) d = -(T1 + diag(e_p alpha_p)) d, T1 the
+    tridiagonal matrix of ones.  In y_p = alpha_p^(1/2) d_p this is the
+    symmetric tridiagonal chain with diagonal -e_p and off-diagonal
+    -1/sqrt(alpha_p alpha_{p+1}), whose top eigenvalue (non-positive for
+    stable modes) LAPACK finds independently of the continued fraction.
     """
-    _validate_mode(k1, k2)
-    if depth < 2:
-        raise ValueError(f"depth must be >= 2, got {depth}")
+    _validate_mode(k1, k2, depth=depth)
     (a,), (e,) = _weights(depth, k1, k2, params)
-    M = np.diag(-e * a)
-    off = -np.ones(depth - 1)
-    M += np.diag(off, 1) + np.diag(off, -1)
-    B = np.diag(a)
-    w = scipy.linalg.eigh(M, B, eigvals_only=True,
-                          subset_by_index=[depth - 1, depth - 1])
-    return float(w[0])
+    return float(scipy.linalg.eigh_tridiagonal(
+        -e, -1.0 / np.sqrt(a[:-1] * a[1:]), eigvals_only=True,
+        select="i", select_range=(depth - 1, depth - 1))[0])
 
 
 def _require(ok: np.ndarray, k1s, k2s, error: type, what) -> None:
@@ -243,44 +243,40 @@ def _require(ok: np.ndarray, k1s, k2s, error: type, what) -> None:
         raise error(f"{what(i)} for mode ({k1s[i]},{k2s[i]})")
 
 
-def _backward(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
-              k1s, k2s) -> np.ndarray:
-    """`backward_coefficients` of each mode at its sigma, as (modes x P)."""
-    n, P = a.shape
-    d = np.zeros((P + 1, n))
-    d[P - 1] = 1.0  # seed at p = P; d[P] stands for d_{P+1} = 0
+def _walk(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
+          k1s, k2s) -> tuple[np.ndarray, np.ndarray]:
+    """|Residual| and profile (modes x P) of each mode at its sigma, from one
+    walk of the tails: c_p = alpha_p d_p, d_1 = 1, d_p = d_{p-1} (-1/T_p)."""
+    c = np.empty_like(a)
+    r = _cf_residuals(sigma[:, None], a, e, c)[:, 0]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(P - 1, 0, -1):
-            d[i - 1] = -((sigma + e[:, i]) * a[:, i]) * d[i] - d[i + 1]
-            big = np.abs(d[i - 1]) > 2.0 ** 900
-            if big.any():
-                d[i - 1:, big] *= 2.0 ** -1000
-        # divide by d_1 first so c_1 = alpha_1 holds exactly in floating point
-        c = a * (d[:P] / d[0]).T
+        np.divide(-1.0, c[:, 1:], out=c[:, 1:])
+        c[:, 0] = 1.0
+        np.cumprod(c, axis=1, out=c)
+    c *= a  # c_1 = alpha_1 exactly
     _require(np.isfinite(c).all(axis=1), k1s, k2s, RecurrenceOverflowError,
-             lambda i: "backward recursion overflowed or lost its first entry")
-    return c
+             lambda i: "coefficient profile is not finite")
+    return np.abs(r), c
 
 
 def backward_coefficients(sigma: float, k1: int, k2: int, params: PhysParams,
                           depth: int = 64) -> np.ndarray:
     """Minimal-solution coefficients c_1..c_depth at an eigenvalue sigma.
 
-    Runs the recursion backward from a unit seed at p = depth (the direction
-    in which the minimal solution is dominant, so the iteration is stable),
-    rescaling by exact powers of two whenever entries threaten to overflow,
-    and normalizes to the convention c_1 = alpha_1.
+    Row p of the recursion gives d_p / d_{p-1} = -1/T_p for the tails T_p
+    of the continued fraction, so the profile is their running product,
+    normalized to c_1 = alpha_1; the deep tail underflows to exact zeros.
 
     Returns an array of length `depth` (index 0 corresponds to p = 1).
 
     Raises
     ------
     RecurrenceOverflowError
-        If the normalizing entry vanishes or overflows despite rescaling.
+        If a tail vanishes or the product overflows.
     """
-    _validate_mode(k1, k2)
+    _validate_mode(k1, k2, depth=depth)
     a, e = _weights(depth, k1, k2, params)
-    return _backward(np.array([sigma], dtype=np.float64), a, e, [k1], [k2])[0]
+    return _walk(np.array([sigma], dtype=np.float64), a, e, [k1], [k2])[1][0]
 
 
 @dataclass(frozen=True)
@@ -362,8 +358,8 @@ def _multisect(k1s: np.ndarray, k2s: np.ndarray, params: PhysParams, P: int,
 def _certify(sigma: np.ndarray, P: int, k1s: np.ndarray, k2s: np.ndarray,
              params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
     """Acceptance residual and recursion-row defect of roots accepted at
-    depth P; InvariantError names the first mode with a residual not below
-    1e-12 or a defect not below 1e-10.
+    depth P, from one walk of the tails; InvariantError names the first
+    mode with a residual not below 1e-12 or a defect not below 1e-10.
 
     The defect is the largest relative defect of the rows p = 2..P-1 of the
     recursion.  Rows more than ~220 decades below the mode's largest row
@@ -372,10 +368,9 @@ def _certify(sigma: np.ndarray, P: int, k1s: np.ndarray, k2s: np.ndarray,
     there is meaningless (the coefficients themselves are far below any use).
     """
     a, e = _weights(P, k1s, k2s, params)
-    r = np.abs(_cf_residuals(sigma[:, None], a, e)[:, 0])
+    r, c = _walk(sigma, a, e, k1s, k2s)
     _require(r < 1e-12, k1s, k2s, InvariantError,
              lambda i: f"accepted root has residual {r[i]:.3g} >= 1e-12")
-    c = _backward(sigma, a, e, k1s, k2s)
     t1 = (sigma[:, None] + e[:, 1:-1]) * c[:, 1:-1]
     t2 = c[:, 2:] / a[:, 2:]
     t3 = c[:, :-2] / a[:, :-2]

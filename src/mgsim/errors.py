@@ -43,7 +43,7 @@ class DegenerateTailError(MGError):
 
 
 class RecurrenceOverflowError(MGError):
-    """Coefficient recursion overflowed float range and could not be rescaled."""
+    """Coefficient profile met a vanishing tail or overflowed float range."""
 
 
 class TruncationError(MGError):

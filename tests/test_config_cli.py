@@ -122,6 +122,29 @@ class TestParseConfig:
             cfg.reject_unused()
         assert str(exc.value) == "unused config key 'other.zzz'"
 
+    @pytest.mark.parametrize("text, read, message", [
+        # a shared section is not a close name
+        ("[illposedness]\nregime = nondiffusive\n",
+         ["illposedness.j_min", "illposedness.j_max"],
+         "unused config key 'illposedness.regime'"),
+        ("[instability]\ndepth = 64\n",
+         ["instability.n", "instability.box", "instability.dt"],
+         "unused config key 'instability.depth'"),
+        ("[phys]\neps_kapa = 0.05\n", ["phys.eps_kappa", "phys.gamma"],
+         "unused config key 'phys.eps_kapa'; did you mean 'phys.eps_kappa'?"),
+        # a misspelled section still finds the key by its name
+        ("[phy]\neps_kappa = 0.05\n", ["phys.eps_kappa", "phys.gamma"],
+         "unused config key 'phy.eps_kappa'; did you mean 'phys.eps_kappa'?"),
+    ], ids=["regime", "depth", "eps_kapa", "phy"])
+    def test_reject_unused_hint_matches_the_key_name(self, text, read,
+                                                     message):
+        cfg = parse_config(text)
+        for key in read:
+            get_float(cfg, key, 1.0)
+        with pytest.raises(ConfigError) as exc:
+            cfg.reject_unused()
+        assert str(exc.value) == message
+
 
 @given(text=st.text())
 @settings(max_examples=200, deadline=None)
@@ -495,6 +518,20 @@ class TestCli:
             "illposedness", "--config", str(cfg), "--out", str(out)])
         assert res.exit_code == 1, res.output
         assert "unused config key 'illposedness.regime'" in res.output
+        assert "did you mean" not in res.output
+        assert not out.exists()
+
+    def test_instability_depth_key_gets_no_hint(self, tmp_path):
+        # no read key is named like 'depth'; 'instability.n' shares only
+        # the section
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[phys]\neps_kappa = 0.01\n[instability]\ndepth = 64\n")
+        out = tmp_path / "out"
+        res = self.runner.invoke(main, [
+            "instability", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "unused config key 'instability.depth'" in res.output
+        assert "did you mean" not in res.output
         assert not out.exists()
 
     def test_illposedness_j_min_defaults_to_2m(self, tmp_path):

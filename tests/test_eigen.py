@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from mgsim.errors import DegenerateTailError, NoRootError
@@ -209,6 +210,50 @@ class TestCoefficients:
         assert c[0] == 4.0
         # deep tail underflows cleanly to zero
         assert (np.abs(c[200:]) == 0.0).all()
+
+    def test_deepest_profile_is_finite(self):
+        # the running product of tail ratios needs no rescaling at _MAX_DEPTH
+        sigma = solve_sigma_star(1, 1, CANON).sigma_star
+        c = backward_coefficients(sigma, 1, 1, CANON, depth=1024)
+        assert c.shape == (1024,) and c[0] == 4.0
+        assert np.isfinite(c).all()
+        assert (c[199:] == 0.0).all()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    @pytest.mark.parametrize("k1, k2", [(1, 1), (9, 4), (1, 7)])
+    def test_profile_is_the_oracle_eigenvector(self, k1, k2, eps, m):
+        # c_p = sqrt(alpha_p) y_p for the top eigenvector y of the symmetric
+        # tridiagonal chain, scaled to c_1 = alpha_1
+        par = PhysParams(m=m, eps_kappa=eps)
+        try:
+            sol = solve_sigma_star(k1, k2, par)
+        except NoRootError:
+            # (1,1) at m = 2, 3 and (9,4) at m = 3 are stable at eps 0.01
+            assert eps > 0.0 and dense_sigma_star(k1, k2, par, 128) <= 0.0
+            return
+        (a,), (e,) = _weights(sol.depth, k1, k2, par)
+        top = (sol.depth - 1, sol.depth - 1)
+        _, y = scipy.linalg.eigh_tridiagonal(
+            -e, -1.0 / np.sqrt(a[:-1] * a[1:]), select="i", select_range=top)
+        c = np.sqrt(a) * y[:, 0]
+        c *= a[0] / c[0]
+        big = np.abs(sol.c) > 1e-8 * abs(sol.c[0])
+        assert sol.c[0] == a[0] and big.sum() >= 6
+        assert (np.abs(c - sol.c)[big] <= 1e-10 * np.abs(sol.c[big])).all()
+
+
+@pytest.mark.parametrize("depth", [0, -3, 1, 2.5, 2.0, True, "64", None])
+@pytest.mark.parametrize("call", [
+    lambda d: cf_residual(0.11, 1, 1, CANON, depth=d),
+    lambda d: backward_coefficients(SIGMA_CANON, 1, 1, CANON, depth=d),
+    lambda d: dense_sigma_star(1, 1, CANON, depth=d),
+], ids=["cf_residual", "backward_coefficients", "dense_sigma_star"])
+def test_depth_must_be_an_integer_of_at_least_2(call, depth):
+    with pytest.raises(ValueError, match="depth must be an integer >= 2"):
+        call(depth)
+    call(2)
+    call(np.int64(64))
 
 
 class TestOptimize:
