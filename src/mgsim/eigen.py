@@ -38,6 +38,19 @@ tails T_p are ratios of the minimal solution, d_p / d_{p-1} = -1/T_p
 (Gautschi 1967), so the profile (`backward_coefficients`) is a running
 product of the tails the residual walks: the only recurrence evaluated.
 
+Each truncation certifies itself.  Only sigma > 0 is solved, and there
+x_p = (sigma + e_p) alpha_p increases with p (alpha_p grows like p^4, e_p
+is non-decreasing).  If x_{P+1}(sigma) >= 2, every x_p beyond the cut is
+at least 2, so every tail of the infinite fraction beyond P is at least 1
+(the Sleszynski-Pringsheim condition; Jones & Thron 1980): T_{P+1} >=
+x_{P+1} - 1, and the exact closing tail T_P lies in
+[x_P - 1/(x_{P+1} - 1), x_P).  The residual increases with each tail, so
+the infinite residual lies between F_P, the depth-P residual, and G_P, the
+depth-(P+1) residual with its closing tail x_{P+1} lowered by 1.  Hence
+sigma*_P <= sigma*, and if also G_P >= 0 at s = sigma*_P + 1e-12, then
+sigma* <= s.  A root is accepted at the first depth P where this holds
+and its profile has decayed, |c_P| <= _COEFF_CUTOFF |c_1|.
+
 The residual changes sign at most once on any sigma interval, so bisecting
 between a negative and a non-negative endpoint cannot miss a root.  Each
 x_p grows with sigma (alpha_p > 0), so by induction from T_depth = x_depth
@@ -83,20 +96,23 @@ _WIDTH_ULPS = 8.0
 # their root; a round costs about the same at any size below a few hundred.
 _LANES = 512
 
-# Truncation depth where every solve starts doubling (up to _MAX_DEPTH)
-# until its root settles; the settled root agrees to 1e-12 from any start.
+# Truncation depth where every solve starts; a mode whose truncation is not
+# certified there (module docstring) doubles it, up to _MAX_DEPTH.
 _START_DEPTH = 64
 _MAX_DEPTH = 1024
+
+_COEFF_CUTOFF = 1e-14  # vertical modes below this (with c_1 = alpha_1) are dropped
 
 # Accepted roots are certified this many modes at a time, which bounds the
 # memory of their tails, profiles and row-defect check.
 _CERTIFY_BLOCK = 256
 
 
-def _validate_mode(k1: int, k2: int, p: int = 1, depth: int = 2):
-    """ValueError unless k1, k2, p >= 1 and depth >= 2 are integers (no bool)."""
-    for name, v, least in (("k1", k1, 1), ("k2", k2, 1), ("p", p, 1),
-                           ("depth", depth, 2)):
+def _validate_mode(depth: int = 2, **positive: int):
+    """ValueError unless every `positive` value is an integer >= 1 and
+    depth an integer >= 2 (no bool)."""
+    for name, v in (*positive.items(), ("depth", depth)):
+        least = 2 if name == "depth" else 1
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
             what = "a positive integer" if least == 1 else "an integer >= 2"
             raise ValueError(f"{name} must be {what}, got {v!r}")
@@ -126,28 +142,29 @@ def alpha(p: int, k1: int, k2: int, params: PhysParams) -> float:
     alpha_p = 2 (N^4 (mp)^2 (k1^2 + k2^2 + (mp)^2) + k2^4)
               / (m N^2 k2^2 (k1^2 + k2^2)),  growing like p^4.
     """
-    _validate_mode(k1, k2, p)
+    _validate_mode(k1=k1, k2=k2, p=p)
     return float(_weights(p, k1, k2, params)[0][0, -1])
 
 
 def sigma_shifted(sigma: float, p: int, k1: int, k2: int, params: PhysParams) -> float:
     """Dissipation-shifted rate sigma_p = sigma + eps_kappa |k_p|^(2 gamma)."""
-    _validate_mode(k1, k2, p)
+    _validate_mode(k1=k1, k2=k2, p=p)
     return sigma + float(_weights(p, k1, k2, params)[1][0, -1])
 
 
 def _cf_residuals(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
-                  tails: np.ndarray | None = None) -> np.ndarray:
+                  tails: np.ndarray | None = None,
+                  close: float = 0.0) -> np.ndarray:
     """Truncated residual x_1 - 1/T_2 at every (mode, sigma) point.
 
     sigma is (modes x points), a and e the (modes x P) weights.  Walks the
-    tail T_P = x_P, T_p = x_p - 1/T_{p+1}, x_p = (sigma + e_p) alpha_p, once
-    over p in the scalar operation order; points whose tails are not all
+    tail T_P = x_P - close, T_p = x_p - 1/T_{p+1}, x_p = (sigma + e_p) alpha_p,
+    once over p in the scalar operation order; points whose tails are not all
     above _TAIL_FLOOR are off the principal branch and get NaN.  Given one
     point per mode, `tails` (modes x P) receives T_2..T_P in columns 1..P-1.
     """
     P = a.shape[1]
-    T = (sigma + e[:, P - 1:]) * a[:, P - 1:]
+    T = (sigma + e[:, P - 1:]) * a[:, P - 1:] - close
     low = T.copy()
     if tails is not None:
         tails[:, P - 1:] = T
@@ -176,7 +193,7 @@ def cf_residual(sigma: float, k1: int, k2: int, params: PhysParams,
         If any partial tail T_p drops to or below a small positive floor,
         meaning sigma lies off the principal (all-tails-positive) branch.
     """
-    _validate_mode(k1, k2, depth=depth)
+    _validate_mode(depth, k1=k1, k2=k2)
     r = _cf_residuals(np.array([[sigma]], dtype=np.float64),
                       *_weights(depth, k1, k2, params))[0, 0]
     if math.isnan(r):
@@ -192,7 +209,7 @@ def sigma_bracket(k1: int, k2: int, params: PhysParams) -> tuple[float, float]:
     and sigma* lies above `hi`.  This is neither a bracket nor a stability
     certificate; `solve_sigma_star` uses `closed_form_bounds`.
     """
-    _validate_mode(k1, k2)
+    _validate_mode(k1=k1, k2=k2)
     (a,), (e,) = _weights(2, k1, k2, params)
     prod = a[0] * a[1]
     s, d = e[0] + e[1], e[0] - e[1]
@@ -214,7 +231,7 @@ def closed_form_bounds(k1: int, k2: int, params: PhysParams) -> tuple[float, flo
     optimal-growth estimate; either side may be negative, in which case it
     carries no information (lower) or certifies stability (upper).
     """
-    _validate_mode(k1, k2)
+    _validate_mode(k1=k1, k2=k2)
     (lower,), (upper,) = _closed_form_bounds(k1, k2, params)
     return float(lower), float(upper)
 
@@ -227,13 +244,15 @@ def dense_sigma_star(k1: int, k2: int, params: PhysParams, depth: int = 64) -> f
     tridiagonal matrix of ones.  In y_p = alpha_p^(1/2) d_p this is the
     symmetric tridiagonal chain with diagonal -e_p and off-diagonal
     -1/sqrt(alpha_p alpha_{p+1}), whose top eigenvalue (non-positive for
-    stable modes) LAPACK finds independently of the continued fraction.
+    stable modes) LAPACK bisects to rounding independently of the continued
+    fraction (its default tolerance, eps times the chain's 1-norm, is not).
     """
-    _validate_mode(k1, k2, depth=depth)
+    _validate_mode(depth, k1=k1, k2=k2)
     (a,), (e,) = _weights(depth, k1, k2, params)
     return float(scipy.linalg.eigh_tridiagonal(
         -e, -1.0 / np.sqrt(a[:-1] * a[1:]), eigvals_only=True,
-        select="i", select_range=(depth - 1, depth - 1))[0])
+        select="i", select_range=(depth - 1, depth - 1),
+        tol=2 * np.finfo(float).tiny)[0])
 
 
 def _require(ok: np.ndarray, k1s, k2s, error: type, what) -> None:
@@ -274,7 +293,7 @@ def backward_coefficients(sigma: float, k1: int, k2: int, params: PhysParams,
     RecurrenceOverflowError
         If a tail vanishes or the product overflows.
     """
-    _validate_mode(k1, k2, depth=depth)
+    _validate_mode(depth, k1=k1, k2=k2)
     a, e = _weights(depth, k1, k2, params)
     return _walk(np.array([sigma], dtype=np.float64), a, e, [k1], [k2])[1][0]
 
@@ -291,7 +310,7 @@ class EigenSolution:
     sigma_star : float
         Largest positive root of the truncated continued-fraction equation.
     depth : int
-        Truncation depth at which the root was accepted.
+        The first depth whose truncation is certified.
     c : ndarray
         Coefficients c_1..c_depth (index 0 <-> p = 1), normalized to
         c_1 = alpha_1; signs alternate and the tail decays superexponentially.
@@ -314,9 +333,10 @@ class EigenSolution:
     recursion_residual: float
 
 
-def _multisect(k1s: np.ndarray, k2s: np.ndarray, params: PhysParams, P: int,
+def _multisect(a: np.ndarray, e: np.ndarray,
                lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Principal root of each mode's residual g at depth P in [lo, hi], lo > 0.
+    """Principal root of each mode's residual g at depth P in [lo, hi], lo > 0,
+    for (modes x P) weights a, e.
 
     NaN for a mode without g(lo) < 0 <= g(hi); off-branch points count as
     -1, so g changes sign at most once (module docstring).  Each round
@@ -324,7 +344,6 @@ def _multisect(k1s: np.ndarray, k2s: np.ndarray, params: PhysParams, P: int,
     points, n the number of such brackets, all in one kernel call; a
     guarded secant step then polishes each final bracket.
     """
-    a, e = _weights(P, k1s, k2s, params)
     fa, fb = np.nan_to_num(_cf_residuals(np.stack([lo, hi], axis=1), a, e),
                            nan=-1.0).T.copy()
     lo, hi = lo.copy(), hi.copy()
@@ -355,11 +374,21 @@ def _multisect(k1s: np.ndarray, k2s: np.ndarray, params: PhysParams, P: int,
     return sigma
 
 
-def _certify(sigma: np.ndarray, P: int, k1s: np.ndarray, k2s: np.ndarray,
-             params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
-    """Acceptance residual and recursion-row defect of roots accepted at
-    depth P, from one walk of the tails; InvariantError names the first
-    mode with a residual not below 1e-12 or a defect not below 1e-10.
+def _truncation_certified(sigma: np.ndarray, a: np.ndarray,
+                          e: np.ndarray) -> np.ndarray:
+    """Whether each mode's untruncated root lies in [sigma, sigma + 1e-12],
+    for its root sigma at depth P and (modes x P+1) weights (module docstring)."""
+    s = sigma[:, None] + 1e-12
+    return (((s + e[:, -1:]) * a[:, -1:] >= 2.0)
+            & (_cf_residuals(s, a, e, close=1.0) >= 0.0))[:, 0]
+
+
+def _certify(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
+             k1s: np.ndarray, k2s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Acceptance residual, recursion-row defect and profile decay
+    (|c_P| <= _COEFF_CUTOFF |c_1|) of roots at depth P, for (modes x P)
+    weights a, e, from one walk of the tails; InvariantError names the
+    first mode with a residual not below 1e-12 or a defect not below 1e-10.
 
     The defect is the largest relative defect of the rows p = 2..P-1 of the
     recursion.  Rows more than ~220 decades below the mode's largest row
@@ -367,10 +396,9 @@ def _certify(sigma: np.ndarray, P: int, k1s: np.ndarray, k2s: np.ndarray,
     underflows to subnormals/zero long before that, and relative arithmetic
     there is meaningless (the coefficients themselves are far below any use).
     """
-    a, e = _weights(P, k1s, k2s, params)
     r, c = _walk(sigma, a, e, k1s, k2s)
     _require(r < 1e-12, k1s, k2s, InvariantError,
-             lambda i: f"accepted root has residual {r[i]:.3g} >= 1e-12")
+             lambda i: f"root has residual {r[i]:.3g} >= 1e-12")
     t1 = (sigma[:, None] + e[:, 1:-1]) * c[:, 1:-1]
     t2 = c[:, 2:] / a[:, 2:]
     t3 = c[:, :-2] / a[:, :-2]
@@ -381,18 +409,19 @@ def _certify(sigma: np.ndarray, P: int, k1s: np.ndarray, k2s: np.ndarray,
     q = np.where(keep, defect, 0.0).max(axis=1, initial=0.0)
     _require(q < 1e-10, k1s, k2s, InvariantError,
              lambda i: f"recursion rows defect {q[i]:.3g} >= 1e-10")
-    return r, q
+    return r, q, np.abs(c[:, -1]) <= _COEFF_CUTOFF * np.abs(c[:, 0])
 
 
 class _Batch:
     """Principal roots of a batch of modes, solved in lockstep.
 
-    Every mode with a positive upper bound is multisected at
-    `_START_DEPTH`, and the modes whose root then moves by 1e-12 or more
-    are solved again at doubled depth until none does, up to `_MAX_DEPTH`.
-    Per mode this keeps sigma (NaN without a root), the accepted depth,
-    the acceptance residual and the recursion row defect; the first mode
-    that fails a check of `solve_sigma_star` raises InvariantError.
+    Every mode with a positive upper bound is multisected once at
+    `_START_DEPTH` and accepted there when its truncation is certified
+    and its profile has decayed (module docstring); only the other modes
+    are solved again at doubled depth, up to `_MAX_DEPTH`.  Per mode this
+    keeps sigma (NaN without a root), the accepted depth, the acceptance
+    residual and the recursion row defect; the first mode that fails a
+    check of `_certify` raises InvariantError.
     """
 
     def __init__(self, k1s, k2s, params: PhysParams):
@@ -406,24 +435,24 @@ class _Batch:
         self.sigma, self.residual, self.rows = np.full((3, k1s.size), np.nan)
         self.depth = np.zeros(k1s.size, dtype=np.int64)
         todo = np.flatnonzero(self.upper > 0.0)
-        prev = np.full(todo.size, np.nan)  # no root settles at the first depth
         d = _START_DEPTH
         while todo.size:
-            new = _multisect(k1s[todo], k2s[todo], params, d,
-                             self.left[todo], self.right[todo])
-            settled = np.abs(new - prev) < 1e-12
-            done = todo[settled]
-            self.sigma[done], self.depth[done] = new[settled], d
-            for b in range(0, done.size, _CERTIFY_BLOCK):
-                i = done[b:b + _CERTIFY_BLOCK]
-                self.residual[i], self.rows[i] = _certify(
-                    self.sigma[i], d, k1s[i], k2s[i], params)
-            keep = ~settled & ~np.isnan(new)
-            todo, prev = todo[keep], new[keep]
+            a, e = _weights(d + 1, k1s[todo], k2s[todo], params)
+            sigma = _multisect(a[:, :d], e[:, :d],
+                               self.left[todo], self.right[todo])
+            ok = np.flatnonzero(_truncation_certified(sigma, a, e))
+            for b in range(0, ok.size, _CERTIFY_BLOCK):
+                i = ok[b:b + _CERTIFY_BLOCK]
+                r, q, decayed = _certify(sigma[i], a[i, :d], e[i, :d],
+                                         k1s[todo[i]], k2s[todo[i]])
+                j = todo[i[decayed]]
+                self.sigma[j], self.depth[j] = sigma[i[decayed]], d
+                self.residual[j], self.rows[j] = r[decayed], q[decayed]
+            todo = todo[(self.depth[todo] != d) & ~np.isnan(sigma)]
             if todo.size and d >= _MAX_DEPTH:
                 raise InvariantError(
-                    f"root of mode ({k1s[todo[0]]},{k2s[todo[0]]}) did not "
-                    f"settle by depth {_MAX_DEPTH}")
+                    f"root of mode ({k1s[todo[0]]},{k2s[todo[0]]}) not "
+                    f"certified by depth {_MAX_DEPTH}")
             d *= 2
 
     def error(self, i: int) -> NoRootError:
@@ -457,10 +486,10 @@ def solve_sigma_star(k1: int, k2: int, params: PhysParams) -> EigenSolution:
     Brackets the principal root with `closed_form_bounds` and multisects
     the truncated residual on the bracket to machine width; the residual
     changes sign at most once there, so a sign change at the endpoints is
-    the root.  The truncation depth then doubles from `_START_DEPTH` until
-    the root moves by less than 1e-12, and the accepted root gets its
-    coefficient profile from `backward_coefficients`.  This is the lockstep
-    batch solver of `optimize_growth` on one mode.
+    the root.  It is accepted at the first depth from `_START_DEPTH`, by
+    doubling, whose truncation is certified within 1e-12 (module
+    docstring), and gets its coefficient profile from
+    `backward_coefficients`.  This is `optimize_growth`'s batch on one mode.
 
     Raises
     ------
@@ -468,14 +497,11 @@ def solve_sigma_star(k1: int, k2: int, params: PhysParams) -> EigenSolution:
         If the upper bound 2/alpha_1 - e_1 certifies stability (<= 0) or
         the residual does not change sign on the admissible bracket.
     """
-    _validate_mode(k1, k2)
+    _validate_mode(k1=k1, k2=k2)
     batch = _Batch(k1, k2, params)
     if math.isnan(batch.sigma[0]):
         raise batch.error(0)
     return batch.solution(0)
-
-
-_COEFF_CUTOFF = 1e-14  # vertical modes below this (with c_1 = alpha_1) are dropped
 
 
 def assemble_eigenfunction(sol: EigenSolution, grid):
@@ -608,6 +634,7 @@ def illposedness_sweep(regime: str, params: PhysParams,
         raise ValueError("fractional regime requires eps_kappa > 0")
     if j_min is None:
         j_min = 2 * params.m
+    _validate_mode(j_min=j_min, j_max=j_max)
     if j_min < 2 * params.m:
         raise ValueError(f"j_min must be >= 2 m = {2 * params.m}, got {j_min}")
     if j_max < j_min:
@@ -730,6 +757,7 @@ def optimize_growth(params: PhysParams, box: int) -> OptimizeResult:
     """
     if not 1 <= box <= np.iinfo(np.int16).max:
         raise ValueError(f"box must be in [1, 32767], got {box}")
+    _validate_mode(box=box)
     ks = np.arange(1, box + 1)
     k1s, k2s = np.repeat(ks, box), np.tile(ks, box)  # k1-major order
     batch = _Batch(k1s, k2s, params)

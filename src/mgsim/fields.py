@@ -4,8 +4,10 @@ A field is represented by its Fourier coefficients c(k) with
 
     theta(x) = sum_k c(k) exp(i k . x),        c(-k) = conj(c(k)),
 
-and every field is band-limited under the two-thirds rule
-``|k_i| <= b_i = n_i // 3``.  The coefficients live in the band layout of
+and every field is band-limited under the two-thirds rule |k_i| < n_i / 3,
+``|k_i| <= b_i = (n_i - 1) // 3``: a product of two band modes reaches
+2 b_i, which aliases on n_i points to 2 b_i - n_i < -b_i, outside the band,
+so products are dealiased exactly.  The coefficients live in the band layout of
 shape ``grid.band_shape`` = ``(2 b1 + 1, 2 b2 + 1, b3 + 1)``: the last axis
 keeps only the representatives 0 <= k3 <= b3, and the first two axes carry
 signed wavenumbers in fft order (0, 1, ..., b, -b, ..., -1).  The band and
@@ -91,7 +93,7 @@ class Grid:
     @property
     def band(self):
         """Largest retained wavenumber in each direction (two-thirds rule)."""
-        return (self.n1 // 3, self.n2 // 3, self.n3 // 3)
+        return ((self.n1 - 1) // 3, (self.n2 - 1) // 3, (self.n3 - 1) // 3)
 
     @property
     def band_shape(self):

@@ -27,8 +27,7 @@ A run restricted to a plane steps on the plane's own layout,
 ``fields.PlaneGrid``, with transforms over (s, x3), s = q_den x1 + q_num x2,
 so off-plane content is never stored; each record scatters the state back
 onto the grid's band.  The on-plane right-hand side is the grid's to
-rounding, except that the in-band aliases a product puts off the plane
-(on 2/1 at 24^3, (8, 16) lands on (8, -8)) are dropped.
+rounding.
 
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry

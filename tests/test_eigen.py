@@ -17,6 +17,10 @@ from mgsim.symbol import PhysParams, eval_symbol
 from mgsim.eigen import (
     _START_DEPTH,
     _cf_residuals,
+    _certify,
+    _closed_form_bounds,
+    _multisect,
+    _truncation_certified,
     _weights,
     alpha,
     backward_coefficients,
@@ -35,6 +39,15 @@ from mgsim.eigen import (
 CANON = PhysParams(n2=1.0, m=1, eps_kappa=0.0, gamma=1.0)
 # frozen: canonical mode (1,1), no diffusion; dense oracle agrees to 16 digits
 SIGMA_CANON = 0.1019869392585389
+
+
+def _root_at(depth, k1s, k2s, par):
+    """Each mode's principal root of the residual truncated at `depth`,
+    multisected on the bracket `solve_sigma_star` uses."""
+    lower, upper = _closed_form_bounds(k1s, k2s, par)
+    a, e = _weights(depth, k1s, k2s, par)
+    return _multisect(a, e, np.maximum(lower * (1.0 - 1e-9), upper * 1e-9),
+                      upper * (1.0 + 1e-9))
 
 
 class TestAlpha:
@@ -162,9 +175,42 @@ class TestSolve:
             0.05714564320543115, abs=1e-10)
 
     def test_depth_doubling_from_coarse_start(self):
-        sol = solve_sigma_star(1, 1, CANON)
-        assert sol.depth > _START_DEPTH  # doubling actually engaged
-        assert abs(sol.sigma_star - SIGMA_CANON) < 1e-12
+        # at depth 64, (1,100) at N^2 = 0.3 is not certified within 1e-12 of
+        # the untruncated root; (2,130) is, but its profile has not decayed
+        for k1, k2, n2, checks in [(1, 100, 0.3, (False, False)),
+                                  (2, 130, 1.0, (True, False))]:
+            par = PhysParams(n2=n2)
+            a, e = _weights(_START_DEPTH + 1, k1, k2, par)
+            sigma = _root_at(_START_DEPTH, k1, k2, par)
+            decayed = _certify(sigma, a[:, :-1], e[:, :-1], [k1], [k2])[2]
+            assert (_truncation_certified(sigma, a, e)[0], decayed[0]) == checks
+            sol = solve_sigma_star(k1, k2, par)
+            assert sol.depth == 2 * _START_DEPTH  # doubling actually engaged
+            assert abs(sol.sigma_star - dense_sigma_star(k1, k2, par, 2048)) < 1e-12
+
+    @pytest.mark.parametrize("depth, certified", [(8, False), (16, True)])
+    def test_truncation_certificate_is_not_vacuous(self, depth, certified):
+        # the depth-8 root of (1,7) is 2.5e-7 below the untruncated root
+        a, e = _weights(depth + 1, 1, 7, CANON)
+        sigma = _root_at(depth, 1, 7, CANON)
+        assert _truncation_certified(sigma, a, e)[0] == certified
+        assert (abs(sigma[0] - dense_sigma_star(1, 7, CANON, 2048)) < 1e-12
+                ) == certified
+
+    def test_oracle_agrees_to_rounding(self):
+        # the tridiagonal oracle bisects to rounding, not to eps times the
+        # chain's 1-norm, which the dissipation e_p inflates at depth 256
+        par = PhysParams(eps_kappa=0.01, gamma=1.0)
+        ks = np.arange(1, 25)
+        k1s, k2s = np.repeat(ks, 24), np.tile(ks, 24)
+        roots = _root_at(256, k1s, k2s, par)
+        assert np.count_nonzero(~np.isnan(roots)) >= 50
+        for k1, k2, root in zip(k1s, k2s, roots):
+            ref = dense_sigma_star(int(k1), int(k2), par, 256)
+            if np.isnan(root):
+                assert ref <= 0.0, (k1, k2)
+            else:
+                assert abs(root - ref) <= 1e-13 * root, (k1, k2)
 
     def test_stable_mode_raises_no_root(self):
         # all integer modes are stable at this diffusivity; the bracket is
@@ -297,6 +343,11 @@ class TestOptimize:
         with pytest.raises(ValueError, match="box must be in"):
             optimize_growth(PhysParams(), box=box)
 
+    @pytest.mark.parametrize("box", [True, 2.5, 3.0])
+    def test_box_must_be_an_integer(self, box):
+        with pytest.raises(ValueError, match="box must be a positive integer"):
+            optimize_growth(PhysParams(), box=box)
+
     @pytest.mark.parametrize("eps, gamma, m", [(0.01, 1.0, 1), (0.005, 0.5, 2)])
     def test_box_matches_single_mode_solves(self, eps, gamma, m):
         # a box bisects its modes in lockstep while a lone mode multisects;
@@ -391,6 +442,12 @@ class TestSweep:
         assert res.j_min == 4
         assert [r.j for r in res.rows] == [4, 5, 6]
 
+    @pytest.mark.parametrize("j_min, j_max", [(2.5, 6), (2, 5.5), (True, 4),
+                                              (2, 4.0)])
+    def test_family_range_must_be_integers(self, j_min, j_max):
+        with pytest.raises(ValueError, match="j_m.. must be a positive integer"):
+            illposedness_sweep("nondiffusive", CANON, j_min, j_max)
+
     def test_regime_validation(self):
         with pytest.raises(ValueError):
             illposedness_sweep("nondiffusive", PhysParams(eps_kappa=0.1), 2, 4)
@@ -451,3 +508,31 @@ def test_residual_changes_sign_at_most_once(k1, k2, eps, gamma, m, depth):
     neg = off | (vals < 0.0)
     assert not neg[-1], "window stops short of the root"
     assert np.count_nonzero(np.diff(neg)) <= 1
+
+
+@given(
+    k1=st.integers(1, 24),
+    k2=st.integers(1, 24),
+    eps=st.sampled_from([0.0, 0.005, 0.02]),
+    gamma=st.sampled_from([0.25, 0.5, 1.0]),
+    n2=st.sampled_from([0.3, 1.0, 2.0]),
+    m=st.sampled_from([1, 2, 3]),
+)
+@example(k1=1, k2=100, eps=0.0, gamma=1.0, n2=0.3, m=1)  # doubles, rule (i)
+@example(k1=2, k2=130, eps=0.0, gamma=1.0, n2=1.0, m=1)  # doubles, rule (ii)
+@example(k1=1, k2=7, eps=0.0, gamma=1.0, n2=1.0, m=1)
+@settings(max_examples=40, deadline=None)
+def test_accepted_root_is_within_1e_12_below_the_untruncated_root(
+        k1, k2, eps, gamma, n2, m):
+    # the truncation certificate: sigma*_P <= sigma*_inf <= sigma*_P + 1e-12
+    # at the accepted depth P, with the oracle at depth 4P standing in for
+    # sigma*_inf, up to a few ulps of its bisection
+    par = PhysParams(n2=n2, m=m, eps_kappa=eps, gamma=gamma)
+    try:
+        sol = solve_sigma_star(k1, k2, par)
+    except NoRootError:
+        assert dense_sigma_star(k1, k2, par, 4 * _START_DEPTH) <= 0.0
+        return
+    top = dense_sigma_star(k1, k2, par, 4 * sol.depth)
+    ulps = 4 * np.spacing(sol.sigma_star)
+    assert sol.sigma_star - ulps <= top <= sol.sigma_star + 1e-12 + ulps

@@ -37,6 +37,8 @@ from mgsim.solver import advection_coefficients
 
 G16 = Grid(16, 16, 16)
 SNAPSHOT_16x32x24 = Path(__file__).parent / "data" / "snapshot_16x32x24.txt"
+SNAPSHOT_16x32x24_BAND7 = SNAPSHOT_16x32x24.with_name(
+    "snapshot_16x32x24_band5x10x7.txt")
 
 
 def _random_band_limited(grid, seed=0):
@@ -195,12 +197,12 @@ def test_transforms_from_threads():
 
 
 def test_band_layout_geometry():
-    grid = Grid(16, 32, 24)  # band (5, 10, 8)
-    assert grid.band_shape == (11, 21, 9)
+    grid = Grid(16, 32, 24)  # band (5, 10, 7): |k_i| < n_i / 3
+    assert grid.band_shape == (11, 21, 8)
     K1, K2, K3 = wavenumbers(grid)
     assert K1.ravel().tolist() == [0, 1, 2, 3, 4, 5, -5, -4, -3, -2, -1]
     assert K2.ravel()[[0, 10, 11, 20]].tolist() == [0, 10, -10, -1]
-    assert K3.ravel().tolist() == list(range(9))
+    assert K3.ravel().tolist() == list(range(8))
     f = _random_band_limited(grid, seed=6)
     full = embed_band(grid, f.c)  # full index -4 on axis 1 is k2 = -4
     assert full[3, -4, 2] == f.coeff(3, -4, 2) != 0.0
@@ -332,13 +334,13 @@ class TestProjections:
 
 # (grid shape, plane q_num/q_den, N_s, J)
 PLANE_LAYOUTS = [
-    ((24, 24, 24), (1, 1), 24, 8),
-    ((24, 24, 24), (2, 1), 24, 4),
+    ((24, 24, 24), (1, 1), 24, 7),
+    ((24, 24, 24), (2, 1), 24, 3),
     ((32, 32, 32), (1, 2), 32, 5),
-    ((24, 24, 24), (0, 1), 24, 8),
-    ((24, 24, 24), (-1, 1), 24, 8),
+    ((24, 24, 24), (0, 1), 24, 7),
+    ((24, 24, 24), (-1, 1), 24, 7),
     ((24, 24, 24), (9, 1), 24, 0),
-    ((24, 32, 24), (1, 1), 96, 8),
+    ((24, 32, 24), (1, 1), 96, 7),
     ((24, 32, 24), (-2, 3), 16, 2),
 ]
 
@@ -487,15 +489,25 @@ class TestSnapshots:
         assert np.array_equal(read_snapshot(path).c, f.c)
 
     def test_pinned_file_round_trip_byte_exact(self, tmp_path):
-        # a dense random 16x32x24 field with a k3 = 0 plane, written by an
-        # earlier version of the format's writer; the line order is the C
-        # order of the band
-        f = read_snapshot(SNAPSHOT_16x32x24)
+        # a dense random 16x32x24 field with a k3 = 0 plane: the file of the
+        # next test, written by an earlier version of the format's writer,
+        # without its k3 = 8 lines; the line order is the C order of the band
+        f = read_snapshot(SNAPSHOT_16x32x24_BAND7)
         assert f.grid == Grid(16, 32, 24)
         assert np.count_nonzero(f.c[:, :, 0]) > 0
         path = tmp_path / "again.txt"
         write_snapshot(f, path)
-        assert path.read_bytes() == SNAPSHOT_16x32x24.read_bytes()
+        assert path.read_bytes() == SNAPSHOT_16x32x24_BAND7.read_bytes()
+
+    def test_file_written_under_the_wider_band_is_refused(self):
+        # written under a band of n // 3, which held k3 = 8 on n3 = 24
+        with pytest.raises(SnapshotFormatError,
+                           match=r":10: wavevector \(0,0,8\) outside the "
+                                 r"dealias band \(5, 10, 7\)"):
+            read_snapshot(SNAPSHOT_16x32x24)
+        old = SNAPSHOT_16x32x24.read_text().splitlines(keepends=True)
+        assert (SNAPSHOT_16x32x24_BAND7.read_text()
+                == "".join(line for line in old if line.split()[2] != "8"))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"

@@ -334,6 +334,14 @@ class TestEnergyNeutrality:
         res = energy_flux_residual(G16, f.c, 1.0)
         assert abs(res) < 1e-12
 
+    @pytest.mark.parametrize("n", [24, 30, 48])
+    def test_advection_orthogonal_where_3_divides_n(self, n):
+        # a product of two band modes reaches 2b and aliases to 2b - n,
+        # which stays out of the band only when b < n / 3
+        grid = Grid(n, n, n)
+        f = _rich_field(grid)
+        assert abs(energy_flux_residual(grid, f.c, 1.0)) < 1e-14
+
     def test_residual_recorded_small_along_run(self):
         par = PhysParams(eps_kappa=0.02)
         f0 = _rich_field(G16, seed=12)
@@ -461,12 +469,14 @@ def test_plane_rhs_matches_grid_rhs_on_the_plane(shape, ratio):
 
 
 @pytest.mark.parametrize("shape, ratio", [((24, 24, 24), (1, 1)),
-                                          ((32, 32, 32), (1, 2))])
+                                          ((32, 32, 32), (1, 2)),
+                                          ((24, 24, 24), (2, 1))])
 @pytest.mark.parametrize("scheme, linearized", [
     ("if_rk4", False), ("imex_euler", False), ("if_rk4", True)])
 def test_restricted_run_matches_grid_run(shape, ratio, scheme, linearized):
-    # on-plane data evolved on the grid stays on the plane (no in-band
-    # alias leaves it for these planes), so the grid run is the reference
+    # on-plane data evolved on the grid stays on the plane, since no product
+    # aliases back into the band (with b = n // 3 the product (8, 16) on 2/1
+    # at 24^3 would land on (8, -8)), so the grid run is the reference
     grid, plane = Grid(*shape), PlaneSpec(*ratio)
     par = PhysParams(eps_kappa=0.05, gamma=0.8)
     k1, k2 = ratio[1], ratio[0]
