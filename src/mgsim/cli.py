@@ -219,8 +219,7 @@ def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, box, out):
         lower, upper = sol.bracket
         click.echo(f"mode ({k1}, {k2}): sigma* = {sol.sigma_star:.12g}")
         click.echo(f"closed-form bounds: [{lower:.9g}, {upper:.9g}]")
-        click.echo(f"depth = {sol.depth}, residual = {sol.residual:.3g}, "
-                   f"recursion rows defect = {sol.recursion_residual:.3g}")
+        click.echo(f"depth = {sol.depth}, residual = {sol.residual:.3g}")
         table = [(k1, k2, sol.sigma_star, sol.depth, sol.residual)]
     if out:
         write_eigen_csv(table, params, out)

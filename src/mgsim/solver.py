@@ -37,9 +37,10 @@ subspace where the growth analysis lives.
 Ill-posed regimes (no diffusion, or fractional dissipation of order <= 1/2)
 admit mode growth rates that increase without bound in the wavenumber, so a
 generic initial condition amplifies grid-scale content until the computation
-is meaningless.  ``run`` estimates the largest resolvable growth rate in
-advance and refuses runs whose requested horizon would amplify it beyond
-e^30, unless the run is restricted to a horizontal-wavenumber plane: the
+is meaningless.  ``run`` bounds the growth rate of every mode on the band
+in advance, by Gershgorin on the linearized operator the stepper applies,
+and refuses runs whose requested horizon would amplify it beyond e^30,
+unless the run is restricted to a horizontal-wavenumber plane: the
 multiplier stays bounded there, and nothing off the plane is stored.
 """
 
@@ -54,7 +55,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import BlowUpError, GrowthCapError
-from .eigen import _closed_form_bounds
 from .fields import (
     PlaneGrid,
     SpectralField,
@@ -71,7 +71,7 @@ from .fields import (
     sine_vertical,
     wavenumbers,
 )
-from .symbol import PhysParams, PlaneSpec
+from .symbol import PhysParams, PlaneSpec, _validate_mode
 
 _GROWTH_CAP = 30.0  # refuse runs that would amplify any resolvable mode past e^30
 
@@ -146,8 +146,7 @@ class SolverConfig:
                 f"{nsteps * self.dt:g}")
         if self.scheme not in ("if_rk4", "imex_euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not isinstance(self.record_every, int) or self.record_every < 1:
-            raise ValueError("record_every must be a positive integer")
+        _validate_mode(record_every=self.record_every)
         if self.restrict_to_plane and self.plane is None:
             raise ValueError("restrict_to_plane requires a plane")
 
@@ -248,20 +247,25 @@ def energy_flux_residual(grid, c, n2_phys):
     return 2.0 * parseval(grid, adv, c) / nrm2
 
 
-def _max_resolvable_growth(grid, params):
-    """Largest closed-form upper bound on the growth rate over the band."""
-    b1, b2, _ = grid.band
-    k1s, k2s = np.meshgrid(np.arange(1, b1 + 1), np.arange(1, b2 + 1))
-    upper = _closed_form_bounds(k1s, k2s, params)[1]
-    return float(np.max(upper, initial=-math.inf))
-
-
 def _growth_cap_check(theta0, params, config):
+    """GrowthCapError if the horizon could amplify a mode past e^_GROWTH_CAP.
+
+    Scaled by M3_hat^(1/2), the linearized operator is symmetric with
+    off-diagonal (m/2) (M3_hat(k) M3_hat(k +- m))^(1/2) and diagonal minus
+    the dissipation, so its largest Gershgorin row over k3 >= 1 bounds the
+    growth of every column and every residue class of k3 mod m.  M3_hat is
+    even, so `_cos_shift_sum`'s mirror read is exact on the real array.
+    """
     if params.eps_kappa > 0.0 and params.gamma > 0.5:
         return  # dissipation dominates large wavenumbers; growth is bounded
     if config.restrict_to_plane:
         return  # off-plane modes are never stored; the plane's growth is tame
-    sigma_max = _max_resolvable_growth(theta0.grid, params)
+    grid, m = theta0.grid, params.m
+    s = np.sqrt(multiplier_arrays(grid, params.n2)[2])
+    rows = _cos_shift_sum(s, m, np.empty_like(s))
+    rows *= 0.5 * m * s
+    rows -= params.eps_kappa * ksq_power(grid, params.gamma)
+    sigma_max = float(rows[:, :, 1:].max())
     if sigma_max > 0.0 and sigma_max * config.t_end > _GROWTH_CAP:
         raise GrowthCapError(
             f"requested horizon t_end = {config.t_end:g} would amplify "

@@ -42,6 +42,16 @@ from .errors import SingularSystemError
 Wavevector = tuple[int, int, int]
 
 
+def _validate_mode(depth: int = 2, **positive: int):
+    """ValueError unless every `positive` value is an integer >= 1 and
+    depth an integer >= 2 (no bool)."""
+    for name, v in (*positive.items(), ("depth", depth)):
+        least = 2 if name == "depth" else 1
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+            what = "a positive integer" if least == 1 else "an integer >= 2"
+            raise ValueError(f"{name} must be {what}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class PhysParams:
     """Physical parameters shared across the package.
@@ -66,8 +76,7 @@ class PhysParams:
     def __post_init__(self):
         if not (self.n2 > 0.0 and math.isfinite(self.n2)):
             raise ValueError(f"n2 must be a positive finite number, got {self.n2}")
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
-            raise ValueError(f"m must be a positive integer, got {self.m}")
+        _validate_mode(m=self.m)
         if not (self.eps_kappa >= 0.0 and math.isfinite(self.eps_kappa)):
             raise ValueError(f"eps_kappa must be >= 0, got {self.eps_kappa}")
         if not (0.0 < self.gamma <= 1.0):
@@ -85,7 +94,7 @@ class PlaneSpec:
     q_den: int
 
     def __post_init__(self):
-        if not all(isinstance(q, (int, np.integer))
+        if not all(isinstance(q, (int, np.integer)) and not isinstance(q, bool)
                    for q in (self.q_num, self.q_den)):
             raise ValueError("plane ratio components must be integers")
         if self.q_den < 1:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mgsim.errors import BlowUpError, GrowthCapError
-from mgsim.symbol import PhysParams
+from mgsim.symbol import PhysParams, symbol_components
 import mgsim.fields
 import mgsim.solver
 from mgsim.fields import (
@@ -15,11 +15,15 @@ from mgsim.fields import (
     forward, inverse, ksq_array, l2_norm, multiplier_arrays, off_plane_norm,
     plane_mask, sine_vertical, wavenumbers,
 )
-from mgsim.eigen import assemble_eigenfunction, solve_sigma_star
+from mgsim.eigen import (
+    _closed_form_bounds, assemble_eigenfunction, optimize_growth,
+    solve_sigma_star,
+)
 from mgsim.solver import (
     Diagnostics,
     SolverConfig,
     SourceSpec,
+    _growth_cap_check,
     advection_coefficients,
     energy_flux_residual,
     growth_rate_fit,
@@ -78,6 +82,17 @@ class TestSolverConfig:
     def test_accepts_step_count_up_to_rounding(self):
         # 0.1 * 3 != 0.3 in binary; the step count is still exactly 3
         assert SolverConfig(dt=0.1, t_end=0.3).t_end == 0.3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PhysParams(m=True),
+    lambda: PlaneSpec(True, 1),
+    lambda: SolverConfig(dt=0.1, t_end=1.0, record_every=True),
+    lambda: optimize_growth(PhysParams(), box="3"),
+], ids=["m", "plane", "record_every", "box"])
+def test_integer_inputs_refuse_bool_and_str(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 class TestVelocity:
@@ -441,6 +456,48 @@ class TestGuards:
         f0 = cosine_mode(G16, (1, 2, 1), 50.0)
         with pytest.warns(RuntimeWarning, match="CFL"):
             run(f0, par, SolverConfig(dt=0.1, t_end=0.2, record_every=1))
+
+
+def _band_top_eigenvalue(grid, par):
+    """Largest eigenvalue over the band's (k1, k2) columns, 0 <= k_i <= b_i,
+    of the linearized operator on each column's k3-chain over [-b3, b3],
+    written densely from the multiplier: row k3 holds -(m/2) M3(k3 -+ m) at
+    k3 -+ m and the dissipation on the diagonal."""
+    (b1, b2, b3), m = grid.band, par.m
+    k1, k2, k3 = np.ogrid[0:b1 + 1, 0:b2 + 1, -b3:b3 + 1]
+    M3 = symbol_components(k1, k2, k3, par.n2)[2]
+    n, i = 2 * b3 + 1, np.arange(2 * b3 + 1 - m)
+    A = np.zeros(M3.shape + (n,))
+    A[..., i, i + m] = -0.5 * m * M3[..., m:]
+    A[..., i + m, i] = -0.5 * m * M3[..., :n - m]
+    ksq = (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)
+    A[..., np.arange(n), np.arange(n)] = -par.eps_kappa * ksq ** par.gamma
+    return float(np.linalg.eigvals(A).real.max())
+
+
+@pytest.mark.parametrize("shape, par", [
+    ((16, 16, 16), PhysParams(m=2)),
+    ((32, 32, 32), PhysParams(m=2)),
+    ((24, 24, 24), PhysParams(m=3, eps_kappa=0.01, gamma=0.5)),
+    ((24, 16, 32), PhysParams(m=2, n2=0.5)),
+    ((24, 24, 24), PhysParams(m=1)),
+    ((24, 24, 24), PhysParams(m=1, eps_kappa=0.02, gamma=0.3)),
+    ((48, 48, 48), PhysParams(m=1)),
+])
+def test_growth_cap_bounds_every_column_and_class(shape, par):
+    # the guard's rate is at least the top eigenvalue of every column,
+    # k1 = 0 and every residue class of k3 mod m included; at m = 1 it is
+    # no stricter than the class-0 bound 2/alpha_1 - e_1 over k1, k2 >= 1
+    grid = Grid(*shape)
+    with pytest.raises(GrowthCapError) as exc:
+        _growth_cap_check(SpectralField.zeros(grid), par,
+                          SolverConfig(dt=1.0, t_end=1e6))
+    sigma_max = exc.value.sigma_max
+    assert sigma_max >= _band_top_eigenvalue(grid, par)
+    if par.m == 1:
+        b1, b2, _ = grid.band
+        k1s, k2s = np.meshgrid(np.arange(1, b1 + 1), np.arange(1, b2 + 1))
+        assert sigma_max <= _closed_form_bounds(k1s, k2s, par)[1].max()
 
 
 # (grid shape, plane q_num/q_den): J = 0 for 9/1 at 24^3; on 2/1 at 24^3
