@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Each input has one way in.  ``symbol-scan`` and ``eigen`` read flags;
-``evolve``, ``instability``, ``illposedness`` and ``plane-demo`` read a
-config file (``--config``), fail on any key they do not read, and list
-every key they read in the ``[resolved]`` section of their manifest.  The
-sweep of ``illposedness`` takes its regime from ``phys.eps_kappa``:
-nondiffusive at 0, fractional above.  Every CSV goes through
-``experiments.write_csv``.
+``evolve``, ``instability``, ``illposedness`` and ``plane-demo`` take
+``--config FILE --out DIR``: they fail on any config key they do not read,
+create ``DIR`` only once the run has succeeded, and list every key they
+read in the ``[resolved]`` section of ``DIR/manifest.txt``.  ``evolve``'s
+initial state is ``[init] kind``.  The sweep of ``illposedness`` takes its
+regime from ``phys.eps_kappa``: nondiffusive at 0, fractional above.
+Every CSV goes through ``experiments.write_csv``.
 
 Exit codes: 0 on success, 3 when an eigenvalue query finds no unstable
 mode (a meaningful outcome, not a failure), 1 on any error, and 2 on a
@@ -37,7 +38,7 @@ from .eigen import (
 )
 from .experiments import (
     instability, plane_demo, write_csv, write_diag_csv, write_eigen_csv,
-    write_growth_csv, write_manifest, write_sweep_csv,
+    write_manifest, write_sweep_csv,
 )
 from .fields import Grid, cosine_mode, read_snapshot, write_snapshot
 from .solver import SolverConfig, SourceSpec, run
@@ -79,12 +80,12 @@ def _phys_from_cfg(cfg):
 
 
 def _grid_from_cfg(cfg):
-    n = get_int(cfg, "grid.n", 32)
-    return Grid(
-        get_int(cfg, "grid.n1", n),
-        get_int(cfg, "grid.n2", n),
-        get_int(cfg, "grid.n3", n),
-    )
+    """``grid.n``: one integer for a cubic grid, or n1, n2, n3."""
+    n = get_ints(cfg, "grid.n", (32,))
+    if len(n) not in (1, 3):
+        raise ConfigError(f"config key 'grid.n': expected 1 or 3 integers, "
+                          f"got {len(n)}")
+    return Grid(*(n * 3 if len(n) == 1 else n))
 
 
 class _Literal(click.ParamType):
@@ -274,7 +275,7 @@ def _initial_field(init, mode, grid, params):
                 "mode init requires k3 != 0 (k3 = 0 modes carry no dynamics)")
         return cosine_mode(grid, kvec, amp), None
     raise click.ClickException(
-        f"unknown init {init!r}; use eigenfunction, snapshot:PATH, "
+        f"unknown init kind {init!r}; use eigenfunction, snapshot:PATH, "
         f"or mode:k1,k2,k3[,amp]")
 
 
@@ -282,16 +283,22 @@ _CONFIG = click.option("--config", "config_path", required=True,
                        type=click.Path(exists=True, dir_okay=False))
 
 
-@main.command("evolve")
-@_CONFIG
-@click.option("--init", default="eigenfunction", show_default=True,
-              help="eigenfunction | snapshot:PATH | mode:k1,k2,k3[,amp]")
-@click.option("--out-diag", type=click.Path(dir_okay=False),
-              default="diag.csv", show_default=True)
-@click.option("--out-field", type=click.Path(dir_okay=False), default=None,
-              help="Optional final-state snapshot destination.")
-@_wrap_errors
-def evolve(config_path, init, out_diag, out_field):
+def _outdir(path):
+    """Create the output directory; called only once there is output."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _config_command(name):
+    """Register a command that reads --config and writes into --out."""
+    out = click.option("--out", "out_dir", required=True,
+                       type=click.Path(file_okay=False))
+    return lambda fn: main.command(name)(_CONFIG(out(_wrap_errors(fn))))
+
+
+@_config_command("evolve")
+def evolve(config_path, out_dir):
     """Integrate the scalar equation from a configured initial state."""
     cfg = load_config(config_path)
     params = _phys_from_cfg(cfg)
@@ -307,49 +314,30 @@ def evolve(config_path, init, out_diag, out_field):
         restrict_to_plane=get_bool(cfg, "plane.restrict", False),
         source=_source_from_cfg(cfg, grid),
     )
-    mode = None
-    if init == "eigenfunction":
-        mode = (get_int(cfg, "mode.k1"), get_int(cfg, "mode.k2"))
+    init = get_str(cfg, "init.kind", "eigenfunction")
+    mode = ((get_int(cfg, "init.k1"), get_int(cfg, "init.k2"))
+            if init == "eigenfunction" else None)
     cfg.reject_unused()
     theta0, sol = _initial_field(init, mode, grid, params)
 
     (final, diag), wall = _timed(run, theta0, params, scfg)
 
-    Path(out_diag).parent.mkdir(parents=True, exist_ok=True)
-    write_diag_csv(diag, out_diag)
-    click.echo(f"wrote {out_diag} ({len(diag.times)} records)")
-    if out_field:
-        write_snapshot(final, out_field)
-        click.echo(f"wrote {out_field}")
+    out = _outdir(out_dir)
 
-    extras = {
-        "l2_final": f"{diag.l2[-1]:.12g}",
-        "linf_final": f"{diag.linf[-1]:.12g}",
-    }
+    write_diag_csv(diag, out / "diag.csv")
+    write_snapshot(final, out / "final.snap")
+    extras = {"l2_final": f"{diag.l2[-1]:.12g}",
+              "linf_final": f"{diag.linf[-1]:.12g}"}
     if sol is not None:
         extras["sigma_star"] = f"{sol.sigma_star:.12g}"
-    manifest = Path(out_diag).with_name("manifest.txt")
-    write_manifest(manifest, {**cfg.resolved, "init": init},
-                   wall_seconds=wall, extras=extras)
-    click.echo(f"wrote {manifest}")
+    write_manifest(out / "manifest.txt", cfg.resolved, wall_seconds=wall,
+                   extras=extras)
+    click.echo(f"{len(diag.times)} records; "
+               f"wrote {out}/diag.csv final.snap manifest.txt")
 
 
 # ---------------------------------------------------------------------------
 # experiment commands
-
-
-def _outdir(path):
-    """Create the output directory; called only once there is output."""
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _config_command(name):
-    """Register a command that reads --config and writes into --out."""
-    out = click.option("--out", "out_dir", required=True,
-                       type=click.Path(file_okay=False))
-    return lambda fn: main.command(name)(_CONFIG(out(_wrap_errors(fn))))
 
 
 @_config_command("instability")
@@ -367,10 +355,9 @@ def instability_cmd(config_path, out_dir):
 
     write_eigen_csv(rep.table, params, out / "modes.csv")
     write_diag_csv(rep.diag, out / "diag.csv")
-    write_growth_csv(rep.diag, out / "growth.csv")
 
     rel = abs(rep.fitted_rate - rep.sigma_star) / rep.sigma_star
-    write_manifest(out / "manifest.txt", cfg.resolved, wall_seconds=wall, extras={
+    extras = {
         "mode": f"({rep.k1}, {rep.k2})",
         "sigma_star": f"{rep.sigma_star:.12g}",
         "fitted_rate": f"{rep.fitted_rate:.12g}",
@@ -381,10 +368,14 @@ def instability_cmd(config_path, out_dir):
         "continuum_argmax": f"({rep.continuum_k[0]:.3f}, "
                             f"{rep.continuum_k[1]:.3f})",
         "continuum_bound": f"{rep.continuum_lb:.9g}",
-    })
+    }
+    if math.isinf(rep.continuum_lb):  # no continuum optimum at eps_kappa = 0
+        del extras["continuum_argmax"], extras["continuum_bound"]
+    write_manifest(out / "manifest.txt", cfg.resolved, wall_seconds=wall,
+                   extras=extras)
     click.echo(f"mode ({rep.k1}, {rep.k2}): sigma* = {rep.sigma_star:.9g}, "
                f"fitted = {rep.fitted_rate:.9g} (rel {rel:.2e})")
-    click.echo(f"wrote {out}/modes.csv diag.csv growth.csv manifest.txt")
+    click.echo(f"wrote {out}/modes.csv diag.csv manifest.txt")
 
 
 @_config_command("illposedness")

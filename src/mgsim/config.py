@@ -46,10 +46,12 @@ class Config(dict):
         """Raise ConfigError for the first key that no getter has read."""
         for key in self:
             if key not in self.resolved:
-                # match the key's own name: a shared section is no hint
-                names = {k.rpartition(".")[2]: k for k in self.resolved}
-                close = difflib.get_close_matches(key.rpartition(".")[2],
-                                                  names, n=1)
+                # match the key's own name, a key of its section first: a
+                # shared section is no hint
+                section, _, name = key.rpartition(".")
+                names = {k.rpartition(".")[2]: k for k in sorted(
+                    self.resolved, key=lambda k: k.startswith(section + "."))}
+                close = difflib.get_close_matches(name, names, n=1)
                 hint = f"; did you mean {names[close[0]]!r}?" if close else ""
                 raise ConfigError(f"unused config key {key!r}{hint}")
 

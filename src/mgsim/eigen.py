@@ -506,9 +506,8 @@ def assemble_eigenfunction(sol: EigenSolution, grid):
             f"does not fit the dealias band {grid.band} of grid {grid.shape}"
         )
     f = SpectralField.zeros(grid)
-    r1, r2, _ = f.c.shape
     s1, s2 = np.array([[1], [1], [-1], [-1]]), np.array([[1], [-1], [1], [-1]])
-    f.c[s1 * k1 % r1, s2 * k2 % r2, m * ps] = 0.125j * (s1 * s2) * sol.c[keep]
+    f.set_coeff(s1 * k1, s2 * k2, m * ps, 0.125j * (s1 * s2) * sol.c[keep])
     return f
 
 

@@ -65,6 +65,9 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
     the steady state is fitted for an exponential rate, which the report
     pairs with the predicted sigma*.
 
+    At eps_kappa = 0, with no continuum optimum, ``continuum_k`` and
+    ``continuum_lb`` are inf.
+
     Raises NoRootError when no mode in the box is unstable (the steady
     state is then simply observed to hold).
     """
@@ -95,7 +98,8 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
         sigma_star=opt.sigma_star, lb_max=opt.lb_max,
         lb_argmax=opt.lb_argmax,
         continuum_k=(opt.continuum_k1, opt.continuum_k2),
-        continuum_lb=continuum_lower_bound(params),
+        continuum_lb=(continuum_lower_bound(params)
+                      if np.isfinite(opt.continuum_k1) else np.inf),
         fitted_rate=rate, r_squared=r2, fit_window=(fit_start, t_stop),
         seed_amplitude=seed, base_l2=base_l2, diag=diag, table=opt.table,
     )
@@ -201,23 +205,16 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _series_csv(diag, names, path):
-    """Columns t and the named ``Diagnostics`` series, to full precision."""
-    cols = [diag.times] + [getattr(diag, name) for name in names]
-    write_csv(path, ["t", *names],
-              ([f"{v:.17g}" for v in row] for row in zip(*cols)))
-
-
 def write_diag_csv(diag, path):
-    """Every recorded series but ``ref_l2`` (see `write_growth_csv`)."""
-    _series_csv(diag, [s for s in Diagnostics.SERIES if s != "ref_l2"], path)
+    """Columns t and every ``Diagnostics`` series, to full precision.
 
-
-def write_growth_csv(diag, path):
-    """Departure-from-reference series (only present with a reference)."""
-    if diag.ref_l2 is None:
-        raise ValueError("diagnostics carry no reference series")
-    _series_csv(diag, ["ref_l2"], path)
+    ``ref_l2`` reads nan when the run had no reference.
+    """
+    cols = [getattr(diag, name) for name in Diagnostics.SERIES]
+    cols = [diag.times] + [np.full_like(diag.times, np.nan) if c is None
+                           else c for c in cols]
+    write_csv(path, ["t", *Diagnostics.SERIES],
+              ([f"{v:.17g}" for v in row] for row in zip(*cols)))
 
 
 def write_eigen_csv(table, params, path):

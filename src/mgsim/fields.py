@@ -336,11 +336,12 @@ class SpectralField:
         return SpectralField(self.grid, self.c.copy())
 
     def _index(self, k1, k2, k3):
-        """Array index of an in-band wavevector with k3 >= 0, else None."""
+        """Array index of broadcast wavevectors, and which are in band."""
         (b1, b2, b3), (r1, r2, _) = self.grid.band, self.c.shape
-        if not (0 <= k3 <= b3 and abs(k1) <= b1 and abs(k2) <= b2):
-            return None
-        return k1 % r1, k2 % r2, k3
+        k1, k2, k3 = np.broadcast_arrays(k1, k2, k3)
+        inband = ((0 <= k3) & (k3 <= b3) & (np.abs(k1) <= b1)
+                  & (np.abs(k2) <= b2))
+        return (k1 % r1, k2 % r2, k3), inband
 
     def coeff(self, k1, k2, k3):
         """Mathematical coefficient at an arbitrary integer wavevector.
@@ -350,16 +351,20 @@ class SpectralField:
         """
         if k3 < 0:
             return np.conj(self.coeff(-k1, -k2, -k3))
-        index = self._index(k1, k2, k3)
-        return 0.0 + 0.0j if index is None else complex(self.c[index])
+        index, inband = self._index(k1, k2, k3)
+        return complex(self.c[index]) if inband else 0.0 + 0.0j
 
     def set_coeff(self, k1, k2, k3, value):
-        """Set the coefficient at a wavevector with k3 >= 0 (in band).
+        """Set coefficients at in-band wavevectors with k3 >= 0.
 
-        The caller is responsible for the conjugate entry when k3 = 0.
+        The components and ``value`` broadcast together; ValueError names
+        the first wavevector outside the band.  The caller is responsible
+        for the conjugate entry when k3 = 0.
         """
-        index = self._index(k1, k2, k3)
-        if index is None:
+        ks = np.broadcast_arrays(k1, k2, k3)
+        index, inband = self._index(*ks)
+        if not inband.all():
+            k1, k2, k3 = (int(k[~inband][0]) for k in ks)
             raise ValueError(f"wavevector ({k1},{k2},{k3}) outside dealias band")
         self.c[index] = value
 
@@ -534,6 +539,6 @@ def read_snapshot(path):
         raise SnapshotFormatError(
             f"{path}: header {raw[0][1]!r} names a grid too large to "
             f"allocate") from exc
-    for (k1, k2, k3), (_, value) in seen.items():
-        f.set_coeff(k1, k2, k3, value)
+    f.set_coeff(*np.array(list(seen), dtype=int).reshape(-1, 3).T,
+                [value for _, value in seen.values()])
     return f

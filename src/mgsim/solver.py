@@ -149,6 +149,8 @@ class SolverConfig:
         _validate_mode(record_every=self.record_every)
         if self.restrict_to_plane and self.plane is None:
             raise ValueError("restrict_to_plane requires a plane")
+        if self.linearized and self.source.kind != "none":
+            raise ValueError("a source term makes no sense in a linearized run")
 
 
 @dataclass
@@ -289,8 +291,6 @@ class _Stepper:
 
     def __init__(self, grid, params, config, c):
         src = config.source.realize(grid, params)
-        if config.linearized and src is not None:
-            raise ValueError("a source term makes no sense in a linearized run")
         if config.restrict_to_plane:
             self.plane = grid = PlaneGrid(grid, config.plane)
             self.c = grid.gather(c)

@@ -20,7 +20,9 @@ from mgsim.config import (
 )
 from mgsim import cli
 from mgsim.cli import _Literal, _initial_field, _parse_plane, main
-from mgsim.fields import Grid, PlaneSpec, cosine_mode, write_snapshot
+from mgsim.fields import (
+    Grid, PlaneSpec, cosine_mode, read_snapshot, write_snapshot,
+)
 from mgsim.symbol import PhysParams
 
 
@@ -135,7 +137,10 @@ class TestParseConfig:
         # a misspelled section still finds the key by its name
         ("[phy]\neps_kappa = 0.05\n", ["phys.eps_kappa", "phys.gamma"],
          "unused config key 'phy.eps_kappa'; did you mean 'phys.eps_kappa'?"),
-    ], ids=["regime", "depth", "eps_kapa", "phy"])
+        # of two keys named 'kind', the one in the key's own section
+        ("[source]\nknd = none\n", ["source.kind", "init.kind"],
+         "unused config key 'source.knd'; did you mean 'source.kind'?"),
+    ], ids=["regime", "depth", "eps_kapa", "phy", "same-name"])
     def test_reject_unused_hint_matches_the_key_name(self, text, read,
                                                      message):
         cfg = parse_config(text)
@@ -194,6 +199,16 @@ dt = 0.02
 t_end = 0.1
 record_every = 1
 """
+
+MODE_INIT = "[init]\nkind = mode:1,1,2,0.5\n"
+
+
+def _evolve(tmp_path, text, *extra):
+    """Run ``mg evolve`` on config ``text`` with ``--out tmp_path/out``."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return CliRunner().invoke(main, ["evolve", "--config", str(cfg),
+                                     "--out", str(tmp_path / "out"), *extra])
 
 
 class TestCli:
@@ -303,51 +318,70 @@ class TestCli:
         assert "verdict: diverging" in res.output
 
     def test_evolve_roundtrip(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(EVOLVE_CFG)
-        diag = tmp_path / "out" / "diag.csv"
-        field = tmp_path / "out" / "final.txt"
-        res = self.runner.invoke(main, [
-            "evolve", "--config", str(cfg),
-            "--init", "mode:1,1,2,0.5",
-            "--out-diag", str(diag), "--out-field", str(field),
-        ])
+        text = EVOLVE_CFG.replace("n = 16", "n = 16, 32, 24") + MODE_INIT
+        res = _evolve(tmp_path, text)
         assert res.exit_code == 0, res.output
-        with open(diag) as fh:
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "diag.csv", "final.snap", "manifest.txt"]
+        with open(out / "diag.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "l2", "linf", "hs", "off_plane",
-                           "energy_residual"]
+                           "energy_residual", "ref_l2"]
         assert len(rows) - 1 == 6  # t = 0 plus 5 recorded steps
-        manifest = (tmp_path / "out" / "manifest.txt").read_text()
+        assert {row[6] for row in rows[1:]} == {"nan"}  # no reference
+        manifest = (out / "manifest.txt").read_text()
         assert "run.dt = 0.02" in manifest
-        assert "grid.n1 = 16" in manifest
         assert "wall_seconds" in manifest
-        # the written snapshot reloads as a valid init
-        res2 = self.runner.invoke(main, [
-            "evolve", "--config", str(cfg),
-            "--init", f"snapshot:{field}",
-            "--out-diag", str(tmp_path / "out2" / "diag.csv"),
-        ])
+        resolved = _manifest(out / "manifest.txt")
+        assert resolved["grid.n"] == "(16, 32, 24)"
+        assert resolved["init.kind"] == "mode:1,1,2,0.5"
+        assert "init" not in resolved
+        # the written snapshot reloads as a valid init on the same grid
+        res2 = _evolve(tmp_path, text.replace("mode:1,1,2,0.5",
+                                              f"snapshot:{out}/final.snap"))
         assert res2.exit_code == 0, res2.output
+        assert read_snapshot(out / "final.snap").grid == Grid(16, 32, 24)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--init", "mode:1,1,2"), ("--out-diag", "diag.csv"),
+        ("--out-field", "final.snap")])
+    def test_evolve_retired_flags_are_usage_errors(self, tmp_path, flag,
+                                                   value):
+        res = _evolve(tmp_path, EVOLVE_CFG + MODE_INIT, flag, value)
+        assert res.exit_code == 2, res.output
+        assert "No such option" in res.output and flag in res.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        (MODE_INIT + "[grid]\nn1 = 16\n", "grid.n1"),
+        ("[init]\nkind = mode:1,1,2\n[mode]\nk1 = 1\nk2 = 1\n", "mode.k1"),
+    ], ids=["grid.n1", "mode"])
+    def test_evolve_retired_keys_are_unused(self, tmp_path, text, key):
+        res = _evolve(tmp_path, EVOLVE_CFG + text)
+        assert res.exit_code == 1, res.output
+        assert f"unused config key '{key}'" in res.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n", ["16, 16", "16, 16, 16, 16"])
+    def test_evolve_grid_n_takes_one_or_three_integers(self, tmp_path, n):
+        res = _evolve(tmp_path,
+                      EVOLVE_CFG.replace("n = 16", f"n = {n}") + MODE_INIT)
+        assert res.exit_code == 1, res.output
+        assert (f"config key 'grid.n': expected 1 or 3 integers, got "
+                f"{n.count(',') + 1}") in res.output
+        assert not (tmp_path / "out").exists()
 
     def test_evolve_mode_requires_vertical(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(EVOLVE_CFG)
-        res = self.runner.invoke(main, [
-            "evolve", "--config", str(cfg), "--init", "mode:1,1,0",
-            "--out-diag", str(tmp_path / "d.csv"),
-        ])
+        res = _evolve(tmp_path, EVOLVE_CFG + "[init]\nkind = mode:1,1,0\n")
         assert res.exit_code == 1
         assert "k3 != 0" in res.output
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("amp", ["nan", "inf"])
     def test_evolve_mode_rejects_non_finite_amplitude(self, tmp_path, amp):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(EVOLVE_CFG)
-        res = self.runner.invoke(main, [
-            "evolve", "--config", str(cfg), "--init", f"mode:1,1,2,{amp}",
-            "--out-diag", str(tmp_path / "d.csv"),
-        ])
+        res = _evolve(tmp_path,
+                      EVOLVE_CFG + f"[init]\nkind = mode:1,1,2,{amp}\n")
         assert res.exit_code == 1
         assert f"bad mode init 'mode:1,1,2,{amp}'" in res.output
         assert "not finite" in res.output
@@ -356,52 +390,39 @@ class TestCli:
     def test_evolve_rejects_snapshot_on_another_grid(self, tmp_path, source):
         snap = tmp_path / "small.snap"
         write_snapshot(cosine_mode(Grid(8, 8, 8), (1, 1, 1), 0.5), snap)
-        cfg = tmp_path / "run.cfg"
         if source:
-            cfg.write_text(EVOLVE_CFG + f"[source]\nkind = snapshot:{snap}\n")
-            init = "mode:1,1,2"
+            text = (f"[source]\nkind = snapshot:{snap}\n"
+                    f"[init]\nkind = mode:1,1,2\n")
         else:
-            cfg.write_text(EVOLVE_CFG)
-            init = f"snapshot:{snap}"
-        res = self.runner.invoke(main, [
-            "evolve", "--config", str(cfg), "--init", init,
-            "--out-diag", str(tmp_path / "d.csv"),
-        ])
+            text = f"[init]\nkind = snapshot:{snap}\n"
+        res = _evolve(tmp_path, EVOLVE_CFG + text)
         assert res.exit_code == 1
         prefix = "source " if source else ""
         assert (f"Error: {prefix}snapshot grid (8, 8, 8) does not match run "
                 f"grid (16, 16, 16)") in res.output
 
     def test_evolve_plane_from_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(EVOLVE_CFG + "[plane]\nq = 1/1\n")
-        res = self.runner.invoke(main, [
-            "evolve", "--config", str(cfg), "--init", "mode:1,1,2,0.5",
-            "--out-diag", str(tmp_path / "diag.csv")])
+        res = _evolve(tmp_path, EVOLVE_CFG + MODE_INIT + "[plane]\nq = 1/1\n")
         assert res.exit_code == 0, res.output
-        resolved = _manifest(tmp_path / "manifest.txt")
+        resolved = _manifest(tmp_path / "out" / "manifest.txt")
         assert resolved["plane.q"] == "1/1"
-        assert resolved["init"] == "mode:1,1,2,0.5"
+        assert resolved["init.kind"] == "mode:1,1,2,0.5"
         # keys read through a default are recorded with the value used
-        assert resolved["grid.n"] == resolved["grid.n1"] == "16"
+        assert resolved["grid.n"] == "(16,)"
         assert resolved["phys.m"] == "1"
         assert resolved["source.kind"] == "none"
 
-    def test_evolve_mode_section_needs_eigenfunction_init(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(EVOLVE_CFG + "[mode]\nk1 = 1\nk2 = 1\n")
-        diag = tmp_path / "d.csv"
-        res = self.runner.invoke(main, [
-            "evolve", "--config", str(cfg), "--init", "mode:1,1,2",
-            "--out-diag", str(diag)])
+    def test_evolve_init_k1_needs_eigenfunction_kind(self, tmp_path):
+        res = _evolve(tmp_path, EVOLVE_CFG
+                      + "[init]\nkind = mode:1,1,2\nk1 = 1\nk2 = 1\n")
         assert res.exit_code == 1
-        assert "unused config key 'mode.k1'" in res.output
-        assert not diag.exists()
+        assert "unused config key 'init.k1'" in res.output
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, text, bad, good", [
         ("illposedness", "[phys]\neps_kapa = 0.05\n",
          "phys.eps_kapa", "phys.eps_kappa"),
-        ("evolve", EVOLVE_CFG + "[mode]\nk1 = 1\nk2 = 1\n"
+        ("evolve", EVOLVE_CFG + "[init]\nk1 = 1\nk2 = 1\n"
          "[source]\nknd = none\n", "source.knd", "source.kind"),
         ("instability", "[instability]\nbox = 4\nseed = 1e-6\n",
          "instability.seed", "instability.seed_rel"),
@@ -413,64 +434,48 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         out = tmp_path / "out"
-        dest = (["--out-diag", str(out / "diag.csv")] if command == "evolve"
-                else ["--out", str(out)])
         res = self.runner.invoke(
-            main, [command, "--config", str(cfg)] + dest)
+            main, [command, "--config", str(cfg), "--out", str(out)])
         assert res.exit_code == 1, res.output
         assert (f"unused config key '{bad}'; did you mean '{good}'?"
                 in res.output)
         assert not out.exists()
 
     def test_evolve_missing_required_key(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[grid]\nn = 16\n")
-        res = self.runner.invoke(main, [
-            "evolve", "--config", str(cfg), "--init", "mode:1,1,1",
-            "--out-diag", str(tmp_path / "d.csv"),
-        ])
+        res = _evolve(tmp_path, "[grid]\nn = 16\n[init]\nkind = mode:1,1,1\n")
         assert res.exit_code == 1
         assert "run.dt" in res.output
 
     def test_evolve_eigenfunction_init(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
+        res = _evolve(
+            tmp_path,
             "[phys]\neps_kappa = 0.01\n[grid]\nn = 32\n"
             "[run]\ndt = 0.02\nt_end = 0.1\nlinearized = true\n"
-            "[mode]\nk1 = 1\nk2 = 1\n")
-        diag = tmp_path / "diag.csv"
-        res = self.runner.invoke(main, [
-            "evolve", "--config", str(cfg), "--out-diag", str(diag)])
+            "[init]\nk1 = 1\nk2 = 1\n")
         assert res.exit_code == 0, res.output
-        manifest = (tmp_path / "manifest.txt").read_text()
+        manifest = (tmp_path / "out" / "manifest.txt").read_text()
         assert "sigma_star = 0.0571456432" in manifest
-        resolved = _manifest(tmp_path / "manifest.txt")
-        assert {k: resolved[k] for k in ("mode.k1", "mode.k2")} == {
-            "mode.k1": "1", "mode.k2": "1"}
+        resolved = _manifest(tmp_path / "out" / "manifest.txt")
+        assert {k: resolved[k] for k in ("init.kind", "init.k1", "init.k2")
+                } == {"init.kind": "eigenfunction", "init.k1": "1",
+                      "init.k2": "1"}
 
     def test_evolve_manifest_records_source(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(EVOLVE_CFG + "[phys]\nm = 2\n"
-                       "[source]\nkind = steady_balance\n")
-        res = self.runner.invoke(main, [
-            "evolve", "--config", str(cfg), "--init", "mode:1,1,2,0.5",
-            "--out-diag", str(tmp_path / "diag.csv")])
+        res = _evolve(tmp_path, EVOLVE_CFG + MODE_INIT + "[phys]\nm = 2\n"
+                      "[source]\nkind = steady_balance\n")
         assert res.exit_code == 0, res.output
-        resolved = _manifest(tmp_path / "manifest.txt")
+        resolved = _manifest(tmp_path / "out" / "manifest.txt")
         assert resolved["source.kind"] == "steady_balance"
         assert resolved["phys.m"] == "2"
-        assert not {"mode.k1", "mode.k2"} & set(resolved)
+        assert not {"init.k1", "init.k2"} & set(resolved)
 
     def test_source_index_is_the_phys_index(self, tmp_path):
         # the steady balance holds sin(phys.m x3); a second index is unread
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(EVOLVE_CFG + "[source]\nkind = steady_balance\nm = 2\n")
-        res = self.runner.invoke(main, [
-            "evolve", "--config", str(cfg), "--init", "mode:1,1,2,0.5",
-            "--out-diag", str(tmp_path / "diag.csv")])
+        res = _evolve(tmp_path, EVOLVE_CFG + MODE_INIT
+                      + "[source]\nkind = steady_balance\nm = 2\n")
         assert res.exit_code == 1
         assert "unused config key 'source.m'" in res.output
-        assert not (tmp_path / "diag.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_instability_stable_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -557,6 +562,24 @@ class TestCli:
         assert "requested horizon t_end = 8 would amplify" in res.output
         assert not out.exists()
 
+    def test_instability_at_zero_eps_kappa_has_no_continuum(self, tmp_path):
+        # a horizon short of the growth cap runs; there is no continuum
+        # optimum at eps_kappa = 0, so its manifest lines are left out
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[instability]\nbox = 1\nn = 32\nt_end = 0.2\n"
+                       "record_every = 5\nfit_start = 0\n")
+        out = tmp_path / "out"
+        res = self.runner.invoke(main, [
+            "instability", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert sorted(p.name for p in out.iterdir()) == [
+            "diag.csv", "manifest.txt", "modes.csv"]
+        assert "continuum" not in (out / "manifest.txt").read_text()
+        with open(out / "diag.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-1] == "ref_l2"
+        assert all(float(row[-1]) > 0.0 for row in rows[1:])
+
     @pytest.mark.parametrize("line, message", [
         ("gammas = ,", "'plane_demo.gammas': ',' is an empty list"),
         ("control_mode = 1, 2", "'plane_demo.control_mode': expected 3"),
@@ -602,11 +625,8 @@ class TestCli:
             "--out", str(tmp_path / "scan.csv")])
         assert res.exit_code == 1
         assert "empty numerator or denominator" in res.output
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(EVOLVE_CFG + f"[plane]\nq = {ratio}\n")
-        res = self.runner.invoke(main, [
-            "evolve", "--config", str(cfg), "--init", "mode:1,1,2,0.5",
-            "--out-diag", str(tmp_path / "diag.csv")])
+        res = _evolve(tmp_path,
+                      EVOLVE_CFG + MODE_INIT + f"[plane]\nq = {ratio}\n")
         assert res.exit_code == 1
         assert "empty numerator or denominator" in res.output
 
@@ -731,17 +751,33 @@ def test_absent_keys_pass_the_library_defaults(tmp_path, monkeypatch, command,
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _readme_configs():
+    """The README's config blocks: evolve, its [plane] snippet, illposedness.
+
+    A block added to the README fails here until a test runs it.
+    """
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 3, blocks
+    evolve_cfg, plane_cfg, sweep_cfg = blocks
+    assert "[init]" in evolve_cfg and plane_cfg.startswith("[plane]")
+    assert "[illposedness]" in sweep_cfg
+    return blocks
+
+
 @pytest.mark.parametrize("with_plane", [False, True])
 def test_readme_evolve_config_runs(tmp_path, with_plane):
     """The README's `mg evolve` config, alone and with its [plane] snippet."""
-    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
-    evolve_cfg, plane_cfg = blocks[:2]
-    assert "[run]" in evolve_cfg and plane_cfg.startswith("[plane]")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(evolve_cfg + (plane_cfg if with_plane else ""))
-    res = CliRunner().invoke(main, [
-        "evolve", "--config", str(cfg),
-        "--out-diag", str(tmp_path / "diag.csv")])
+    evolve_cfg, plane_cfg, _ = _readme_configs()
+    res = _evolve(tmp_path, evolve_cfg + (plane_cfg if with_plane else ""))
     assert res.exit_code == 0, res.output
-    resolved = _manifest(tmp_path / "manifest.txt")
+    resolved = _manifest(tmp_path / "out" / "manifest.txt")
     assert resolved["plane.q"] == ("1/1" if with_plane else "None")
+
+
+def test_readme_illposedness_config_runs(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_readme_configs()[2])
+    res = CliRunner().invoke(main, [
+        "illposedness", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    assert "verdict: terminated" in res.output

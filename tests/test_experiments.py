@@ -1,12 +1,13 @@
 """Tests for the experiment drivers' argument checks and table writers."""
 
 import csv
+import math
 
 import pytest
 
 import mgsim.experiments
 from mgsim.eigen import closed_form_bounds, optimize_growth
-from mgsim.experiments import plane_demo, write_eigen_csv
+from mgsim.experiments import instability, plane_demo, write_eigen_csv
 from mgsim.fields import PlaneSpec
 from mgsim.symbol import PhysParams
 
@@ -43,3 +44,12 @@ def test_eigen_csv_recomputes_closed_form_bounds(tmp_path):
         assert (int(row[0]), int(row[1]), int(row[7])) == (k1, k2, depth)
         assert float(row[4]) == sigma
         assert (float(row[5]), float(row[6])) == (lower, upper)
+
+
+def test_instability_at_zero_eps_kappa_reports_no_continuum():
+    # there is no continuum optimum at eps_kappa = 0: absent, as inf
+    rep = instability(PhysParams(), box=1, n=32, dt=0.01, t_end=0.2,
+                      record_every=5, fit_start=0.0)
+    assert rep.continuum_k == (math.inf, math.inf)
+    assert rep.continuum_lb == math.inf
+    assert rep.fitted_rate == pytest.approx(rep.sigma_star, rel=1e-6)

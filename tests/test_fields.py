@@ -300,6 +300,19 @@ class TestModesAndNorms:
         with pytest.raises(ValueError):
             f.set_coeff(6, 0, 1, 1.0)
 
+    def test_set_coeff_broadcasts(self):
+        f = SpectralField.zeros(G16)
+        f.set_coeff(np.array([[1], [-2]]), 3, np.array([1, 5]),
+                    np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert [f.coeff(k1, 3, k3) for k1 in (1, -2) for k3 in (1, 5)] == [
+            1.0, 2.0, 3.0, 4.0]
+        assert np.count_nonzero(f.c) == 4
+        # the error names the first out-of-band wavevector; nothing is set
+        g = SpectralField.zeros(G16)
+        with pytest.raises(ValueError, match=r"^wavevector \(2,0,6\) "):
+            g.set_coeff([1, 2, 3], 0, [5, 6, 7], 1.0)
+        assert not g.c.any()
+
 
 class TestProjections:
     def test_plane_spec_membership(self):

@@ -229,10 +229,14 @@ class TestLinearized:
         assert counts == {"forward": 0, "inverse": len(diag.times)}
 
     def test_source_rejected(self):
-        cfg = SolverConfig(dt=0.01, t_end=0.1, linearized=True,
-                           source=SourceSpec("steady_balance"))
-        with pytest.raises(ValueError):
-            run(sine_vertical(G16, 1), PhysParams(eps_kappa=0.1), cfg)
+        # refused by the config itself: at eps_kappa = 0 the steady balance
+        # is zero, so a check of the realized source would let it through
+        for eps_kappa in (0.0, 0.1):
+            with pytest.raises(ValueError, match="linearized run"):
+                cfg = SolverConfig(dt=0.01, t_end=0.1, linearized=True,
+                                   source=SourceSpec("steady_balance"))
+                run(sine_vertical(G16, 1), PhysParams(eps_kappa=eps_kappa),
+                    cfg)
 
 
 def _counting_transforms(monkeypatch, grid=None):
