@@ -75,7 +75,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateTailError,
@@ -238,6 +237,7 @@ def dense_sigma_star(k1: int, k2: int, params: PhysParams, depth: int = 64) -> f
     stable modes) LAPACK bisects to rounding independently of the continued
     fraction (its default tolerance, eps times the chain's 1-norm, is not).
     """
+    import scipy.linalg  # only the oracle needs it, and it is slow to import
     _validate_mode(depth, k1=k1, k2=k2)
     (a,), (e,) = _weights(depth, k1, k2, params)
     return float(scipy.linalg.eigh_tridiagonal(

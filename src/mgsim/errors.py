@@ -80,7 +80,8 @@ class GrowthCapError(MGError):
 
 
 class InvariantError(MGError):
-    """A structural invariant (Hermitian symmetry, zero vertical mean) failed."""
+    """An eigen root's continued-fraction residual is not below 1e-12, or
+    no depth up to the largest certifies its truncation."""
 
 
 class ConfigError(MGError):

@@ -8,7 +8,7 @@ small writer helpers so the drivers stay testable.
 import csv
 import platform
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy
@@ -25,6 +25,8 @@ from .solver import (
     Diagnostics,
     SolverConfig,
     SourceSpec,
+    _fit_window,
+    _record_times,
     growth_rate_fit,
     run,
 )
@@ -69,8 +71,12 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
     ``continuum_lb`` are inf.
 
     Raises NoRootError when no mode in the box is unstable (the steady
-    state is then simply observed to hold).
+    state is then simply observed to hold), and ValueError before any
+    solve when [fit_start, t_end] holds fewer than two record times.
     """
+    cfg = SolverConfig(dt=dt, t_end=t_end, record_every=record_every,
+                       source=SourceSpec("steady_balance"))
+    _fit_window(_record_times(cfg), fit_start, t_end)
     opt = optimize_growth(params, box=box)
     sol = opt.solution
     grid = Grid(n, n, n)
@@ -79,11 +85,6 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
     base_l2 = l2_norm(background)
     seed = seed_rel * base_l2 / l2_norm(mode)
     theta0 = background + seed * mode
-
-    cfg = SolverConfig(
-        dt=dt, t_end=t_end, record_every=record_every,
-        source=SourceSpec("steady_balance"),
-    )
     _, diag = run(theta0, params, cfg, reference=background)
 
     # fit only while the departure is still small against the background
@@ -139,7 +140,8 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
     content stays identically zero and the departure stays tame even in
     regimes that are ill posed off the plane.  The control arm seeds an
     off-plane mode at the smallest gamma without the restriction and
-    watches it grow at the rate the eigenvalue problem predicts.
+    watches it grow, over [t_end / 5, t_end], at the rate the eigenvalue
+    problem predicts; its k3 must be nonzero to carry any dynamics.
     """
     plane = plane if plane is not None else PlaneSpec(1, 1)
     if len(gammas) == 0:
@@ -151,9 +153,15 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
     ck = tuple(int(v) for v in control_mode)
     if plane.contains(ck[0], ck[1]):
         raise ValueError(f"control_mode {ck} lies on the plane {plane}")
+    if ck[2] == 0:
+        raise ValueError(f"control_mode {ck} needs k3 != 0 "
+                         f"(k3 = 0 modes carry no dynamics)")
+    src = SourceSpec("steady_balance")
+    cfg = SolverConfig(dt=dt, t_end=t_end, record_every=record_every,
+                       plane=plane, source=src)
+    _fit_window(_record_times(cfg), t_end / 5.0, t_end)
     grid = Grid(n, n, n)
     background = sine_vertical(grid, m)
-    src = SourceSpec("steady_balance")
     c_plane = plane_bound_scan(plane.q_num, plane.q_den, _PLANE_KMAX, n2)
 
     # an on-plane seed: the smallest wavevector pair on the plane
@@ -163,9 +171,8 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
     for gamma in gammas:
         params = PhysParams(n2=n2, m=m, eps_kappa=eps_kappa, gamma=gamma)
         theta0 = background + cosine_mode(grid, (on_k1, on_k2, 1), seed)
-        cfg = SolverConfig(dt=dt, t_end=t_end, record_every=record_every,
-                           plane=plane, restrict_to_plane=True, source=src)
-        _, diag = run(theta0, params, cfg, reference=background)
+        _, diag = run(theta0, params, replace(cfg, restrict_to_plane=True),
+                      reference=background)
         arms.append(PlaneArm(
             gamma=gamma, restricted=True, diag=diag,
             off_plane_max=float(np.max(diag.off_plane)),
@@ -175,8 +182,6 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
     gamma0 = gammas[0]
     params0 = PhysParams(n2=n2, m=m, eps_kappa=eps_kappa, gamma=gamma0)
     theta0 = background + cosine_mode(grid, ck, seed)
-    cfg = SolverConfig(dt=dt, t_end=t_end, record_every=record_every,
-                       plane=plane, source=src)
     _, cdiag = run(theta0, params0, cfg, reference=background)
     control = PlaneArm(
         gamma=gamma0, restricted=False, diag=cdiag,
@@ -206,13 +211,8 @@ def write_csv(path, header, rows):
 
 
 def write_diag_csv(diag, path):
-    """Columns t and every ``Diagnostics`` series, to full precision.
-
-    ``ref_l2`` reads nan when the run had no reference.
-    """
-    cols = [getattr(diag, name) for name in Diagnostics.SERIES]
-    cols = [diag.times] + [np.full_like(diag.times, np.nan) if c is None
-                           else c for c in cols]
+    """Columns t and every ``Diagnostics`` series, to full precision."""
+    cols = [diag.times] + [getattr(diag, name) for name in Diagnostics.SERIES]
     write_csv(path, ["t", *Diagnostics.SERIES],
               ([f"{v:.17g}" for v in row] for row in zip(*cols)))
 
@@ -221,15 +221,18 @@ def write_eigen_csv(table, params, path):
     """Unstable-mode table, rows (k1, k2, sigma_star, depth, residual).
 
     The closed-form bounds of each mode are recomputed for the
-    ``lower_bound``/``upper_bound`` columns.
+    ``lower_bound``/``upper_bound`` columns; every row names all four
+    ``PhysParams`` fields, ``n2`` and ``m`` last so the columns of earlier
+    tables keep their positions.
     """
     lowers, uppers = _closed_form_bounds([row[0] for row in table],
                                          [row[1] for row in table], params)
     write_csv(path, ["k1", "k2", "gamma", "eps_kappa", "sigma_star",
-                     "lower_bound", "upper_bound", "depth", "residual"],
+                     "lower_bound", "upper_bound", "depth", "residual", "n2",
+                     "m"],
               ([k1, k2, f"{params.gamma:.17g}", f"{params.eps_kappa:.17g}",
                 f"{sigma:.17g}", f"{lower:.17g}", f"{upper:.17g}", depth,
-                f"{residual:.3g}"]
+                f"{residual:.3g}", f"{params.n2:.17g}", params.m]
                for (k1, k2, sigma, depth, residual), lower, upper
                in zip(table, lowers, uppers)))
 

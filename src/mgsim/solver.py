@@ -25,9 +25,9 @@ builds them again.
 
 A run restricted to a plane steps on the plane's own layout,
 ``fields.PlaneGrid``, with transforms over (s, x3), s = q_den x1 + q_num x2,
-so off-plane content is never stored; each record scatters the state back
-onto the grid's band.  The on-plane right-hand side is the grid's to
-rounding.
+so off-plane content is never stored.  The records read the state on that
+layout too, and only the final state is scattered back onto the grid's
+band.  The on-plane right-hand side is the grid's to rounding.
 
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry
@@ -115,11 +115,11 @@ class SolverConfig:
     only adds the off-plane norm as a diagnostic column.
     With ``restrict_to_plane`` the run steps on the plane's own layout, so
     off-plane content is never stored (see the module docstring): the
-    initial data and the source keep only their on-plane coefficients, and
-    the growth cap does not apply.  The restriction is an exact invariant
-    of the dynamics, but in ill-posed regimes rounding noise seeded off the
-    plane would otherwise amplify at unbounded rates and bury the confined
-    solution, so the invariant must be enforced rather than merely observed.
+    initial data, the source and ``run``'s reference keep only their
+    on-plane coefficients, and the growth cap does not apply.  The
+    restriction is an exact invariant of the dynamics, but in ill-posed
+    regimes rounding noise seeded off the plane would otherwise amplify at
+    unbounded rates and bury the confined solution, so it is enforced.
     """
 
     dt: float
@@ -158,6 +158,8 @@ class Diagnostics:
     """Time series recorded during a run, one row per record step.
 
     ``hs`` is the H^1 seminorm; ``wall_seconds`` times the steps and records.
+    Unrecorded series are all NaN: ``off_plane`` without a plane,
+    ``energy_residual`` when linearized, ``ref_l2`` without a reference.
     """
 
     times: np.ndarray
@@ -166,7 +168,7 @@ class Diagnostics:
     hs: np.ndarray
     off_plane: np.ndarray
     energy_residual: np.ndarray
-    ref_l2: np.ndarray | None
+    ref_l2: np.ndarray
     wall_seconds: float = 0.0
 
     SERIES = ("l2", "linf", "hs", "off_plane", "energy_residual", "ref_l2")
@@ -320,10 +322,6 @@ class _Stepper:
         (*self.outs, self.stage, self.E2c, self.next) = (
             np.empty(grid.band_shape, dtype=np.complex128) for _ in range(7))
 
-    def state(self):
-        """The state on the grid's band (a new array for a restricted run)."""
-        return self.c if self.plane is None else self.plane.scatter(self.c)
-
     def rhs(self, cc, out):
         """out <- the right-hand side at cc."""
         if self.linearized:
@@ -391,29 +389,32 @@ def run(theta0, params, config, reference=None):
     dt = config.dt
     nsteps = round(config.t_end / dt)
     stepper = _Stepper(grid, params, config, theta0.c)
+    plane_grid = stepper.plane  # None unless restricted
+    if reference is not None and plane_grid is not None:
+        reference = SpectralField(plane_grid, plane_grid.gather(reference.c))
     n2p = params.n2
 
     rows = []  # per record: t, then the values of Diagnostics.SERIES
 
     def record(step):
         t = step * dt
-        f = SpectralField(grid, stepper.state())
+        f = SpectralField(stepper.grid, stepper.c)
         l2 = l2_norm(f)
         if not math.isfinite(l2):
             raise BlowUpError(
                 f"solution lost finiteness at t = {t:g} (step {step})",
                 time=t,
-                history=_finalize(rows, reference, 0.0),
+                history=_finalize(rows, 0.0),
             )
         rows.append((
             t, l2, linf_norm(f), hs_norm(f, 1.0),
             off_plane_norm(f, config.plane) if config.plane is not None
             else math.nan,
             math.nan if config.linearized
-            else energy_flux_residual(grid, f.c, n2p),
+            else energy_flux_residual(f.grid, f.c, n2p),
             l2_norm(f - reference) if reference is not None else math.nan))
         if not config.linearized:
-            umax = velocity_max(grid, f.c, n2p)
+            umax = velocity_max(f.grid, f.c, n2p)
             cfl = dt * sum(u * b for u, b in zip(umax, grid.band))
             if cfl > 0.5:
                 warnings.warn(
@@ -429,37 +430,48 @@ def run(theta0, params, config, reference=None):
             record(step)
     wall = _time.perf_counter() - wall0
 
-    diag = _finalize(rows, reference, wall)
-    return SpectralField(grid, stepper.state()), diag
+    final = stepper.c if plane_grid is None else plane_grid.scatter(stepper.c)
+    return SpectralField(grid, final), _finalize(rows, wall)
 
 
-def _finalize(rows, reference, wall):
+def _finalize(rows, wall):
     times, *cols = np.array(rows, dtype=np.float64).reshape(
         -1, 1 + len(Diagnostics.SERIES)).T
-    series = dict(zip(Diagnostics.SERIES, cols))
-    if reference is None:
-        series["ref_l2"] = None
-    return Diagnostics(times, **series, wall_seconds=wall)
+    return Diagnostics(times, *cols, wall_seconds=wall)
+
+
+def _record_times(config):
+    """The times at which ``run`` records under ``config``."""
+    nsteps = round(config.t_end / config.dt)
+    return np.union1d(np.arange(0, nsteps, config.record_every),
+                      nsteps) * config.dt
+
+
+def _fit_window(times, t_start, t_stop):
+    """Mask of ``times`` in [t_start, t_stop]; ValueError if under two."""
+    sel = (times >= t_start) & (times <= t_stop)
+    if np.count_nonzero(sel) < 2:
+        raise ValueError(
+            f"fit window [{t_start}, {t_stop}] holds fewer than two records")
+    return sel
 
 
 def growth_rate_fit(diag, t_start, t_stop, series="l2"):
     """Exponential growth rate of a diagnostic series over a time window.
 
     Fits log(series) against t by least squares and returns
-    (rate, r_squared).  Raises ValueError if the window holds fewer than two
-    records or the series is not strictly positive there.
+    (rate, r_squared).  Raises ValueError if the series holds no finite
+    value (it was not recorded), if the window holds fewer than two finite
+    records, or if the series is not strictly positive there.
     """
-    y = getattr(diag, series) if series in Diagnostics.SERIES else None
-    if y is None:
-        recorded = ", ".join(
-            s for s in Diagnostics.SERIES if getattr(diag, s) is not None)
-        raise ValueError(
-            f"series {series!r} was not recorded; recorded: {recorded}")
-    t = diag.times
-    sel = (t >= t_start) & (t <= t_stop) & np.isfinite(y)
-    if np.count_nonzero(sel) < 2:
-        raise ValueError(
-            f"fit window [{t_start}, {t_stop}] holds fewer than two records")
+    recorded = [s for s in Diagnostics.SERIES
+                if np.isfinite(getattr(diag, s)).any()]
+    if series not in recorded:
+        raise ValueError(f"series {series!r} was not recorded; "
+                         f"recorded: {', '.join(recorded)}")
+    y = getattr(diag, series)
+    t = np.where(np.isfinite(y), diag.times, np.nan)
+    sel = _fit_window(t, t_start, t_stop)
     ysel = y[sel]
     if np.any(ysel <= 0.0):
         raise ValueError("series must be strictly positive for a log fit")

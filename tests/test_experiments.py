@@ -2,9 +2,14 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mgsim
 import mgsim.experiments
 from mgsim.eigen import closed_form_bounds, optimize_growth
 from mgsim.experiments import instability, plane_demo, write_eigen_csv
@@ -18,6 +23,10 @@ from mgsim.symbol import PhysParams
     (dict(control_mode=(1, 2, 1, 4)), "control_mode"),
     (dict(control_mode=(2, 2, 1)), "control_mode .* lies on the plane"),
     (dict(gammas=(0.3, 0.5, 0.3)), "gammas repeat"),
+    (dict(control_mode=(1, 2, 0)), "control_mode .* needs k3 != 0"),
+    # the control fit window [t_end / 5, t_end] holds only the record at 1
+    (dict(t_end=1.0, record_every=100),
+     r"fit window \[0.2, 1.0\] holds fewer than two records"),
 ])
 def test_plane_demo_rejects_bad_arguments_before_any_run(monkeypatch, kwargs,
                                                          match):
@@ -29,21 +38,46 @@ def test_plane_demo_rejects_bad_arguments_before_any_run(monkeypatch, kwargs,
         plane_demo(plane=PlaneSpec(1, 1), n=8, **kwargs)
 
 
+def test_instability_rejects_fit_window_before_any_solve(monkeypatch):
+    def no_solve(*args, **kw):
+        raise AssertionError("instability solved before checking its window")
+
+    for name in ("optimize_growth", "run"):
+        monkeypatch.setattr(mgsim.experiments, name, no_solve)
+    with pytest.raises(ValueError, match=(
+            r"fit window \[1.0, 0.5\] holds fewer than two records")):
+        instability(PhysParams(eps_kappa=0.01), box=2, n=32, dt=0.01,
+                    t_end=0.5, fit_start=1.0, record_every=5)
+
+
+def test_importing_experiments_leaves_out_scipy_linalg():
+    # only the dense oracle needs scipy.linalg, which is slow to import
+    code = "import sys, mgsim.experiments; print('scipy.linalg' in sys.modules)"
+    src = str(Path(mgsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_eigen_csv_recomputes_closed_form_bounds(tmp_path):
-    par = PhysParams(eps_kappa=0.02)
+    par = PhysParams(eps_kappa=0.02, n2=0.5, m=2)
     res = optimize_growth(par, box=4)
     path = tmp_path / "modes.csv"
     write_eigen_csv(res.table, par, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["k1", "k2", "gamma", "eps_kappa", "sigma_star",
-                       "lower_bound", "upper_bound", "depth", "residual"]
-    assert len(rows) - 1 == res.n_unstable
+                       "lower_bound", "upper_bound", "depth", "residual",
+                       "n2", "m"]
+    assert len(rows) - 1 == res.n_unstable > 0
     for row, (k1, k2, sigma, depth, _) in zip(rows[1:], res.table):
         lower, upper = closed_form_bounds(k1, k2, par)
         assert (int(row[0]), int(row[1]), int(row[7])) == (k1, k2, depth)
         assert float(row[4]) == sigma
         assert (float(row[5]), float(row[6])) == (lower, upper)
+        assert (float(row[9]), int(row[10])) == (0.5, 2)
 
 
 def test_instability_at_zero_eps_kappa_reports_no_continuum():

@@ -1,6 +1,7 @@
 """Tests for the time integrator: exactness, invariants, guard rails."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -319,16 +320,22 @@ class TestNonlinearStep:
         assert counts == {"forward": 4 * S + R, "inverse": 24 * S + 10 * R}
 
     def test_restricted_steps_make_no_grid_transforms(self, monkeypatch):
-        # a restricted run steps on the plane's layout: on the grid itself
-        # only the records transform (10 inverse and 1 forward each)
+        # a restricted run steps and records on the plane's layout: it
+        # makes no transform on the grid and builds none of its work arrays
         theta0 = sine_vertical(G24, 1) + cosine_mode(G24, (2, 2, 1), 0.1)
         counts = _counting_transforms(monkeypatch, grid=G24)
+        caches = (mgsim.fields._work, mgsim.solver._advection_work)
+        for cache in caches:
+            cache.cache_clear()
         cfg = SolverConfig(dt=0.01, t_end=0.05, record_every=2,
                            plane=PlaneSpec(1, 1), restrict_to_plane=True)
         _, diag = run(theta0, PhysParams(eps_kappa=0.02), cfg)
-        R = len(diag.times)
-        assert R == 4
-        assert counts == {"forward": R, "inverse": 10 * R}
+        assert len(diag.times) == 4
+        assert counts == {"forward": 0, "inverse": 0}
+        for cache in caches:  # a lookup for the grid misses
+            misses = cache.cache_info().misses
+            cache(G24, threading.get_ident())
+            assert cache.cache_info().misses == misses + 1
 
 
 def test_real_coefficients_evolve_like_complex():
@@ -559,6 +566,8 @@ def test_restricted_run_matches_grid_run(shape, ratio, scheme, linearized):
     for col in ("l2", "linf", "hs"):
         assert np.allclose(getattr(gdiag, col), getattr(wdiag, col),
                            rtol=1e-13, atol=0.0)
+    if not linearized:  # the plane's own right-hand side is energy neutral
+        assert np.max(np.abs(gdiag.energy_residual)) < 1e-13
 
 
 class TestRestriction:
@@ -573,6 +582,21 @@ class TestRestriction:
         final, diag = run(theta0, par, cfg)
         assert np.max(diag.off_plane) == 0.0
         assert off_plane_norm(final, pl) == 0.0
+
+    def test_restriction_keeps_the_on_plane_part_of_the_reference(self):
+        # the reference is gathered onto the plane's layout like the
+        # initial data: its off-plane part never enters ref_l2
+        par = PhysParams(eps_kappa=0.05)
+        pl = PlaneSpec(1, 1)
+        theta0 = sine_vertical(G16, 1) + cosine_mode(G16, (1, 1, 1), 0.1)
+        cfg = SolverConfig(dt=0.01, t_end=0.02, record_every=1, plane=pl,
+                           restrict_to_plane=True)
+        _, diag = run(theta0, par, cfg,
+                      reference=theta0 + cosine_mode(G16, (1, 2, 1), 0.5))
+        _, want = run(theta0, par, cfg, reference=theta0)
+        assert diag.ref_l2[0] == 0.0
+        assert np.array_equal(diag.ref_l2, want.ref_l2)
+        assert want.ref_l2[-1] > 0.0
 
     def test_restriction_projects_initial_data(self):
         par = PhysParams(eps_kappa=0.05)
@@ -595,14 +619,16 @@ class TestGrowthRateFit:
             growth_rate_fit(diag, 0.0, 1.0, series="ref_l2")
 
     @pytest.mark.parametrize("series", ["bogus", "hs_order", "plane",
-                                        "times", "ref_l2"])
+                                        "times", "ref_l2", "off_plane"])
     def test_unknown_series_names_the_recorded_ones(self, series):
+        # a run without a plane or a reference records neither off_plane
+        # nor ref_l2: both are all NaN
         par = PhysParams(eps_kappa=0.1)
         _, diag = run(cosine_mode(G16, (1, 1, 1)), par,
                       SolverConfig(dt=0.01, t_end=0.1))
         with pytest.raises(ValueError, match=(
                 f"series '{series}' was not recorded; recorded: l2, linf, "
-                f"hs, off_plane, energy_residual$")):
+                f"hs, energy_residual$")):
             growth_rate_fit(diag, 0.0, 1.0, series=series)
 
     def test_requires_two_records(self):
