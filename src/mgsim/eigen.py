@@ -51,8 +51,8 @@ sigma*_P <= sigma*, and if also G_P >= 0 at s = sigma*_P + 1e-12, then
 sigma* <= s.  A root is accepted at the first depth P where this holds
 and its profile has decayed, |c_P| <= _COEFF_CUTOFF |c_1|.
 
-The residual changes sign at most once on any sigma interval, so bisecting
-between a negative and a non-negative endpoint cannot miss a root.  Each
+The residual changes sign at most once on any sigma interval, so a bracket
+with a negative and a non-negative endpoint cannot lose the root.  Each
 x_p grows with sigma (alpha_p > 0), so by induction from T_depth = x_depth
 every tail T_p = x_p - 1/T_{p+1} grows with sigma wherever T_{p+1} > 0, and
 so does the residual x_1 - 1/T_2.  The principal branch (all tails above a
@@ -63,10 +63,10 @@ floating-point operation, so the computed residual is non-decreasing too.
 
 One kernel serves every caller: `_cf_residuals` walks the tails once over p
 for a (modes x sigma-points) array, and `_Batch` drives all modes in
-lockstep, giving each bracket still wider than _WIDTH_ULPS ulps
-max(1, _LANES // n) points per round (a box bisects, one mode splits its
-bracket _LANES + 1 ways); the public single-mode functions are batches of
-one (README, "Numerical notes", gives what that costs).
+lockstep, giving each bracket still wider than _WIDTH_ULPS ulps an
+interpolated point and max(1, _LANES // n) - 1 uniform points per round (a
+box evaluates one point per mode, a lone mode _LANES); the public
+single-mode functions are batches of one (README, "Numerical notes").
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ from .symbol import PhysParams, _denominator, _validate_mode
 # Tail values at or below this are treated as off the principal branch.
 _TAIL_FLOOR = 1e-13
 
-# Bisection stops when the bracket width is this many ulps of the endpoint.
+# Multisection stops when the bracket width is this many ulps of the endpoint.
 _WIDTH_ULPS = 8.0
 
 # Sigma points per multisection round, shared by the modes still bracketing
@@ -170,7 +170,7 @@ def _cf_residuals(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
 
 
 def cf_residual(sigma: float, k1: int, k2: int, params: PhysParams,
-                depth: int = 64) -> float:
+                depth: int = _START_DEPTH) -> float:
     """Residual F(sigma) = x_1 - 1/(x_2 - 1/(x_3 - ...)) truncated at `depth`.
 
     The truncation closes the fraction with tail T_depth = x_depth, which is
@@ -226,7 +226,8 @@ def closed_form_bounds(k1: int, k2: int, params: PhysParams) -> tuple[float, flo
     return float(lower), float(upper)
 
 
-def dense_sigma_star(k1: int, k2: int, params: PhysParams, depth: int = 64) -> float:
+def dense_sigma_star(k1: int, k2: int, params: PhysParams,
+                     depth: int = _START_DEPTH) -> float:
     """Largest eigenvalue of the truncated recursion, by a matrix eigensolver.
 
     Writing the truncated recursion (c_{P+1} = 0) in d_p = c_p / alpha_p
@@ -270,7 +271,7 @@ def _walk(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
 
 
 def backward_coefficients(sigma: float, k1: int, k2: int, params: PhysParams,
-                          depth: int = 64) -> np.ndarray:
+                          depth: int = _START_DEPTH) -> np.ndarray:
     """Minimal-solution coefficients c_1..c_depth at an eigenvalue sigma.
 
     Row p of the recursion gives d_p / d_{p-1} = -1/T_p for the tails T_p
@@ -308,7 +309,7 @@ class EigenSolution:
     residual : float
         |cf_residual(sigma_star)| at the accepted depth.
     bracket : (float, float)
-        Closed-form bounds (1/alpha_2 - e_2, 2/alpha_1 - e_1) bisected in.
+        Closed-form bounds (1/alpha_2 - e_2, 2/alpha_1 - e_1) multisected in.
     """
 
     k1: int
@@ -328,34 +329,48 @@ def _multisect(a: np.ndarray, e: np.ndarray,
 
     NaN for a mode without g(lo) < 0 <= g(hi); off-branch points count as
     -1, so g changes sign at most once (module docstring).  Each round
-    splits every bracket wider than _WIDTH_ULPS ulps at max(1, _LANES // n)
-    points, n the number of such brackets, all in one kernel call; a
-    guarded secant step then polishes each final bracket.
+    evaluates every bracket wider than _WIDTH_ULPS ulps at its point x and
+    max(1, _LANES // n) - 1 uniform points (n brackets, one kernel call),
+    keeps the first sign change, and takes the next x from Chandrupatla's
+    (1997) safeguarded inverse-quadratic step (README, "Numerical notes").
+    A guarded secant step polishes each final bracket.
     """
     fa, fb = np.nan_to_num(_cf_residuals(np.stack([lo, hi], axis=1), a, e),
                            nan=-1.0).T.copy()
     lo, hi = lo.copy(), hi.copy()
     ok = (fa < 0.0) & (0.0 <= fb)
     act = np.arange(lo.size)
-    for _ in range(200):
-        l, h = lo[act], hi[act]
-        wide = ok[act] & (h - l > _WIDTH_ULPS * np.spacing(h))
-        if not wide.all():
-            act, l, h = act[wide], l[wide], h[wide]
-            a = a[wide]  # one array at a time, to bound memory
-            e = e[wide]
-        if act.size == 0:
-            break
-        t = np.arange(1, max(1, _LANES // act.size) + 1)
-        t = t / (t.size + 1)  # one point is 0.5 * (lo + hi) exactly
-        xs = np.column_stack([l, l[:, None] * (1.0 - t) + h[:, None] * t, h])
-        g = np.nan_to_num(_cf_residuals(xs[:, 1:-1], a, e), nan=-1.0)
-        gs = np.column_stack([fa[act], g, fb[act]])
-        j = np.argmax(gs[:, 1:] >= 0.0, axis=1) + 1  # gs[:, -1] = g(hi) >= 0
-        r = np.arange(act.size)
-        lo[act], hi[act] = xs[r, j - 1], xs[r, j]
-        fa[act], fb[act] = gs[r, j - 1], gs[r, j]
+    x, w2 = 0.5 * (lo + hi), hi - lo  # next point; width two rounds back
     with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(256):  # <= 3 rounds a halving, < 80 if lo >= 1e-9 hi
+            l, h = lo[act], hi[act]
+            wide = ok[act] & (h - l > _WIDTH_ULPS * np.spacing(h))
+            if not wide.all():
+                act, l, h, x, w2 = act[wide], l[wide], h[wide], x[wide], w2[wide]
+                a = a[wide]  # one array at a time, to bound memory
+                e = e[wide]
+            if act.size == 0:
+                break
+            k = max(1, _LANES // act.size)
+            xs = np.sort(np.column_stack([x, np.linspace(l, h, k + 1, axis=1)]), 1)
+            g = np.nan_to_num(_cf_residuals(xs[:, 1:-1], a, e), nan=-1.0)
+            gs = np.column_stack([fa[act], g, fb[act]])
+            j = np.argmax(gs[:, 1:] >= 0.0, axis=1) + 1  # gs[:, -1] = g(hi) >= 0
+            r = np.arange(act.size)
+            w2, halved = h - l, xs[r, j] - xs[r, j - 1] <= 0.5 * w2
+            lo[act], hi[act] = l, h = xs[r, j - 1], xs[r, j]
+            fa[act], fb[act] = gl, gh = gs[r, j - 1], gs[r, j]
+            left = (j > 1) & ((j > k) | (np.abs(gl) < np.abs(gh)))  # a is lo
+            xa, xb, ga, gb = np.where(left, [l, h, gl, gh], [h, l, gh, gl])
+            c = np.clip(np.where(left, (xs < xa[:, None]).sum(1) - 1,
+                                 (xs <= xa[:, None]).sum(1)), 0, k + 1)
+            xc, gc = xs[r, c], gs[r, c]  # a's nearest distinct outer neighbour
+            xi, phi = (xa - xb) / (xc - xb), (ga - gb) / (gc - gb)
+            t = (ga / (gb - ga) * gc / (gb - gc)
+                 + (xc - xa) / (xb - xa) * ga / (gc - ga) * gb / (gc - gb))
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & halved
+            t_lim = np.minimum(0.5, 4.0 * np.spacing(h) / (h - l))
+            x = xa + np.clip(np.where(iqi, t, 0.5), t_lim, 1 - t_lim) * (xb - xa)
         s = hi - fb * (hi - lo) / (fb - fa)
     sigma = np.where((fb != fa) & (lo <= s) & (s <= hi), s, 0.5 * (lo + hi))
     sigma[~ok] = np.nan
@@ -375,14 +390,19 @@ def _certify(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
              k1s: np.ndarray, k2s: np.ndarray) -> tuple[np.ndarray, ...]:
     """Acceptance residual and profile decay (|c_P| <= _COEFF_CUTOFF |c_1|)
     of roots at depth P, for (modes x P) weights a, e, from one walk of the
-    tails; InvariantError names the first mode with a residual not below
-    1e-12.  The profile is the running product of the tails the residual
-    walks, so the recursion rows hold by construction; the oracle's
-    eigenvector checks it independently (tests).
+    tails; InvariantError names the first mode whose residual is above both
+    1e-12 and g(sigma + 4 ulps) - g(sigma - 4 ulps).  The profile is the
+    running product of the tails the residual walks, so the recursion rows
+    hold by construction; the oracle's eigenvector checks it independently
+    (tests).
     """
     r, c = _walk(sigma, a, e, k1s, k2s)
-    _require(r < 1e-12, k1s, k2s, InvariantError,
-             lambda i: f"root has residual {r[i]:.3g} >= 1e-12")
+    ok = r < 1e-12
+    if not ok.all():  # the 8-ulp scale costs a kernel call: only if needed
+        s = sigma[~ok, None] + np.spacing(sigma[~ok, None]) * [-4.0, 4.0]
+        ok[~ok] = r[~ok] <= np.diff(_cf_residuals(s, a[~ok], e[~ok]))[:, 0]
+    _require(ok, k1s, k2s, InvariantError, lambda i: (
+        f"root has residual {r[i]:.3g} >= 1e-12 and > its change over 8 ulps"))
     return r, np.abs(c[:, -1]) <= _COEFF_CUTOFF * np.abs(c[:, 0])
 
 
@@ -403,7 +423,7 @@ class _Batch:
         self.k2 = k2s = np.asarray(k2s, dtype=np.int64).ravel()
         self.params = params
         self.lower, self.upper = _closed_form_bounds(k1s, k2s, params)
-        # the interval bisected, slightly wider than the bounds
+        # the interval multisected, slightly wider than the bounds
         self.left = np.maximum(self.lower * (1.0 - 1e-9), self.upper * 1e-9)
         self.right = self.upper * (1.0 + 1e-9)
         self.sigma, self.residual = np.full((2, k1s.size), np.nan)

@@ -80,8 +80,9 @@ class GrowthCapError(MGError):
 
 
 class InvariantError(MGError):
-    """An eigen root's continued-fraction residual is not below 1e-12, or
-    no depth up to the largest certifies its truncation."""
+    """An eigen root's continued-fraction residual is above both 1e-12 and
+    its change over 8 ulps of the root, or no depth up to the largest
+    certifies its truncation."""
 
 
 class ConfigError(MGError):

@@ -257,6 +257,14 @@ class TestCli:
         assert "sigma* = 0.165070903412" in res.output
         assert "closed-form bounds: [" in res.output
 
+    def test_eigen_large_weight_mode(self):
+        # one ulp of sigma moves this mode's residual by more than 1e-12;
+        # tridiagonal oracle at depth 256: 0.0010088627719053304
+        res = self.runner.invoke(main, ["eigen", "--n2", "0.001", "--k1", "1",
+                                        "--k2", "10", "--eps-kappa", "0"])
+        assert res.exit_code == 0, res.output
+        assert "sigma* = 0.00100886277191" in res.output
+
     def test_eigen_stable_exits_2(self):
         res = self.runner.invoke(
             main, ["eigen", "--k1", "2", "--k2", "2", "--eps-kappa", "0.05"])

@@ -12,9 +12,11 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from mgsim.errors import DegenerateTailError, NoRootError
+from mgsim import eigen
+from mgsim.errors import DegenerateTailError, InvariantError, NoRootError
 from mgsim.symbol import PhysParams, eval_symbol
 from mgsim.eigen import (
+    _LANES,
     _START_DEPTH,
     _cf_residuals,
     _certify,
@@ -212,6 +214,33 @@ class TestSolve:
             else:
                 assert abs(root - ref) <= 1e-13 * root, (k1, k2)
 
+    def test_root_with_residual_above_1e_12_is_accepted(self):
+        # at N^2 = 1e-3 the alpha_p are so large that one ulp of sigma moves
+        # g by more than 1e-12, so the root's |g| need not fall below it;
+        # it is accepted against g's change over 8 ulps instead
+        par = PhysParams(n2=1e-3, eps_kappa=0.0)
+        sol = solve_sigma_star(1, 10, par)
+        assert sol.residual >= 1e-12  # the scale-free test is what passed
+        ref = dense_sigma_star(1, 10, par, sol.depth)
+        assert abs(sol.sigma_star - ref) <= 4 * np.spacing(ref)
+
+    def test_box_with_large_weights_is_solved(self):
+        par = PhysParams(n2=1e-3, eps_kappa=0.0)
+        res = optimize_growth(par, box=16)
+        assert res.table["residual"].max() >= 1e-12
+        for k1, k2, sigma, depth, _ in res.table:
+            ref = dense_sigma_star(int(k1), int(k2), par, int(depth))
+            assert abs(sigma - ref) <= 4 * np.spacing(ref), (k1, k2)
+
+    @pytest.mark.parametrize("k1, k2, n2", [(1, 10, 1e-3), (1, 1, 1.0)])
+    def test_perturbed_root_is_refused(self, k1, k2, n2):
+        par = PhysParams(n2=n2, eps_kappa=0.0)
+        sol = solve_sigma_star(k1, k2, par)
+        a, e = _weights(sol.depth, k1, k2, par)
+        _certify(np.array([sol.sigma_star]), a, e, [k1], [k2])
+        with pytest.raises(InvariantError, match="root has residual"):
+            _certify(np.array([sol.sigma_star * (1 + 1e-8)]), a, e, [k1], [k2])
+
     def test_stable_mode_raises_no_root(self):
         # all integer modes are stable at this diffusivity; the bracket is
         # positive but the residual never changes sign
@@ -346,8 +375,9 @@ class TestOptimize:
 
     @pytest.mark.parametrize("eps, gamma, m", [(0.01, 1.0, 1), (0.005, 0.5, 2)])
     def test_box_matches_single_mode_solves(self, eps, gamma, m):
-        # a box bisects its modes in lockstep while a lone mode multisects;
-        # both must find the same unstable modes at the same depths
+        # a box of 144 modes gives each bracket its interpolated point and a
+        # few uniform ones per round, a lone mode about _LANES points; both
+        # must find the same unstable modes at the same depths
         par = PhysParams(m=m, eps_kappa=eps, gamma=gamma)
         res = optimize_growth(par, box=12)
         single = {}
@@ -363,6 +393,49 @@ class TestOptimize:
             assert depth == sol.depth, (k1, k2)
             assert abs(sigma - sol.sigma_star) <= 8 * np.spacing(sol.sigma_star)
             assert residual < 1e-12
+
+    def test_one_lane_batch_matches_many_lane_solves(self):
+        # 552 of these 576 modes are unstable, so every bracket gets its
+        # interpolated point alone until fewer than _LANES // 2 are left;
+        # a lone mode's bracket gets _LANES points a round.  The sample
+        # includes every unstable mode with lower bound <= 0, and modes
+        # whose left end is off the principal branch.
+        par = PhysParams(m=2, eps_kappa=0.02, gamma=0.5)
+        res = optimize_growth(par, box=24)
+        assert res.n_unstable > _LANES // 2
+        rows = {(int(k1), int(k2)): (s, d) for k1, k2, s, d, _ in res.table}
+        low = [k for k in rows if closed_form_bounds(*k, par)[0] <= 0.0]
+        assert len(low) >= 10
+        off = 0
+        sample = low + list(rows)[::25]
+        for k1, k2 in sample:
+            sol = solve_sigma_star(k1, k2, par)
+            sigma, depth = rows[k1, k2]
+            assert depth == sol.depth, (k1, k2)
+            assert abs(sigma - sol.sigma_star) <= 8 * np.spacing(sol.sigma_star)
+            left = max(sol.bracket[0] * (1 - 1e-9), sol.bracket[1] * 1e-9)
+            off += np.isnan(_cf_residuals(np.array([[left]]),
+                                          *_weights(_START_DEPTH, k1, k2, par))[0, 0])
+        assert off >= 10
+
+    @pytest.mark.parametrize("box, most", [(32, 24), (16, 20)])
+    def test_box_needs_few_kernel_calls(self, monkeypatch, box, most):
+        # one kernel call per round.  Splitting every bracket at uniform
+        # points alone took 58 calls at box 32 (1024 brackets, 1 point
+        # each) and 37 at box 16 (256 brackets, 2 points each); with the
+        # interpolated points it takes 20 and 15.  At box 16 the midpoint
+        # is also a uniform point, so a's outer neighbour must skip it.
+        calls = []
+        kernel = eigen._cf_residuals
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "_cf_residuals", counted)
+        res = optimize_growth(PhysParams(eps_kappa=0.0), box=box)
+        assert res.n_unstable == box * box
+        assert len(calls) <= most
 
     @pytest.mark.parametrize("eps", [0.01, 0.005, 0.0025, 0.00125])
     def test_box_optimum_meets_continuum_growth_bound(self, eps):
