@@ -41,47 +41,3 @@ from .eigen import (
     solve_sigma_star,
 )
 from .solver import Diagnostics, SolverConfig, SourceSpec, growth_rate_fit, run
-
-__all__ = [
-    "__version__",
-    "MGError",
-    "SingularSystemError",
-    "NoRootError",
-    "DegenerateTailError",
-    "RecurrenceOverflowError",
-    "TruncationError",
-    "BlowUpError",
-    "GrowthCapError",
-    "InvariantError",
-    "ConfigError",
-    "SnapshotFormatError",
-    "PhysParams",
-    "eval_symbol",
-    "eval_denominator",
-    "balance_oracle",
-    "Grid",
-    "PlaneSpec",
-    "SpectralField",
-    "TORUS_VOLUME",
-    "cosine_mode",
-    "hs_norm",
-    "l2_norm",
-    "linf_norm",
-    "off_plane_norm",
-    "read_snapshot",
-    "sine_vertical",
-    "write_snapshot",
-    "EigenSolution",
-    "assemble_eigenfunction",
-    "closed_form_bounds",
-    "dense_sigma_star",
-    "illposedness_sweep",
-    "optimize_growth",
-    "sigma_bracket",
-    "solve_sigma_star",
-    "Diagnostics",
-    "SolverConfig",
-    "SourceSpec",
-    "growth_rate_fit",
-    "run",
-]

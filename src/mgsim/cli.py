@@ -40,7 +40,9 @@ from .experiments import (
     instability, plane_demo, write_csv, write_diag_csv, write_eigen_csv,
     write_manifest, write_sweep_csv,
 )
-from .fields import Grid, cosine_mode, read_snapshot, write_snapshot
+from .fields import (
+    Grid, LatticeGrid, Sublattice, cosine_mode, read_snapshot, write_snapshot,
+)
 from .solver import SolverConfig, SourceSpec, run
 from .symbol import PhysParams, PlaneSpec, scan_box
 
@@ -304,14 +306,17 @@ def evolve(config_path, out_dir):
     params = _phys_from_cfg(cfg)
     grid = _grid_from_cfg(cfg)
     plane_txt = get_str(cfg, "plane.q", None)
+    plane = _parse_plane(plane_txt) if plane_txt else None
+    restrict = get_bool(cfg, "plane.restrict", False)
+    if restrict and plane is None:
+        raise ConfigError("config key 'plane.restrict' needs 'plane.q'")
 
     scfg = SolverConfig(
         dt=get_float(cfg, "run.dt"),
         t_end=get_float(cfg, "run.t_end"),
         **_read(cfg, SolverConfig, "run",
                 "scheme", "linearized", "record_every"),
-        plane=_parse_plane(plane_txt) if plane_txt else None,
-        restrict_to_plane=get_bool(cfg, "plane.restrict", False),
+        plane=plane, lattice=Sublattice.of_plane(plane) if restrict else None,
         source=_source_from_cfg(cfg, grid),
     )
     init = get_str(cfg, "init.kind", "eigenfunction")
@@ -330,6 +335,8 @@ def evolve(config_path, out_dir):
               "linf_final": f"{diag.linf[-1]:.12g}"}
     if sol is not None:
         extras["sigma_star"] = f"{sol.sigma_star:.12g}"
+    if scfg.lattice is not None:
+        extras["layout"] = str(LatticeGrid(grid, scfg.lattice))
     write_manifest(out / "manifest.txt", cfg.resolved, wall_seconds=wall,
                    extras=extras)
     click.echo(f"{len(diag.times)} records; "
@@ -359,6 +366,7 @@ def instability_cmd(config_path, out_dir):
     rel = abs(rep.fitted_rate - rep.sigma_star) / rep.sigma_star
     extras = {
         "mode": f"({rep.k1}, {rep.k2})",
+        "layout": str(rep.layout),
         "sigma_star": f"{rep.sigma_star:.12g}",
         "fitted_rate": f"{rep.fitted_rate:.12g}",
         "relative_mismatch": f"{rel:.3g}",

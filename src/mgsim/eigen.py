@@ -703,11 +703,12 @@ class OptimizeResult:
 
 
 def continuum_optimum(params: PhysParams) -> tuple[float, float]:
-    """Continuum argmax (k1, k2) of the closed-form growth bound.
+    """Continuum argmax (k1, k2) of the closed-form lower bound, not of sigma*.
 
-    For small eps_kappa the certified lower bound is maximized near
-    k1 = 1/(16 eps_kappa), k2 = N sqrt(m / (8 eps_kappa)), where it reaches
-    at least 1/(2^8 eps_kappa) - 8 m^2 eps_kappa.
+    For small eps_kappa the bound is maximized near k1 = 1/(16 eps_kappa),
+    k2 = N sqrt(m / (8 eps_kappa)), where it reaches at least
+    1/(2^8 eps_kappa) - 8 m^2 eps_kappa; the argmax of sigma* itself has
+    k1 eps_kappa near 0.093 instead of 1/16.
     """
     if params.eps_kappa <= 0.0:
         raise ValueError("continuum optimum requires eps_kappa > 0")
@@ -717,12 +718,12 @@ def continuum_optimum(params: PhysParams) -> tuple[float, float]:
 
 
 def continuum_lower_bound(params: PhysParams) -> float:
-    """Certified lower bound evaluated at the real-valued continuum optimum.
+    """Closed-form lower bound 1/alpha_2 - e_2 at its own continuum argmax.
 
     The alpha weights are algebraic in (k1, k2), so they extend off the
-    integer lattice; this evaluates 1/alpha_2 - e_2 at the continuum argmax,
-    giving the growth rate the discrete optimization should approach as
-    eps_kappa -> 0.
+    integer lattice.  This is the bound's maximum, not sigma*'s: as
+    eps_kappa -> 0, sigma* eps_kappa levels off near 0.0092, the bound's
+    at 1/256.
     """
     k1, k2 = continuum_optimum(params)
     return float(_closed_form_bounds(k1, k2, params)[0][0])

@@ -20,7 +20,9 @@ from .eigen import (
     optimize_growth,
     solve_sigma_star,
 )
-from .fields import Grid, cosine_mode, l2_norm, sine_vertical
+from .fields import (
+    Grid, LatticeGrid, Sublattice, cosine_mode, l2_norm, sine_vertical,
+)
 from .solver import (
     Diagnostics,
     SolverConfig,
@@ -53,6 +55,7 @@ class InstabilityReport:
     fit_window: tuple
     seed_amplitude: float
     base_l2: float
+    layout: LatticeGrid
     diag: Diagnostics = field(repr=False)
     table: np.ndarray = field(repr=False)
 
@@ -65,7 +68,9 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
     perturbation is the fastest-growing eigenmode over the integer box,
     scaled to ``seed_rel`` of the background L2 norm.  The departure from
     the steady state is fitted for an exponential rate, which the report
-    pairs with the predicted sigma*.
+    pairs with the predicted sigma*.  The run steps on the seed's
+    sublattice k1 Z x k2 Z x m Z, which holds the background, the source
+    and every product of the eigenmode; ``layout`` records it.
 
     At eps_kappa = 0, with no continuum optimum, ``continuum_k`` and
     ``continuum_lb`` are inf.
@@ -85,7 +90,9 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
     base_l2 = l2_norm(background)
     seed = seed_rel * base_l2 / l2_norm(mode)
     theta0 = background + seed * mode
-    _, diag = run(theta0, params, cfg, reference=background)
+    lattice = Sublattice.diag(opt.k1, opt.k2, params.m)
+    _, diag = run(theta0, params, replace(cfg, lattice=lattice),
+                  reference=background)
 
     # fit only while the departure is still small against the background
     # (past that the linearization, and hence the predicted rate, is moot)
@@ -102,14 +109,14 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
         continuum_lb=(continuum_lower_bound(params)
                       if np.isfinite(opt.continuum_k1) else np.inf),
         fitted_rate=rate, r_squared=r2, fit_window=(fit_start, t_stop),
-        seed_amplitude=seed, base_l2=base_l2, diag=diag, table=opt.table,
+        seed_amplitude=seed, base_l2=base_l2,
+        layout=LatticeGrid(grid, lattice), diag=diag, table=opt.table,
     )
 
 
 @dataclass
 class PlaneArm:
     gamma: float
-    restricted: bool
     diag: Diagnostics = field(repr=False)
     off_plane_max: float
     departure_factor: float
@@ -164,17 +171,16 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
     background = sine_vertical(grid, m)
     c_plane = plane_bound_scan(plane.q_num, plane.q_den, _PLANE_KMAX, n2)
 
-    # an on-plane seed: the smallest wavevector pair on the plane
-    on_k1, on_k2 = plane.q_den, plane.q_num
-
+    # the arms' seed: the smallest wavevector pair on the plane
+    on_plane = background + cosine_mode(grid, (plane.q_den, plane.q_num, 1),
+                                        seed)
+    restricted = replace(cfg, lattice=Sublattice.of_plane(plane))
     arms = []
     for gamma in gammas:
         params = PhysParams(n2=n2, m=m, eps_kappa=eps_kappa, gamma=gamma)
-        theta0 = background + cosine_mode(grid, (on_k1, on_k2, 1), seed)
-        _, diag = run(theta0, params, replace(cfg, restrict_to_plane=True),
-                      reference=background)
+        _, diag = run(on_plane, params, restricted, reference=background)
         arms.append(PlaneArm(
-            gamma=gamma, restricted=True, diag=diag,
+            gamma=gamma, diag=diag,
             off_plane_max=float(np.max(diag.off_plane)),
             departure_factor=float(diag.ref_l2[-1] / diag.ref_l2[0]),
         ))
@@ -184,7 +190,7 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
     theta0 = background + cosine_mode(grid, ck, seed)
     _, cdiag = run(theta0, params0, cfg, reference=background)
     control = PlaneArm(
-        gamma=gamma0, restricted=False, diag=cdiag,
+        gamma=gamma0, diag=cdiag,
         off_plane_max=float(np.max(cdiag.off_plane)),
         departure_factor=float(cdiag.off_plane[-1] / cdiag.off_plane[0]),
     )
@@ -253,20 +259,13 @@ def write_manifest(path, resolved, *, wall_seconds, extras):
     """
     from . import __version__
 
-    lines = ["# run manifest", ""]
-    lines.append(f"argv = {' '.join(sys.argv)}")
-    lines.append(f"package_version = {__version__}")
-    lines.append(f"python = {platform.python_version()}")
-    lines.append(f"numpy = {np.__version__}")
-    lines.append(f"scipy = {scipy.__version__}")
-    lines.append(f"wall_seconds = {wall_seconds:.3f}")
-    lines.append("")
-    lines.append("[resolved]")
-    for key in sorted(resolved):
-        lines.append(f"{key} = {resolved[key]}")
-    lines.append("")
-    lines.append("[results]")
-    for key in sorted(extras):
-        lines.append(f"{key} = {extras[key]}")
+    lines = ["# run manifest", "", f"argv = {' '.join(sys.argv)}",
+             f"package_version = {__version__}",
+             f"python = {platform.python_version()}",
+             f"numpy = {np.__version__}", f"scipy = {scipy.__version__}",
+             f"wall_seconds = {wall_seconds:.3f}"]
+    for section, entries in (("resolved", resolved), ("results", extras)):
+        lines += ["", f"[{section}]",
+                  *(f"{key} = {entries[key]}" for key in sorted(entries))]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -27,9 +27,10 @@ per grid and per thread.  The in-place passes of ``inverse`` fill the zero
 padding (the out-of-band k2 columns, then the out-of-band k1 rows), so
 every call writes those zeros again before the pass.
 
-A :class:`PlaneGrid`, the layout of a field confined to a plane, stands in
-for a ``Grid`` in the transforms and the cached wavenumber arrays; the
-passes along its x2 axis, of length one, are skipped.
+A :class:`LatticeGrid`, the layout of a field confined to a
+:class:`Sublattice` (a plane, or diag(s1, s2) with a vertical stride),
+stands in for a ``Grid`` in the transforms and the cached wavenumber
+arrays; a pass of length one, such as a plane's x2 pass, is skipped.
 
 Norms and inner products are computed spectrally by one Parseval kernel,
 :func:`parseval`, with the conjugate-pair weight (2 for k3 > 0, 1 on the
@@ -48,7 +49,7 @@ import numpy as np
 
 from .config import number_literal
 from .errors import SnapshotFormatError
-from .symbol import PlaneSpec, symbol_components
+from .symbol import PlaneSpec, _validate_mode, symbol_components
 
 TORUS_VOLUME = (2.0 * np.pi) ** 3
 
@@ -87,10 +88,6 @@ class Grid:
         return (self.n1, self.n2, self.n3 // 2 + 1)
 
     @property
-    def ntot(self):
-        return self.n1 * self.n2 * self.n3
-
-    @property
     def band(self):
         """Largest retained wavenumber in each direction (two-thirds rule)."""
         return ((self.n1 - 1) // 3, (self.n2 - 1) // 3, (self.n3 - 1) // 3)
@@ -108,77 +105,114 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class PlaneGrid:
-    """The layout of a field confined to a plane, theta = f(s, x3).
+class Sublattice:
+    """The wavevectors j1 c1 + j2 c2 + (0, 0, s3 j3), j integer.
 
-    Off ``plane`` (q_den k2 = q_num k1) a field's coefficients vanish, so
-    it is a function of s = q_den x1 + q_num x2 and x3.  On ``grid``, s
-    takes N_s = lcm(n1 / gcd(n1, q_den), n2 / gcd(n2, |q_num|)) values,
-    each equally often, so the grid's forward coefficient at an in-band
-    wavevector (j q_den, j q_num, k3) is this layout's at (j, k3), aliases
-    included.  The shape is (N_s, 1, n3) and the band (J, 0, b3), with
-    J = min(b1 // q_den, b2 // |q_num|): the x2 axis is kept, with length
-    one, so every kernel written for the band layout runs unchanged.
-    ``gather`` and ``scatter`` move on-plane coefficients between the
-    grid's band and this layout.
+    ``basis`` holds the horizontal columns c: one, (q_den, q_num), for the
+    plane q_den k2 = q_num k1, or the two of diag(s1, s2).  Any other
+    basis, and a stride below 1, raise ValueError.
+    """
+
+    basis: tuple
+    s3: int = 1
+
+    def __post_init__(self):
+        cols = tuple(map(tuple, self.basis))
+        object.__setattr__(self, "basis", cols)
+        _validate_mode(s3=self.s3)
+        if [len(c) for c in cols] == [2]:
+            PlaneSpec(cols[0][1], cols[0][0])  # its checks of the ratio
+        elif [len(c) for c in cols] != [2, 2] or cols[0][1] or cols[1][0]:
+            raise ValueError(f"sublattice basis {cols!r} is neither one "
+                             f"plane column (q_den, q_num) nor diag(s1, s2)")
+        else:
+            _validate_mode(s1=cols[0][0], s2=cols[1][1])
+
+    @classmethod
+    def of_plane(cls, plane):
+        return cls(((plane.q_den, plane.q_num),))
+
+    @classmethod
+    def diag(cls, s1, s2, s3=1):
+        return cls(((s1, 0), (0, s2)), s3)
+
+    @property
+    def plane(self):
+        """The plane of a one-column basis, else None."""
+        (q_den, q_num), *diag = self.basis
+        return None if diag else PlaneSpec(q_num, q_den)
+
+
+def _axis(sizes, bands, col):
+    """(size, band) of a layout axis along the basis column ``col``: the
+    number of values its coordinate takes on the grid, lcm over c_i != 0 of
+    n_i / gcd(n_i, c_i), and min b_i // |c_i|."""
+    axis = [(n, b, abs(c)) for n, b, c in zip(sizes, bands, col) if c]
+    return (math.lcm(*(n // math.gcd(n, c) for n, _, c in axis)),
+            min(b // c for _, b, c in axis))
+
+
+@dataclass(frozen=True)
+class LatticeGrid:
+    """The layout of a field on ``grid`` confined to a :class:`Sublattice`.
+
+    The coefficient at lattice coordinates (j1, j2, j3) is stored at that
+    index, and :func:`wavenumbers` returns the basis images, so every
+    kernel written for the band layout runs unchanged (a plane keeps its
+    x2 axis, with length one).  Each coordinate takes ``_axis``'s number of
+    values on the grid, each equally often, so the grid's samples are the
+    layout's repeated and the grid's forward coefficient at an in-band
+    lattice wavevector is the layout's, aliases included.  ``gather`` and
+    ``scatter`` move the lattice's coefficients to and from ``grid``'s band.
     """
 
     grid: Grid
-    plane: PlaneSpec
-    n1: int = field(init=False, compare=False)
-    n3: int = field(init=False, compare=False)
+    lattice: Sublattice
+    shape: tuple = field(init=False, compare=False)
     band: tuple = field(init=False, compare=False)
-    n2 = 1
+    band_shape = Grid.band_shape
 
     def __post_init__(self):
         (n1, n2, n3), (b1, b2, b3) = self.grid.shape, self.grid.band
-        q_num, q_den = abs(self.plane.q_num), self.plane.q_den
-        n_s = math.lcm(n1 // math.gcd(n1, q_den), n2 // math.gcd(n2, q_num))
-        j_max = min(b1 // q_den, b2 // q_num) if q_num else b1 // q_den
-        object.__setattr__(self, "n1", n_s)
-        object.__setattr__(self, "n3", n3)
-        object.__setattr__(self, "band", (j_max, 0, b3))
+        axes = [_axis((n1, n2), (b1, b2), c) for c in self.lattice.basis]
+        axes = [*axes, (1, 0)][:2] + [_axis((n3,), (b3,), (self.lattice.s3,))]
+        object.__setattr__(self, "shape", tuple(n for n, _ in axes))
+        object.__setattr__(self, "band", tuple(b for _, b in axes))
 
-    @property
-    def shape(self):
-        return (self.n1, self.n2, self.n3)
-
-    @property
-    def band_shape(self):
-        return (2 * self.band[0] + 1, 1, self.band[2] + 1)
+    def __str__(self):
+        return f"{'x'.join(map(str, self.shape))} on {self.lattice}"
 
     @cached_property
     def index(self):
-        """Indices on ``grid``'s band of the layout's (j q_den, j q_num)."""
-        K1, K2, _ = wavenumbers(self)
+        """Indices on ``grid``'s band of the layout's wavevectors."""
         r1, r2, _ = self.grid.band_shape
-        return K1[:, 0, 0] % r1, K2[:, 0, 0] % r2
+        K1, K2, K3 = np.broadcast_arrays(*wavenumbers(self))
+        return K1 % r1, K2 % r2, K3
 
     def gather(self, c):
-        """A new array of the on-plane coefficients of ``grid``'s band ``c``."""
-        return c[self.index][:, None, :]
+        """A new array of the lattice coefficients of ``grid``'s band ``c``."""
+        return c[self.index]
 
     def scatter(self, c):
         """A new band array of ``grid`` holding this layout's ``c``."""
         out = np.zeros(self.grid.band_shape, dtype=np.complex128)
-        out[self.index] = c[:, 0, :]
+        out[self.index] = c
         return out
 
 
 @lru_cache(maxsize=None)
 def wavenumbers(grid):
-    """Integer wavenumber arrays (K1, K2, K3) broadcast over the band.
-
-    On a :class:`PlaneGrid` they are (j q_den, j q_num, k3).
-    """
+    """Integer wavenumber arrays (K1, K2, K3) broadcast over the band; on a
+    :class:`LatticeGrid`, the basis images of its own (j1, j2, j3)."""
     r1, r2, p3 = grid.band_shape
-    k1 = np.fft.fftfreq(r1, d=1.0 / r1).astype(np.int64)
-    k2 = np.fft.fftfreq(r2, d=1.0 / r2).astype(np.int64)
-    k3 = np.arange(p3, dtype=np.int64)
-    if isinstance(grid, PlaneGrid):
-        k1, k2 = grid.plane.q_den * k1, grid.plane.q_num * k1
-        return k1[:, None, None], k2[:, None, None], k3[None, None, :]
-    return k1[:, None, None], k2[None, :, None], k3[None, None, :]
+    j1 = np.fft.fftfreq(r1, d=1.0 / r1).astype(np.int64)[:, None, None]
+    j2 = np.fft.fftfreq(r2, d=1.0 / r2).astype(np.int64)[None, :, None]
+    j3 = np.arange(p3, dtype=np.int64)[None, None, :]
+    if isinstance(grid, Grid):
+        return j1, j2, j3
+    (a1, a2), *diag = grid.lattice.basis
+    return (a1 * j1, diag[0][1] * j2 if diag else a2 * j1,
+            grid.lattice.s3 * j3)
 
 
 @lru_cache(maxsize=None)
@@ -255,18 +289,18 @@ def forward(grid, values, out=None):
         raise ValueError(
             f"values shape {values.shape} does not match grid {grid.shape}")
     w = _work(grid, threading.get_ident())
-    b1, b2, _ = grid.band
+    (b1, b2, _), (n1, n2, _) = grid.band, grid.shape
     p3 = w.x1.shape[2]
     x1 = np.fft.rfft(values, axis=2, norm="forward", out=w.half)[:, :, :p3]
-    if grid.n2 > 1:  # a pass of length one is the identity
+    if n2 > 1:  # a pass of length one is the identity
         x1 = np.fft.fft(x1, axis=1, norm="forward", out=w.x1)
     w.cols[:, :b2 + 1] = x1[:, :b2 + 1]
-    w.cols[:, b2 + 1:] = x1[:, grid.n2 - b2:]
+    w.cols[:, b2 + 1:] = x1[:, n2 - b2:]
     np.fft.fft(w.cols, axis=0, norm="forward", out=w.cols)
     if out is None:
         out = np.empty(grid.band_shape, dtype=np.complex128)
     out[:b1 + 1] = w.cols[:b1 + 1]
-    out[b1 + 1:] = w.cols[grid.n1 - b1:]
+    out[b1 + 1:] = w.cols[n1 - b1:]
     plane = out[:, :, 0]
     out[:, :, 0] = 0.5 * (plane + _conjugate_plane(plane))
     return out
@@ -331,9 +365,6 @@ class SpectralField:
 
     def values(self):
         return inverse(self.grid, self.c)
-
-    def copy(self):
-        return SpectralField(self.grid, self.c.copy())
 
     def _index(self, k1, k2, k3):
         """Array index of broadcast wavevectors, and which are in band."""

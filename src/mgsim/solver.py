@@ -23,11 +23,11 @@ reads the stepper's state in place.  The advection product's buffers are
 kept per grid and thread, as the transforms' work arrays are, so no call
 builds them again.
 
-A run restricted to a plane steps on the plane's own layout,
-``fields.PlaneGrid``, with transforms over (s, x3), s = q_den x1 + q_num x2,
-so off-plane content is never stored.  The records read the state on that
-layout too, and only the final state is scattered back onto the grid's
-band.  The on-plane right-hand side is the grid's to rounding.
+A run restricted to a sublattice (a plane, or the k1 Z x k2 Z x m Z that a
+seeded eigenmode lives on, which holds every product of its modes) steps
+and records on its layout, ``fields.LatticeGrid``, so nothing off the
+lattice is stored; only the final state is scattered back onto the grid's
+band.  The lattice's right-hand side is the grid's to rounding.
 
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry
@@ -39,8 +39,8 @@ admit mode growth rates that increase without bound in the wavenumber, so a
 generic initial condition amplifies grid-scale content until the computation
 is meaningless.  ``run`` bounds the growth rate of every mode on the band
 in advance, by Gershgorin on the linearized operator the stepper applies,
-and refuses runs whose requested horizon would amplify it beyond e^30,
-unless the run is restricted to a horizontal-wavenumber plane: the
+and refuses runs whose requested horizon would amplify it beyond e^30.  A
+restricted run is bounded on its layout's band, and a plane is exempt: the
 multiplier stays bounded there, and nothing off the plane is stored.
 """
 
@@ -56,8 +56,9 @@ import numpy as np
 
 from .errors import BlowUpError, GrowthCapError
 from .fields import (
-    PlaneGrid,
+    LatticeGrid,
     SpectralField,
+    Sublattice,
     _conjugate_plane,
     forward,
     hs_norm,
@@ -111,15 +112,13 @@ class SourceSpec:
 class SolverConfig:
     """Run parameters.
 
-    The recorded norms are fixed (see ``Diagnostics``); ``plane`` alone
-    only adds the off-plane norm as a diagnostic column.
-    With ``restrict_to_plane`` the run steps on the plane's own layout, so
-    off-plane content is never stored (see the module docstring): the
-    initial data, the source and ``run``'s reference keep only their
-    on-plane coefficients, and the growth cap does not apply.  The
-    restriction is an exact invariant of the dynamics, but in ill-posed
-    regimes rounding noise seeded off the plane would otherwise amplify at
-    unbounded rates and bury the confined solution, so it is enforced.
+    The recorded norms are fixed (see ``Diagnostics``); ``plane`` only
+    adds the off-plane norm as a diagnostic column.  With a ``lattice``
+    the run steps on its layout (see the module docstring): the initial
+    data, the source and ``run``'s reference keep only their lattice
+    coefficients.  The restriction is an exact invariant of the dynamics,
+    but in ill-posed regimes rounding noise seeded off a plane would
+    otherwise amplify at unbounded rates and bury the confined solution.
     """
 
     dt: float
@@ -128,7 +127,7 @@ class SolverConfig:
     linearized: bool = False
     record_every: int = 10
     plane: PlaneSpec | None = None
-    restrict_to_plane: bool = False
+    lattice: Sublattice | None = None
     source: SourceSpec = field(default_factory=SourceSpec)
 
     def __post_init__(self):
@@ -147,8 +146,6 @@ class SolverConfig:
         if self.scheme not in ("if_rk4", "imex_euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         _validate_mode(record_every=self.record_every)
-        if self.restrict_to_plane and self.plane is None:
-            raise ValueError("restrict_to_plane requires a plane")
         if self.linearized and self.source.kind != "none":
             raise ValueError("a source term makes no sense in a linearized run")
 
@@ -259,15 +256,18 @@ def _growth_cap_check(theta0, params, config):
     the dissipation, so its largest Gershgorin row over k3 >= 1 bounds the
     growth of every column and every residue class of k3 mod m.  M3_hat is
     even, so `_cos_shift_sum`'s mirror read is exact on the real array.
+    The rows are those of the layout the run steps on.
     """
     if params.eps_kappa > 0.0 and params.gamma > 0.5:
         return  # dissipation dominates large wavenumbers; growth is bounded
-    if config.restrict_to_plane:
-        return  # off-plane modes are never stored; the plane's growth is tame
-    grid, m = theta0.grid, params.m
+    lattice, grid, shift = config.lattice, theta0.grid, params.m
+    if lattice is not None:
+        if lattice.plane is not None:
+            return  # a plane's multiplier is bounded; its growth is tame
+        grid, shift = LatticeGrid(grid, lattice), shift // lattice.s3
     s = np.sqrt(multiplier_arrays(grid, params.n2)[2])
-    rows = _cos_shift_sum(s, m, np.empty_like(s))
-    rows *= 0.5 * m * s
+    rows = _cos_shift_sum(s, shift, np.empty_like(s))
+    rows *= 0.5 * params.m * s
     rows -= params.eps_kappa * ksq_power(grid, params.gamma)
     sigma_max = float(rows[:, :, 1:].max())
     if sigma_max > 0.0 and sigma_max * config.t_end > _GROWTH_CAP:
@@ -288,17 +288,17 @@ class _Stepper:
     The state is a copy of the initial coefficients; a step writes every
     right-hand side and stage into the buffers built here, so it allocates
     no array of the grid's size.  A restricted run gathers the state and
-    the source onto the plane's layout once and builds every factor there.
+    the source onto the lattice's layout once and builds every factor there.
     """
 
     def __init__(self, grid, params, config, c):
         src = config.source.realize(grid, params)
-        if config.restrict_to_plane:
-            self.plane = grid = PlaneGrid(grid, config.plane)
+        if config.lattice is not None:
+            self.layout = grid = LatticeGrid(grid, config.lattice)
             self.c = grid.gather(c)
             self.src = None if src is None else grid.gather(src)
         else:
-            self.plane, self.c, self.src = None, c.copy(), src
+            self.layout, self.c, self.src = None, c.copy(), src
         dt = self.dt = config.dt
         self.grid, self.n2p, self.scheme = grid, params.n2, config.scheme
         diss = params.eps_kappa * ksq_power(grid, params.gamma)
@@ -313,8 +313,9 @@ class _Stepper:
         self.linearized = config.linearized
         if config.linearized:
             # -m u3 cos(m x3) = v(k3 - m) + v(k3 + m), v = -(m/2) M3_hat theta_hat
-            self.m = params.m
-            self.v_scale = -0.5 * self.m * multiplier_arrays(
+            # (a shift by m / s3 indices on a lattice's layout)
+            self.shift = params.m // getattr(config.lattice, "s3", 1)
+            self.v_scale = -0.5 * params.m * multiplier_arrays(
                 grid, params.n2)[2]
             self.v = np.empty(grid.band_shape, dtype=np.complex128)
         # the four stage right-hand sides, then the stage input, E2 c and
@@ -325,8 +326,8 @@ class _Stepper:
     def rhs(self, cc, out):
         """out <- the right-hand side at cc."""
         if self.linearized:
-            _cos_shift_sum(np.multiply(self.v_scale, cc, out=self.v), self.m,
-                           out)
+            _cos_shift_sum(np.multiply(self.v_scale, cc, out=self.v),
+                           self.shift, out)
             out[:, :, 0] = 0.0
             return out
         advection_coefficients(self.grid, cc, self.n2p, out=out)
@@ -381,17 +382,20 @@ def run(theta0, params, config, reference=None):
         extra diagnostic column (used to track the departure from a steady
         state).
     """
-    grid = theta0.grid
+    grid, lattice = theta0.grid, config.lattice
     if reference is not None and reference.grid != grid:
         raise ValueError("reference field lives on a different grid")
+    if lattice is not None and params.m % lattice.s3:
+        raise ValueError(f"the lattice's vertical stride {lattice.s3} does "
+                         f"not divide m = {params.m}")
     _growth_cap_check(theta0, params, config)
 
     dt = config.dt
     nsteps = round(config.t_end / dt)
     stepper = _Stepper(grid, params, config, theta0.c)
-    plane_grid = stepper.plane  # None unless restricted
-    if reference is not None and plane_grid is not None:
-        reference = SpectralField(plane_grid, plane_grid.gather(reference.c))
+    layout = stepper.layout  # None unless restricted
+    if reference is not None and layout is not None:
+        reference = SpectralField(layout, layout.gather(reference.c))
     n2p = params.n2
 
     rows = []  # per record: t, then the values of Diagnostics.SERIES
@@ -430,7 +434,7 @@ def run(theta0, params, config, reference=None):
             record(step)
     wall = _time.perf_counter() - wall0
 
-    final = stepper.c if plane_grid is None else plane_grid.scatter(stepper.c)
+    final = stepper.c if layout is None else layout.scatter(stepper.c)
     return SpectralField(grid, final), _finalize(rows, wall)
 
 

@@ -420,6 +420,29 @@ class TestCli:
         assert resolved["phys.m"] == "1"
         assert resolved["source.kind"] == "none"
 
+    def test_evolve_restricted_records_its_layout(self, tmp_path):
+        res = _evolve(tmp_path, EVOLVE_CFG + MODE_INIT
+                      + "[plane]\nq = 1/1\nrestrict = true\n")
+        assert res.exit_code == 0, res.output
+        text = (tmp_path / "out" / "manifest.txt").read_text()
+        assert ("\nlayout = 16x1x16 on Sublattice(basis=((1, 1),), s3=1)\n"
+                in text)
+        with open(tmp_path / "out" / "diag.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert all(float(row[4]) == 0.0 for row in rows[1:])  # off_plane
+
+    def test_evolve_restrict_needs_a_plane(self, tmp_path):
+        res = _evolve(tmp_path, EVOLVE_CFG + MODE_INIT
+                      + "[plane]\nrestrict = true\n")
+        assert res.exit_code == 1, res.output
+        assert "config key 'plane.restrict'" in res.output
+        assert not (tmp_path / "out").exists()
+
+    def test_evolve_unrestricted_records_no_layout(self, tmp_path):
+        res = _evolve(tmp_path, EVOLVE_CFG + MODE_INIT + "[plane]\nq = 1/1\n")
+        assert res.exit_code == 0, res.output
+        assert "layout" not in (tmp_path / "out" / "manifest.txt").read_text()
+
     def test_evolve_init_k1_needs_eigenfunction_kind(self, tmp_path):
         res = _evolve(tmp_path, EVOLVE_CFG
                       + "[init]\nkind = mode:1,1,2\nk1 = 1\nk2 = 1\n")
@@ -560,15 +583,29 @@ class TestCli:
         assert _manifest(out / "manifest.txt")["illposedness.j_min"] == "4"
 
     def test_instability_needs_positive_eps_kappa(self, tmp_path):
-        # at eps_kappa = 0 the default horizon t_end = 8 trips the growth cap
+        # at eps_kappa = 0 the growth cap, bounded on the (12, 5) seed's
+        # layout, allows horizons up to about 9.1 at the default sizes
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("")
+        cfg.write_text("[instability]\nt_end = 10\n")
         out = tmp_path / "out"
         res = self.runner.invoke(main, [
             "instability", "--config", str(cfg), "--out", str(out)])
         assert res.exit_code == 1, res.output
-        assert "requested horizon t_end = 8 would amplify" in res.output
+        assert "requested horizon t_end = 10 would amplify" in res.output
         assert not out.exists()
+
+    def test_instability_manifest_records_the_layout(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[phys]\neps_kappa = 0.01\n[instability]\nn = 48\n"
+                       "t_end = 0.1\nrecord_every = 5\nfit_start = 0\n")
+        out = tmp_path / "out"
+        res = self.runner.invoke(main, [
+            "instability", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        text = (out / "manifest.txt").read_text()
+        assert "\nmode = (9, 4)\n" in text
+        assert ("\nlayout = 16x12x48 on Sublattice(basis=((9, 0), (0, 4)), "
+                "s3=1)\n" in text)
 
     def test_instability_at_zero_eps_kappa_has_no_continuum(self, tmp_path):
         # a horizon short of the growth cap runs; there is no continuum

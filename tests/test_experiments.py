@@ -13,7 +13,7 @@ import mgsim
 import mgsim.experiments
 from mgsim.eigen import closed_form_bounds, optimize_growth
 from mgsim.experiments import instability, plane_demo, write_eigen_csv
-from mgsim.fields import PlaneSpec
+from mgsim.fields import Grid, LatticeGrid, PlaneSpec, Sublattice
 from mgsim.symbol import PhysParams
 
 
@@ -87,3 +87,24 @@ def test_instability_at_zero_eps_kappa_reports_no_continuum():
     assert rep.continuum_k == (math.inf, math.inf)
     assert rep.continuum_lb == math.inf
     assert rep.fitted_rate == pytest.approx(rep.sigma_star, rel=1e-6)
+
+
+def test_instability_steps_only_on_the_seed_sublattice(monkeypatch):
+    # the run gathers onto the (9, 4) seed's layout once: no transform on
+    # the 48^3 grid, every transform on the layout the report names
+    seen = []
+    originals = {name: getattr(mgsim.fields, name)
+                 for name in ("forward", "inverse")}
+    for module in (mgsim.fields, mgsim.solver):
+        for name, fn in originals.items():
+            def counted(grid, *args, _fn=fn, **kwargs):
+                seen.append(grid)
+                return _fn(grid, *args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    rep = instability(PhysParams(eps_kappa=0.01), box=12, n=48, dt=0.01,
+                      t_end=0.1, record_every=5, fit_start=0.0)
+    assert rep.layout == LatticeGrid(Grid(48, 48, 48), Sublattice.diag(9, 4))
+    assert str(rep.layout) == (
+        "16x12x48 on Sublattice(basis=((9, 0), (0, 4)), s3=1)")
+    assert seen and set(seen) == {rep.layout}
+    assert rep.fitted_rate == pytest.approx(rep.sigma_star, rel=1e-3)

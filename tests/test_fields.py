@@ -15,9 +15,10 @@ from mgsim.symbol import PhysParams
 from mgsim.eigen import assemble_eigenfunction, solve_sigma_star
 from mgsim.fields import (
     Grid,
-    PlaneGrid,
+    LatticeGrid,
     PlaneSpec,
     SpectralField,
+    Sublattice,
     TORUS_VOLUME,
     cosine_mode,
     dealias_mask,
@@ -83,7 +84,6 @@ class TestGrid:
         g = Grid(16, 32, 8)
         assert g.shape == (16, 32, 8)
         assert g.spectral_shape == (16, 32, 5)
-        assert g.ntot == 16 * 32 * 8
         assert g.band == (5, 10, 2)
 
     @pytest.mark.parametrize("bad", [(6, 16, 16), (16, 15, 16),
@@ -335,7 +335,7 @@ class TestProjections:
         both = on + off
         assert off_plane_norm(on, p) == 0.0
         assert off_plane_norm(both, p) == pytest.approx(l2_norm(off), rel=1e-13)
-        layout = PlaneGrid(G16, p)
+        layout = LatticeGrid(G16, Sublattice.of_plane(p))
         proj = layout.scatter(layout.gather(both.c))
         assert np.max(np.abs(proj - on.c)) == 0.0
 
@@ -359,14 +359,16 @@ PLANE_LAYOUTS = [
 
 
 def _plane_layout(shape, ratio):
-    return PlaneGrid(Grid(*shape), PlaneSpec(*ratio))
+    return LatticeGrid(Grid(*shape), Sublattice.of_plane(PlaneSpec(*ratio)))
 
 
 class TestPlaneGrid:
+    """The layout of a plane's sublattice."""
+
     @pytest.mark.parametrize("shape, ratio, n_s, j_max", PLANE_LAYOUTS)
     def test_geometry(self, shape, ratio, n_s, j_max):
         layout = _plane_layout(shape, ratio)
-        grid, plane = layout.grid, layout.plane
+        grid, plane = layout.grid, layout.lattice.plane
         assert layout.shape == (n_s, 1, shape[2])
         assert layout.band_shape == (2 * j_max + 1, 1, grid.band[2] + 1)
         K1, K2, K3 = (np.broadcast_to(k, layout.band_shape)
@@ -400,6 +402,60 @@ class TestPlaneGrid:
             <= 1e-15 * np.max(np.abs(v))
         assert np.max(np.abs(inverse(grid, layout.scatter(c))
                              - inverse(layout, c)[t, 0, :])) <= 1e-14
+
+
+# (grid shape, strides s1, s2, s3, layout shape, layout band)
+DIAG_LAYOUTS = [
+    ((48, 48, 48), (9, 4, 1), (16, 12, 48), (1, 3, 15)),
+    ((24, 24, 64), (6, 5, 2), (4, 24, 32), (1, 1, 10)),
+    ((32, 16, 24), (3, 2, 3), (32, 8, 8), (3, 2, 2)),
+]
+
+
+class TestSublattice:
+    @pytest.mark.parametrize("basis, s3", [
+        (((1, 2), (0, 3)), 1), (((1, 0), (1, 3)), 1), (((2, 4),), 1),
+        (((1, 0), (0, 0)), 1), (((1, 1),), 0), ((), 1),
+        (((1, 0), (0, 1), (0, 0)), 1), (((1, 2, 3),), 1)])
+    def test_refuses_other_bases(self, basis, s3):
+        with pytest.raises(ValueError):
+            Sublattice(basis, s3)
+
+    def test_names(self):
+        assert Sublattice.of_plane(PlaneSpec(-2, 3)).basis == ((3, -2),)
+        assert Sublattice.of_plane(PlaneSpec(1, 1)).plane == PlaneSpec(1, 1)
+        assert Sublattice.diag(9, 4, 2).plane is None
+        layout = LatticeGrid(Grid(48, 48, 48), Sublattice.diag(9, 4))
+        assert str(layout) == (
+            "16x12x48 on Sublattice(basis=((9, 0), (0, 4)), s3=1)")
+        layout = LatticeGrid(Grid(24, 24, 24), Sublattice(((1, 2),), 3))
+        assert str(layout) == "24x1x8 on Sublattice(basis=((1, 2),), s3=3)"
+
+    @pytest.mark.parametrize("shape, strides, n_layout, band", DIAG_LAYOUTS)
+    def test_diag_layout_takes_the_grid_samples(self, shape, strides,
+                                                n_layout, band):
+        grid = Grid(*shape)
+        layout = LatticeGrid(grid, Sublattice.diag(*strides))
+        assert (layout.shape, layout.band) == (n_layout, band)
+        K = [np.broadcast_to(k, layout.band_shape)
+             for k in wavenumbers(layout)]
+        for k, s, b in zip(K, strides, grid.band):
+            assert (k % s == 0).all() and (np.abs(k) <= b).all()
+        # every lattice wavevector of the band, once
+        on = np.ones(grid.band_shape, dtype=bool)
+        for k, s in zip(wavenumbers(grid), strides):
+            on &= k % s == 0
+        assert np.count_nonzero(on) == K[0].size
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal(layout.shape)
+        c = forward(layout, v)
+        # grid point i sits at lattice coordinate y = 2 pi t / n', per axis
+        t = np.ix_(*((s * m // n * np.arange(n)) % m
+                     for s, m, n in zip(strides, n_layout, shape)))
+        assert np.max(np.abs(layout.gather(forward(grid, v[t])) - c)) \
+            <= 1e-15 * np.max(np.abs(v))
+        assert np.max(np.abs(inverse(grid, layout.scatter(c))
+                             - inverse(layout, c)[t])) <= 1e-14
 
 
 class TestSnapshots:

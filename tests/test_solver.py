@@ -3,6 +3,7 @@
 import math
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from mgsim.symbol import PhysParams, symbol_components
 import mgsim.fields
 import mgsim.solver
 from mgsim.fields import (
-    Grid, PlaneGrid, PlaneSpec, SpectralField, cosine_mode, dealias_mask,
-    forward, inverse, ksq_array, l2_norm, multiplier_arrays, off_plane_norm,
-    plane_mask, sine_vertical, wavenumbers,
+    Grid, LatticeGrid, PlaneSpec, SpectralField, Sublattice, cosine_mode,
+    dealias_mask, forward, inverse, ksq_array, l2_norm, multiplier_arrays,
+    off_plane_norm, plane_mask, sine_vertical, wavenumbers,
 )
 from mgsim.eigen import (
     _closed_form_bounds, assemble_eigenfunction, optimize_growth,
@@ -68,7 +69,7 @@ class TestSolverConfig:
         dict(dt=0.1, t_end=0.05),
         dict(dt=0.1, t_end=1.0, scheme="rk99"),
         dict(dt=0.1, t_end=1.0, record_every=0),
-        dict(dt=0.1, t_end=1.0, restrict_to_plane=True),
+        dict(dt=math.nan, t_end=1.0),
         dict(dt=0.1, t_end=math.inf),
     ])
     def test_rejects(self, kw):
@@ -293,7 +294,8 @@ class TestNonlinearStep:
         pert = _rich_field(G24, seed=9)
         theta0 = sine_vertical(G24, 1) + 0.05 * pert
         cfg = SolverConfig(dt=0.01, t_end=0.01, plane=plane,
-                           restrict_to_plane=restrict,
+                           lattice=Sublattice.of_plane(plane) if restrict
+                           else None,
                            source=SourceSpec("steady_balance"))
         pmask = plane_mask(G24, plane) if restrict else None
         c0 = theta0.c if pmask is None else theta0.c * pmask
@@ -328,7 +330,8 @@ class TestNonlinearStep:
         for cache in caches:
             cache.cache_clear()
         cfg = SolverConfig(dt=0.01, t_end=0.05, record_every=2,
-                           plane=PlaneSpec(1, 1), restrict_to_plane=True)
+                           plane=PlaneSpec(1, 1),
+                           lattice=Sublattice.of_plane(PlaneSpec(1, 1)))
         _, diag = run(theta0, PhysParams(eps_kappa=0.02), cfg)
         assert len(diag.times) == 4
         assert counts == {"forward": 0, "inverse": 0}
@@ -412,12 +415,13 @@ class TestGuards:
     def test_growth_cap_exempts_plane_restricted(self):
         par = PhysParams(eps_kappa=0.0)
         cfg = SolverConfig(dt=0.01, t_end=50.0, plane=PlaneSpec(2, 1),
-                           restrict_to_plane=True, record_every=10 ** 6)
+                           lattice=Sublattice.of_plane(PlaneSpec(2, 1)),
+                           record_every=10 ** 6)
         # would be refused unrestricted; must start when confined.
         # integrate only a handful of steps worth of horizon by bailing
         # out via a short t_end in the actual call below
         cfg_short = SolverConfig(dt=0.01, t_end=0.05, plane=PlaneSpec(2, 1),
-                                 restrict_to_plane=True)
+                                 lattice=Sublattice.of_plane(PlaneSpec(2, 1)))
         _, diag = run(cosine_mode(Grid(24, 24, 24), (1, 2, 1)), par, cfg_short)
         assert np.max(diag.off_plane) == 0.0
         # and the long-horizon config itself passes the pre-check
@@ -434,8 +438,8 @@ class TestGuards:
         with pytest.raises(GrowthCapError):
             _growth_cap_check(theta0, par, SolverConfig(
                 dt=0.01, t_end=50.0, plane=PlaneSpec(1, 1), source=src))
-        kw = dict(dt=0.01, plane=PlaneSpec(1, 1), restrict_to_plane=True,
-                  source=src)
+        kw = dict(dt=0.01, plane=PlaneSpec(1, 1),
+                  lattice=Sublattice.of_plane(PlaneSpec(1, 1)), source=src)
         _growth_cap_check(theta0, par, SolverConfig(t_end=50.0, **kw))
         _, diag = run(theta0, par,
                       SolverConfig(t_end=0.05, record_every=1, **kw))
@@ -469,18 +473,22 @@ class TestGuards:
             run(f0, par, SolverConfig(dt=0.1, t_end=0.2, record_every=1))
 
 
-def _band_top_eigenvalue(grid, par):
+def _band_top_eigenvalue(grid, par, strides=(1, 1, 1)):
     """Largest eigenvalue over the band's (k1, k2) columns, 0 <= k_i <= b_i,
     of the linearized operator on each column's k3-chain over [-b3, b3],
     written densely from the multiplier: row k3 holds -(m/2) M3(k3 -+ m) at
-    k3 -+ m and the dissipation on the diagonal."""
-    (b1, b2, b3), m = grid.band, par.m
-    k1, k2, k3 = np.ogrid[0:b1 + 1, 0:b2 + 1, -b3:b3 + 1]
+    k3 -+ m and the dissipation on the diagonal.  With ``strides``
+    (s1, s2, s3) only the sublattice diag(s1, s2) x s3 Z is taken."""
+    (s1, s2, s3), m = strides, par.m
+    b1, b2, b3 = (b // s for b, s in zip(grid.band, strides))
+    j1, j2, j3 = np.ogrid[0:b1 + 1, 0:b2 + 1, -b3:b3 + 1]
+    k1, k2, k3 = s1 * j1, s2 * j2, s3 * j3
     M3 = symbol_components(k1, k2, k3, par.n2)[2]
-    n, i = 2 * b3 + 1, np.arange(2 * b3 + 1 - m)
+    d = m // s3  # the shift in chain indices
+    n, i = 2 * b3 + 1, np.arange(2 * b3 + 1 - d)
     A = np.zeros(M3.shape + (n,))
-    A[..., i, i + m] = -0.5 * m * M3[..., m:]
-    A[..., i + m, i] = -0.5 * m * M3[..., :n - m]
+    A[..., i, i + d] = -0.5 * m * M3[..., d:]
+    A[..., i + d, i] = -0.5 * m * M3[..., :n - d]
     ksq = (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)
     A[..., np.arange(n), np.arange(n)] = -par.eps_kappa * ksq ** par.gamma
     return float(np.linalg.eigvals(A).real.max())
@@ -511,6 +519,76 @@ def test_growth_cap_bounds_every_column_and_class(shape, par):
         assert sigma_max <= _closed_form_bounds(k1s, k2s, par)[1].max()
 
 
+@pytest.mark.parametrize("shape, strides, par", [
+    ((48, 48, 48), (9, 4, 1), PhysParams(eps_kappa=0.0)),
+    ((32, 32, 32), (1, 1, 2), PhysParams(m=2)),
+    ((24, 24, 48), (2, 3, 3), PhysParams(m=3, eps_kappa=0.01, gamma=0.5)),
+])
+def test_growth_cap_bounds_a_sublattice_over_its_own_band(shape, strides,
+                                                          par):
+    # a diag sublattice, the (9, 4) seed's included, is capped by its own
+    # columns: at least their top eigenvalue, at most the whole grid's rate,
+    # and exactly the grid's Gershgorin rows at the lattice's wavevectors
+    grid, rates = Grid(*shape), []
+    for lattice in (Sublattice.diag(*strides), None):
+        with pytest.raises(GrowthCapError) as exc:
+            _growth_cap_check(SpectralField.zeros(grid), par, SolverConfig(
+                dt=1.0, t_end=1e6, lattice=lattice))
+        rates.append(exc.value.sigma_max)
+    assert _band_top_eigenvalue(grid, par, strides) <= rates[0] <= rates[1]
+    (s1, s2, s3), m, (b1, b2, b3) = strides, par.m, grid.band
+    k1, k2, k3 = np.ogrid[0:b1 + 1:s1, 0:b2 + 1:s2, s3:b3 + 1:s3]
+
+    def root_m3(k3):  # sqrt(M3_hat) on the band, 0 beyond it
+        m3 = symbol_components(k1, k2, np.abs(k3), par.n2)[2]
+        return np.where(np.abs(k3) <= b3, np.sqrt(m3), 0.0)
+
+    rows = 0.5 * m * root_m3(k3) * (root_m3(k3 - m) + root_m3(k3 + m))
+    rows -= par.eps_kappa * (k1 * k1 + k2 * k2 + k3 * k3) ** par.gamma
+    assert rates[0] == pytest.approx(rows.max(), rel=1e-12)
+
+
+def test_run_refuses_a_stride_that_does_not_divide_m():
+    with pytest.raises(ValueError, match="stride 2 does not divide m = 3"):
+        run(sine_vertical(G16, 3), PhysParams(m=3, eps_kappa=0.1),
+            SolverConfig(dt=0.01, t_end=0.01,
+                         lattice=Sublattice.diag(1, 1, 2)))
+
+
+# (grid shape, mode, m): the instability configuration at (9, 4), and at
+# m = 2 the fastest mode of box 6 on a grid whose band holds its profile
+SUBLATTICE_CASES = [((48, 48, 48), (9, 4), 1), ((24, 24, 64), (6, 5), 2)]
+
+
+@pytest.mark.parametrize("shape, mode, m", SUBLATTICE_CASES)
+@pytest.mark.parametrize("linearized", [False, True])
+def test_sublattice_run_matches_grid_run(shape, mode, m, linearized):
+    # the seeded steady state lives on k1 Z x k2 Z x m Z: the run on that
+    # lattice's layout is the grid run with the rounding off it removed
+    grid, par = Grid(*shape), PhysParams(eps_kappa=0.01, m=m)
+    background = sine_vertical(grid, m)
+    phi = assemble_eigenfunction(solve_sigma_star(*mode, par), grid)
+    pert = 1e-2 * l2_norm(background) / l2_norm(phi) * phi
+    theta0 = pert if linearized else background + pert
+    cfg = SolverConfig(dt=0.01, t_end=0.2, record_every=5,
+                       linearized=linearized,
+                       source=SourceSpec("none" if linearized
+                                         else "steady_balance"))
+    lattice = Sublattice.diag(*mode, m)
+    got, gdiag = run(theta0, par, replace(cfg, lattice=lattice),
+                     reference=background)
+    want, wdiag = run(theta0, par, cfg, reference=background)
+    scale = np.max(np.abs(want.c))
+    assert np.max(np.abs(got.c - want.c)) <= 1e-14 * scale
+    assert l2_norm(want - theta0) > 0.05 * l2_norm(pert)  # it grew
+    for col in ("l2", "linf", "hs", "ref_l2"):
+        assert np.allclose(getattr(gdiag, col), getattr(wdiag, col),
+                           rtol=1e-13, atol=0.0)
+    K1, K2, K3 = wavenumbers(grid)
+    on = (K1 % mode[0] == 0) & (K2 % mode[1] == 0) & (K3 % m == 0)
+    assert not np.any(got.c[~np.broadcast_to(on, grid.band_shape)])
+
+
 # (grid shape, plane q_num/q_den): J = 0 for 9/1 at 24^3; on 2/1 at 24^3
 # the grid's product aliases (8, 16) onto (8, -8), in band and off the plane
 PLANE_RHS_CASES = [
@@ -523,7 +601,7 @@ PLANE_RHS_CASES = [
 @pytest.mark.parametrize("shape, ratio", PLANE_RHS_CASES)
 def test_plane_rhs_matches_grid_rhs_on_the_plane(shape, ratio):
     grid = Grid(*shape)
-    layout = PlaneGrid(grid, PlaneSpec(*ratio))
+    layout = LatticeGrid(grid, Sublattice.of_plane(PlaneSpec(*ratio)))
     rng = np.random.default_rng(3)
     c = forward(layout, rng.standard_normal(layout.shape))
     got = advection_coefficients(layout, c, 1.3)
@@ -555,8 +633,8 @@ def test_restricted_run_matches_grid_run(shape, ratio, scheme, linearized):
         theta0 = theta0 + sine_vertical(grid, 1)
     common = dict(dt=0.01, t_end=0.05, record_every=2, scheme=scheme,
                   linearized=linearized, plane=plane)
-    got, gdiag = run(theta0, par, SolverConfig(restrict_to_plane=True,
-                                                **common))
+    got, gdiag = run(theta0, par, SolverConfig(
+        lattice=Sublattice.of_plane(plane), **common))
     want, wdiag = run(theta0, par, SolverConfig(**common))
     scale = np.max(np.abs(want.c))
     assert np.max(np.abs(got.c - want.c)) <= 1e-14 * scale
@@ -577,7 +655,7 @@ class TestRestriction:
         pl = PlaneSpec(1, 1)
         theta0 = sine_vertical(g, 1) + cosine_mode(g, (1, 1, 1), 1e-3)
         cfg = SolverConfig(dt=0.01, t_end=0.5, record_every=10, plane=pl,
-                           restrict_to_plane=True,
+                           lattice=Sublattice.of_plane(pl),
                            source=SourceSpec("steady_balance"))
         final, diag = run(theta0, par, cfg)
         assert np.max(diag.off_plane) == 0.0
@@ -590,7 +668,7 @@ class TestRestriction:
         pl = PlaneSpec(1, 1)
         theta0 = sine_vertical(G16, 1) + cosine_mode(G16, (1, 1, 1), 0.1)
         cfg = SolverConfig(dt=0.01, t_end=0.02, record_every=1, plane=pl,
-                           restrict_to_plane=True)
+                           lattice=Sublattice.of_plane(pl))
         _, diag = run(theta0, par, cfg,
                       reference=theta0 + cosine_mode(G16, (1, 2, 1), 0.5))
         _, want = run(theta0, par, cfg, reference=theta0)
@@ -604,7 +682,7 @@ class TestRestriction:
         pl = PlaneSpec(1, 1)
         theta0 = cosine_mode(g, (2, 2, 1)) + cosine_mode(g, (1, 2, 1), 0.5)
         cfg = SolverConfig(dt=0.01, t_end=0.02, record_every=1, plane=pl,
-                           restrict_to_plane=True)
+                           lattice=Sublattice.of_plane(pl))
         _, diag = run(theta0, par, cfg)
         on_l2 = l2_norm(cosine_mode(g, (2, 2, 1)))
         assert diag.l2[0] == pytest.approx(on_l2, rel=1e-12)
