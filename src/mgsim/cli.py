@@ -22,6 +22,7 @@ import inspect
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -41,7 +42,7 @@ from .experiments import (
     write_manifest, write_sweep_csv,
 )
 from .fields import (
-    Grid, LatticeGrid, Sublattice, cosine_mode, read_snapshot, write_snapshot,
+    Grid, Sublattice, cosine_mode, read_snapshot, write_snapshot,
 )
 from .solver import SolverConfig, SourceSpec, run
 from .symbol import PhysParams, PlaneSpec, scan_box
@@ -316,7 +317,8 @@ def evolve(config_path, out_dir):
         t_end=get_float(cfg, "run.t_end"),
         **_read(cfg, SolverConfig, "run",
                 "scheme", "linearized", "record_every"),
-        plane=plane, lattice=Sublattice.of_plane(plane) if restrict else None,
+        plane=plane,
+        lattice=Sublattice.of_plane(plane) if restrict else grid.lattice,
         source=_source_from_cfg(cfg, grid),
     )
     init = get_str(cfg, "init.kind", "eigenfunction")
@@ -335,8 +337,8 @@ def evolve(config_path, out_dir):
               "linf_final": f"{diag.linf[-1]:.12g}"}
     if sol is not None:
         extras["sigma_star"] = f"{sol.sigma_star:.12g}"
-    if scfg.lattice is not None:
-        extras["layout"] = str(LatticeGrid(grid, scfg.lattice))
+    if restrict:
+        extras["layout"] = str(replace(grid, lattice=scfg.lattice))
     write_manifest(out / "manifest.txt", cfg.resolved, wall_seconds=wall,
                    extras=extras)
     click.echo(f"{len(diag.times)} records; "

@@ -21,7 +21,7 @@ from .eigen import (
     solve_sigma_star,
 )
 from .fields import (
-    Grid, LatticeGrid, Sublattice, cosine_mode, l2_norm, sine_vertical,
+    Grid, Sublattice, cosine_mode, l2_norm, sine_vertical,
 )
 from .solver import (
     Diagnostics,
@@ -55,7 +55,7 @@ class InstabilityReport:
     fit_window: tuple
     seed_amplitude: float
     base_l2: float
-    layout: LatticeGrid
+    layout: Grid
     diag: Diagnostics = field(repr=False)
     table: np.ndarray = field(repr=False)
 
@@ -110,7 +110,7 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
                       if np.isfinite(opt.continuum_k1) else np.inf),
         fitted_rate=rate, r_squared=r2, fit_window=(fit_start, t_stop),
         seed_amplitude=seed, base_l2=base_l2,
-        layout=LatticeGrid(grid, lattice), diag=diag, table=opt.table,
+        layout=replace(grid, lattice=lattice), diag=diag, table=opt.table,
     )
 
 

@@ -27,10 +27,11 @@ per grid and per thread.  The in-place passes of ``inverse`` fill the zero
 padding (the out-of-band k2 columns, then the out-of-band k1 rows), so
 every call writes those zeros again before the pass.
 
-A :class:`LatticeGrid`, the layout of a field confined to a
-:class:`Sublattice` (a plane, or diag(s1, s2) with a vertical stride),
-stands in for a ``Grid`` in the transforms and the cached wavenumber
-arrays; a pass of length one, such as a plane's x2 pass, is skipped.
+A :class:`Grid` is the layout of a field confined to a :class:`Sublattice`
+(a plane, or diag(s1, s2) with a vertical stride); ``Grid(n1, n2, n3)`` is
+the whole lattice diag(1, 1) with stride 1, the grid itself, and every
+other layout runs through the same transforms and cached wavenumber arrays;
+a pass of length one, such as a plane's x2 pass, is skipped.
 
 Norms and inner products are computed spectrally by one Parseval kernel,
 :func:`parseval`, with the conjugate-pair weight (2 for k3 > 0, 1 on the
@@ -41,7 +42,7 @@ and is re-exported here.
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
@@ -56,52 +57,6 @@ TORUS_VOLUME = (2.0 * np.pi) ** 3
 _SNAPSHOT_MAGIC = "MGFIELD"
 _SNAPSHOT_VERSION = "v1"
 _SNAPSHOT_DROP = 1e-16  # coefficients below this magnitude are not written
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Uniform grid sizes for the three periodic directions.
-
-    Sizes must be even and at least 8 so that the two-thirds dealias band
-    is non-trivial in every direction.
-    """
-
-    n1: int
-    n2: int
-    n3: int
-
-    def __post_init__(self):
-        for name in ("n1", "n2", "n3"):
-            n = getattr(self, name)
-            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-                raise ValueError(f"{name} must be an integer, got {n!r}")
-            if n < 8 or n % 2 != 0:
-                raise ValueError(f"{name} must be even and >= 8, got {n}")
-
-    @property
-    def shape(self):
-        return (self.n1, self.n2, self.n3)
-
-    @property
-    def spectral_shape(self):
-        """Shape of numpy's full ``rfftn`` layout (see :func:`dealias_mask`)."""
-        return (self.n1, self.n2, self.n3 // 2 + 1)
-
-    @property
-    def band(self):
-        """Largest retained wavenumber in each direction (two-thirds rule)."""
-        return ((self.n1 - 1) // 3, (self.n2 - 1) // 3, (self.n3 - 1) // 3)
-
-    @property
-    def band_shape(self):
-        """Shape of the coefficient arrays (see the module docstring)."""
-        b1, b2, b3 = self.band
-        return (2 * b1 + 1, 2 * b2 + 1, b3 + 1)
-
-    def axes(self):
-        return tuple(
-            np.arange(n) * (2.0 * np.pi / n) for n in self.shape
-        )
 
 
 @dataclass(frozen=True)
@@ -143,6 +98,9 @@ class Sublattice:
         return None if diag else PlaneSpec(q_num, q_den)
 
 
+WHOLE_LATTICE = Sublattice.diag(1, 1)
+
+
 def _axis(sizes, bands, col):
     """(size, band) of a layout axis along the basis column ``col``: the
     number of values its coordinate takes on the grid, lcm over c_i != 0 of
@@ -153,63 +111,99 @@ def _axis(sizes, bands, col):
 
 
 @dataclass(frozen=True)
-class LatticeGrid:
-    """The layout of a field on ``grid`` confined to a :class:`Sublattice`.
+class Grid:
+    """The layout of a field on the grid n1 x n2 x n3 confined to a
+    :class:`Sublattice`; by default the whole lattice, the grid itself.
 
-    The coefficient at lattice coordinates (j1, j2, j3) is stored at that
-    index, and :func:`wavenumbers` returns the basis images, so every
-    kernel written for the band layout runs unchanged (a plane keeps its
-    x2 axis, with length one).  Each coordinate takes ``_axis``'s number of
-    values on the grid, each equally often, so the grid's samples are the
-    layout's repeated and the grid's forward coefficient at an in-band
-    lattice wavevector is the layout's, aliases included.  ``gather`` and
-    ``scatter`` move the lattice's coefficients to and from ``grid``'s band.
+    Sizes must be even and at least 8 so that the two-thirds dealias band
+    is non-trivial in every direction.  The coefficient at lattice
+    coordinates (j1, j2, j3) is stored at that index, and
+    :func:`wavenumbers` returns the basis images, so every kernel runs
+    unchanged on any layout (a plane keeps its x2 axis, with length one).
+    Each coordinate takes ``_axis``'s number of values on the grid, each
+    equally often, so the grid's samples are the layout's repeated and the
+    grid's forward coefficient at an in-band lattice wavevector is the
+    layout's, aliases included.  ``gather`` and ``scatter`` move the
+    lattice's coefficients to and from the band of the whole lattice.
     """
 
-    grid: Grid
-    lattice: Sublattice
-    shape: tuple = field(init=False, compare=False)
-    band: tuple = field(init=False, compare=False)
-    band_shape = Grid.band_shape
+    n1: int
+    n2: int
+    n3: int
+    lattice: Sublattice = WHOLE_LATTICE
+    shape: tuple = field(init=False, repr=False, compare=False)
+    band: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        (n1, n2, n3), (b1, b2, b3) = self.grid.shape, self.grid.band
-        axes = [_axis((n1, n2), (b1, b2), c) for c in self.lattice.basis]
-        axes = [*axes, (1, 0)][:2] + [_axis((n3,), (b3,), (self.lattice.s3,))]
+        for name in ("n1", "n2", "n3"):
+            n = getattr(self, name)
+            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+                raise ValueError(f"{name} must be an integer, got {n!r}")
+            if n < 8 or n % 2 != 0:
+                raise ValueError(f"{name} must be even and >= 8, got {n}")
+        if not isinstance(self.lattice, Sublattice):
+            raise ValueError(f"lattice must be a Sublattice, "
+                             f"got {self.lattice!r}")
+        sizes = (self.n1, self.n2, self.n3)
+        b1, b2, b3 = ((n - 1) // 3 for n in sizes)
+        axes = [_axis(sizes[:2], (b1, b2), c) for c in self.lattice.basis]
+        axes = [*axes, (1, 0)][:2] + [_axis(sizes[2:], (b3,),
+                                            (self.lattice.s3,))]
         object.__setattr__(self, "shape", tuple(n for n, _ in axes))
         object.__setattr__(self, "band", tuple(b for _, b in axes))
 
     def __str__(self):
+        if self.lattice == WHOLE_LATTICE:
+            return f"Grid(n1={self.n1}, n2={self.n2}, n3={self.n3})"
         return f"{'x'.join(map(str, self.shape))} on {self.lattice}"
+
+    @property
+    def whole(self):
+        """The layout of the whole lattice on the same grid."""
+        return replace(self, lattice=WHOLE_LATTICE)
+
+    @property
+    def spectral_shape(self):
+        """Shape of numpy's full ``rfftn`` layout (see :func:`dealias_mask`)."""
+        return (*self.shape[:2], self.shape[2] // 2 + 1)
+
+    @property
+    def band_shape(self):
+        """Shape of the coefficient arrays (see the module docstring)."""
+        b1, b2, b3 = self.band
+        return (2 * b1 + 1, 2 * b2 + 1, b3 + 1)
+
+    def axes(self):
+        return tuple(
+            np.arange(n) * (2.0 * np.pi / n) for n in self.shape
+        )
 
     @cached_property
     def index(self):
-        """Indices on ``grid``'s band of the layout's wavevectors."""
-        r1, r2, _ = self.grid.band_shape
-        K1, K2, K3 = np.broadcast_arrays(*wavenumbers(self))
-        return K1 % r1, K2 % r2, K3
+        """Flat indices on the whole band of the layout's wavevectors."""
+        r1, r2, p3 = self.whole.band_shape
+        K1, K2, K3 = wavenumbers(self)
+        return (K1 % r1 * r2 + K2 % r2) * p3 + K3
 
     def gather(self, c):
-        """A new array of the lattice coefficients of ``grid``'s band ``c``."""
-        return c[self.index]
+        """A new array of the lattice coefficients of the whole band ``c``."""
+        return np.take(c, self.index)
 
     def scatter(self, c):
-        """A new band array of ``grid`` holding this layout's ``c``."""
-        out = np.zeros(self.grid.band_shape, dtype=np.complex128)
-        out[self.index] = c
+        """A new band array of the whole lattice holding this layout's ``c``."""
+        out = np.zeros(self.whole.band_shape, dtype=np.complex128)
+        np.put(out, self.index, c)
         return out
 
 
 @lru_cache(maxsize=None)
 def wavenumbers(grid):
-    """Integer wavenumber arrays (K1, K2, K3) broadcast over the band; on a
-    :class:`LatticeGrid`, the basis images of its own (j1, j2, j3)."""
+    """Integer wavenumber arrays (K1, K2, K3) broadcast over the band: the
+    basis images of the layout's own (j1, j2, j3)."""
     r1, r2, p3 = grid.band_shape
     j1 = np.fft.fftfreq(r1, d=1.0 / r1).astype(np.int64)[:, None, None]
     j2 = np.fft.fftfreq(r2, d=1.0 / r2).astype(np.int64)[None, :, None]
     j3 = np.arange(p3, dtype=np.int64)[None, None, :]
-    if isinstance(grid, Grid):
-        return j1, j2, j3
     (a1, a2), *diag = grid.lattice.basis
     return (a1 * j1, diag[0][1] * j2 if diag else a2 * j1,
             grid.lattice.s3 * j3)

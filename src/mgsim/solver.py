@@ -16,18 +16,17 @@ The linearized right-hand side about Theta_0 = sin(m x3) is -m u3 cos(m x3).
 Multiplying by cos(m x3) is an exact shift of +-m along k3, so that product
 is formed by slicing the spectrum: a linearized step makes no transforms.
 
-``run`` copies the initial coefficients (which, like every spectral array
-of ``fields``, hold the dealias band and nothing else) into a private
-stepper that builds every factor and buffer of the run once; each record
-reads the stepper's state in place.  The advection product's buffers are
-kept per grid and thread, as the transforms' work arrays are, so no call
-builds them again.
-
-A run restricted to a sublattice (a plane, or the k1 Z x k2 Z x m Z that a
-seeded eigenmode lives on, which holds every product of its modes) steps
-and records on its layout, ``fields.LatticeGrid``, so nothing off the
-lattice is stored; only the final state is scattered back onto the grid's
-band.  The lattice's right-hand side is the grid's to rounding.
+A run steps and records on the layout of its sublattice, a ``fields.Grid``:
+the whole lattice by default, or one a run is restricted to (a plane, or
+the k1 Z x k2 Z x m Z that a seeded eigenmode lives on, which holds every
+product of its modes), so nothing off the lattice is stored.  ``run``
+gathers the initial coefficients (which, like every spectral array of
+``fields``, hold the dealias band and nothing else) into a private stepper
+that builds every factor and buffer of the run once; each record reads the
+stepper's state in place, and only the final state is scattered back onto
+the grid's band.  A sublattice's right-hand side is the grid's to rounding.
+The advection product's buffers are kept per layout and thread, as the
+transforms' work arrays are, so no call builds them again.
 
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry
@@ -40,15 +39,15 @@ generic initial condition amplifies grid-scale content until the computation
 is meaningless.  ``run`` bounds the growth rate of every mode on the band
 in advance, by Gershgorin on the linearized operator the stepper applies,
 and refuses runs whose requested horizon would amplify it beyond e^30.  A
-restricted run is bounded on its layout's band, and a plane is exempt: the
-multiplier stays bounded there, and nothing off the plane is stored.
+run is bounded on its layout's band, and a plane is exempt: the multiplier
+stays bounded there, and nothing off the plane is stored.
 """
 
 import math
 import threading
 import time as _time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -56,7 +55,7 @@ import numpy as np
 
 from .errors import BlowUpError, GrowthCapError
 from .fields import (
-    LatticeGrid,
+    WHOLE_LATTICE,
     SpectralField,
     Sublattice,
     _conjugate_plane,
@@ -113,12 +112,12 @@ class SolverConfig:
     """Run parameters.
 
     The recorded norms are fixed (see ``Diagnostics``); ``plane`` only
-    adds the off-plane norm as a diagnostic column.  With a ``lattice``
-    the run steps on its layout (see the module docstring): the initial
+    adds the off-plane norm as a diagnostic column.  The run steps on the
+    layout of ``lattice``, the whole lattice unless restricted: the initial
     data, the source and ``run``'s reference keep only their lattice
-    coefficients.  The restriction is an exact invariant of the dynamics,
-    but in ill-posed regimes rounding noise seeded off a plane would
-    otherwise amplify at unbounded rates and bury the confined solution.
+    coefficients.  A restriction is an exact invariant of the dynamics, but
+    in ill-posed regimes rounding noise seeded off a plane would otherwise
+    amplify at unbounded rates and bury the confined solution.
     """
 
     dt: float
@@ -127,7 +126,7 @@ class SolverConfig:
     linearized: bool = False
     record_every: int = 10
     plane: PlaneSpec | None = None
-    lattice: Sublattice | None = None
+    lattice: Sublattice = WHOLE_LATTICE
     source: SourceSpec = field(default_factory=SourceSpec)
 
     def __post_init__(self):
@@ -248,7 +247,7 @@ def energy_flux_residual(grid, c, n2_phys):
     return 2.0 * parseval(grid, adv, c) / nrm2
 
 
-def _growth_cap_check(theta0, params, config):
+def _growth_cap_check(layout, params, config):
     """GrowthCapError if the horizon could amplify a mode past e^_GROWTH_CAP.
 
     Scaled by M3_hat^(1/2), the linearized operator is symmetric with
@@ -260,15 +259,12 @@ def _growth_cap_check(theta0, params, config):
     """
     if params.eps_kappa > 0.0 and params.gamma > 0.5:
         return  # dissipation dominates large wavenumbers; growth is bounded
-    lattice, grid, shift = config.lattice, theta0.grid, params.m
-    if lattice is not None:
-        if lattice.plane is not None:
-            return  # a plane's multiplier is bounded; its growth is tame
-        grid, shift = LatticeGrid(grid, lattice), shift // lattice.s3
-    s = np.sqrt(multiplier_arrays(grid, params.n2)[2])
-    rows = _cos_shift_sum(s, shift, np.empty_like(s))
+    if layout.lattice.plane is not None:
+        return  # a plane's multiplier is bounded; its growth is tame
+    s = np.sqrt(multiplier_arrays(layout, params.n2)[2])
+    rows = _cos_shift_sum(s, params.m // layout.lattice.s3, np.empty_like(s))
     rows *= 0.5 * params.m * s
-    rows -= params.eps_kappa * ksq_power(grid, params.gamma)
+    rows -= params.eps_kappa * ksq_power(layout, params.gamma)
     sigma_max = float(rows[:, :, 1:].max())
     if sigma_max > 0.0 and sigma_max * config.t_end > _GROWTH_CAP:
         raise GrowthCapError(
@@ -283,22 +279,16 @@ def _growth_cap_check(theta0, params, config):
 
 
 class _Stepper:
-    """One run's time stepping on the band: state, factors and buffers.
+    """One run's time stepping on a layout's band: state, factors and buffers.
 
-    The state is a copy of the initial coefficients; a step writes every
-    right-hand side and stage into the buffers built here, so it allocates
-    no array of the grid's size.  A restricted run gathers the state and
-    the source onto the lattice's layout once and builds every factor there.
+    The state ``c`` and the source ``src`` (None when absent) are the run's
+    own arrays on ``grid``, the layout of the run's lattice; every factor
+    is built there, and a step writes every right-hand side and stage into
+    the buffers built here, so it allocates no array of the layout's size.
     """
 
-    def __init__(self, grid, params, config, c):
-        src = config.source.realize(grid, params)
-        if config.lattice is not None:
-            self.layout = grid = LatticeGrid(grid, config.lattice)
-            self.c = grid.gather(c)
-            self.src = None if src is None else grid.gather(src)
-        else:
-            self.layout, self.c, self.src = None, c.copy(), src
+    def __init__(self, grid, params, config, c, src):
+        self.c, self.src = c, src
         dt = self.dt = config.dt
         self.grid, self.n2p, self.scheme = grid, params.n2, config.scheme
         diss = params.eps_kappa * ksq_power(grid, params.gamma)
@@ -313,8 +303,8 @@ class _Stepper:
         self.linearized = config.linearized
         if config.linearized:
             # -m u3 cos(m x3) = v(k3 - m) + v(k3 + m), v = -(m/2) M3_hat theta_hat
-            # (a shift by m / s3 indices on a lattice's layout)
-            self.shift = params.m // getattr(config.lattice, "s3", 1)
+            # (a shift by m / s3 indices on the layout)
+            self.shift = params.m // grid.lattice.s3
             self.v_scale = -0.5 * params.m * multiplier_arrays(
                 grid, params.n2)[2]
             self.v = np.empty(grid.band_shape, dtype=np.complex128)
@@ -381,20 +371,29 @@ def run(theta0, params, config, reference=None):
         When given, the L2 distance to this fixed field is recorded as an
         extra diagnostic column (used to track the departure from a steady
         state).
+
+    The initial data, the reference and a custom source live on the whole
+    grid; they are gathered onto the layout of ``config.lattice`` (the
+    whole lattice unless restricted), and the final state is scattered back.
     """
     grid, lattice = theta0.grid, config.lattice
+    if grid.lattice != WHOLE_LATTICE:
+        raise ValueError(f"initial data lives on the layout {grid}, not on "
+                         f"the whole grid")
     if reference is not None and reference.grid != grid:
         raise ValueError("reference field lives on a different grid")
-    if lattice is not None and params.m % lattice.s3:
+    if params.m % lattice.s3:
         raise ValueError(f"the lattice's vertical stride {lattice.s3} does "
                          f"not divide m = {params.m}")
-    _growth_cap_check(theta0, params, config)
+    layout = replace(grid, lattice=lattice)
+    _growth_cap_check(layout, params, config)
 
     dt = config.dt
     nsteps = round(config.t_end / dt)
-    stepper = _Stepper(grid, params, config, theta0.c)
-    layout = stepper.layout  # None unless restricted
-    if reference is not None and layout is not None:
+    src = config.source.realize(grid, params)
+    stepper = _Stepper(layout, params, config, layout.gather(theta0.c),
+                       None if src is None else layout.gather(src))
+    if reference is not None:
         reference = SpectralField(layout, layout.gather(reference.c))
     n2p = params.n2
 
@@ -434,8 +433,7 @@ def run(theta0, params, config, reference=None):
             record(step)
     wall = _time.perf_counter() - wall0
 
-    final = stepper.c if layout is None else layout.scatter(stepper.c)
-    return SpectralField(grid, final), _finalize(rows, wall)
+    return SpectralField(grid, layout.scatter(stepper.c)), _finalize(rows, wall)
 
 
 def _finalize(rows, wall):

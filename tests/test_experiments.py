@@ -13,7 +13,7 @@ import mgsim
 import mgsim.experiments
 from mgsim.eigen import closed_form_bounds, optimize_growth
 from mgsim.experiments import instability, plane_demo, write_eigen_csv
-from mgsim.fields import Grid, LatticeGrid, PlaneSpec, Sublattice
+from mgsim.fields import Grid, PlaneSpec, Sublattice
 from mgsim.symbol import PhysParams
 
 
@@ -103,7 +103,7 @@ def test_instability_steps_only_on_the_seed_sublattice(monkeypatch):
             monkeypatch.setattr(module, name, counted)
     rep = instability(PhysParams(eps_kappa=0.01), box=12, n=48, dt=0.01,
                       t_end=0.1, record_every=5, fit_start=0.0)
-    assert rep.layout == LatticeGrid(Grid(48, 48, 48), Sublattice.diag(9, 4))
+    assert rep.layout == Grid(48, 48, 48, Sublattice.diag(9, 4))
     assert str(rep.layout) == (
         "16x12x48 on Sublattice(basis=((9, 0), (0, 4)), s3=1)")
     assert seen and set(seen) == {rep.layout}

@@ -15,7 +15,6 @@ from mgsim.symbol import PhysParams
 from mgsim.eigen import assemble_eigenfunction, solve_sigma_star
 from mgsim.fields import (
     Grid,
-    LatticeGrid,
     PlaneSpec,
     SpectralField,
     Sublattice,
@@ -335,7 +334,7 @@ class TestProjections:
         both = on + off
         assert off_plane_norm(on, p) == 0.0
         assert off_plane_norm(both, p) == pytest.approx(l2_norm(off), rel=1e-13)
-        layout = LatticeGrid(G16, Sublattice.of_plane(p))
+        layout = Grid(16, 16, 16, Sublattice.of_plane(p))
         proj = layout.scatter(layout.gather(both.c))
         assert np.max(np.abs(proj - on.c)) == 0.0
 
@@ -359,7 +358,7 @@ PLANE_LAYOUTS = [
 
 
 def _plane_layout(shape, ratio):
-    return LatticeGrid(Grid(*shape), Sublattice.of_plane(PlaneSpec(*ratio)))
+    return Grid(*shape, Sublattice.of_plane(PlaneSpec(*ratio)))
 
 
 class TestPlaneGrid:
@@ -368,7 +367,7 @@ class TestPlaneGrid:
     @pytest.mark.parametrize("shape, ratio, n_s, j_max", PLANE_LAYOUTS)
     def test_geometry(self, shape, ratio, n_s, j_max):
         layout = _plane_layout(shape, ratio)
-        grid, plane = layout.grid, layout.lattice.plane
+        grid, plane = layout.whole, layout.lattice.plane
         assert layout.shape == (n_s, 1, shape[2])
         assert layout.band_shape == (2 * j_max + 1, 1, grid.band[2] + 1)
         K1, K2, K3 = (np.broadcast_to(k, layout.band_shape)
@@ -388,7 +387,7 @@ class TestPlaneGrid:
     def test_grid_samples_repeat_the_plane_samples(self, shape, ratio, n_s,
                                                    j_max):
         layout = _plane_layout(shape, ratio)
-        grid, (q_num, q_den) = layout.grid, ratio
+        grid, (q_num, q_den) = layout.whole, ratio
         rng = np.random.default_rng(5)
         v = rng.standard_normal(layout.shape)
         c = forward(layout, v)
@@ -421,21 +420,26 @@ class TestSublattice:
         with pytest.raises(ValueError):
             Sublattice(basis, s3)
 
+    @pytest.mark.parametrize("lattice", [None, ((1, 0), (0, 1)), 1])
+    def test_grid_refuses_a_lattice_that_is_not_a_sublattice(self, lattice):
+        with pytest.raises(ValueError, match="must be a Sublattice"):
+            Grid(16, 16, 16, lattice)
+
     def test_names(self):
         assert Sublattice.of_plane(PlaneSpec(-2, 3)).basis == ((3, -2),)
         assert Sublattice.of_plane(PlaneSpec(1, 1)).plane == PlaneSpec(1, 1)
         assert Sublattice.diag(9, 4, 2).plane is None
-        layout = LatticeGrid(Grid(48, 48, 48), Sublattice.diag(9, 4))
+        layout = Grid(48, 48, 48, Sublattice.diag(9, 4))
         assert str(layout) == (
             "16x12x48 on Sublattice(basis=((9, 0), (0, 4)), s3=1)")
-        layout = LatticeGrid(Grid(24, 24, 24), Sublattice(((1, 2),), 3))
+        layout = Grid(24, 24, 24, Sublattice(((1, 2),), 3))
         assert str(layout) == "24x1x8 on Sublattice(basis=((1, 2),), s3=3)"
 
     @pytest.mark.parametrize("shape, strides, n_layout, band", DIAG_LAYOUTS)
     def test_diag_layout_takes_the_grid_samples(self, shape, strides,
                                                 n_layout, band):
         grid = Grid(*shape)
-        layout = LatticeGrid(grid, Sublattice.diag(*strides))
+        layout = Grid(*shape, Sublattice.diag(*strides))
         assert (layout.shape, layout.band) == (n_layout, band)
         K = [np.broadcast_to(k, layout.band_shape)
              for k in wavenumbers(layout)]

@@ -1,6 +1,7 @@
 """Tests for the time integrator: exactness, invariants, guard rails."""
 
 import math
+import re
 import threading
 import warnings
 from dataclasses import replace
@@ -13,7 +14,7 @@ from mgsim.symbol import PhysParams, symbol_components
 import mgsim.fields
 import mgsim.solver
 from mgsim.fields import (
-    Grid, LatticeGrid, PlaneSpec, SpectralField, Sublattice, cosine_mode,
+    WHOLE_LATTICE, Grid, PlaneSpec, SpectralField, Sublattice, cosine_mode,
     dealias_mask, forward, inverse, ksq_array, l2_norm, multiplier_arrays,
     off_plane_norm, plane_mask, sine_vertical, wavenumbers,
 )
@@ -295,7 +296,7 @@ class TestNonlinearStep:
         theta0 = sine_vertical(G24, 1) + 0.05 * pert
         cfg = SolverConfig(dt=0.01, t_end=0.01, plane=plane,
                            lattice=Sublattice.of_plane(plane) if restrict
-                           else None,
+                           else WHOLE_LATTICE,
                            source=SourceSpec("steady_balance"))
         pmask = plane_mask(G24, plane) if restrict else None
         c0 = theta0.c if pmask is None else theta0.c * pmask
@@ -339,6 +340,58 @@ class TestNonlinearStep:
             misses = cache.cache_info().misses
             cache(G24, threading.get_ident())
             assert cache.cache_info().misses == misses + 1
+
+    def test_whole_lattice_run_shares_the_grid_caches(self):
+        # the whole lattice is the grid: equal, hashed alike, moved by exact
+        # copies, and an unrestricted run fills the caches a lookup for the
+        # grid then hits, so no second set of them is built
+        whole = Grid(24, 24, 24, Sublattice.diag(1, 1))
+        assert G24 == whole and hash(G24) == hash(whole)
+        assert (whole.shape, whole.band) == ((24, 24, 24), (7, 7, 7))
+        c = _rich_field(G24, seed=6).c
+        c[:, :, 0] = -0.0
+        for moved in (whole.gather(c), whole.scatter(c)):
+            assert moved is not c and moved.tobytes() == c.tobytes()
+        works = (mgsim.fields._work, mgsim.solver._advection_work)
+        for cache in (*works, mgsim.fields.multiplier_arrays):
+            cache.cache_clear()
+        par = PhysParams(eps_kappa=0.02)
+        run(_rich_field(G24, seed=4) * 0.1, par,
+            SolverConfig(dt=0.01, t_end=0.02))
+        lookups = [(cache, (Grid(24, 24, 24), threading.get_ident()))
+                   for cache in works]
+        lookups.append((mgsim.fields.multiplier_arrays,
+                        (Grid(24, 24, 24), par.n2)))
+        for cache, key in lookups:
+            info = cache.cache_info()
+            cache(*key)
+            assert cache.cache_info().hits == info.hits + 1
+            assert cache.cache_info().misses == info.misses
+
+
+def test_run_refuses_data_on_a_restricted_layout():
+    # a layout's coefficients sit at lattice coordinates: stepped on a
+    # layout of that layout they would be read as the wrong wavevectors,
+    # so initial data, a reference and a custom source must live on the
+    # whole grid
+    grid, lattice = G24, Sublattice.diag(2, 2)
+    layout = replace(grid, lattice=lattice)
+    theta0 = (cosine_mode(grid, (2, 2, 1), 0.3)
+              + cosine_mode(grid, (4, 2, 2), 0.2) + sine_vertical(grid, 1))
+    on_layout = SpectralField(layout, layout.gather(theta0.c))
+    par = PhysParams(eps_kappa=0.1)
+    cfg = SolverConfig(dt=0.01, t_end=0.1, lattice=lattice)
+    for config in (cfg, replace(cfg, lattice=WHOLE_LATTICE)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"on the layout {layout},")):
+            run(on_layout, par, config)
+    with pytest.raises(ValueError, match="reference field"):
+        run(theta0, par, cfg, reference=on_layout)
+    with pytest.raises(ValueError, match="custom source"):
+        run(theta0, par, replace(cfg, source=SourceSpec("custom", on_layout)))
+    got, _ = run(theta0, par, cfg)
+    want, _ = run(theta0, par, replace(cfg, lattice=WHOLE_LATTICE))
+    assert np.max(np.abs(got.c - want.c)) <= 1e-14 * np.max(np.abs(want.c))
 
 
 def test_real_coefficients_evolve_like_complex():
@@ -426,7 +479,7 @@ class TestGuards:
         assert np.max(diag.off_plane) == 0.0
         # and the long-horizon config itself passes the pre-check
         from mgsim.solver import _growth_cap_check
-        _growth_cap_check(cosine_mode(Grid(24, 24, 24), (1, 2, 1)), par, cfg)
+        _growth_cap_check(Grid(24, 24, 24, cfg.lattice), par, cfg)
 
     def test_growth_cap_exempts_restricted_run_with_off_plane_source(self):
         # the restricted stepper keeps only the source's on-plane part, so
@@ -436,11 +489,12 @@ class TestGuards:
         src = SourceSpec("custom", custom=cosine_mode(G16, (1, 2, 1), 1e-3))
         from mgsim.solver import _growth_cap_check
         with pytest.raises(GrowthCapError):
-            _growth_cap_check(theta0, par, SolverConfig(
+            _growth_cap_check(G16, par, SolverConfig(
                 dt=0.01, t_end=50.0, plane=PlaneSpec(1, 1), source=src))
         kw = dict(dt=0.01, plane=PlaneSpec(1, 1),
                   lattice=Sublattice.of_plane(PlaneSpec(1, 1)), source=src)
-        _growth_cap_check(theta0, par, SolverConfig(t_end=50.0, **kw))
+        _growth_cap_check(replace(G16, lattice=kw["lattice"]), par,
+                          SolverConfig(t_end=50.0, **kw))
         _, diag = run(theta0, par,
                       SolverConfig(t_end=0.05, record_every=1, **kw))
         assert np.max(diag.off_plane) == 0.0
@@ -509,8 +563,7 @@ def test_growth_cap_bounds_every_column_and_class(shape, par):
     # no stricter than the class-0 bound 2/alpha_1 - e_1 over k1, k2 >= 1
     grid = Grid(*shape)
     with pytest.raises(GrowthCapError) as exc:
-        _growth_cap_check(SpectralField.zeros(grid), par,
-                          SolverConfig(dt=1.0, t_end=1e6))
+        _growth_cap_check(grid, par, SolverConfig(dt=1.0, t_end=1e6))
     sigma_max = exc.value.sigma_max
     assert sigma_max >= _band_top_eigenvalue(grid, par)
     if par.m == 1:
@@ -530,10 +583,11 @@ def test_growth_cap_bounds_a_sublattice_over_its_own_band(shape, strides,
     # columns: at least their top eigenvalue, at most the whole grid's rate,
     # and exactly the grid's Gershgorin rows at the lattice's wavevectors
     grid, rates = Grid(*shape), []
-    for lattice in (Sublattice.diag(*strides), None):
+    for lattice in (Sublattice.diag(*strides), WHOLE_LATTICE):
         with pytest.raises(GrowthCapError) as exc:
-            _growth_cap_check(SpectralField.zeros(grid), par, SolverConfig(
-                dt=1.0, t_end=1e6, lattice=lattice))
+            _growth_cap_check(replace(grid, lattice=lattice), par,
+                              SolverConfig(dt=1.0, t_end=1e6,
+                                           lattice=lattice))
         rates.append(exc.value.sigma_max)
     assert _band_top_eigenvalue(grid, par, strides) <= rates[0] <= rates[1]
     (s1, s2, s3), m, (b1, b2, b3) = strides, par.m, grid.band
@@ -601,7 +655,7 @@ PLANE_RHS_CASES = [
 @pytest.mark.parametrize("shape, ratio", PLANE_RHS_CASES)
 def test_plane_rhs_matches_grid_rhs_on_the_plane(shape, ratio):
     grid = Grid(*shape)
-    layout = LatticeGrid(grid, Sublattice.of_plane(PlaneSpec(*ratio)))
+    layout = replace(grid, lattice=Sublattice.of_plane(PlaneSpec(*ratio)))
     rng = np.random.default_rng(3)
     c = forward(layout, rng.standard_normal(layout.shape))
     got = advection_coefficients(layout, c, 1.3)
