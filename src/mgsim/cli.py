@@ -441,6 +441,7 @@ def plane_demo_cmd(config_path, out_dir):
         "plane": str(rep.plane),
         "plane_constant": f"{rep.plane_constant:.9g}",
         "control_mode": str(rep.control_mode),
+        "control_layout": str(rep.control_layout),
         "control_off_plane_factor": f"{rep.control.departure_factor:.6g}",
         "control_fitted_rate": f"{rep.control_rate:.9g}",
         "control_sigma_star": f"{rep.control_sigma_ref:.9g}",

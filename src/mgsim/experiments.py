@@ -6,6 +6,7 @@ small writer helpers so the drivers stay testable.
 """
 
 import csv
+import math
 import platform
 import sys
 from dataclasses import dataclass, field, replace
@@ -135,6 +136,7 @@ class PlaneDemoReport:
     control_r2: float
     control_sigma_ref: float
     control_mode: tuple
+    control_layout: Grid
 
 
 def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
@@ -143,12 +145,17 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
     """Confinement to a bounded-multiplier plane versus leaking off it.
 
     For each dissipation order, the steady state is perturbed by an
-    on-plane mode and evolved with the restriction enforced: the off-plane
-    content stays identically zero and the departure stays tame even in
-    regimes that are ill posed off the plane.  The control arm seeds an
-    off-plane mode at the smallest gamma without the restriction and
-    watches it grow, over [t_end / 5, t_end], at the rate the eigenvalue
-    problem predicts; its k3 must be nonzero to carry any dynamics.
+    on-plane mode and evolved on the plane: the off-plane content stays
+    identically zero and the departure stays tame even in regimes that are
+    ill posed off the plane.  The control arm seeds an off-plane mode
+    (k1, k2, k3) at the smallest gamma and watches its off-plane content
+    grow, over [t_end / 5, t_end], at the rate the eigenvalue problem
+    predicts.  Its k1 and k2 must be positive, as sigma* is solved for
+    them, and its k3 nonzero, as k3 = 0 modes carry no dynamics.  The
+    control steps on its seed's plane, the column
+    (k1, k2) / gcd(k1, k2) with vertical stride gcd(k3, m), which holds
+    the seed, the background, the source and every product of them;
+    ``control_layout`` records it.
     """
     plane = plane if plane is not None else PlaneSpec(1, 1)
     if len(gammas) == 0:
@@ -158,6 +165,8 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
     if len(control_mode) != 3:
         raise ValueError(f"control_mode must be (k1, k2, k3), got {control_mode!r}")
     ck = tuple(int(v) for v in control_mode)
+    if ck[0] < 1 or ck[1] < 1:
+        raise ValueError(f"control_mode {ck} needs k1, k2 >= 1")
     if plane.contains(ck[0], ck[1]):
         raise ValueError(f"control_mode {ck} lies on the plane {plane}")
     if ck[2] == 0:
@@ -188,7 +197,10 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
     gamma0 = gammas[0]
     params0 = PhysParams(n2=n2, m=m, eps_kappa=eps_kappa, gamma=gamma0)
     theta0 = background + cosine_mode(grid, ck, seed)
-    _, cdiag = run(theta0, params0, cfg, reference=background)
+    g = math.gcd(ck[0], ck[1])
+    lattice = Sublattice(((ck[0] // g, ck[1] // g),), math.gcd(ck[2], m))
+    _, cdiag = run(theta0, params0, replace(cfg, lattice=lattice),
+                   reference=background)
     control = PlaneArm(
         gamma=gamma0, diag=cdiag,
         off_plane_max=float(np.max(cdiag.off_plane)),
@@ -201,6 +213,7 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
         plane=plane, plane_constant=c_plane, eps_kappa=eps_kappa,
         arms=arms, control=control, control_rate=rate, control_r2=r2,
         control_sigma_ref=sigma_ref, control_mode=ck,
+        control_layout=replace(grid, lattice=lattice),
     )
 
 

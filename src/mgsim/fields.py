@@ -361,7 +361,15 @@ class SpectralField:
         return inverse(self.grid, self.c)
 
     def _index(self, k1, k2, k3):
-        """Array index of broadcast wavevectors, and which are in band."""
+        """Array index of broadcast wavevectors, and which are in band.
+
+        Only the whole lattice stores a wavevector at its own index, so a
+        restricted layout raises ValueError naming it.
+        """
+        if self.grid.lattice != WHOLE_LATTICE:
+            raise ValueError(f"wavevector lookup on the layout {self.grid}; "
+                             f"coefficients are addressed by wavevector only "
+                             f"on the whole grid")
         (b1, b2, b3), (r1, r2, _) = self.grid.band, self.c.shape
         k1, k2, k3 = np.broadcast_arrays(k1, k2, k3)
         inband = ((0 <= k3) & (k3 <= b3) & (np.abs(k1) <= b1)

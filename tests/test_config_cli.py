@@ -607,6 +607,20 @@ class TestCli:
         assert ("\nlayout = 16x12x48 on Sublattice(basis=((9, 0), (0, 4)), "
                 "s3=1)\n" in text)
 
+    def test_plane_demo_manifest_records_the_control_layout(self, tmp_path):
+        # the (1, 2, 1) control steps on its seed's plane, not on 24^3
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[plane_demo]\ndt = 0.05\nt_end = 0.5\n"
+                       "record_every = 1\n")
+        out = tmp_path / "out"
+        res = self.runner.invoke(main, [
+            "plane-demo", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        text = (out / "manifest.txt").read_text()
+        assert "\ncontrol_mode = (1, 2, 1)\n" in text
+        assert ("\ncontrol_layout = 24x1x24 on Sublattice(basis=((1, 2),), "
+                "s3=1)\n" in text)
+
     def test_instability_at_zero_eps_kappa_has_no_continuum(self, tmp_path):
         # a horizon short of the growth cap runs; there is no continuum
         # optimum at eps_kappa = 0, so its manifest lines are left out

@@ -5,15 +5,19 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mgsim
 import mgsim.experiments
 from mgsim.eigen import closed_form_bounds, optimize_growth
+from mgsim.errors import GrowthCapError
 from mgsim.experiments import instability, plane_demo, write_eigen_csv
-from mgsim.fields import Grid, PlaneSpec, Sublattice
+from mgsim.fields import WHOLE_LATTICE, Grid, PlaneSpec, Sublattice
+from mgsim.solver import SolverConfig, _growth_cap_check, run
 from mgsim.symbol import PhysParams
 
 
@@ -24,6 +28,9 @@ from mgsim.symbol import PhysParams
     (dict(control_mode=(2, 2, 1)), "control_mode .* lies on the plane"),
     (dict(gammas=(0.3, 0.5, 0.3)), "gammas repeat"),
     (dict(control_mode=(1, 2, 0)), "control_mode .* needs k3 != 0"),
+    (dict(control_mode=(0, 2, 1)), r"control_mode .* needs k1, k2 >= 1"),
+    (dict(control_mode=(-1, 2, 1)), r"control_mode .* needs k1, k2 >= 1"),
+    (dict(control_mode=(1, -2, 1)), r"control_mode .* needs k1, k2 >= 1"),
     # the control fit window [t_end / 5, t_end] holds only the record at 1
     (dict(t_end=1.0, record_every=100),
      r"fit window \[0.2, 1.0\] holds fewer than two records"),
@@ -89,9 +96,8 @@ def test_instability_at_zero_eps_kappa_reports_no_continuum():
     assert rep.fitted_rate == pytest.approx(rep.sigma_star, rel=1e-6)
 
 
-def test_instability_steps_only_on_the_seed_sublattice(monkeypatch):
-    # the run gathers onto the (9, 4) seed's layout once: no transform on
-    # the 48^3 grid, every transform on the layout the report names
+def _count_transforms(monkeypatch):
+    """Patch forward and inverse to append each call's grid to a list."""
     seen = []
     originals = {name: getattr(mgsim.fields, name)
                  for name in ("forward", "inverse")}
@@ -101,6 +107,13 @@ def test_instability_steps_only_on_the_seed_sublattice(monkeypatch):
                 seen.append(grid)
                 return _fn(grid, *args, **kwargs)
             monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def test_instability_steps_only_on_the_seed_sublattice(monkeypatch):
+    # the run gathers onto the (9, 4) seed's layout once: no transform on
+    # the 48^3 grid, every transform on the layout the report names
+    seen = _count_transforms(monkeypatch)
     rep = instability(PhysParams(eps_kappa=0.01), box=12, n=48, dt=0.01,
                       t_end=0.1, record_every=5, fit_start=0.0)
     assert rep.layout == Grid(48, 48, 48, Sublattice.diag(9, 4))
@@ -108,3 +121,64 @@ def test_instability_steps_only_on_the_seed_sublattice(monkeypatch):
         "16x12x48 on Sublattice(basis=((9, 0), (0, 4)), s3=1)")
     assert seen and set(seen) == {rep.layout}
     assert rep.fitted_rate == pytest.approx(rep.sigma_star, rel=1e-3)
+
+
+def test_plane_demo_steps_only_on_plane_layouts(monkeypatch):
+    # the arms step on the demo's plane and the control on its seed's
+    # plane: no transform on the 24^3 grid
+    seen = _count_transforms(monkeypatch)
+    plane = PlaneSpec(1, 1)
+    rep = plane_demo(plane=plane, n=24, dt=0.01, t_end=0.5, record_every=10)
+    assert rep.control_layout == Grid(24, 24, 24, Sublattice(((1, 2),)))
+    assert str(rep.control_layout) == (
+        "24x1x24 on Sublattice(basis=((1, 2),), s3=1)")
+    arm_layout = Grid(24, 24, 24, Sublattice.of_plane(plane))
+    assert seen and set(seen) == {arm_layout, rep.control_layout}
+
+
+@pytest.mark.parametrize("m, control_mode, layout", [
+    (1, (1, 2, 1), "24x1x24 on Sublattice(basis=((1, 2),), s3=1)"),
+    (2, (1, 3, 2), "24x1x12 on Sublattice(basis=((1, 3),), s3=2)"),
+    (2, (2, 4, 1), "24x1x24 on Sublattice(basis=((1, 2),), s3=1)"),
+], ids=["m1", "m2_stride2", "m2_gcd2"])
+def test_plane_demo_control_matches_the_grid_control(monkeypatch, m,
+                                                     control_mode, layout):
+    # the seed, sin(m x3) and the source all lie on the seed's plane, so
+    # the control there is the grid control without its rounding off it
+    calls = []
+
+    def recorded(theta0, params, config, reference=None):
+        out = run(theta0, params, config, reference=reference)
+        calls.append((theta0, params, config, reference, out))
+        return out
+
+    monkeypatch.setattr(mgsim.experiments, "run", recorded)
+    rep = plane_demo(gammas=(0.3,), m=m, n=24, dt=0.01, t_end=1.0,
+                     control_mode=control_mode, record_every=10)
+    assert str(rep.control_layout) == layout
+    theta0, params, config, reference, (got, gdiag) = calls[-1]
+    assert gdiag is rep.control.diag
+    assert config.lattice == rep.control_layout.lattice
+    want, wdiag = run(theta0, params, replace(config, lattice=WHOLE_LATTICE),
+                      reference=reference)
+    assert np.max(np.abs(got.c - want.c)) <= 1e-14 * np.max(np.abs(want.c))
+    assert np.array_equal(gdiag.times, wdiag.times)
+    for name in ("l2", "linf", "hs", "off_plane", "ref_l2"):
+        np.testing.assert_allclose(getattr(gdiag, name),
+                                   getattr(wdiag, name), rtol=1e-13, atol=0,
+                                   err_msg=name)
+
+
+def test_plane_demo_control_runs_past_the_grid_growth_cap():
+    # a plane layout is exempt from the growth cap, the control's too; on
+    # the whole 24^3 grid this horizon is refused
+    params = PhysParams(eps_kappa=0.02, gamma=0.3)
+    with pytest.raises(GrowthCapError) as exc:
+        _growth_cap_check(Grid(24, 24, 24), params,
+                          SolverConfig(dt=0.05, t_end=20.0))
+    assert exc.value.t_max == pytest.approx(15.56, abs=0.01)
+    rep = plane_demo(eps_kappa=0.02, n=24, dt=0.05, t_end=20.0,
+                     record_every=20)
+    assert rep.control.diag.times[-1] == pytest.approx(20.0)
+    assert np.isfinite(rep.control.diag.off_plane).all()
+    assert rep.control_rate == pytest.approx(rep.control_sigma_ref, rel=0.05)

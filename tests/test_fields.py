@@ -1,6 +1,7 @@
 """Tests for band field storage, norms, projections and snapshots."""
 
 import math
+import re
 import sys
 import threading
 from pathlib import Path
@@ -434,6 +435,26 @@ class TestSublattice:
             "16x12x48 on Sublattice(basis=((9, 0), (0, 4)), s3=1)")
         layout = Grid(24, 24, 24, Sublattice(((1, 2),), 3))
         assert str(layout) == "24x1x8 on Sublattice(basis=((1, 2),), s3=3)"
+
+    @pytest.mark.parametrize("lookup", [
+        lambda g: cosine_mode(g, (2, 2, 1)),
+        lambda g: sine_vertical(g, 1),
+        lambda g: assemble_eigenfunction(solve_sigma_star(1, 1, PhysParams()),
+                                         g),
+        lambda g: SpectralField.zeros(g).coeff(4, 4, 1),
+        lambda g: SpectralField.zeros(g).coeff(4, 4, -1),
+        lambda g: SpectralField.zeros(g).set_coeff(4, 4, 1, 1.0),
+    ], ids=["cosine_mode", "sine_vertical", "assemble_eigenfunction", "coeff",
+            "coeff_mirror", "set_coeff"])
+    def test_wavevector_lookup_refuses_a_restricted_layout(self, lookup):
+        # a layout stores lattice coordinates: on diag(2, 2), (2, 2, 1)
+        # would land at the wavevector (4, 4, 1), and a lookup of (4, 4, 1)
+        # would read (8, 8, 1)
+        layout = Grid(48, 48, 48, Sublattice.diag(2, 2))
+        with pytest.raises(ValueError, match=re.escape(
+                f"wavevector lookup on the layout {layout};")):
+            lookup(layout)
+        lookup(layout.whole)  # the whole lattice addresses wavevectors
 
     @pytest.mark.parametrize("shape, strides, n_layout, band", DIAG_LAYOUTS)
     def test_diag_layout_takes_the_grid_samples(self, shape, strides,
