@@ -28,12 +28,12 @@ from mgsim.symbol import PhysParams
     (dict(control_mode=(2, 2, 1)), "control_mode .* lies on the plane"),
     (dict(gammas=(0.3, 0.5, 0.3)), "gammas repeat"),
     (dict(control_mode=(1, 2, 0)), "control_mode .* needs k3 != 0"),
-    (dict(control_mode=(0, 2, 1)), r"control_mode .* needs k1, k2 >= 1"),
-    (dict(control_mode=(-1, 2, 1)), r"control_mode .* needs k1, k2 >= 1"),
-    (dict(control_mode=(1, -2, 1)), r"control_mode .* needs k1, k2 >= 1"),
     # the control fit window [t_end / 5, t_end] holds only the record at 1
     (dict(t_end=1.0, record_every=100),
      r"fit window \[0.2, 1.0\] holds fewer than two records"),
+    (dict(control_mode=(0, 2, 1)), r"control_mode .* needs k1, k2 >= 1"),
+    (dict(control_mode=(-1, 2, 1)), r"control_mode .* needs k1, k2 >= 1"),
+    (dict(control_mode=(1, -2, 1)), r"control_mode .* needs k1, k2 >= 1"),
 ])
 def test_plane_demo_rejects_bad_arguments_before_any_run(monkeypatch, kwargs,
                                                          match):
