@@ -42,7 +42,8 @@ from .experiments import (
     write_manifest, write_sweep_csv,
 )
 from .fields import (
-    Grid, Sublattice, cosine_mode, read_snapshot, write_snapshot,
+    Grid, Sublattice, cosine_mode, l2_norm, off_plane_norm, read_snapshot,
+    write_snapshot,
 )
 from .solver import SolverConfig, SourceSpec, run
 from .symbol import PhysParams, PlaneSpec, scan_box
@@ -326,6 +327,13 @@ def evolve(config_path, out_dir):
             if init == "eigenfunction" else None)
     cfg.reject_unused()
     theta0, sol = _initial_field(init, mode, grid, params)
+    for what, f in (("initial state", theta0), ("source", scfg.source.custom)):
+        if restrict and f is not None and (
+                (off := off_plane_norm(f, plane)) > 1e-12 * l2_norm(f)):
+            raise ConfigError(
+                f"config key 'plane.restrict': {off / l2_norm(f):.3g} of the "
+                f"{what}'s L2 norm lies off the plane {plane}, which a "
+                f"restricted run would drop")
 
     (final, diag), wall = _timed(run, theta0, params, scfg)
 
@@ -421,7 +429,8 @@ def illposedness_cmd(config_path, out_dir):
 def plane_demo_cmd(config_path, out_dir):
     """Plane-confined well-posedness against an off-plane control."""
     cfg = load_config(config_path)
-    plane_txt = get_str(cfg, "plane_demo.q", "1/1")
+    plane_txt = get_str(cfg, "plane_demo.q",
+                        str(_default(plane_demo, "plane")))
     kw = _read(cfg, plane_demo, "plane_demo", "gammas", "control_mode")
     if len(kw["control_mode"]) != 3:
         raise ConfigError(

@@ -139,25 +139,23 @@ class PlaneDemoReport:
     control_layout: Grid
 
 
-def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
-               n2=1.0, m=1, n=24, dt=0.01, t_end=5.0, seed=1e-4,
-               control_mode=(1, 2, 1), record_every=50):
+def plane_demo(*, plane=PlaneSpec(1, 1), gammas=(0.3, 0.5, 0.8),
+               eps_kappa=0.02, n2=1.0, m=1, n=24, dt=0.01, t_end=5.0,
+               seed=1e-4, control_mode=(1, 2, 1), record_every=50):
     """Confinement to a bounded-multiplier plane versus leaking off it.
 
-    For each dissipation order, the steady state is perturbed by an
-    on-plane mode and evolved on the plane: the off-plane content stays
-    identically zero and the departure stays tame even in regimes that are
-    ill posed off the plane.  The control arm seeds an off-plane mode
-    (k1, k2, k3) at the smallest gamma and watches its off-plane content
-    grow, over [t_end / 5, t_end], at the rate the eigenvalue problem
-    predicts.  Its k1 and k2 must be positive, as sigma* is solved for
-    them, and its k3 nonzero, as k3 = 0 modes carry no dynamics.  The
-    control steps on its seed's plane, the column
-    (k1, k2) / gcd(k1, k2) with vertical stride gcd(k3, m), which holds
-    the seed, the background, the source and every product of them;
-    ``control_layout`` records it.
+    Each arm, one per dissipation order, seeds the on-plane mode
+    (q_den, q_num, 1): its off-plane content stays identically zero and its
+    departure tame, even where the problem is ill posed off the plane.  The
+    control seeds the off-plane mode (k1, k2, k3) at the smallest gamma,
+    with k1, k2 >= 1 (sigma* is solved for them) and k3 != 0 (k3 = 0 modes
+    carry no dynamics); its off-plane content grows over [t_end / 5, t_end]
+    at the rate the eigenvalue problem predicts.  Every run steps on its
+    seed's plane, the column (k1, k2) / gcd(k1, k2) with vertical stride
+    gcd(k3, m), which holds the seed, the background, the source and all
+    their products: for an arm, the demo's plane; ``control_layout``
+    records the control's.
     """
-    plane = plane if plane is not None else PlaneSpec(1, 1)
     if len(gammas) == 0:
         raise ValueError("gammas must name at least one dissipation order")
     if len(set(gammas)) != len(gammas):
@@ -172,42 +170,33 @@ def plane_demo(*, plane=None, gammas=(0.3, 0.5, 0.8), eps_kappa=0.02,
     if ck[2] == 0:
         raise ValueError(f"control_mode {ck} needs k3 != 0 "
                          f"(k3 = 0 modes carry no dynamics)")
-    src = SourceSpec("steady_balance")
     cfg = SolverConfig(dt=dt, t_end=t_end, record_every=record_every,
-                       plane=plane, source=src)
+                       plane=plane, source=SourceSpec("steady_balance"))
     _fit_window(_record_times(cfg), t_end / 5.0, t_end)
     grid = Grid(n, n, n)
     background = sine_vertical(grid, m)
     c_plane = plane_bound_scan(plane.q_num, plane.q_den, _PLANE_KMAX, n2)
 
-    # the arms' seed: the smallest wavevector pair on the plane
-    on_plane = background + cosine_mode(grid, (plane.q_den, plane.q_num, 1),
-                                        seed)
-    restricted = replace(cfg, lattice=Sublattice.of_plane(plane))
-    arms = []
-    for gamma in gammas:
+    # an arm's departure is from the background, the control's off the plane
+    arm_k = (plane.q_den, plane.q_num, 1)
+    runs = []
+    for gamma, k, series in ([(gamma, arm_k, "ref_l2") for gamma in gammas]
+                             + [(gammas[0], ck, "off_plane")]):
         params = PhysParams(n2=n2, m=m, eps_kappa=eps_kappa, gamma=gamma)
-        _, diag = run(on_plane, params, restricted, reference=background)
-        arms.append(PlaneArm(
+        g = math.gcd(k[0], k[1])
+        lattice = Sublattice(((k[0] // g, k[1] // g),), math.gcd(k[2], m))
+        _, diag = run(background + cosine_mode(grid, k, seed), params,
+                      replace(cfg, lattice=lattice), reference=background)
+        growth = getattr(diag, series)
+        runs.append(PlaneArm(
             gamma=gamma, diag=diag,
             off_plane_max=float(np.max(diag.off_plane)),
-            departure_factor=float(diag.ref_l2[-1] / diag.ref_l2[0]),
+            departure_factor=float(growth[-1] / growth[0]),
         ))
-
-    gamma0 = gammas[0]
-    params0 = PhysParams(n2=n2, m=m, eps_kappa=eps_kappa, gamma=gamma0)
-    theta0 = background + cosine_mode(grid, ck, seed)
-    g = math.gcd(ck[0], ck[1])
-    lattice = Sublattice(((ck[0] // g, ck[1] // g),), math.gcd(ck[2], m))
-    _, cdiag = run(theta0, params0, replace(cfg, lattice=lattice),
-                   reference=background)
-    control = PlaneArm(
-        gamma=gamma0, diag=cdiag,
-        off_plane_max=float(np.max(cdiag.off_plane)),
-        departure_factor=float(cdiag.off_plane[-1] / cdiag.off_plane[0]),
-    )
-    rate, r2 = growth_rate_fit(cdiag, t_end / 5.0, t_end, series="off_plane")
-    sigma_ref = solve_sigma_star(ck[0], ck[1], params0).sigma_star
+    *arms, control = runs
+    rate, r2 = growth_rate_fit(control.diag, t_end / 5.0, t_end,
+                               series="off_plane")
+    sigma_ref = solve_sigma_star(ck[0], ck[1], params).sigma_star
 
     return PlaneDemoReport(
         plane=plane, plane_constant=c_plane, eps_kappa=eps_kappa,

@@ -438,6 +438,44 @@ class TestCli:
         assert "config key 'plane.restrict'" in res.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, dropped", [
+        ("[init]\nkind = mode:1,2,1,0.5\n", "1 of the initial state's"),
+        # sin(x1) sin(x2) holds (1, 1) and (1, -1) alike
+        ("[init]\nk1 = 1\nk2 = 1\n", "0.707 of the initial state's"),
+        (MODE_INIT + "[source]\nkind = snapshot:{snap}\n",
+         "0.447 of the source's"),
+    ], ids=["init", "eigenfunction", "source"])
+    def test_evolve_restricted_refuses_data_off_the_plane(self, tmp_path,
+                                                          text, dropped):
+        # a restricted run keeps only the plane's coefficients; data with
+        # any content off it would be cut silently
+        snap = tmp_path / "mixed.snap"
+        grid = Grid(32, 32, 32)
+        write_snapshot(cosine_mode(grid, (1, 1, 1))
+                       + cosine_mode(grid, (1, 2, 1), 0.5), snap)
+        # the (1, 1) eigenfunction exists at eps_kappa = 0.01 and fits n = 32
+        base = EVOLVE_CFG.replace("eps_kappa = 0.05", "eps_kappa = 0.01")
+        base = base.replace("n = 16", "n = 32")
+        res = _evolve(tmp_path, base + text.format(snap=snap)
+                      + "[plane]\nq = 1/1\nrestrict = true\n")
+        assert res.exit_code == 1, res.output
+        assert (f"config key 'plane.restrict': {dropped} L2 norm lies off "
+                f"the plane 1/1") in res.output
+        assert not (tmp_path / "out").exists()
+
+    def test_evolve_restricted_takes_a_restricted_runs_final_state(
+            self, tmp_path):
+        # its off-plane coefficients are exact zeros, as initial state and
+        # as source alike
+        first = tmp_path / "first"
+        first.mkdir()
+        plane = "[plane]\nq = 1/1\nrestrict = true\n"
+        assert _evolve(first, EVOLVE_CFG + MODE_INIT + plane).exit_code == 0
+        snap = first / "out" / "final.snap"
+        res = _evolve(tmp_path, EVOLVE_CFG + f"[init]\nkind = snapshot:{snap}"
+                      f"\n[source]\nkind = snapshot:{snap}\n" + plane)
+        assert res.exit_code == 0, res.output
+
     def test_evolve_unrestricted_records_no_layout(self, tmp_path):
         res = _evolve(tmp_path, EVOLVE_CFG + MODE_INIT + "[plane]\nq = 1/1\n")
         assert res.exit_code == 0, res.output
@@ -793,9 +831,8 @@ def test_absent_keys_pass_the_library_defaults(tmp_path, monkeypatch, command,
     section = command.replace("-", "_")
     defaulted = {n: p.default for n, p in sig.parameters.items()
                  if p.default is not p.empty}
-    if "plane" in defaulted:  # plane_demo.q is the CLI's own key
-        assert defaulted.pop("plane") is None
-        assert args.pop("plane") == PlaneSpec(1, 1)
+    if "plane" in defaulted:  # plane_demo.q is the ratio's text
+        assert args.pop("plane") == defaulted.pop("plane") == PlaneSpec(1, 1)
         assert config.resolved["plane_demo.q"] == "1/1"
     for key, default in defaulted.items():
         assert args[key] == default, key

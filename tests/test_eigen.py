@@ -224,13 +224,17 @@ class TestSolve:
         ref = dense_sigma_star(1, 10, par, sol.depth)
         assert abs(sol.sigma_star - ref) <= 4 * np.spacing(ref)
 
-    def test_box_with_large_weights_is_solved(self):
-        par = PhysParams(n2=1e-3, eps_kappa=0.0)
+    @pytest.mark.parametrize("n2", [1e-3, 1e-4], ids=["n2_1e-3", "n2_1e-4"])
+    def test_box_with_large_weights_is_solved(self, n2):
+        # each root is converged in depth, not only a root of its own
+        # truncation: the oracle at twice its depth agrees too
+        par = PhysParams(n2=n2, eps_kappa=0.0)
         res = optimize_growth(par, box=16)
         assert res.table["residual"].max() >= 1e-12
         for k1, k2, sigma, depth, _ in res.table:
-            ref = dense_sigma_star(int(k1), int(k2), par, int(depth))
-            assert abs(sigma - ref) <= 4 * np.spacing(ref), (k1, k2)
+            for d in (depth, 2 * depth):
+                ref = dense_sigma_star(int(k1), int(k2), par, int(d))
+                assert abs(sigma - ref) <= 4 * np.spacing(ref), (k1, k2, d)
 
     @pytest.mark.parametrize("k1, k2, n2", [(1, 10, 1e-3), (1, 1, 1.0)])
     def test_perturbed_root_is_refused(self, k1, k2, n2):

@@ -1,6 +1,7 @@
 """Tests for the experiment drivers' argument checks and table writers."""
 
 import csv
+import itertools
 import math
 import os
 import subprocess
@@ -123,17 +124,25 @@ def test_instability_steps_only_on_the_seed_sublattice(monkeypatch):
     assert rep.fitted_rate == pytest.approx(rep.sigma_star, rel=1e-3)
 
 
-def test_plane_demo_steps_only_on_plane_layouts(monkeypatch):
-    # the arms step on the demo's plane and the control on its seed's
-    # plane: no transform on the 24^3 grid
+@pytest.mark.parametrize("plane, m, control_mode, control_layout", [
+    (PlaneSpec(1, 1), 1, (1, 2, 1),
+     "24x1x24 on Sublattice(basis=((1, 2),), s3=1)"),
+    (PlaneSpec(2, 1), 1, (1, 1, 1),
+     "24x1x24 on Sublattice(basis=((1, 1),), s3=1)"),
+    (PlaneSpec(-1, 1), 2, (1, 2, 1),
+     "24x1x24 on Sublattice(basis=((1, 2),), s3=1)"),
+], ids=["defaults", "plane2_control111", "plane-1_m2"])
+def test_plane_demo_steps_only_on_plane_layouts(monkeypatch, plane, m,
+                                                control_mode, control_layout):
+    # every run steps on its seed's plane: the arms on the demo's plane,
+    # then the control on its own, and no transform on the 24^3 grid
     seen = _count_transforms(monkeypatch)
-    plane = PlaneSpec(1, 1)
-    rep = plane_demo(plane=plane, n=24, dt=0.01, t_end=0.5, record_every=10)
-    assert rep.control_layout == Grid(24, 24, 24, Sublattice(((1, 2),)))
-    assert str(rep.control_layout) == (
-        "24x1x24 on Sublattice(basis=((1, 2),), s3=1)")
+    rep = plane_demo(plane=plane, m=m, control_mode=control_mode, n=24,
+                     dt=0.01, t_end=0.5, record_every=10)
+    assert str(rep.control_layout) == control_layout
     arm_layout = Grid(24, 24, 24, Sublattice.of_plane(plane))
-    assert seen and set(seen) == {arm_layout, rep.control_layout}
+    assert [grid for grid, _ in itertools.groupby(seen)] == [
+        arm_layout, rep.control_layout]
 
 
 @pytest.mark.parametrize("m, control_mode, layout", [
