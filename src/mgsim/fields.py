@@ -22,10 +22,14 @@ The transforms are pruned to the band: :func:`forward` keeps only the
 in-band planes, columns and rows of its 1-D passes, and :func:`inverse`
 zero-pads them back.  The k3 = 0 plane is symmetrized exactly on the way
 in: evenness checks and conjugate-pair lookups then hold to the last bit,
-not merely to rounding.  Both transforms write through work arrays kept
-per grid and per thread.  The in-place passes of ``inverse`` fill the zero
-padding (the out-of-band k2 columns, then the out-of-band k1 rows), so
-every call writes those zeros again before the pass.
+not merely to rounding.  :func:`inverse` also takes a stack of fields, an
+array of shape ``(..., *band_shape)``: its passes run on the last three
+axes, so a stack costs one call, not one per field, and each field's
+samples are the ones a call of its own gives, bit for bit.  Both
+transforms write through work arrays kept per grid, stack shape and
+thread.  The in-place passes of ``inverse`` fill the zero padding (the
+out-of-band k2 columns, then the out-of-band k1 rows), so every call
+writes those zeros again before the pass.
 
 A :class:`Grid` is the layout of a field confined to a :class:`Sublattice`
 (a plane, or diag(s1, s2) with a vertical stride); ``Grid(n1, n2, n3)`` is
@@ -247,27 +251,34 @@ def multiplier_arrays(grid, n2_phys):
     return symbol_components(*wavenumbers(grid), n2_phys)
 
 
+@lru_cache(maxsize=None)
+def _mirror(r1, r2):
+    """The index of (-k1, -k2) on an r1 x r2 plane, for ``_conjugate_plane``."""
+    return np.ix_((-np.arange(r1)) % r1, (-np.arange(r2)) % r2)
+
+
 def _conjugate_plane(plane):
     """conj of a k3 plane (or a stack of them) evaluated at (-k1, -k2)."""
-    rev1 = (-np.arange(plane.shape[0])) % plane.shape[0]
-    rev2 = (-np.arange(plane.shape[1])) % plane.shape[1]
-    return np.conj(plane[np.ix_(rev1, rev2)])
+    return np.conj(plane[_mirror(*plane.shape[:2])])
 
 
 @lru_cache(maxsize=None)
-def _work(grid, thread):
-    """Work arrays of the transforms on one grid, reused by every call.
+def _work(grid, thread, *lead):
+    """Work arrays of the transforms on one grid, reused by every call:
+    of one field, or with the leading axes ``lead`` of a stack of fields.
 
-    ``half`` takes the x3 ``rfft`` of ``forward``; ``x1`` is the x1 pass of
-    ``inverse`` and the x2 pass of ``forward``; ``x2`` is the zero-padded x2
-    pass of ``inverse``; ``cols`` holds the in-band columns of ``forward``.
-    Each thread gets its own set, and no transform returns one of these
-    arrays.
+    ``x1`` is the x1 pass of ``inverse`` and the x2 pass of ``forward``;
+    ``x2`` is the zero-padded x2 pass of ``inverse``.  ``forward``
+    transforms one field, so only the set of one field (no ``lead``)
+    also holds ``half``, its x3 ``rfft``, and ``cols``, its in-band
+    columns.  Each thread gets its own sets, and no transform returns one
+    of these arrays.
     """
     (n1, n2, n3), (r1, r2, p3) = grid.shape, grid.band_shape
-    shapes = dict(half=(n1, n2, n3 // 2 + 1), x1=(n1, n2, p3), x2=(r1, n2, p3),
-                  cols=(n1, r2, p3))
-    return SimpleNamespace(**{name: np.empty(shape, dtype=np.complex128)
+    shapes = dict(x1=(n1, n2, p3), x2=(r1, n2, p3))
+    if not lead:
+        shapes.update(half=(n1, n2, n3 // 2 + 1), cols=(n1, r2, p3))
+    return SimpleNamespace(**{name: np.empty(lead + shape, dtype=np.complex128)
                               for name, shape in shapes.items()})
 
 
@@ -303,27 +314,29 @@ def forward(grid, values, out=None):
 def inverse(grid, coeffs, out=None):
     """Mathematical coefficients on the band -> physical samples.
 
-    The x2 pass runs on the in-band rows and planes, the x1 pass on the
-    in-band planes, and the x3 pass zero-pads k3 beyond the band.  The
-    samples go into ``out`` when given.
+    ``coeffs`` holds one field, of shape ``grid.band_shape``, or a stack of
+    them, of shape ``(..., *grid.band_shape)``; the samples have shape
+    ``(..., *grid.shape)``.  The x2 pass runs on the in-band rows and
+    planes, the x1 pass on the in-band planes, and the x3 pass zero-pads k3
+    beyond the band.  The samples go into ``out`` when given.
     """
-    if coeffs.shape != grid.band_shape:
+    if coeffs.shape[-3:] != grid.band_shape:
         raise ValueError(
             f"coefficient array of shape {coeffs.shape} does not match the "
             f"band {grid.band_shape} of grid {grid.shape}")
-    w = _work(grid, threading.get_ident())
+    w = _work(grid, threading.get_ident(), *coeffs.shape[:-3])
     (b1, b2, _), (n1, n2, n3) = grid.band, grid.shape
     # the in-place passes fill the padding, so it is zeroed on every call
-    w.x2[:, :b2 + 1] = coeffs[:, :b2 + 1]
-    w.x2[:, b2 + 1:n2 - b2] = 0.0
-    w.x2[:, n2 - b2:] = coeffs[:, b2 + 1:]
+    w.x2[..., :b2 + 1, :] = coeffs[..., :b2 + 1, :]
+    w.x2[..., b2 + 1:n2 - b2, :] = 0.0
+    w.x2[..., n2 - b2:, :] = coeffs[..., b2 + 1:, :]
     if n2 > 1:  # a pass of length one is the identity
-        np.fft.ifft(w.x2, axis=1, norm="forward", out=w.x2)
-    w.x1[:b1 + 1] = w.x2[:b1 + 1]
-    w.x1[b1 + 1:n1 - b1] = 0.0
-    w.x1[n1 - b1:] = w.x2[b1 + 1:]
-    np.fft.ifft(w.x1, axis=0, norm="forward", out=w.x1)  # numpy >= 2.0
-    return np.fft.irfft(w.x1, n=n3, axis=2, norm="forward", out=out)
+        np.fft.ifft(w.x2, axis=-2, norm="forward", out=w.x2)
+    w.x1[..., :b1 + 1, :, :] = w.x2[..., :b1 + 1, :, :]
+    w.x1[..., b1 + 1:n1 - b1, :, :] = 0.0
+    w.x1[..., n1 - b1:, :, :] = w.x2[..., b1 + 1:, :, :]
+    np.fft.ifft(w.x1, axis=-3, norm="forward", out=w.x1)  # numpy >= 2.0
+    return np.fft.irfft(w.x1, n=n3, axis=-1, norm="forward", out=out)
 
 
 @dataclass

@@ -25,8 +25,14 @@ gathers the initial coefficients (which, like every spectral array of
 that builds every factor and buffer of the run once; each record reads the
 stepper's state in place, and only the final state is scattered back onto
 the grid's band.  A sublattice's right-hand side is the grid's to rounding.
-The advection product's buffers are kept per layout and thread, as the
-transforms' work arrays are, so no call builds them again.
+
+The advection product multiplies the field by its six spectral factors
+(M1, M2, M3, i k1, i k2, i k3), stacked into one array kept per layout and
+N^2, and makes one stacked inverse of the six products and one forward of
+u . grad theta: on the small layouts of restricted runs a transform costs
+its call overhead more than its arithmetic.  Its buffers are kept per
+layout and thread, as the transforms' work arrays are, so no call builds
+them again.
 
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry
@@ -171,44 +177,52 @@ class Diagnostics:
 
 
 @lru_cache(maxsize=None)
-def _advection_work(grid, thread):
-    """The factors i k_j on the band, and one thread's buffers.
+def _advection_factors(grid, n2_phys):
+    """The six spectral factors (M1, M2, M3, i k1, i k2, i k3) on the band,
+    stacked into one complex array of shape ``(6, *grid.band_shape)``."""
+    ik = (1j * k for k in wavenumbers(grid))
+    return np.stack(np.broadcast_arrays(*multiplier_arrays(grid, n2_phys),
+                                        *ik))
 
-    ``spec`` takes one spectral product at a time; ``u``, ``grad`` and
-    ``prod`` are the physical-space arrays of the advection product.  As
+
+@lru_cache(maxsize=None)
+def _advection_work(grid, thread):
+    """One thread's buffers of the advection product on a layout.
+
+    ``spec`` takes the six spectral products of ``_advection_factors``
+    with the field, and ``phys`` their samples, made by one stacked
+    ``inverse``; the velocity is rows 0-2 and the gradient rows 3-5.  As
     with the transforms' work arrays, no function returns one of them.
     Nothing here depends on N^2, so a sweep over N^2 adds no buffers.
     """
-    u, grad, prod = (np.empty(grid.shape) for _ in range(3))
-    return SimpleNamespace(ik=tuple(1j * k for k in wavenumbers(grid)), u=u,
-                           grad=grad, prod=prod,
-                           spec=np.empty(grid.band_shape, dtype=np.complex128))
+    return SimpleNamespace(
+        spec=np.empty((6, *grid.band_shape), dtype=np.complex128),
+        phys=np.empty((6, *grid.shape)))
 
 
 def velocity_max(grid, c, n2_phys):
     """Max-norm of each physical velocity component."""
     work = _advection_work(grid, threading.get_ident())
-    umax = []
-    for m in multiplier_arrays(grid, n2_phys):
-        u = inverse(grid, np.multiply(m, c, out=work.spec), out=work.u)
-        umax.append(float(max(u.max(), -u.min())))
-    return tuple(umax)
+    spec = np.multiply(_advection_factors(grid, n2_phys)[:3], c,
+                       out=work.spec[:3])
+    u = inverse(grid, spec, out=work.phys[:3])
+    return tuple(float(max(uj.max(), -uj.min())) for uj in u)
 
 
 def advection_coefficients(grid, c, n2_phys, out=None):
     """Dealiased coefficients of u . grad theta, restricted to k3 != 0.
 
-    The result goes into ``out`` when given, else into a new array.  One
-    velocity component at a time goes through the work buffers, so a call
-    given ``out`` allocates no array of the grid's size.
+    The result goes into ``out`` when given, else into a new array.  The
+    field times the six factors goes through one stacked ``inverse`` into
+    the work buffers, so a call given ``out`` allocates no array of the
+    grid's size; the product sums u_j d_j theta in the order j = 1, 2, 3.
     """
     work = _advection_work(grid, threading.get_ident())
-    prod = work.prod
-    prod.fill(0.0)
-    for ik, m in zip(work.ik, multiplier_arrays(grid, n2_phys)):
-        u = inverse(grid, np.multiply(m, c, out=work.spec), out=work.u)
-        u *= inverse(grid, np.multiply(ik, c, out=work.spec), out=work.grad)
-        prod += u
+    spec = np.multiply(_advection_factors(grid, n2_phys), c, out=work.spec)
+    p = inverse(grid, spec, out=work.phys)
+    p[:3] *= p[3:]
+    prod = np.add(p[0], p[1], out=p[0])
+    prod += p[2]
     out = forward(grid, prod, out=out)
     out[:, :, 0] = 0.0
     return out

@@ -479,7 +479,11 @@ class TestCli:
     def test_evolve_unrestricted_records_no_layout(self, tmp_path):
         res = _evolve(tmp_path, EVOLVE_CFG + MODE_INIT + "[plane]\nq = 1/1\n")
         assert res.exit_code == 0, res.output
-        assert "layout" not in (tmp_path / "out" / "manifest.txt").read_text()
+        # the [results] section, not the whole file: argv is recorded too
+        text = (tmp_path / "out" / "manifest.txt").read_text()
+        results = text.split("\n[results]\n", 1)[1].splitlines()
+        assert results and not any(line.startswith("layout = ")
+                                   for line in results)
 
     def test_evolve_init_k1_needs_eigenfunction_kind(self, tmp_path):
         res = _evolve(tmp_path, EVOLVE_CFG

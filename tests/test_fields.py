@@ -27,6 +27,7 @@ from mgsim.fields import (
     inverse,
     l2_norm,
     linf_norm,
+    multiplier_arrays,
     off_plane_norm,
     plane_mask,
     read_snapshot,
@@ -159,6 +160,50 @@ def test_transform_layout_parity(grid):
         assert np.array_equal(_bits(new), _bits(out))
         ref_v = reference_inverse(grid, c)
         assert np.max(np.abs(out - ref_v)) <= 1e-14 * np.max(np.abs(ref_v))
+
+
+# the whole grid, a plane (its x2 pass of length one is skipped) and a
+# diag sublattice
+STACK_LAYOUTS = [Grid(24, 24, 24),
+                 Grid(24, 24, 24, Sublattice.of_plane(PlaneSpec(1, 1))),
+                 Grid(48, 48, 48, Sublattice.diag(9, 4))]
+
+
+@pytest.mark.parametrize("grid", STACK_LAYOUTS, ids=str)
+def test_stacked_inverse_is_the_per_field_inverse(grid):
+    # a stack's passes run on its last three axes: each field's samples are
+    # those of a call of its own, to the bit, whatever the leading axes
+    rng = np.random.default_rng(9)
+    stack = np.stack([forward(grid, rng.standard_normal(grid.shape))
+                      for _ in range(6)])
+    for lead in ((6,), (2, 3)):
+        coeffs = stack.reshape(lead + grid.band_shape)
+        out = np.empty(lead + grid.shape)
+        assert inverse(grid, coeffs, out=out) is out
+        new = inverse(grid, coeffs)
+        assert new.shape == lead + grid.shape
+        for i in np.ndindex(lead):
+            assert out[i].tobytes() == inverse(grid, coeffs[i]).tobytes()
+            assert new[i].tobytes() == out[i].tobytes()
+    with pytest.raises(ValueError, match="does not match the band"):
+        inverse(grid, stack[..., :-1])
+
+
+@pytest.mark.parametrize("grid", STACK_LAYOUTS, ids=str)
+def test_advection_is_the_per_component_product(grid):
+    # one stacked inverse of the six factors gives, to the bit, the product
+    # of one velocity and one gradient component at a time, summed in the
+    # order j = 1, 2, 3
+    rng = np.random.default_rng(5)
+    c = forward(grid, rng.standard_normal(grid.shape))
+    prod = np.zeros(grid.shape)
+    for k, m in zip(wavenumbers(grid), multiplier_arrays(grid, 1.3)):
+        u = inverse(grid, m * c)
+        u *= inverse(grid, 1j * k * c)
+        prod += u
+    ref = forward(grid, prod)
+    ref[:, :, 0] = 0.0
+    assert advection_coefficients(grid, c, 1.3).tobytes() == ref.tobytes()
 
 
 def test_transforms_from_threads():

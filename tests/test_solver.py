@@ -3,6 +3,7 @@
 import math
 import re
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -131,6 +132,23 @@ def test_advection_matches_unpruned_reference(shape):
     ref = _reference_advection(grid, c, 1.3)
     got = advection_coefficients(grid, c, 1.3)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_advection_given_out_allocates_no_grid_array():
+    # the six factors' products and samples go through the work buffers;
+    # the buffer numpy's multiply takes for the broadcast field has a fixed
+    # size (about 116 KB), well under one array of the grid at 48^3
+    grid = Grid(48, 48, 48)
+    c = _rich_field(grid).c
+    out = np.empty(grid.band_shape, dtype=np.complex128)
+    advection_coefficients(grid, c, 1.3, out=out)  # builds the buffers
+    tracemalloc.start()
+    try:
+        advection_coefficients(grid, c, 1.3, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < np.empty(grid.shape).nbytes
 
 
 class TestExactness:
@@ -311,16 +329,16 @@ class TestNonlinearStep:
             assert off_plane_norm(got, plane) == 0.0
 
     def test_transform_counts(self, monkeypatch):
-        # the counts perfbench's traced runs check: 6 inverse and 1 forward
-        # per right-hand side, 10 inverse and 1 forward per record (L-inf,
-        # energy flux, velocity maxima)
+        # one stacked inverse of the six factors and 1 forward per
+        # right-hand side; 3 inverse (L-inf, the energy flux's stacked
+        # six, the stacked velocity maxima) and 1 forward per record
         theta0 = _rich_field(G16, seed=4) * 0.1
         counts = _counting_transforms(monkeypatch)
         cfg = SolverConfig(dt=0.01, t_end=0.05, record_every=2)
         _, diag = run(theta0, PhysParams(eps_kappa=0.02), cfg)
         S, R = 5, len(diag.times)
         assert R == 4  # t = 0, 0.02, 0.04 and the last step
-        assert counts == {"forward": 4 * S + R, "inverse": 24 * S + 10 * R}
+        assert counts == {"forward": 4 * S + R, "inverse": 4 * S + 3 * R}
 
     def test_restricted_steps_make_no_grid_transforms(self, monkeypatch):
         # a restricted run steps and records on the plane's layout: it
@@ -353,15 +371,16 @@ class TestNonlinearStep:
         for moved in (whole.gather(c), whole.scatter(c)):
             assert moved is not c and moved.tobytes() == c.tobytes()
         works = (mgsim.fields._work, mgsim.solver._advection_work)
-        for cache in (*works, mgsim.fields.multiplier_arrays):
+        factors = (mgsim.fields.multiplier_arrays,
+                   mgsim.solver._advection_factors)
+        for cache in (*works, *factors):
             cache.cache_clear()
         par = PhysParams(eps_kappa=0.02)
         run(_rich_field(G24, seed=4) * 0.1, par,
             SolverConfig(dt=0.01, t_end=0.02))
         lookups = [(cache, (Grid(24, 24, 24), threading.get_ident()))
                    for cache in works]
-        lookups.append((mgsim.fields.multiplier_arrays,
-                        (Grid(24, 24, 24), par.n2)))
+        lookups += [(cache, (Grid(24, 24, 24), par.n2)) for cache in factors]
         for cache, key in lookups:
             info = cache.cache_info()
             cache(*key)
