@@ -22,7 +22,6 @@ import inspect
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -346,7 +345,7 @@ def evolve(config_path, out_dir):
     if sol is not None:
         extras["sigma_star"] = f"{sol.sigma_star:.12g}"
     if restrict:
-        extras["layout"] = str(replace(grid, lattice=scfg.lattice))
+        extras["layout"] = str(diag.layout)
     write_manifest(out / "manifest.txt", cfg.resolved, wall_seconds=wall,
                    extras=extras)
     click.echo(f"{len(diag.times)} records; "

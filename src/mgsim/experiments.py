@@ -29,13 +29,14 @@ from .solver import (
     SolverConfig,
     SourceSpec,
     _fit_window,
-    _record_times,
+    _record_steps,
     growth_rate_fit,
     run,
 )
 from .symbol import PhysParams, PlaneSpec, plane_bound_scan
 
 _PLANE_KMAX = 32  # the plane constant is the sup over |k_i| <= this
+_LINEAR = 1e-2  # instability fits while the departure is below this share
 
 
 @dataclass
@@ -78,11 +79,14 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
 
     Raises NoRootError when no mode in the box is unstable (the steady
     state is then simply observed to hold), and ValueError before any
-    solve when [fit_start, t_end] holds fewer than two record times.
+    solve when [fit_start, t_end] holds fewer than two record times, or
+    unless 0 < seed_rel < 1e-2, the linear phase that the fit needs.
     """
     cfg = SolverConfig(dt=dt, t_end=t_end, record_every=record_every,
                        source=SourceSpec("steady_balance"))
-    _fit_window(_record_times(cfg), fit_start, t_end)
+    _fit_window(_record_steps(cfg) * dt, fit_start, t_end)
+    if not 0.0 < seed_rel < _LINEAR:
+        raise ValueError(f"seed_rel {seed_rel} is not in (0, {_LINEAR:g})")
     opt = optimize_growth(params, box=box)
     sol = opt.solution
     grid = Grid(n, n, n)
@@ -97,9 +101,7 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
 
     # fit only while the departure is still small against the background
     # (past that the linearization, and hence the predicted rate, is moot)
-    linear = diag.ref_l2 < 1e-2 * base_l2
-    t_stop = float(diag.times[linear][-1]) if linear.any() else float(
-        diag.times[-1])
+    t_stop = float(diag.times[diag.ref_l2 < _LINEAR * base_l2][-1])
     rate, r2 = growth_rate_fit(diag, fit_start, t_stop, series="ref_l2")
 
     return InstabilityReport(
@@ -111,7 +113,7 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
                       if np.isfinite(opt.continuum_k1) else np.inf),
         fitted_rate=rate, r_squared=r2, fit_window=(fit_start, t_stop),
         seed_amplitude=seed, base_l2=base_l2,
-        layout=replace(grid, lattice=lattice), diag=diag, table=opt.table,
+        layout=diag.layout, diag=diag, table=opt.table,
     )
 
 
@@ -170,9 +172,13 @@ def plane_demo(*, plane=PlaneSpec(1, 1), gammas=(0.3, 0.5, 0.8),
     if ck[2] == 0:
         raise ValueError(f"control_mode {ck} needs k3 != 0 "
                          f"(k3 = 0 modes carry no dynamics)")
+    if not (math.isfinite(seed) and seed != 0.0):
+        raise ValueError(f"seed must be finite and nonzero, got {seed}")
+    arm_params = [PhysParams(n2=n2, m=m, eps_kappa=eps_kappa, gamma=gamma)
+                  for gamma in gammas]
     cfg = SolverConfig(dt=dt, t_end=t_end, record_every=record_every,
                        plane=plane, source=SourceSpec("steady_balance"))
-    _fit_window(_record_times(cfg), t_end / 5.0, t_end)
+    _fit_window(_record_steps(cfg) * dt, t_end / 5.0, t_end)
     grid = Grid(n, n, n)
     background = sine_vertical(grid, m)
     c_plane = plane_bound_scan(plane.q_num, plane.q_den, _PLANE_KMAX, n2)
@@ -180,29 +186,28 @@ def plane_demo(*, plane=PlaneSpec(1, 1), gammas=(0.3, 0.5, 0.8),
     # an arm's departure is from the background, the control's off the plane
     arm_k = (plane.q_den, plane.q_num, 1)
     runs = []
-    for gamma, k, series in ([(gamma, arm_k, "ref_l2") for gamma in gammas]
-                             + [(gammas[0], ck, "off_plane")]):
-        params = PhysParams(n2=n2, m=m, eps_kappa=eps_kappa, gamma=gamma)
+    for params, k, series in ([(p, arm_k, "ref_l2") for p in arm_params]
+                              + [(arm_params[0], ck, "off_plane")]):
         g = math.gcd(k[0], k[1])
         lattice = Sublattice(((k[0] // g, k[1] // g),), math.gcd(k[2], m))
         _, diag = run(background + cosine_mode(grid, k, seed), params,
                       replace(cfg, lattice=lattice), reference=background)
         growth = getattr(diag, series)
         runs.append(PlaneArm(
-            gamma=gamma, diag=diag,
+            gamma=params.gamma, diag=diag,
             off_plane_max=float(np.max(diag.off_plane)),
             departure_factor=float(growth[-1] / growth[0]),
         ))
     *arms, control = runs
     rate, r2 = growth_rate_fit(control.diag, t_end / 5.0, t_end,
                                series="off_plane")
-    sigma_ref = solve_sigma_star(ck[0], ck[1], params).sigma_star
+    sigma_ref = solve_sigma_star(ck[0], ck[1], arm_params[0]).sigma_star
 
     return PlaneDemoReport(
         plane=plane, plane_constant=c_plane, eps_kappa=eps_kappa,
         arms=arms, control=control, control_rate=rate, control_r2=r2,
         control_sigma_ref=sigma_ref, control_mode=ck,
-        control_layout=replace(grid, lattice=lattice),
+        control_layout=control.diag.layout,
     )
 
 

@@ -22,8 +22,8 @@ the k1 Z x k2 Z x m Z that a seeded eigenmode lives on, which holds every
 product of its modes), so nothing off the lattice is stored.  ``run``
 gathers the initial coefficients (which, like every spectral array of
 ``fields``, hold the dealias band and nothing else) into a private stepper
-that builds every factor and buffer of the run once; each record reads the
-stepper's state in place, and only the final state is scattered back onto
+that builds every factor and buffer of the run once and records from its
+own state and layout alone; only the final state is scattered back onto
 the grid's band.  A sublattice's right-hand side is the grid's to rounding.
 
 The advection product multiplies the field by its six spectral factors
@@ -42,16 +42,15 @@ subspace where the growth analysis lives.
 Ill-posed regimes (no diffusion, or fractional dissipation of order <= 1/2)
 admit mode growth rates that increase without bound in the wavenumber, so a
 generic initial condition amplifies grid-scale content until the computation
-is meaningless.  ``run`` bounds the growth rate of every mode on the band
-in advance, by Gershgorin on the linearized operator the stepper applies,
-and refuses runs whose requested horizon would amplify it beyond e^30.  A
-run is bounded on its layout's band, and a plane is exempt: the multiplier
+is meaningless.  The stepper bounds the growth rate of every mode on the
+band in advance, by Gershgorin on the linearized operator it applies, and
+refuses runs whose requested horizon would amplify it beyond e^30.  A run
+is bounded on its layout's band, and a plane is exempt: the multiplier
 stays bounded there, and nothing off the plane is stored.
 """
 
 import math
 import threading
-import time as _time
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -62,6 +61,7 @@ import numpy as np
 from .errors import BlowUpError, GrowthCapError
 from .fields import (
     WHOLE_LATTICE,
+    Grid,
     SpectralField,
     Sublattice,
     _conjugate_plane,
@@ -159,7 +159,7 @@ class SolverConfig:
 class Diagnostics:
     """Time series recorded during a run, one row per record step.
 
-    ``hs`` is the H^1 seminorm; ``wall_seconds`` times the steps and records.
+    ``hs`` is the H^1 seminorm; ``layout`` is the layout the run stepped on.
     Unrecorded series are all NaN: ``off_plane`` without a plane,
     ``energy_residual`` when linearized, ``ref_l2`` without a reference.
     """
@@ -171,7 +171,7 @@ class Diagnostics:
     off_plane: np.ndarray
     energy_residual: np.ndarray
     ref_l2: np.ndarray
-    wall_seconds: float = 0.0
+    layout: Grid
 
     SERIES = ("l2", "linf", "hs", "off_plane", "energy_residual", "ref_l2")
 
@@ -293,18 +293,24 @@ def _growth_cap_check(layout, params, config):
 
 
 class _Stepper:
-    """One run's time stepping on a layout's band: state, factors and buffers.
+    """One run on a layout's band: state, factors, buffers and records.
 
-    The state ``c`` and the source ``src`` (None when absent) are the run's
-    own arrays on ``grid``, the layout of the run's lattice; every factor
-    is built there, and a step writes every right-hand side and stage into
-    the buffers built here, so it allocates no array of the layout's size.
+    The state ``c``, the source ``src`` and the reference ``ref`` (None
+    when absent) are the run's own arrays on ``grid``, the layout of the
+    run's lattice, whose growth cap is checked first; every factor is built
+    there, and a step writes every right-hand side and stage into the
+    buffers built here, so it allocates no array of the layout's size.
     """
 
-    def __init__(self, grid, params, config, c, src):
+    def __init__(self, grid, params, config, c, src, ref):
+        _growth_cap_check(grid, params, config)
         self.c, self.src = c, src
+        self.ref = None if ref is None else SpectralField(grid, ref)
         dt = self.dt = config.dt
         self.grid, self.n2p, self.scheme = grid, params.n2, config.scheme
+        self.plane, self.rows = config.plane, []
+        # the CFL number weighs max|u_j| by the layout's largest |k_j|
+        self.kmax = [int(np.abs(k).max()) for k in wavenumbers(grid)]
         diss = params.eps_kappa * ksq_power(grid, params.gamma)
         if config.scheme == "if_rk4":
             self.E = E = np.exp(-dt * diss)
@@ -371,6 +377,42 @@ class _Stepper:
             np.multiply(self.implicit, r, out=nxt)
         self.c, self.next = nxt, c
 
+    def record(self, step):
+        """Append the state's row at ``step``; BlowUpError if not finite."""
+        t = step * self.dt
+        f = SpectralField(self.grid, self.c)
+        l2 = l2_norm(f)
+        if not math.isfinite(l2):
+            raise BlowUpError(
+                f"solution lost finiteness at t = {t:g} (step {step})",
+                time=t, history=self.diagnostics())
+        self.rows.append((
+            t, l2, linf_norm(f), hs_norm(f, 1.0),
+            math.nan if self.plane is None else off_plane_norm(f, self.plane),
+            math.nan if self.linearized
+            else energy_flux_residual(self.grid, self.c, self.n2p),
+            math.nan if self.ref is None else l2_norm(f - self.ref)))
+        if not self.linearized:
+            umax = velocity_max(self.grid, self.c, self.n2p)
+            cfl = self.dt * sum(u * k for u, k in zip(umax, self.kmax))
+            if cfl > 0.5:
+                warnings.warn(
+                    f"advective CFL number {cfl:.3g} exceeds 0.5 at "
+                    f"t = {t:g}; consider reducing dt",
+                    RuntimeWarning, stacklevel=2)
+
+    def diagnostics(self):
+        """The rows recorded so far, on the layout."""
+        times, *cols = np.array(self.rows, dtype=np.float64).reshape(
+            -1, 1 + len(Diagnostics.SERIES)).T
+        return Diagnostics(times, *cols, layout=self.grid)
+
+
+def _record_steps(config):
+    """A run's record steps: 0, every ``record_every``-th, and the last."""
+    nsteps = round(config.t_end / config.dt)
+    return np.union1d(np.arange(0, nsteps, config.record_every), nsteps)
+
 
 def run(theta0, params, config, reference=None):
     """Integrate the scalar equation; returns (final field, diagnostics).
@@ -388,7 +430,8 @@ def run(theta0, params, config, reference=None):
 
     The initial data, the reference and a custom source live on the whole
     grid; they are gathered onto the layout of ``config.lattice`` (the
-    whole lattice unless restricted), and the final state is scattered back.
+    whole lattice unless restricted), ``diagnostics.layout``, and the final
+    state is scattered back.
     """
     grid, lattice = theta0.grid, config.lattice
     if grid.lattice != WHOLE_LATTICE:
@@ -400,67 +443,19 @@ def run(theta0, params, config, reference=None):
         raise ValueError(f"the lattice's vertical stride {lattice.s3} does "
                          f"not divide m = {params.m}")
     layout = replace(grid, lattice=lattice)
-    _growth_cap_check(layout, params, config)
-
-    dt = config.dt
-    nsteps = round(config.t_end / dt)
     src = config.source.realize(grid, params)
-    stepper = _Stepper(layout, params, config, layout.gather(theta0.c),
-                       None if src is None else layout.gather(src))
-    if reference is not None:
-        reference = SpectralField(layout, layout.gather(reference.c))
-    n2p = params.n2
+    stepper = _Stepper(
+        layout, params, config, layout.gather(theta0.c),
+        None if src is None else layout.gather(src),
+        None if reference is None else layout.gather(reference.c))
 
-    rows = []  # per record: t, then the values of Diagnostics.SERIES
-
-    def record(step):
-        t = step * dt
-        f = SpectralField(stepper.grid, stepper.c)
-        l2 = l2_norm(f)
-        if not math.isfinite(l2):
-            raise BlowUpError(
-                f"solution lost finiteness at t = {t:g} (step {step})",
-                time=t,
-                history=_finalize(rows, 0.0),
-            )
-        rows.append((
-            t, l2, linf_norm(f), hs_norm(f, 1.0),
-            off_plane_norm(f, config.plane) if config.plane is not None
-            else math.nan,
-            math.nan if config.linearized
-            else energy_flux_residual(f.grid, f.c, n2p),
-            l2_norm(f - reference) if reference is not None else math.nan))
-        if not config.linearized:
-            umax = velocity_max(f.grid, f.c, n2p)
-            cfl = dt * sum(u * b for u, b in zip(umax, grid.band))
-            if cfl > 0.5:
-                warnings.warn(
-                    f"advective CFL number {cfl:.3g} exceeds 0.5 at "
-                    f"t = {t:g}; consider reducing dt",
-                    RuntimeWarning, stacklevel=2)
-
-    wall0 = _time.perf_counter()
-    record(0)
-    for step in range(1, nsteps + 1):
-        stepper.step()
-        if step % config.record_every == 0 or step == nsteps:
-            record(step)
-    wall = _time.perf_counter() - wall0
-
-    return SpectralField(grid, layout.scatter(stepper.c)), _finalize(rows, wall)
-
-
-def _finalize(rows, wall):
-    times, *cols = np.array(rows, dtype=np.float64).reshape(
-        -1, 1 + len(Diagnostics.SERIES)).T
-    return Diagnostics(times, *cols, wall_seconds=wall)
-
-
-def _record_times(config):
-    """The times at which ``run`` records under ``config``."""
-    nsteps = round(config.t_end / config.dt)
-    return np.union1d(np.arange(0, nsteps, config.record_every),
-                      nsteps) * config.dt
+    steps = _record_steps(config).tolist()
+    for last, step in zip([0] + steps, steps):
+        for _ in range(step - last):
+            stepper.step()
+        stepper.record(step)
+    final = SpectralField(grid, layout.scatter(stepper.c))
+    return final, stepper.diagnostics()
 
 
 def _fit_window(times, t_start, t_stop):

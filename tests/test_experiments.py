@@ -35,6 +35,11 @@ from mgsim.symbol import PhysParams
     (dict(control_mode=(0, 2, 1)), r"control_mode .* needs k1, k2 >= 1"),
     (dict(control_mode=(-1, 2, 1)), r"control_mode .* needs k1, k2 >= 1"),
     (dict(control_mode=(1, -2, 1)), r"control_mode .* needs k1, k2 >= 1"),
+    # the first arm would run before PhysParams refused the second gamma
+    (dict(gammas=(0.3, 1.5)), r"gamma must lie in \(0, 1\], got 1.5"),
+    (dict(seed=0.0), "seed must be finite and nonzero"),
+    (dict(seed=math.nan), "seed must be finite and nonzero"),
+    (dict(seed=math.inf), "seed must be finite and nonzero"),
 ])
 def test_plane_demo_rejects_bad_arguments_before_any_run(monkeypatch, kwargs,
                                                          match):
@@ -56,6 +61,22 @@ def test_instability_rejects_fit_window_before_any_solve(monkeypatch):
             r"fit window \[1.0, 0.5\] holds fewer than two records")):
         instability(PhysParams(eps_kappa=0.01), box=2, n=32, dt=0.01,
                     t_end=0.5, fit_start=1.0, record_every=5)
+
+
+@pytest.mark.parametrize("seed_rel", [0.0, -1e-6, 1e-2, 0.5, math.nan])
+def test_instability_rejects_seed_rel_before_any_solve(monkeypatch,
+                                                       seed_rel):
+    # a seed at or past 1e-2 of the background leaves no record in the
+    # linear phase the fit needs; a zero seed leaves nothing to fit
+    def no_solve(*args, **kw):
+        raise AssertionError("instability solved before checking seed_rel")
+
+    for name in ("optimize_growth", "run"):
+        monkeypatch.setattr(mgsim.experiments, name, no_solve)
+    with pytest.raises(ValueError, match=r"seed_rel .* is not in \(0, 0.01\)"):
+        instability(PhysParams(eps_kappa=0.01), box=2, n=32, dt=0.01,
+                    t_end=0.5, fit_start=0.0, record_every=5,
+                    seed_rel=seed_rel)
 
 
 def test_importing_experiments_leaves_out_scipy_linalg():

@@ -28,10 +28,12 @@ from mgsim.solver import (
     SolverConfig,
     SourceSpec,
     _growth_cap_check,
+    _record_steps,
     advection_coefficients,
     energy_flux_residual,
     growth_rate_fit,
     run,
+    velocity_max,
 )
 
 G16 = Grid(16, 16, 16)
@@ -544,6 +546,71 @@ class TestGuards:
         f0 = cosine_mode(G16, (1, 2, 1), 50.0)
         with pytest.warns(RuntimeWarning, match="CFL"):
             run(f0, par, SolverConfig(dt=0.1, t_end=0.2, record_every=1))
+
+    def test_blow_up_history_is_on_the_stepped_layout(self):
+        lattice = Sublattice(((1, 2),), 1)
+        f0 = cosine_mode(G16, (1, 2, 1), 1e100)
+        cfg = SolverConfig(dt=0.1, t_end=1.0, record_every=1, lattice=lattice)
+        with pytest.raises(BlowUpError) as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                run(f0, PhysParams(eps_kappa=0.0), cfg)
+        assert exc.value.history.layout == replace(G16, lattice=lattice)
+
+    def test_cfl_number_weighs_the_layout_wavenumbers(self):
+        # the plane of the column (1, 2) on 16^3 holds |k_j| <= (2, 4, 5),
+        # under the grid's band (5, 5, 5): weighed by the grid's band, this
+        # field's CFL number would pass 0.5; by the layout's, it stays under
+        par = PhysParams(eps_kappa=0.0)
+        f0 = cosine_mode(G16, (1, 2, 1), 0.6)
+        cfg = SolverConfig(dt=0.1, t_end=0.1, record_every=1)
+        lattice = Sublattice(((1, 2),), 1)
+        layout = replace(G16, lattice=lattice)
+        kmax = [int(np.abs(k).max()) for k in wavenumbers(layout)]
+        assert kmax == [2, 4, 5]
+        umax = velocity_max(layout, layout.gather(f0.c), par.n2)
+        assert cfg.dt * sum(u * k for u, k in zip(umax, kmax)) < 0.5
+        assert cfg.dt * sum(u * b for u, b in zip(umax, G16.band)) > 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run(f0, par, replace(cfg, lattice=lattice))
+        # on the whole lattice the largest |k_j| is the grid's band
+        cfl = cfg.dt * sum(u * b for u, b in zip(
+            velocity_max(G16, f0.c, par.n2), G16.band))
+        with pytest.warns(RuntimeWarning) as caught:
+            run(f0, par, cfg)
+        assert len(caught) == 2
+        assert str(caught[0].message) == (
+            f"advective CFL number {cfl:.3g} exceeds 0.5 at t = 0; "
+            f"consider reducing dt")
+
+
+@pytest.mark.parametrize("t_end, dt, record_every, steps, linearized", [
+    (0.05, 0.01, 1, [0, 1, 2, 3, 4, 5], True),
+    (0.07, 0.01, 3, [0, 3, 6, 7], True),
+    (0.6, 0.1, 2, [0, 2, 4, 6], False),
+    (0.3, 0.1, 10, [0, 3], True),
+])
+def test_run_records_at_the_record_steps(t_end, dt, record_every, steps,
+                                         linearized):
+    # the drivers check their fit windows against these times before a run
+    cfg = SolverConfig(dt=dt, t_end=t_end, record_every=record_every,
+                       linearized=linearized)
+    assert _record_steps(cfg).tolist() == steps
+    _, diag = run(cosine_mode(G16, (1, 2, 1), 0.1),
+                  PhysParams(eps_kappa=0.02), cfg)
+    assert diag.times.tobytes() == (_record_steps(cfg) * dt).tobytes()
+
+
+@pytest.mark.parametrize("lattice", [
+    WHOLE_LATTICE, Sublattice.of_plane(PlaneSpec(1, 1)),
+    Sublattice.diag(9, 4)], ids=["whole", "plane_1_1", "diag_9_4"])
+def test_diagnostics_name_the_stepped_layout(lattice):
+    grid = Grid(32, 32, 32)
+    theta0 = sine_vertical(grid, 1) + cosine_mode(grid, (9, 4, 1), 1e-3)
+    _, diag = run(theta0, PhysParams(eps_kappa=0.01),
+                  SolverConfig(dt=0.01, t_end=0.02, lattice=lattice))
+    assert diag.layout == replace(grid, lattice=lattice)
 
 
 def _band_top_eigenvalue(grid, par, strides=(1, 1, 1)):
