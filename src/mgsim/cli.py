@@ -213,7 +213,7 @@ def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, box, out):
         if math.isfinite(res.continuum_k1):
             click.echo(f"continuum argmax estimate: "
                        f"({res.continuum_k1:.3f}, {res.continuum_k2:.3f})")
-        click.echo(f"unstable modes found: {res.n_unstable}")
+        click.echo(f"unstable modes found: {len(res.table)}")
         table = res.table
     else:
         if k1 is None or k2 is None:
@@ -369,21 +369,21 @@ def instability_cmd(config_path, out_dir):
 
     out = _outdir(out_dir)
 
-    write_eigen_csv(rep.table, params, out / "modes.csv")
+    write_eigen_csv(rep.opt.table, params, out / "modes.csv")
     write_diag_csv(rep.diag, out / "diag.csv")
 
     rel = abs(rep.fitted_rate - rep.sigma_star) / rep.sigma_star
     extras = {
         "mode": f"({rep.k1}, {rep.k2})",
-        "layout": str(rep.layout),
+        "layout": str(rep.diag.layout),
         "sigma_star": f"{rep.sigma_star:.12g}",
         "fitted_rate": f"{rep.fitted_rate:.12g}",
         "relative_mismatch": f"{rel:.3g}",
         "r_squared": f"{rep.r_squared:.9f}",
         "fit_window": f"[{rep.fit_window[0]:g}, {rep.fit_window[1]:g}]",
-        "certified_bound_max": f"{rep.lb_max:.9g} at {rep.lb_argmax}",
-        "continuum_argmax": f"({rep.continuum_k[0]:.3f}, "
-                            f"{rep.continuum_k[1]:.3f})",
+        "certified_bound_max": f"{rep.opt.lb_max:.9g} at {rep.opt.lb_argmax}",
+        "continuum_argmax": f"({rep.opt.continuum_k1:.3f}, "
+                            f"{rep.opt.continuum_k2:.3f})",
         "continuum_bound": f"{rep.continuum_lb:.9g}",
     }
     if math.isinf(rep.continuum_lb):  # no continuum optimum at eps_kappa = 0
@@ -449,7 +449,7 @@ def plane_demo_cmd(config_path, out_dir):
         "plane": str(rep.plane),
         "plane_constant": f"{rep.plane_constant:.9g}",
         "control_mode": str(rep.control_mode),
-        "control_layout": str(rep.control_layout),
+        "control_layout": str(rep.control.diag.layout),
         "control_off_plane_factor": f"{rep.control.departure_factor:.6g}",
         "control_fitted_rate": f"{rep.control_rate:.9g}",
         "control_sigma_star": f"{rep.control_sigma_ref:.9g}",

@@ -692,13 +692,11 @@ class OptimizeResult:
     k1: int
     k2: int
     sigma_star: float
-    lower_bound_at_opt: float
     solution: EigenSolution = field(repr=False)
     lb_argmax: tuple[int, int]
     lb_max: float
     continuum_k1: float
     continuum_k2: float
-    n_unstable: int
     table: np.ndarray = field(repr=False)
 
 
@@ -767,9 +765,7 @@ def optimize_growth(params: PhysParams, box: int) -> OptimizeResult:
     else:
         ck1, ck2 = math.inf, math.inf
     return OptimizeResult(
-        k1=best.k1, k2=best.k2, sigma_star=best.sigma_star,
-        lower_bound_at_opt=best.bracket[0], solution=best,
+        k1=best.k1, k2=best.k2, sigma_star=best.sigma_star, solution=best,
         lb_argmax=(int(k1s[lb]), int(k2s[lb])), lb_max=float(batch.lower[lb]),
-        continuum_k1=ck1, continuum_k2=ck2,
-        n_unstable=len(table), table=table,
+        continuum_k1=ck1, continuum_k2=ck2, table=table,
     )

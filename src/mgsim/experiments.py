@@ -15,6 +15,7 @@ import numpy as np
 import scipy
 
 from .eigen import (
+    OptimizeResult,
     _closed_form_bounds,
     assemble_eigenfunction,
     continuum_lower_bound,
@@ -43,23 +44,17 @@ _LINEAR = 1e-2  # instability fits while the departure is below this share
 class InstabilityReport:
     """Outcome of the steady-state instability experiment."""
 
-    params: PhysParams
-    box: int
     k1: int
     k2: int
     sigma_star: float
-    lb_max: float
-    lb_argmax: tuple
-    continuum_k: tuple
     continuum_lb: float
     fitted_rate: float
     r_squared: float
     fit_window: tuple
     seed_amplitude: float
     base_l2: float
-    layout: Grid
+    opt: OptimizeResult = field(repr=False)
     diag: Diagnostics = field(repr=False)
-    table: np.ndarray = field(repr=False)
 
 
 def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
@@ -72,15 +67,17 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
     the steady state is fitted for an exponential rate, which the report
     pairs with the predicted sigma*.  The run steps on the seed's
     sublattice k1 Z x k2 Z x m Z, which holds the background, the source
-    and every product of the eigenmode; ``layout`` records it.
+    and every product of the eigenmode; ``diag.layout`` records it.  The
+    box optimization it seeds from is ``opt``, with its mode table.
 
-    At eps_kappa = 0, with no continuum optimum, ``continuum_k`` and
-    ``continuum_lb`` are inf.
+    At eps_kappa = 0, with no continuum optimum, ``continuum_lb`` and
+    ``opt``'s continuum estimate are inf.
 
     Raises NoRootError when no mode in the box is unstable (the steady
     state is then simply observed to hold), and ValueError before any
     solve when [fit_start, t_end] holds fewer than two record times, or
-    unless 0 < seed_rel < 1e-2, the linear phase that the fit needs.
+    unless 0 < seed_rel < 1e-2, the linear phase that the fit needs; and
+    after the run when that phase ends before two records from fit_start.
     """
     cfg = SolverConfig(dt=dt, t_end=t_end, record_every=record_every,
                        source=SourceSpec("steady_balance"))
@@ -102,18 +99,19 @@ def instability(params, *, box=12, n=48, dt=0.01, t_end=8.0,
     # fit only while the departure is still small against the background
     # (past that the linearization, and hence the predicted rate, is moot)
     t_stop = float(diag.times[diag.ref_l2 < _LINEAR * base_l2][-1])
+    if np.count_nonzero((diag.times >= fit_start) & (diag.times <= t_stop)) < 2:
+        raise ValueError(
+            f"the departure reached {_LINEAR:g} of the background by t = "
+            f"{diag.times[diag.times > t_stop][0]:g}, leaving fewer than two "
+            f"records of the linear phase from fit_start = {fit_start}")
     rate, r2 = growth_rate_fit(diag, fit_start, t_stop, series="ref_l2")
 
     return InstabilityReport(
-        params=params, box=box, k1=opt.k1, k2=opt.k2,
-        sigma_star=opt.sigma_star, lb_max=opt.lb_max,
-        lb_argmax=opt.lb_argmax,
-        continuum_k=(opt.continuum_k1, opt.continuum_k2),
+        k1=opt.k1, k2=opt.k2, sigma_star=opt.sigma_star,
         continuum_lb=(continuum_lower_bound(params)
                       if np.isfinite(opt.continuum_k1) else np.inf),
         fitted_rate=rate, r_squared=r2, fit_window=(fit_start, t_stop),
-        seed_amplitude=seed, base_l2=base_l2,
-        layout=diag.layout, diag=diag, table=opt.table,
+        seed_amplitude=seed, base_l2=base_l2, opt=opt, diag=diag,
     )
 
 
@@ -131,14 +129,12 @@ class PlaneDemoReport:
 
     plane: PlaneSpec
     plane_constant: float
-    eps_kappa: float
     arms: list
     control: PlaneArm
     control_rate: float
     control_r2: float
     control_sigma_ref: float
     control_mode: tuple
-    control_layout: Grid
 
 
 def plane_demo(*, plane=PlaneSpec(1, 1), gammas=(0.3, 0.5, 0.8),
@@ -155,7 +151,7 @@ def plane_demo(*, plane=PlaneSpec(1, 1), gammas=(0.3, 0.5, 0.8),
     at the rate the eigenvalue problem predicts.  Every run steps on its
     seed's plane, the column (k1, k2) / gcd(k1, k2) with vertical stride
     gcd(k3, m), which holds the seed, the background, the source and all
-    their products: for an arm, the demo's plane; ``control_layout``
+    their products: for an arm, the demo's plane; ``control.diag.layout``
     records the control's.
     """
     if len(gammas) == 0:
@@ -164,6 +160,10 @@ def plane_demo(*, plane=PlaneSpec(1, 1), gammas=(0.3, 0.5, 0.8),
         raise ValueError(f"gammas repeat a dissipation order: {tuple(gammas)}")
     if len(control_mode) != 3:
         raise ValueError(f"control_mode must be (k1, k2, k3), got {control_mode!r}")
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in control_mode):
+        raise ValueError(f"control_mode entries must be integers, "
+                         f"got {control_mode!r}")
     ck = tuple(int(v) for v in control_mode)
     if ck[0] < 1 or ck[1] < 1:
         raise ValueError(f"control_mode {ck} needs k1, k2 >= 1")
@@ -204,10 +204,9 @@ def plane_demo(*, plane=PlaneSpec(1, 1), gammas=(0.3, 0.5, 0.8),
     sigma_ref = solve_sigma_star(ck[0], ck[1], arm_params[0]).sigma_star
 
     return PlaneDemoReport(
-        plane=plane, plane_constant=c_plane, eps_kappa=eps_kappa,
-        arms=arms, control=control, control_rate=rate, control_r2=r2,
-        control_sigma_ref=sigma_ref, control_mode=ck,
-        control_layout=control.diag.layout,
+        plane=plane, plane_constant=c_plane, arms=arms, control=control,
+        control_rate=rate, control_r2=r2, control_sigma_ref=sigma_ref,
+        control_mode=ck,
     )
 
 

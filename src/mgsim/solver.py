@@ -102,13 +102,14 @@ class SourceSpec:
             raise ValueError("custom source requires a field")
 
     def realize(self, grid, params):
-        """Coefficient array of the source on a grid (None when absent)."""
+        """Coefficient array of the source on a grid (None when absent);
+        for a custom source, its own array, not a copy."""
         if self.kind == "none":
             return None
         if self.kind == "custom":
             if self.custom.grid != grid:
                 raise ValueError("custom source lives on a different grid")
-            return self.custom.c.copy()
+            return self.custom.c
         amp = params.eps_kappa * float(params.m) ** (2.0 * params.gamma)
         return None if amp == 0.0 else sine_vertical(grid, params.m, amp).c
 

@@ -222,11 +222,11 @@ def _lattice(kmax: int, plane: PlaneSpec | None = None):
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     rng = np.arange(-kmax, kmax + 1, dtype=np.int64)
-    K1, K2, K3 = np.meshgrid(rng, rng, rng, indexing="ij")
+    K1, K2, K3 = rng[:, None, None], rng[None, :, None], rng[None, None, :]
     keep = (K1 != 0) | (K2 != 0) | (K3 != 0)
     if plane is not None:
         keep &= plane.contains(K1, K2)
-    return K1[keep], K2[keep], K3[keep]
+    return tuple(rng[i] for i in np.nonzero(keep))
 
 
 def plane_bound_scan(q_num: int, q_den: int, kmax: int, n2: float) -> float:

@@ -53,6 +53,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("[]\n")
 
+    def test_empty_key(self):
+        with pytest.raises(ConfigError, match="<config>:2: empty key"):
+            parse_config("[a]\n= 1\n")
+
     def test_typed_getters(self):
         cfg = parse_config(
             "[a]\nx = 3\ny = 2.5\nz = true\nw = hello\n"
@@ -881,3 +885,22 @@ def test_readme_illposedness_config_runs(tmp_path):
         "illposedness", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert res.exit_code == 0, res.output
     assert "verdict: terminated" in res.output
+
+
+@pytest.mark.parametrize("args, text, message", [
+    (["eigen", "--k1", "1"], None,
+     "single-mode query needs both --k1 and --k2"),
+    (["evolve"], EVOLVE_CFG + MODE_INIT + "[source]\nkind = bogus\n",
+     "unknown source kind 'bogus'"),
+    (["evolve"], EVOLVE_CFG + "[init]\nkind = mode:1,1\n",
+     "mode init expects mode:k1,k2,k3[,amp]"),
+    (["evolve"], EVOLVE_CFG + "[init]\nkind = bogus\n",
+     "unknown init kind 'bogus'"),
+], ids=["eigen_k1_only", "source_kind", "mode_arity", "init_kind"])
+def test_cli_refuses_bad_input_before_any_output(tmp_path, args, text,
+                                                 message):
+    res = (CliRunner().invoke(main, args) if text is None
+           else _evolve(tmp_path, text))
+    assert res.exit_code == 1, res.output
+    assert message in res.output
+    assert not (tmp_path / "out").exists()

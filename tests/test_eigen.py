@@ -36,6 +36,8 @@ from mgsim.eigen import (
     sigma_shifted,
     solve_sigma_star,
     HALF_LAPLACIAN_THRESHOLD,
+    SweepRow,
+    _sweep_verdict,
 )
 
 CANON = PhysParams(n2=1.0, m=1, eps_kappa=0.0, gamma=1.0)
@@ -336,14 +338,13 @@ class TestOptimize:
         par = PhysParams(eps_kappa=0.02)
         res = optimize_growth(par, box=8)
         assert res.sigma_star >= res.lb_max
-        assert res.n_unstable == len(res.table)
         assert res.table.dtype.names == ("k1", "k2", "sigma_star", "depth",
                                          "residual")
         assert res.table[0][2] == res.sigma_star
         # frozen: sigma argmax (4,3), certified-bound argmax (2,3)
         assert (res.k1, res.k2) == (4, 3)
         assert res.lb_argmax == (2, 3)
-        assert res.lower_bound_at_opt == closed_form_bounds(res.k1, res.k2, par)[0]
+        assert res.solution.bracket[0] == closed_form_bounds(res.k1, res.k2, par)[0]
 
     def test_box_counts_every_unstable_mode(self):
         # all 256 modes of [1,16]^2 are unstable without dissipation, by the
@@ -353,7 +354,7 @@ class TestOptimize:
         oracle = {(k1, k2): dense_sigma_star(k1, k2, par, depth=128)
                   for k1 in range(1, 17) for k2 in range(1, 17)}
         assert sum(s > 0.0 for s in oracle.values()) == 256
-        assert res.n_unstable == 256
+        assert len(res.table) == 256
         for k1, k2, sigma, _, _ in res.table:
             assert abs(sigma - oracle[k1, k2]) < 1e-9 * oracle[k1, k2]
 
@@ -406,7 +407,7 @@ class TestOptimize:
         # whose left end is off the principal branch.
         par = PhysParams(m=2, eps_kappa=0.02, gamma=0.5)
         res = optimize_growth(par, box=24)
-        assert res.n_unstable > _LANES // 2
+        assert len(res.table) > _LANES // 2
         rows = {(int(k1), int(k2)): (s, d) for k1, k2, s, d, _ in res.table}
         low = [k for k in rows if closed_form_bounds(*k, par)[0] <= 0.0]
         assert len(low) >= 10
@@ -438,7 +439,7 @@ class TestOptimize:
 
         monkeypatch.setattr(eigen, "_cf_residuals", counted)
         res = optimize_growth(PhysParams(eps_kappa=0.0), box=box)
-        assert res.n_unstable == box * box
+        assert len(res.table) == box * box
         assert len(calls) <= most
 
     @pytest.mark.parametrize("eps", [0.01, 0.005, 0.0025, 0.00125])
@@ -615,3 +616,32 @@ def test_accepted_root_is_within_1e_12_below_the_untruncated_root(
     slack = (4 * np.spacing(sol.sigma_star)
              + 4 * np.finfo(float).eps * (abs(sol.sigma_star) + e1))
     assert sol.sigma_star - slack <= top <= sol.sigma_star + 1e-12 + slack
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: illposedness_sweep("nondiffusive", CANON, j_min=4, j_max=3),
+     "j_max must be >= j_min"),
+    (lambda: continuum_optimum(CANON),
+     "continuum optimum requires eps_kappa > 0"),
+], ids=["sweep_j_max_below_j_min", "continuum_without_diffusion"])
+def test_eigen_refuses_inputs_with_no_answer(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def _sweep_row(j, sigma, certified=True):
+    return SweepRow(j=j, k1=j * j, k2=j, sigma_star=sigma, bound=0.1,
+                    certified=certified)
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ([_sweep_row(2, None, False), _sweep_row(3, 0.5)],
+     "no unstable mode at j = 2"),
+    ([_sweep_row(2, 0.5), _sweep_row(3, 0.05, False)],
+     "computed rate below certified bound at j = 3"),
+    ([_sweep_row(2, 0.5), _sweep_row(3, 0.4)],
+     "rates are not increasing across the range"),
+], ids=["no_root", "below_bound", "not_increasing"])
+def test_sweep_verdict_terminates_on_each_failed_check(rows, reason):
+    # every bound is positive, so each case reaches a check after the bound's
+    assert _sweep_verdict(rows, CANON) == ("terminated", reason)

@@ -40,6 +40,10 @@ from mgsim.symbol import PhysParams
     (dict(seed=0.0), "seed must be finite and nonzero"),
     (dict(seed=math.nan), "seed must be finite and nonzero"),
     (dict(seed=math.inf), "seed must be finite and nonzero"),
+    # a non-integer entry would otherwise run, and be reported, truncated
+    (dict(control_mode=(1.5, 2, 1)), "control_mode entries must be integers"),
+    (dict(control_mode=(True, 2, 1)), "control_mode entries must be integers"),
+    (dict(control_mode=(1, 2.9, 1)), "control_mode entries must be integers"),
 ])
 def test_plane_demo_rejects_bad_arguments_before_any_run(monkeypatch, kwargs,
                                                          match):
@@ -79,6 +83,17 @@ def test_instability_rejects_seed_rel_before_any_solve(monkeypatch,
                     seed_rel=seed_rel)
 
 
+def test_instability_names_the_end_of_the_linear_phase():
+    # a seed at 9e-3 of the background leaves the linear phase by t = 0.2,
+    # before two records of the fit from fit_start = 0.5
+    with pytest.raises(ValueError, match=(
+            r"departure reached 0.01 of the background by t = 0.2, leaving "
+            r"fewer than two records of the linear phase from "
+            r"fit_start = 0.5")):
+        instability(PhysParams(eps_kappa=0.01), box=4, n=48, t_end=1.0,
+                    seed_rel=9e-3, fit_start=0.5, record_every=10)
+
+
 def test_importing_experiments_leaves_out_scipy_linalg():
     # only the dense oracle needs scipy.linalg, which is slow to import
     code = "import sys, mgsim.experiments; print('scipy.linalg' in sys.modules)"
@@ -100,7 +115,7 @@ def test_eigen_csv_recomputes_closed_form_bounds(tmp_path):
     assert rows[0] == ["k1", "k2", "gamma", "eps_kappa", "sigma_star",
                        "lower_bound", "upper_bound", "depth", "residual",
                        "n2", "m"]
-    assert len(rows) - 1 == res.n_unstable > 0
+    assert len(rows) - 1 == len(res.table) > 0
     for row, (k1, k2, sigma, depth, _) in zip(rows[1:], res.table):
         lower, upper = closed_form_bounds(k1, k2, par)
         assert (int(row[0]), int(row[1]), int(row[7])) == (k1, k2, depth)
@@ -113,7 +128,7 @@ def test_instability_at_zero_eps_kappa_reports_no_continuum():
     # there is no continuum optimum at eps_kappa = 0: absent, as inf
     rep = instability(PhysParams(), box=1, n=32, dt=0.01, t_end=0.2,
                       record_every=5, fit_start=0.0)
-    assert rep.continuum_k == (math.inf, math.inf)
+    assert (rep.opt.continuum_k1, rep.opt.continuum_k2) == (math.inf, math.inf)
     assert rep.continuum_lb == math.inf
     assert rep.fitted_rate == pytest.approx(rep.sigma_star, rel=1e-6)
 
@@ -138,10 +153,10 @@ def test_instability_steps_only_on_the_seed_sublattice(monkeypatch):
     seen = _count_transforms(monkeypatch)
     rep = instability(PhysParams(eps_kappa=0.01), box=12, n=48, dt=0.01,
                       t_end=0.1, record_every=5, fit_start=0.0)
-    assert rep.layout == Grid(48, 48, 48, Sublattice.diag(9, 4))
-    assert str(rep.layout) == (
+    assert rep.diag.layout == Grid(48, 48, 48, Sublattice.diag(9, 4))
+    assert str(rep.diag.layout) == (
         "16x12x48 on Sublattice(basis=((9, 0), (0, 4)), s3=1)")
-    assert seen and set(seen) == {rep.layout}
+    assert seen and set(seen) == {rep.diag.layout}
     assert rep.fitted_rate == pytest.approx(rep.sigma_star, rel=1e-3)
 
 
@@ -160,10 +175,10 @@ def test_plane_demo_steps_only_on_plane_layouts(monkeypatch, plane, m,
     seen = _count_transforms(monkeypatch)
     rep = plane_demo(plane=plane, m=m, control_mode=control_mode, n=24,
                      dt=0.01, t_end=0.5, record_every=10)
-    assert str(rep.control_layout) == control_layout
+    assert str(rep.control.diag.layout) == control_layout
     arm_layout = Grid(24, 24, 24, Sublattice.of_plane(plane))
     assert [grid for grid, _ in itertools.groupby(seen)] == [
-        arm_layout, rep.control_layout]
+        arm_layout, rep.control.diag.layout]
 
 
 @pytest.mark.parametrize("m, control_mode, layout", [
@@ -185,10 +200,10 @@ def test_plane_demo_control_matches_the_grid_control(monkeypatch, m,
     monkeypatch.setattr(mgsim.experiments, "run", recorded)
     rep = plane_demo(gammas=(0.3,), m=m, n=24, dt=0.01, t_end=1.0,
                      control_mode=control_mode, record_every=10)
-    assert str(rep.control_layout) == layout
+    assert str(rep.control.diag.layout) == layout
     theta0, params, config, reference, (got, gdiag) = calls[-1]
     assert gdiag is rep.control.diag
-    assert config.lattice == rep.control_layout.lattice
+    assert config.lattice == rep.control.diag.layout.lattice
     want, wdiag = run(theta0, params, replace(config, lattice=WHOLE_LATTICE),
                       reference=reference)
     assert np.max(np.abs(got.c - want.c)) <= 1e-14 * np.max(np.abs(want.c))

@@ -805,3 +805,18 @@ def test_forward_properties(v):
     w = inverse(g, c)
     assert np.isrealobj(w)
     assert np.max(np.abs(forward(g, w) - c)) < 1e-12
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: forward(G16, np.zeros((16, 16, 8))),
+     r"values shape \(16, 16, 8\) does not match grid \(16, 16, 16\)"),
+    (lambda: SpectralField.zeros(G16) + SpectralField.zeros(Grid(8, 8, 8)),
+     "fields live on different grids"),
+    (lambda: cosine_mode(G16, (0, 0, 0)),
+     "cosine mode requires a nonzero wavevector"),
+    (lambda: sine_vertical(G16, 0),
+     "vertical mode index must be >= 1, got 0"),
+], ids=["forward_shape", "add_across_grids", "cosine_zero", "sine_m0"])
+def test_field_operations_refuse_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

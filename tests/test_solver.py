@@ -863,3 +863,28 @@ class TestGrowthRateFit:
         rate, r2 = growth_rate_fit(diag, 0.0, 1.0)
         assert rate == pytest.approx(-0.2 * 6.0, rel=1e-10)
         assert r2 == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("lattice", [
+    WHOLE_LATTICE, Sublattice.of_plane(PlaneSpec(1, 1))], ids=["whole", "plane"])
+def test_run_leaves_a_custom_source_unchanged(lattice):
+    # realize hands run the source's own array, which run only gathers
+    par = PhysParams(eps_kappa=0.01)
+    src = SourceSpec("custom", custom=cosine_mode(G16, (1, 1, 1), 1e-3))
+    before = src.custom.c.tobytes()
+    assert src.realize(G16, par) is src.custom.c
+    run(cosine_mode(G16, (2, 2, 1), 1e-3), par,
+        SolverConfig(dt=0.01, t_end=0.05, record_every=1, lattice=lattice,
+                     source=src))
+    assert src.custom.c.tobytes() == before
+
+
+def test_zero_field_records_no_flux_defect_and_refuses_a_log_fit():
+    # a zero field's energy-flux defect is 0, not 0 / 0, and its l2 series
+    # is all zeros, which a log fit refuses
+    _, diag = run(SpectralField.zeros(G16), PhysParams(eps_kappa=0.01),
+                  SolverConfig(dt=0.01, t_end=0.02, record_every=1))
+    assert np.all(diag.energy_residual == 0.0) and np.all(diag.l2 == 0.0)
+    with pytest.raises(ValueError,
+                       match="series must be strictly positive for a log fit"):
+        growth_rate_fit(diag, 0.0, 0.02, "l2")

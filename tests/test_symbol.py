@@ -10,6 +10,7 @@ from mgsim.errors import SingularSystemError
 from mgsim.symbol import (
     PhysParams,
     PlaneSpec,
+    _lattice,
     balance_oracle,
     balance_oracle_batch,
     eval_denominator,
@@ -179,6 +180,22 @@ class TestScanBox:
             k = (r[0], r[1], r[2])
             assert eval_symbol(k, 2.0) == (r[3], r[4], r[5])
 
+    @pytest.mark.parametrize("kmax", [1, 3, 8, 32])
+    @pytest.mark.parametrize("plane", [None, (1, 1), (2, 1), (-1, 3), (0, 1)])
+    def test_lattice_matches_the_whole_box_meshgrid(self, kmax, plane):
+        # _lattice builds only the points it keeps; it must return what
+        # masking the whole (2 kmax + 1)^3 meshgrid returns
+        plane = None if plane is None else PlaneSpec(*plane)
+        rng = np.arange(-kmax, kmax + 1, dtype=np.int64)
+        K1, K2, K3 = np.meshgrid(rng, rng, rng, indexing="ij")
+        keep = (K1 != 0) | (K2 != 0) | (K3 != 0)
+        if plane is not None:
+            keep &= plane.contains(K1, K2)
+        for got, want in zip(_lattice(kmax, plane), (K1, K2, K3),
+                             strict=True):
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want[keep])
+
 
 class TestPhysParams:
     def test_accepts_valid(self):
@@ -224,3 +241,14 @@ def test_symbol_properties(k1, k2, k3, n2):
     # convention plane
     if k3 == 0:
         assert m == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: balance_oracle_batch(np.ones((2, 2)), 1.0),
+     r"kvecs must have shape \(M, 3\)"),
+    (lambda: plane_bound_scan(1, 1, 0, 1.0), "kmax must be >= 1, got 0"),
+    (lambda: growth_scan(1, 1.0), "j_max must be >= 2, got 1"),
+], ids=["kvecs_shape", "kmax_0", "j_max_1"])
+def test_symbol_scans_refuse_bad_ranges(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
