@@ -344,7 +344,7 @@ def evolve(config_path, out_dir):
               "linf_final": f"{diag.linf[-1]:.12g}"}
     if sol is not None:
         extras["sigma_star"] = f"{sol.sigma_star:.12g}"
-    if restrict:
+    if diag.layout != grid:
         extras["layout"] = str(diag.layout)
     write_manifest(out / "manifest.txt", cfg.resolved, wall_seconds=wall,
                    extras=extras)

@@ -26,6 +26,15 @@ that builds every factor and buffer of the run once and records from its
 own state and layout alone; only the final state is scattered back onto
 the grid's band.  A sublattice's right-hand side is the grid's to rounding.
 
+A linearized run on the whole lattice steps on the diag sublattice its data
+spans instead (``_span``): s1 and s2 the gcds of |k1| and |k2| over the
+nonzero coefficients of the initial data and the reference (1 when an axis
+has none), s3 the gcd of m and their k3.  The linearized operator couples
+k3 only to k3 +- m within one column (k1, k2), so a coefficient off the
+span is an exact zero at every stage of the whole-band run, and every one
+on it goes through the same elementwise operations: the final state is the
+whole-band run's bit for bit, and the records agree to rounding.
+
 The advection product multiplies the field by its six spectral factors
 (M1, M2, M3, i k1, i k2, i k3), stacked into one array kept per layout and
 N^2, and makes one stacked inverse of the six products and one forward of
@@ -124,7 +133,10 @@ class SolverConfig:
     data, the source and ``run``'s reference keep only their lattice
     coefficients.  A restriction is an exact invariant of the dynamics, but
     in ill-posed regimes rounding noise seeded off a plane would otherwise
-    amplify at unbounded rates and bury the confined solution.
+    amplify at unbounded rates and bury the confined solution.  A
+    linearized run on the whole lattice steps on the diag sublattice its
+    initial data and reference span, which drops nothing but exact zeros
+    (see the module docstring).
     """
 
     dt: float
@@ -415,6 +427,17 @@ def _record_steps(config):
     return np.union1d(np.arange(0, nsteps, config.record_every), nsteps)
 
 
+def _span(grid, m, *coeffs):
+    """diag(s1, s2, s3), the sublattice the nonzero entries of the whole
+    band arrays ``coeffs`` span: s1 and s2 the gcds of |k1| and |k2| over
+    them (1 when an axis has none), s3 = gcd(m, their k3), so s3 divides m.
+    """
+    on = np.logical_or.reduce([c != 0 for c in coeffs])
+    s1, s2, k3 = (np.gcd.reduce(np.abs(k), axis=None, where=on, initial=0)
+                  for k in np.broadcast_arrays(*wavenumbers(grid)))
+    return Sublattice.diag(int(s1) or 1, int(s2) or 1, math.gcd(m, int(k3)))
+
+
 def run(theta0, params, config, reference=None):
     """Integrate the scalar equation; returns (final field, diagnostics).
 
@@ -432,7 +455,10 @@ def run(theta0, params, config, reference=None):
     The initial data, the reference and a custom source live on the whole
     grid; they are gathered onto the layout of ``config.lattice`` (the
     whole lattice unless restricted), ``diagnostics.layout``, and the final
-    state is scattered back.
+    state is scattered back.  A linearized run on the whole lattice is
+    gathered onto the layout of the diag sublattice that the initial data
+    and the reference span instead, on which its final state is the whole
+    band's bit for bit.
     """
     grid, lattice = theta0.grid, config.lattice
     if grid.lattice != WHOLE_LATTICE:
@@ -443,6 +469,9 @@ def run(theta0, params, config, reference=None):
     if params.m % lattice.s3:
         raise ValueError(f"the lattice's vertical stride {lattice.s3} does "
                          f"not divide m = {params.m}")
+    if config.linearized and lattice == WHOLE_LATTICE:
+        lattice = _span(grid, params.m, *(
+            f.c for f in (theta0, reference) if f is not None))
     layout = replace(grid, lattice=lattice)
     src = config.source.realize(grid, params)
     stepper = _Stepper(

@@ -489,6 +489,19 @@ class TestCli:
         assert results and not any(line.startswith("layout = ")
                                    for line in results)
 
+    def test_evolve_linearized_records_its_span(self, tmp_path):
+        # a linearized run steps on the sublattice its data spans, which
+        # the manifest names although nothing restricted the run
+        res = _evolve(
+            tmp_path,
+            "[phys]\neps_kappa = 0.01\n[grid]\nn = 32\n"
+            "[run]\ndt = 0.02\nt_end = 0.1\nlinearized = true\n"
+            "[init]\nk1 = 2\nk2 = 2\n")
+        assert res.exit_code == 0, res.output
+        text = (tmp_path / "out" / "manifest.txt").read_text()
+        assert ("\nlayout = 16x16x32 on Sublattice(basis=((2, 0), (0, 2)), "
+                "s3=1)\n" in text)
+
     def test_evolve_init_k1_needs_eigenfunction_kind(self, tmp_path):
         res = _evolve(tmp_path, EVOLVE_CFG
                       + "[init]\nkind = mode:1,1,2\nk1 = 1\nk2 = 1\n")

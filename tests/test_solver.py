@@ -27,6 +27,7 @@ from mgsim.solver import (
     Diagnostics,
     SolverConfig,
     SourceSpec,
+    _Stepper,
     _growth_cap_check,
     _record_steps,
     advection_coefficients,
@@ -695,6 +696,22 @@ def test_run_refuses_a_stride_that_does_not_divide_m():
                          lattice=Sublattice.diag(1, 1, 2)))
 
 
+def _whole_band_run(theta0, par, cfg, reference=None):
+    """``run`` stepped on the whole band of theta0's grid, whatever the
+    data spans: the reference a sublattice run is measured against."""
+    grid = theta0.grid
+    src = cfg.source.realize(grid, par)
+    stepper = _Stepper(grid, par, cfg, grid.gather(theta0.c),
+                       None if src is None else grid.gather(src),
+                       None if reference is None else reference.c)
+    steps = _record_steps(cfg).tolist()
+    for last, step in zip([0] + steps, steps):
+        for _ in range(step - last):
+            stepper.step()
+        stepper.record(step)
+    return SpectralField(grid, stepper.c), stepper.diagnostics()
+
+
 # (grid shape, mode, m): the instability configuration at (9, 4), and at
 # m = 2 the fastest mode of box 6 on a grid whose band holds its profile
 SUBLATTICE_CASES = [((48, 48, 48), (9, 4), 1), ((24, 24, 64), (6, 5), 2)]
@@ -704,7 +721,9 @@ SUBLATTICE_CASES = [((48, 48, 48), (9, 4), 1), ((24, 24, 64), (6, 5), 2)]
 @pytest.mark.parametrize("linearized", [False, True])
 def test_sublattice_run_matches_grid_run(shape, mode, m, linearized):
     # the seeded steady state lives on k1 Z x k2 Z x m Z: the run on that
-    # lattice's layout is the grid run with the rounding off it removed
+    # lattice's layout is the whole-band run with the rounding off it
+    # removed (a linearized run on the whole lattice steps on that layout
+    # too, so the reference is stepped on the whole band directly)
     grid, par = Grid(*shape), PhysParams(eps_kappa=0.01, m=m)
     background = sine_vertical(grid, m)
     phi = assemble_eigenfunction(solve_sigma_star(*mode, par), grid)
@@ -717,7 +736,10 @@ def test_sublattice_run_matches_grid_run(shape, mode, m, linearized):
     lattice = Sublattice.diag(*mode, m)
     got, gdiag = run(theta0, par, replace(cfg, lattice=lattice),
                      reference=background)
-    want, wdiag = run(theta0, par, cfg, reference=background)
+    want, wdiag = _whole_band_run(theta0, par, cfg, reference=background)
+    if linearized:
+        _, sdiag = run(theta0, par, cfg, reference=background)
+        assert sdiag.layout == gdiag.layout
     scale = np.max(np.abs(want.c))
     assert np.max(np.abs(got.c - want.c)) <= 1e-14 * scale
     assert l2_norm(want - theta0) > 0.05 * l2_norm(pert)  # it grew
@@ -727,6 +749,85 @@ def test_sublattice_run_matches_grid_run(shape, mode, m, linearized):
     K1, K2, K3 = wavenumbers(grid)
     on = (K1 % mode[0] == 0) & (K2 % mode[1] == 0) & (K3 % m == 0)
     assert not np.any(got.c[~np.broadcast_to(on, grid.band_shape)])
+
+
+# (grid shape, m, initial data, reference, the span's (s1, s2, s3)); each
+# maker takes the grid and m
+SPAN_CASES = {
+    "eigen_6_4_m1": ((48, 48, 48), 1, lambda g, m: assemble_eigenfunction(
+        solve_sigma_star(6, 4, PhysParams(eps_kappa=0.01, m=m)), g),
+        None, (6, 4, 1)),
+    "eigen_6_5_m2": ((24, 24, 64), 2, lambda g, m: assemble_eigenfunction(
+        solve_sigma_star(6, 5, PhysParams(eps_kappa=0.01, m=m)), g),
+        lambda g, m: sine_vertical(g, m), (6, 5, 2)),
+    "no_k1": ((16, 16, 16), 1, lambda g, m: cosine_mode(g, (0, 2, 1)),
+              None, (1, 2, 1)),
+    "zero": ((16, 16, 16), 2, lambda g, m: SpectralField.zeros(g),
+             None, (1, 1, 2)),
+    "reference_off_span": (
+        (24, 24, 24), 2, lambda g, m: cosine_mode(g, (2, 2, 2), 0.1),
+        lambda g, m: cosine_mode(g, (3, 0, 1)), (1, 2, 1)),
+    "rich": ((16, 16, 16), 1, lambda g, m: _rich_field(g), None, (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", SPAN_CASES.values(), ids=SPAN_CASES.keys())
+def test_linearized_run_steps_on_its_span(case):
+    # a linearized run on the whole lattice steps on the diag sublattice its
+    # data and reference span, and reproduces the whole-band run there
+    shape, m, make_theta0, make_reference, strides = case
+    grid, par = Grid(*shape), PhysParams(eps_kappa=0.01, m=m)
+    theta0 = make_theta0(grid, m)
+    reference = None if make_reference is None else make_reference(grid, m)
+    cfg = SolverConfig(dt=0.01, t_end=0.2, record_every=5, linearized=True)
+    got, gdiag = run(theta0, par, cfg, reference=reference)
+    want, wdiag = _whole_band_run(theta0, par, cfg, reference=reference)
+    assert gdiag.layout == replace(grid, lattice=Sublattice.diag(*strides))
+    assert np.max(np.abs(got.c - want.c)) <= 1e-14 * np.max(np.abs(want.c))
+    for col in ("l2", "linf", "hs", "ref_l2"):
+        assert np.allclose(getattr(gdiag, col), getattr(wdiag, col),
+                           rtol=1e-13, atol=0.0, equal_nan=True)
+    if strides == (6, 4, 1):  # the criterion-13 configuration, bit for bit
+        assert str(gdiag.layout) == (
+            "8x12x48 on Sublattice(basis=((6, 0), (0, 4)), s3=1)")
+        assert np.array_equal(got.c, want.c)
+
+
+def test_linearized_eigenfunction_run_makes_no_grid_transform(monkeypatch):
+    # the (6, 4) eigenfunction at 48^3 steps on its span: one inverse per
+    # record (the L-infinity norm), every one on that layout, no forward
+    seen = []
+    originals = {name: getattr(mgsim.fields, name)
+                 for name in ("forward", "inverse")}
+    for module in (mgsim.fields, mgsim.solver):
+        for name, fn in originals.items():
+            def counted(grid, *args, _name=name, _fn=fn, **kwargs):
+                seen.append((_name, grid))
+                return _fn(grid, *args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    par = PhysParams(eps_kappa=0.01)
+    phi = assemble_eigenfunction(solve_sigma_star(6, 4, par),
+                                 Grid(48, 48, 48))
+    _, diag = run(phi, par, SolverConfig(dt=0.01, t_end=0.2, record_every=5,
+                                         linearized=True))
+    assert diag.layout == Grid(48, 48, 48, Sublattice.diag(6, 4))
+    assert seen == [("inverse", diag.layout)] * len(diag.times)
+
+
+def test_linearized_run_is_capped_on_its_span():
+    # at eps_kappa = 0 a horizon past the cap is refused at the rate of the
+    # span's rows, which is at most the whole grid's
+    grid, par = Grid(48, 48, 48), PhysParams(eps_kappa=0.0)
+    phi = assemble_eigenfunction(solve_sigma_star(6, 4, par), grid)
+    cfg = SolverConfig(dt=0.01, t_end=100.0, linearized=True)
+    with pytest.raises(GrowthCapError) as exc:
+        run(phi, par, cfg)
+    rates = []
+    for lattice in (Sublattice.diag(6, 4), WHOLE_LATTICE):
+        with pytest.raises(GrowthCapError) as cap:
+            _growth_cap_check(replace(grid, lattice=lattice), par, cfg)
+        rates.append(cap.value.sigma_max)
+    assert exc.value.sigma_max == rates[0] <= rates[1]
 
 
 # (grid shape, plane q_num/q_den): J = 0 for 9/1 at 24^3; on 2/1 at 24^3
@@ -775,7 +876,7 @@ def test_restricted_run_matches_grid_run(shape, ratio, scheme, linearized):
                   linearized=linearized, plane=plane)
     got, gdiag = run(theta0, par, SolverConfig(
         lattice=Sublattice.of_plane(plane), **common))
-    want, wdiag = run(theta0, par, SolverConfig(**common))
+    want, wdiag = _whole_band_run(theta0, par, SolverConfig(**common))
     scale = np.max(np.abs(want.c))
     assert np.max(np.abs(got.c - want.c)) <= 1e-14 * scale
     assert np.max(np.abs(want.c - theta0.c)) > 1e-4 * scale  # it moved
