@@ -35,7 +35,9 @@ A :class:`Grid` is the layout of a field confined to a :class:`Sublattice`
 (a plane, or diag(s1, s2) with a vertical stride); ``Grid(n1, n2, n3)`` is
 the whole lattice diag(1, 1) with stride 1, the grid itself, and every
 other layout runs through the same transforms and cached wavenumber arrays;
-a pass of length one, such as a plane's x2 pass, is skipped.
+a pass of length one, such as a plane's x2 pass, is skipped.  A layout
+samples where the grid does, and a restricted one steps on sizes of its
+own band (see :class:`Grid`).
 
 Norms and inner products are computed spectrally by one Parseval kernel,
 :func:`parseval`, with the conjugate-pair weight (2 for k3 > 0, 1 on the
@@ -44,6 +46,7 @@ k3 = 0 plane; the band never reaches the Nyquist plane k3 = n3 / 2) and
 and is re-exported here.
 """
 
+import copy
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -108,10 +111,22 @@ WHOLE_LATTICE = Sublattice.diag(1, 1)
 def _axis(sizes, bands, col):
     """(size, band) of a layout axis along the basis column ``col``: the
     number of values its coordinate takes on the grid, lcm over c_i != 0 of
-    n_i / gcd(n_i, c_i), and min b_i // |c_i|."""
+    n_i / gcd(n_i, c_i), and min b_i // |c_i|.  The size is where the
+    layout samples; it steps on ``_step_size`` of the two."""
     axis = [(n, b, abs(c)) for n, b, c in zip(sizes, bands, col) if c]
     return (math.lcm(*(n // math.gcd(n, c) for n, _, c in axis)),
             min(b // c for _, b, c in axis))
+
+
+def _step_size(size, band):
+    """The smallest even 5-smooth n > 3 band, which dealiases the band
+    exactly, capped at ``size``; one sample for band 0."""
+    if band == 0:
+        return 1
+    n = 3 * band + 2 - band % 2
+    while pow(30, n, n):  # n divides 30^n iff its primes are 2, 3 and 5
+        n += 2
+    return min(n, size)
 
 
 @dataclass(frozen=True)
@@ -125,10 +140,19 @@ class Grid:
     :func:`wavenumbers` returns the basis images, so every kernel runs
     unchanged on any layout (a plane keeps its x2 axis, with length one).
     Each coordinate takes ``_axis``'s number of values on the grid, each
-    equally often, so the grid's samples are the layout's repeated and the
-    grid's forward coefficient at an in-band lattice wavevector is the
-    layout's, aliases included.  ``gather`` and ``scatter`` move the
-    lattice's coefficients to and from the band of the whole lattice.
+    equally often; ``shape`` holds those sizes, so the grid's samples are
+    the layout's repeated and the grid's forward coefficient at an in-band
+    lattice wavevector is the layout's, aliases included.  ``gather`` and
+    ``scatter`` move the lattice's coefficients to and from the band of
+    the whole lattice.
+
+    A restricted layout steps on sizes of its own band, ``step_shape``
+    (``_step_size`` on each axis): its dealiasing needs no more, and
+    products are exact there as on ``shape``.  ``stepping`` is the layout
+    sampled on those sizes; it holds the same coefficients, so it equals
+    the layout, and it is the layout itself where the sizes agree (always
+    on the whole lattice).  Caches whose arrays have a sample shape keep
+    one entry per shape (``_PerShape``).
     """
 
     n1: int
@@ -137,6 +161,7 @@ class Grid:
     lattice: Sublattice = WHOLE_LATTICE
     shape: tuple = field(init=False, repr=False, compare=False)
     band: tuple = field(init=False, repr=False, compare=False)
+    step_shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n1", "n2", "n3"):
@@ -155,6 +180,9 @@ class Grid:
                                             (self.lattice.s3,))]
         object.__setattr__(self, "shape", tuple(n for n, _ in axes))
         object.__setattr__(self, "band", tuple(b for _, b in axes))
+        object.__setattr__(self, "step_shape", self.shape
+                           if self.lattice == WHOLE_LATTICE
+                           else tuple(_step_size(n, b) for n, b in axes))
 
     def __str__(self):
         if self.lattice == WHOLE_LATTICE:
@@ -165,6 +193,16 @@ class Grid:
     def whole(self):
         """The layout of the whole lattice on the same grid."""
         return replace(self, lattice=WHOLE_LATTICE)
+
+    @cached_property
+    def stepping(self):
+        """This layout sampled on ``step_shape`` (see the class docstring);
+        a copy, so ``replace`` and ``whole`` build layouts that sample."""
+        if self.shape == self.step_shape:
+            return self
+        stepping = copy.copy(self)
+        object.__setattr__(stepping, "shape", self.step_shape)
+        return stepping
 
     @property
     def spectral_shape(self):
@@ -226,9 +264,9 @@ def ksq_power(grid, s):
     return np.where(ksq > 0.0, np.where(ksq > 0.0, ksq, 1.0) ** s, 0.0)
 
 
-@lru_cache(maxsize=None)
 def dealias_mask(grid):
-    """The band on numpy's full ``rfftn`` layout ``grid.spectral_shape``."""
+    """The band on numpy's full ``rfftn`` layout ``grid.spectral_shape``
+    (not cached: it has the layout's sample shape)."""
     n1, n2, p3 = grid.spectral_shape
     b1, b2, b3 = grid.band
     k1 = np.abs(np.fft.fftfreq(n1, d=1.0 / n1)) <= b1
@@ -262,10 +300,27 @@ def _conjugate_plane(plane):
     return np.conj(plane[_mirror(*plane.shape[:2])])
 
 
+class _PerShape(dict):
+    """Arrays keyed by sample shape, built by ``build(shape)`` on first use.
+
+    A layout and its stepping layout are equal, so a cache keyed by the
+    layout returns one of these and each looks up its own ``grid.shape``.
+    """
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, shape):
+        self[shape] = arrays = self.build(shape)
+        return arrays
+
+
 @lru_cache(maxsize=None)
 def _work(grid, thread, *lead):
-    """Work arrays of the transforms on one grid, reused by every call:
-    of one field, or with the leading axes ``lead`` of a stack of fields.
+    """Work arrays of the transforms on one layout, reused by every call:
+    of one field, or with the leading axes ``lead`` of a stack of fields;
+    a ``_PerShape`` holds one set for each sample shape.
 
     ``x1`` is the x1 pass of ``inverse`` and the x2 pass of ``forward``;
     ``x2`` is the zero-padded x2 pass of ``inverse``.  ``forward``
@@ -274,12 +329,17 @@ def _work(grid, thread, *lead):
     columns.  Each thread gets its own sets, and no transform returns one
     of these arrays.
     """
-    (n1, n2, n3), (r1, r2, p3) = grid.shape, grid.band_shape
-    shapes = dict(x1=(n1, n2, p3), x2=(r1, n2, p3))
-    if not lead:
-        shapes.update(half=(n1, n2, n3 // 2 + 1), cols=(n1, r2, p3))
-    return SimpleNamespace(**{name: np.empty(lead + shape, dtype=np.complex128)
-                              for name, shape in shapes.items()})
+    r1, r2, p3 = grid.band_shape
+
+    def build(shape):
+        n1, n2, n3 = shape
+        shapes = dict(x1=(n1, n2, p3), x2=(r1, n2, p3))
+        if not lead:
+            shapes.update(half=(n1, n2, n3 // 2 + 1), cols=(n1, r2, p3))
+        return SimpleNamespace(**{
+            name: np.empty(lead + shape, dtype=np.complex128)
+            for name, shape in shapes.items()})
+    return _PerShape(build)
 
 
 def forward(grid, values, out=None):
@@ -293,7 +353,7 @@ def forward(grid, values, out=None):
     if values.shape != grid.shape:
         raise ValueError(
             f"values shape {values.shape} does not match grid {grid.shape}")
-    w = _work(grid, threading.get_ident())
+    w = _work(grid, threading.get_ident())[grid.shape]
     (b1, b2, _), (n1, n2, _) = grid.band, grid.shape
     p3 = w.x1.shape[2]
     x1 = np.fft.rfft(values, axis=2, norm="forward", out=w.half)[:, :, :p3]
@@ -324,7 +384,7 @@ def inverse(grid, coeffs, out=None):
         raise ValueError(
             f"coefficient array of shape {coeffs.shape} does not match the "
             f"band {grid.band_shape} of grid {grid.shape}")
-    w = _work(grid, threading.get_ident(), *coeffs.shape[:-3])
+    w = _work(grid, threading.get_ident(), *coeffs.shape[:-3])[grid.shape]
     (b1, b2, _), (n1, n2, n3) = grid.band, grid.shape
     # the in-place passes fill the padding, so it is zeroed on every call
     w.x2[..., :b2 + 1, :] = coeffs[..., :b2 + 1, :]

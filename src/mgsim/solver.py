@@ -25,11 +25,18 @@ gathers the initial coefficients (which, like every spectral array of
 that builds every factor and buffer of the run once and records from its
 own state and layout alone; only the final state is scattered back onto
 the grid's band.  A sublattice's right-hand side is the grid's to rounding.
+On a restricted layout the right-hand sides (and a record's energy flux)
+transform on its band's own sizes, ``Grid.step_shape``, which dealias
+every product exactly as the grid's sizes do; a record samples the state
+for its L-infinity norm, and the velocity for its CFL number, on the
+layout's ``shape``, where the grid samples, so both read what a run on
+the whole grid reads.
 
 A linearized run on the whole lattice steps on the diag sublattice its data
 spans instead (``_span``): s1 and s2 the gcds of |k1| and |k2| over the
-nonzero coefficients of the initial data and the reference (1 when an axis
-has none), s3 the gcd of m and their k3.  The linearized operator couples
+nonzero coefficients of the initial data and the reference (n1 or n2 when
+all of them are 0 there: that axis takes one sample), s3 the gcd of m and
+their k3.  The linearized operator couples
 k3 only to k3 +- m within one column (k1, k2), so a coefficient off the
 span is an exact zero at every stage of the whole-band run, and every one
 on it goes through the same elementwise operations: the final state is the
@@ -73,6 +80,7 @@ from .fields import (
     Grid,
     SpectralField,
     Sublattice,
+    _PerShape,
     _conjugate_plane,
     forward,
     hs_norm,
@@ -172,7 +180,8 @@ class SolverConfig:
 class Diagnostics:
     """Time series recorded during a run, one row per record step.
 
-    ``hs`` is the H^1 seminorm; ``layout`` is the layout the run stepped on.
+    ``hs`` is the H^1 seminorm; ``layout`` is the layout the run stepped on
+    (its transforms ran on ``layout.step_shape``, its samples on ``shape``).
     Unrecorded series are all NaN: ``off_plane`` without a plane,
     ``energy_residual`` when linearized, ``ref_l2`` without a reference.
     """
@@ -200,7 +209,8 @@ def _advection_factors(grid, n2_phys):
 
 @lru_cache(maxsize=None)
 def _advection_work(grid, thread):
-    """One thread's buffers of the advection product on a layout.
+    """One thread's buffers of the advection product on a layout, one set
+    per sample shape (``fields._PerShape``).
 
     ``spec`` takes the six spectral products of ``_advection_factors``
     with the field, and ``phys`` their samples, made by one stacked
@@ -208,14 +218,14 @@ def _advection_work(grid, thread):
     with the transforms' work arrays, no function returns one of them.
     Nothing here depends on N^2, so a sweep over N^2 adds no buffers.
     """
-    return SimpleNamespace(
+    return _PerShape(lambda shape: SimpleNamespace(
         spec=np.empty((6, *grid.band_shape), dtype=np.complex128),
-        phys=np.empty((6, *grid.shape)))
+        phys=np.empty((6, *shape))))
 
 
 def velocity_max(grid, c, n2_phys):
     """Max-norm of each physical velocity component."""
-    work = _advection_work(grid, threading.get_ident())
+    work = _advection_work(grid, threading.get_ident())[grid.shape]
     spec = np.multiply(_advection_factors(grid, n2_phys)[:3], c,
                        out=work.spec[:3])
     u = inverse(grid, spec, out=work.phys[:3])
@@ -230,7 +240,7 @@ def advection_coefficients(grid, c, n2_phys, out=None):
     the work buffers, so a call given ``out`` allocates no array of the
     grid's size; the product sums u_j d_j theta in the order j = 1, 2, 3.
     """
-    work = _advection_work(grid, threading.get_ident())
+    work = _advection_work(grid, threading.get_ident())[grid.shape]
     spec = np.multiply(_advection_factors(grid, n2_phys), c, out=work.spec)
     p = inverse(grid, spec, out=work.phys)
     p[:3] *= p[3:]
@@ -309,22 +319,26 @@ class _Stepper:
     """One run on a layout's band: state, factors, buffers and records.
 
     The state ``c``, the source ``src`` and the reference ``ref`` (None
-    when absent) are the run's own arrays on ``grid``, the layout of the
+    when absent) are the run's own arrays on ``layout``, the layout of the
     run's lattice, whose growth cap is checked first; every factor is built
     there, and a step writes every right-hand side and stage into the
     buffers built here, so it allocates no array of the layout's size.
+    The right-hand sides and the record's energy flux transform on
+    ``grid``, the layout's ``stepping``; a record samples the state and
+    the velocity on ``layout``, the grid's sizes.
     """
 
-    def __init__(self, grid, params, config, c, src, ref):
-        _growth_cap_check(grid, params, config)
+    def __init__(self, layout, params, config, c, src, ref):
+        _growth_cap_check(layout, params, config)
         self.c, self.src = c, src
-        self.ref = None if ref is None else SpectralField(grid, ref)
+        self.ref = None if ref is None else SpectralField(layout, ref)
         dt = self.dt = config.dt
-        self.grid, self.n2p, self.scheme = grid, params.n2, config.scheme
+        self.layout, self.grid = layout, layout.stepping
+        self.n2p, self.scheme = params.n2, config.scheme
         self.plane, self.rows = config.plane, []
         # the CFL number weighs max|u_j| by the layout's largest |k_j|
-        self.kmax = [int(np.abs(k).max()) for k in wavenumbers(grid)]
-        diss = params.eps_kappa * ksq_power(grid, params.gamma)
+        self.kmax = [int(np.abs(k).max()) for k in wavenumbers(layout)]
+        diss = params.eps_kappa * ksq_power(layout, params.gamma)
         if config.scheme == "if_rk4":
             self.E = E = np.exp(-dt * diss)
             self.E2 = E2 = np.exp(-0.5 * dt * diss)
@@ -337,14 +351,14 @@ class _Stepper:
         if config.linearized:
             # -m u3 cos(m x3) = v(k3 - m) + v(k3 + m), v = -(m/2) M3_hat theta_hat
             # (a shift by m / s3 indices on the layout)
-            self.shift = params.m // grid.lattice.s3
+            self.shift = params.m // layout.lattice.s3
             self.v_scale = -0.5 * params.m * multiplier_arrays(
-                grid, params.n2)[2]
-            self.v = np.empty(grid.band_shape, dtype=np.complex128)
+                layout, params.n2)[2]
+            self.v = np.empty(layout.band_shape, dtype=np.complex128)
         # the four stage right-hand sides, then the stage input, E2 c and
         # the next state
         (*self.outs, self.stage, self.E2c, self.next) = (
-            np.empty(grid.band_shape, dtype=np.complex128) for _ in range(7))
+            np.empty(layout.band_shape, dtype=np.complex128) for _ in range(7))
 
     def rhs(self, cc, out):
         """out <- the right-hand side at cc."""
@@ -393,7 +407,7 @@ class _Stepper:
     def record(self, step):
         """Append the state's row at ``step``; BlowUpError if not finite."""
         t = step * self.dt
-        f = SpectralField(self.grid, self.c)
+        f = SpectralField(self.layout, self.c)
         l2 = l2_norm(f)
         if not math.isfinite(l2):
             raise BlowUpError(
@@ -406,7 +420,7 @@ class _Stepper:
             else energy_flux_residual(self.grid, self.c, self.n2p),
             math.nan if self.ref is None else l2_norm(f - self.ref)))
         if not self.linearized:
-            umax = velocity_max(self.grid, self.c, self.n2p)
+            umax = velocity_max(self.layout, self.c, self.n2p)
             cfl = self.dt * sum(u * k for u, k in zip(umax, self.kmax))
             if cfl > 0.5:
                 warnings.warn(
@@ -418,7 +432,7 @@ class _Stepper:
         """The rows recorded so far, on the layout."""
         times, *cols = np.array(self.rows, dtype=np.float64).reshape(
             -1, 1 + len(Diagnostics.SERIES)).T
-        return Diagnostics(times, *cols, layout=self.grid)
+        return Diagnostics(times, *cols, layout=self.layout)
 
 
 def _record_steps(config):
@@ -430,12 +444,14 @@ def _record_steps(config):
 def _span(grid, m, *coeffs):
     """diag(s1, s2, s3), the sublattice the nonzero entries of the whole
     band arrays ``coeffs`` span: s1 and s2 the gcds of |k1| and |k2| over
-    them (1 when an axis has none), s3 = gcd(m, their k3), so s3 divides m.
+    them (n1 or n2 when every one is 0 there, an axis of one sample and
+    band 0), s3 = gcd(m, their k3), so s3 divides m.
     """
     on = np.logical_or.reduce([c != 0 for c in coeffs])
     s1, s2, k3 = (np.gcd.reduce(np.abs(k), axis=None, where=on, initial=0)
                   for k in np.broadcast_arrays(*wavenumbers(grid)))
-    return Sublattice.diag(int(s1) or 1, int(s2) or 1, math.gcd(m, int(k3)))
+    return Sublattice.diag(int(s1) or grid.n1, int(s2) or grid.n2,
+                           math.gcd(m, int(k3)))
 
 
 def run(theta0, params, config, reference=None):
@@ -458,7 +474,7 @@ def run(theta0, params, config, reference=None):
     state is scattered back.  A linearized run on the whole lattice is
     gathered onto the layout of the diag sublattice that the initial data
     and the reference span instead, on which its final state is the whole
-    band's bit for bit.
+    band's bit for bit.  The steps transform on the layout's ``stepping``.
     """
     grid, lattice = theta0.grid, config.lattice
     if grid.lattice != WHOLE_LATTICE:

@@ -1,5 +1,6 @@
 """Tests for the experiment drivers' argument checks and table writers."""
 
+import collections
 import csv
 import itertools
 import math
@@ -157,6 +158,12 @@ def test_instability_steps_only_on_the_seed_sublattice(monkeypatch):
     assert str(rep.diag.layout) == (
         "16x12x48 on Sublattice(basis=((9, 0), (0, 4)), s3=1)")
     assert seen and set(seen) == {rep.diag.layout}
+    # the right-hand sides transform on the layout's own sizes; only a
+    # record's samples of theta and the velocity, one inverse each, are
+    # on the grid's
+    shapes = collections.Counter(grid.shape for grid in seen)
+    assert set(shapes) == {(4, 10, 48), (16, 12, 48)}
+    assert shapes[16, 12, 48] == 2 * len(rep.diag.times)
     assert rep.fitted_rate == pytest.approx(rep.sigma_star, rel=1e-3)
 
 

@@ -528,6 +528,46 @@ class TestSublattice:
                              - inverse(layout, c)[t])) <= 1e-14
 
 
+# (grid shape, sublattice, stepping shape): the diag layouts above, two
+# planes and a layout with a band-0 axis
+STEP_LAYOUTS = [
+    *((shape, Sublattice.diag(*strides), steps) for (shape, strides, _, _),
+      steps in zip(DIAG_LAYOUTS, [(4, 10, 48), (4, 4, 32), (10, 8, 8)])),
+    ((24, 24, 24), Sublattice.of_plane(PlaneSpec(2, 1)), (10, 1, 24)),
+    ((32, 32, 32), Sublattice.of_plane(PlaneSpec(1, 2)), (16, 1, 32)),
+    ((48, 48, 48), Sublattice.diag(48, 4), (1, 10, 48)),
+]
+
+
+@pytest.mark.parametrize("shape, lattice, steps", STEP_LAYOUTS,
+                         ids=lambda v: str(v).replace(" ", ""))
+def test_stepping_sizes_dealias_the_band_exactly(shape, lattice, steps):
+    # a restricted layout steps on sizes of its own band: at most the
+    # grid's sizes, above 3 b (one sample for b = 0), even and 5-smooth,
+    # and its advection product is the one on the grid's sizes
+    layout = Grid(*shape, lattice)
+    assert layout.step_shape == steps
+    for n, n_s, b in zip(steps, layout.shape, layout.band):
+        assert n <= n_s
+        if b == 0:
+            assert n == 1
+        else:
+            assert n > 3 * b and n % 2 == 0
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            assert n == 1, f"{steps} is not 5-smooth"
+    stepping = layout.stepping
+    assert stepping == layout and stepping.shape == steps
+    assert (stepping.band, stepping.step_shape) == (layout.band, steps)
+    rng = np.random.default_rng(9)
+    c = forward(layout, rng.standard_normal(layout.shape))
+    want = advection_coefficients(layout, c, 1.3)
+    got = advection_coefficients(stepping, c, 1.3)
+    assert np.max(np.abs(want)) > 0.0
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestSnapshots:
     def test_round_trip_bit_exact(self, tmp_path):
         f = (cosine_mode(G16, (1, 2, 3), 0.123456789012345678)

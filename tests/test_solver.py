@@ -761,9 +761,9 @@ SPAN_CASES = {
         solve_sigma_star(6, 5, PhysParams(eps_kappa=0.01, m=m)), g),
         lambda g, m: sine_vertical(g, m), (6, 5, 2)),
     "no_k1": ((16, 16, 16), 1, lambda g, m: cosine_mode(g, (0, 2, 1)),
-              None, (1, 2, 1)),
+              None, (16, 2, 1)),
     "zero": ((16, 16, 16), 2, lambda g, m: SpectralField.zeros(g),
-             None, (1, 1, 2)),
+             None, (16, 16, 2)),
     "reference_off_span": (
         (24, 24, 24), 2, lambda g, m: cosine_mode(g, (2, 2, 2), 0.1),
         lambda g, m: cosine_mode(g, (3, 0, 1)), (1, 2, 1)),
