@@ -18,18 +18,18 @@ divided by the number of grid points); :func:`dealias_mask` marks the band
 on the ``rfftn`` layout, so ``full[dealias_mask(grid)].reshape(
 grid.band_shape)`` is the band of a full ``rfftn`` array.
 
-The transforms are pruned to the band: :func:`forward` keeps only the
-in-band planes, columns and rows of its 1-D passes, and :func:`inverse`
-zero-pads them back.  The k3 = 0 plane is symmetrized exactly on the way
-in: evenness checks and conjugate-pair lookups then hold to the last bit,
-not merely to rounding.  :func:`inverse` also takes a stack of fields, an
-array of shape ``(..., *band_shape)``: its passes run on the last three
-axes, so a stack costs one call, not one per field, and each field's
-samples are the ones a call of its own gives, bit for bit.  Both
-transforms write through work arrays kept per grid, stack shape and
-thread.  The in-place passes of ``inverse`` fill the zero padding (the
-out-of-band k2 columns, then the out-of-band k1 rows), so every call
-writes those zeros again before the pass.
+Each 1-D pass of the transforms is one product with a dense DFT matrix,
+cached per axis size and band length, from an axis's samples straight to
+its band entries (:func:`forward`) or back (:func:`inverse`); its entries
+come from the exact integer phase 2 pi ((k l) mod n) / n, and the x3 pass
+is a real product on the interleaved (re, im) view of the band.  The
+k3 = 0 plane is symmetrized exactly on the way in: evenness checks and
+conjugate-pair lookups then hold to the last bit, not merely to rounding.
+:func:`inverse` also takes a stack of fields, an array of shape
+``(..., *band_shape)``: its passes run on the last three axes, so a stack
+costs one call, not one per field, and each field's samples are the ones
+a call of its own gives, bit for bit.  Both transforms write through work
+arrays kept per grid, stack shape and thread.
 
 A :class:`Grid` is the layout of a field confined to a :class:`Sublattice`
 (a plane, or diag(s1, s2) with a vertical stride); ``Grid(n1, n2, n3)`` is
@@ -317,55 +317,56 @@ class _PerShape(dict):
 
 
 @lru_cache(maxsize=None)
+def _axis_dft(n, r):
+    """(to_band, to_samples) of an x1 or x2 pass between n samples l and r
+    band entries k (fft order): exp(-2 pi i k l / n) / n at [k, l] and
+    exp(2 pi i k l / n) at [l, k], each from the exact phase (k l) mod n."""
+    phase = np.arange(n)[:, None] * ((np.arange(r) + r // 2) % r - r // 2)
+    to_samples = np.exp(1j * (2.0 * np.pi * (phase % n) / n))
+    return to_samples.conj().T / n, to_samples
+
+
+@lru_cache(maxsize=None)
+def _x3_dft(n, p):
+    """(to_band, to_samples) of the x3 pass between n real samples and the
+    entries k3 = 0, ..., p - 1 as interleaved (re, im) pairs, of shapes
+    (n, 2 p) and (2 p, n).  ``to_samples`` counts each k3 > 0 twice (for
+    its conjugate) and drops the imaginary part at k3 = 0."""
+    e = _axis_dft(n, 2 * p - 1)[1][:, :p]
+    pairs = np.stack([e.real, -e.imag], axis=-1).reshape(n, 2 * p)
+    return pairs / n, (pairs * np.where(np.arange(2 * p) > 1, 2.0, 1.0)).T
+
+
+@lru_cache(maxsize=None)
 def _work(grid, thread, *lead):
-    """Work arrays of the transforms on one layout, reused by every call:
-    of one field, or with the leading axes ``lead`` of a stack of fields;
-    a ``_PerShape`` holds one set for each sample shape.
-
-    ``x1`` is the x1 pass of ``inverse`` and the x2 pass of ``forward``;
-    ``x2`` is the zero-padded x2 pass of ``inverse``.  ``forward``
-    transforms one field, so only the set of one field (no ``lead``)
-    also holds ``half``, its x3 ``rfft``, and ``cols``, its in-band
-    columns.  Each thread gets its own sets, and no transform returns one
-    of these arrays.
-    """
-    r1, r2, p3 = grid.band_shape
-
-    def build(shape):
-        n1, n2, n3 = shape
-        shapes = dict(x1=(n1, n2, p3), x2=(r1, n2, p3))
-        if not lead:
-            shapes.update(half=(n1, n2, n3 // 2 + 1), cols=(n1, r2, p3))
-        return SimpleNamespace(**{
-            name: np.empty(lead + shape, dtype=np.complex128)
-            for name, shape in shapes.items()})
-    return _PerShape(build)
+    """The arrays the passes of both transforms write into, on the band in
+    k3 (``band3``) or in k1 and k3 (``band13``): of one field, or with the
+    leading axes ``lead`` of a stack; one set per sample shape
+    (``_PerShape``) and thread, and no transform returns one of them."""
+    r1, _, p3 = grid.band_shape
+    return _PerShape(lambda shape: SimpleNamespace(
+        band3=np.empty(lead + (*shape[:2], p3), dtype=np.complex128),
+        band13=np.empty(lead + (r1, shape[1], p3), dtype=np.complex128)))
 
 
 def forward(grid, values, out=None):
-    """Physical samples -> dealiased mathematical coefficients.
-
-    The x3 pass keeps the in-band planes, the x2 pass the in-band columns,
-    and the x1 pass runs on those columns only and keeps the in-band rows.
-    The band goes into ``out`` when given, else into a new array.
+    """Physical samples -> dealiased mathematical coefficients, into
+    ``out`` when given: the x3 (real), x1 and x2 passes, in that order.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape != grid.shape:
         raise ValueError(
             f"values shape {values.shape} does not match grid {grid.shape}")
     w = _work(grid, threading.get_ident())[grid.shape]
-    (b1, b2, _), (n1, n2, _) = grid.band, grid.shape
-    p3 = w.x1.shape[2]
-    x1 = np.fft.rfft(values, axis=2, norm="forward", out=w.half)[:, :, :p3]
-    if n2 > 1:  # a pass of length one is the identity
-        x1 = np.fft.fft(x1, axis=1, norm="forward", out=w.x1)
-    w.cols[:, :b2 + 1] = x1[:, :b2 + 1]
-    w.cols[:, b2 + 1:] = x1[:, n2 - b2:]
-    np.fft.fft(w.cols, axis=0, norm="forward", out=w.cols)
+    (r1, r2, p3), (n1, n2, n3) = grid.band_shape, grid.shape
     if out is None:
         out = np.empty(grid.band_shape, dtype=np.complex128)
-    out[:b1 + 1] = w.cols[:b1 + 1]
-    out[b1 + 1:] = w.cols[n1 - b1:]
+    np.matmul(values.reshape(n1 * n2, n3), _x3_dft(n3, p3)[0],
+              out=w.band3.view(np.float64).reshape(n1 * n2, 2 * p3))
+    x1 = out[:, 0, :] if n2 == 1 else w.band13.reshape(r1, n2 * p3)
+    np.matmul(_axis_dft(n1, r1)[0], w.band3.reshape(n1, n2 * p3), out=x1)
+    if n2 > 1:  # a pass of length one is the identity
+        np.matmul(_axis_dft(n2, r2)[0], w.band13, out=out)
     plane = out[:, :, 0]
     out[:, :, 0] = 0.5 * (plane + _conjugate_plane(plane))
     return out
@@ -376,27 +377,27 @@ def inverse(grid, coeffs, out=None):
 
     ``coeffs`` holds one field, of shape ``grid.band_shape``, or a stack of
     them, of shape ``(..., *grid.band_shape)``; the samples have shape
-    ``(..., *grid.shape)``.  The x2 pass runs on the in-band rows and
-    planes, the x1 pass on the in-band planes, and the x3 pass zero-pads k3
-    beyond the band.  The samples go into ``out`` when given.
+    ``(..., *grid.shape)``, into ``out`` when given (C-contiguous).  The
+    passes are x2, x1 and x3, one real product over the whole stack.
     """
+    lead = coeffs.shape[:-3]
     if coeffs.shape[-3:] != grid.band_shape:
         raise ValueError(
             f"coefficient array of shape {coeffs.shape} does not match the "
             f"band {grid.band_shape} of grid {grid.shape}")
-    w = _work(grid, threading.get_ident(), *coeffs.shape[:-3])[grid.shape]
-    (b1, b2, _), (n1, n2, n3) = grid.band, grid.shape
-    # the in-place passes fill the padding, so it is zeroed on every call
-    w.x2[..., :b2 + 1, :] = coeffs[..., :b2 + 1, :]
-    w.x2[..., b2 + 1:n2 - b2, :] = 0.0
-    w.x2[..., n2 - b2:, :] = coeffs[..., b2 + 1:, :]
+    out = np.empty(lead + grid.shape) if out is None else out
+    if out.shape != lead + grid.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out of shape {out.shape} is not a C-contiguous "
+                         f"array of shape {lead + grid.shape}")
+    w = _work(grid, threading.get_ident(), *lead)[grid.shape]
+    (r1, r2, p3), (n1, n2, n3) = grid.band_shape, grid.shape
     if n2 > 1:  # a pass of length one is the identity
-        np.fft.ifft(w.x2, axis=-2, norm="forward", out=w.x2)
-    w.x1[..., :b1 + 1, :, :] = w.x2[..., :b1 + 1, :, :]
-    w.x1[..., b1 + 1:n1 - b1, :, :] = 0.0
-    w.x1[..., n1 - b1:, :, :] = w.x2[..., b1 + 1:, :, :]
-    np.fft.ifft(w.x1, axis=-3, norm="forward", out=w.x1)  # numpy >= 2.0
-    return np.fft.irfft(w.x1, n=n3, axis=-1, norm="forward", out=out)
+        coeffs = np.matmul(_axis_dft(n2, r2)[1], coeffs, out=w.band13)
+    np.matmul(_axis_dft(n1, r1)[1], coeffs.reshape(*lead, r1, n2 * p3),
+              out=w.band3.reshape(*lead, n1, n2 * p3))
+    np.matmul(w.band3.view(np.float64).reshape(-1, 2 * p3),
+              _x3_dft(n3, p3)[1], out=out.reshape(-1, n3))
+    return out
 
 
 @dataclass

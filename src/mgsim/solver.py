@@ -44,11 +44,10 @@ whole-band run's bit for bit, and the records agree to rounding.
 
 The advection product multiplies the field by its six spectral factors
 (M1, M2, M3, i k1, i k2, i k3), stacked into one array kept per layout and
-N^2, and makes one stacked inverse of the six products and one forward of
-u . grad theta: on the small layouts of restricted runs a transform costs
-its call overhead more than its arithmetic.  Its buffers are kept per
-layout and thread, as the transforms' work arrays are, so no call builds
-them again.
+N^2, and makes one stacked inverse of the six products, whose x3 pass is
+one matrix product for all six, and one forward of u . grad theta.  Its
+buffers are kept per layout and thread, as the transforms' work arrays
+are, so no call builds them again.
 
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry

@@ -64,8 +64,9 @@ def embed_band(grid, band):
 def reference_forward(grid, v):
     """Unpruned forward transform: full rfftn, k3 = 0 symmetrization, band."""
     c = np.fft.rfftn(v, norm="forward")
-    rev1 = (-np.arange(grid.n1)) % grid.n1
-    rev2 = (-np.arange(grid.n2)) % grid.n2
+    n1, n2, _ = grid.shape
+    rev1 = (-np.arange(n1)) % n1
+    rev2 = (-np.arange(n2)) % n2
     plane = c[:, :, 0]
     c[:, :, 0] = 0.5 * (plane + np.conj(plane[np.ix_(rev1, rev2)]))
     return extract_band(grid, c)
@@ -77,7 +78,12 @@ def reference_inverse(grid, c):
                          norm="forward")
 
 
-REFERENCE_GRIDS = [Grid(16, 32, 24), Grid(8, 10, 30), Grid(48, 48, 48)]
+# odd and short axes: the steps of criterion 12's control (10x1x24) and of
+# criterion 09 (4x10x48); 96^3, where a dense pass sums the most terms
+REFERENCE_GRIDS = [Grid(16, 32, 24), Grid(8, 10, 30), Grid(48, 48, 48),
+                   Grid(24, 24, 24, Sublattice(((1, 2),))).stepping,
+                   Grid(48, 48, 48, Sublattice.diag(9, 4)).stepping,
+                   Grid(96, 96, 96)]
 
 
 class TestGrid:
@@ -117,7 +123,7 @@ class TestTransforms:
         f = _random_band_limited(G16, seed=5)
         assert f.c[0, 0, 0].imag == 0.0
 
-    # the pruned transforms against full numpy transforms: a consistent
+    # the dense transforms against full numpy transforms: a consistent
     # index slip would survive the round-trip and idempotence checks
     @pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=str)
     def test_forward_matches_unpruned(self, grid):
@@ -141,9 +147,9 @@ def _bits(a):
 
 @pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=str)
 def test_transform_layout_parity(grid):
-    # the transforms reuse per-grid work arrays whose padding the in-place
-    # passes overwrite; successive calls on different inputs, into new
-    # arrays and into ``out``, catch padding left over from the call before
+    # the transforms reuse per-grid work arrays; successive calls on
+    # different inputs, into new arrays and into ``out``, catch an entry
+    # left over from the call before
     for seed in (3, 4, 5):
         v = np.random.default_rng(seed).standard_normal(grid.shape)
         c = forward(grid, v)
@@ -187,6 +193,10 @@ def test_stacked_inverse_is_the_per_field_inverse(grid):
             assert new[i].tobytes() == out[i].tobytes()
     with pytest.raises(ValueError, match="does not match the band"):
         inverse(grid, stack[..., :-1])
+    # the x3 pass writes through a 2-D view of ``out``, which a copy would
+    # silently drop
+    with pytest.raises(ValueError, match="C-contiguous"):
+        inverse(grid, stack, out=np.empty((6, *grid.shape))[:, ::-1])
 
 
 @pytest.mark.parametrize("grid", STACK_LAYOUTS, ids=str)
@@ -206,11 +216,11 @@ def test_advection_is_the_per_component_product(grid):
     assert advection_coefficients(grid, c, 1.3).tobytes() == ref.tobytes()
 
 
-def test_transforms_from_threads():
+@pytest.mark.parametrize("grid", STACK_LAYOUTS, ids=str)
+def test_transforms_from_threads(grid):
     # the work arrays of the transforms and of the advection product are
     # kept per grid and per thread; threads sharing one set would read each
     # other's passes
-    grid = Grid(24, 24, 24)
     rng = np.random.default_rng(8)
     inputs = [rng.standard_normal(grid.shape) for _ in range(4)]
     expected = [inverse(grid, forward(grid, v)) for v in inputs]
