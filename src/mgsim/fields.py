@@ -28,8 +28,9 @@ conjugate-pair lookups then hold to the last bit, not merely to rounding.
 :func:`inverse` also takes a stack of fields, an array of shape
 ``(..., *band_shape)``: its passes run on the last three axes, so a stack
 costs one call, not one per field, and each field's samples are the ones
-a call of its own gives, bit for bit.  Both transforms write through work
-arrays kept per grid, stack shape and thread.
+a call of its own gives, bit for bit.  The passes are written once, in a
+``_Passes`` kept per layout, stack, sample shape and thread with its work
+arrays; a caller of many transforms, such as a run, binds one once.
 
 A :class:`Grid` is the layout of a field confined to a :class:`Sublattice`
 (a plane, or diag(s1, s2) with a vertical stride); ``Grid(n1, n2, n3)`` is
@@ -51,7 +52,6 @@ import math
 import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -337,36 +337,65 @@ def _x3_dft(n, p):
     return pairs / n, (pairs * np.where(np.arange(2 * p) > 1, 2.0, 1.0)).T
 
 
+class _Passes:
+    """Both transforms' passes between samples of shape ``shape`` and the
+    band of ``layout``, with the leading axes ``lead`` of a stack, and the
+    arrays they write into, the band in k3 and in k1 and k3, viewed once as
+    the products take them.  Neither method checks its input."""
+
+    def __init__(self, layout, shape, lead):
+        (r1, r2, p3), (n1, n2, n3) = layout.band_shape, shape
+        self.layout, self.shape, self.n3 = layout, shape, n3
+        self.x1, self.x3 = _axis_dft(n1, r1), _x3_dft(n3, p3)
+        self.x2 = _axis_dft(n2, r2) if n2 > 1 else None  # n2 = 1: identity
+        band3 = np.empty(lead + (n1, n2, p3), dtype=np.complex128)
+        self.band13 = np.empty(lead + (r1, n2, p3), dtype=np.complex128)
+        self.real3 = band3.view(np.float64).reshape(-1, 2 * p3)
+        self.flat3 = band3.reshape(*lead, n1, n2 * p3)
+        self.flat13 = self.band13.reshape(*lead, r1, n2 * p3)
+
+    def to_band(self, values, out):
+        """out <- the coefficients of the samples ``values``: the x3 (real),
+        x1 and x2 passes; the k3 = 0 plane is Hermitian only to rounding."""
+        np.matmul(values.reshape(-1, self.n3), self.x3[0], out=self.real3)
+        x1 = out[..., 0, :] if self.x2 is None else self.flat13
+        np.matmul(self.x1[0], self.flat3, out=x1)
+        if self.x2 is not None:
+            np.matmul(self.x2[0], self.band13, out=out)
+        return out
+
+    def to_samples(self, coeffs, out):
+        """out (C-contiguous) <- the samples of ``coeffs``: the x2, x1 and
+        x3 passes, the last one real product over the whole stack."""
+        if self.x2 is not None:
+            coeffs = np.matmul(self.x2[1], coeffs, out=self.band13)
+        np.matmul(self.x1[1], coeffs.reshape(self.flat13.shape),
+                  out=self.flat3)
+        np.matmul(self.real3, self.x3[1], out=out.reshape(-1, self.n3))
+        return out
+
+
 @lru_cache(maxsize=None)
 def _work(grid, thread, *lead):
-    """The arrays the passes of both transforms write into, on the band in
-    k3 (``band3``) or in k1 and k3 (``band13``): of one field, or with the
-    leading axes ``lead`` of a stack; one set per sample shape
-    (``_PerShape``) and thread, and no transform returns one of them."""
-    r1, _, p3 = grid.band_shape
-    return _PerShape(lambda shape: SimpleNamespace(
-        band3=np.empty(lead + (*shape[:2], p3), dtype=np.complex128),
-        band13=np.empty(lead + (r1, shape[1], p3), dtype=np.complex128)))
+    """One thread's ``_Passes`` on a layout, of one field or with the
+    leading axes ``lead`` of a stack; one per sample shape (``_PerShape``)."""
+    return _PerShape(lambda shape: _Passes(grid, shape, lead))
 
 
 def forward(grid, values, out=None):
-    """Physical samples -> dealiased mathematical coefficients, into
-    ``out`` when given: the x3 (real), x1 and x2 passes, in that order.
-    """
-    values = np.asarray(values, dtype=np.float64)
+    """Real physical samples -> dealiased mathematical coefficients, into
+    ``out`` when given, the k3 = 0 plane exactly Hermitian; complex or
+    non-numeric samples raise ValueError."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"samples of dtype {values.dtype} are not real")
     if values.shape != grid.shape:
         raise ValueError(
             f"values shape {values.shape} does not match grid {grid.shape}")
-    w = _work(grid, threading.get_ident())[grid.shape]
-    (r1, r2, p3), (n1, n2, n3) = grid.band_shape, grid.shape
     if out is None:
         out = np.empty(grid.band_shape, dtype=np.complex128)
-    np.matmul(values.reshape(n1 * n2, n3), _x3_dft(n3, p3)[0],
-              out=w.band3.view(np.float64).reshape(n1 * n2, 2 * p3))
-    x1 = out[:, 0, :] if n2 == 1 else w.band13.reshape(r1, n2 * p3)
-    np.matmul(_axis_dft(n1, r1)[0], w.band3.reshape(n1, n2 * p3), out=x1)
-    if n2 > 1:  # a pass of length one is the identity
-        np.matmul(_axis_dft(n2, r2)[0], w.band13, out=out)
+    _work(grid, threading.get_ident())[grid.shape].to_band(
+        values.astype(np.float64, copy=False), out)
     plane = out[:, :, 0]
     out[:, :, 0] = 0.5 * (plane + _conjugate_plane(plane))
     return out
@@ -377,9 +406,9 @@ def inverse(grid, coeffs, out=None):
 
     ``coeffs`` holds one field, of shape ``grid.band_shape``, or a stack of
     them, of shape ``(..., *grid.band_shape)``; the samples have shape
-    ``(..., *grid.shape)``, into ``out`` when given (C-contiguous).  The
-    passes are x2, x1 and x3, one real product over the whole stack.
+    ``(..., *grid.shape)``, into ``out`` when given (C-contiguous).
     """
+    coeffs = np.asarray(coeffs)
     lead = coeffs.shape[:-3]
     if coeffs.shape[-3:] != grid.band_shape:
         raise ValueError(
@@ -389,15 +418,8 @@ def inverse(grid, coeffs, out=None):
     if out.shape != lead + grid.shape or not out.flags.c_contiguous:
         raise ValueError(f"out of shape {out.shape} is not a C-contiguous "
                          f"array of shape {lead + grid.shape}")
-    w = _work(grid, threading.get_ident(), *lead)[grid.shape]
-    (r1, r2, p3), (n1, n2, n3) = grid.band_shape, grid.shape
-    if n2 > 1:  # a pass of length one is the identity
-        coeffs = np.matmul(_axis_dft(n2, r2)[1], coeffs, out=w.band13)
-    np.matmul(_axis_dft(n1, r1)[1], coeffs.reshape(*lead, r1, n2 * p3),
-              out=w.band3.reshape(*lead, n1, n2 * p3))
-    np.matmul(w.band3.view(np.float64).reshape(-1, 2 * p3),
-              _x3_dft(n3, p3)[1], out=out.reshape(-1, n3))
-    return out
+    return _work(grid, threading.get_ident(), *lead)[grid.shape].to_samples(
+        coeffs, out)
 
 
 @dataclass

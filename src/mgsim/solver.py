@@ -44,10 +44,10 @@ whole-band run's bit for bit, and the records agree to rounding.
 
 The advection product multiplies the field by its six spectral factors
 (M1, M2, M3, i k1, i k2, i k3), stacked into one array kept per layout and
-N^2, and makes one stacked inverse of the six products, whose x3 pass is
-one matrix product for all six, and one forward of u . grad theta.  Its
-buffers are kept per layout and thread, as the transforms' work arrays
-are, so no call builds them again.
+N^2, and makes one stacked inverse pass of the six products, whose x3 pass
+is one matrix product for all six, and one forward pass of u . grad theta.
+The product, with its buffers and passes, is kept per layout, sample shape
+and thread (``_Advection``); a run binds it and the factors once.
 
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry
@@ -69,7 +69,6 @@ import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -81,7 +80,7 @@ from .fields import (
     Sublattice,
     _PerShape,
     _conjugate_plane,
-    forward,
+    _work,
     hs_norm,
     inverse,
     ksq_power,
@@ -206,20 +205,36 @@ def _advection_factors(grid, n2_phys):
                                         *ik))
 
 
+class _Advection:
+    """One thread's advection product on a layout sampled on ``shape``,
+    given the ``factors`` of ``_advection_factors`` (so N^2 adds none):
+    ``spec`` takes the field times them and ``phys`` their samples
+    (velocity rows 0-2, gradient rows 3-5), one stacked pass; the forward
+    pass skips ``forward``'s Hermitian fix of the k3 = 0 plane it zeroes.
+    """
+
+    def __init__(self, grid, shape, thread):
+        self.spec = np.empty((6, *grid.band_shape), dtype=np.complex128)
+        self.phys = p = np.empty((6, *shape))
+        self.u, self.grad, self.p0, self.p1, self.p2 = p[:3], p[3:], *p[:3]
+        self.stack = _work(grid, thread, 6)[shape]
+        self.field = _work(grid, thread)[shape]
+
+    def __call__(self, factors, c, out):
+        self.stack.to_samples(np.multiply(factors, c, out=self.spec),
+                              self.phys)
+        self.u *= self.grad
+        np.add(self.p0, self.p1, out=self.p0)
+        self.p0 += self.p2
+        self.field.to_band(self.p0, out)
+        out[:, :, 0] = 0.0
+        return out
+
+
 @lru_cache(maxsize=None)
 def _advection_work(grid, thread):
-    """One thread's buffers of the advection product on a layout, one set
-    per sample shape (``fields._PerShape``).
-
-    ``spec`` takes the six spectral products of ``_advection_factors``
-    with the field, and ``phys`` their samples, made by one stacked
-    ``inverse``; the velocity is rows 0-2 and the gradient rows 3-5.  As
-    with the transforms' work arrays, no function returns one of them.
-    Nothing here depends on N^2, so a sweep over N^2 adds no buffers.
-    """
-    return _PerShape(lambda shape: SimpleNamespace(
-        spec=np.empty((6, *grid.band_shape), dtype=np.complex128),
-        phys=np.empty((6, *shape))))
+    """One thread's ``_Advection`` on a layout, one per sample shape."""
+    return _PerShape(lambda shape: _Advection(grid, shape, thread))
 
 
 def velocity_max(grid, c, n2_phys):
@@ -227,27 +242,17 @@ def velocity_max(grid, c, n2_phys):
     work = _advection_work(grid, threading.get_ident())[grid.shape]
     spec = np.multiply(_advection_factors(grid, n2_phys)[:3], c,
                        out=work.spec[:3])
-    u = inverse(grid, spec, out=work.phys[:3])
+    u = inverse(grid, spec, out=work.u)
     return tuple(float(max(uj.max(), -uj.min())) for uj in u)
 
 
 def advection_coefficients(grid, c, n2_phys, out=None):
-    """Dealiased coefficients of u . grad theta, restricted to k3 != 0.
-
-    The result goes into ``out`` when given, else into a new array.  The
-    field times the six factors goes through one stacked ``inverse`` into
-    the work buffers, so a call given ``out`` allocates no array of the
-    grid's size; the product sums u_j d_j theta in the order j = 1, 2, 3.
-    """
-    work = _advection_work(grid, threading.get_ident())[grid.shape]
-    spec = np.multiply(_advection_factors(grid, n2_phys), c, out=work.spec)
-    p = inverse(grid, spec, out=work.phys)
-    p[:3] *= p[3:]
-    prod = np.add(p[0], p[1], out=p[0])
-    prod += p[2]
-    out = forward(grid, prod, out=out)
-    out[:, :, 0] = 0.0
-    return out
+    """Dealiased coefficients of u . grad theta, restricted to k3 != 0,
+    by the layout's ``_Advection``: into ``out`` when given (then no array
+    of the grid's size is made), else into a new array."""
+    out = np.empty(grid.band_shape, np.complex128) if out is None else out
+    return _advection_work(grid, threading.get_ident())[grid.shape](
+        _advection_factors(grid, n2_phys), c, out)
 
 
 def _cos_shift_sum(v, m, out):
@@ -322,9 +327,9 @@ class _Stepper:
     run's lattice, whose growth cap is checked first; every factor is built
     there, and a step writes every right-hand side and stage into the
     buffers built here, so it allocates no array of the layout's size.
-    The right-hand sides and the record's energy flux transform on
-    ``grid``, the layout's ``stepping``; a record samples the state and
-    the velocity on ``layout``, the grid's sizes.
+    The right-hand sides run the ``_Advection`` and factors bound here on
+    ``grid``, the layout's ``stepping``, where the record's energy flux
+    transforms too; a record samples state and velocity on ``layout``.
     """
 
     def __init__(self, layout, params, config, c, src, ref):
@@ -347,7 +352,11 @@ class _Stepper:
         else:
             self.implicit = 1.0 / (1.0 + dt * diss)
         self.linearized = config.linearized
-        if config.linearized:
+        if not config.linearized:  # bound once: a run never changes thread
+            self.factors = _advection_factors(self.grid, params.n2)
+            self.advect = _advection_work(
+                self.grid, threading.get_ident())[self.grid.shape]
+        else:
             # -m u3 cos(m x3) = v(k3 - m) + v(k3 + m), v = -(m/2) M3_hat theta_hat
             # (a shift by m / s3 indices on the layout)
             self.shift = params.m // layout.lattice.s3
@@ -366,11 +375,10 @@ class _Stepper:
                            self.shift, out)
             out[:, :, 0] = 0.0
             return out
-        advection_coefficients(self.grid, cc, self.n2p, out=out)
-        np.negative(out, out=out)
-        if self.src is not None:
-            out += self.src
-        return out
+        self.advect(self.factors, cc, out)
+        if self.src is None:
+            return np.negative(out, out=out)
+        return np.subtract(self.src, out, out=out)
 
     def step(self):
         c, nxt, dt, outs = self.c, self.next, self.dt, self.outs

@@ -135,16 +135,15 @@ def test_instability_at_zero_eps_kappa_reports_no_continuum():
 
 
 def _count_transforms(monkeypatch):
-    """Patch forward and inverse to append each call's grid to a list."""
+    """Patch the passes every transform runs, ``to_band`` and
+    ``to_samples``, to append each call's layout and sample shape."""
     seen = []
-    originals = {name: getattr(mgsim.fields, name)
-                 for name in ("forward", "inverse")}
-    for module in (mgsim.fields, mgsim.solver):
-        for name, fn in originals.items():
-            def counted(grid, *args, _fn=fn, **kwargs):
-                seen.append(grid)
-                return _fn(grid, *args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+    for method in ("to_band", "to_samples"):
+        def counted(passes, *args, _fn=getattr(mgsim.fields._Passes, method),
+                    **kwargs):
+            seen.append((passes.layout, passes.shape))
+            return _fn(passes, *args, **kwargs)
+        monkeypatch.setattr(mgsim.fields._Passes, method, counted)
     return seen
 
 
@@ -157,11 +156,11 @@ def test_instability_steps_only_on_the_seed_sublattice(monkeypatch):
     assert rep.diag.layout == Grid(48, 48, 48, Sublattice.diag(9, 4))
     assert str(rep.diag.layout) == (
         "16x12x48 on Sublattice(basis=((9, 0), (0, 4)), s3=1)")
-    assert seen and set(seen) == {rep.diag.layout}
+    assert seen and {layout for layout, _ in seen} == {rep.diag.layout}
     # the right-hand sides transform on the layout's own sizes; only a
     # record's samples of theta and the velocity, one inverse each, are
     # on the grid's
-    shapes = collections.Counter(grid.shape for grid in seen)
+    shapes = collections.Counter(shape for _, shape in seen)
     assert set(shapes) == {(4, 10, 48), (16, 12, 48)}
     assert shapes[16, 12, 48] == 2 * len(rep.diag.times)
     assert rep.fitted_rate == pytest.approx(rep.sigma_star, rel=1e-3)
@@ -184,7 +183,8 @@ def test_plane_demo_steps_only_on_plane_layouts(monkeypatch, plane, m,
                      dt=0.01, t_end=0.5, record_every=10)
     assert str(rep.control.diag.layout) == control_layout
     arm_layout = Grid(24, 24, 24, Sublattice.of_plane(plane))
-    assert [grid for grid, _ in itertools.groupby(seen)] == [
+    assert [grid for grid, _ in itertools.groupby(
+        layout for layout, _ in seen)] == [
         arm_layout, rep.control.diag.layout]
 
 

@@ -866,7 +866,21 @@ def test_forward_properties(v):
      "cosine mode requires a nonzero wavevector"),
     (lambda: sine_vertical(G16, 0),
      "vertical mode index must be >= 1, got 0"),
-], ids=["forward_shape", "add_across_grids", "cosine_zero", "sine_m0"])
+    (lambda: forward(Grid(8, 8, 8), (1 + 1j) * np.ones((8, 8, 8))),
+     "samples of dtype complex128 are not real"),
+    (lambda: forward(Grid(8, 8, 8), np.full((8, 8, 8), "1")),
+     "samples of dtype <U1 are not real"),
+], ids=["forward_shape", "add_across_grids", "cosine_zero", "sine_m0",
+        "forward_complex", "forward_str"])
 def test_field_operations_refuse_bad_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_transforms_take_array_likes():
+    # nested lists go through np.asarray, as arrays do
+    g = Grid(8, 8, 8)
+    v = np.random.default_rng(2).standard_normal(g.shape)
+    c = forward(g, v)
+    assert np.array_equal(forward(g, v.tolist()), c)
+    assert np.array_equal(inverse(g, c.tolist()), inverse(g, c))

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -140,18 +141,97 @@ def test_advection_matches_unpruned_reference(shape):
 def test_advection_given_out_allocates_no_grid_array():
     # the six factors' products and samples go through the work buffers;
     # the buffer numpy's multiply takes for the broadcast field has a fixed
-    # size (about 116 KB), well under one array of the grid at 48^3
+    # size (about 116 KB), well under one array of the grid at 48^3; a
+    # stepper's IF-RK4 step writes every right-hand side and stage into
+    # buffers it holds, so it allocates no more
     grid = Grid(48, 48, 48)
     c = _rich_field(grid).c
     out = np.empty(grid.band_shape, dtype=np.complex128)
-    advection_coefficients(grid, c, 1.3, out=out)  # builds the buffers
-    tracemalloc.start()
+    stepper = _Stepper(grid, PhysParams(eps_kappa=0.02),
+                       SolverConfig(dt=0.01, t_end=0.01), c.copy(), None, None)
+    for call in (lambda: advection_coefficients(grid, c, 1.3, out=out),
+                 stepper.step):
+        call()  # builds the buffers
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < np.empty(grid.shape).nbytes
+
+
+@pytest.mark.parametrize("grid, lattice, step_shape", [
+    (G16, WHOLE_LATTICE, (16, 16, 16)),
+    (G24, Sublattice.of_plane(PlaneSpec(1, 1)), (24, 1, 24)),
+    (G24, Sublattice(((1, 2),)), (10, 1, 24)),
+    (Grid(48, 48, 48), Sublattice.diag(9, 4), (4, 10, 48)),
+], ids=["whole16", "plane1_1", "column1_2", "diag9_4"])
+@pytest.mark.parametrize("source", [False, True], ids=["bare", "source"])
+def test_stepper_rhs_is_the_advection_product(grid, lattice, step_shape,
+                                              source):
+    # the stepper binds its advection product once; its right-hand side is
+    # src - advection_coefficients on the stepping layout, bit for bit and
+    # k3 = 0 plane included, from data whose k3 = 0 plane is not zero
+    par = PhysParams(eps_kappa=0.02, gamma=0.8)
+    layout = replace(grid, lattice=lattice)
+    assert layout.stepping.shape == step_shape
+    rng = np.random.default_rng(5)
+    c = layout.gather(forward(grid, rng.standard_normal(grid.shape)))
+    src = (layout.gather(SourceSpec("steady_balance").realize(grid, par))
+           if source else None)
+    stepper = _Stepper(layout, par, SolverConfig(dt=0.01, t_end=0.01),
+                       c.copy(), src, None)
+    got = stepper.rhs(c, np.empty(layout.band_shape, dtype=np.complex128))
+    adv = advection_coefficients(layout.stepping, c, par.n2)
+    assert np.any(adv != 0.0)
+    assert np.array_equal(got, -adv if src is None else src - adv)
+
+
+def test_runs_from_threads_match_runs_in_turn():
+    # a stepper binds its thread's passes and buffers once: four runs at
+    # once, two plane arms and two on the whole 16^3 grid, record what the
+    # same runs record one after another, bit for bit
+    plane = PlaneSpec(1, 1)
+    arm = SolverConfig(dt=0.01, t_end=0.3, record_every=5, plane=plane,
+                       lattice=Sublattice.of_plane(plane),
+                       source=SourceSpec("steady_balance"))
+    whole = SolverConfig(dt=0.01, t_end=0.3, record_every=5)
+    seed = sine_vertical(G24, 1) + cosine_mode(G24, (1, 1, 1), 1e-2)
+    cases = [(seed, PhysParams(eps_kappa=0.02, gamma=0.3), arm),
+             (seed, PhysParams(eps_kappa=0.02, gamma=0.8), arm),
+             (_rich_field(G16, seed=1) * 0.1, PhysParams(eps_kappa=0.02),
+              whole),
+             (_rich_field(G16, seed=2) * 0.1, PhysParams(eps_kappa=0.05),
+              whole)]
+
+    def arrays(case):
+        final, diag = run(*case)
+        return [final.c, diag.times,
+                *(getattr(diag, s) for s in Diagnostics.SERIES)]
+
+    expected = [arrays(case) for case in cases]
+    got = [None] * len(cases)
+
+    def worker(i):
+        got[i] = arrays(cases[i])
+
+    threads = [threading.Thread(target=worker, args=(i,))
+               for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        advection_coefficients(grid, c, 1.3, out=out)
-        _, peak = tracemalloc.get_traced_memory()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
     finally:
-        tracemalloc.stop()
-    assert peak < np.empty(grid.shape).nbytes
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, have in zip(expected, got):
+        assert have is not None
+        assert all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(want, have))
 
 
 class TestExactness:
@@ -244,10 +324,11 @@ class TestLinearized:
             np.abs(expected))
 
     def test_steps_make_no_transforms(self, monkeypatch):
+        theta0 = _rich_field(G16)
         counts = _counting_transforms(monkeypatch)
         cfg = SolverConfig(dt=0.01, t_end=0.2, record_every=5,
                            linearized=True)
-        _, diag = run(_rich_field(G16), PhysParams(eps_kappa=0.01), cfg)
+        _, diag = run(theta0, PhysParams(eps_kappa=0.01), cfg)
         # only the L-infinity norm of each record leaves spectral space
         assert len(diag.times) == 5
         assert counts == {"forward": 0, "inverse": len(diag.times)}
@@ -264,26 +345,23 @@ class TestLinearized:
 
 
 def _counting_transforms(monkeypatch, grid=None):
-    """Count forward/inverse calls at every lookup site the package uses.
+    """Count the transforms made, as calls of the passes every transform
+    runs: ``to_band`` as forward, ``to_samples`` as inverse.
 
-    With ``grid`` given, only the calls on that grid are counted.
+    With ``grid`` given, only the passes on that layout are counted.
     """
     counts = {"forward": 0, "inverse": 0}
 
     def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            if grid is None or args[0] == grid:
+        def wrapped(passes, *args, **kwargs):
+            if grid is None or passes.layout == grid:
                 counts[name] += 1
-            return fn(*args, **kwargs)
+            return fn(passes, *args, **kwargs)
         return wrapped
 
-    # wrap the originals, taken before any site is patched, so that no
-    # wrapper calls another and counts a call twice
-    originals = {name: getattr(mgsim.fields, name)
-                 for name in ("forward", "inverse")}
-    for module in (mgsim.fields, mgsim.solver):
-        for name, fn in originals.items():
-            monkeypatch.setattr(module, name, counting(name, fn))
+    for name, method in (("forward", "to_band"), ("inverse", "to_samples")):
+        fn = getattr(mgsim.fields._Passes, method)
+        monkeypatch.setattr(mgsim.fields._Passes, method, counting(name, fn))
     return counts
 
 
@@ -797,14 +875,12 @@ def test_linearized_eigenfunction_run_makes_no_grid_transform(monkeypatch):
     # the (6, 4) eigenfunction at 48^3 steps on its span: one inverse per
     # record (the L-infinity norm), every one on that layout, no forward
     seen = []
-    originals = {name: getattr(mgsim.fields, name)
-                 for name in ("forward", "inverse")}
-    for module in (mgsim.fields, mgsim.solver):
-        for name, fn in originals.items():
-            def counted(grid, *args, _name=name, _fn=fn, **kwargs):
-                seen.append((_name, grid))
-                return _fn(grid, *args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+    for name, method in (("forward", "to_band"), ("inverse", "to_samples")):
+        def counted(passes, *args, _name=name,
+                    _fn=getattr(mgsim.fields._Passes, method), **kwargs):
+            seen.append((_name, passes.layout))
+            return _fn(passes, *args, **kwargs)
+        monkeypatch.setattr(mgsim.fields._Passes, method, counted)
     par = PhysParams(eps_kappa=0.01)
     phi = assemble_eigenfunction(solve_sigma_star(6, 4, par),
                                  Grid(48, 48, 48))
