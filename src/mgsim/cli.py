@@ -293,16 +293,6 @@ def _outdir(path):
     return out
 
 
-def _layout_lines(name, layout):
-    """Manifest lines naming a run's layout, then the sizes it steps on
-    where they are not its samples' (``Grid.step_shape``)."""
-    lines = {name: str(layout)}
-    if layout.step_shape != layout.shape:
-        lines[f"{name}_steps"] = "x".join(
-            map(str, layout.step_shape))
-    return lines
-
-
 def _config_command(name):
     """Register a command that reads --config and writes into --out."""
     out = click.option("--out", "out_dir", required=True,
@@ -355,7 +345,7 @@ def evolve(config_path, out_dir):
     if sol is not None:
         extras["sigma_star"] = f"{sol.sigma_star:.12g}"
     if diag.layout != grid:
-        extras.update(_layout_lines("layout", diag.layout))
+        extras["layout"] = str(diag.layout)
     write_manifest(out / "manifest.txt", cfg.resolved, wall_seconds=wall,
                    extras=extras)
     click.echo(f"{len(diag.times)} records; "
@@ -385,7 +375,7 @@ def instability_cmd(config_path, out_dir):
     rel = abs(rep.fitted_rate - rep.sigma_star) / rep.sigma_star
     extras = {
         "mode": f"({rep.k1}, {rep.k2})",
-        **_layout_lines("layout", rep.diag.layout),
+        "layout": str(rep.diag.layout),
         "sigma_star": f"{rep.sigma_star:.12g}",
         "fitted_rate": f"{rep.fitted_rate:.12g}",
         "relative_mismatch": f"{rel:.3g}",
@@ -459,7 +449,7 @@ def plane_demo_cmd(config_path, out_dir):
         "plane": str(rep.plane),
         "plane_constant": f"{rep.plane_constant:.9g}",
         "control_mode": str(rep.control_mode),
-        **_layout_lines("control_layout", rep.control.diag.layout),
+        "control_layout": str(rep.control.diag.layout),
         "control_off_plane_factor": f"{rep.control.departure_factor:.6g}",
         "control_fitted_rate": f"{rep.control_rate:.9g}",
         "control_sigma_star": f"{rep.control_sigma_ref:.9g}",

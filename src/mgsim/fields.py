@@ -29,16 +29,15 @@ conjugate-pair lookups then hold to the last bit, not merely to rounding.
 ``(..., *band_shape)``: its passes run on the last three axes, so a stack
 costs one call, not one per field, and each field's samples are the ones
 a call of its own gives, bit for bit.  The passes are written once, in a
-``_Passes`` kept per layout, stack, sample shape and thread with its work
-arrays; a caller of many transforms, such as a run, binds one once.
+``_Passes`` kept per layout, stack and thread with its work arrays; a
+caller of many transforms, such as a run, binds one once.
 
 A :class:`Grid` is the layout of a field confined to a :class:`Sublattice`
 (a plane, or diag(s1, s2) with a vertical stride); ``Grid(n1, n2, n3)`` is
 the whole lattice diag(1, 1) with stride 1, the grid itself, and every
 other layout runs through the same transforms and cached wavenumber arrays;
-a pass of length one, such as a plane's x2 pass, is skipped.  A layout
-samples where the grid does, and a restricted one steps on sizes of its
-own band (see :class:`Grid`).
+a pass of length one, such as a plane's x2 pass, is skipped.  A
+restricted layout samples on sizes of its own band (see :class:`Grid`).
 
 Norms and inner products are computed spectrally by one Parseval kernel,
 :func:`parseval`, with the conjugate-pair weight (2 for k3 > 0, 1 on the
@@ -47,7 +46,6 @@ k3 = 0 plane; the band never reaches the Nyquist plane k3 = n3 / 2) and
 and is re-exported here.
 """
 
-import copy
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -109,13 +107,14 @@ WHOLE_LATTICE = Sublattice.diag(1, 1)
 
 
 def _axis(sizes, bands, col):
-    """(size, band) of a layout axis along the basis column ``col``: the
-    number of values its coordinate takes on the grid, lcm over c_i != 0 of
-    n_i / gcd(n_i, c_i), and min b_i // |c_i|.  The size is where the
-    layout samples; it steps on ``_step_size`` of the two."""
+    """(size, band) of a restricted layout's axis along the basis column
+    ``col``: the band min b_i // |c_i|, and its ``_step_size`` capped at the
+    number of values the coordinate takes on the grid, lcm over c_i != 0
+    of n_i / gcd(n_i, c_i)."""
     axis = [(n, b, abs(c)) for n, b, c in zip(sizes, bands, col) if c]
-    return (math.lcm(*(n // math.gcd(n, c) for n, _, c in axis)),
-            min(b // c for _, b, c in axis))
+    band = min(b // c for _, b, c in axis)
+    return (_step_size(math.lcm(*(n // math.gcd(n, c) for n, _, c in axis)),
+                       band), band)
 
 
 def _step_size(size, band):
@@ -139,20 +138,12 @@ class Grid:
     coordinates (j1, j2, j3) is stored at that index, and
     :func:`wavenumbers` returns the basis images, so every kernel runs
     unchanged on any layout (a plane keeps its x2 axis, with length one).
-    Each coordinate takes ``_axis``'s number of values on the grid, each
-    equally often; ``shape`` holds those sizes, so the grid's samples are
-    the layout's repeated and the grid's forward coefficient at an in-band
-    lattice wavevector is the layout's, aliases included.  ``gather`` and
-    ``scatter`` move the lattice's coefficients to and from the band of
-    the whole lattice.
-
-    A restricted layout steps on sizes of its own band, ``step_shape``
-    (``_step_size`` on each axis): its dealiasing needs no more, and
-    products are exact there as on ``shape``.  ``stepping`` is the layout
-    sampled on those sizes; it holds the same coefficients, so it equals
-    the layout, and it is the layout itself where the sizes agree (always
-    on the whole lattice).  Caches whose arrays have a sample shape keep
-    one entry per shape (``_PerShape``).
+    ``shape`` holds the sizes the layout samples, steps and records on,
+    sample i of an axis at its coordinate 2 pi i / n: the grid's on the
+    whole lattice, and on a restricted layout ``_axis``'s sizes of its own
+    band, on which products are dealiased exactly as on the grid's.
+    ``gather`` and ``scatter`` move the lattice's coefficients to and from
+    the band of the whole lattice.
     """
 
     n1: int
@@ -161,7 +152,6 @@ class Grid:
     lattice: Sublattice = WHOLE_LATTICE
     shape: tuple = field(init=False, repr=False, compare=False)
     band: tuple = field(init=False, repr=False, compare=False)
-    step_shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n1", "n2", "n3"):
@@ -178,11 +168,10 @@ class Grid:
         axes = [_axis(sizes[:2], (b1, b2), c) for c in self.lattice.basis]
         axes = [*axes, (1, 0)][:2] + [_axis(sizes[2:], (b3,),
                                             (self.lattice.s3,))]
-        object.__setattr__(self, "shape", tuple(n for n, _ in axes))
-        object.__setattr__(self, "band", tuple(b for _, b in axes))
-        object.__setattr__(self, "step_shape", self.shape
+        object.__setattr__(self, "shape", sizes
                            if self.lattice == WHOLE_LATTICE
-                           else tuple(_step_size(n, b) for n, b in axes))
+                           else tuple(n for n, _ in axes))
+        object.__setattr__(self, "band", tuple(b for _, b in axes))
 
     def __str__(self):
         if self.lattice == WHOLE_LATTICE:
@@ -193,16 +182,6 @@ class Grid:
     def whole(self):
         """The layout of the whole lattice on the same grid."""
         return replace(self, lattice=WHOLE_LATTICE)
-
-    @cached_property
-    def stepping(self):
-        """This layout sampled on ``step_shape`` (see the class docstring);
-        a copy, so ``replace`` and ``whole`` build layouts that sample."""
-        if self.shape == self.step_shape:
-            return self
-        stepping = copy.copy(self)
-        object.__setattr__(stepping, "shape", self.step_shape)
-        return stepping
 
     @property
     def spectral_shape(self):
@@ -265,8 +244,7 @@ def ksq_power(grid, s):
 
 
 def dealias_mask(grid):
-    """The band on numpy's full ``rfftn`` layout ``grid.spectral_shape``
-    (not cached: it has the layout's sample shape)."""
+    """The band on numpy's full ``rfftn`` layout ``grid.spectral_shape``."""
     n1, n2, p3 = grid.spectral_shape
     b1, b2, b3 = grid.band
     k1 = np.abs(np.fft.fftfreq(n1, d=1.0 / n1)) <= b1
@@ -300,22 +278,6 @@ def _conjugate_plane(plane):
     return np.conj(plane[_mirror(*plane.shape[:2])])
 
 
-class _PerShape(dict):
-    """Arrays keyed by sample shape, built by ``build(shape)`` on first use.
-
-    A layout and its stepping layout are equal, so a cache keyed by the
-    layout returns one of these and each looks up its own ``grid.shape``.
-    """
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, shape):
-        self[shape] = arrays = self.build(shape)
-        return arrays
-
-
 @lru_cache(maxsize=None)
 def _axis_dft(n, r):
     """(to_band, to_samples) of an x1 or x2 pass between n samples l and r
@@ -338,14 +300,14 @@ def _x3_dft(n, p):
 
 
 class _Passes:
-    """Both transforms' passes between samples of shape ``shape`` and the
-    band of ``layout``, with the leading axes ``lead`` of a stack, and the
+    """Both transforms' passes between the samples and the band of
+    ``layout``, with the leading axes ``lead`` of a stack, and the
     arrays they write into, the band in k3 and in k1 and k3, viewed once as
     the products take them.  Neither method checks its input."""
 
-    def __init__(self, layout, shape, lead):
-        (r1, r2, p3), (n1, n2, n3) = layout.band_shape, shape
-        self.layout, self.shape, self.n3 = layout, shape, n3
+    def __init__(self, layout, lead):
+        (r1, r2, p3), (n1, n2, n3) = layout.band_shape, layout.shape
+        self.layout, self.n3 = layout, n3
         self.x1, self.x3 = _axis_dft(n1, r1), _x3_dft(n3, p3)
         self.x2 = _axis_dft(n2, r2) if n2 > 1 else None  # n2 = 1: identity
         band3 = np.empty(lead + (n1, n2, p3), dtype=np.complex128)
@@ -378,8 +340,8 @@ class _Passes:
 @lru_cache(maxsize=None)
 def _work(grid, thread, *lead):
     """One thread's ``_Passes`` on a layout, of one field or with the
-    leading axes ``lead`` of a stack; one per sample shape (``_PerShape``)."""
-    return _PerShape(lambda shape: _Passes(grid, shape, lead))
+    leading axes ``lead`` of a stack."""
+    return _Passes(grid, lead)
 
 
 def forward(grid, values, out=None):
@@ -394,7 +356,7 @@ def forward(grid, values, out=None):
             f"values shape {values.shape} does not match grid {grid.shape}")
     if out is None:
         out = np.empty(grid.band_shape, dtype=np.complex128)
-    _work(grid, threading.get_ident())[grid.shape].to_band(
+    _work(grid, threading.get_ident()).to_band(
         values.astype(np.float64, copy=False), out)
     plane = out[:, :, 0]
     out[:, :, 0] = 0.5 * (plane + _conjugate_plane(plane))
@@ -418,8 +380,7 @@ def inverse(grid, coeffs, out=None):
     if out.shape != lead + grid.shape or not out.flags.c_contiguous:
         raise ValueError(f"out of shape {out.shape} is not a C-contiguous "
                          f"array of shape {lead + grid.shape}")
-    return _work(grid, threading.get_ident(), *lead)[grid.shape].to_samples(
-        coeffs, out)
+    return _work(grid, threading.get_ident(), *lead).to_samples(coeffs, out)
 
 
 @dataclass

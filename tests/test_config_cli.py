@@ -663,37 +663,24 @@ class TestCli:
         assert res.exit_code == 0, res.output
         text = (out / "manifest.txt").read_text()
         assert "\nmode = (9, 4)\n" in text
-        assert ("\nlayout = 16x12x48 on Sublattice(basis=((9, 0), (0, 4)), "
+        assert ("\nlayout = 4x10x48 on Sublattice(basis=((9, 0), (0, 4)), "
                 "s3=1)\n" in text)
+        assert "_steps = " not in text
 
     def test_manifests_name_the_stepping_sizes(self, tmp_path):
-        # a restricted layout steps on its own band's sizes: where they are
-        # not its samples', the line after the layout line names them
-        # (the manifest sorts its lines)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[phys]\neps_kappa = 0.01\n[instability]\nn = 48\n"
-                       "t_end = 0.1\nrecord_every = 5\nfit_start = 0\n")
-        out = tmp_path / "out"
-        res = self.runner.invoke(main, [
-            "instability", "--config", str(cfg), "--out", str(out)])
-        assert res.exit_code == 0, res.output
-        assert ("\nlayout = 16x12x48 on Sublattice(basis=((9, 0), (0, 4)), "
-                "s3=1)\nlayout_steps = 4x10x48\n"
-                in (out / "manifest.txt").read_text())
-        # plane 2/1 has band 2 on its 16 points, plane 1/1 band 5
+        # a restricted layout steps and samples on its own band's sizes,
+        # and its one layout line names them: plane 2/1 has band 2 on its
+        # 16 points, plane 1/1 band 5
         for q, init, steps in (("2/1", "mode:1,2,1,0.5", "8x1x16"),
-                               ("1/1", "mode:1,1,2,0.5", None)):
+                               ("1/1", "mode:1,1,2,0.5", "16x1x16")):
             run_dir = tmp_path / q.replace("/", "_")
             run_dir.mkdir()
             res = _evolve(run_dir, EVOLVE_CFG + f"[init]\nkind = {init}\n"
                           f"[plane]\nq = {q}\nrestrict = true\n")
             assert res.exit_code == 0, res.output
             text = (run_dir / "out" / "manifest.txt").read_text()
-            assert "\nlayout = 16x1x16 on Sublattice" in text
-            if steps is None:
-                assert "\nlayout_steps = " not in text
-            else:
-                assert f"\nlayout_steps = {steps}\n" in text
+            assert f"\nlayout = {steps} on Sublattice" in text
+            assert "_steps = " not in text
 
     def test_plane_demo_manifest_records_the_control_layout(self, tmp_path):
         # the (1, 2, 1) control steps on its seed's plane, not on 24^3
@@ -706,8 +693,9 @@ class TestCli:
         assert res.exit_code == 0, res.output
         text = (out / "manifest.txt").read_text()
         assert "\ncontrol_mode = (1, 2, 1)\n" in text
-        assert ("\ncontrol_layout = 24x1x24 on Sublattice(basis=((1, 2),), "
+        assert ("\ncontrol_layout = 10x1x24 on Sublattice(basis=((1, 2),), "
                 "s3=1)\n" in text)
+        assert "_steps = " not in text
 
     def test_instability_at_zero_eps_kappa_has_no_continuum(self, tmp_path):
         # a horizon short of the growth cap runs; there is no continuum

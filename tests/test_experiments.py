@@ -1,6 +1,5 @@
 """Tests for the experiment drivers' argument checks and table writers."""
 
-import collections
 import csv
 import itertools
 import math
@@ -18,7 +17,9 @@ import mgsim.experiments
 from mgsim.eigen import closed_form_bounds, optimize_growth
 from mgsim.errors import GrowthCapError
 from mgsim.experiments import instability, plane_demo, write_eigen_csv
-from mgsim.fields import WHOLE_LATTICE, Grid, PlaneSpec, Sublattice
+from mgsim.fields import (
+    WHOLE_LATTICE, Grid, PlaneSpec, SpectralField, Sublattice, linf_norm,
+)
 from mgsim.solver import SolverConfig, _growth_cap_check, run
 from mgsim.symbol import PhysParams
 
@@ -136,12 +137,12 @@ def test_instability_at_zero_eps_kappa_reports_no_continuum():
 
 def _count_transforms(monkeypatch):
     """Patch the passes every transform runs, ``to_band`` and
-    ``to_samples``, to append each call's layout and sample shape."""
+    ``to_samples``, to append each call's layout."""
     seen = []
     for method in ("to_band", "to_samples"):
         def counted(passes, *args, _fn=getattr(mgsim.fields._Passes, method),
                     **kwargs):
-            seen.append((passes.layout, passes.shape))
+            seen.append(passes.layout)
             return _fn(passes, *args, **kwargs)
         monkeypatch.setattr(mgsim.fields._Passes, method, counted)
     return seen
@@ -149,30 +150,25 @@ def _count_transforms(monkeypatch):
 
 def test_instability_steps_only_on_the_seed_sublattice(monkeypatch):
     # the run gathers onto the (9, 4) seed's layout once: no transform on
-    # the 48^3 grid, every transform on the layout the report names
+    # the 48^3 grid, every transform on the layout the report names, which
+    # samples on its band's own sizes
     seen = _count_transforms(monkeypatch)
     rep = instability(PhysParams(eps_kappa=0.01), box=12, n=48, dt=0.01,
                       t_end=0.1, record_every=5, fit_start=0.0)
     assert rep.diag.layout == Grid(48, 48, 48, Sublattice.diag(9, 4))
     assert str(rep.diag.layout) == (
-        "16x12x48 on Sublattice(basis=((9, 0), (0, 4)), s3=1)")
-    assert seen and {layout for layout, _ in seen} == {rep.diag.layout}
-    # the right-hand sides transform on the layout's own sizes; only a
-    # record's samples of theta and the velocity, one inverse each, are
-    # on the grid's
-    shapes = collections.Counter(shape for _, shape in seen)
-    assert set(shapes) == {(4, 10, 48), (16, 12, 48)}
-    assert shapes[16, 12, 48] == 2 * len(rep.diag.times)
+        "4x10x48 on Sublattice(basis=((9, 0), (0, 4)), s3=1)")
+    assert seen and set(seen) == {rep.diag.layout}
     assert rep.fitted_rate == pytest.approx(rep.sigma_star, rel=1e-3)
 
 
 @pytest.mark.parametrize("plane, m, control_mode, control_layout", [
     (PlaneSpec(1, 1), 1, (1, 2, 1),
-     "24x1x24 on Sublattice(basis=((1, 2),), s3=1)"),
+     "10x1x24 on Sublattice(basis=((1, 2),), s3=1)"),
     (PlaneSpec(2, 1), 1, (1, 1, 1),
      "24x1x24 on Sublattice(basis=((1, 1),), s3=1)"),
     (PlaneSpec(-1, 1), 2, (1, 2, 1),
-     "24x1x24 on Sublattice(basis=((1, 2),), s3=1)"),
+     "10x1x24 on Sublattice(basis=((1, 2),), s3=1)"),
 ], ids=["defaults", "plane2_control111", "plane-1_m2"])
 def test_plane_demo_steps_only_on_plane_layouts(monkeypatch, plane, m,
                                                 control_mode, control_layout):
@@ -183,15 +179,14 @@ def test_plane_demo_steps_only_on_plane_layouts(monkeypatch, plane, m,
                      dt=0.01, t_end=0.5, record_every=10)
     assert str(rep.control.diag.layout) == control_layout
     arm_layout = Grid(24, 24, 24, Sublattice.of_plane(plane))
-    assert [grid for grid, _ in itertools.groupby(
-        layout for layout, _ in seen)] == [
+    assert [grid for grid, _ in itertools.groupby(seen)] == [
         arm_layout, rep.control.diag.layout]
 
 
 @pytest.mark.parametrize("m, control_mode, layout", [
-    (1, (1, 2, 1), "24x1x24 on Sublattice(basis=((1, 2),), s3=1)"),
-    (2, (1, 3, 2), "24x1x12 on Sublattice(basis=((1, 3),), s3=2)"),
-    (2, (2, 4, 1), "24x1x24 on Sublattice(basis=((1, 2),), s3=1)"),
+    (1, (1, 2, 1), "10x1x24 on Sublattice(basis=((1, 2),), s3=1)"),
+    (2, (1, 3, 2), "8x1x10 on Sublattice(basis=((1, 3),), s3=2)"),
+    (2, (2, 4, 1), "10x1x24 on Sublattice(basis=((1, 2),), s3=1)"),
 ], ids=["m1", "m2_stride2", "m2_gcd2"])
 def test_plane_demo_control_matches_the_grid_control(monkeypatch, m,
                                                      control_mode, layout):
@@ -215,10 +210,17 @@ def test_plane_demo_control_matches_the_grid_control(monkeypatch, m,
                       reference=reference)
     assert np.max(np.abs(got.c - want.c)) <= 1e-14 * np.max(np.abs(want.c))
     assert np.array_equal(gdiag.times, wdiag.times)
-    for name in ("l2", "linf", "hs", "off_plane", "ref_l2"):
+    for name in ("l2", "hs", "off_plane", "ref_l2"):
         np.testing.assert_allclose(getattr(gdiag, name),
                                    getattr(wdiag, name), rtol=1e-13, atol=0,
                                    err_msg=name)
+    # a record samples the layout: the last linf row is that of the grid
+    # control's final state gathered onto it
+    layout = gdiag.layout
+    np.testing.assert_allclose(
+        gdiag.linf[-1],
+        linf_norm(SpectralField(layout, layout.gather(want.c))),
+        rtol=1e-13, atol=0)
 
 
 def test_plane_demo_control_runs_past_the_grid_growth_cap():

@@ -1,5 +1,6 @@
 """Tests for band field storage, norms, projections and snapshots."""
 
+import itertools
 import math
 import re
 import sys
@@ -81,8 +82,8 @@ def reference_inverse(grid, c):
 # odd and short axes: the steps of criterion 12's control (10x1x24) and of
 # criterion 09 (4x10x48); 96^3, where a dense pass sums the most terms
 REFERENCE_GRIDS = [Grid(16, 32, 24), Grid(8, 10, 30), Grid(48, 48, 48),
-                   Grid(24, 24, 24, Sublattice(((1, 2),))).stepping,
-                   Grid(48, 48, 48, Sublattice.diag(9, 4)).stepping,
+                   Grid(24, 24, 24, Sublattice(((1, 2),))),
+                   Grid(48, 48, 48, Sublattice.diag(9, 4)),
                    Grid(96, 96, 96)]
 
 
@@ -400,7 +401,9 @@ class TestProjections:
         assert not mask[1, 2, :].any()
 
 
-# (grid shape, plane q_num/q_den, N_s, J)
+# (grid shape, plane q_num/q_den, N_s, J): N_s points take the plane's
+# coordinate on the grid, which caps the layout's samples; on 14^3 the cap
+# binds, below the 5-smooth 16
 PLANE_LAYOUTS = [
     ((24, 24, 24), (1, 1), 24, 7),
     ((24, 24, 24), (2, 1), 24, 3),
@@ -410,11 +413,51 @@ PLANE_LAYOUTS = [
     ((24, 24, 24), (9, 1), 24, 0),
     ((24, 32, 24), (1, 1), 96, 7),
     ((24, 32, 24), (-2, 3), 16, 2),
+    ((14, 14, 14), (1, 1), 14, 4),
 ]
 
 
 def _plane_layout(shape, ratio):
     return Grid(*shape, Sublattice.of_plane(PlaneSpec(*ratio)))
+
+
+def _five_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def _assert_sample_sizes(layout, caps):
+    # a restricted layout samples on sizes of its own band: one sample for
+    # b = 0, else the smallest even 5-smooth n > 3 b, which dealiases the
+    # band exactly, capped at the number of values its coordinate takes on
+    # the grid
+    for n, cap, b in zip(layout.shape, caps, layout.band):
+        smooth = next(k for k in itertools.count(3 * b + 1)
+                      if k % 2 == 0 and _five_smooth(k))
+        assert n == (1 if b == 0 else min(cap, smooth)), layout.shape
+
+
+def _assert_samples_are_the_direct_sum(layout):
+    # against an independent oracle: the layout's samples are the direct
+    # sum over its band of c(k) exp(i k . x) at points x whose lattice
+    # coordinates are the layout's, and its coefficients survive a round
+    # trip through the whole grid
+    rng = np.random.default_rng(5)
+    c = forward(layout, rng.standard_normal(layout.shape))
+    y = np.stack(np.meshgrid(*layout.axes(), indexing="ij"), axis=-1)
+    cols = np.array([list(col) for col in layout.lattice.basis], float)
+    x = np.concatenate([y[..., :len(cols)] @ np.linalg.pinv(cols).T,
+                        y[..., 2:] / layout.lattice.s3], axis=-1)
+    K = np.stack([np.broadcast_to(k, layout.band_shape).ravel()
+                  for k in wavenumbers(layout)])
+    w = np.where(K[2] > 0, 2.0, 1.0) * c.ravel()
+    direct = (np.exp(1j * (x @ K)) @ w).real
+    assert np.max(np.abs(inverse(layout, c) - direct)) <= 1e-13
+    grid = layout.whole
+    assert np.max(np.abs(layout.gather(
+        forward(grid, inverse(grid, layout.scatter(c)))) - c)) <= 1e-15
 
 
 class TestPlaneGrid:
@@ -424,7 +467,7 @@ class TestPlaneGrid:
     def test_geometry(self, shape, ratio, n_s, j_max):
         layout = _plane_layout(shape, ratio)
         grid, plane = layout.whole, layout.lattice.plane
-        assert layout.shape == (n_s, 1, shape[2])
+        _assert_sample_sizes(layout, (n_s, 1, shape[2]))
         assert layout.band_shape == (2 * j_max + 1, 1, grid.band[2] + 1)
         K1, K2, K3 = (np.broadcast_to(k, layout.band_shape)
                       for k in wavenumbers(layout))
@@ -440,30 +483,16 @@ class TestPlaneGrid:
         assert np.array_equal(layout.scatter(layout.gather(c)), c)
 
     @pytest.mark.parametrize("shape, ratio, n_s, j_max", PLANE_LAYOUTS)
-    def test_grid_samples_repeat_the_plane_samples(self, shape, ratio, n_s,
-                                                   j_max):
-        layout = _plane_layout(shape, ratio)
-        grid, (q_num, q_den) = layout.whole, ratio
-        rng = np.random.default_rng(5)
-        v = rng.standard_normal(layout.shape)
-        c = forward(layout, v)
-        # grid point (i1, i2) sits at s = 2 pi t / N_s
-        i1, i2 = np.ix_(np.arange(grid.n1), np.arange(grid.n2))
-        t = (q_den * n_s // grid.n1 * i1 + q_num * n_s // grid.n2 * i2) % n_s
-        repeated = v[t, 0, :]
-        # the grid's forward coefficients at the on-plane wavevectors are
-        # the layout's, aliases included, and the inverses agree
-        assert np.max(np.abs(layout.gather(forward(grid, repeated)) - c)) \
-            <= 1e-15 * np.max(np.abs(v))
-        assert np.max(np.abs(inverse(grid, layout.scatter(c))
-                             - inverse(layout, c)[t, 0, :])) <= 1e-14
+    def test_samples_are_the_direct_sum(self, shape, ratio, n_s, j_max):
+        _assert_samples_are_the_direct_sum(_plane_layout(shape, ratio))
 
 
-# (grid shape, strides s1, s2, s3, layout shape, layout band)
+# (grid shape, strides s1, s2, s3, N_s, layout band); a band-0 axis last
 DIAG_LAYOUTS = [
     ((48, 48, 48), (9, 4, 1), (16, 12, 48), (1, 3, 15)),
     ((24, 24, 64), (6, 5, 2), (4, 24, 32), (1, 1, 10)),
     ((32, 16, 24), (3, 2, 3), (32, 8, 8), (3, 2, 2)),
+    ((48, 48, 48), (48, 4, 1), (1, 12, 48), (0, 3, 15)),
 ]
 
 
@@ -487,9 +516,9 @@ class TestSublattice:
         assert Sublattice.diag(9, 4, 2).plane is None
         layout = Grid(48, 48, 48, Sublattice.diag(9, 4))
         assert str(layout) == (
-            "16x12x48 on Sublattice(basis=((9, 0), (0, 4)), s3=1)")
+            "4x10x48 on Sublattice(basis=((9, 0), (0, 4)), s3=1)")
         layout = Grid(24, 24, 24, Sublattice(((1, 2),), 3))
-        assert str(layout) == "24x1x8 on Sublattice(basis=((1, 2),), s3=3)"
+        assert str(layout) == "10x1x8 on Sublattice(basis=((1, 2),), s3=3)"
 
     @pytest.mark.parametrize("lookup", [
         lambda g: cosine_mode(g, (2, 2, 1)),
@@ -512,11 +541,12 @@ class TestSublattice:
         lookup(layout.whole)  # the whole lattice addresses wavevectors
 
     @pytest.mark.parametrize("shape, strides, n_layout, band", DIAG_LAYOUTS)
-    def test_diag_layout_takes_the_grid_samples(self, shape, strides,
-                                                n_layout, band):
+    def test_diag_layout_geometry_and_samples(self, shape, strides, n_layout,
+                                              band):
         grid = Grid(*shape)
         layout = Grid(*shape, Sublattice.diag(*strides))
-        assert (layout.shape, layout.band) == (n_layout, band)
+        assert layout.band == band
+        _assert_sample_sizes(layout, n_layout)
         K = [np.broadcast_to(k, layout.band_shape)
              for k in wavenumbers(layout)]
         for k, s, b in zip(K, strides, grid.band):
@@ -526,20 +556,11 @@ class TestSublattice:
         for k, s in zip(wavenumbers(grid), strides):
             on &= k % s == 0
         assert np.count_nonzero(on) == K[0].size
-        rng = np.random.default_rng(8)
-        v = rng.standard_normal(layout.shape)
-        c = forward(layout, v)
-        # grid point i sits at lattice coordinate y = 2 pi t / n', per axis
-        t = np.ix_(*((s * m // n * np.arange(n)) % m
-                     for s, m, n in zip(strides, n_layout, shape)))
-        assert np.max(np.abs(layout.gather(forward(grid, v[t])) - c)) \
-            <= 1e-15 * np.max(np.abs(v))
-        assert np.max(np.abs(inverse(grid, layout.scatter(c))
-                             - inverse(layout, c)[t])) <= 1e-14
+        _assert_samples_are_the_direct_sum(layout)
 
 
-# (grid shape, sublattice, stepping shape): the diag layouts above, two
-# planes and a layout with a band-0 axis
+# (grid shape, sublattice, sample shape): the first three diag layouts
+# above, two planes and a layout with a band-0 axis
 STEP_LAYOUTS = [
     *((shape, Sublattice.diag(*strides), steps) for (shape, strides, _, _),
       steps in zip(DIAG_LAYOUTS, [(4, 10, 48), (4, 4, 32), (10, 8, 8)])),
@@ -552,30 +573,12 @@ STEP_LAYOUTS = [
 @pytest.mark.parametrize("shape, lattice, steps", STEP_LAYOUTS,
                          ids=lambda v: str(v).replace(" ", ""))
 def test_stepping_sizes_dealias_the_band_exactly(shape, lattice, steps):
-    # a restricted layout steps on sizes of its own band: at most the
-    # grid's sizes, above 3 b (one sample for b = 0), even and 5-smooth,
-    # and its advection product is the one on the grid's sizes
+    # a restricted layout steps and samples on sizes of its own band, and
+    # prints them; no cap binds on these grids
     layout = Grid(*shape, lattice)
-    assert layout.step_shape == steps
-    for n, n_s, b in zip(steps, layout.shape, layout.band):
-        assert n <= n_s
-        if b == 0:
-            assert n == 1
-        else:
-            assert n > 3 * b and n % 2 == 0
-            for p in (2, 3, 5):
-                while n % p == 0:
-                    n //= p
-            assert n == 1, f"{steps} is not 5-smooth"
-    stepping = layout.stepping
-    assert stepping == layout and stepping.shape == steps
-    assert (stepping.band, stepping.step_shape) == (layout.band, steps)
-    rng = np.random.default_rng(9)
-    c = forward(layout, rng.standard_normal(layout.shape))
-    want = advection_coefficients(layout, c, 1.3)
-    got = advection_coefficients(stepping, c, 1.3)
-    assert np.max(np.abs(want)) > 0.0
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert layout.shape == steps
+    assert str(layout) == f"{'x'.join(map(str, steps))} on {lattice}"
+    _assert_sample_sizes(layout, shape)
 
 
 class TestSnapshots:

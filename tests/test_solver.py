@@ -1,5 +1,6 @@
 """Tests for the time integrator: exactness, invariants, guard rails."""
 
+import collections
 import math
 import re
 import sys
@@ -17,8 +18,8 @@ import mgsim.fields
 import mgsim.solver
 from mgsim.fields import (
     WHOLE_LATTICE, Grid, PlaneSpec, SpectralField, Sublattice, cosine_mode,
-    dealias_mask, forward, inverse, ksq_array, l2_norm, multiplier_arrays,
-    off_plane_norm, plane_mask, sine_vertical, wavenumbers,
+    dealias_mask, forward, inverse, ksq_array, l2_norm, linf_norm,
+    multiplier_arrays, off_plane_norm, plane_mask, sine_vertical, wavenumbers,
 )
 from mgsim.eigen import (
     _closed_form_bounds, assemble_eigenfunction, optimize_growth,
@@ -161,21 +162,20 @@ def test_advection_given_out_allocates_no_grid_array():
         assert peak < np.empty(grid.shape).nbytes
 
 
-@pytest.mark.parametrize("grid, lattice, step_shape", [
+@pytest.mark.parametrize("grid, lattice, shape", [
     (G16, WHOLE_LATTICE, (16, 16, 16)),
     (G24, Sublattice.of_plane(PlaneSpec(1, 1)), (24, 1, 24)),
     (G24, Sublattice(((1, 2),)), (10, 1, 24)),
     (Grid(48, 48, 48), Sublattice.diag(9, 4), (4, 10, 48)),
 ], ids=["whole16", "plane1_1", "column1_2", "diag9_4"])
 @pytest.mark.parametrize("source", [False, True], ids=["bare", "source"])
-def test_stepper_rhs_is_the_advection_product(grid, lattice, step_shape,
-                                              source):
+def test_stepper_rhs_is_the_advection_product(grid, lattice, shape, source):
     # the stepper binds its advection product once; its right-hand side is
-    # src - advection_coefficients on the stepping layout, bit for bit and
-    # k3 = 0 plane included, from data whose k3 = 0 plane is not zero
+    # src - advection_coefficients on the layout, bit for bit and k3 = 0
+    # plane included, from data whose k3 = 0 plane is not zero
     par = PhysParams(eps_kappa=0.02, gamma=0.8)
     layout = replace(grid, lattice=lattice)
-    assert layout.stepping.shape == step_shape
+    assert layout.shape == shape
     rng = np.random.default_rng(5)
     c = layout.gather(forward(grid, rng.standard_normal(grid.shape)))
     src = (layout.gather(SourceSpec("steady_balance").realize(grid, par))
@@ -183,7 +183,7 @@ def test_stepper_rhs_is_the_advection_product(grid, lattice, step_shape,
     stepper = _Stepper(layout, par, SolverConfig(dt=0.01, t_end=0.01),
                        c.copy(), src, None)
     got = stepper.rhs(c, np.empty(layout.band_shape, dtype=np.complex128))
-    adv = advection_coefficients(layout.stepping, c, par.n2)
+    adv = advection_coefficients(layout, c, par.n2)
     assert np.any(adv != 0.0)
     assert np.array_equal(got, -adv if src is None else src - adv)
 
@@ -420,6 +420,39 @@ class TestNonlinearStep:
         S, R = 5, len(diag.times)
         assert R == 4  # t = 0, 0.02, 0.04 and the last step
         assert counts == {"forward": 4 * S + R, "inverse": 4 * S + 3 * R}
+
+    @pytest.mark.parametrize("shape, lattice, seed", [
+        ((48, 48, 48), Sublattice.diag(9, 4), (9, 4, 1)),
+        ((24, 24, 24), Sublattice(((1, 2),)), (1, 2, 1)),
+    ], ids=["criterion09_diag9_4", "plane_control_1_2"])
+    def test_one_sample_shape_per_run(self, monkeypatch, shape, lattice,
+                                      seed):
+        # every transform of a restricted nonlinear run, a right-hand
+        # side's or a record's, is on the layout's one sample shape, with
+        # the counts of test_transform_counts
+        seen = collections.Counter()
+
+        def counting(name, fn, samples):
+            def wrapped(passes, *args):
+                seen[name, args[samples].shape[-3:]] += 1
+                return fn(passes, *args)
+            return wrapped
+
+        for name, method, samples in (("forward", "to_band", 0),
+                                      ("inverse", "to_samples", 1)):
+            fn = getattr(mgsim.fields._Passes, method)
+            monkeypatch.setattr(mgsim.fields._Passes, method,
+                                counting(name, fn, samples))
+        grid = Grid(*shape)
+        cfg = SolverConfig(dt=0.01, t_end=0.05, record_every=2,
+                           lattice=lattice,
+                           source=SourceSpec("steady_balance"))
+        _, diag = run(sine_vertical(grid, 1) + cosine_mode(grid, seed, 1e-2),
+                      PhysParams(eps_kappa=0.01), cfg)
+        S, R, n = 5, len(diag.times), diag.layout.shape
+        assert diag.layout == replace(grid, lattice=lattice)
+        assert seen == {("forward", n): 4 * S + R,
+                        ("inverse", n): 4 * S + 3 * R}
 
     def test_restricted_steps_make_no_grid_transforms(self, monkeypatch):
         # a restricted run steps and records on the plane's layout: it
@@ -790,6 +823,15 @@ def _whole_band_run(theta0, par, cfg, reference=None):
     return SpectralField(grid, stepper.c), stepper.diagnostics()
 
 
+def _assert_final_linf(diag, final):
+    """The last ``linf`` row of a run on ``diag.layout`` is ``linf_norm`` of
+    the whole-band final state ``final`` gathered onto that layout: a
+    record samples the layout, not the grid."""
+    layout = diag.layout
+    want = linf_norm(SpectralField(layout, layout.gather(final.c)))
+    assert np.isclose(diag.linf[-1], want, rtol=1e-13, atol=0.0)
+
+
 # (grid shape, mode, m): the instability configuration at (9, 4), and at
 # m = 2 the fastest mode of box 6 on a grid whose band holds its profile
 SUBLATTICE_CASES = [((48, 48, 48), (9, 4), 1), ((24, 24, 64), (6, 5), 2)]
@@ -821,9 +863,10 @@ def test_sublattice_run_matches_grid_run(shape, mode, m, linearized):
     scale = np.max(np.abs(want.c))
     assert np.max(np.abs(got.c - want.c)) <= 1e-14 * scale
     assert l2_norm(want - theta0) > 0.05 * l2_norm(pert)  # it grew
-    for col in ("l2", "linf", "hs", "ref_l2"):
+    for col in ("l2", "hs", "ref_l2"):
         assert np.allclose(getattr(gdiag, col), getattr(wdiag, col),
                            rtol=1e-13, atol=0.0)
+    _assert_final_linf(gdiag, want)
     K1, K2, K3 = wavenumbers(grid)
     on = (K1 % mode[0] == 0) & (K2 % mode[1] == 0) & (K3 % m == 0)
     assert not np.any(got.c[~np.broadcast_to(on, grid.band_shape)])
@@ -862,12 +905,13 @@ def test_linearized_run_steps_on_its_span(case):
     want, wdiag = _whole_band_run(theta0, par, cfg, reference=reference)
     assert gdiag.layout == replace(grid, lattice=Sublattice.diag(*strides))
     assert np.max(np.abs(got.c - want.c)) <= 1e-14 * np.max(np.abs(want.c))
-    for col in ("l2", "linf", "hs", "ref_l2"):
+    for col in ("l2", "hs", "ref_l2"):
         assert np.allclose(getattr(gdiag, col), getattr(wdiag, col),
                            rtol=1e-13, atol=0.0, equal_nan=True)
+    _assert_final_linf(gdiag, want)
     if strides == (6, 4, 1):  # the criterion-13 configuration, bit for bit
         assert str(gdiag.layout) == (
-            "8x12x48 on Sublattice(basis=((6, 0), (0, 4)), s3=1)")
+            "8x10x48 on Sublattice(basis=((6, 0), (0, 4)), s3=1)")
         assert np.array_equal(got.c, want.c)
 
 
@@ -958,9 +1002,10 @@ def test_restricted_run_matches_grid_run(shape, ratio, scheme, linearized):
     assert np.max(np.abs(want.c - theta0.c)) > 1e-4 * scale  # it moved
     assert np.max(gdiag.off_plane) == 0.0
     assert np.max(wdiag.off_plane) <= 1e-15 * scale
-    for col in ("l2", "linf", "hs"):
+    for col in ("l2", "hs"):
         assert np.allclose(getattr(gdiag, col), getattr(wdiag, col),
                            rtol=1e-13, atol=0.0)
+    _assert_final_linf(gdiag, want)
     if not linearized:  # the plane's own right-hand side is energy neutral
         assert np.max(np.abs(gdiag.energy_residual)) < 1e-13
 
