@@ -34,7 +34,7 @@ from .solver import (
     growth_rate_fit,
     run,
 )
-from .symbol import PhysParams, PlaneSpec, plane_bound_scan
+from .symbol import PhysParams, PlaneSpec, _integers, plane_bound_scan
 
 _PLANE_KMAX = 32  # the plane constant is the sup over |k_i| <= this
 _LINEAR = 1e-2  # instability fits while the departure is below this share
@@ -160,8 +160,7 @@ def plane_demo(*, plane=PlaneSpec(1, 1), gammas=(0.3, 0.5, 0.8),
         raise ValueError(f"gammas repeat a dissipation order: {tuple(gammas)}")
     if len(control_mode) != 3:
         raise ValueError(f"control_mode must be (k1, k2, k3), got {control_mode!r}")
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-               for v in control_mode):
+    if not _integers(*control_mode):
         raise ValueError(f"control_mode entries must be integers, "
                          f"got {control_mode!r}")
     ck = tuple(int(v) for v in control_mode)

@@ -55,7 +55,7 @@ import numpy as np
 
 from .config import number_literal
 from .errors import SnapshotFormatError
-from .symbol import PlaneSpec, _validate_mode, symbol_components
+from .symbol import PlaneSpec, _integers, _validate_mode, symbol_components
 
 TORUS_VOLUME = (2.0 * np.pi) ** 3
 
@@ -156,7 +156,7 @@ class Grid:
     def __post_init__(self):
         for name in ("n1", "n2", "n3"):
             n = getattr(self, name)
-            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            if not _integers(n):
                 raise ValueError(f"{name} must be an integer, got {n!r}")
             if n < 8 or n % 2 != 0:
                 raise ValueError(f"{name} must be even and >= 8, got {n}")
@@ -517,7 +517,10 @@ def cosine_mode(grid, kvec, amplitude=1.0):
 
     For k3 = 0 both stored representatives of the +-k pair get half the
     amplitude; for k3 > 0 the mirror lives implicitly in the layout.
+    ValueError unless the wavenumbers are integers (no bool).
     """
+    if not _integers(*kvec):
+        raise ValueError(f"wavenumbers must be integers, got {kvec!r}")
     k1, k2, k3 = (int(k) for k in kvec)
     if (k1, k2, k3) == (0, 0, 0):
         raise ValueError("cosine mode requires a nonzero wavevector")
@@ -532,7 +535,8 @@ def cosine_mode(grid, kvec, amplitude=1.0):
 
 def sine_vertical(grid, m, amplitude=1.0):
     """amplitude * sin(m x3) as a spectral field."""
-    m = int(m)
+    if not _integers(m):
+        raise ValueError(f"vertical mode index must be an integer, got {m!r}")
     if m < 1:
         raise ValueError(f"vertical mode index must be >= 1, got {m}")
     f = SpectralField.zeros(grid)

@@ -44,7 +44,8 @@ The advection product multiplies the field by its six spectral factors
 N^2, and makes one stacked inverse pass of the six products, whose x3 pass
 is one matrix product for all six, and one forward pass of u . grad theta.
 The product, with its buffers and passes, is kept per layout and thread
-(``_Advection``); a run binds it and the factors once.
+(``_Advection``); a run binds it and the factors once, and a record reads
+its energy flux and velocity maxima from one more call of it.
 
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry
@@ -78,7 +79,6 @@ from .fields import (
     _conjugate_plane,
     _work,
     hs_norm,
-    inverse,
     ksq_power,
     l2_norm,
     linf_norm,
@@ -88,7 +88,7 @@ from .fields import (
     sine_vertical,
     wavenumbers,
 )
-from .symbol import PhysParams, PlaneSpec, _validate_mode
+from .symbol import PlaneSpec, _validate_mode
 
 _GROWTH_CAP = 30.0  # refuse runs that would amplify any resolvable mode past e^30
 
@@ -175,7 +175,8 @@ class Diagnostics:
     """Time series recorded during a run, one row per record step.
 
     ``hs`` is the H^1 seminorm; ``layout`` is the layout the run stepped on.
-    ``linf``, and the velocity maxima behind the CFL warning, read the
+    ``linf``, and the velocity maxima behind the CFL warning (the velocity
+    rows of the advection product behind ``energy_residual``), read the
     samples the steps transform, so on a restricted layout they can read
     below the grid's maxima: by 3.6 % (plane 1/2 at 24^3) to 4.9 % (the
     diag(6, 4) eigenfunction at 48^3) on small layouts, and by at most
@@ -208,41 +209,34 @@ def _advection_factors(grid, n2_phys):
 class _Advection:
     """One thread's advection product on a layout, given the ``factors``
     of ``_advection_factors`` (so N^2 adds none): ``spec`` takes the field
-    times them and ``phys`` their samples (velocity rows 0-2, gradient rows
-    3-5), one stacked pass; the forward pass skips ``forward``'s Hermitian
-    fix of the k3 = 0 plane it zeroes.
+    times them and ``phys`` their samples, one stacked pass; u_j d_j theta
+    overwrites the gradient rows 3-5, so ``u`` (rows 0-2) keeps u's samples.
+    The forward pass skips ``forward``'s Hermitian fix: it zeroes k3 = 0.
     """
 
     def __init__(self, grid, thread):
         self.spec = np.empty((6, *grid.band_shape), dtype=np.complex128)
         self.phys = p = np.empty((6, *grid.shape))
-        self.u, self.grad, self.p0, self.p1, self.p2 = p[:3], p[3:], *p[:3]
+        self.u, self.grad, self.g0, self.g1, self.g2 = p[:3], p[3:], *p[3:]
         self.stack = _work(grid, thread, 6)
         self.field = _work(grid, thread)
 
     def __call__(self, factors, c, out):
         self.stack.to_samples(np.multiply(factors, c, out=self.spec),
                               self.phys)
-        self.u *= self.grad
-        np.add(self.p0, self.p1, out=self.p0)
-        self.p0 += self.p2
-        self.field.to_band(self.p0, out)
+        self.grad *= self.u
+        np.add(self.g0, self.g1, out=self.g0)
+        self.g0 += self.g2
+        self.field.to_band(self.g0, out)
         out[:, :, 0] = 0.0
         return out
 
 
-@lru_cache(maxsize=None)
-def _advection_work(grid, thread):
-    """One thread's ``_Advection`` on a layout."""
-    return _Advection(grid, thread)
+_advection_work = lru_cache(maxsize=None)(_Advection)  # per layout, thread
 
 
-def velocity_max(grid, c, n2_phys):
-    """Max-norm of each physical velocity component."""
-    work = _advection_work(grid, threading.get_ident())
-    spec = np.multiply(_advection_factors(grid, n2_phys)[:3], c,
-                       out=work.spec[:3])
-    u = inverse(grid, spec, out=work.u)
+def velocity_max(u):
+    """Max-norm of each velocity component, from its samples ``u``."""
     return tuple(float(max(uj.max(), -uj.min())) for uj in u)
 
 
@@ -274,18 +268,15 @@ def _cos_shift_sum(v, m, out):
     return out
 
 
-def energy_flux_residual(grid, c, n2_phys):
+def energy_flux_residual(grid, c, adv):
     """Relative defect of advective energy neutrality.
 
     Divergence-free transport is energy neutral, <u . grad theta, theta> = 0.
-    Returns 2 <adv, theta> / ||theta||^2; for a resolved dealiased field this
-    sits at the rounding floor.
+    Returns 2 <adv, theta> / ||theta||^2 for theta = ``c`` and its product
+    ``adv``; for a resolved dealiased field this sits at the rounding floor.
     """
     nrm2 = parseval(grid, c, c)
-    if nrm2 == 0.0:
-        return 0.0
-    adv = advection_coefficients(grid, c, n2_phys)
-    return 2.0 * parseval(grid, adv, c) / nrm2
+    return 0.0 if nrm2 == 0.0 else 2.0 * parseval(grid, adv, c) / nrm2
 
 
 def _growth_cap_check(layout, params, config):
@@ -335,8 +326,7 @@ class _Stepper:
         self.c, self.src = c, src
         self.ref = None if ref is None else SpectralField(layout, ref)
         dt = self.dt = config.dt
-        self.layout = layout
-        self.n2p, self.scheme = params.n2, config.scheme
+        self.layout, self.scheme = layout, config.scheme
         self.plane, self.rows = config.plane, []
         # the CFL number weighs max|u_j| by the layout's largest |k_j|
         self.kmax = [int(np.abs(k).max()) for k in wavenumbers(layout)]
@@ -409,7 +399,8 @@ class _Stepper:
         self.c, self.next = nxt, c
 
     def record(self, step):
-        """Append the state's row at ``step``; BlowUpError if not finite."""
+        """Append the state's row at ``step``, reading one call of the bound
+        advection product when nonlinear; BlowUpError if not finite."""
         t = step * self.dt
         f = SpectralField(self.layout, self.c)
         l2 = l2_norm(f)
@@ -417,20 +408,20 @@ class _Stepper:
             raise BlowUpError(
                 f"solution lost finiteness at t = {t:g} (step {step})",
                 time=t, history=self.diagnostics())
+        flux, cfl = math.nan, 0.0
+        if not self.linearized:  # into the stage buffer, free between steps
+            adv = self.advect(self.factors, self.c, self.stage)
+            flux = energy_flux_residual(self.layout, self.c, adv)
+            umax = velocity_max(self.advect.u)
+            cfl = self.dt * sum(u * k for u, k in zip(umax, self.kmax))
         self.rows.append((
             t, l2, linf_norm(f), hs_norm(f, 1.0),
             math.nan if self.plane is None else off_plane_norm(f, self.plane),
-            math.nan if self.linearized
-            else energy_flux_residual(self.layout, self.c, self.n2p),
-            math.nan if self.ref is None else l2_norm(f - self.ref)))
-        if not self.linearized:
-            umax = velocity_max(self.layout, self.c, self.n2p)
-            cfl = self.dt * sum(u * k for u, k in zip(umax, self.kmax))
-            if cfl > 0.5:
-                warnings.warn(
-                    f"advective CFL number {cfl:.3g} exceeds 0.5 at "
-                    f"t = {t:g}; consider reducing dt",
-                    RuntimeWarning, stacklevel=2)
+            flux, math.nan if self.ref is None else l2_norm(f - self.ref)))
+        if cfl > 0.5:  # stacklevel 3: the warning points at run's caller
+            warnings.warn(
+                f"advective CFL number {cfl:.3g} exceeds 0.5 at t = {t:g}; "
+                f"consider reducing dt", RuntimeWarning, stacklevel=3)
 
     def diagnostics(self):
         """The rows recorded so far, on the layout."""

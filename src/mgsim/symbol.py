@@ -42,12 +42,18 @@ from .errors import SingularSystemError
 Wavevector = tuple[int, int, int]
 
 
+def _integers(*values) -> bool:
+    """True when every value is an int or a numpy integer (no bool)."""
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in values)
+
+
 def _validate_mode(depth: int = 2, **positive: int):
     """ValueError unless every `positive` value is an integer >= 1 and
     depth an integer >= 2 (no bool)."""
     for name, v in (*positive.items(), ("depth", depth)):
         least = 2 if name == "depth" else 1
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+        if not _integers(v) or v < least:
             what = "a positive integer" if least == 1 else "an integer >= 2"
             raise ValueError(f"{name} must be {what}, got {v!r}")
 
@@ -94,8 +100,7 @@ class PlaneSpec:
     q_den: int
 
     def __post_init__(self):
-        if not all(isinstance(q, (int, np.integer)) and not isinstance(q, bool)
-                   for q in (self.q_num, self.q_den)):
+        if not _integers(self.q_num, self.q_den):
             raise ValueError("plane ratio components must be integers")
         if self.q_den < 1:
             raise ValueError(f"q_den must be >= 1, got {self.q_den}")

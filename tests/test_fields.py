@@ -869,11 +869,20 @@ def test_forward_properties(v):
      "cosine mode requires a nonzero wavevector"),
     (lambda: sine_vertical(G16, 0),
      "vertical mode index must be >= 1, got 0"),
+    (lambda: cosine_mode(G16, (1.5, 2, 1)),
+     r"wavenumbers must be integers, got \(1.5, 2, 1\)"),
+    (lambda: cosine_mode(G16, (1, True, 1)),
+     r"wavenumbers must be integers, got \(1, True, 1\)"),
+    (lambda: sine_vertical(G16, 2.7),
+     "vertical mode index must be an integer, got 2.7"),
+    (lambda: sine_vertical(G16, True),
+     "vertical mode index must be an integer, got True"),
     (lambda: forward(Grid(8, 8, 8), (1 + 1j) * np.ones((8, 8, 8))),
      "samples of dtype complex128 are not real"),
     (lambda: forward(Grid(8, 8, 8), np.full((8, 8, 8), "1")),
      "samples of dtype <U1 are not real"),
 ], ids=["forward_shape", "add_across_grids", "cosine_zero", "sine_m0",
+        "cosine_float", "cosine_bool", "sine_float", "sine_bool",
         "forward_complex", "forward_str"])
 def test_field_operations_refuse_bad_input(call, match):
     with pytest.raises(ValueError, match=match):

@@ -29,7 +29,9 @@ from mgsim.solver import (
     Diagnostics,
     SolverConfig,
     SourceSpec,
+    _Advection,
     _Stepper,
+    _advection_factors,
     _growth_cap_check,
     _record_steps,
     advection_coefficients,
@@ -186,6 +188,32 @@ def test_stepper_rhs_is_the_advection_product(grid, lattice, shape, source):
     adv = advection_coefficients(layout, c, par.n2)
     assert np.any(adv != 0.0)
     assert np.array_equal(got, -adv if src is None else src - adv)
+
+
+@pytest.mark.parametrize("grid, lattice", [
+    (G16, WHOLE_LATTICE),
+    (G24, Sublattice.of_plane(PlaneSpec(1, 1))),
+    (Grid(48, 48, 48), Sublattice.diag(9, 4)),
+], ids=["whole16", "plane1_1", "diag9_4"])
+def test_advection_keeps_the_velocity_samples(grid, lattice):
+    # the products u_j d_j theta are written over the gradient rows, so
+    # after a call the velocity rows still hold the samples of the
+    # velocity factors' own inverse, which a record's CFL number reads,
+    # and the product is the per-component one, summed in the order
+    # j = 1, 2, 3, to the bit
+    layout = replace(grid, lattice=lattice)
+    rng = np.random.default_rng(3)
+    c = layout.gather(forward(grid, rng.standard_normal(grid.shape)))
+    factors = _advection_factors(layout, 1.3)
+    u = inverse(layout, factors[:3] * c)
+    prod = inverse(layout, factors[3:] * c)
+    prod *= u
+    ref = forward(layout, (prod[0] + prod[1]) + prod[2])
+    ref[:, :, 0] = 0.0
+    advect = _Advection(layout, threading.get_ident())
+    got = advect(factors, c, np.empty(layout.band_shape, np.complex128))
+    assert np.array_equal(advect.u, u)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_runs_from_threads_match_runs_in_turn():
@@ -411,15 +439,16 @@ class TestNonlinearStep:
 
     def test_transform_counts(self, monkeypatch):
         # one stacked inverse of the six factors and 1 forward per
-        # right-hand side; 3 inverse (L-inf, the energy flux's stacked
-        # six, the stacked velocity maxima) and 1 forward per record
+        # right-hand side; 2 inverse (L-inf and the advection product's
+        # stacked six, whose velocity rows give the CFL number) and 1
+        # forward per record
         theta0 = _rich_field(G16, seed=4) * 0.1
         counts = _counting_transforms(monkeypatch)
         cfg = SolverConfig(dt=0.01, t_end=0.05, record_every=2)
         _, diag = run(theta0, PhysParams(eps_kappa=0.02), cfg)
         S, R = 5, len(diag.times)
         assert R == 4  # t = 0, 0.02, 0.04 and the last step
-        assert counts == {"forward": 4 * S + R, "inverse": 4 * S + 3 * R}
+        assert counts == {"forward": 4 * S + R, "inverse": 4 * S + 2 * R}
 
     @pytest.mark.parametrize("shape, lattice, seed", [
         ((48, 48, 48), Sublattice.diag(9, 4), (9, 4, 1)),
@@ -452,7 +481,7 @@ class TestNonlinearStep:
         S, R, n = 5, len(diag.times), diag.layout.shape
         assert diag.layout == replace(grid, lattice=lattice)
         assert seen == {("forward", n): 4 * S + R,
-                        ("inverse", n): 4 * S + 3 * R}
+                        ("inverse", n): 4 * S + 2 * R}
 
     def test_restricted_steps_make_no_grid_transforms(self, monkeypatch):
         # a restricted run steps and records on the plane's layout: it
@@ -546,7 +575,8 @@ def test_real_coefficients_evolve_like_complex():
 class TestEnergyNeutrality:
     def test_advection_orthogonal_to_state(self):
         f = _rich_field(G16)
-        res = energy_flux_residual(G16, f.c, 1.0)
+        res = energy_flux_residual(
+            G16, f.c, advection_coefficients(G16, f.c, 1.0))
         assert abs(res) < 1e-12
 
     @pytest.mark.parametrize("n", [24, 30, 48])
@@ -555,7 +585,8 @@ class TestEnergyNeutrality:
         # which stays out of the band only when b < n / 3
         grid = Grid(n, n, n)
         f = _rich_field(grid)
-        assert abs(energy_flux_residual(grid, f.c, 1.0)) < 1e-14
+        adv = advection_coefficients(grid, f.c, 1.0)
+        assert abs(energy_flux_residual(grid, f.c, adv)) < 1e-14
 
     def test_residual_recorded_small_along_run(self):
         par = PhysParams(eps_kappa=0.02)
@@ -680,18 +711,20 @@ class TestGuards:
         layout = replace(G16, lattice=lattice)
         kmax = [int(np.abs(k).max()) for k in wavenumbers(layout)]
         assert kmax == [2, 4, 5]
-        umax = velocity_max(layout, layout.gather(f0.c), par.n2)
+        umax = velocity_max(inverse(layout, _advection_factors(
+            layout, par.n2)[:3] * layout.gather(f0.c)))
         assert cfg.dt * sum(u * k for u, k in zip(umax, kmax)) < 0.5
         assert cfg.dt * sum(u * b for u, b in zip(umax, G16.band)) > 0.5
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             run(f0, par, replace(cfg, lattice=lattice))
         # on the whole lattice the largest |k_j| is the grid's band
-        cfl = cfg.dt * sum(u * b for u, b in zip(
-            velocity_max(G16, f0.c, par.n2), G16.band))
+        cfl = cfg.dt * sum(u * b for u, b in zip(velocity_max(inverse(
+            G16, _advection_factors(G16, par.n2)[:3] * f0.c)), G16.band))
         with pytest.warns(RuntimeWarning) as caught:
             run(f0, par, cfg)
         assert len(caught) == 2
+        assert caught[0].filename == __file__  # the caller of run
         assert str(caught[0].message) == (
             f"advective CFL number {cfl:.3g} exceeds 0.5 at t = 0; "
             f"consider reducing dt")
