@@ -61,8 +61,10 @@ increases; counting the off-branch points to its left as negative leaves a
 single possible sign change.  Rounding keeps this: each step is a monotone
 floating-point operation, so the computed residual is non-decreasing too.
 
-One kernel serves every caller: `_cf_residuals` walks the tails once over p
-for a (modes x sigma-points) array, and `_Batch` drives all modes in
+One kernel serves every caller: `_cf_residuals` forms every x_p of a
+(modes x sigma-points) array in one broadcast pass, modes fastest, and
+walks the tails over it in place, two array operations a depth, each point
+in the scalar operation order above.  `_Batch` drives all modes in
 lockstep, giving each bracket still wider than _WIDTH_ULPS ulps an
 interpolated point and max(1, _LANES // n) - 1 uniform points per round (a
 box evaluates one point per mode, a lone mode _LANES); the public
@@ -111,8 +113,9 @@ _CERTIFY_BLOCK = 256
 def _weights(P: int, k1s, k2s, params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
     """(alpha_p, e_p) of `alpha` and `sigma_shifted` for p = 1..P, per mode.
 
-    (modes x P) arrays, stored p-major so `_cf_residuals` reads each p
-    contiguously; real-valued k1, k2 are accepted.
+    (modes x P) arrays, stored p-major so `_cf_residuals` reads the modes
+    of each p contiguously (`_take` keeps this for a subset of the modes);
+    real-valued k1, k2 are accepted.
     """
     n2, m = params.n2, params.m
     k1 = np.asarray(k1s, dtype=np.float64).reshape(1, -1)
@@ -142,31 +145,39 @@ def sigma_shifted(sigma: float, p: int, k1: int, k2: int, params: PhysParams) ->
     return sigma + float(_weights(p, k1, k2, params)[1][0, -1])
 
 
+def _take(w: np.ndarray, modes) -> np.ndarray:
+    """The (modes x P) weights w of `modes` (an index array or a mask),
+    stored p-major as `_weights` makes them."""
+    return w.T[:, modes].T
+
+
 def _cf_residuals(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
                   tails: np.ndarray | None = None,
                   close: float = 0.0) -> np.ndarray:
     """Truncated residual x_1 - 1/T_2 at every (mode, sigma) point.
 
-    sigma is (modes x points), a and e the (modes x P) weights.  Walks the
-    tail T_P = x_P - close, T_p = x_p - 1/T_{p+1}, x_p = (sigma + e_p) alpha_p,
-    once over p in the scalar operation order; points whose tails are not all
+    sigma is (modes x points), a and e the (modes x P) weights, P >= 2,
+    read fastest p-major (`_weights`).  Forms every x_p = (sigma + e_p)
+    alpha_p at once, with the modes on the fastest axis of a (P, points,
+    modes) array, and walks the tails T_P = x_P - close, T_p = x_p -
+    1/T_{p+1} over it in place, two operations a depth: each point runs the
+    scalar operations in the scalar order.  Points whose tails are not all
     above _TAIL_FLOOR are off the principal branch and get NaN.  Given one
     point per mode, `tails` (modes x P) receives T_2..T_P in columns 1..P-1.
     """
     P = a.shape[1]
-    T = (sigma + e[:, P - 1:]) * a[:, P - 1:] - close
-    low = T.copy()
-    if tails is not None:
-        tails[:, P - 1:] = T
+    X = np.empty((P, *np.broadcast_shapes(sigma.T.shape, (1, a.shape[0]))))
+    inv = np.empty_like(X[0])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for p in range(P - 2, 0, -1):
-            T = (sigma + e[:, p:p + 1]) * a[:, p:p + 1] - 1.0 / T
-            np.minimum(low, T, out=low)
-            if tails is not None:
-                tails[:, p:p + 1] = T
-        r = (sigma + e[:, :1]) * a[:, :1] - 1.0 / T
-    r[~(low > _TAIL_FLOOR)] = np.nan
-    return r
+        np.add(sigma.T, e.T[:, None, :], out=X)
+        X *= a.T[:, None, :]
+        if close:
+            X[-1] -= close
+        for p in range(P - 2, -1, -1):
+            np.subtract(X[p], np.divide(1.0, X[p + 1], out=inv), out=X[p])
+    if tails is not None:
+        tails[:, 1:] = X[1:, 0].T
+    return np.where(X[1:].min(axis=0) > _TAIL_FLOOR, X[0], np.nan).T
 
 
 def cf_residual(sigma: float, k1: int, k2: int, params: PhysParams,
@@ -333,7 +344,8 @@ def _multisect(a: np.ndarray, e: np.ndarray,
     max(1, _LANES // n) - 1 uniform points (n brackets, one kernel call),
     keeps the first sign change, and takes the next x from Chandrupatla's
     (1997) safeguarded inverse-quadratic step (README, "Numerical notes").
-    A guarded secant step polishes each final bracket.
+    The weights of the modes still bracketing stay p-major (`_take`).  A
+    guarded secant step polishes each final bracket.
     """
     fa, fb = np.nan_to_num(_cf_residuals(np.stack([lo, hi], axis=1), a, e),
                            nan=-1.0).T.copy()
@@ -347,8 +359,8 @@ def _multisect(a: np.ndarray, e: np.ndarray,
             wide = ok[act] & (h - l > _WIDTH_ULPS * np.spacing(h))
             if not wide.all():
                 act, l, h, x, w2 = act[wide], l[wide], h[wide], x[wide], w2[wide]
-                a = a[wide]  # one array at a time, to bound memory
-                e = e[wide]
+                a = _take(a, wide)  # one array at a time, to bound memory
+                e = _take(e, wide)
             if act.size == 0:
                 break
             k = max(1, _LANES // act.size)
@@ -400,7 +412,8 @@ def _certify(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
     ok = r < 1e-12
     if not ok.all():  # the 8-ulp scale costs a kernel call: only if needed
         s = sigma[~ok, None] + np.spacing(sigma[~ok, None]) * [-4.0, 4.0]
-        ok[~ok] = r[~ok] <= np.diff(_cf_residuals(s, a[~ok], e[~ok]))[:, 0]
+        ok[~ok] = r[~ok] <= np.diff(_cf_residuals(s, _take(a, ~ok),
+                                                  _take(e, ~ok)))[:, 0]
     _require(ok, k1s, k2s, InvariantError, lambda i: (
         f"root has residual {r[i]:.3g} >= 1e-12 and > its change over 8 ulps"))
     return r, np.abs(c[:, -1]) <= _COEFF_CUTOFF * np.abs(c[:, 0])
@@ -437,7 +450,8 @@ class _Batch:
             ok = np.flatnonzero(_truncation_certified(sigma, a, e))
             for b in range(0, ok.size, _CERTIFY_BLOCK):
                 i = ok[b:b + _CERTIFY_BLOCK]
-                r, decayed = _certify(sigma[i], a[i, :d], e[i, :d],
+                r, decayed = _certify(sigma[i], _take(a[:, :d], i),
+                                      _take(e[:, :d], i),
                                       k1s[todo[i]], k2s[todo[i]])
                 j = todo[i[decayed]]
                 self.sigma[j], self.depth[j] = sigma[i[decayed]], d

@@ -12,7 +12,6 @@ import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy
 
 from .eigen import (
     OptimizeResult,
@@ -262,6 +261,8 @@ def write_manifest(path, resolved, *, wall_seconds, extras):
     ``resolved`` maps flat keys (section.key) to their effective values,
     i.e. after defaults were applied; ``extras`` holds result headlines.
     """
+    import scipy  # only its version is read, and it is slow to import
+
     from . import __version__
 
     lines = ["# run manifest", "", f"argv = {' '.join(sys.argv)}",

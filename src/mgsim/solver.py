@@ -63,6 +63,7 @@ stays bounded there, and nothing off the plane is stored.
 """
 
 import math
+import sys
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
@@ -249,22 +250,23 @@ def advection_coefficients(grid, c, n2_phys, out=None):
         _advection_factors(grid, n2_phys), c, out)
 
 
-def _cos_shift_sum(v, m, out):
-    """out <- v(k3 - m) + v(k3 + m) on the band's k3 >= 0.
+def _cos_shift_sum(v, s, out):
+    """out <- v(k3 - s) + v(k3 + s) on the band's k3 >= 1, and 0 at k3 = 0.
 
-    These are the coefficients of 2 cos(m x3) times the field with
-    coefficients v.  For k3 < m the entry v(k1, k2, k3 - m) is read from the
-    conjugate mirror conj(v(-k1, -k2, m - k3)); wavevectors beyond the band
-    contribute nothing.
+    These are the coefficients of 2 cos(s x3) times the field with
+    coefficients v, off the k3 = 0 plane that no caller reads.  For
+    1 <= k3 < s the entry v(k1, k2, k3 - s) is read from the conjugate
+    mirror conj(v(-k1, -k2, s - k3)), so shift 1 reads no mirror;
+    wavevectors beyond the band contribute nothing.
     """
     n = v.shape[2]
-    out.fill(0.0)
-    if m < n:
-        out[:, :, m:] = v[:, :, :n - m]
-        out[:, :, :n - m] += v[:, :, m:]
-    lo, hi = max(0, m - n + 1), min(m, n)
+    out[:, :, :min(s, n)] = 0.0
+    if s < n:
+        out[:, :, s:] = v[:, :, :n - s]
+        out[:, :, 1:n - s] += v[:, :, s + 1:]
+    lo, hi = max(1, s - n + 1), min(s, n)
     if lo < hi:
-        out[:, :, lo:hi] += _conjugate_plane(v[:, :, m - lo:m - hi:-1])
+        out[:, :, lo:hi] += _conjugate_plane(v[:, :, s - lo:s - hi:-1])
     return out
 
 
@@ -286,8 +288,9 @@ def _growth_cap_check(layout, params, config):
     off-diagonal (m/2) (M3_hat(k) M3_hat(k +- m))^(1/2) and diagonal minus
     the dissipation, so its largest Gershgorin row over k3 >= 1 bounds the
     growth of every column and every residue class of k3 mod m.  M3_hat is
-    even, so `_cos_shift_sum`'s mirror read is exact on the real array.
-    The rows are those of the layout the run steps on.
+    even, so `_cos_shift_sum`'s mirror read is exact on the real array; the
+    rows read are its k3 >= 1, where it is defined, on the layout the run
+    steps on.
     """
     if params.eps_kappa > 0.0 and params.gamma > 0.5:
         return  # dissipation dominates large wavenumbers; growth is bounded
@@ -356,12 +359,12 @@ class _Stepper:
             np.empty(layout.band_shape, dtype=np.complex128) for _ in range(7))
 
     def rhs(self, cc, out):
-        """out <- the right-hand side at cc."""
+        """out <- the right-hand side at cc, which is 0 at k3 = 0: the
+        advection product zeroes that plane, and the linearized sum
+        (`_cos_shift_sum`) is defined off it."""
         if self.linearized:
-            _cos_shift_sum(np.multiply(self.v_scale, cc, out=self.v),
-                           self.shift, out)
-            out[:, :, 0] = 0.0
-            return out
+            return _cos_shift_sum(np.multiply(self.v_scale, cc, out=self.v),
+                                  self.shift, out)
         self.advect(self.factors, cc, out)
         if self.src is None:
             return np.negative(out, out=out)
@@ -418,10 +421,14 @@ class _Stepper:
             t, l2, linf_norm(f), hs_norm(f, 1.0),
             math.nan if self.plane is None else off_plane_norm(f, self.plane),
             flux, math.nan if self.ref is None else l2_norm(f - self.ref)))
-        if cfl > 0.5:  # stacklevel 3: the warning points at run's caller
+        if cfl > 0.5:  # the warning points at the first caller outside mgsim
+            level, frame = 1, sys._getframe()
+            while (frame.f_back is not None and frame.f_globals.get(
+                    "__name__", "").startswith(f"{__package__}.")):
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 f"advective CFL number {cfl:.3g} exceeds 0.5 at t = {t:g}; "
-                f"consider reducing dt", RuntimeWarning, stacklevel=3)
+                f"consider reducing dt", RuntimeWarning, stacklevel=level)
 
     def diagnostics(self):
         """The rows recorded so far, on the layout."""

@@ -54,6 +54,23 @@ def _root_at(depth, k1s, k2s, par):
                       upper * (1.0 + 1e-9))
 
 
+def _scalar_residual(sigma, a, e, close):
+    """(x_1 - 1/T_2, [T_2, ..., T_P]) by a plain-float loop over the weights
+    a, e of one mode; the residual is NaN unless every tail is above the
+    floor."""
+    def recip(t):
+        return 1.0 / t if t else math.copysign(math.inf, t)
+
+    sigma, a, e = float(sigma), a.tolist(), e.tolist()
+    P = len(a)
+    tails = [(sigma + e[P - 1]) * a[P - 1] - close]
+    for p in range(P - 2, 0, -1):
+        tails.insert(0, (sigma + e[p]) * a[p] - recip(tails[0]))
+    r = (sigma + e[0]) * a[0] - recip(tails[0])
+    return (r if all(t > eigen._TAIL_FLOOR for t in tails) else math.nan,
+            tails)
+
+
 class TestAlpha:
     def test_hand_values(self):
         assert alpha(1, 1, 1, CANON) == 4.0
@@ -135,6 +152,37 @@ class TestCfResidual:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             cf_residual(0.1, 1, 1, CANON, depth=1)
+
+    @pytest.mark.parametrize("depth", [2, 3, 65])
+    @pytest.mark.parametrize("close", [0.0, 1.0])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_kernel_is_the_scalar_loop_bit_for_bit(self, depth, close, order):
+        # the monotone-rounding argument of the module docstring holds for
+        # the scalar operation order; every point of the kernel must run it
+        par = PhysParams(n2=0.7, m=2, eps_kappa=0.01, gamma=0.5)
+        k1s, k2s = [1, 6, 24, 3], [1, 4, 7, 20]
+        a, e = (np.asarray(w, order=order)
+                for w in _weights(depth, k1s, k2s, par))
+        upper = _closed_form_bounds(k1s, k2s, par)[1]
+        xs = np.linspace(-1.5 * upper, 1.5 * upper, 11, axis=1)
+        sigma = xs[:, 1:-1]  # a non-contiguous column of points
+        got = _cf_residuals(sigma, a, e, close=close)
+        want = [[_scalar_residual(s, a[i], e[i], close)[0] for s in row]
+                for i, row in enumerate(sigma)]
+        assert got.view(np.int64).tolist() == (
+            np.array(want).view(np.int64).tolist())
+        assert (sigma < 0.0).any() and np.isnan(got).any()
+        assert np.isfinite(got).any()
+        # one point per mode: the tails T_2..T_P
+        tails = np.full((len(k1s), depth), np.nan)
+        one = xs[:, -2:-1]
+        got = _cf_residuals(one, a, e, tails, close)
+        want = [_scalar_residual(s, a[i], e[i], close)
+                for i, (s,) in enumerate(one)]
+        assert got[:, 0].view(np.int64).tolist() == (
+            np.array([r for r, _ in want]).view(np.int64).tolist())
+        assert tails[:, 1:].view(np.int64).tolist() == (
+            np.array([t for _, t in want]).view(np.int64).tolist())
 
 
 class TestSolve:

@@ -16,9 +16,12 @@ import mgsim
 import mgsim.experiments
 from mgsim.eigen import closed_form_bounds, optimize_growth
 from mgsim.errors import GrowthCapError
-from mgsim.experiments import instability, plane_demo, write_eigen_csv
+from mgsim.experiments import (
+    instability, plane_demo, write_eigen_csv, write_manifest,
+)
 from mgsim.fields import (
-    WHOLE_LATTICE, Grid, PlaneSpec, SpectralField, Sublattice, linf_norm,
+    WHOLE_LATTICE, Grid, PlaneSpec, SpectralField, Sublattice, cosine_mode,
+    linf_norm,
 )
 from mgsim.solver import SolverConfig, _growth_cap_check, run
 from mgsim.symbol import PhysParams
@@ -96,15 +99,47 @@ def test_instability_names_the_end_of_the_linear_phase():
                     seed_rel=9e-3, fit_start=0.5, record_every=10)
 
 
-def test_importing_experiments_leaves_out_scipy_linalg():
-    # only the dense oracle needs scipy.linalg, which is slow to import
-    code = "import sys, mgsim.experiments; print('scipy.linalg' in sys.modules)"
+@pytest.mark.parametrize("call", [
+    lambda: run(cosine_mode(Grid(16, 16, 16), (1, 2, 1), 50.0), PhysParams(),
+                SolverConfig(dt=0.1, t_end=0.2, record_every=1)),
+    lambda: instability(PhysParams(eps_kappa=0.01), box=2, n=32, dt=2.0,
+                        t_end=4.0, seed_rel=5e-3, fit_start=0.0,
+                        record_every=1),
+    lambda: plane_demo(gammas=(0.8,), n=16, dt=0.1, t_end=0.5, seed=20.0,
+                       record_every=1),
+], ids=["run", "instability", "plane_demo"])
+def test_cfl_warning_points_at_the_caller_outside_mgsim(call):
+    # cheap configurations whose CFL number passes 0.5: whichever driver
+    # runs the solver, the warning names this file, not a frame of mgsim
+    with pytest.warns(RuntimeWarning, match="CFL") as caught:
+        call()
+    assert caught[0].filename == __file__
+
+
+def _imported_after_experiments(module):
+    """Whether a fresh ``import mgsim.experiments`` loads ``module``."""
+    code = (f"import sys, mgsim.experiments; "
+            f"print({module!r} in sys.modules)")
     src = str(Path(mgsim.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_importing_experiments_leaves_out_scipy_linalg():
+    # only the dense oracle needs scipy.linalg, which is slow to import
+    assert not _imported_after_experiments("scipy.linalg")
+
+
+def test_importing_experiments_leaves_out_scipy(tmp_path):
+    # only the manifest reads scipy, for its version
+    assert not _imported_after_experiments("scipy")
+    import scipy
+    path = tmp_path / "manifest.txt"
+    write_manifest(path, {"a.b": 1}, wall_seconds=0.5, extras={})
+    assert f"scipy = {scipy.__version__}" in path.read_text().splitlines()
 
 
 def test_eigen_csv_recomputes_closed_form_bounds(tmp_path):

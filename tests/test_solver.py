@@ -32,6 +32,7 @@ from mgsim.solver import (
     _Advection,
     _Stepper,
     _advection_factors,
+    _cos_shift_sum,
     _growth_cap_check,
     _record_steps,
     advection_coefficients,
@@ -350,6 +351,49 @@ class TestLinearized:
         f1, _ = run(f0, par, cfg)
         assert np.max(np.abs(f1.c - expected)) <= 1e-14 * np.max(
             np.abs(expected))
+
+    @pytest.mark.parametrize("p3s, offset", [
+        (0, 1), (0, 2), (0, 3), (1, -1), (1, 0), (1, 2),
+    ], ids=["1", "2", "3", "p3-1", "p3", "p3+2"])
+    def test_cos_shift_sum_is_the_dense_shift_sum(self, p3s, offset):
+        # v(k3 - s) + v(k3 + s) on k3 >= 1, read through SpectralField.coeff
+        # (the mirror for k3 - s < 0, 0 beyond the band), and 0 at k3 = 0
+        grid = Grid(8, 10, 30)
+        shift = p3s * grid.band_shape[2] + offset
+        rng = np.random.default_rng(shift)
+        v = SpectralField(grid, rng.standard_normal(grid.band_shape)
+                          + 1j * rng.standard_normal(grid.band_shape))
+        K1, K2, _ = wavenumbers(grid)
+        expected = np.zeros(grid.band_shape, dtype=np.complex128)
+        for i, j, k3 in np.ndindex(*grid.band_shape):
+            k1, k2 = int(K1[i, 0, 0]), int(K2[0, j, 0])
+            if k3 > 0:
+                expected[i, j, k3] = (v.coeff(k1, k2, k3 - shift)
+                                      + v.coeff(k1, k2, k3 + shift))
+        out = np.full(grid.band_shape, np.nan, dtype=np.complex128)
+        assert _cos_shift_sum(v.c, shift, out) is out
+        assert np.array_equal(out, expected)
+
+    def test_warm_step_at_m_1_allocates_no_array(self):
+        # shift 1 reads no conjugate mirror, so a warm IF-RK4 step makes no
+        # array; numpy's ufuncs take iteration buffers of up to getbufsize()
+        # elements per strided or cast operand, shrunk here to their least
+        grid = Grid(48, 48, 48)
+        rng = np.random.default_rng(1)
+        c = (rng.standard_normal(grid.band_shape)
+             + 1j * rng.standard_normal(grid.band_shape))
+        stepper = _Stepper(grid, PhysParams(eps_kappa=0.01), SolverConfig(
+            dt=0.01, t_end=0.01, linearized=True), c, None, None)
+        stepper.step()  # warm
+        bufsize = np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            stepper.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert peak < stepper.c[:, :, 0].nbytes
 
     def test_steps_make_no_transforms(self, monkeypatch):
         theta0 = _rich_field(G16)
