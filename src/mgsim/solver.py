@@ -359,9 +359,8 @@ class _Stepper:
             np.empty(layout.band_shape, dtype=np.complex128) for _ in range(7))
 
     def rhs(self, cc, out):
-        """out <- the right-hand side at cc, which is 0 at k3 = 0: the
-        advection product zeroes that plane, and the linearized sum
-        (`_cos_shift_sum`) is defined off it."""
+        """out <- the right-hand side at cc.  The advection product and
+        the linearized sum (`_cos_shift_sum`) are both 0 at k3 = 0."""
         if self.linearized:
             return _cos_shift_sum(np.multiply(self.v_scale, cc, out=self.v),
                                   self.shift, out)
