@@ -22,6 +22,7 @@ import inspect
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import click
@@ -120,10 +121,14 @@ def _parse_plane(text):
 
 
 def _timed(fn, *args, **kwargs):
-    """(fn(*args, **kwargs), its wall time in seconds)."""
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0
+    """(fn(*args, **kwargs), its wall time in seconds); each warning of the
+    call is printed on stderr as a plain ``warning: <message>`` line."""
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: click.echo(
+            f"warning: {message}", err=True)
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        return out, time.perf_counter() - t0
 
 
 def _wrap_errors(fn):

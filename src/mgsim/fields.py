@@ -29,8 +29,9 @@ conjugate-pair lookups then hold to the last bit, not merely to rounding.
 ``(..., *band_shape)``: its passes run on the last three axes, so a stack
 costs one call, not one per field, and each field's samples are the ones
 a call of its own gives, bit for bit.  The passes are written once, in a
-``_Passes`` kept per layout, stack and thread with its work arrays; a
-caller of many transforms, such as a run, binds one once.
+``_Passes`` of a layout and stack that owns its work arrays: each call
+builds its own, and a caller of many transforms, such as a run's
+advection product, builds one and keeps it.
 
 A :class:`Grid` is the layout of a field confined to a :class:`Sublattice`
 (a plane, or diag(s1, s2) with a vertical stride); ``Grid(n1, n2, n3)`` is
@@ -47,7 +48,6 @@ and is re-exported here.
 """
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -303,7 +303,8 @@ class _Passes:
     """Both transforms' passes between the samples and the band of
     ``layout``, with the leading axes ``lead`` of a stack, and the
     arrays they write into, the band in k3 and in k1 and k3, viewed once as
-    the products take them.  Neither method checks its input."""
+    the products take them.  The arrays are this object's own, so it serves
+    one caller at a time.  Neither method checks its input."""
 
     def __init__(self, layout, lead):
         (r1, r2, p3), (n1, n2, n3) = layout.band_shape, layout.shape
@@ -337,13 +338,6 @@ class _Passes:
         return out
 
 
-@lru_cache(maxsize=None)
-def _work(grid, thread, *lead):
-    """One thread's ``_Passes`` on a layout, of one field or with the
-    leading axes ``lead`` of a stack."""
-    return _Passes(grid, lead)
-
-
 def forward(grid, values, out=None):
     """Real physical samples -> dealiased mathematical coefficients, into
     ``out`` when given, the k3 = 0 plane exactly Hermitian; complex or
@@ -356,8 +350,7 @@ def forward(grid, values, out=None):
             f"values shape {values.shape} does not match grid {grid.shape}")
     if out is None:
         out = np.empty(grid.band_shape, dtype=np.complex128)
-    _work(grid, threading.get_ident()).to_band(
-        values.astype(np.float64, copy=False), out)
+    _Passes(grid, ()).to_band(values.astype(np.float64, copy=False), out)
     plane = out[:, :, 0]
     out[:, :, 0] = 0.5 * (plane + _conjugate_plane(plane))
     return out
@@ -380,7 +373,7 @@ def inverse(grid, coeffs, out=None):
     if out.shape != lead + grid.shape or not out.flags.c_contiguous:
         raise ValueError(f"out of shape {out.shape} is not a C-contiguous "
                          f"array of shape {lead + grid.shape}")
-    return _work(grid, threading.get_ident(), *lead).to_samples(coeffs, out)
+    return _Passes(grid, lead).to_samples(coeffs, out)
 
 
 @dataclass

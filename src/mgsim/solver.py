@@ -40,12 +40,12 @@ on it goes through the same elementwise operations: the final state is the
 whole-band run's bit for bit, and the records agree to rounding.
 
 The advection product multiplies the field by its six spectral factors
-(M1, M2, M3, i k1, i k2, i k3), stacked into one array kept per layout and
-N^2, and makes one stacked inverse pass of the six products, whose x3 pass
-is one matrix product for all six, and one forward pass of u . grad theta.
-The product, with its buffers and passes, is kept per layout and thread
-(``_Advection``); a run binds it and the factors once, and a record reads
-its energy flux and velocity maxima from one more call of it.
+(M1, M2, M3, i k1, i k2, i k3), stacked into one array, and makes one
+stacked inverse pass of the six products, whose x3 pass is one matrix
+product for all six, and one forward pass of u . grad theta.  The product
+(``_Advection``) owns its factors, buffers and passes; a run builds one,
+and a record reads its energy flux and velocity maxima from one more call
+of it.
 
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry
@@ -64,10 +64,8 @@ stays bounded there, and nothing off the plane is stored.
 
 import math
 import sys
-import threading
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,8 +75,8 @@ from .fields import (
     Grid,
     SpectralField,
     Sublattice,
+    _Passes,
     _conjugate_plane,
-    _work,
     hs_norm,
     ksq_power,
     l2_norm,
@@ -198,7 +196,6 @@ class Diagnostics:
     SERIES = ("l2", "linf", "hs", "off_plane", "energy_residual", "ref_l2")
 
 
-@lru_cache(maxsize=None)
 def _advection_factors(grid, n2_phys):
     """The six spectral factors (M1, M2, M3, i k1, i k2, i k3) on the band,
     stacked into one complex array of shape ``(6, *grid.band_shape)``."""
@@ -208,22 +205,23 @@ def _advection_factors(grid, n2_phys):
 
 
 class _Advection:
-    """One thread's advection product on a layout, given the ``factors``
-    of ``_advection_factors`` (so N^2 adds none): ``spec`` takes the field
-    times them and ``phys`` their samples, one stacked pass; u_j d_j theta
-    overwrites the gradient rows 3-5, so ``u`` (rows 0-2) keeps u's samples.
-    The forward pass skips ``forward``'s Hermitian fix: it zeroes k3 = 0.
+    """The advection product on a layout at N^2 = ``n2_phys``, with its own
+    ``factors`` (``_advection_factors``), passes and buffers: ``spec`` takes
+    the field times the factors and ``phys`` their samples, one stacked
+    pass; u_j d_j theta overwrites the gradient rows 3-5, so ``u`` (rows
+    0-2) keeps u's samples.  The forward pass skips ``forward``'s Hermitian
+    fix: it zeroes k3 = 0.
     """
 
-    def __init__(self, grid, thread):
-        self.spec = np.empty((6, *grid.band_shape), dtype=np.complex128)
+    def __init__(self, grid, n2_phys):
+        self.factors = _advection_factors(grid, n2_phys)
+        self.spec = np.empty_like(self.factors)
         self.phys = p = np.empty((6, *grid.shape))
         self.u, self.grad, self.g0, self.g1, self.g2 = p[:3], p[3:], *p[3:]
-        self.stack = _work(grid, thread, 6)
-        self.field = _work(grid, thread)
+        self.stack, self.field = _Passes(grid, (6,)), _Passes(grid, ())
 
-    def __call__(self, factors, c, out):
-        self.stack.to_samples(np.multiply(factors, c, out=self.spec),
+    def __call__(self, c, out):
+        self.stack.to_samples(np.multiply(self.factors, c, out=self.spec),
                               self.phys)
         self.grad *= self.u
         np.add(self.g0, self.g1, out=self.g0)
@@ -233,21 +231,16 @@ class _Advection:
         return out
 
 
-_advection_work = lru_cache(maxsize=None)(_Advection)  # per layout, thread
-
-
 def velocity_max(u):
     """Max-norm of each velocity component, from its samples ``u``."""
     return tuple(float(max(uj.max(), -uj.min())) for uj in u)
 
 
-def advection_coefficients(grid, c, n2_phys, out=None):
-    """Dealiased coefficients of u . grad theta, restricted to k3 != 0,
-    by the layout's ``_Advection``: into ``out`` when given (then no array
-    of the grid's size is made), else into a new array."""
-    out = np.empty(grid.band_shape, np.complex128) if out is None else out
-    return _advection_work(grid, threading.get_ident())(
-        _advection_factors(grid, n2_phys), c, out)
+def advection_coefficients(grid, c, n2_phys):
+    """Dealiased coefficients of u . grad theta, restricted to k3 != 0, in a
+    new array, by an ``_Advection`` built for the call."""
+    return _Advection(grid, n2_phys)(
+        c, np.empty(grid.band_shape, np.complex128))
 
 
 def _cos_shift_sum(v, s, out):
@@ -321,7 +314,8 @@ class _Stepper:
     run's lattice, whose growth cap is checked first; every factor is built
     there, and a step writes every right-hand side and stage into the
     buffers built here, so it allocates no array of the layout's size.
-    The right-hand sides run the ``_Advection`` and factors bound here.
+    A nonlinear run's right-hand sides and records run the one
+    ``_Advection`` built here, which goes with the run.
     """
 
     def __init__(self, layout, params, config, c, src, ref):
@@ -343,9 +337,8 @@ class _Stepper:
         else:
             self.implicit = 1.0 / (1.0 + dt * diss)
         self.linearized = config.linearized
-        if not config.linearized:  # bound once: a run never changes thread
-            self.factors = _advection_factors(layout, params.n2)
-            self.advect = _advection_work(layout, threading.get_ident())
+        if not config.linearized:
+            self.advect = _Advection(layout, params.n2)
         else:
             # -m u3 cos(m x3) = v(k3 - m) + v(k3 + m), v = -(m/2) M3_hat theta_hat
             # (a shift by m / s3 indices on the layout)
@@ -364,7 +357,7 @@ class _Stepper:
         if self.linearized:
             return _cos_shift_sum(np.multiply(self.v_scale, cc, out=self.v),
                                   self.shift, out)
-        self.advect(self.factors, cc, out)
+        self.advect(cc, out)
         if self.src is None:
             return np.negative(out, out=out)
         return np.subtract(self.src, out, out=out)
@@ -401,7 +394,7 @@ class _Stepper:
         self.c, self.next = nxt, c
 
     def record(self, step):
-        """Append the state's row at ``step``, reading one call of the bound
+        """Append the state's row at ``step``, reading one call of the run's
         advection product when nonlinear; BlowUpError if not finite."""
         t = step * self.dt
         f = SpectralField(self.layout, self.c)
@@ -412,7 +405,7 @@ class _Stepper:
                 time=t, history=self.diagnostics())
         flux, cfl = math.nan, 0.0
         if not self.linearized:  # into the stage buffer, free between steps
-            adv = self.advect(self.factors, self.c, self.stage)
+            adv = self.advect(self.c, self.stage)
             flux = energy_flux_residual(self.layout, self.c, adv)
             umax = velocity_max(self.advect.u)
             cfl = self.dt * sum(u * k for u, k in zip(umax, self.kmax))

@@ -502,6 +502,22 @@ class TestCli:
         assert ("\nlayout = 16x16x32 on Sublattice(basis=((2, 0), (0, 2)), "
                 "s3=1)\n" in text)
 
+    def test_evolve_warns_in_plain_lines(self, tmp_path):
+        # a run's CFL warning reaches the user as its message alone, on
+        # stderr, naming no source file of the library or of click
+        res = _evolve(
+            tmp_path,
+            "[phys]\neps_kappa = 0\n[grid]\nn = 16\n"
+            "[run]\ndt = 0.1\nt_end = 0.3\n"
+            "[init]\nkind = mode:1,2,1,50\n")
+        assert res.exit_code == 0, res.output
+        lines = res.stderr.splitlines()
+        assert lines and all(
+            re.fullmatch(r"warning: advective CFL number \S+ exceeds 0\.5 "
+                         r"at t = \S+; consider reducing dt", line)
+            for line in lines)
+        assert ".py:" not in res.output
+
     def test_evolve_init_k1_needs_eigenfunction_kind(self, tmp_path):
         res = _evolve(tmp_path, EVOLVE_CFG
                       + "[init]\nkind = mode:1,1,2\nk1 = 1\nk2 = 1\n")

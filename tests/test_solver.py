@@ -1,6 +1,7 @@
 """Tests for the time integrator: exactness, invariants, guard rails."""
 
 import collections
+import gc
 import math
 import re
 import sys
@@ -142,27 +143,48 @@ def test_advection_matches_unpruned_reference(shape):
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_advection_given_out_allocates_no_grid_array():
-    # the six factors' products and samples go through the work buffers;
-    # the buffer numpy's multiply takes for the broadcast field has a fixed
-    # size (about 116 KB), well under one array of the grid at 48^3; a
-    # stepper's IF-RK4 step writes every right-hand side and stage into
-    # buffers it holds, so it allocates no more
+def test_warm_step_allocates_no_grid_array():
+    # a stepper's IF-RK4 step writes every right-hand side and stage into
+    # buffers it holds, and the six factors' products and samples go
+    # through its advection product's buffers; the buffer numpy's multiply
+    # takes for the broadcast field has a fixed size (about 116 KB), well
+    # under one array of the grid at 48^3
     grid = Grid(48, 48, 48)
-    c = _rich_field(grid).c
-    out = np.empty(grid.band_shape, dtype=np.complex128)
     stepper = _Stepper(grid, PhysParams(eps_kappa=0.02),
-                       SolverConfig(dt=0.01, t_end=0.01), c.copy(), None, None)
-    for call in (lambda: advection_coefficients(grid, c, 1.3, out=out),
-                 stepper.step):
-        call()  # builds the buffers
-        tracemalloc.start()
-        try:
-            call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < np.empty(grid.shape).nbytes
+                       SolverConfig(dt=0.01, t_end=0.01),
+                       _rich_field(grid).c, None, None)
+    stepper.step()  # warms numpy's own buffers
+    tracemalloc.start()
+    try:
+        stepper.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < np.empty(grid.shape).nbytes
+
+
+def test_run_leaves_no_scratch_behind():
+    # a run's passes, advection product and buffers go with it: what a
+    # whole-grid nonlinear run at 48^3 leaves allocated is the caches of
+    # read-only arrays (the DFT matrices, the multipliers), about one
+    # array of the grid's samples, not its work arrays (16 MB); every
+    # cache of fields and solver starts empty, so all of it is traced
+    grid = Grid(48, 48, 48)
+    theta0 = _rich_field(grid) * 0.1
+    for module in (mgsim.fields, mgsim.solver):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run(theta0, PhysParams(eps_kappa=0.02),
+            SolverConfig(dt=0.01, t_end=0.02))
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2.5e6, retained
 
 
 @pytest.mark.parametrize("grid, lattice, shape", [
@@ -211,8 +233,8 @@ def test_advection_keeps_the_velocity_samples(grid, lattice):
     prod *= u
     ref = forward(layout, (prod[0] + prod[1]) + prod[2])
     ref[:, :, 0] = 0.0
-    advect = _Advection(layout, threading.get_ident())
-    got = advect(factors, c, np.empty(layout.band_shape, np.complex128))
+    advect = _Advection(layout, 1.3)
+    got = advect(c, np.empty(layout.band_shape, np.complex128))
     assert np.array_equal(advect.u, u)
     assert got.tobytes() == ref.tobytes()
 
@@ -529,27 +551,28 @@ class TestNonlinearStep:
 
     def test_restricted_steps_make_no_grid_transforms(self, monkeypatch):
         # a restricted run steps and records on the plane's layout: it
-        # makes no transform on the grid and builds none of its work arrays
+        # makes no transform on the grid and builds none of its passes
         theta0 = sine_vertical(G24, 1) + cosine_mode(G24, (2, 2, 1), 0.1)
         counts = _counting_transforms(monkeypatch, grid=G24)
-        caches = (mgsim.fields._work, mgsim.solver._advection_work)
-        for cache in caches:
-            cache.cache_clear()
-        cfg = SolverConfig(dt=0.01, t_end=0.05, record_every=2,
-                           plane=PlaneSpec(1, 1),
-                           lattice=Sublattice.of_plane(PlaneSpec(1, 1)))
+        built = set()
+
+        def init(passes, layout, lead, _fn=mgsim.fields._Passes.__init__):
+            built.add(layout)
+            _fn(passes, layout, lead)
+
+        monkeypatch.setattr(mgsim.fields._Passes, "__init__", init)
+        plane = PlaneSpec(1, 1)
+        cfg = SolverConfig(dt=0.01, t_end=0.05, record_every=2, plane=plane,
+                           lattice=Sublattice.of_plane(plane))
         _, diag = run(theta0, PhysParams(eps_kappa=0.02), cfg)
         assert len(diag.times) == 4
         assert counts == {"forward": 0, "inverse": 0}
-        for cache in caches:  # a lookup for the grid misses
-            misses = cache.cache_info().misses
-            cache(G24, threading.get_ident())
-            assert cache.cache_info().misses == misses + 1
+        assert built == {diag.layout} and diag.layout != G24
 
     def test_whole_lattice_run_shares_the_grid_caches(self):
         # the whole lattice is the grid: equal, hashed alike, moved by exact
-        # copies, and an unrestricted run fills the caches a lookup for the
-        # grid then hits, so no second set of them is built
+        # copies, and an unrestricted run fills the multiplier cache a
+        # lookup for the grid then hits, so no second copy is built
         whole = Grid(24, 24, 24, Sublattice.diag(1, 1))
         assert G24 == whole and hash(G24) == hash(whole)
         assert (whole.shape, whole.band) == ((24, 24, 24), (7, 7, 7))
@@ -557,22 +580,15 @@ class TestNonlinearStep:
         c[:, :, 0] = -0.0
         for moved in (whole.gather(c), whole.scatter(c)):
             assert moved is not c and moved.tobytes() == c.tobytes()
-        works = (mgsim.fields._work, mgsim.solver._advection_work)
-        factors = (mgsim.fields.multiplier_arrays,
-                   mgsim.solver._advection_factors)
-        for cache in (*works, *factors):
-            cache.cache_clear()
+        cache = mgsim.fields.multiplier_arrays
+        cache.cache_clear()
         par = PhysParams(eps_kappa=0.02)
         run(_rich_field(G24, seed=4) * 0.1, par,
             SolverConfig(dt=0.01, t_end=0.02))
-        lookups = [(cache, (Grid(24, 24, 24), threading.get_ident()))
-                   for cache in works]
-        lookups += [(cache, (Grid(24, 24, 24), par.n2)) for cache in factors]
-        for cache, key in lookups:
-            info = cache.cache_info()
-            cache(*key)
-            assert cache.cache_info().hits == info.hits + 1
-            assert cache.cache_info().misses == info.misses
+        info = cache.cache_info()
+        cache(Grid(24, 24, 24), par.n2)
+        assert cache.cache_info().hits == info.hits + 1
+        assert cache.cache_info().misses == info.misses
 
 
 def test_run_refuses_data_on_a_restricted_layout():
