@@ -273,9 +273,10 @@ def _mirror(r1, r2):
     return np.ix_((-np.arange(r1)) % r1, (-np.arange(r2)) % r2)
 
 
-def _conjugate_plane(plane):
-    """conj of a k3 plane (or a stack of them) evaluated at (-k1, -k2)."""
-    return np.conj(plane[_mirror(*plane.shape[:2])])
+def _conjugate_plane(planes):
+    """conj of the k3 planes on the last three axes, at (-k1, -k2)."""
+    i1, i2 = _mirror(*planes.shape[-3:-1])
+    return np.conj(planes[..., i1, i2, :])
 
 
 @lru_cache(maxsize=None)
@@ -351,8 +352,8 @@ def forward(grid, values, out=None):
     if out is None:
         out = np.empty(grid.band_shape, dtype=np.complex128)
     _Passes(grid, ()).to_band(values.astype(np.float64, copy=False), out)
-    plane = out[:, :, 0]
-    out[:, :, 0] = 0.5 * (plane + _conjugate_plane(plane))
+    plane = out[:, :, :1]
+    out[:, :, :1] = 0.5 * (plane + _conjugate_plane(plane))
     return out
 
 
@@ -482,8 +483,9 @@ def l2_norm(field):
     return math.sqrt(parseval(field.grid, field.c))
 
 
-def linf_norm(field):
-    v = field.values()
+def linf_norm(field, passes=None, out=None):
+    """Max-norm of the samples, by ``passes`` (one-field) into ``out``."""
+    v = field.values() if passes is None else passes.to_samples(field.c, out)
     return float(max(v.max(), -v.min()))
 
 

@@ -12,10 +12,6 @@ rounding and the quartic error constant applies only to the transport term.
 ``imex_euler`` treats transport explicitly and dissipation implicitly; it is
 first order and exists mainly as a cross-check.
 
-The linearized right-hand side about Theta_0 = sin(m x3) is -m u3 cos(m x3).
-Multiplying by cos(m x3) is an exact shift of +-m along k3, so that product
-is formed by slicing the spectrum: a linearized step makes no transforms.
-
 A run steps and records on the layout of its sublattice, a ``fields.Grid``:
 the whole lattice by default, or one a run is restricted to (a plane, or
 the k1 Z x k2 Z x m Z that a seeded eigenmode lives on, which holds every
@@ -29,15 +25,16 @@ a restricted layout samples on its band's own sizes, which dealias every
 product exactly as the grid's sizes do.  A record reads the same samples
 (see ``Diagnostics``).
 
-A linearized run on the whole lattice steps on the diag sublattice its data
-spans instead (``_span``): s1 and s2 the gcds of |k1| and |k2| over the
-nonzero coefficients of the initial data and the reference (n1 or n2 when
-all of them are 0 there: that axis takes one sample), s3 the gcd of m and
-their k3.  The linearized operator couples
-k3 only to k3 +- m within one column (k1, k2), so a coefficient off the
-span is an exact zero at every stage of the whole-band run, and every one
-on it goes through the same elementwise operations: the final state is the
-whole-band run's bit for bit, and the records agree to rounding.
+The linearized right-hand side about Theta_0 = sin(m x3), -m u3 cos(m x3),
+is an exact shift of +-m along k3, sliced with no transform, that couples k3
+only within a column (k1, k2) and its conjugate mirror.  A linearized run
+reads its step as real p3 x p3 matrices per column (``step_map``) and goes
+from record to record by their powers, to rounding of its steps.  On the
+whole lattice it runs on the diag sublattice its data spans (``_span``): s1,
+s2 the gcds of |k1|, |k2| over the nonzero coefficients of the initial data
+and the reference (n1 or n2 when all are 0: that axis takes one sample), s3
+the gcd of m and their k3.  Off the span a whole-band step holds exact zeros
+and on it the same operations: the map's columns are the whole band's, bitwise.
 
 The advection product multiplies the field by its six spectral factors
 (M1, M2, M3, i k1, i k2, i k3), stacked into one array, and makes one
@@ -62,6 +59,7 @@ is bounded on its layout's band, and a plane is exempt: the multiplier
 stays bounded there, and nothing off the plane is stored.
 """
 
+import copy
 import math
 import sys
 import warnings
@@ -77,6 +75,7 @@ from .fields import (
     Sublattice,
     _Passes,
     _conjugate_plane,
+    _mirror,
     hs_norm,
     ksq_power,
     l2_norm,
@@ -134,10 +133,7 @@ class SolverConfig:
     data, the source and ``run``'s reference keep only their lattice
     coefficients.  A restriction is an exact invariant of the dynamics, but
     in ill-posed regimes rounding noise seeded off a plane would otherwise
-    amplify at unbounded rates and bury the confined solution.  A
-    linearized run on the whole lattice steps on the diag sublattice its
-    initial data and reference span, which drops nothing but exact zeros
-    (see the module docstring).
+    amplify at unbounded rates and bury the confined solution.
     """
 
     dt: float
@@ -177,9 +173,7 @@ class Diagnostics:
     ``linf``, and the velocity maxima behind the CFL warning (the velocity
     rows of the advection product behind ``energy_residual``), read the
     samples the steps transform, so on a restricted layout they can read
-    below the grid's maxima: by 3.6 % (plane 1/2 at 24^3) to 4.9 % (the
-    diag(6, 4) eigenfunction at 48^3) on small layouts, and by at most
-    1.3e-6 and 1.3e-5 relative on criteria 09 and 12.
+    below the grid's maxima (by up to 4.9 %; README, "Numerical notes").
     Unrecorded series are all NaN: ``off_plane`` without a plane,
     ``energy_residual`` when linearized, ``ref_l2`` without a reference.
     """
@@ -246,20 +240,20 @@ def advection_coefficients(grid, c, n2_phys):
 def _cos_shift_sum(v, s, out):
     """out <- v(k3 - s) + v(k3 + s) on the band's k3 >= 1, and 0 at k3 = 0.
 
-    These are the coefficients of 2 cos(s x3) times the field with
-    coefficients v, off the k3 = 0 plane that no caller reads.  For
+    These are the coefficients of 2 cos(s x3) times the field (or stack,
+    on its last axes) v, off the k3 = 0 plane that no caller reads.  For
     1 <= k3 < s the entry v(k1, k2, k3 - s) is read from the conjugate
     mirror conj(v(-k1, -k2, s - k3)), so shift 1 reads no mirror;
     wavevectors beyond the band contribute nothing.
     """
-    n = v.shape[2]
-    out[:, :, :min(s, n)] = 0.0
+    n = v.shape[-1]
+    out[..., :min(s, n)] = 0.0
     if s < n:
-        out[:, :, s:] = v[:, :, :n - s]
-        out[:, :, 1:n - s] += v[:, :, s + 1:]
+        out[..., s:] = v[..., :n - s]
+        out[..., 1:n - s] += v[..., s + 1:]
     lo, hi = max(1, s - n + 1), min(s, n)
     if lo < hi:
-        out[:, :, lo:hi] += _conjugate_plane(v[:, :, s - lo:s - hi:-1])
+        out[..., lo:hi] += _conjugate_plane(v[..., s - lo:s - hi:-1])
     return out
 
 
@@ -306,6 +300,32 @@ def _growth_cap_check(layout, params, config):
         )
 
 
+def _compose(f, g):
+    """The step map g after f, each (A, B) of ``_Stepper.step_map``."""
+    (A1, B1), (A2, B2) = f, g
+    if B1 is None:
+        return A2 @ A1, None
+    mirror = _mirror(*A1.shape[:2])
+    A, B = A2 @ A1, A2 @ B1
+    A += B2 @ B1[mirror]
+    B += B2 @ A1[mirror]
+    return A, B
+
+
+def _map_power(f, g):
+    """The g-th power (g >= 1) of the step map f, by binary powering."""
+    power = f
+    for bit in bin(g)[3:]:  # from the leading bit of g down
+        power = _compose(power, power)
+        power = _compose(power, f) if bit == "1" else power
+    return power
+
+
+def _pairs(c):
+    """The (re, im) pairs of a complex array, a real view (*c.shape, 2)."""
+    return c.view(np.float64).reshape(*c.shape, 2)
+
+
 class _Stepper:
     """One run on a layout's band: state, factors, buffers and records.
 
@@ -314,13 +334,13 @@ class _Stepper:
     run's lattice, whose growth cap is checked first; every factor is built
     there, and a step writes every right-hand side and stage into the
     buffers built here, so it allocates no array of the layout's size.
-    A nonlinear run's right-hand sides and records run the one
+    A nonlinear run's right-hand sides and records (L-inf too) run the one
     ``_Advection`` built here, which goes with the run.
     """
 
     def __init__(self, layout, params, config, c, src, ref):
         _growth_cap_check(layout, params, config)
-        self.c, self.src = c, src
+        self.src = src
         self.ref = None if ref is None else SpectralField(layout, ref)
         dt = self.dt = config.dt
         self.layout, self.scheme = layout, config.scheme
@@ -339,17 +359,23 @@ class _Stepper:
         self.linearized = config.linearized
         if not config.linearized:
             self.advect = _Advection(layout, params.n2)
+            self.passes, self.samples = self.advect.field, self.advect.g0
         else:
             # -m u3 cos(m x3) = v(k3 - m) + v(k3 + m), v = -(m/2) M3_hat theta_hat
             # (a shift by m / s3 indices on the layout)
             self.shift = params.m // layout.lattice.s3
             self.v_scale = -0.5 * params.m * multiplier_arrays(
                 layout, params.n2)[2]
-            self.v = np.empty(layout.band_shape, dtype=np.complex128)
-        # the four stage right-hand sides, then the stage input, E2 c and
-        # the next state
-        (*self.outs, self.stage, self.E2c, self.next) = (
-            np.empty(layout.band_shape, dtype=np.complex128) for _ in range(7))
+            self.passes, self.samples = _Passes(layout, ()), np.empty(
+                layout.shape)
+            self.powers = {}  # steps -> the step map's power (advance)
+        self._bind(c)
+
+    def _bind(self, c):
+        """Step ``c``, one field or a stack, in new buffers shaped like it."""
+        self.c = c
+        (*self.outs, self.stage, self.E2c, self.next, self.v) = (
+            np.empty_like(c, dtype=np.complex128) for _ in range(8))
 
     def rhs(self, cc, out):
         """out <- the right-hand side at cc.  The advection product and
@@ -361,6 +387,39 @@ class _Stepper:
         if self.src is None:
             return np.negative(out, out=out)
         return np.subtract(self.src, out, out=out)
+
+    def step_map(self):
+        """(A, B), a linearized step c_j <- A_j c_j + B_j conj(c_mirror(j))
+        in real p3 x p3 matrices per column j (B None when 0): column q is
+        (R +- I) / 2 for the responses R and I of a 2-state stack, a real
+        and an imaginary unit spike at k3 = q in every column."""
+        spikes, p3 = copy.copy(self), self.c.shape[-1]
+        spikes._bind(np.empty((2, *self.c.shape), dtype=np.complex128))
+        A, B = (np.empty((*self.c.shape, p3)) for _ in range(2))
+        for q in range(p3):
+            spikes.c[...] = 0.0
+            spikes.c[0, ..., q], spikes.c[1, ..., q] = 1.0, 1j
+            spikes.step()
+            R, I = spikes.c[0].real, spikes.c[1].imag
+            A[..., q], B[..., q] = (R + I) / 2.0, (R - I) / 2.0
+        return A, B if B.any() else None
+
+    def advance(self, steps):
+        """Make ``steps`` steps; a linearized run applies its step map's
+        power (one per distinct ``steps``) as batched real matmuls."""
+        if not self.linearized:
+            for _ in range(steps):
+                self.step()
+        elif steps:
+            if not self.powers:
+                self.powers[1] = self.step_map()
+            if steps not in self.powers:
+                self.powers[steps] = _map_power(self.powers[1], steps)
+            (A, B), c = self.powers[steps], self.c
+            nxt = np.matmul(A, _pairs(c), out=_pairs(self.next))
+            if B is not None:
+                nxt += B @ _pairs(_conjugate_plane(c))
+            self.c, self.next = self.next, self.c
 
     def step(self):
         c, nxt, dt, outs = self.c, self.next, self.dt, self.outs
@@ -410,7 +469,7 @@ class _Stepper:
             umax = velocity_max(self.advect.u)
             cfl = self.dt * sum(u * k for u, k in zip(umax, self.kmax))
         self.rows.append((
-            t, l2, linf_norm(f), hs_norm(f, 1.0),
+            t, l2, linf_norm(f, self.passes, self.samples), hs_norm(f, 1.0),
             math.nan if self.plane is None else off_plane_norm(f, self.plane),
             flux, math.nan if self.ref is None else l2_norm(f - self.ref)))
         if cfl > 0.5:  # the warning points at the first caller outside mgsim
@@ -467,8 +526,8 @@ def run(theta0, params, config, reference=None):
     whole lattice unless restricted), ``diagnostics.layout``, and the final
     state is scattered back.  A linearized run on the whole lattice is
     gathered onto the layout of the diag sublattice that the initial data
-    and the reference span instead, on which its final state is the whole
-    band's bit for bit.
+    and the reference span instead, and every linearized run advances by
+    powers of its one-step map, to rounding of its steps (module docstring).
     """
     grid, lattice = theta0.grid, config.lattice
     if grid.lattice != WHOLE_LATTICE:
@@ -491,8 +550,7 @@ def run(theta0, params, config, reference=None):
 
     steps = _record_steps(config).tolist()
     for last, step in zip([0] + steps, steps):
-        for _ in range(step - last):
-            stepper.step()
+        stepper.advance(step - last)
         stepper.record(step)
     final = SpectralField(grid, layout.scatter(stepper.c))
     return final, stepper.diagnostics()

@@ -900,9 +900,11 @@ def test_run_refuses_a_stride_that_does_not_divide_m():
                          lattice=Sublattice.diag(1, 1, 2)))
 
 
-def _whole_band_run(theta0, par, cfg, reference=None):
+def _whole_band_run(theta0, par, cfg, reference=None, mapped=False):
     """``run`` stepped on the whole band of theta0's grid, whatever the
-    data spans: the reference a sublattice run is measured against."""
+    data spans: the reference a sublattice run is measured against.  Its
+    steps are made one by one, or with ``mapped`` by ``_Stepper.advance``,
+    which a linearized run advances by powers of its step map."""
     grid = theta0.grid
     src = cfg.source.realize(grid, par)
     stepper = _Stepper(grid, par, cfg, grid.gather(theta0.c),
@@ -910,8 +912,11 @@ def _whole_band_run(theta0, par, cfg, reference=None):
                        None if reference is None else reference.c)
     steps = _record_steps(cfg).tolist()
     for last, step in zip([0] + steps, steps):
-        for _ in range(step - last):
-            stepper.step()
+        if mapped:
+            stepper.advance(step - last)
+        else:
+            for _ in range(step - last):
+                stepper.step()
         stepper.record(step)
     return SpectralField(grid, stepper.c), stepper.diagnostics()
 
@@ -1005,7 +1010,8 @@ def test_linearized_run_steps_on_its_span(case):
     if strides == (6, 4, 1):  # the criterion-13 configuration, bit for bit
         assert str(gdiag.layout) == (
             "8x10x48 on Sublattice(basis=((6, 0), (0, 4)), s3=1)")
-        assert np.array_equal(got.c, want.c)
+        mapped, _ = _whole_band_run(theta0, par, cfg, mapped=True)
+        assert np.array_equal(got.c, mapped.c)
 
 
 def test_linearized_eigenfunction_run_makes_no_grid_transform(monkeypatch):
@@ -1025,6 +1031,153 @@ def test_linearized_eigenfunction_run_makes_no_grid_transform(monkeypatch):
                                          linearized=True))
     assert diag.layout == Grid(48, 48, 48, Sublattice.diag(6, 4))
     assert seen == [("inverse", diag.layout)] * len(diag.times)
+
+
+# (grid shape, lattice, m, scheme): criterion 13's span at shift 1, whole
+# lattices at shifts 2 and 3 (whose maps read the conjugate mirror), a
+# plane, and the first-order scheme
+STEP_MAP_CASES = {
+    "span_6_4_m1": ((48, 48, 48), Sublattice.diag(6, 4), 1, "if_rk4"),
+    "whole_m2": ((16, 16, 24), WHOLE_LATTICE, 2, "if_rk4"),
+    "whole_m3": ((16, 16, 24), WHOLE_LATTICE, 3, "if_rk4"),
+    "plane_1_1": ((24, 24, 24), Sublattice.of_plane(PlaneSpec(1, 1)), 1,
+                  "if_rk4"),
+    "imex_m2": ((16, 16, 24), WHOLE_LATTICE, 2, "imex_euler"),
+}
+
+
+@pytest.mark.parametrize("case", STEP_MAP_CASES.values(),
+                         ids=STEP_MAP_CASES.keys())
+def test_step_map_is_the_step(case):
+    # the map, applied 7 times or as its 7th power, is 7 sequential steps
+    # to rounding, on the whole state and on the self-mirror column (0, 0)
+    shape, lattice, m, scheme = case
+    layout = replace(Grid(*shape), lattice=lattice)
+    c = forward(layout, np.random.default_rng(m).standard_normal(
+        layout.shape))
+    applied, powered, stepped = (_Stepper(
+        layout, PhysParams(eps_kappa=0.01, m=m), SolverConfig(
+            dt=0.01, t_end=0.07, scheme=scheme, linearized=True),
+        c.copy(), None, None) for _ in range(3))
+    A, B = stepped.step_map()
+    assert A.shape == (*layout.band_shape, layout.band_shape[2])
+    assert (B is None) == (m == 1)  # only shifts of 2 or more read mirrors
+    for _ in range(7):
+        applied.advance(1)
+        stepped.step()
+    powered.advance(7)
+    assert list(powered.powers) == [1, 7]
+    want = stepped.c
+    assert np.max(np.abs(want - c)) > 1e-3 * np.max(np.abs(c))  # it moved
+    for got in (applied.c, powered.c):
+        for part in (np.s_[...], np.s_[0, 0]):
+            assert np.max(np.abs(got[part] - want[part])) <= 1e-14 * np.max(
+                np.abs(want[part]))
+
+
+def test_stepper_steps_a_stack_as_its_fields():
+    # a stepper given a stack of states steps each one bit for bit as a
+    # stepper of that state alone, the conjugate-mirror reads included
+    layout, par = Grid(16, 16, 24), PhysParams(eps_kappa=0.01, m=3)
+    cfg = SolverConfig(dt=0.01, t_end=0.01, linearized=True)
+    rng = np.random.default_rng(5)
+    stack = (rng.standard_normal((2, *layout.band_shape))
+             + 1j * rng.standard_normal((2, *layout.band_shape)))
+    stacked = _Stepper(layout, par, cfg, stack.copy(), None, None)
+    stacked.step()
+    for c, got in zip(stack, stacked.c):
+        alone = _Stepper(layout, par, cfg, c.copy(), None, None)
+        alone.step()
+        assert np.array_equal(got.view(np.uint64), alone.c.view(np.uint64))
+
+
+@pytest.mark.parametrize("mode", [(6, 4), (9, 4)])
+def test_step_map_grows_its_column_at_sigma_star(mode):
+    # the top |mu| of the mode's column map on its span gives the growth
+    # rate log|mu| / dt of the discrete IF-RK4 step: sigma* to 1e-8 at
+    # dt = 0.01, and its gap to sigma* falls at fourth order in dt
+    par = PhysParams(eps_kappa=0.01)
+    sigma = solve_sigma_star(*mode, par).sigma_star
+    layout = Grid(48, 48, 48, Sublattice.diag(*mode))
+    gaps = []
+    for dt in (0.01, 0.005):
+        stepper = _Stepper(layout, par, SolverConfig(
+            dt=dt, t_end=dt, linearized=True),
+            np.zeros(layout.band_shape, np.complex128), None, None)
+        A, B = stepper.step_map()
+        assert B is None
+        mu = np.max(np.abs(np.linalg.eigvals(A[1, 1])))  # column (k1, k2)
+        gaps.append(math.log(mu) / dt - sigma)
+    assert abs(gaps[0]) < 1e-8
+    assert 12.8 < gaps[0] / gaps[1] < 19.2
+
+
+@pytest.mark.parametrize("nsteps", [40, 400])
+def test_linearized_run_steps_only_to_build_its_map(monkeypatch, nsteps):
+    # a linearized run makes p3 steps, each of a 2-state stack of spikes,
+    # however many steps it advances by powers of the map they build
+    calls = []
+
+    def counted(stepper, _fn=_Stepper.step):
+        calls.append(stepper.c.shape)
+        _fn(stepper)
+
+    monkeypatch.setattr(_Stepper, "step", counted)
+    par = PhysParams(eps_kappa=0.01)
+    phi = assemble_eigenfunction(solve_sigma_star(6, 4, par),
+                                 Grid(48, 48, 48))
+    _, diag = run(phi, par, SolverConfig(dt=0.01, t_end=0.01 * nsteps,
+                                         record_every=20, linearized=True))
+    band = diag.layout.band_shape
+    assert round(diag.times[-1] / 0.01) == nsteps
+    assert calls == [(2, *band)] * band[2]
+
+
+def test_whole_lattice_linearized_run_memory():
+    # a whole-lattice 48^3 run at m = 2, whose map reads the conjugate
+    # mirror, holds its map and one power beside the state: its traced peak
+    # stays under 5 times the 5.06 MB of the same run stepped one by one
+    grid = Grid(48, 48, 48)
+    theta0 = _rich_field(grid)
+    par = PhysParams(eps_kappa=0.01, m=2)
+    cfg = SolverConfig(dt=0.01, t_end=0.4, record_every=10, linearized=True)
+    run(theta0, par, cfg)  # warm the caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run(theta0, par, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 5.06e6, peak
+
+
+@pytest.mark.parametrize("linearized", [False, True],
+                         ids=["nonlinear", "linearized"])
+def test_records_read_linf_through_the_run_passes(monkeypatch, linearized):
+    # a run builds its passes once (the advection product's two, or one
+    # for a linearized run's records), however many records it makes, and
+    # a record's L-infinity norm is linf_norm's own, bit for bit
+    built = []
+
+    def init(passes, layout, lead, _fn=mgsim.fields._Passes.__init__):
+        built.append(lead)
+        _fn(passes, layout, lead)
+
+    monkeypatch.setattr(mgsim.fields._Passes, "__init__", init)
+    theta0 = _rich_field(G16, seed=4) * 0.1
+    counts = []
+    for record_every in (1, 5):
+        built.clear()
+        final, diag = run(theta0, PhysParams(eps_kappa=0.02), SolverConfig(
+            dt=0.01, t_end=0.1, record_every=record_every,
+            linearized=linearized))
+        counts.append(list(built))
+        built.clear()
+        layout = diag.layout
+        assert diag.linf[-1] == linf_norm(
+            SpectralField(layout, layout.gather(final.c)))
+    assert counts[0] == counts[1] == ([()] if linearized else [(6,), ()])
 
 
 def test_linearized_run_is_capped_on_its_span():
