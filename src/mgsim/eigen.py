@@ -400,13 +400,13 @@ def _truncation_certified(sigma: np.ndarray, a: np.ndarray,
 
 def _certify(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
              k1s: np.ndarray, k2s: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Acceptance residual and profile decay (|c_P| <= _COEFF_CUTOFF |c_1|)
-    of roots at depth P, for (modes x P) weights a, e, from one walk of the
-    tails; InvariantError names the first mode whose residual is above both
-    1e-12 and g(sigma + 4 ulps) - g(sigma - 4 ulps).  The profile is the
-    running product of the tails the residual walks, so the recursion rows
-    hold by construction; the oracle's eigenvector checks it independently
-    (tests).
+    """Acceptance residual, profile decay (|c_P| <= _COEFF_CUTOFF |c_1|) and
+    profile (`backward_coefficients`) of roots at depth P, for (modes x P)
+    weights a, e, from one walk of the tails; InvariantError names the first
+    mode whose residual is above both 1e-12 and g(sigma + 4 ulps) -
+    g(sigma - 4 ulps).  The profile is the running product of the tails the
+    residual walks, so the recursion rows hold by construction; the oracle's
+    eigenvector checks it independently (tests).
     """
     r, c = _walk(sigma, a, e, k1s, k2s)
     ok = r < 1e-12
@@ -416,7 +416,7 @@ def _certify(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
                                                   _take(e, ~ok)))[:, 0]
     _require(ok, k1s, k2s, InvariantError, lambda i: (
         f"root has residual {r[i]:.3g} >= 1e-12 and > its change over 8 ulps"))
-    return r, np.abs(c[:, -1]) <= _COEFF_CUTOFF * np.abs(c[:, 0])
+    return r, np.abs(c[:, -1]) <= _COEFF_CUTOFF * np.abs(c[:, 0]), c
 
 
 class _Batch:
@@ -427,8 +427,8 @@ class _Batch:
     and its profile has decayed (module docstring); only the other modes
     are solved again at doubled depth, up to `_MAX_DEPTH`.  Per mode this
     keeps sigma (NaN without a root), the accepted depth and the acceptance
-    residual; the first mode that fails the residual check of `_certify`
-    raises InvariantError.
+    residual (and the walked profile of each certify block's best mode); the
+    first mode failing `_certify`'s residual check raises InvariantError.
     """
 
     def __init__(self, k1s, k2s, params: PhysParams):
@@ -441,6 +441,7 @@ class _Batch:
         self.right = self.upper * (1.0 + 1e-9)
         self.sigma, self.residual = np.full((2, k1s.size), np.nan)
         self.depth = np.zeros(k1s.size, dtype=np.int64)
+        self.profiles = {}
         todo = np.flatnonzero(self.upper > 0.0)
         d = _START_DEPTH
         while todo.size:
@@ -450,12 +451,15 @@ class _Batch:
             ok = np.flatnonzero(_truncation_certified(sigma, a, e))
             for b in range(0, ok.size, _CERTIFY_BLOCK):
                 i = ok[b:b + _CERTIFY_BLOCK]
-                r, decayed = _certify(sigma[i], _take(a[:, :d], i),
-                                      _take(e[:, :d], i),
-                                      k1s[todo[i]], k2s[todo[i]])
+                r, decayed, c = _certify(sigma[i], _take(a[:, :d], i),
+                                         _take(e[:, :d], i),
+                                         k1s[todo[i]], k2s[todo[i]])
                 j = todo[i[decayed]]
                 self.sigma[j], self.depth[j] = sigma[i[decayed]], d
                 self.residual[j] = r[decayed]
+                if j.size:  # the first mode of largest sigma
+                    top = np.flatnonzero(decayed)[np.argmax(self.sigma[j])]
+                    self.profiles[todo[i[top]]] = c[top].copy()
             todo = todo[(self.depth[todo] != d) & ~np.isnan(sigma)]
             if todo.size and d >= _MAX_DEPTH:
                 raise InvariantError(
@@ -477,13 +481,12 @@ class _Batch:
             f"[{lo:.6g}, {hi:.6g}]", lo=lo, hi=hi)
 
     def solution(self, i: int) -> EigenSolution:
-        """Mode i's root with its coefficient profile."""
-        k1, k2, depth = int(self.k1[i]), int(self.k2[i]), int(self.depth[i])
-        sigma = float(self.sigma[i])
+        """Mode i's root with the coefficient profile its acceptance walked,
+        for the first mode of largest sigma (a block's, so the batch's)."""
         return EigenSolution(
-            k1=k1, k2=k2, params=self.params, sigma_star=sigma, depth=depth,
-            c=backward_coefficients(sigma, k1, k2, self.params, depth),
-            residual=float(self.residual[i]),
+            k1=int(self.k1[i]), k2=int(self.k2[i]), params=self.params,
+            sigma_star=float(self.sigma[i]), depth=int(self.depth[i]),
+            c=self.profiles[i], residual=float(self.residual[i]),
             bracket=(float(self.lower[i]), float(self.upper[i])))
 
 
@@ -495,8 +498,8 @@ def solve_sigma_star(k1: int, k2: int, params: PhysParams) -> EigenSolution:
     changes sign at most once there, so a sign change at the endpoints is
     the root.  It is accepted at the first depth from `_START_DEPTH`, by
     doubling, whose truncation is certified within 1e-12 (module
-    docstring), and gets its coefficient profile from
-    `backward_coefficients`.  This is `optimize_growth`'s batch on one mode.
+    docstring), with the profile its acceptance walked
+    (`backward_coefficients`).  This is `optimize_growth`'s batch on one mode.
 
     Raises
     ------

@@ -10,7 +10,8 @@ Two steppers are provided.  ``if_rk4`` wraps classical RK4 in the exact
 integrating factor of the dissipative part, so pure decay is reproduced to
 rounding and the quartic error constant applies only to the transport term.
 ``imex_euler`` treats transport explicitly and dissipation implicitly; it is
-first order and exists mainly as a cross-check.
+first order and exists mainly as a cross-check.  Their factors are stored
+complex, as the state, so no step casts a real operand.
 
 A run steps and records on the layout of its sublattice, a ``fields.Grid``:
 the whole lattice by default, or one a run is restricted to (a plane, or
@@ -28,13 +29,15 @@ product exactly as the grid's sizes do.  A record reads the same samples
 The linearized right-hand side about Theta_0 = sin(m x3), -m u3 cos(m x3),
 is an exact shift of +-m along k3, sliced with no transform, that couples k3
 only within a column (k1, k2) and its conjugate mirror.  A linearized run
-reads its step as real p3 x p3 matrices per column (``step_map``) and goes
-from record to record by their powers, to rounding of its steps.  On the
-whole lattice it runs on the diag sublattice its data spans (``_span``): s1,
-s2 the gcds of |k1|, |k2| over the nonzero coefficients of the initial data
-and the reference (n1 or n2 when all are 0: that axis takes one sample), s3
-the gcd of m and their k3.  Off the span a whole-band step holds exact zeros
-and on it the same operations: the map's columns are the whole band's, bitwise.
+reads its step as real p3 x p3 matrices per column (``step_map``), banded
+(a step moves a spike at most 4 shifts along k3, 1 for IMEX), so one step
+probes many k3 at once; it goes from record to record by their powers, to
+rounding of its steps.  On the whole lattice it runs on the diag sublattice
+its data spans (``_span``): s1, s2 the gcds of |k1|, |k2| over the nonzero
+coefficients of the initial data and the reference (n1 or n2 when all are
+0: that axis takes one sample), s3 the gcd of m and their k3.  Off the span
+a whole-band step holds exact zeros and on it the same operations: the
+map's columns are the whole band's, bitwise.
 
 The advection product multiplies the field by its six spectral factors
 (M1, M2, M3, i k1, i k2, i k3), stacked into one array, and makes one
@@ -300,24 +303,32 @@ def _growth_cap_check(layout, params, config):
         )
 
 
-def _compose(f, g):
-    """The step map g after f, each (A, B) of ``_Stepper.step_map``."""
-    (A1, B1), (A2, B2) = f, g
+def _compose(f, g, out, prod):
+    """The step map g after f, each (A, B) of ``_Stepper.step_map``, into
+    ``out``, with ``prod`` for the mirror products."""
+    (A1, B1), (A2, B2), (A, B) = f, g, out
+    np.matmul(A2, A1, out=A)
     if B1 is None:
-        return A2 @ A1, None
+        return A, None
     mirror = _mirror(*A1.shape[:2])
-    A, B = A2 @ A1, A2 @ B1
-    A += B2 @ B1[mirror]
-    B += B2 @ A1[mirror]
+    A += np.matmul(B2, B1[mirror], out=prod)
+    np.matmul(A2, B1, out=B)
+    B += np.matmul(B2, A1[mirror], out=prod)
     return A, B
 
 
 def _map_power(f, g):
-    """The g-th power (g >= 1) of the step map f, by binary powering."""
-    power = f
+    """The g-th power (g >= 1) of the step map f, by binary powering into
+    two maps of its own, in turn."""
+    power, prod = f, None if f[1] is None else np.empty_like(f[0])
+    out, spare = ([None if x is None else np.empty_like(x) for x in f]
+                  for _ in range(2))
     for bit in bin(g)[3:]:  # from the leading bit of g down
-        power = _compose(power, power)
-        power = _compose(power, f) if bit == "1" else power
+        power = _compose(power, power, out, prod)
+        out, spare = spare, out
+        if bit == "1":
+            power = _compose(power, f, out, prod)
+            out, spare = spare, out
     return power
 
 
@@ -333,7 +344,8 @@ class _Stepper:
     when absent) are the run's own arrays on ``layout``, the layout of the
     run's lattice, whose growth cap is checked first; every factor is built
     there, and a step writes every right-hand side and stage into the
-    buffers built here, so it allocates no array of the layout's size.
+    buffers built here, only those its scheme and path read, so it
+    allocates no array of the layout's size.  Every factor is complex128.
     A nonlinear run's right-hand sides and records (L-inf too) run the one
     ``_Advection`` built here, which goes with the run.
     """
@@ -349,13 +361,13 @@ class _Stepper:
         self.kmax = [int(np.abs(k).max()) for k in wavenumbers(layout)]
         diss = params.eps_kappa * ksq_power(layout, params.gamma)
         if config.scheme == "if_rk4":
-            self.E = E = np.exp(-dt * diss)
-            self.E2 = E2 = np.exp(-0.5 * dt * diss)
+            self.E = E = np.exp(-dt * diss).astype(np.complex128)
+            self.E2 = E2 = np.exp(-0.5 * dt * diss).astype(np.complex128)
             # IF-RK4 stage factors, fixed for the run
             self.half_E2, self.dt_E2 = 0.5 * dt * E2, dt * E2
             self.dt3_E2, self.dt6_E = (dt / 3.0) * E2, (dt / 6.0) * E
         else:
-            self.implicit = 1.0 / (1.0 + dt * diss)
+            self.implicit = (1.0 / (1.0 + dt * diss)).astype(np.complex128)
         self.linearized = config.linearized
         if not config.linearized:
             self.advect = _Advection(layout, params.n2)
@@ -364,18 +376,23 @@ class _Stepper:
             # -m u3 cos(m x3) = v(k3 - m) + v(k3 + m), v = -(m/2) M3_hat theta_hat
             # (a shift by m / s3 indices on the layout)
             self.shift = params.m // layout.lattice.s3
-            self.v_scale = -0.5 * params.m * multiplier_arrays(
-                layout, params.n2)[2]
+            self.v_scale = (-0.5 * params.m * multiplier_arrays(
+                layout, params.n2)[2]).astype(np.complex128)
+            # a step moves a spike at most a shift per right-hand side
+            self.reach = self.shift * (4 if config.scheme == "if_rk4" else 1)
+            self.groups = min(layout.band_shape[2], 2 * self.reach + 1)
             self.passes, self.samples = _Passes(layout, ()), np.empty(
                 layout.shape)
             self.powers = {}  # steps -> the step map's power (advance)
         self._bind(c)
 
     def _bind(self, c):
-        """Step ``c``, one field or a stack, in new buffers shaped like it."""
-        self.c = c
-        (*self.outs, self.stage, self.E2c, self.next, self.v) = (
-            np.empty_like(c, dtype=np.complex128) for _ in range(8))
+        """Step ``c``, one field or a stack, in new buffers shaped like it,
+        only those its scheme and path read."""
+        self.c, rk4 = c, self.scheme == "if_rk4"
+        *self.outs, self.stage, self.E2c, self.next, self.v = (
+            np.empty_like(c, dtype=np.complex128) if made else None for made
+            in [True] * (4 if rk4 else 1) + [rk4, rk4, True, self.linearized])
 
     def rhs(self, cc, out):
         """out <- the right-hand side at cc.  The advection product and
@@ -390,19 +407,28 @@ class _Stepper:
 
     def step_map(self):
         """(A, B), a linearized step c_j <- A_j c_j + B_j conj(c_mirror(j))
-        in real p3 x p3 matrices per column j (B None when 0): column q is
-        (R +- I) / 2 for the responses R and I of a 2-state stack, a real
-        and an imaginary unit spike at k3 = q in every column."""
-        spikes, p3 = copy.copy(self), self.c.shape[-1]
+        in real p3 x p3 matrices per column j (B None when 0), probed in
+        ``groups`` steps of a 2-state stack.  Group g holds a real and an
+        imaginary unit spike at k3 = g, g + groups, ... in every column;
+        column q is (R +- I) / 2 of the responses R and I on the rows
+        |k3 - q| <= ``reach``, which no other spike of the group reaches
+        (Curtis, Powell & Reid 1974), and 0 off them."""
+        spikes, p3, d = copy.copy(self), self.c.shape[-1], self.groups
         spikes._bind(np.empty((2, *self.c.shape), dtype=np.complex128))
-        A, B = (np.empty((*self.c.shape, p3)) for _ in range(2))
-        for q in range(p3):
+        A = np.zeros((*self.c.shape, p3))
+        B = None if self.shift == 1 else np.zeros_like(A)  # 1 reads no mirror
+        for g in range(d):
             spikes.c[...] = 0.0
-            spikes.c[0, ..., q], spikes.c[1, ..., q] = 1.0, 1j
+            spikes.c[0, ..., g::d], spikes.c[1, ..., g::d] = 1.0, 1j
             spikes.step()
             R, I = spikes.c[0].real, spikes.c[1].imag
-            A[..., q], B[..., q] = (R + I) / 2.0, (R - I) / 2.0
-        return A, B if B.any() else None
+            half_sum, half_diff = (R + I) / 2.0, (R - I) / 2.0
+            for q in range(g, p3, d):
+                rows = slice(max(0, q - self.reach), q + self.reach + 1)
+                A[..., rows, q] = half_sum[..., rows]
+                if B is not None:
+                    B[..., rows, q] = half_diff[..., rows]
+        return A, B if B is not None and B.any() else None
 
     def advance(self, steps):
         """Make ``steps`` steps; a linearized run applies its step map's
@@ -463,8 +489,8 @@ class _Stepper:
                 f"solution lost finiteness at t = {t:g} (step {step})",
                 time=t, history=self.diagnostics())
         flux, cfl = math.nan, 0.0
-        if not self.linearized:  # into the stage buffer, free between steps
-            adv = self.advect(self.c, self.stage)
+        if not self.linearized:  # into the next buffer, free between steps
+            adv = self.advect(self.c, self.next)
             flux = energy_flux_residual(self.layout, self.c, adv)
             umax = velocity_max(self.advect.u)
             cfl = self.dt * sum(u * k for u, k in zip(umax, self.kmax))

@@ -367,6 +367,31 @@ class TestCoefficients:
         assert sol.c[0] == a[0] and big.sum() >= 6
         assert (np.abs(c - sol.c)[big] <= 1e-10 * np.abs(sol.c[big])).all()
 
+    @pytest.mark.parametrize("n2, eps, gamma, m, box, deep", [
+        (1.0, 0.0, 1.0, 1, 32, (2, 130)), (0.3, 0.0, 1.0, 1, 4, (1, 100)),
+        (1.0, 0.01, 1.0, 1, 12, None), (2.0, 0.005, 1.0, 2, 20, None),
+        (0.5, 0.02, 0.8, 1, 16, None), (1.0, 0.01, 0.4, 3, 10, None)])
+    def test_solution_profile_is_the_one_acceptance_walked(
+            self, monkeypatch, n2, eps, gamma, m, box, deep):
+        # the profile of a box's best mode and of lone modes (one accepted
+        # at depth 128 where given) is the one their acceptance walked,
+        # backward_coefficients' bit for bit, without a call of it
+        par = PhysParams(n2=n2, m=m, eps_kappa=eps, gamma=gamma)
+        with monkeypatch.context() as patch:
+            patch.setattr(eigen, "backward_coefficients", None)
+            res = optimize_growth(par, box)
+            rows = res.table[[0, len(res.table) // 2, -1]]
+            lone = [(int(k1), int(k2)) for k1, k2, *_ in rows]
+            sols = [res.solution] + [solve_sigma_star(*mode, par) for mode in (
+                lone if deep is None else lone + [deep])]
+        if deep is not None:
+            assert sols[-1].depth == 2 * _START_DEPTH
+        assert (res.k1, res.k2) == (rows[0].k1, rows[0].k2)
+        for sol in sols:
+            want = backward_coefficients(sol.sigma_star, sol.k1, sol.k2, par,
+                                         sol.depth)
+            assert np.array_equal(sol.c.view(np.uint64), want.view(np.uint64))
+
 
 @pytest.mark.parametrize("depth", [0, -3, 1, 2.5, 2.0, True, "64", None])
 @pytest.mark.parametrize("call", [

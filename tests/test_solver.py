@@ -1,6 +1,7 @@
 """Tests for the time integrator: exactness, invariants, guard rails."""
 
 import collections
+import copy
 import gc
 import math
 import re
@@ -1091,6 +1092,79 @@ def test_stepper_steps_a_stack_as_its_fields():
         assert np.array_equal(got.view(np.uint64), alone.c.view(np.uint64))
 
 
+def _per_column_map(stepper):
+    """``_Stepper.step_map`` probed one k3 column q at a time: a real and
+    an imaginary unit spike at k3 = q in every column, (R +- I) / 2."""
+    spikes, p3 = copy.copy(stepper), stepper.c.shape[-1]
+    spikes._bind(np.empty((2, *stepper.c.shape), dtype=np.complex128))
+    A, B = (np.empty((*stepper.c.shape, p3)) for _ in range(2))
+    for q in range(p3):
+        spikes.c[...] = 0.0
+        spikes.c[0, ..., q], spikes.c[1, ..., q] = 1.0, 1j
+        spikes.step()
+        R, I = spikes.c[0].real, spikes.c[1].imag
+        A[..., q], B[..., q] = (R + I) / 2.0, (R - I) / 2.0
+    return A, B
+
+
+# (grid shape, lattice, m, scheme, groups): criterion 13's span, whole
+# lattices whose maps read the mirror, the first-order scheme, a plane, and a
+# span with p3 = 32
+GROUPED_MAP_CASES = {
+    "span_6_4_m1": ((48, 48, 48), Sublattice.diag(6, 4), 1, "if_rk4", 9),
+    "whole48_m2": ((48, 48, 48), WHOLE_LATTICE, 2, "if_rk4", 16),
+    "whole32_m3": ((32, 32, 32), WHOLE_LATTICE, 3, "if_rk4", 11),
+    "imex32_m2": ((32, 32, 32), WHOLE_LATTICE, 2, "imex_euler", 5),
+    "plane_1_1": ((24, 24, 24), Sublattice.of_plane(PlaneSpec(1, 1)), 1,
+                  "if_rk4", 8),
+    "span96_m1": ((96, 96, 96), Sublattice.diag(12, 8), 1, "if_rk4", 9),
+}
+
+
+@pytest.mark.parametrize("case", GROUPED_MAP_CASES.values(),
+                         ids=GROUPED_MAP_CASES.keys())
+def test_grouped_step_map_is_the_per_column_map(case):
+    # probing every (2 reach + 1)-th k3 column in one step gives the map
+    # that one column a step gives, bit for bit, zeros off the band too
+    shape, lattice, m, scheme, groups = case
+    layout = replace(Grid(*shape), lattice=lattice)
+    stepper = _Stepper(layout, PhysParams(eps_kappa=0.01, m=m), SolverConfig(
+        dt=0.01, t_end=0.01, scheme=scheme, linearized=True),
+        np.zeros(layout.band_shape, np.complex128), None, None)
+    assert stepper.groups == groups
+    A, B = stepper.step_map()
+    want_A, want_B = _per_column_map(stepper)
+    assert np.array_equal(A.view(np.uint64), want_A.view(np.uint64))
+    if B is None:
+        assert m == 1 and not want_B.any()
+    else:
+        assert np.array_equal(B.view(np.uint64), want_B.view(np.uint64))
+
+
+@pytest.mark.parametrize("scheme, linearized, count", [
+    ("if_rk4", False, 7), ("if_rk4", True, 8), ("imex_euler", False, 2),
+    ("imex_euler", True, 3)])
+def test_stepper_binds_only_the_buffers_its_step_reads(
+        scheme, linearized, count):
+    # one buffer per right-hand side, IF-RK4's stage and E2 c, the next
+    # state, and the linearized v, each shaped like the state bound
+    stepper = _Stepper(G16, PhysParams(eps_kappa=0.02), SolverConfig(
+        dt=0.01, t_end=0.01, scheme=scheme, linearized=linearized),
+        _rich_field(G16).c, None, None)
+    bound = copy.copy(stepper)
+    c = stepper.c.copy()
+    tracemalloc.start()
+    try:
+        bound._bind(c)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert round(size / c.nbytes) == count
+    bound.step()  # every buffer a step reads is bound
+    stepper.step()
+    assert np.array_equal(bound.c, stepper.c)
+
+
 @pytest.mark.parametrize("mode", [(6, 4), (9, 4)])
 def test_step_map_grows_its_column_at_sigma_star(mode):
     # the top |mu| of the mode's column map on its span gives the growth
@@ -1114,8 +1188,9 @@ def test_step_map_grows_its_column_at_sigma_star(mode):
 
 @pytest.mark.parametrize("nsteps", [40, 400])
 def test_linearized_run_steps_only_to_build_its_map(monkeypatch, nsteps):
-    # a linearized run makes p3 steps, each of a 2-state stack of spikes,
-    # however many steps it advances by powers of the map they build
+    # a linearized run makes min(p3, 2 reach + 1) steps, 9 on this span
+    # (p3 = 16, IF-RK4 reach 4 at shift 1), each of a 2-state stack of
+    # spikes, however many steps it advances by powers of the map they build
     calls = []
 
     def counted(stepper, _fn=_Stepper.step):
@@ -1130,7 +1205,8 @@ def test_linearized_run_steps_only_to_build_its_map(monkeypatch, nsteps):
                                          record_every=20, linearized=True))
     band = diag.layout.band_shape
     assert round(diag.times[-1] / 0.01) == nsteps
-    assert calls == [(2, *band)] * band[2]
+    assert band[2] == 16
+    assert calls == [(2, *band)] * 9
 
 
 def test_whole_lattice_linearized_run_memory():
