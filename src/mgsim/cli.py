@@ -200,7 +200,8 @@ def symbol_scan(n2, kmax, plane_txt, out):
 @click.option("--optimize", "box", type=INT, default=None,
               help="Search the integer box [1, BOX]^2 for the fastest mode.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Optional CSV destination.")
+              help="Optional CSV destination; with --optimize, manifest.txt "
+                   "is written beside it.")
 @_wrap_errors
 def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, box, out):
     """Unstable eigenvalues of the linearization about sin(m x3)."""
@@ -210,7 +211,7 @@ def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, box, out):
             "choose exactly one of --k1/--k2 or --optimize")
 
     if box is not None:
-        res = optimize_growth(params, box=box)
+        res, wall = _timed(optimize_growth, params, box=box)
         click.echo(f"fastest mode in [1, {box}]^2: ({res.k1}, {res.k2})  "
                    f"sigma* = {res.sigma_star:.9g}")
         click.echo(f"certified bound argmax: {res.lb_argmax}  "
@@ -219,6 +220,8 @@ def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, box, out):
             click.echo(f"continuum argmax estimate: "
                        f"({res.continuum_k1:.3f}, {res.continuum_k2:.3f})")
         click.echo(f"unstable modes found: {len(res.table)}")
+        click.echo(f"kernel calls: {res.kernel_calls} "
+                   f"({res.rounds} multisection rounds)")
         table = res.table
     else:
         if k1 is None or k2 is None:
@@ -233,6 +236,18 @@ def eigen_cmd(k1, k2, m, n2, eps_kappa, gamma, box, out):
     if out:
         write_eigen_csv(table, params, out)
         click.echo(f"wrote {out}")
+    if out and box is not None:
+        manifest = Path(out).parent / "manifest.txt"
+        write_manifest(manifest, {
+            "eigen.box": box, "eigen.n2": n2, "eigen.m": m,
+            "eigen.eps_kappa": eps_kappa, "eigen.gamma": gamma},
+            wall_seconds=wall, extras={
+                "mode": f"({res.k1}, {res.k2})",
+                "sigma_star": f"{res.sigma_star:.12g}",
+                "unstable_modes": len(res.table),
+                "kernel_calls": res.kernel_calls,
+                "multisection_rounds": res.rounds})
+        click.echo(f"wrote {manifest}")
 
 
 # ---------------------------------------------------------------------------

@@ -62,13 +62,18 @@ single possible sign change.  Rounding keeps this: each step is a monotone
 floating-point operation, so the computed residual is non-decreasing too.
 
 One kernel serves every caller: `_cf_residuals` forms every x_p of a
-(modes x sigma-points) array in one broadcast pass, modes fastest, and
-walks the tails over it in place, two array operations a depth, each point
-in the scalar operation order above.  `_Batch` drives all modes in
-lockstep, giving each bracket still wider than _WIDTH_ULPS ulps an
-interpolated point and max(1, _LANES // n) - 1 uniform points per round (a
-box evaluates one point per mode, a lone mode _LANES); the public
-single-mode functions are batches of one (README, "Numerical notes").
+(modes x sigma-points) array in one broadcast pass, modes fastest (one
+multiply, sigma alpha_p, when eps_kappa = 0 leaves no dissipation weights),
+and walks the tails over its depth rows in place, a reciprocal and a
+subtract a depth, each point in the scalar operation order above.  Each
+point may close its walk with a tail of its own, so one walk of depth P+1
+certifies a root: sigma closed with an infinite tail is the depth-P walk
+(residual and profile), sigma + 1e-12 closed with x_{P+1} - 1 is G_P.
+`_Batch` drives all modes in lockstep, giving each bracket still wider
+than _WIDTH_ULPS ulps an interpolated point and max(1, _LANES // n) - 1
+uniform points per round (a box evaluates one point per mode, a lone mode
+_LANES), and counts its rounds and kernel calls; the public single-mode
+functions are batches of one (README, "Numerical notes").
 """
 
 from __future__ import annotations
@@ -145,36 +150,43 @@ def sigma_shifted(sigma: float, p: int, k1: int, k2: int, params: PhysParams) ->
     return sigma + float(_weights(p, k1, k2, params)[1][0, -1])
 
 
-def _take(w: np.ndarray, modes) -> np.ndarray:
-    """The (modes x P) weights w of `modes` (an index array or a mask),
-    stored p-major as `_weights` makes them."""
-    return w.T[:, modes].T
+def _take(w: np.ndarray | None, modes: np.ndarray) -> np.ndarray | None:
+    """The (modes x P) weights w of `modes` (an index array), stored p-major
+    as `_weights` makes them; no weights (None) stay None."""
+    return None if w is None else w.T.take(modes, axis=1).T
 
 
-def _cf_residuals(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
+def _cf_residuals(sigma: np.ndarray, a: np.ndarray, e: np.ndarray | None,
                   tails: np.ndarray | None = None,
-                  close: float = 0.0) -> np.ndarray:
+                  close=0.0) -> np.ndarray:
     """Truncated residual x_1 - 1/T_2 at every (mode, sigma) point.
 
     sigma is (modes x points), a and e the (modes x P) weights, P >= 2,
-    read fastest p-major (`_weights`).  Forms every x_p = (sigma + e_p)
-    alpha_p at once, with the modes on the fastest axis of a (P, points,
-    modes) array, and walks the tails T_P = x_P - close, T_p = x_p -
-    1/T_{p+1} over it in place, two operations a depth: each point runs the
-    scalar operations in the scalar order.  Points whose tails are not all
-    above _TAIL_FLOOR are off the principal branch and get NaN.  Given one
-    point per mode, `tails` (modes x P) receives T_2..T_P in columns 1..P-1.
+    read fastest p-major (`_weights`); e None passes no dissipation weights
+    and forms x_p = sigma alpha_p, which is (sigma + 0) alpha_p for sigma >
+    0.  Forms every x_p = (sigma + e_p) alpha_p at once, with the modes on
+    the fastest axis of a (P, points, modes) array, and walks the tails
+    T_P = x_P - close, T_p = x_p - 1/T_{p+1} over its rows in place, a
+    reciprocal (which rounds as 1/T does) and a subtract a depth: each
+    point runs the scalar operations in the scalar order.  `close` is one
+    number or one per point; -inf closes with an infinite tail, so the walk
+    is the depth-(P-1) walk.  Points whose tails are not all above
+    _TAIL_FLOOR are off the principal branch and get NaN.  `tails` (modes x
+    P) receives T_2..T_P of each mode's first point in columns 1..P-1.
     """
-    P = a.shape[1]
-    X = np.empty((P, *np.broadcast_shapes(sigma.T.shape, (1, a.shape[0]))))
-    inv = np.empty_like(X[0])
+    X = np.empty((a.shape[1], *np.broadcast_shapes(sigma.T.shape,
+                                                   (1, a.shape[0]))))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.add(sigma.T, e.T[:, None, :], out=X)
-        X *= a.T[:, None, :]
-        if close:
-            X[-1] -= close
-        for p in range(P - 2, -1, -1):
-            np.subtract(X[p], np.divide(1.0, X[p + 1], out=inv), out=X[p])
+        if e is None:
+            np.multiply(sigma.T, a.T[:, None, :], out=X)
+        else:
+            np.add(sigma.T, e.T[:, None, :], out=X)
+            X *= a.T[:, None, :]
+        if np.any(close):
+            X[-1] -= np.reshape(close, (-1, 1))
+        inv, rows = np.empty_like(X[0]), list(X)  # one view a depth
+        for row, below in zip(rows[-2::-1], rows[:0:-1]):
+            np.subtract(row, np.reciprocal(below, out=inv), out=row)
     if tails is not None:
         tails[:, 1:] = X[1:, 0].T
     return np.where(X[1:].min(axis=0) > _TAIL_FLOOR, X[0], np.nan).T
@@ -265,20 +277,16 @@ def _require(ok: np.ndarray, k1s, k2s, error: type, what) -> None:
         raise error(f"{what(i)} for mode ({k1s[i]},{k2s[i]})")
 
 
-def _walk(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
-          k1s, k2s) -> tuple[np.ndarray, np.ndarray]:
-    """|Residual| and profile (modes x P) of each mode at its sigma, from one
-    walk of the tails: c_p = alpha_p d_p, d_1 = 1, d_p = d_{p-1} (-1/T_p)."""
-    c = np.empty_like(a)
-    r = _cf_residuals(sigma[:, None], a, e, c)[:, 0]
+def _profile(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The profile c_p = alpha_p d_p, d_1 = 1, d_p = d_{p-1} (-1/T_p), made
+    in place from the tails T_2..T_P in columns 1..P-1 of the (modes x P)
+    array c, for weights a of the same shape."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.divide(-1.0, c[:, 1:], out=c[:, 1:])
         c[:, 0] = 1.0
         np.cumprod(c, axis=1, out=c)
     c *= a  # c_1 = alpha_1 exactly
-    _require(np.isfinite(c).all(axis=1), k1s, k2s, RecurrenceOverflowError,
-             lambda i: "coefficient profile is not finite")
-    return np.abs(r), c
+    return c
 
 
 def backward_coefficients(sigma: float, k1: int, k2: int, params: PhysParams,
@@ -298,7 +306,11 @@ def backward_coefficients(sigma: float, k1: int, k2: int, params: PhysParams,
     """
     _validate_mode(depth, k1=k1, k2=k2)
     a, e = _weights(depth, k1, k2, params)
-    return _walk(np.array([sigma], dtype=np.float64), a, e, [k1], [k2])[1][0]
+    c = np.empty_like(a)
+    _cf_residuals(np.array([[sigma]], dtype=np.float64), a, e, c)
+    _require(np.isfinite(_profile(c, a)).all(axis=1), [k1], [k2],
+             RecurrenceOverflowError, lambda i: "coefficient profile is not finite")
+    return c[0]
 
 
 @dataclass(frozen=True)
@@ -333,10 +345,30 @@ class EigenSolution:
     bracket: tuple[float, float]
 
 
-def _multisect(a: np.ndarray, e: np.ndarray,
-               lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _points(l: np.ndarray, h: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """Each bracket's k + 1 uniform points on [l, h] and its point x, which
+    lies strictly inside, in ascending order: (brackets x k+2).  x's slot
+    is the count of uniform points below it, so no row is sorted."""
+    step = (h - l) / k
+    if step.all():  # np.linspace's points, without its overhead
+        u = np.arange(k + 1.0) * step[:, None]
+        u += l[:, None]
+        u[:, -1] = h
+    else:  # where a step underflows to 0, linspace scales by the width
+        u = np.linspace(l, h, k + 1, axis=1)
+    slot = np.count_nonzero(u < x[:, None], axis=1)
+    xs = np.empty((l.size, k + 2))
+    xs[:, 1:] = u
+    np.copyto(xs[:, :-1], u, where=np.arange(k + 1) < slot[:, None])
+    xs[np.arange(l.size), slot] = x
+    return xs
+
+
+def _multisect(a: np.ndarray, e: np.ndarray | None,
+               lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
     """Principal root of each mode's residual g at depth P in [lo, hi], lo > 0,
-    for (modes x P) weights a, e.
+    for (modes x P) weights a, e (e None without dissipation), and the
+    number of rounds, one kernel call each after the endpoints' call.
 
     NaN for a mode without g(lo) < 0 <= g(hi); off-branch points count as
     -1, so g changes sign at most once (module docstring).  Each round
@@ -344,79 +376,111 @@ def _multisect(a: np.ndarray, e: np.ndarray,
     max(1, _LANES // n) - 1 uniform points (n brackets, one kernel call),
     keeps the first sign change, and takes the next x from Chandrupatla's
     (1997) safeguarded inverse-quadratic step (README, "Numerical notes").
-    The weights of the modes still bracketing stay p-major (`_take`).  A
+    The brackets still wider, their residuals and their weights (p-major,
+    `_take`) are kept compact; a bracket is written back as it closes.  A
     guarded secant step polishes each final bracket.
     """
     fa, fb = np.nan_to_num(_cf_residuals(np.stack([lo, hi], axis=1), a, e),
                            nan=-1.0).T.copy()
     lo, hi = lo.copy(), hi.copy()
     ok = (fa < 0.0) & (0.0 <= fb)
-    act = np.arange(lo.size)
-    x, w2 = 0.5 * (lo + hi), hi - lo  # next point; width two rounds back
+    act = np.flatnonzero(ok)
+    l, h, gl, gh = lo[act], hi[act], fa[act], fb[act]
+    if act.size < lo.size:
+        a, e = _take(a, act), _take(e, act)
+    x, w2 = 0.5 * (l + h), h - l  # next point; width two rounds back
+    rounds = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(256):  # <= 3 rounds a halving, < 80 if lo >= 1e-9 hi
-            l, h = lo[act], hi[act]
-            wide = ok[act] & (h - l > _WIDTH_ULPS * np.spacing(h))
+        while rounds < 256:  # <= 3 rounds a halving, < 80 if lo >= 1e-9 hi
+            wide = h - l > _WIDTH_ULPS * np.spacing(h)
             if not wide.all():
-                act, l, h, x, w2 = act[wide], l[wide], h[wide], x[wide], w2[wide]
-                a = _take(a, wide)  # one array at a time, to bound memory
-                e = _take(e, wide)
+                shut, keep = ~wide, np.flatnonzero(wide)
+                done = act[shut]
+                lo[done], hi[done], fa[done], fb[done] = (
+                    l[shut], h[shut], gl[shut], gh[shut])
+                act, l, h, gl, gh, x, w2 = (
+                    v[keep] for v in (act, l, h, gl, gh, x, w2))
+                a = _take(a, keep)  # one array at a time, to bound memory
+                e = _take(e, keep)
             if act.size == 0:
                 break
-            k = max(1, _LANES // act.size)
-            xs = np.sort(np.column_stack([x, np.linspace(l, h, k + 1, axis=1)]), 1)
-            g = np.nan_to_num(_cf_residuals(xs[:, 1:-1], a, e), nan=-1.0)
-            gs = np.column_stack([fa[act], g, fb[act]])
-            j = np.argmax(gs[:, 1:] >= 0.0, axis=1) + 1  # gs[:, -1] = g(hi) >= 0
-            r = np.arange(act.size)
-            w2, halved = h - l, xs[r, j] - xs[r, j - 1] <= 0.5 * w2
-            lo[act], hi[act] = l, h = xs[r, j - 1], xs[r, j]
-            fa[act], fb[act] = gl, gh = gs[r, j - 1], gs[r, j]
-            left = (j > 1) & ((j > k) | (np.abs(gl) < np.abs(gh)))  # a is lo
-            xa, xb, ga, gb = np.where(left, [l, h, gl, gh], [h, l, gh, gl])
-            c = np.clip(np.where(left, (xs < xa[:, None]).sum(1) - 1,
-                                 (xs <= xa[:, None]).sum(1)), 0, k + 1)
-            xc, gc = xs[r, c], gs[r, c]  # a's nearest distinct outer neighbour
+            k, width = max(1, _LANES // act.size), h - l
+            if k == 1:  # a is x, b the end kept, c the end dropped
+                g = np.nan_to_num(_cf_residuals(x[:, None], a, e)[:, 0],
+                                  copy=False, nan=-1.0)
+                up = g >= 0.0  # the root is in [l, x]
+                xa, ga = x, g
+                xb, xc, gb, gc = np.where(up, [l, h, gl, gh], [h, l, gh, gl])
+                l, h, gl, gh = np.where(up, [l, x, gl, g], [x, h, g, gh])
+            else:
+                xs = _points(l, h, x, k)
+                g = np.nan_to_num(_cf_residuals(xs[:, 1:-1], a, e),
+                                  copy=False, nan=-1.0)
+                gs = np.column_stack([gl, g, gh])
+                j = np.argmax(gs[:, 1:] >= 0.0, axis=1) + 1  # gs[:, -1] >= 0
+                r = np.arange(act.size)
+                l, h, gl, gh = xs[r, j - 1], xs[r, j], gs[r, j - 1], gs[r, j]
+                left = (j > 1) & ((j > k) | (np.abs(gl) < np.abs(gh)))  # a is l
+                xa, xb, ga, gb = np.where(left, [l, h, gl, gh], [h, l, gh, gl])
+                # count the points below a if a is l, else those up to a
+                top = np.where(left, xa, np.nextafter(xa, np.inf))
+                c = np.clip(np.count_nonzero(xs < top[:, None], axis=1) - left,
+                            0, k + 1)
+                xc, gc = xs[r, c], gs[r, c]  # a's nearest distinct outer point
+            rounds += 1
+            halved, w2 = h - l <= 0.5 * w2, width
             xi, phi = (xa - xb) / (xc - xb), (ga - gb) / (gc - gb)
             t = (ga / (gb - ga) * gc / (gb - gc)
                  + (xc - xa) / (xb - xa) * ga / (gc - ga) * gb / (gc - gb))
             iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & halved
             t_lim = np.minimum(0.5, 4.0 * np.spacing(h) / (h - l))
             x = xa + np.clip(np.where(iqi, t, 0.5), t_lim, 1 - t_lim) * (xb - xa)
+        lo[act], hi[act], fa[act], fb[act] = l, h, gl, gh  # if out of rounds
         s = hi - fb * (hi - lo) / (fb - fa)
     sigma = np.where((fb != fa) & (lo <= s) & (s <= hi), s, 0.5 * (lo + hi))
     sigma[~ok] = np.nan
-    return sigma
+    return sigma, rounds
 
 
-def _truncation_certified(sigma: np.ndarray, a: np.ndarray,
-                          e: np.ndarray) -> np.ndarray:
-    """Whether each mode's untruncated root lies in [sigma, sigma + 1e-12],
-    for its root sigma at depth P and (modes x P+1) weights (module docstring)."""
-    s = sigma[:, None] + 1e-12
-    return (((s + e[:, -1:]) * a[:, -1:] >= 2.0)
-            & (_cf_residuals(s, a, e, close=1.0) >= 0.0))[:, 0]
-
-
-def _certify(sigma: np.ndarray, a: np.ndarray, e: np.ndarray,
+def _certify(sigma: np.ndarray, a: np.ndarray, e: np.ndarray | None,
              k1s: np.ndarray, k2s: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Acceptance residual, profile decay (|c_P| <= _COEFF_CUTOFF |c_1|) and
-    profile (`backward_coefficients`) of roots at depth P, for (modes x P)
-    weights a, e, from one walk of the tails; InvariantError names the first
-    mode whose residual is above both 1e-12 and g(sigma + 4 ulps) -
-    g(sigma - 4 ulps).  The profile is the running product of the tails the
-    residual walks, so the recursion rows hold by construction; the oracle's
-    eigenvector checks it independently (tests).
+    """Truncation certificate, acceptance residual, profile decay (|c_P| <=
+    _COEFF_CUTOFF |c_1|), profile (`backward_coefficients`) and kernel
+    calls of roots sigma > 0 at depth P, for (modes x P+1) weights a, e,
+    from one walk of two points per mode (module docstring):
+
+    - sigma, closed with an infinite tail: the depth-P residual, and the
+      tails whose running product is the profile, so the recursion rows
+      hold by construction (the oracle's eigenvector checks it, tests);
+    - s = sigma + 1e-12, closed with x_{P+1} - 1: the truncation is
+      certified where G_P(s) >= 0 and x_{P+1}(s) >= 2.
+
+    Among the certified modes, RecurrenceOverflowError names the first
+    whose profile is not finite, and InvariantError the first whose
+    residual is above both 1e-12 and g(sigma + 4 ulps) - g(sigma - 4 ulps)
+    (one more kernel call, made only if needed).
     """
-    r, c = _walk(sigma, a, e, k1s, k2s)
-    ok = r < 1e-12
+    P = a.shape[1] - 1
+    s = sigma[:, None] + [0.0, 1e-12]
+    c = np.empty_like(a)
+    g = _cf_residuals(s, a, e, c, close=[-np.inf, 1.0])
+    x = s[:, 1] * a[:, P] if e is None else (s[:, 1] + e[:, P]) * a[:, P]
+    certified = (x >= 2.0) & (g[:, 1] >= 0.0)
+    r, c = np.abs(g[:, 0]), _profile(c[:, :P], a[:, :P])
+    _require(~certified | np.isfinite(c).all(axis=1), k1s, k2s,
+             RecurrenceOverflowError,
+             lambda i: "coefficient profile is not finite")
+    ok, calls = ~certified | (r < 1e-12), 1
     if not ok.all():  # the 8-ulp scale costs a kernel call: only if needed
-        s = sigma[~ok, None] + np.spacing(sigma[~ok, None]) * [-4.0, 4.0]
-        ok[~ok] = r[~ok] <= np.diff(_cf_residuals(s, _take(a, ~ok),
-                                                  _take(e, ~ok)))[:, 0]
+        bad = np.flatnonzero(~ok)
+        s = sigma[bad, None] + np.spacing(sigma[bad, None]) * [-4.0, 4.0]
+        ok[bad] = r[bad] <= np.diff(_cf_residuals(
+            s, _take(a, bad), _take(e, bad), close=-np.inf))[:, 0]
+        calls += 1
     _require(ok, k1s, k2s, InvariantError, lambda i: (
         f"root has residual {r[i]:.3g} >= 1e-12 and > its change over 8 ulps"))
-    return r, np.abs(c[:, -1]) <= _COEFF_CUTOFF * np.abs(c[:, 0]), c
+    return (certified, r, np.abs(c[:, -1]) <= _COEFF_CUTOFF * np.abs(c[:, 0]),
+            c, calls)
 
 
 class _Batch:
@@ -428,7 +492,9 @@ class _Batch:
     are solved again at doubled depth, up to `_MAX_DEPTH`.  Per mode this
     keeps sigma (NaN without a root), the accepted depth and the acceptance
     residual (and the walked profile of each certify block's best mode); the
-    first mode failing `_certify`'s residual check raises InvariantError.
+    first certified mode failing `_certify`'s checks raises.  Without
+    dissipation (eps_kappa = 0) no dissipation weights are passed.  The
+    batch counts its multisection rounds and kernel calls.
     """
 
     def __init__(self, k1s, k2s, params: PhysParams):
@@ -442,23 +508,30 @@ class _Batch:
         self.sigma, self.residual = np.full((2, k1s.size), np.nan)
         self.depth = np.zeros(k1s.size, dtype=np.int64)
         self.profiles = {}
+        self.rounds = self.kernel_calls = 0
         todo = np.flatnonzero(self.upper > 0.0)
         d = _START_DEPTH
         while todo.size:
             a, e = _weights(d + 1, k1s[todo], k2s[todo], params)
-            sigma = _multisect(a[:, :d], e[:, :d],
-                               self.left[todo], self.right[todo])
-            ok = np.flatnonzero(_truncation_certified(sigma, a, e))
-            for b in range(0, ok.size, _CERTIFY_BLOCK):
-                i = ok[b:b + _CERTIFY_BLOCK]
-                r, decayed, c = _certify(sigma[i], _take(a[:, :d], i),
-                                         _take(e[:, :d], i),
-                                         k1s[todo[i]], k2s[todo[i]])
-                j = todo[i[decayed]]
-                self.sigma[j], self.depth[j] = sigma[i[decayed]], d
-                self.residual[j] = r[decayed]
+            if params.eps_kappa == 0.0:
+                e = None  # x_p = sigma alpha_p, with no zeros to copy or add
+            sigma, rounds = _multisect(a[:, :d], None if e is None else e[:, :d],
+                                       self.left[todo], self.right[todo])
+            self.rounds += rounds
+            self.kernel_calls += rounds + 1
+            live = np.flatnonzero(~np.isnan(sigma))
+            for b in range(0, live.size, _CERTIFY_BLOCK):
+                i = live[b:b + _CERTIFY_BLOCK]
+                certified, r, decayed, c, calls = _certify(
+                    sigma[i], _take(a, i), _take(e, i),
+                    k1s[todo[i]], k2s[todo[i]])
+                self.kernel_calls += calls
+                accept = certified & decayed
+                j = todo[i[accept]]
+                self.sigma[j], self.depth[j] = sigma[i[accept]], d
+                self.residual[j] = r[accept]
                 if j.size:  # the first mode of largest sigma
-                    top = np.flatnonzero(decayed)[np.argmax(self.sigma[j])]
+                    top = np.flatnonzero(accept)[np.argmax(self.sigma[j])]
                     self.profiles[todo[i[top]]] = c[top].copy()
             todo = todo[(self.depth[todo] != d) & ~np.isnan(sigma)]
             if todo.size and d >= _MAX_DEPTH:
@@ -704,7 +777,8 @@ _TABLE_ROW = np.dtype([("k1", np.int16), ("k2", np.int16),
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Outcome of the integer growth optimization over a box."""
+    """Outcome of the integer growth optimization over a box, with the
+    multisection rounds and kernel calls of its batch."""
 
     k1: int
     k2: int
@@ -715,6 +789,8 @@ class OptimizeResult:
     continuum_k1: float
     continuum_k2: float
     table: np.ndarray = field(repr=False)
+    rounds: int
+    kernel_calls: int
 
 
 def continuum_optimum(params: PhysParams) -> tuple[float, float]:
@@ -785,4 +861,5 @@ def optimize_growth(params: PhysParams, box: int) -> OptimizeResult:
         k1=best.k1, k2=best.k2, sigma_star=best.sigma_star, solution=best,
         lb_argmax=(int(k1s[lb]), int(k2s[lb])), lb_max=float(batch.lower[lb]),
         continuum_k1=ck1, continuum_k2=ck2, table=table,
+        rounds=batch.rounds, kernel_calls=batch.kernel_calls,
     )

@@ -345,7 +345,9 @@ class _Stepper:
     run's lattice, whose growth cap is checked first; every factor is built
     there, and a step writes every right-hand side and stage into the
     buffers built here, only those its scheme and path read, so it
-    allocates no array of the layout's size.  Every factor is complex128.
+    allocates no array of the layout's size.  A linearized run, which only
+    applies its step map (``advance``), binds ``next`` alone, and steps
+    through a copy from ``stepping``.  Every factor is complex128.
     A nonlinear run's right-hand sides and records (L-inf too) run the one
     ``_Advection`` built here, which goes with the run.
     """
@@ -384,15 +386,26 @@ class _Stepper:
             self.passes, self.samples = _Passes(layout, ()), np.empty(
                 layout.shape)
             self.powers = {}  # steps -> the step map's power (advance)
-        self._bind(c)
+        # a linearized run only applies its map (advance), into ``next``
+        self._bind(c, stepping=not config.linearized)
 
-    def _bind(self, c):
-        """Step ``c``, one field or a stack, in new buffers shaped like it,
-        only those its scheme and path read."""
+    def _bind(self, c, stepping=True):
+        """Hold ``c``, one field or a stack, with new buffers shaped like it:
+        those its scheme and path read to ``step`` it, or, not ``stepping``,
+        only ``next`` (no right-hand side buffer in ``outs``)."""
         self.c, rk4 = c, self.scheme == "if_rk4"
+        made = ([True] * (4 if rk4 else 1) + [rk4, rk4, True, self.linearized]
+                if stepping else [False, False, True, False])
         *self.outs, self.stage, self.E2c, self.next, self.v = (
-            np.empty_like(c, dtype=np.complex128) if made else None for made
-            in [True] * (4 if rk4 else 1) + [rk4, rk4, True, self.linearized])
+            np.empty_like(c, dtype=np.complex128) if m else None for m in made)
+
+    def stepping(self, c):
+        """A copy of this stepper that steps ``c``, one field or a stack,
+        in buffers of its own: how a linearized run's map is probed, and
+        how a caller steps a linearized run."""
+        stepper = copy.copy(self)
+        stepper._bind(c)
+        return stepper
 
     def rhs(self, cc, out):
         """out <- the right-hand side at cc.  The advection product and
@@ -413,8 +426,8 @@ class _Stepper:
         column q is (R +- I) / 2 of the responses R and I on the rows
         |k3 - q| <= ``reach``, which no other spike of the group reaches
         (Curtis, Powell & Reid 1974), and 0 off them."""
-        spikes, p3, d = copy.copy(self), self.c.shape[-1], self.groups
-        spikes._bind(np.empty((2, *self.c.shape), dtype=np.complex128))
+        p3, d = self.c.shape[-1], self.groups
+        spikes = self.stepping(np.empty((2, *self.c.shape), np.complex128))
         A = np.zeros((*self.c.shape, p3))
         B = None if self.shift == 1 else np.zeros_like(A)  # 1 reads no mirror
         for g in range(d):

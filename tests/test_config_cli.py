@@ -20,6 +20,7 @@ from mgsim.config import (
 )
 from mgsim import cli
 from mgsim.cli import _Literal, _initial_field, _parse_plane, main
+from mgsim.eigen import optimize_growth
 from mgsim.fields import (
     Grid, PlaneSpec, cosine_mode, read_snapshot, write_snapshot,
 )
@@ -317,6 +318,13 @@ class TestCli:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "k1"
         assert float(rows[1][4]) == pytest.approx(0.3139239187, rel=1e-9)
+        # the batch's counters, beside the table
+        calls = optimize_growth(PhysParams(eps_kappa=0.02), 6).kernel_calls
+        assert f"kernel calls: {calls} (" in res.output
+        text = (tmp_path / "manifest.txt").read_text()
+        assert f"kernel_calls = {calls}\n" in text
+        assert re.search(r"^multisection_rounds = \d+$", text, re.M), text
+        assert _manifest(tmp_path / "manifest.txt")["eigen.box"] == "6"
 
     def test_eigen_sweep(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -22,7 +22,6 @@ from mgsim.eigen import (
     _certify,
     _closed_form_bounds,
     _multisect,
-    _truncation_certified,
     _weights,
     alpha,
     backward_coefficients,
@@ -51,13 +50,13 @@ def _root_at(depth, k1s, k2s, par):
     lower, upper = _closed_form_bounds(k1s, k2s, par)
     a, e = _weights(depth, k1s, k2s, par)
     return _multisect(a, e, np.maximum(lower * (1.0 - 1e-9), upper * 1e-9),
-                      upper * (1.0 + 1e-9))
+                      upper * (1.0 + 1e-9))[0]
 
 
 def _scalar_residual(sigma, a, e, close):
     """(x_1 - 1/T_2, [T_2, ..., T_P]) by a plain-float loop over the weights
-    a, e of one mode; the residual is NaN unless every tail is above the
-    floor."""
+    a, e of one mode, closed with T_P = x_P - close; the residual is NaN
+    unless every tail is above the floor."""
     def recip(t):
         return 1.0 / t if t else math.copysign(math.inf, t)
 
@@ -154,35 +153,53 @@ class TestCfResidual:
             cf_residual(0.1, 1, 1, CANON, depth=1)
 
     @pytest.mark.parametrize("depth", [2, 3, 65])
-    @pytest.mark.parametrize("close", [0.0, 1.0])
+    @pytest.mark.parametrize("close", [0.0, 1.0, "lanes"])
     @pytest.mark.parametrize("order", ["F", "C"])
     def test_kernel_is_the_scalar_loop_bit_for_bit(self, depth, close, order):
         # the monotone-rounding argument of the module docstring holds for
-        # the scalar operation order; every point of the kernel must run it
-        par = PhysParams(n2=0.7, m=2, eps_kappa=0.01, gamma=0.5)
-        k1s, k2s = [1, 6, 24, 3], [1, 4, 7, 20]
-        a, e = (np.asarray(w, order=order)
-                for w in _weights(depth, k1s, k2s, par))
-        upper = _closed_form_bounds(k1s, k2s, par)[1]
-        xs = np.linspace(-1.5 * upper, 1.5 * upper, 11, axis=1)
-        sigma = xs[:, 1:-1]  # a non-contiguous column of points
-        got = _cf_residuals(sigma, a, e, close=close)
-        want = [[_scalar_residual(s, a[i], e[i], close)[0] for s in row]
-                for i, row in enumerate(sigma)]
-        assert got.view(np.int64).tolist() == (
-            np.array(want).view(np.int64).tolist())
-        assert (sigma < 0.0).any() and np.isnan(got).any()
-        assert np.isfinite(got).any()
-        # one point per mode: the tails T_2..T_P
+        # the scalar operation order; every point of the kernel must run it,
+        # also closed per point with an infinite tail or x_P - 1
+        _check_kernel(PhysParams(n2=0.7, m=2, eps_kappa=0.01, gamma=0.5),
+                      depth, close, order)
+
+    @pytest.mark.parametrize("depth", [2, 3, 65])
+    @pytest.mark.parametrize("close", [0.0, 1.0, "lanes"])
+    def test_kernel_without_dissipation_weights_is_the_scalar_loop(
+            self, depth, close):
+        # at eps_kappa = 0 a batch passes no weights e, and the kernel forms
+        # x_p = sigma alpha_p, the scalar loop's (sigma + 0) alpha_p
+        _check_kernel(PhysParams(n2=0.7, m=2, eps_kappa=0.0), depth, close,
+                      "F", weights=False)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64).tolist()
+
+
+def _check_kernel(par, depth, close, order, weights=True):
+    """`_cf_residuals` against `_scalar_residual` at every point, bit for
+    bit: the residuals of 2 and of 9 points per mode (non-contiguous
+    columns, some off the branch) and the tails of each mode's first
+    point.  close "lanes" closes the points in turn with an infinite tail
+    (close -inf) and with x_P - 1."""
+    k1s, k2s = [1, 6, 24, 3], [1, 4, 7, 20]
+    a, e = (np.asarray(w, order=order)
+            for w in _weights(depth, k1s, k2s, par))
+    upper = _closed_form_bounds(k1s, k2s, par)[1]
+    xs = np.linspace(-1.5 * upper, 1.5 * upper, 11, axis=1)
+    for sigma in (xs[:, -3:-1], xs[:, 1:-1]):
+        n = sigma.shape[1]
+        closes = (np.resize([-np.inf, 1.0], n) if close == "lanes"
+                  else np.full(n, close))
         tails = np.full((len(k1s), depth), np.nan)
-        one = xs[:, -2:-1]
-        got = _cf_residuals(one, a, e, tails, close)
-        want = [_scalar_residual(s, a[i], e[i], close)
-                for i, (s,) in enumerate(one)]
-        assert got[:, 0].view(np.int64).tolist() == (
-            np.array([r for r, _ in want]).view(np.int64).tolist())
-        assert tails[:, 1:].view(np.int64).tolist() == (
-            np.array([t for _, t in want]).view(np.int64).tolist())
+        got = _cf_residuals(sigma, a, e if weights else None, tails,
+                            closes if close == "lanes" else close)
+        want = [[_scalar_residual(s, a[i], e[i], c)
+                 for s, c in zip(row, closes)] for i, row in enumerate(sigma)]
+        assert _bits(got) == _bits([[r for r, _ in row] for row in want])
+        assert _bits(tails[:, 1:]) == _bits([row[0][1] for row in want])
+    assert (sigma < 0.0).any() and np.isnan(got).any()  # off the branch
+    assert np.isfinite(got).any()
 
 
 class TestSolve:
@@ -234,8 +251,8 @@ class TestSolve:
             par = PhysParams(n2=n2)
             a, e = _weights(_START_DEPTH + 1, k1, k2, par)
             sigma = _root_at(_START_DEPTH, k1, k2, par)
-            decayed = _certify(sigma, a[:, :-1], e[:, :-1], [k1], [k2])[1]
-            assert (_truncation_certified(sigma, a, e)[0], decayed[0]) == checks
+            certified, _, decayed, _, _ = _certify(sigma, a, e, [k1], [k2])
+            assert (certified[0], decayed[0]) == checks
             sol = solve_sigma_star(k1, k2, par)
             assert sol.depth == 2 * _START_DEPTH  # doubling actually engaged
             assert abs(sol.sigma_star - dense_sigma_star(k1, k2, par, 2048)) < 1e-12
@@ -245,7 +262,7 @@ class TestSolve:
         # the depth-8 root of (1,7) is 2.5e-7 below the untruncated root
         a, e = _weights(depth + 1, 1, 7, CANON)
         sigma = _root_at(depth, 1, 7, CANON)
-        assert _truncation_certified(sigma, a, e)[0] == certified
+        assert _certify(sigma, a, e, [1], [7])[0][0] == certified
         assert (abs(sigma[0] - dense_sigma_star(1, 7, CANON, 2048)) < 1e-12
                 ) == certified
 
@@ -290,7 +307,7 @@ class TestSolve:
     def test_perturbed_root_is_refused(self, k1, k2, n2):
         par = PhysParams(n2=n2, eps_kappa=0.0)
         sol = solve_sigma_star(k1, k2, par)
-        a, e = _weights(sol.depth, k1, k2, par)
+        a, e = _weights(sol.depth + 1, k1, k2, par)
         _certify(np.array([sol.sigma_star]), a, e, [k1], [k2])
         with pytest.raises(InvariantError, match="root has residual"):
             _certify(np.array([sol.sigma_star * (1 + 1e-8)]), a, e, [k1], [k2])
@@ -496,13 +513,16 @@ class TestOptimize:
                                           *_weights(_START_DEPTH, k1, k2, par))[0, 0])
         assert off >= 10
 
-    @pytest.mark.parametrize("box, most", [(32, 24), (16, 20)])
-    def test_box_needs_few_kernel_calls(self, monkeypatch, box, most):
+    @pytest.mark.parametrize("box, most, rounds", [(32, 18, 13),
+                                                   (16, 13, 11)])
+    def test_box_needs_few_kernel_calls(self, monkeypatch, box, most, rounds):
         # one kernel call per round.  Splitting every bracket at uniform
         # points alone took 58 calls at box 32 (1024 brackets, 1 point
         # each) and 37 at box 16 (256 brackets, 2 points each); with the
-        # interpolated points it takes 20 and 15.  At box 16 the midpoint
-        # is also a uniform point, so a's outer neighbour must skip it.
+        # interpolated points it takes the rounds, one call for the
+        # endpoints and one per 256-mode certify block.  At box 16 the
+        # midpoint is also a uniform point, so a's outer neighbour must
+        # skip it.  The batch counts the calls and rounds it makes.
         calls = []
         kernel = eigen._cf_residuals
 
@@ -514,6 +534,37 @@ class TestOptimize:
         res = optimize_growth(PhysParams(eps_kappa=0.0), box=box)
         assert len(res.table) == box * box
         assert len(calls) <= most
+        assert (res.kernel_calls, res.rounds) == (len(calls), rounds)
+
+    def test_box_without_dissipation_weights_is_the_zero_weight_box(
+            self, monkeypatch):
+        # at eps_kappa = 0 the batch passes no weights e; passing explicit
+        # zero weights instead gives the same table and best profile, bit
+        # for bit, on a box whose roots are accepted at depths 64 to 512,
+        # some by the 8-ulp residual scale
+        par = PhysParams(n2=1e-3, eps_kappa=0.0)
+        want = optimize_growth(par, box=16)
+        passed = []
+
+        def zeros(fn, at):
+            def call(*args):
+                args = list(args)
+                passed.append(args[at] is None)
+                if args[at] is None:
+                    args[at] = np.zeros_like(args[at - 1])
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(eigen, "_multisect", zeros(eigen._multisect, 1))
+        monkeypatch.setattr(eigen, "_certify", zeros(eigen._certify, 2))
+        got = optimize_growth(par, box=16)
+        assert passed and all(passed)
+        assert len(set(want.table["depth"])) == 4
+        assert want.table["residual"].max() >= 1e-12
+        assert got.table.tobytes() == want.table.tobytes()
+        assert got.solution.c.tobytes() == want.solution.c.tobytes()
+        assert (got.kernel_calls, got.rounds) == (want.kernel_calls,
+                                                  want.rounds)
 
     @pytest.mark.parametrize("eps", [0.01, 0.005, 0.0025, 0.00125])
     def test_box_optimum_meets_continuum_growth_bound(self, eps):

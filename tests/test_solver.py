@@ -406,7 +406,7 @@ class TestLinearized:
         c = (rng.standard_normal(grid.band_shape)
              + 1j * rng.standard_normal(grid.band_shape))
         stepper = _Stepper(grid, PhysParams(eps_kappa=0.01), SolverConfig(
-            dt=0.01, t_end=0.01, linearized=True), c, None, None)
+            dt=0.01, t_end=0.01, linearized=True), c, None, None).stepping(c)
         stepper.step()  # warm
         bufsize = np.setbufsize(16)
         tracemalloc.start()
@@ -911,6 +911,8 @@ def _whole_band_run(theta0, par, cfg, reference=None, mapped=False):
     stepper = _Stepper(grid, par, cfg, grid.gather(theta0.c),
                        None if src is None else grid.gather(src),
                        None if reference is None else reference.c)
+    if not mapped:
+        stepper = stepper.stepping(stepper.c)
     steps = _record_steps(cfg).tolist()
     for last, step in zip([0] + steps, steps):
         if mapped:
@@ -1061,6 +1063,7 @@ def test_step_map_is_the_step(case):
             dt=0.01, t_end=0.07, scheme=scheme, linearized=True),
         c.copy(), None, None) for _ in range(3))
     A, B = stepped.step_map()
+    stepped = stepped.stepping(stepped.c)
     assert A.shape == (*layout.band_shape, layout.band_shape[2])
     assert (B is None) == (m == 1)  # only shifts of 2 or more read mirrors
     for _ in range(7):
@@ -1084,10 +1087,11 @@ def test_stepper_steps_a_stack_as_its_fields():
     rng = np.random.default_rng(5)
     stack = (rng.standard_normal((2, *layout.band_shape))
              + 1j * rng.standard_normal((2, *layout.band_shape)))
-    stacked = _Stepper(layout, par, cfg, stack.copy(), None, None)
+    stacked = _Stepper(layout, par, cfg, stack, None, None).stepping(
+        stack.copy())
     stacked.step()
     for c, got in zip(stack, stacked.c):
-        alone = _Stepper(layout, par, cfg, c.copy(), None, None)
+        alone = _Stepper(layout, par, cfg, c, None, None).stepping(c.copy())
         alone.step()
         assert np.array_equal(got.view(np.uint64), alone.c.view(np.uint64))
 
@@ -1095,8 +1099,8 @@ def test_stepper_steps_a_stack_as_its_fields():
 def _per_column_map(stepper):
     """``_Stepper.step_map`` probed one k3 column q at a time: a real and
     an imaginary unit spike at k3 = q in every column, (R +- I) / 2."""
-    spikes, p3 = copy.copy(stepper), stepper.c.shape[-1]
-    spikes._bind(np.empty((2, *stepper.c.shape), dtype=np.complex128))
+    p3 = stepper.c.shape[-1]
+    spikes = stepper.stepping(np.empty((2, *stepper.c.shape), np.complex128))
     A, B = (np.empty((*stepper.c.shape, p3)) for _ in range(2))
     for q in range(p3):
         spikes.c[...] = 0.0
@@ -1147,22 +1151,51 @@ def test_grouped_step_map_is_the_per_column_map(case):
 def test_stepper_binds_only_the_buffers_its_step_reads(
         scheme, linearized, count):
     # one buffer per right-hand side, IF-RK4's stage and E2 c, the next
-    # state, and the linearized v, each shaped like the state bound
+    # state, and the linearized v, each shaped like the state bound; a
+    # linearized run, which only applies its map, binds ``next`` alone
     stepper = _Stepper(G16, PhysParams(eps_kappa=0.02), SolverConfig(
         dt=0.01, t_end=0.01, scheme=scheme, linearized=linearized),
         _rich_field(G16).c, None, None)
-    bound = copy.copy(stepper)
-    c = stepper.c.copy()
-    tracemalloc.start()
-    try:
-        bound._bind(c)
-        size, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert round(size / c.nbytes) == count
+    c, sizes = stepper.c.copy(), []
+    for stepping in (True, False):
+        bound = copy.copy(stepper)
+        tracemalloc.start()
+        try:
+            bound._bind(c, stepping)
+            sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+    assert [round(size / c.nbytes) for size in sizes] == [count, 1]
+    assert (stepper.outs == []) == linearized
+    bound = stepper.stepping(c)
     bound.step()  # every buffer a step reads is bound
+    if linearized:
+        stepper = stepper.stepping(stepper.c)
     stepper.step()
     assert np.array_equal(bound.c, stepper.c)
+
+
+def test_linearized_run_binds_no_step_buffer():
+    # a linearized run only applies its step map's powers, whose matmul
+    # writes into ``next``: at whole 48^3 its stepper holds no right-hand
+    # side, stage, E2 c or v, the 7 state-sized buffers (1.7 MB) that it
+    # traced with them (22.6 states), which a stepping copy binds
+    grid = Grid(48, 48, 48)
+    c = np.zeros(grid.band_shape, np.complex128)
+    par = PhysParams(eps_kappa=0.01)
+    cfg = SolverConfig(dt=0.01, t_end=0.01, linearized=True)
+    _Stepper(grid, par, cfg, c, None, None)  # warm the caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        stepper = _Stepper(grid, par, cfg, c, None, None)
+        built, _ = tracemalloc.get_traced_memory()
+        stepping = stepper.stepping(c)
+        bound = tracemalloc.get_traced_memory()[0] - built
+    finally:
+        tracemalloc.stop()
+    assert round(bound / c.nbytes) == 8 and stepping.v is not None
+    assert built < 16 * c.nbytes, built / c.nbytes
 
 
 @pytest.mark.parametrize("mode", [(6, 4), (9, 4)])
