@@ -470,6 +470,9 @@ def plane_demo_cmd(config_path, out_dir):
         "plane_constant": f"{rep.plane_constant:.9g}",
         "control_mode": str(rep.control_mode),
         "control_layout": str(rep.control.diag.layout),
+        # the arms share one layout and step there as one stack
+        "arms_layout": str(rep.arms[0].diag.layout),
+        "arms_stacked": len(rep.arms),
         "control_off_plane_factor": f"{rep.control.departure_factor:.6g}",
         "control_fitted_rate": f"{rep.control_rate:.9g}",
         "control_sigma_star": f"{rep.control_sigma_ref:.9g}",

@@ -32,6 +32,7 @@ from .solver import (
     _record_steps,
     growth_rate_fit,
     run,
+    run_stack,
 )
 from .symbol import PhysParams, PlaneSpec, _integers, plane_bound_scan
 
@@ -181,22 +182,27 @@ def plane_demo(*, plane=PlaneSpec(1, 1), gammas=(0.3, 0.5, 0.8),
     background = sine_vertical(grid, m)
     c_plane = plane_bound_scan(plane.q_num, plane.q_den, _PLANE_KMAX, n2)
 
-    # an arm's departure is from the background, the control's off the plane
-    arm_k = (plane.q_den, plane.q_num, 1)
-    runs = []
-    for params, k, series in ([(p, arm_k, "ref_l2") for p in arm_params]
-                              + [(arm_params[0], ck, "off_plane")]):
+    def seeded(k):  # the seed's plane and the data seeded on it
         g = math.gcd(k[0], k[1])
         lattice = Sublattice(((k[0] // g, k[1] // g),), math.gcd(k[2], m))
-        _, diag = run(background + cosine_mode(grid, k, seed), params,
-                      replace(cfg, lattice=lattice), reference=background)
+        return (background + cosine_mode(grid, k, seed),
+                replace(cfg, lattice=lattice))
+
+    def outcome(gamma, diag, series):
         growth = getattr(diag, series)
-        runs.append(PlaneArm(
-            gamma=params.gamma, diag=diag,
-            off_plane_max=float(np.max(diag.off_plane)),
-            departure_factor=float(growth[-1] / growth[0]),
-        ))
-    *arms, control = runs
+        return PlaneArm(gamma=gamma, diag=diag,
+                        off_plane_max=float(np.max(diag.off_plane)),
+                        departure_factor=float(growth[-1] / growth[0]))
+
+    # the arms share the demo's plane and step as one stack; an arm's
+    # departure is from the background, the control's off the plane
+    theta0, arm_cfg = seeded((plane.q_den, plane.q_num, 1))
+    arms = [outcome(p.gamma, diag, "ref_l2") for p, (_, diag) in zip(
+        arm_params, run_stack([theta0] * len(arm_params), arm_params,
+                              arm_cfg, reference=background))]
+    theta0, control_cfg = seeded(ck)
+    _, diag = run(theta0, arm_params[0], control_cfg, reference=background)
+    control = outcome(arm_params[0].gamma, diag, "off_plane")
     rate, r2 = growth_rate_fit(control.diag, t_end / 5.0, t_end,
                                series="off_plane")
     sigma_ref = solve_sigma_star(ck[0], ck[1], arm_params[0]).sigma_star

@@ -26,6 +26,12 @@ a restricted layout samples on its band's own sizes, which dealias every
 product exactly as the grid's sizes do.  A record reads the same samples
 (see ``Diagnostics``).
 
+``run_stack`` steps runs that share a layout as one stack, their states
+and buffers on a leading member axis, so numpy's per-call cost, most of a
+small layout's step, is paid once for all of them; each member's output is
+its own run's bit for bit, and ``run`` is the one-member case (README,
+"Numerical notes").
+
 The linearized right-hand side about Theta_0 = sin(m x3), -m u3 cos(m x3),
 is an exact shift of +-m along k3, sliced with no transform, that couples k3
 only within a column (k1, k2) and its conjugate mirror.  A linearized run
@@ -89,7 +95,7 @@ from .fields import (
     sine_vertical,
     wavenumbers,
 )
-from .symbol import PlaneSpec, _validate_mode
+from .symbol import PhysParams, PlaneSpec, _validate_mode
 
 _GROWTH_CAP = 30.0  # refuse runs that would amplify any resolvable mode past e^30
 
@@ -202,20 +208,24 @@ def _advection_factors(grid, n2_phys):
 
 
 class _Advection:
-    """The advection product on a layout at N^2 = ``n2_phys``, with its own
-    ``factors`` (``_advection_factors``), passes and buffers: ``spec`` takes
-    the field times the factors and ``phys`` their samples, one stacked
-    pass; u_j d_j theta overwrites the gradient rows 3-5, so ``u`` (rows
-    0-2) keeps u's samples.  The forward pass skips ``forward``'s Hermitian
-    fix: it zeroes k3 = 0.
+    """The advection product on a layout at N^2 = ``n2_phys``, of one field
+    or, with ``lead`` (S,), of a stack of S, with its own ``factors``
+    (``_advection_factors``), passes and buffers: ``spec`` takes the field
+    times the factors and ``phys`` their samples, one stacked pass, the
+    factor axis ahead of the members so that each row is contiguous; u_j
+    d_j theta overwrites the gradient rows 3-5, so ``u`` (rows 0-2) keeps
+    u's samples.  The forward pass skips ``forward``'s Hermitian fix: it
+    zeroes k3 = 0.
     """
 
-    def __init__(self, grid, n2_phys):
-        self.factors = _advection_factors(grid, n2_phys)
-        self.spec = np.empty_like(self.factors)
-        self.phys = p = np.empty((6, *grid.shape))
+    def __init__(self, grid, n2_phys, lead=()):
+        self.factors = _advection_factors(grid, n2_phys).reshape(
+            6, *(1 for _ in lead), *grid.band_shape)
+        self.spec = np.empty((6, *lead, *grid.band_shape), np.complex128)
+        self.phys = p = np.empty((6, *lead, *grid.shape))
         self.u, self.grad, self.g0, self.g1, self.g2 = p[:3], p[3:], *p[3:]
-        self.stack, self.field = _Passes(grid, (6,)), _Passes(grid, ())
+        self.stack = _Passes(grid, (6, *lead))
+        self.field = _Passes(grid, lead)
 
     def __call__(self, c, out):
         self.stack.to_samples(np.multiply(self.factors, c, out=self.spec),
@@ -224,7 +234,7 @@ class _Advection:
         np.add(self.g0, self.g1, out=self.g0)
         self.g0 += self.g2
         self.field.to_band(self.g0, out)
-        out[:, :, 0] = 0.0
+        out[..., 0] = 0.0
         return out
 
 
@@ -305,15 +315,16 @@ def _growth_cap_check(layout, params, config):
 
 def _compose(f, g, out, prod):
     """The step map g after f, each (A, B) of ``_Stepper.step_map``, into
-    ``out``, with ``prod`` for the mirror products."""
+    ``out``, with ``prod`` for the mirror products; the (k1, k2) axes are
+    read from the end, so a stack's maps compose member by member."""
     (A1, B1), (A2, B2), (A, B) = f, g, out
     np.matmul(A2, A1, out=A)
     if B1 is None:
         return A, None
-    mirror = _mirror(*A1.shape[:2])
-    A += np.matmul(B2, B1[mirror], out=prod)
+    i1, i2 = _mirror(*A1.shape[-4:-2])
+    A += np.matmul(B2, B1[..., i1, i2, :, :], out=prod)
     np.matmul(A2, B1, out=B)
-    B += np.matmul(B2, A1[mirror], out=prod)
+    B += np.matmul(B2, A1[..., i1, i2, :, :], out=prod)
     return A, B
 
 
@@ -350,42 +361,63 @@ class _Stepper:
     through a copy from ``stepping``.  Every factor is complex128.
     A nonlinear run's right-hand sides and records (L-inf too) run the one
     ``_Advection`` built here, which goes with the run.
+
+    With a sequence of S ``params`` it steps a stack (``run_stack``): ``c``,
+    ``src`` and the dissipation and stage factors hold the members on a
+    leading axis, which the shared advection factors and ``v_scale``
+    broadcast over, and each member has its growth cap, rows and messages.
     """
 
     def __init__(self, layout, params, config, c, src, ref):
-        _growth_cap_check(layout, params, config)
+        stacked = not isinstance(params, PhysParams)
+        members = list(params) if stacked else [params]
+        self.lead = (len(members),) if stacked else ()
+        # how a message names each member: a lone run's, not at all
+        self.named = [f" in member {i}" if stacked else ""
+                      for i in range(len(members))]
+        for member in members:
+            _growth_cap_check(layout, member, config)
+        shared = members[0]  # N^2 and m, which the members share
         self.src = src
         self.ref = None if ref is None else SpectralField(layout, ref)
         dt = self.dt = config.dt
         self.layout, self.scheme = layout, config.scheme
-        self.plane, self.rows = config.plane, []
+        self.plane, self.rows = config.plane, [[] for _ in members]
         # the CFL number weighs max|u_j| by the layout's largest |k_j|
         self.kmax = [int(np.abs(k).max()) for k in wavenumbers(layout)]
-        diss = params.eps_kappa * ksq_power(layout, params.gamma)
+
+        disss = [p.eps_kappa * ksq_power(layout, p.gamma) for p in members]
+
+        def factor(f):  # each member's factor, computed on its own
+            arrays = [f(diss).astype(np.complex128) for diss in disss]
+            return np.stack(arrays) if self.lead else arrays[0]
+
         if config.scheme == "if_rk4":
-            self.E = E = np.exp(-dt * diss).astype(np.complex128)
-            self.E2 = E2 = np.exp(-0.5 * dt * diss).astype(np.complex128)
+            self.E = E = factor(lambda diss: np.exp(-dt * diss))
+            self.E2 = E2 = factor(lambda diss: np.exp(-0.5 * dt * diss))
             # IF-RK4 stage factors, fixed for the run
             self.half_E2, self.dt_E2 = 0.5 * dt * E2, dt * E2
             self.dt3_E2, self.dt6_E = (dt / 3.0) * E2, (dt / 6.0) * E
         else:
-            self.implicit = (1.0 / (1.0 + dt * diss)).astype(np.complex128)
+            self.implicit = factor(lambda diss: 1.0 / (1.0 + dt * diss))
         self.linearized = config.linearized
         if not config.linearized:
-            self.advect = _Advection(layout, params.n2)
-            self.passes, self.samples = self.advect.field, self.advect.g0
+            self.advect = _Advection(layout, shared.n2, self.lead)
         else:
             # -m u3 cos(m x3) = v(k3 - m) + v(k3 + m), v = -(m/2) M3_hat theta_hat
             # (a shift by m / s3 indices on the layout)
-            self.shift = params.m // layout.lattice.s3
-            self.v_scale = (-0.5 * params.m * multiplier_arrays(
-                layout, params.n2)[2]).astype(np.complex128)
+            self.shift = shared.m // layout.lattice.s3
+            self.v_scale = (-0.5 * shared.m * multiplier_arrays(
+                layout, shared.n2)[2]).astype(np.complex128)
             # a step moves a spike at most a shift per right-hand side
             self.reach = self.shift * (4 if config.scheme == "if_rk4" else 1)
             self.groups = min(layout.band_shape[2], 2 * self.reach + 1)
+            self.powers = {}  # steps -> the step map's power (advance)
+        if config.linearized or self.lead:  # L-inf reads one field at a time
             self.passes, self.samples = _Passes(layout, ()), np.empty(
                 layout.shape)
-            self.powers = {}  # steps -> the step map's power (advance)
+        else:
+            self.passes, self.samples = self.advect.field, self.advect.g0
         # a linearized run only applies its map (advance), into ``next``
         self._bind(c, stepping=not config.linearized)
 
@@ -491,38 +523,51 @@ class _Stepper:
             np.multiply(self.implicit, r, out=nxt)
         self.c, self.next = nxt, c
 
-    def record(self, step):
-        """Append the state's row at ``step``, reading one call of the run's
-        advection product when nonlinear; BlowUpError if not finite."""
-        t = step * self.dt
-        f = SpectralField(self.layout, self.c)
-        l2 = l2_norm(f)
-        if not math.isfinite(l2):
-            raise BlowUpError(
-                f"solution lost finiteness at t = {t:g} (step {step})",
-                time=t, history=self.diagnostics())
-        flux, cfl = math.nan, 0.0
-        if not self.linearized:  # into the next buffer, free between steps
-            adv = self.advect(self.c, self.next)
-            flux = energy_flux_residual(self.layout, self.c, adv)
-            umax = velocity_max(self.advect.u)
-            cfl = self.dt * sum(u * k for u, k in zip(umax, self.kmax))
-        self.rows.append((
-            t, l2, linf_norm(f, self.passes, self.samples), hs_norm(f, 1.0),
-            math.nan if self.plane is None else off_plane_norm(f, self.plane),
-            flux, math.nan if self.ref is None else l2_norm(f - self.ref)))
-        if cfl > 0.5:  # the warning points at the first caller outside mgsim
-            level, frame = 1, sys._getframe()
-            while (frame.f_back is not None and frame.f_globals.get(
-                    "__name__", "").startswith(f"{__package__}.")):
-                level, frame = level + 1, frame.f_back
-            warnings.warn(
-                f"advective CFL number {cfl:.3g} exceeds 0.5 at t = {t:g}; "
-                f"consider reducing dt", RuntimeWarning, stacklevel=level)
+    def _split(self, x, axis=0):
+        """The members' parts of ``x``, whose member axis is ``axis``."""
+        return list(np.moveaxis(x, axis, 0)) if self.lead else [x]
 
-    def diagnostics(self):
-        """The rows recorded so far, on the layout."""
-        times, *cols = np.array(self.rows, dtype=np.float64).reshape(
+    def record(self, step):
+        """Append each member's row at ``step``, reading one call of the
+        run's advection product when nonlinear; BlowUpError, with that
+        member's rows, if a member's state is not finite."""
+        t = step * self.dt
+        fields = [SpectralField(self.layout, c) for c in self._split(self.c)]
+        l2s = [l2_norm(f) for f in fields]
+        for i, l2 in enumerate(l2s):
+            if not math.isfinite(l2):
+                raise BlowUpError(
+                    f"solution lost finiteness{self.named[i]} at t = {t:g} "
+                    f"(step {step})", time=t, history=self.diagnostics(i))
+        fluxes, cfls = [math.nan] * len(fields), [0.0] * len(fields)
+        if not self.linearized:  # into the next buffer, free between steps
+            advs = self._split(self.advect(self.c, self.next))
+            for i, (f, adv, vel) in enumerate(zip(
+                    fields, advs, self._split(self.advect.u, 1))):
+                fluxes[i] = energy_flux_residual(self.layout, f.c, adv)
+                umax = velocity_max(vel)
+                cfls[i] = self.dt * sum(u * k for u, k in zip(umax, self.kmax))
+        for i, (f, rows) in enumerate(zip(fields, self.rows)):
+            rows.append((
+                t, l2s[i], linf_norm(f, self.passes, self.samples),
+                hs_norm(f, 1.0),
+                math.nan if self.plane is None else off_plane_norm(
+                    f, self.plane),
+                fluxes[i],
+                math.nan if self.ref is None else l2_norm(f - self.ref)))
+            if cfls[i] > 0.5:  # pointed at the first caller outside mgsim
+                level, frame = 1, sys._getframe()
+                while (frame.f_back is not None and frame.f_globals.get(
+                        "__name__", "").startswith(f"{__package__}.")):
+                    level, frame = level + 1, frame.f_back
+                warnings.warn(
+                    f"advective CFL number {cfls[i]:.3g} exceeds 0.5 at "
+                    f"t = {t:g}{self.named[i]}; consider reducing dt",
+                    RuntimeWarning, stacklevel=level)
+
+    def diagnostics(self, member=0):
+        """The rows of ``member`` recorded so far, on the layout."""
+        times, *cols = np.array(self.rows[member], dtype=np.float64).reshape(
             -1, 1 + len(Diagnostics.SERIES)).T
         return Diagnostics(times, *cols, layout=self.layout)
 
@@ -567,32 +612,68 @@ def run(theta0, params, config, reference=None):
     gathered onto the layout of the diag sublattice that the initial data
     and the reference span instead, and every linearized run advances by
     powers of its one-step map, to rounding of its steps (module docstring).
+    This is ``run_stack`` of one member.
     """
-    grid, lattice = theta0.grid, config.lattice
+    return run_stack([theta0], [params], config, reference)[0]
+
+
+def run_stack(thetas, params, config, reference=None):
+    """Integrate several runs on one layout as one stack; returns one
+    (final field, diagnostics) pair per member, in order.
+
+    Member i is ``run(thetas[i], params[i], config, reference)``, bit for
+    bit where that run steps on the stack's layout: ``config.lattice``'s,
+    or for a linearized run on the whole lattice the diag sublattice that
+    every member's data and the reference span.  The members share the
+    grid, N^2 and m (ValueError otherwise) and may differ in eps_kappa,
+    gamma and initial data.  A ``BlowUpError`` names its member and
+    carries that member's rows.
+    """
+    thetas, params = list(thetas), list(params)
+    if not thetas or len(params) != len(thetas):
+        raise ValueError(f"a stack takes one PhysParams per initial field, "
+                         f"got {len(params)} for {len(thetas)}")
+    grid, lattice = thetas[0].grid, config.lattice
     if grid.lattice != WHOLE_LATTICE:
         raise ValueError(f"initial data lives on the layout {grid}, not on "
                          f"the whole grid")
+    if any(theta.grid != grid for theta in thetas):
+        raise ValueError("the members' initial data live on different grids")
     if reference is not None and reference.grid != grid:
         raise ValueError("reference field lives on a different grid")
-    if params.m % lattice.s3:
+    shared = sorted({(p.n2, p.m) for p in params})
+    if len(shared) > 1:
+        raise ValueError(f"the members of a stack share N^2 and m, got "
+                         f"(n2, m) = {', '.join(map(str, shared))}")
+    m = params[0].m
+    if m % lattice.s3:
         raise ValueError(f"the lattice's vertical stride {lattice.s3} does "
-                         f"not divide m = {params.m}")
+                         f"not divide m = {m}")
     if config.linearized and lattice == WHOLE_LATTICE:
-        lattice = _span(grid, params.m, *(
-            f.c for f in (theta0, reference) if f is not None))
+        lattice = _span(grid, m, *(
+            f.c for f in (*thetas, reference) if f is not None))
     layout = replace(grid, lattice=lattice)
-    src = config.source.realize(grid, params)
+    lone = len(thetas) == 1
+
+    def stack(arrays):  # the members' arrays on a leading axis
+        return arrays[0] if lone else np.stack(arrays)
+
+    srcs = [config.source.realize(grid, p) for p in params]
+    # a member without a source subtracts -0, and -0 - x is -x to the bit
+    src = None if all(s is None for s in srcs) else stack([
+        np.full(layout.band_shape, complex(-0.0, -0.0)) if s is None
+        else layout.gather(s) for s in srcs])
     stepper = _Stepper(
-        layout, params, config, layout.gather(theta0.c),
-        None if src is None else layout.gather(src),
+        layout, params[0] if lone else params, config,
+        stack([layout.gather(theta.c) for theta in thetas]), src,
         None if reference is None else layout.gather(reference.c))
 
     steps = _record_steps(config).tolist()
     for last, step in zip([0] + steps, steps):
         stepper.advance(step - last)
         stepper.record(step)
-    final = SpectralField(grid, layout.scatter(stepper.c))
-    return final, stepper.diagnostics()
+    return [(SpectralField(grid, layout.scatter(c)), stepper.diagnostics(i))
+            for i, c in enumerate(stepper._split(stepper.c))]
 
 
 def _fit_window(times, t_start, t_stop):

@@ -3,7 +3,8 @@
 `perfbench/run.py --trace 1` wraps every (module, attr) pair listed in
 `perfbench/metrics.py`'s SPANS and fails if one is missing, and
 `perfbench/workloads.py` warms the `fields` caches by name, and the
-record's callees in `RECORD_CALLEES` are timed where `run` looks them up, so
+record's callees in `RECORD_CALLEES` are timed where `run` looks them up, and
+its solver workloads are timed through every lookup site of `solver.run`, so
 a rename or a bypassed lookup in the package must not slip past the test
 suite.  The files are parsed, not
 imported: they import perfbench's own helpers by bare module name.
@@ -11,7 +12,10 @@ imported: they import perfbench's own helpers by bare module name.
 
 import ast
 import importlib
+import sys
 from pathlib import Path
+
+import pytest
 
 METRICS = Path(__file__).resolve().parent.parent / "perfbench" / "metrics.py"
 
@@ -100,3 +104,40 @@ def test_record_calls_every_traced_callee_through_solver(monkeypatch):
     # six records; l2_norm twice per record, for the state and the reference
     assert calls == {name: 12 if name == "fields.l2_norm" else 6
                      for name in callees}
+
+
+@pytest.mark.parametrize("drive", [
+    lambda ex, par: ex.instability(par(eps_kappa=0.01), box=2, n=32,
+                                   t_end=0.1, record_every=5, fit_start=0.0),
+    lambda ex, par: ex.plane_demo(n=16, dt=0.05, t_end=0.5, record_every=2),
+], ids=["instability", "plane_demo"])
+def test_solver_workloads_call_run_through_a_lookup_site(monkeypatch, drive):
+    # perfbench wraps every module attribute of mgsim that is solver.run,
+    # reads each call's config (third argument or keyword) and the times of
+    # the diagnostics it returns, and takes throughput as a median over
+    # those calls: the function a solver workload times must make one or more
+    import mgsim.experiments as experiments
+    import mgsim.solver as solver
+    from mgsim.fields import SpectralField
+    from mgsim.symbol import PhysParams
+
+    run, calls = solver.run, []
+
+    def logged(*args, **kwargs):
+        out = run(*args, **kwargs)
+        calls.append((args[2] if len(args) > 2 else kwargs["config"], out))
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mgsim":
+            for attr, value in list(vars(module).items()):
+                if value is run:
+                    monkeypatch.setattr(module, attr, logged)
+    drive(experiments, PhysParams)
+    assert calls
+    for config, out in calls:
+        assert isinstance(config, solver.SolverConfig)
+        final, diag = out
+        assert isinstance(final, SpectralField)
+        assert isinstance(diag, solver.Diagnostics)
+        assert round(diag.times[-1] / config.dt) > 0

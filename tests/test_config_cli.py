@@ -707,7 +707,8 @@ class TestCli:
             assert "_steps = " not in text
 
     def test_plane_demo_manifest_records_the_control_layout(self, tmp_path):
-        # the (1, 2, 1) control steps on its seed's plane, not on 24^3
+        # the (1, 2, 1) control steps on its seed's plane, not on 24^3, and
+        # the three arms on the demo's plane, as one stack
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[plane_demo]\ndt = 0.05\nt_end = 0.5\n"
                        "record_every = 1\n")
@@ -719,6 +720,9 @@ class TestCli:
         assert "\ncontrol_mode = (1, 2, 1)\n" in text
         assert ("\ncontrol_layout = 10x1x24 on Sublattice(basis=((1, 2),), "
                 "s3=1)\n" in text)
+        assert ("\narms_layout = 24x1x24 on Sublattice(basis=((1, 1),), "
+                "s3=1)\n" in text)
+        assert "\narms_stacked = 3\n" in text
         assert "_steps = " not in text
 
     def test_instability_at_zero_eps_kappa_has_no_continuum(self, tmp_path):

@@ -266,6 +266,24 @@ class TestSolve:
         assert (abs(sigma[0] - dense_sigma_star(1, 7, CANON, 2048)) < 1e-12
                 ) == certified
 
+    @pytest.mark.parametrize("depth, certified", [(64, False), (128, True)])
+    def test_truncation_certificate_needs_the_closing_x_at_least_2(
+            self, depth, certified):
+        # at N^2 = 1e-9 the depth-64 root of (1,4) has G_P >= 0 at
+        # s = sigma + 1e-12, yet sigma* lies above s: x_{P+1}(s) < 2, so the
+        # tails beyond the cut need not stay at least 1, and only that half
+        # of the certificate refuses it; at depth 128 both halves hold, and
+        # s bounds sigma* (the oracle at depth 4096)
+        par = PhysParams(n2=1e-9, eps_kappa=0.0)
+        a, e = _weights(depth + 1, 1, 4, par)
+        sigma = _root_at(depth, 1, 4, par)
+        s = sigma + 1e-12
+        g = _cf_residuals(s[:, None], a, e, close=1.0)[0, 0]
+        assert g >= 0.0
+        assert ((s[0] + e[0, depth]) * a[0, depth] >= 2.0) == certified
+        assert _certify(sigma, a, e, [1], [4])[0][0] == certified
+        assert (dense_sigma_star(1, 4, par, 4096) <= s[0]) == certified
+
     def test_oracle_agrees_to_rounding(self):
         # the tridiagonal oracle bisects to rounding, not to eps times the
         # chain's 1-norm, which the dissipation e_p inflates at depth 256

@@ -55,7 +55,8 @@ def test_plane_demo_rejects_bad_arguments_before_any_run(monkeypatch, kwargs,
     def no_run(*args, **kw):
         raise AssertionError("plane_demo ran before checking its arguments")
 
-    monkeypatch.setattr(mgsim.experiments, "run", no_run)
+    for name in ("run", "run_stack"):
+        monkeypatch.setattr(mgsim.experiments, name, no_run)
     with pytest.raises(ValueError, match=match):
         plane_demo(plane=PlaneSpec(1, 1), n=8, **kwargs)
 

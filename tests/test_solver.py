@@ -41,6 +41,7 @@ from mgsim.solver import (
     energy_flux_residual,
     growth_rate_fit,
     run,
+    run_stack,
     velocity_max,
 )
 
@@ -164,14 +165,17 @@ def test_warm_step_allocates_no_grid_array():
     assert peak < np.empty(grid.shape).nbytes
 
 
-def test_run_leaves_no_scratch_behind():
-    # a run's passes, advection product and buffers go with it: what a
-    # whole-grid nonlinear run at 48^3 leaves allocated is the caches of
-    # read-only arrays (the DFT matrices, the multipliers), about one
-    # array of the grid's samples, not its work arrays (16 MB); every
-    # cache of fields and solver starts empty, so all of it is traced
+@pytest.mark.parametrize("members", [1, 3], ids=["run", "stack3"])
+def test_run_leaves_no_scratch_behind(members):
+    # a run's passes, advection product and buffers go with it, a stack's
+    # too: what a whole-grid nonlinear run at 48^3 leaves allocated is the
+    # caches of read-only arrays (the DFT matrices, the multipliers), about
+    # one array of the grid's samples, not its work arrays (16 MB, three
+    # times that for a stack of 3); every cache of fields and solver
+    # starts empty, so all of it is traced
     grid = Grid(48, 48, 48)
-    theta0 = _rich_field(grid) * 0.1
+    thetas = [_rich_field(grid, seed=7 + i) * 0.1 for i in range(members)]
+    params = [PhysParams(eps_kappa=0.02 * (i + 1)) for i in range(members)]
     for module in (mgsim.fields, mgsim.solver):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
@@ -179,8 +183,7 @@ def test_run_leaves_no_scratch_behind():
     gc.collect()
     tracemalloc.start()
     try:
-        run(theta0, PhysParams(eps_kappa=0.02),
-            SolverConfig(dt=0.01, t_end=0.02))
+        run_stack(thetas, params, SolverConfig(dt=0.01, t_end=0.02))
         gc.collect()
         retained, _ = tracemalloc.get_traced_memory()
     finally:
@@ -1465,3 +1468,123 @@ def test_zero_field_records_no_flux_defect_and_refuses_a_log_fit():
     with pytest.raises(ValueError,
                        match="series must be strictly positive for a log fit"):
         growth_rate_fit(diag, 0.0, 0.02, "l2")
+
+
+def _assert_runs_alike(got, want):
+    """Two (final, diagnostics) pairs are the same run, bit for bit."""
+    (gfinal, gdiag), (wfinal, wdiag) = got, want
+    assert gdiag.layout == wdiag.layout
+    assert gfinal.c.tobytes() == wfinal.c.tobytes()
+    for name in ("times", *Diagnostics.SERIES):
+        assert getattr(gdiag, name).tobytes() == getattr(
+            wdiag, name).tobytes(), name
+
+
+def _plane_arms():
+    """Criterion 12's three arms on the 1/1 plane at 24^3, to t = 0.5."""
+    plane = PlaneSpec(1, 1)
+    background = sine_vertical(G24, 1)
+    theta0 = background + cosine_mode(G24, (1, 1, 1), 1e-4)
+    cfg = SolverConfig(dt=0.01, t_end=0.5, record_every=10, plane=plane,
+                       lattice=Sublattice.of_plane(plane),
+                       source=SourceSpec("steady_balance"))
+    return ([theta0] * 3, [PhysParams(eps_kappa=0.02, gamma=g)
+                           for g in (0.3, 0.5, 0.8)], cfg, background)
+
+
+def _seed_ladder():
+    """Criterion 09's seed, the (9, 4) eigenmode at 1e-2, 1e-4 and 1e-6 of
+    the background, each on its own eps_kappa, on diag(9, 4) at 48^3."""
+    grid = Grid(48, 48, 48)
+    background = sine_vertical(grid, 1)
+    params = [PhysParams(eps_kappa=e) for e in (0.01, 0.011, 0.012)]
+    phi = assemble_eigenfunction(solve_sigma_star(9, 4, params[0]), grid)
+    scale = l2_norm(background) / l2_norm(phi)
+    cfg = SolverConfig(dt=0.01, t_end=0.3, record_every=10,
+                       lattice=Sublattice.diag(9, 4),
+                       source=SourceSpec("steady_balance"))
+    return ([background + delta * scale * phi for delta in (1e-2, 1e-4, 1e-6)],
+            params, cfg, background)
+
+
+def _linearized_stack():
+    """Linearized runs of one rich field at m = 2 on the whole 16x16x24
+    grid (its map reads the conjugate mirror), three amplitudes and
+    dissipations, advancing by powers of the map."""
+    thetas = [_rich_field(Grid(16, 16, 24), seed=3) * a for a in (1, 2, 3)]
+    params = [PhysParams(eps_kappa=e, gamma=g, m=2)
+              for e, g in ((0.01, 1.0), (0.02, 0.8), (0.0, 0.5))]
+    cfg = SolverConfig(dt=0.01, t_end=0.11, record_every=5, linearized=True)
+    return thetas, params, cfg, None
+
+
+def _unforced_member():
+    """Two plane arms, the first at eps_kappa = 0, where the balancing
+    source is absent: the stack subtracts -0 for it."""
+    thetas, params, cfg, background = _plane_arms()
+    return (thetas[:2], [PhysParams(eps_kappa=0.0, gamma=0.3), params[2]],
+            cfg, background)
+
+
+@pytest.mark.parametrize("make", [_plane_arms, _seed_ladder,
+                                  _linearized_stack, _unforced_member],
+                         ids=["plane_gammas", "ladder_9_4", "linearized_m2",
+                              "unforced_member"])
+def test_stack_members_are_their_own_runs(make):
+    # a stack steps each member as its own run would, on the same layout:
+    # final state and every recorded series, bit for bit
+    thetas, params, cfg, reference = make()
+    got = run_stack(thetas, params, cfg, reference=reference)
+    assert len(got) == len(thetas)
+    for pair, theta0, par in zip(got, thetas, params):
+        _assert_runs_alike(pair, run(theta0, par, cfg, reference=reference))
+    assert got[0][0].c.tobytes() != got[1][0].c.tobytes()
+
+
+def test_linearized_stack_steps_on_the_span_of_all_its_members():
+    # on the whole lattice a linearized stack steps on the diag sublattice
+    # that every member's data spans together
+    grid = Grid(24, 24, 24)
+    thetas = [cosine_mode(grid, (2, 4, 1)), cosine_mode(grid, (6, 2, 1))]
+    cfg = SolverConfig(dt=0.01, t_end=0.02, linearized=True)
+    (_, diag), _ = run_stack(thetas, [PhysParams(eps_kappa=0.01)] * 2, cfg)
+    assert diag.layout == replace(grid, lattice=Sublattice.diag(2, 2))
+
+
+@pytest.mark.parametrize("params, match", [
+    ([PhysParams(n2=1.0), PhysParams(n2=2.0)], r"share N\^2 and m"),
+    ([PhysParams(m=1), PhysParams(m=2)], r"share N\^2 and m"),
+    ([PhysParams()], "one PhysParams per initial field, got 1 for 2"),
+])
+def test_stack_refuses_members_that_do_not_share_a_layout(params, match):
+    thetas = [cosine_mode(G16, (1, 2, 1), 0.1)] * 2
+    with pytest.raises(ValueError, match=match):
+        run_stack(thetas, params, SolverConfig(dt=0.01, t_end=0.01))
+    with pytest.raises(ValueError, match="different grids"):
+        run_stack([thetas[0], cosine_mode(G24, (1, 2, 1), 0.1)],
+                  [PhysParams()] * 2, SolverConfig(dt=0.01, t_end=0.01))
+
+
+def test_stack_blow_up_names_its_member():
+    # member 1 loses finiteness; the error names it and carries its rows,
+    # the rows its own run's error carries, and its CFL warnings name it
+    par = PhysParams(eps_kappa=0.0)
+    thetas = [cosine_mode(G16, (1, 2, 1), a) for a in (1e-3, 1e100)]
+    cfg = SolverConfig(dt=0.1, t_end=1.0, record_every=1)
+    errors = []
+    for call in (lambda: run_stack(thetas, [par] * 2, cfg),
+                 lambda: run(thetas[1], par, cfg)):
+        with pytest.raises(BlowUpError) as exc:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                call()
+        errors.append((exc.value, [str(w.message) for w in caught]))
+    (stacked, warned), (alone, _) = errors
+    assert str(stacked) == str(alone).replace(
+        "finiteness at", "finiteness in member 1 at")
+    assert stacked.time == alone.time
+    cfl = [w for w in warned if "CFL" in w]
+    assert cfl and all(" in member 1;" in w for w in cfl)
+    for name in ("times", *Diagnostics.SERIES):
+        assert getattr(stacked.history, name).tobytes() == getattr(
+            alone.history, name).tobytes()
