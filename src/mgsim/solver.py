@@ -35,15 +35,18 @@ its own run's bit for bit, and ``run`` is the one-member case (README,
 The linearized right-hand side about Theta_0 = sin(m x3), -m u3 cos(m x3),
 is an exact shift of +-m along k3, sliced with no transform, that couples k3
 only within a column (k1, k2) and its conjugate mirror.  A linearized run
-reads its step as real p3 x p3 matrices per column (``step_map``), banded
-(a step moves a spike at most 4 shifts along k3, 1 for IMEX), so one step
-probes many k3 at once; it goes from record to record by their powers, to
-rounding of its steps.  On the whole lattice it runs on the diag sublattice
-its data spans (``_span``): s1, s2 the gcds of |k1|, |k2| over the nonzero
-coefficients of the initial data and the reference (n1 or n2 when all are
-0: that axis takes one sample), s3 the gcd of m and their k3.  Off the span
-a whole-band step holds exact zeros and on it the same operations: the
-map's columns are the whole band's, bitwise.
+reads its step as real p3 x p3 matrices per column (``step_map``), sparse
+(a step moves a spike at most 4 shifts along k3, 1 for IMEX, so only
+within its class +-k3 mod the shift), so one step probes every k3 whose
+rows do not meet, and at shift 1, where the map is real, a lone state
+probes two such groups, one in each part; it goes from record to record by
+the map's powers, to rounding of its steps.  On the whole lattice it runs
+on the diag sublattice its data spans (``_span``): s1, s2 the gcds of
+|k1|, |k2| over the nonzero coefficients of the initial data and the
+reference (n1 or n2 when all are 0: that axis takes one sample), s3 the
+gcd of m and their k3.  Off the span a whole-band step holds exact zeros
+and on it the same operations: the map's columns are the whole band's,
+bitwise.
 
 The advection product multiplies the field by its six spectral factors
 (M1, M2, M3, i k1, i k2, i k3), stacked into one array, and makes one
@@ -73,6 +76,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -348,6 +352,39 @@ def _pairs(c):
     return c.view(np.float64).reshape(*c.shape, 2)
 
 
+@lru_cache(maxsize=None)
+def _probe_plan(p3, shift, hops, channels):
+    """The steps that probe a linearized step map of ``hops`` right-hand
+    sides, each a shift by ``shift``, on p3 k3 rows, each (spike, rows,
+    cols, parts): a unit spike on the k3 of at most ``channels`` groups,
+    1 on the first and 1j on the second, and the (row, column) entries of
+    the map read from the response's real (part 0) or imaginary (1) part.
+    Spike q reaches the rows |q + j shift|, |j| <= hops, in the band (a row
+    below 0 is read from the mirror), so only rows = +-q mod shift; the
+    groups take q in turn into the first group whose rows it does not
+    meet."""
+    groups = []  # [rows reached, rows read, columns read]
+    for q in range(p3):
+        rows = sorted({r for j in range(-hops, hops + 1)
+                       if (r := abs(q + j * shift)) < p3})
+        group = next((g for g in groups if g[0].isdisjoint(rows)), None)
+        if group is None:
+            groups.append(group := [set(), [], []])
+        group[0].update(rows)
+        group[1] += rows
+        group[2] += [q] * len(rows)
+    probes = []
+    for i in range(0, len(groups), channels):
+        spike, rows, cols, parts = np.zeros(p3, np.complex128), [], [], []
+        for part, (_, read, spiked) in enumerate(groups[i:i + channels]):
+            spike[spiked] = (1.0, 1j)[part]
+            rows += read
+            cols += spiked
+            parts += [part] * len(read)
+        probes.append((spike, *map(np.array, (rows, cols, parts))))
+    return probes
+
+
 class _Stepper:
     """One run on a layout's band: state, factors, buffers and records.
 
@@ -409,9 +446,12 @@ class _Stepper:
             self.shift = shared.m // layout.lattice.s3
             self.v_scale = (-0.5 * shared.m * multiplier_arrays(
                 layout, shared.n2)[2]).astype(np.complex128)
-            # a step moves a spike at most a shift per right-hand side
-            self.reach = self.shift * (4 if config.scheme == "if_rk4" else 1)
-            self.groups = min(layout.band_shape[2], 2 * self.reach + 1)
+            # a step moves a spike a shift per right-hand side; at shift 1
+            # the map is real, so a lone state probes a group in each part
+            self.probes = _probe_plan(
+                layout.band_shape[2], self.shift,
+                4 if config.scheme == "if_rk4" else 1,
+                2 if self.shift == 1 else 1)
             self.powers = {}  # steps -> the step map's power (advance)
         if config.linearized or self.lead:  # L-inf reads one field at a time
             self.passes, self.samples = _Passes(layout, ()), np.empty(
@@ -453,26 +493,32 @@ class _Stepper:
     def step_map(self):
         """(A, B), a linearized step c_j <- A_j c_j + B_j conj(c_mirror(j))
         in real p3 x p3 matrices per column j (B None when 0), probed in
-        ``groups`` steps of a 2-state stack.  Group g holds a real and an
-        imaginary unit spike at k3 = g, g + groups, ... in every column;
-        column q is (R +- I) / 2 of the responses R and I on the rows
-        |k3 - q| <= ``reach``, which no other spike of the group reaches
-        (Curtis, Powell & Reid 1974), and 0 off them."""
-        p3, d = self.c.shape[-1], self.groups
-        spikes = self.stepping(np.empty((2, *self.c.shape), np.complex128))
+        the steps of ``probes`` (``_probe_plan``).  A group spikes its k3
+        in every column at once, and column q is read on the rows its own
+        spike reaches, which no other spike of its step reaches (Curtis,
+        Powell & Reid 1974), and 0 off them.  From shift 2 on a step is a
+        2-state stack, a real and an imaginary unit spike, and column q is
+        (R +- I) / 2 of the responses R and I.  At shift 1 (no mirror, B
+        0) every factor of a step has an imaginary part of exactly 0, so a
+        lone state's real and imaginary parts step apart: it spikes one
+        group with 1 and one with 1j, and column q is the response's part
+        of its own group."""
+        p3, lone = self.c.shape[-1], self.shift == 1
+        spikes = self.stepping(np.empty(
+            self.c.shape if lone else (2, *self.c.shape), np.complex128))
         A = np.zeros((*self.c.shape, p3))
-        B = None if self.shift == 1 else np.zeros_like(A)  # 1 reads no mirror
-        for g in range(d):
-            spikes.c[...] = 0.0
-            spikes.c[0, ..., g::d], spikes.c[1, ..., g::d] = 1.0, 1j
-            spikes.step()
-            R, I = spikes.c[0].real, spikes.c[1].imag
-            half_sum, half_diff = (R + I) / 2.0, (R - I) / 2.0
-            for q in range(g, p3, d):
-                rows = slice(max(0, q - self.reach), q + self.reach + 1)
-                A[..., rows, q] = half_sum[..., rows]
-                if B is not None:
-                    B[..., rows, q] = half_diff[..., rows]
+        B = None if lone else np.zeros_like(A)
+        for spike, rows, cols, parts in self.probes:
+            if lone:
+                spikes.c[...] = spike
+                spikes.step()
+                A[..., rows, cols] = _pairs(spikes.c)[..., rows, parts]
+            else:
+                spikes.c[0], spikes.c[1] = spike, 1j * spike
+                spikes.step()
+                R, I = spikes.c[0].real[..., rows], spikes.c[1].imag[..., rows]
+                A[..., rows, cols] = (R + I) / 2.0
+                B[..., rows, cols] = (R - I) / 2.0
         return A, B if B is not None and B.any() else None
 
     def advance(self, steps):

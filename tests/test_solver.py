@@ -1114,31 +1114,47 @@ def _per_column_map(stepper):
     return A, B
 
 
-# (grid shape, lattice, m, scheme, groups): criterion 13's span, whole
-# lattices whose maps read the mirror, the first-order scheme, a plane, and a
-# span with p3 = 32
+def _linearized_stepper(layout, params, scheme):
+    """A linearized stepper of a zero state on ``layout``: of the lone
+    ``params[0]``, or of a stack of all of ``params``."""
+    lead = (len(params),) if len(params) > 1 else ()
+    return _Stepper(
+        layout, params if lead else params[0], SolverConfig(
+            dt=0.01, t_end=0.01, scheme=scheme, linearized=True),
+        np.zeros((*lead, *layout.band_shape), np.complex128), None, None)
+
+
+# (grid shape, lattice, m, scheme, members, probe steps): criterion 13's
+# span, whole lattices whose maps read the mirror (at m = 4 the classes of
+# k3 mod 4 are {0}, {2} and {1, 3}), the first-order scheme (at m = 1 its
+# 3 groups leave the last state a real group alone), a plane, a span with
+# p3 = 32, and a 2-member stack at shift 1
 GROUPED_MAP_CASES = {
-    "span_6_4_m1": ((48, 48, 48), Sublattice.diag(6, 4), 1, "if_rk4", 9),
-    "whole48_m2": ((48, 48, 48), WHOLE_LATTICE, 2, "if_rk4", 16),
-    "whole32_m3": ((32, 32, 32), WHOLE_LATTICE, 3, "if_rk4", 11),
-    "imex32_m2": ((32, 32, 32), WHOLE_LATTICE, 2, "imex_euler", 5),
+    "span_6_4_m1": ((48, 48, 48), Sublattice.diag(6, 4), 1, "if_rk4", 1, 5),
+    "whole48_m2": ((48, 48, 48), WHOLE_LATTICE, 2, "if_rk4", 1, 8),
+    "whole48_m4": ((48, 48, 48), WHOLE_LATTICE, 4, "if_rk4", 1, 8),
+    "whole32_m3": ((32, 32, 32), WHOLE_LATTICE, 3, "if_rk4", 1, 7),
+    "imex32_m2": ((32, 32, 32), WHOLE_LATTICE, 2, "imex_euler", 1, 3),
+    "imex32_m1": ((32, 32, 32), WHOLE_LATTICE, 1, "imex_euler", 1, 2),
     "plane_1_1": ((24, 24, 24), Sublattice.of_plane(PlaneSpec(1, 1)), 1,
-                  "if_rk4", 8),
-    "span96_m1": ((96, 96, 96), Sublattice.diag(12, 8), 1, "if_rk4", 9),
+                  "if_rk4", 1, 4),
+    "span96_m1": ((96, 96, 96), Sublattice.diag(12, 8), 1, "if_rk4", 1, 5),
+    "stack_span_m1": ((48, 48, 48), Sublattice.diag(6, 4), 1, "if_rk4", 2,
+                      5),
 }
 
 
 @pytest.mark.parametrize("case", GROUPED_MAP_CASES.values(),
                          ids=GROUPED_MAP_CASES.keys())
 def test_grouped_step_map_is_the_per_column_map(case):
-    # probing every (2 reach + 1)-th k3 column in one step gives the map
-    # that one column a step gives, bit for bit, zeros off the band too
-    shape, lattice, m, scheme, groups = case
-    layout = replace(Grid(*shape), lattice=lattice)
-    stepper = _Stepper(layout, PhysParams(eps_kappa=0.01, m=m), SolverConfig(
-        dt=0.01, t_end=0.01, scheme=scheme, linearized=True),
-        np.zeros(layout.band_shape, np.complex128), None, None)
-    assert stepper.groups == groups
+    # probing every k3 column of a step's groups at once gives the map that
+    # one column a step gives, bit for bit, zeros off the band too
+    shape, lattice, m, scheme, members, steps = case
+    stepper = _linearized_stepper(
+        replace(Grid(*shape), lattice=lattice),
+        [PhysParams(eps_kappa=0.01 * (i + 1), m=m) for i in range(members)],
+        scheme)
+    assert len(stepper.probes) == steps
     A, B = stepper.step_map()
     want_A, want_B = _per_column_map(stepper)
     assert np.array_equal(A.view(np.uint64), want_A.view(np.uint64))
@@ -1146,6 +1162,24 @@ def test_grouped_step_map_is_the_per_column_map(case):
         assert m == 1 and not want_B.any()
     else:
         assert np.array_equal(B.view(np.uint64), want_B.view(np.uint64))
+
+
+@pytest.mark.parametrize("members", [1, 2], ids=["lone", "stack"])
+@pytest.mark.parametrize("scheme", ["if_rk4", "imex_euler"])
+def test_linearized_step_factors_are_real(scheme, members):
+    # at shift 1 a lone probe state steps one group in its real part and
+    # one in its imaginary part, which stay apart only while every factor a
+    # linearized step multiplies by has an imaginary part of exactly 0
+    stepper = _linearized_stepper(
+        Grid(48, 48, 48, Sublattice.diag(6, 4)),
+        [PhysParams(eps_kappa=0.01 * (i + 1), gamma=0.5 + 0.25 * i)
+         for i in range(members)], scheme)
+    names = (("E", "E2", "half_E2", "dt_E2", "dt3_E2", "dt6_E")
+             if scheme == "if_rk4" else ("implicit",)) + ("v_scale",)
+    for name in names:
+        factor = getattr(stepper, name)
+        assert factor.dtype == np.complex128, name
+        assert not factor.imag.any(), name
 
 
 @pytest.mark.parametrize("scheme, linearized, count", [
@@ -1224,9 +1258,10 @@ def test_step_map_grows_its_column_at_sigma_star(mode):
 
 @pytest.mark.parametrize("nsteps", [40, 400])
 def test_linearized_run_steps_only_to_build_its_map(monkeypatch, nsteps):
-    # a linearized run makes min(p3, 2 reach + 1) steps, 9 on this span
-    # (p3 = 16, IF-RK4 reach 4 at shift 1), each of a 2-state stack of
-    # spikes, however many steps it advances by powers of the map they build
+    # a linearized run makes the steps of its probe plan, 5 on this span
+    # (p3 = 16 at shift 1: 9 groups of spikes 9 apart, two to a lone state,
+    # one in each part), however many steps it advances by powers of the
+    # map they build
     calls = []
 
     def counted(stepper, _fn=_Stepper.step):
@@ -1242,26 +1277,40 @@ def test_linearized_run_steps_only_to_build_its_map(monkeypatch, nsteps):
     band = diag.layout.band_shape
     assert round(diag.times[-1] / 0.01) == nsteps
     assert band[2] == 16
-    assert calls == [(2, *band)] * 9
+    assert calls == [band] * 5
 
 
-def test_whole_lattice_linearized_run_memory():
-    # a whole-lattice 48^3 run at m = 2, whose map reads the conjugate
-    # mirror, holds its map and one power beside the state: its traced peak
-    # stays under 5 times the 5.06 MB of the same run stepped one by one
+def _linearized_run_peak(m):
+    """The traced peak of a warm whole-lattice 48^3 linearized run of 40
+    steps at ``m``, recording every 10."""
     grid = Grid(48, 48, 48)
     theta0 = _rich_field(grid)
-    par = PhysParams(eps_kappa=0.01, m=2)
+    par = PhysParams(eps_kappa=0.01, m=m)
     cfg = SolverConfig(dt=0.01, t_end=0.4, record_every=10, linearized=True)
     run(theta0, par, cfg)  # warm the caches
     gc.collect()
     tracemalloc.start()
     try:
         run(theta0, par, cfg)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_whole_lattice_linearized_run_memory():
+    # a whole-lattice 48^3 run at m = 2, whose map reads the conjugate
+    # mirror, holds its map and one power beside the state: its traced peak
+    # stays under 5 times the 5.06 MB of the same run stepped one by one
+    peak = _linearized_run_peak(2)
     assert peak < 5 * 5.06e6, peak
+
+
+def test_whole_lattice_linearized_run_memory_at_shift_1():
+    # at m = 1 the map is probed in one lone state, not a 2-state stack of
+    # spikes with its own buffers: the traced peak reads 10.1 MB, under the
+    # 11.2 MB it read with the stack
+    peak = _linearized_run_peak(1)
+    assert peak < 10.6e6, peak
 
 
 @pytest.mark.parametrize("linearized", [False, True],
