@@ -16,21 +16,21 @@ complex, as the state, so no step casts a real operand.
 A run steps and records on the layout of its sublattice, a ``fields.Grid``:
 the whole lattice by default, or one a run is restricted to (a plane, or
 the k1 Z x k2 Z x m Z that a seeded eigenmode lives on, which holds every
-product of its modes), so nothing off the lattice is stored.  ``run``
-gathers the initial coefficients (which, like every spectral array of
-``fields``, hold the dealias band and nothing else) into a private stepper
-that builds every factor and buffer of the run once and records from its
-own state and layout alone; only the final state is scattered back onto
-the grid's band.  A sublattice's right-hand side is the grid's to rounding:
-a restricted layout samples on its band's own sizes, which dealias every
-product exactly as the grid's sizes do.  A record reads the same samples
-(see ``Diagnostics``).
+product of its modes), so nothing off the lattice is stored.
+``run_stack`` gathers the initial coefficients (which, like every
+spectral array of ``fields``, hold the dealias band and nothing else) into
+a private stepper that builds every factor and buffer of the run once and
+records from its own states and layout alone; only the final states are
+scattered back onto the grid's band.  A sublattice's right-hand side is
+the grid's to rounding: a restricted layout samples on its band's own
+sizes, which dealias every product exactly as the grid's sizes do.  A
+record reads the same samples (see ``Diagnostics``).
 
-``run_stack`` steps runs that share a layout as one stack, their states
-and buffers on a leading member axis, so numpy's per-call cost, most of a
-small layout's step, is paid once for all of them; each member's output is
-its own run's bit for bit, and ``run`` is the one-member case (README,
-"Numerical notes").
+Every run is a stack: ``run_stack`` steps runs that share a layout as
+one, their states and buffers on a leading member axis, so numpy's
+per-call cost, most of a small layout's step, is paid once for all of
+them; each member's output is its own run's bit for bit, and ``run`` is
+the one-member stack (README, "Numerical notes").
 
 The linearized right-hand side about Theta_0 = sin(m x3), -m u3 cos(m x3),
 is an exact shift of +-m along k3, sliced with no transform, that couples k3
@@ -38,7 +38,7 @@ only within a column (k1, k2) and its conjugate mirror.  A linearized run
 reads its step as real p3 x p3 matrices per column (``step_map``), sparse
 (a step moves a spike at most 4 shifts along k3, 1 for IMEX, so only
 within its class +-k3 mod the shift), so one step probes every k3 whose
-rows do not meet, and at shift 1, where the map is real, a lone state
+rows do not meet, and at shift 1, where the map is real, one state
 probes two such groups, one in each part; it goes from record to record by
 the map's powers, to rounding of its steps.  On the whole lattice it runs
 on the diag sublattice its data spans (``_span``): s1, s2 the gcds of
@@ -49,12 +49,13 @@ and on it the same operations: the map's columns are the whole band's,
 bitwise.
 
 The advection product multiplies the field by its six spectral factors
-(M1, M2, M3, i k1, i k2, i k3), stacked into one array, and makes one
-stacked inverse pass of the six products, whose x3 pass is one matrix
+(M1, M2, M3, i k1, i k2, i k3), held in one array, and makes one
+inverse pass of the six products as a stack, whose x3 pass is one matrix
 product for all six, and one forward pass of u . grad theta.  The product
 (``_Advection``) owns its factors, buffers and passes; a run builds one,
 and a record reads its energy flux and velocity maxima from one more call
-of it.
+of it, and samples each member for its L-inf norm into a gradient row
+that call leaves free.
 
 The nonlinear transfer is projected onto modes with k3 != 0 each evaluation:
 the velocity multiplier vanishes on the k3 = 0 plane, so those modes carry
@@ -99,7 +100,7 @@ from .fields import (
     sine_vertical,
     wavenumbers,
 )
-from .symbol import PhysParams, PlaneSpec, _validate_mode
+from .symbol import PlaneSpec, _validate_mode
 
 _GROWTH_CAP = 30.0  # refuse runs that would amplify any resolvable mode past e^30
 
@@ -205,7 +206,7 @@ class Diagnostics:
 
 def _advection_factors(grid, n2_phys):
     """The six spectral factors (M1, M2, M3, i k1, i k2, i k3) on the band,
-    stacked into one complex array of shape ``(6, *grid.band_shape)``."""
+    as one complex array of shape ``(6, *grid.band_shape)``."""
     ik = (1j * k for k in wavenumbers(grid))
     return np.stack(np.broadcast_arrays(*multiplier_arrays(grid, n2_phys),
                                         *ik))
@@ -215,7 +216,7 @@ class _Advection:
     """The advection product on a layout at N^2 = ``n2_phys``, of one field
     or, with ``lead`` (S,), of a stack of S, with its own ``factors``
     (``_advection_factors``), passes and buffers: ``spec`` takes the field
-    times the factors and ``phys`` their samples, one stacked pass, the
+    times the factors and ``phys`` their samples, in one pass, the
     factor axis ahead of the members so that each row is contiguous; u_j
     d_j theta overwrites the gradient rows 3-5, so ``u`` (rows 0-2) keeps
     u's samples.  The forward pass skips ``forward``'s Hermitian fix: it
@@ -386,31 +387,28 @@ def _probe_plan(p3, shift, hops, channels):
 
 
 class _Stepper:
-    """One run on a layout's band: state, factors, buffers and records.
+    """A stack of runs on a layout's band: state, factors, buffers, records.
 
-    The state ``c``, the source ``src`` and the reference ``ref`` (None
-    when absent) are the run's own arrays on ``layout``, the layout of the
-    run's lattice, whose growth cap is checked first; every factor is built
-    there, and a step writes every right-hand side and stage into the
-    buffers built here, only those its scheme and path read, so it
-    allocates no array of the layout's size.  A linearized run, which only
-    applies its step map (``advance``), binds ``next`` alone, and steps
-    through a copy from ``stepping``.  Every factor is complex128.
-    A nonlinear run's right-hand sides and records (L-inf too) run the one
-    ``_Advection`` built here, which goes with the run.
-
-    With a sequence of S ``params`` it steps a stack (``run_stack``): ``c``,
-    ``src`` and the dissipation and stage factors hold the members on a
-    leading axis, which the shared advection factors and ``v_scale``
-    broadcast over, and each member has its growth cap, rows and messages.
+    With a sequence of S ``params`` it steps S members (``run_stack``):
+    the state ``c``, the source ``src`` and the dissipation and stage
+    factors hold them on a leading axis, which the shared advection
+    factors and ``v_scale`` broadcast over, and each member has its growth
+    cap, rows and messages, and its distance to the one reference ``ref``
+    (None when absent).  Every array is the run's own on ``layout``, the
+    layout of the run's lattice; every factor is built there, and a step
+    writes every right-hand side and stage into the buffers built here,
+    only those its scheme and path read, so it allocates no array of the
+    layout's size.  A linearized run, which only applies its step map
+    (``advance``), binds ``next`` alone, and steps through a copy from
+    ``stepping``.  Every factor is complex128.  A nonlinear run's
+    right-hand sides and records run the one ``_Advection`` built here,
+    which goes with the run.
     """
 
     def __init__(self, layout, params, config, c, src, ref):
-        stacked = not isinstance(params, PhysParams)
-        members = list(params) if stacked else [params]
-        self.lead = (len(members),) if stacked else ()
-        # how a message names each member: a lone run's, not at all
-        self.named = [f" in member {i}" if stacked else ""
+        members = list(params)
+        # how a message names each member: a one-member run's, not at all
+        self.named = [f" in member {i}" if len(members) > 1 else ""
                       for i in range(len(members))]
         for member in members:
             _growth_cap_check(layout, member, config)
@@ -426,8 +424,7 @@ class _Stepper:
         disss = [p.eps_kappa * ksq_power(layout, p.gamma) for p in members]
 
         def factor(f):  # each member's factor, computed on its own
-            arrays = [f(diss).astype(np.complex128) for diss in disss]
-            return np.stack(arrays) if self.lead else arrays[0]
+            return np.stack([f(diss).astype(np.complex128) for diss in disss])
 
         if config.scheme == "if_rk4":
             self.E = E = factor(lambda diss: np.exp(-dt * diss))
@@ -439,32 +436,33 @@ class _Stepper:
             self.implicit = factor(lambda diss: 1.0 / (1.0 + dt * diss))
         self.linearized = config.linearized
         if not config.linearized:
-            self.advect = _Advection(layout, shared.n2, self.lead)
+            self.advect = _Advection(layout, shared.n2, (len(members),))
         else:
             # -m u3 cos(m x3) = v(k3 - m) + v(k3 + m), v = -(m/2) M3_hat theta_hat
-            # (a shift by m / s3 indices on the layout)
+            # (a shift by m / s3 indices on the layout), v_scale with a member
+            # axis of 1, by which numpy multiplies a stack faster than without
             self.shift = shared.m // layout.lattice.s3
             self.v_scale = (-0.5 * shared.m * multiplier_arrays(
-                layout, shared.n2)[2]).astype(np.complex128)
+                layout, shared.n2)[2]).astype(np.complex128)[None]
             # a step moves a spike a shift per right-hand side; at shift 1
-            # the map is real, so a lone state probes a group in each part
+            # the map is real, so one state probes a group in each part
             self.probes = _probe_plan(
                 layout.band_shape[2], self.shift,
                 4 if config.scheme == "if_rk4" else 1,
                 2 if self.shift == 1 else 1)
             self.powers = {}  # steps -> the step map's power (advance)
-        if config.linearized or self.lead:  # L-inf reads one field at a time
-            self.passes, self.samples = _Passes(layout, ()), np.empty(
-                layout.shape)
-        else:
-            self.passes, self.samples = self.advect.field, self.advect.g0
+        # L-inf reads one member at a time, a nonlinear run's samples into a
+        # gradient row of the advection product, free at record time
+        self.passes = _Passes(layout, ())
+        self.samples = (np.empty(layout.shape) if config.linearized
+                        else self.advect.g0[0])
         # a linearized run only applies its map (advance), into ``next``
         self._bind(c, stepping=not config.linearized)
 
     def _bind(self, c, stepping=True):
-        """Hold ``c``, one field or a stack, with new buffers shaped like it:
-        those its scheme and path read to ``step`` it, or, not ``stepping``,
-        only ``next`` (no right-hand side buffer in ``outs``)."""
+        """Hold the stack ``c`` with new buffers shaped like it: those its
+        scheme and path read to ``step`` it, or, not ``stepping``, only
+        ``next`` (no right-hand side buffer in ``outs``)."""
         self.c, rk4 = c, self.scheme == "if_rk4"
         made = ([True] * (4 if rk4 else 1) + [rk4, rk4, True, self.linearized]
                 if stepping else [False, False, True, False])
@@ -472,9 +470,9 @@ class _Stepper:
             np.empty_like(c, dtype=np.complex128) if m else None for m in made)
 
     def stepping(self, c):
-        """A copy of this stepper that steps ``c``, one field or a stack,
-        in buffers of its own: how a linearized run's map is probed, and
-        how a caller steps a linearized run."""
+        """A copy of this stepper that steps the stack ``c`` in buffers of
+        its own: how a linearized run's map is probed, and how a caller
+        steps a linearized run."""
         stepper = copy.copy(self)
         stepper._bind(c)
         return stepper
@@ -500,16 +498,16 @@ class _Stepper:
         2-state stack, a real and an imaginary unit spike, and column q is
         (R +- I) / 2 of the responses R and I.  At shift 1 (no mirror, B
         0) every factor of a step has an imaginary part of exactly 0, so a
-        lone state's real and imaginary parts step apart: it spikes one
-        group with 1 and one with 1j, and column q is the response's part
-        of its own group."""
-        p3, lone = self.c.shape[-1], self.shift == 1
+        state's real and imaginary parts step apart: it spikes one group
+        with 1 and one with 1j, and column q is the response's part of its
+        own group."""
+        p3, real = self.c.shape[-1], self.shift == 1
         spikes = self.stepping(np.empty(
-            self.c.shape if lone else (2, *self.c.shape), np.complex128))
+            self.c.shape if real else (2, *self.c.shape), np.complex128))
         A = np.zeros((*self.c.shape, p3))
-        B = None if lone else np.zeros_like(A)
+        B = None if real else np.zeros_like(A)
         for spike, rows, cols, parts in self.probes:
-            if lone:
+            if real:
                 spikes.c[...] = spike
                 spikes.step()
                 A[..., rows, cols] = _pairs(spikes.c)[..., rows, parts]
@@ -569,16 +567,12 @@ class _Stepper:
             np.multiply(self.implicit, r, out=nxt)
         self.c, self.next = nxt, c
 
-    def _split(self, x, axis=0):
-        """The members' parts of ``x``, whose member axis is ``axis``."""
-        return list(np.moveaxis(x, axis, 0)) if self.lead else [x]
-
     def record(self, step):
         """Append each member's row at ``step``, reading one call of the
         run's advection product when nonlinear; BlowUpError, with that
         member's rows, if a member's state is not finite."""
         t = step * self.dt
-        fields = [SpectralField(self.layout, c) for c in self._split(self.c)]
+        fields = [SpectralField(self.layout, c) for c in self.c]
         l2s = [l2_norm(f) for f in fields]
         for i, l2 in enumerate(l2s):
             if not math.isfinite(l2):
@@ -587,11 +581,10 @@ class _Stepper:
                     f"(step {step})", time=t, history=self.diagnostics(i))
         fluxes, cfls = [math.nan] * len(fields), [0.0] * len(fields)
         if not self.linearized:  # into the next buffer, free between steps
-            advs = self._split(self.advect(self.c, self.next))
-            for i, (f, adv, vel) in enumerate(zip(
-                    fields, advs, self._split(self.advect.u, 1))):
+            advs = self.advect(self.c, self.next)
+            for i, (f, adv) in enumerate(zip(fields, advs)):
                 fluxes[i] = energy_flux_residual(self.layout, f.c, adv)
-                umax = velocity_max(vel)
+                umax = velocity_max(self.advect.u[:, i])
                 cfls[i] = self.dt * sum(u * k for u, k in zip(umax, self.kmax))
         for i, (f, rows) in enumerate(zip(fields, self.rows)):
             rows.append((
@@ -651,14 +644,7 @@ def run(theta0, params, config, reference=None):
         extra diagnostic column (used to track the departure from a steady
         state).
 
-    The initial data, the reference and a custom source live on the whole
-    grid; they are gathered onto the layout of ``config.lattice`` (the
-    whole lattice unless restricted), ``diagnostics.layout``, and the final
-    state is scattered back.  A linearized run on the whole lattice is
-    gathered onto the layout of the diag sublattice that the initial data
-    and the reference span instead, and every linearized run advances by
-    powers of its one-step map, to rounding of its steps (module docstring).
-    This is ``run_stack`` of one member.
+    This is ``run_stack`` of one member, which says where it steps.
     """
     return run_stack([theta0], [params], config, reference)[0]
 
@@ -667,13 +653,20 @@ def run_stack(thetas, params, config, reference=None):
     """Integrate several runs on one layout as one stack; returns one
     (final field, diagnostics) pair per member, in order.
 
+    The initial data, the reference and a custom source live on the whole
+    grid; they are gathered onto the layout of ``config.lattice`` (the
+    whole lattice unless restricted), ``diagnostics.layout``, and the final
+    states are scattered back.  A linearized run on the whole lattice is
+    gathered onto the layout of the diag sublattice that every member's
+    initial data and the reference span instead, and every linearized run
+    advances by powers of its one-step map, to rounding of its steps
+    (module docstring).
+
     Member i is ``run(thetas[i], params[i], config, reference)``, bit for
-    bit where that run steps on the stack's layout: ``config.lattice``'s,
-    or for a linearized run on the whole lattice the diag sublattice that
-    every member's data and the reference span.  The members share the
+    bit where that run steps on the stack's layout.  The members share the
     grid, N^2 and m (ValueError otherwise) and may differ in eps_kappa,
-    gamma and initial data.  A ``BlowUpError`` names its member and
-    carries that member's rows.
+    gamma and initial data.  A ``BlowUpError`` carries its member's rows,
+    and in a stack of several names that member.
     """
     thetas, params = list(thetas), list(params)
     if not thetas or len(params) != len(thetas):
@@ -699,19 +692,14 @@ def run_stack(thetas, params, config, reference=None):
         lattice = _span(grid, m, *(
             f.c for f in (*thetas, reference) if f is not None))
     layout = replace(grid, lattice=lattice)
-    lone = len(thetas) == 1
-
-    def stack(arrays):  # the members' arrays on a leading axis
-        return arrays[0] if lone else np.stack(arrays)
-
     srcs = [config.source.realize(grid, p) for p in params]
     # a member without a source subtracts -0, and -0 - x is -x to the bit
-    src = None if all(s is None for s in srcs) else stack([
+    src = None if all(s is None for s in srcs) else np.stack([
         np.full(layout.band_shape, complex(-0.0, -0.0)) if s is None
         else layout.gather(s) for s in srcs])
     stepper = _Stepper(
-        layout, params[0] if lone else params, config,
-        stack([layout.gather(theta.c) for theta in thetas]), src,
+        layout, params, config,
+        np.stack([layout.gather(theta.c) for theta in thetas]), src,
         None if reference is None else layout.gather(reference.c))
 
     steps = _record_steps(config).tolist()
@@ -719,7 +707,7 @@ def run_stack(thetas, params, config, reference=None):
         stepper.advance(step - last)
         stepper.record(step)
     return [(SpectralField(grid, layout.scatter(c)), stepper.diagnostics(i))
-            for i, c in enumerate(stepper._split(stepper.c))]
+            for i, c in enumerate(stepper.c)]
 
 
 def _fit_window(times, t_start, t_stop):

@@ -152,9 +152,9 @@ def test_warm_step_allocates_no_grid_array():
     # takes for the broadcast field has a fixed size (about 116 KB), well
     # under one array of the grid at 48^3
     grid = Grid(48, 48, 48)
-    stepper = _Stepper(grid, PhysParams(eps_kappa=0.02),
+    stepper = _Stepper(grid, [PhysParams(eps_kappa=0.02)],
                        SolverConfig(dt=0.01, t_end=0.01),
-                       _rich_field(grid).c, None, None)
+                       _rich_field(grid).c[None], None, None)
     stepper.step()  # warms numpy's own buffers
     tracemalloc.start()
     try:
@@ -209,12 +209,14 @@ def test_stepper_rhs_is_the_advection_product(grid, lattice, shape, source):
     c = layout.gather(forward(grid, rng.standard_normal(grid.shape)))
     src = (layout.gather(SourceSpec("steady_balance").realize(grid, par))
            if source else None)
-    stepper = _Stepper(layout, par, SolverConfig(dt=0.01, t_end=0.01),
-                       c.copy(), src, None)
-    got = stepper.rhs(c, np.empty(layout.band_shape, dtype=np.complex128))
+    stepper = _Stepper(layout, [par], SolverConfig(dt=0.01, t_end=0.01),
+                       c[None].copy(), None if src is None else src[None],
+                       None)
+    got = stepper.rhs(c[None], np.empty((1, *layout.band_shape),
+                                        dtype=np.complex128))
     adv = advection_coefficients(layout, c, par.n2)
     assert np.any(adv != 0.0)
-    assert np.array_equal(got, -adv if src is None else src - adv)
+    assert np.array_equal(got[0], -adv if src is None else src - adv)
 
 
 @pytest.mark.parametrize("grid, lattice", [
@@ -406,9 +408,9 @@ class TestLinearized:
         # elements per strided or cast operand, shrunk here to their least
         grid = Grid(48, 48, 48)
         rng = np.random.default_rng(1)
-        c = (rng.standard_normal(grid.band_shape)
-             + 1j * rng.standard_normal(grid.band_shape))
-        stepper = _Stepper(grid, PhysParams(eps_kappa=0.01), SolverConfig(
+        c = (rng.standard_normal((1, *grid.band_shape))
+             + 1j * rng.standard_normal((1, *grid.band_shape)))
+        stepper = _Stepper(grid, [PhysParams(eps_kappa=0.01)], SolverConfig(
             dt=0.01, t_end=0.01, linearized=True), c, None, None).stepping(c)
         stepper.step()  # warm
         bufsize = np.setbufsize(16)
@@ -419,7 +421,7 @@ class TestLinearized:
         finally:
             tracemalloc.stop()
             np.setbufsize(bufsize)
-        assert peak < stepper.c[:, :, 0].nbytes
+        assert peak < stepper.c[..., 0].nbytes
 
     def test_steps_make_no_transforms(self, monkeypatch):
         theta0 = _rich_field(G16)
@@ -911,8 +913,8 @@ def _whole_band_run(theta0, par, cfg, reference=None, mapped=False):
     which a linearized run advances by powers of its step map."""
     grid = theta0.grid
     src = cfg.source.realize(grid, par)
-    stepper = _Stepper(grid, par, cfg, grid.gather(theta0.c),
-                       None if src is None else grid.gather(src),
+    stepper = _Stepper(grid, [par], cfg, grid.gather(theta0.c)[None],
+                       None if src is None else grid.gather(src)[None],
                        None if reference is None else reference.c)
     if not mapped:
         stepper = stepper.stepping(stepper.c)
@@ -924,7 +926,7 @@ def _whole_band_run(theta0, par, cfg, reference=None, mapped=False):
             for _ in range(step - last):
                 stepper.step()
         stepper.record(step)
-    return SpectralField(grid, stepper.c), stepper.diagnostics()
+    return SpectralField(grid, stepper.c[0]), stepper.diagnostics()
 
 
 def _assert_final_linf(diag, final):
@@ -1062,12 +1064,12 @@ def test_step_map_is_the_step(case):
     c = forward(layout, np.random.default_rng(m).standard_normal(
         layout.shape))
     applied, powered, stepped = (_Stepper(
-        layout, PhysParams(eps_kappa=0.01, m=m), SolverConfig(
+        layout, [PhysParams(eps_kappa=0.01, m=m)], SolverConfig(
             dt=0.01, t_end=0.07, scheme=scheme, linearized=True),
-        c.copy(), None, None) for _ in range(3))
+        c[None].copy(), None, None) for _ in range(3))
     A, B = stepped.step_map()
     stepped = stepped.stepping(stepped.c)
-    assert A.shape == (*layout.band_shape, layout.band_shape[2])
+    assert A.shape == (1, *layout.band_shape, layout.band_shape[2])
     assert (B is None) == (m == 1)  # only shifts of 2 or more read mirrors
     for _ in range(7):
         applied.advance(1)
@@ -1077,24 +1079,25 @@ def test_step_map_is_the_step(case):
     want = stepped.c
     assert np.max(np.abs(want - c)) > 1e-3 * np.max(np.abs(c))  # it moved
     for got in (applied.c, powered.c):
-        for part in (np.s_[...], np.s_[0, 0]):
+        for part in (np.s_[...], np.s_[:, 0, 0]):
             assert np.max(np.abs(got[part] - want[part])) <= 1e-14 * np.max(
                 np.abs(want[part]))
 
 
 def test_stepper_steps_a_stack_as_its_fields():
-    # a stepper given a stack of states steps each one bit for bit as a
-    # stepper of that state alone, the conjugate-mirror reads included
+    # a stepper given a stack of states, each with the member axis (as a
+    # probe's spikes), steps each one bit for bit as a stepper of that state
+    # alone, the conjugate-mirror reads included
     layout, par = Grid(16, 16, 24), PhysParams(eps_kappa=0.01, m=3)
     cfg = SolverConfig(dt=0.01, t_end=0.01, linearized=True)
     rng = np.random.default_rng(5)
-    stack = (rng.standard_normal((2, *layout.band_shape))
-             + 1j * rng.standard_normal((2, *layout.band_shape)))
-    stacked = _Stepper(layout, par, cfg, stack, None, None).stepping(
+    stack = (rng.standard_normal((2, 1, *layout.band_shape))
+             + 1j * rng.standard_normal((2, 1, *layout.band_shape)))
+    stacked = _Stepper(layout, [par], cfg, stack, None, None).stepping(
         stack.copy())
     stacked.step()
     for c, got in zip(stack, stacked.c):
-        alone = _Stepper(layout, par, cfg, c, None, None).stepping(c.copy())
+        alone = _Stepper(layout, [par], cfg, c, None, None).stepping(c.copy())
         alone.step()
         assert np.array_equal(got.view(np.uint64), alone.c.view(np.uint64))
 
@@ -1115,13 +1118,13 @@ def _per_column_map(stepper):
 
 
 def _linearized_stepper(layout, params, scheme):
-    """A linearized stepper of a zero state on ``layout``: of the lone
-    ``params[0]``, or of a stack of all of ``params``."""
-    lead = (len(params),) if len(params) > 1 else ()
+    """A linearized stepper of a stack of zero states on ``layout``, one
+    for each of ``params``."""
     return _Stepper(
-        layout, params if lead else params[0], SolverConfig(
+        layout, params, SolverConfig(
             dt=0.01, t_end=0.01, scheme=scheme, linearized=True),
-        np.zeros((*lead, *layout.band_shape), np.complex128), None, None)
+        np.zeros((len(params), *layout.band_shape), np.complex128), None,
+        None)
 
 
 # (grid shape, lattice, m, scheme, members, probe steps): criterion 13's
@@ -1190,9 +1193,9 @@ def test_stepper_binds_only_the_buffers_its_step_reads(
     # one buffer per right-hand side, IF-RK4's stage and E2 c, the next
     # state, and the linearized v, each shaped like the state bound; a
     # linearized run, which only applies its map, binds ``next`` alone
-    stepper = _Stepper(G16, PhysParams(eps_kappa=0.02), SolverConfig(
+    stepper = _Stepper(G16, [PhysParams(eps_kappa=0.02)], SolverConfig(
         dt=0.01, t_end=0.01, scheme=scheme, linearized=linearized),
-        _rich_field(G16).c, None, None)
+        _rich_field(G16).c[None], None, None)
     c, sizes = stepper.c.copy(), []
     for stepping in (True, False):
         bound = copy.copy(stepper)
@@ -1218,8 +1221,8 @@ def test_linearized_run_binds_no_step_buffer():
     # side, stage, E2 c or v, the 7 state-sized buffers (1.7 MB) that it
     # traced with them (22.6 states), which a stepping copy binds
     grid = Grid(48, 48, 48)
-    c = np.zeros(grid.band_shape, np.complex128)
-    par = PhysParams(eps_kappa=0.01)
+    c = np.zeros((1, *grid.band_shape), np.complex128)
+    par = [PhysParams(eps_kappa=0.01)]
     cfg = SolverConfig(dt=0.01, t_end=0.01, linearized=True)
     _Stepper(grid, par, cfg, c, None, None)  # warm the caches
     gc.collect()
@@ -1245,12 +1248,12 @@ def test_step_map_grows_its_column_at_sigma_star(mode):
     layout = Grid(48, 48, 48, Sublattice.diag(*mode))
     gaps = []
     for dt in (0.01, 0.005):
-        stepper = _Stepper(layout, par, SolverConfig(
+        stepper = _Stepper(layout, [par], SolverConfig(
             dt=dt, t_end=dt, linearized=True),
-            np.zeros(layout.band_shape, np.complex128), None, None)
+            np.zeros((1, *layout.band_shape), np.complex128), None, None)
         A, B = stepper.step_map()
         assert B is None
-        mu = np.max(np.abs(np.linalg.eigvals(A[1, 1])))  # column (k1, k2)
+        mu = np.max(np.abs(np.linalg.eigvals(A[0, 1, 1])))  # column (k1, k2)
         gaps.append(math.log(mu) / dt - sigma)
     assert abs(gaps[0]) < 1e-8
     assert 12.8 < gaps[0] / gaps[1] < 19.2
@@ -1259,9 +1262,9 @@ def test_step_map_grows_its_column_at_sigma_star(mode):
 @pytest.mark.parametrize("nsteps", [40, 400])
 def test_linearized_run_steps_only_to_build_its_map(monkeypatch, nsteps):
     # a linearized run makes the steps of its probe plan, 5 on this span
-    # (p3 = 16 at shift 1: 9 groups of spikes 9 apart, two to a lone state,
-    # one in each part), however many steps it advances by powers of the
-    # map they build
+    # (p3 = 16 at shift 1: 9 groups of spikes 9 apart, two to a state of
+    # its one member, one in each part), however many steps it advances by
+    # powers of the map they build
     calls = []
 
     def counted(stepper, _fn=_Stepper.step):
@@ -1277,16 +1280,18 @@ def test_linearized_run_steps_only_to_build_its_map(monkeypatch, nsteps):
     band = diag.layout.band_shape
     assert round(diag.times[-1] / 0.01) == nsteps
     assert band[2] == 16
-    assert calls == [band] * 5
+    assert calls == [(1, *band)] * 5
 
 
-def _linearized_run_peak(m):
-    """The traced peak of a warm whole-lattice 48^3 linearized run of 40
-    steps at ``m``, recording every 10."""
+def _run_peak(m, linearized=True, steps=40):
+    """The traced peak of a warm whole-lattice 48^3 run of ``steps`` steps
+    at ``m``, recording every 10, linearized or not (of data a tenth as
+    large, whose CFL number stays under 0.5)."""
     grid = Grid(48, 48, 48)
-    theta0 = _rich_field(grid)
+    theta0 = _rich_field(grid) * (1.0 if linearized else 0.1)
     par = PhysParams(eps_kappa=0.01, m=m)
-    cfg = SolverConfig(dt=0.01, t_end=0.4, record_every=10, linearized=True)
+    cfg = SolverConfig(dt=0.01, t_end=0.01 * steps, record_every=10,
+                       linearized=linearized)
     run(theta0, par, cfg)  # warm the caches
     gc.collect()
     tracemalloc.start()
@@ -1301,24 +1306,35 @@ def test_whole_lattice_linearized_run_memory():
     # a whole-lattice 48^3 run at m = 2, whose map reads the conjugate
     # mirror, holds its map and one power beside the state: its traced peak
     # stays under 5 times the 5.06 MB of the same run stepped one by one
-    peak = _linearized_run_peak(2)
+    peak = _run_peak(2)
     assert peak < 5 * 5.06e6, peak
 
 
 def test_whole_lattice_linearized_run_memory_at_shift_1():
-    # at m = 1 the map is probed in one lone state, not a 2-state stack of
+    # at m = 1 the map is probed in one state, not a 2-state stack of
     # spikes with its own buffers: the traced peak reads 10.1 MB, under the
     # 11.2 MB it read with the stack
-    peak = _linearized_run_peak(1)
+    peak = _run_peak(1)
     assert peak < 10.6e6, peak
+
+
+def test_whole_lattice_nonlinear_run_memory():
+    # a one-member nonlinear run of 10 steps at 48^3 holds its stack's
+    # buffers and advection product, and one-field passes for its records,
+    # whose samples go into a gradient row of the product, free at record
+    # time: its traced peak reads 20.10 MB, and 20.98 MB with an array of
+    # their own
+    peak = _run_peak(1, linearized=False, steps=10)
+    assert peak < 20.2e6, peak
 
 
 @pytest.mark.parametrize("linearized", [False, True],
                          ids=["nonlinear", "linearized"])
 def test_records_read_linf_through_the_run_passes(monkeypatch, linearized):
-    # a run builds its passes once (the advection product's two, or one
-    # for a linearized run's records), however many records it makes, and
-    # a record's L-infinity norm is linf_norm's own, bit for bit
+    # a run builds its passes once (the advection product's two, for its
+    # stack of one member, and one-field passes for its records' L-infinity
+    # norms), however many records it makes, and a record's L-infinity
+    # norm is linf_norm's own, bit for bit
     built = []
 
     def init(passes, layout, lead, _fn=mgsim.fields._Passes.__init__):
@@ -1338,7 +1354,8 @@ def test_records_read_linf_through_the_run_passes(monkeypatch, linearized):
         layout = diag.layout
         assert diag.linf[-1] == linf_norm(
             SpectralField(layout, layout.gather(final.c)))
-    assert counts[0] == counts[1] == ([()] if linearized else [(6,), ()])
+    assert counts[0] == counts[1] == (
+        [()] if linearized else [(6, 1), (1,), ()])
 
 
 def test_linearized_run_is_capped_on_its_span():
